@@ -115,8 +115,9 @@ def _validate_dse(dim, sigma, epsilon) -> None:
 
 
 def _exp_eps(epsilon: float) -> float:
-    # capping the exponent only lowers the subtracted term, which keeps
-    # lhs_upper an upper bound while avoiding float overflow
+    # e^epsilon weighting the subtracted hockey-stick term; capping the
+    # exponent only lowers that term, which keeps an upper bound on the
+    # left-hand side one while avoiding float overflow
     return math.exp(min(epsilon, 700.0))
 
 

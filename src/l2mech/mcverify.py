@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import PrivacyParams
+from .lossbounds import _exp_eps
 from .sampler import RngState, sample_l2
 
 __all__ = ["EmpiricalPrivacyEstimate", "empirical_lhs", "empirical_min_sigma"]
@@ -63,10 +64,6 @@ class EmpiricalPrivacyEstimate:
             "seed": int(self.seed),
         }
         return json.dumps(payload, indent=2)
-
-
-def _exp_eps(epsilon: float) -> float:
-    return math.exp(min(epsilon, 700.0))
 
 
 def empirical_lhs(

@@ -106,11 +106,12 @@ def _log1pmx(t: float) -> float:
 
 def _log1pmx_vec(t: np.ndarray) -> np.ndarray:
     small = np.abs(t) <= 0.25
-    ts = np.where(small, t, 0.0)
-    s = np.full(t.shape, 1.0 / 34.0)
+    out = np.empty(t.shape)
+    ts = t[small]
+    s = np.full(ts.shape, 1.0 / 34.0)
     for k in range(33, 1, -1):
         s = 1.0 / k - ts * s
-    out = -(ts * ts) * s
+    out[small] = -(ts * ts) * s
     big = ~small
     if big.any():
         out[big] = np.log1p(t[big]) - t[big]
@@ -128,8 +129,9 @@ def _gamma_log_prefactor(a: float, x: float) -> float:
     )
 
 
-def _gamma_log_prefactor_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape)
+def _gamma_log_prefactor_vec(a, x: np.ndarray) -> np.ndarray:
+    a = np.broadcast_to(a, x.shape)
+    out = np.empty(x.shape)
     small = a < _STIRLING_SWITCH
     if small.any():
         out[small] = a[small] * np.log(x[small]) - x[small] - _lgamma_vec(a[small])
@@ -259,42 +261,58 @@ def _betainc_scalar(x: float, a: float, b: float, max_iter: int):
 
 
 # ---------------------------------------------------------------------------
-# packed vector kernels (flat arrays, every element in the same regime)
+# packed vector kernels (flat arrays, every element in the same regime).
+# A shape parameter may be a float instead of an array: radial grids share
+# one shape ((d-1)/2, 1/2 or d), and scalar operands save array work in
+# every iteration.  The loops use only + - * /, which round the same for
+# floats and array elements, so either form gives bitwise equal values.
 
 
-def _gamma_series_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
-    ap = a.copy()
-    total = 1.0 / a
+def _uniform(v: np.ndarray):
+    """v's single value as a float when every element shares it, else v."""
+    if v.size and (v == v[0]).all():
+        return float(v[0])
+    return v
+
+
+def _part(v, mask: np.ndarray):
+    return v if isinstance(v, float) else v[mask]
+
+
+def _gamma_series_vec(a, x: np.ndarray, max_iter: int):
+    ap = a
+    total = np.broadcast_to(1.0 / a, x.shape).copy()
     term = total.copy()
-    active = np.ones(x.shape, dtype=bool)
-    iters = np.zeros(x.shape, dtype=np.int64)
+    # with x < a + 1 every term is positive and smaller than the one
+    # before, so an element stays converged once it is: the loop stops at
+    # the first iteration where all are, the worst element's count, and
+    # every element keeps accumulating until then.  For one shape the
+    # largest x converges last (term / total grows with x), so the full
+    # test waits for that element; the result does not depend on it
+    slow = int(np.argmax(x))
     i = 0
-    # the series converges absolutely, so letting finished elements keep
-    # accumulating is harmless; only the iteration counters are frozen
-    while active.any() and i < max_iter:
+    while i < max_iter:
         i += 1
-        ap += 1.0
+        ap = ap + 1.0
         term *= x / ap
         total += term
-        done = np.abs(term) < np.abs(total) * _EPS
-        iters[active & done] = i
-        active &= ~done
+        if term[slow] < total[slow] * _EPS and (term < total * _EPS).all():
+            break
     p = total * np.exp(_gamma_log_prefactor_vec(a, x))
-    iters[active] = max_iter
-    return np.clip(p, 0.0, 1.0), iters, ~active
+    return np.clip(p, 0.0, 1.0), i, term < total * _EPS
 
 
-def _gamma_cf_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
+def _gamma_cf_vec(a, x: np.ndarray, max_iter: int):
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    iters = np.zeros(x.shape, dtype=np.int64)
+    lentz = _Lentz(x.size)
+    aw = a
     i = 0
-    while active.any() and i < max_iter:
+    while lentz.left.size and i < max_iter:
         i += 1
-        an = -i * (i - a)
+        an = -i * (i - aw)
         b += 2.0
         d = an * d + b
         np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
@@ -302,18 +320,15 @@ def _gamma_cf_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
         np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
         d = 1.0 / d
         delt = d * c
-        # converged elements keep h frozen: late near-unit factors would
-        # otherwise accumulate ~eps of drift per extra iteration
-        h = np.where(active, h * delt, h)
+        h = h * delt
         done = np.abs(delt - 1.0) < _EPS
-        iters[active & done] = i
-        active &= ~done
-    q = h * np.exp(_gamma_log_prefactor_vec(a, x))
-    iters[active] = max_iter
-    return np.clip(q, 0.0, 1.0), iters, ~active
+        if done.any():
+            aw, b, c, d, h = lentz.retire(done, h, aw, b, c, d, h)
+    q = lentz.finish(h) * np.exp(_gamma_log_prefactor_vec(a, x))
+    return np.clip(q, 0.0, 1.0), i, lentz.conv
 
 
-def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray, max_iter: int):
+def _betacf_vec(a, b, x: np.ndarray, max_iter: int):
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -322,10 +337,9 @@ def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray, max_iter: int):
     np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
     d = 1.0 / d
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    iters = np.zeros(x.shape, dtype=np.int64)
+    lentz = _Lentz(x.size)
     m = 0
-    while active.any() and m < max_iter:
+    while lentz.left.size and m < max_iter:
         m += 1
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -342,15 +356,52 @@ def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray, max_iter: int):
         np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
         d = 1.0 / d
         delt = d * c
-        h = np.where(active, h * even * delt, h)
+        h = h * even * delt
         done = np.abs(delt - 1.0) < _EPS
-        iters[active & done] = m
-        active &= ~done
-    iters[active] = max_iter
-    return h, iters, ~active
+        if done.any():
+            a, b, x, qab, qap, qam, c, d, h = lentz.retire(
+                done, h, a, b, x, qab, qap, qam, c, d, h
+            )
+    return lentz.finish(h), m, lentz.conv
 
 
-_lgamma_vec = np.vectorize(math.lgamma, otypes=[np.float64])
+class _Lentz:
+    """Bookkeeping for a continued-fraction loop that drops converged elements.
+
+    A converged element's value is stored and frozen (late near-unit
+    factors would otherwise add ~eps of drift per extra iteration), and
+    the loop goes on over the shorter working arrays that retire
+    returns, so its last iteration is the worst element's count.  Each
+    element sees the arithmetic it would see in the full array, so the
+    values are those of a loop that masks instead.
+    """
+
+    def __init__(self, size: int):
+        self.left = np.arange(size)
+        self.value = np.empty(size)
+        self.conv = np.zeros(size, dtype=bool)
+
+    def retire(self, done: np.ndarray, value: np.ndarray, *work):
+        gone = self.left[done]
+        self.value[gone] = value[done]
+        self.conv[gone] = True
+        keep = ~done
+        self.left = self.left[keep]
+        return [w[keep] if isinstance(w, np.ndarray) else w for w in work]
+
+    def finish(self, value: np.ndarray) -> np.ndarray:
+        self.value[self.left] = value
+        return self.value
+
+
+_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _lgamma_vec(a):
+    """lgamma of a float, or of each element (once if they all agree)."""
+    if isinstance(a, np.ndarray):
+        a = _uniform(a)
+    return math.lgamma(a) if isinstance(a, float) else _lgamma_each(a)
 
 
 def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
@@ -362,19 +413,20 @@ def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
     p[zero] = 0.0
     q[zero] = 1.0
     low = (x < a + 1.0) & ~zero
+    a = _uniform(a)
     if low.any():
-        pv, it, ok = _gamma_series_vec(a[low], x[low], max_iter)
+        pv, it, ok = _gamma_series_vec(_part(a, low), x[low], max_iter)
         p[low] = pv
         q[low] = 1.0 - pv
         conv[low] = ok
-        iters = max(iters, int(it.max()))
+        iters = max(iters, it)
     high = ~low & ~zero
     if high.any():
-        qv, it, ok = _gamma_cf_vec(a[high], x[high], max_iter)
+        qv, it, ok = _gamma_cf_vec(_part(a, high), x[high], max_iter)
         q[high] = qv
         p[high] = 1.0 - qv
         conv[high] = ok
-        iters = max(iters, int(it.max()))
+        iters = max(iters, it)
     return p, q, iters, conv
 
 
@@ -388,7 +440,7 @@ def _betainc_vec(x: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int):
     val[hi] = 1.0
     mid = ~lo & ~hi
     if mid.any():
-        xm, am, bm = x[mid], a[mid], b[mid]
+        xm, am, bm = x[mid], _uniform(a[mid]), _uniform(b[mid])
         lbt = (
             _lgamma_vec(am + bm)
             - _lgamma_vec(am)
@@ -401,16 +453,18 @@ def _betainc_vec(x: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int):
         okm = np.ones(xm.shape, dtype=bool)
         direct = xm < (am + 1.0) / (am + bm + 2.0)
         if direct.any():
-            cf, it, ok = _betacf_vec(am[direct], bm[direct], xm[direct], max_iter)
-            out[direct] = bt[direct] * cf / am[direct]
+            am_d = _part(am, direct)
+            cf, it, ok = _betacf_vec(am_d, _part(bm, direct), xm[direct], max_iter)
+            out[direct] = bt[direct] * cf / am_d
             okm[direct] = ok
-            iters = max(iters, int(it.max()))
+            iters = max(iters, it)
         swap = ~direct
         if swap.any():
-            cf, it, ok = _betacf_vec(bm[swap], am[swap], 1.0 - xm[swap], max_iter)
-            out[swap] = 1.0 - bt[swap] * cf / bm[swap]
+            bm_s = _part(bm, swap)
+            cf, it, ok = _betacf_vec(bm_s, _part(am, swap), 1.0 - xm[swap], max_iter)
+            out[swap] = 1.0 - bt[swap] * cf / bm_s
             okm[swap] = ok
-            iters = max(iters, int(it.max()))
+            iters = max(iters, it)
         val[mid] = out
         conv[mid] = okm
     return np.clip(val, 0.0, 1.0), iters, conv

@@ -6,7 +6,9 @@ reference implementations of the certified bounds run on scipy.special,
 and the Monte-Carlo helpers draw through numpy's default generator with
 the gamma-norm-times-sphere-direction route (the library samples a
 gamma of shape d+1 times a ball point, a different decomposition of the
-same law).  Golden constants below were computed once with the
+same law).  The one exception is bisect_calibrate_l2, the reference
+for calibrate_l2's search: it is handed the library's certificate and
+checks only how the search walks it.  Golden constants below were computed once with the
 quadrature oracles and are frozen as literals so the main run stays
 fast; recompute_goldens() regenerates them.
 """
@@ -144,6 +146,181 @@ def ref_check(d, sigma, eps, delta, n=1000, tail_fraction=0.01):
 def ref_lhs_d1(sigma, eps):
     """Exact one-dimensional hockey-stick value, closed form."""
     return 1.0 - math.exp(0.5 * (eps - 1.0 / sigma))
+
+
+# ---------------------------------------------------------------------------
+# Reference vector kernels in the plain masked form: full-length arrays,
+# per-element shape parameters, every element iterating until the last
+# one converges.  The library's kernels (scalar shapes, early exit,
+# dropped elements) give each element the same arithmetic, so they must
+# match these bit for bit, iteration counts and convergence flags
+# included.  They share the library's prefactor constants.
+
+
+def masked_log1pmx(t):
+    small = np.abs(t) <= 0.25
+    ts = np.where(small, t, 0.0)
+    s = np.full(t.shape, 1.0 / 34.0)
+    for k in range(33, 1, -1):
+        s = 1.0 / k - ts * s
+    out = -(ts * ts) * s
+    big = ~small
+    if big.any():
+        out[big] = np.log1p(t[big]) - t[big]
+    return out
+
+
+def masked_gamma_log_prefactor(a, x):
+    from l2mech.specfun import _HALF_LN_2PI, _STIRLING_SWITCH, _stirling_corr
+
+    lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+    out = np.empty(a.shape)
+    small = a < _STIRLING_SWITCH
+    if small.any():
+        out[small] = a[small] * np.log(x[small]) - x[small] - lgamma(a[small])
+    big = ~small
+    if big.any():
+        ab = a[big]
+        out[big] = (
+            ab * masked_log1pmx(x[big] / ab - 1.0)
+            + 0.5 * np.log(ab)
+            - _HALF_LN_2PI
+            - _stirling_corr(ab)
+        )
+    return out
+
+
+def masked_gamma_series(a, x, max_iter):
+    """(P, iterations per element, converged) for x < a + 1."""
+    ap = a.copy()
+    total = 1.0 / a
+    term = total.copy()
+    active = np.ones(x.shape, dtype=bool)
+    iters = np.zeros(x.shape, dtype=np.int64)
+    i = 0
+    while active.any() and i < max_iter:
+        i += 1
+        ap += 1.0
+        term *= x / ap
+        total += term
+        done = np.abs(term) < np.abs(total) * np.finfo(np.float64).eps
+        iters[active & done] = i
+        active &= ~done
+    p = total * np.exp(masked_gamma_log_prefactor(a, x))
+    iters[active] = max_iter
+    return np.clip(p, 0.0, 1.0), iters, ~active
+
+
+def _masked_lentz_guard(v):
+    np.copyto(v, 1e-300, where=np.abs(v) < 1e-300)
+
+
+def masked_gamma_cf(a, x, max_iter):
+    """(Q, iterations per element, converged) for x >= a + 1."""
+    b = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / 1e-300)
+    d = 1.0 / b
+    h = d.copy()
+    active = np.ones(x.shape, dtype=bool)
+    iters = np.zeros(x.shape, dtype=np.int64)
+    i = 0
+    while active.any() and i < max_iter:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        _masked_lentz_guard(d)
+        c = b + an / c
+        _masked_lentz_guard(c)
+        d = 1.0 / d
+        delt = d * c
+        h = np.where(active, h * delt, h)
+        done = np.abs(delt - 1.0) < np.finfo(np.float64).eps
+        iters[active & done] = i
+        active &= ~done
+    q = h * np.exp(masked_gamma_log_prefactor(a, x))
+    iters[active] = max_iter
+    return np.clip(q, 0.0, 1.0), iters, ~active
+
+
+def masked_betacf(a, b, x, max_iter):
+    """(continued fraction, iterations per element, converged) for I_x(a, b)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(x.shape)
+    d = 1.0 - qab * x / qap
+    _masked_lentz_guard(d)
+    d = 1.0 / d
+    h = d.copy()
+    active = np.ones(x.shape, dtype=bool)
+    iters = np.zeros(x.shape, dtype=np.int64)
+    m = 0
+    while active.any() and m < max_iter:
+        m += 1
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        _masked_lentz_guard(d)
+        c = 1.0 + aa / c
+        _masked_lentz_guard(c)
+        d = 1.0 / d
+        even = d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        _masked_lentz_guard(d)
+        c = 1.0 + aa / c
+        _masked_lentz_guard(c)
+        d = 1.0 / d
+        delt = d * c
+        h = np.where(active, h * even * delt, h)
+        done = np.abs(delt - 1.0) < np.finfo(np.float64).eps
+        iters[active & done] = m
+        active &= ~done
+    iters[active] = max_iter
+    return h, iters, ~active
+
+
+# ---------------------------------------------------------------------------
+# Reference search: the plain boolean bisection on [tol, 1/epsilon] whose
+# lattice calibrate_l2 searches.  check is a check_approx_dp.
+
+
+def bisect_calibrate_l2(
+    check, dim, params, n_r=1000, n_R=1000, tol=1e-3, tail_fraction=0.01
+):
+    """(sigma, hit_bracket_floor, evals) of the bisection, for dim >= 2."""
+    from l2mech.lossbounds import GridDomainError
+
+    eps = params.epsilon
+
+    def certified(s):
+        try:
+            report = check(dim, s, params, n_r, n_R, tail_fraction)
+        except GridDomainError:
+            return False
+        return report.satisfies_dp
+
+    evals = 0
+    hi = 1.0 / eps
+    lo = tol
+    while lo >= hi:
+        lo *= 0.5
+    evals += 1
+    if certified(lo):
+        return lo, True, evals
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        evals += 1
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    else:
+        raise RuntimeError("calibrate_l2: binary search failed to converge")
+    return hi, False, evals
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Noise-scale search: certified minimality and baseline formulas."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+import l2mech.calibrate
 import oracles
 from l2mech.calibrate import (
     MECHANISMS,
@@ -17,7 +19,7 @@ from l2mech.calibrate import (
     laplace_sigma,
     laplace_sigma_lower_bound,
 )
-from l2mech.lossbounds import check_approx_dp
+from l2mech.lossbounds import GridDomainError, check_approx_dp
 
 
 def test_privacy_params_validation():
@@ -88,6 +90,61 @@ def test_l2_fig_reference_scales():
     for d, want in expected.items():
         got = calibrate_l2(d, pp).sigma
         assert abs(got - want) < 5e-6, (d, got)
+
+
+def test_l2_probe_counts_at_reference_scales():
+    # the margin-guided search needs about half the bisection's 11 probes
+    pp = PrivacyParams(1.0, 1e-5)
+    for d in (100, 1000):
+        assert calibrate_l2(d, pp).search_iterations <= 7, d
+
+
+def test_l2_search_matches_bisection(monkeypatch):
+    # the lattice search lands on the bisection's own float, probing less;
+    # both share one memo of certificate outcomes to keep the test quick
+    memo = {}
+    calls = 0
+
+    def check(*args):
+        nonlocal calls
+        calls += 1
+        if args not in memo:
+            try:
+                memo[args] = check_approx_dp(*args)
+            except GridDomainError as exc:
+                memo[args] = exc
+        if isinstance(memo[args], GridDomainError):
+            raise memo[args]
+        return memo[args]
+
+    monkeypatch.setattr(l2mech.calibrate, "check_approx_dp", check)
+    grid = itertools.product(
+        (2, 3, 10, 100, 1000, 2000), (0.01, 0.2, 1.0, 20.0), (1e-10, 1e-5, 1e-3)
+    )
+    targets = [(d, PrivacyParams(eps, delta), 1e-3) for d, eps, delta in grid]
+    targets.append((1000, PrivacyParams(1.0, 1e-5), 0.5))  # certifies at the floor
+    new_probes, old_probes = [], []
+    for d, pp, tol in targets:
+        calls = 0
+        res = calibrate_l2(d, pp, tol=tol)
+        assert res.search_iterations == calls
+        sigma, floor, evals = oracles.bisect_calibrate_l2(check, d, pp, tol=tol)
+        assert res.sigma == sigma, (d, pp, tol)
+        assert res.hit_bracket_floor == floor, (d, pp, tol)
+        assert res.search_iterations <= evals + 2, (d, pp, tol)
+        new_probes.append(res.search_iterations)
+        old_probes.append(evals)
+    assert res.hit_bracket_floor
+    assert np.mean(new_probes) < np.mean(old_probes)
+
+
+def test_l2_bracket_top_is_certified():
+    # epsilon * (1/epsilon) rounds to 1 - 2^-53 here, so 1/epsilon itself
+    # fails the check and the search must nudge it up by ulps
+    pp = PrivacyParams(0.2605353308290174, 6.884270460076574e-09)
+    res = calibrate_l2(4, pp)
+    assert check_approx_dp(4, res.sigma, pp).satisfies_dp
+    assert 1.0 / pp.epsilon < res.sigma <= (1.0 / pp.epsilon) * (1.0 + 1e-14)
 
 
 def test_l2_sensitivity_scaling():

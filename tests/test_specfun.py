@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 import oracles
+from l2mech import specfun
 from l2mech.specfun import (
     ConvergenceError,
     SpecFunResult,
@@ -85,6 +86,35 @@ def test_gamma_vector_matches_scalar():
         assert math.isclose(vec[i], scalar, rel_tol=5e-14, abs_tol=5e-14)
     qvec = reg_upper_gamma(a, x)
     assert np.all(np.abs(vec + qvec - 1.0) < ABS_TOL)
+
+
+@pytest.mark.parametrize("max_iter", [20000, 4])
+def test_vector_kernels_match_masked_reference(max_iter):
+    # scalar shapes, early exit and dropped elements change how much work
+    # the loops do, never the arithmetic an element sees
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 10, 100, 1000, 5000):
+        shapes = [np.full(400, float(d)), rng.uniform(0.5, 2.0 * d, 400)]
+        for a in shapes:
+            x = a * rng.uniform(0.01, 3.0, 400)
+            low = x < a + 1.0
+            for sel, kernel, ref in (
+                (low, specfun._gamma_series_vec, oracles.masked_gamma_series),
+                (~low, specfun._gamma_cf_vec, oracles.masked_gamma_cf),
+            ):
+                want, iters, ok = ref(a[sel], x[sel], max_iter)
+                for shape in (a[sel], specfun._uniform(a[sel])):
+                    got = kernel(shape, x[sel], max_iter)
+                    assert np.array_equal(got[0], want), (d, kernel)
+                    assert got[1] == iters.max() and np.array_equal(got[2], ok)
+        for a, b in ((np.full(400, (d - 1) / 2.0), np.full(400, 0.5)),
+                     (rng.uniform(0.5, d, 400), rng.uniform(0.5, 3.0, 400))):
+            x = rng.uniform(0.0, 1.0, 400)
+            want, iters, ok = oracles.masked_betacf(a, b, x, max_iter)
+            for pa, pb in ((a, b), (specfun._uniform(a), specfun._uniform(b))):
+                got = specfun._betacf_vec(pa, pb, x, max_iter)
+                assert np.array_equal(got[0], want), d
+                assert got[1] == iters.max() and np.array_equal(got[2], ok)
 
 
 def test_gamma_scipy_cross_check_grid():
