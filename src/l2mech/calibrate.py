@@ -5,18 +5,21 @@ tolerance) whose privacy certificate passes for the requested
 (epsilon, delta) pair, for a statistic with unit l2-sensitivity unless
 a different sensitivity is given (scales multiply through linearly).
 
-The l2 mechanism is searched against the certified Riemann check from
-lossbounds, on the lattice of sigmas a bisection on [tol, 1/epsilon]
-would visit, with each probe placed by the margin lhs_upper left at
-the probes before it.  sigma = 1/epsilon passes in exact arithmetic
-(the loss region is empty there); when epsilon * (1/epsilon) rounds
-below 1 it is nudged up by ulps until its certificate passes.  In one
-dimension the check collapses to a closed form whose minimal sigma is
+Every search runs on _lattice_search, over the sigmas a bisection of
+the bracket would visit.  The l2 mechanism is searched against the
+certified Riemann check from lossbounds on [tol, 1/epsilon], each
+probe steered by the margin lhs_upper left at the probes before it.
+sigma = 1/epsilon passes in exact arithmetic (the loss region is empty
+there); when epsilon * (1/epsilon) rounds below 1 it is nudged up by
+ulps until its certificate passes.  In one dimension the check
+collapses to a closed form whose minimal sigma is
 1/(epsilon - 2 ln(1 - delta)), used directly.  The Gaussian calibrator
-binary-searches the exact normal-CDF condition (dimension-independent
-for l2-sensitivity); the Laplace scale sqrt(d)/(epsilon + delta) is a
-closed-form choice sitting just above the exact threshold, which is
-also provided for reference.
+brackets the exact normal-CDF condition (dimension-independent for
+l2-sensitivity) by powers of two, then bisects it unsteered, as
+mcverify's observational search does on calibrate_l2's bracket.  The
+Laplace scale sqrt(d)/(epsilon + delta) is a closed-form choice
+sitting just above the exact threshold, which is also provided for
+reference.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lossbounds import BoundReport, GridDomainError, _exp_eps, check_approx_dp
+from ._checks import instance, integer, positive, require, unless
+from .lossbounds import GridDomainError, _exp_eps, check_approx_dp
 from .specfun import std_normal_cdf
 
 __all__ = [
@@ -56,13 +60,13 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        problems = []
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            problems.append("epsilon must be positive and finite")
-        if not (np.isfinite(self.delta) and 0.0 < self.delta < 1.0):
-            problems.append("delta must lie strictly in (0, 1)")
-        if problems:
-            raise ValueError("; ".join(problems))
+        require(
+            positive("epsilon", self.epsilon),
+            unless(
+                np.isfinite(self.delta) and 0.0 < self.delta < 1.0,
+                "delta must lie strictly in (0, 1)",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -86,27 +90,24 @@ class CalibrationResult:
     hit_bracket_floor: bool = False
 
     def __post_init__(self):
-        problems = []
-        if self.mechanism not in MECHANISMS:
-            problems.append(f"mechanism must be one of {MECHANISMS}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            problems.append("sigma must be positive and finite")
-        if self.tolerance < 0:
-            problems.append("tolerance must be nonnegative")
-        if problems:
-            raise ValueError("; ".join(problems))
+        require(
+            unless(
+                self.mechanism in MECHANISMS, f"mechanism must be one of {MECHANISMS}"
+            ),
+            positive("sigma", self.sigma),
+            unless(not self.tolerance < 0, "tolerance must be nonnegative"),
+        )
 
 
-def _validate_common(params: PrivacyParams, tol: float, sensitivity: float) -> None:
-    problems = []
-    if not isinstance(params, PrivacyParams):
-        problems.append("params must be a PrivacyParams")
-    if not (np.isfinite(tol) and tol > 0):
-        problems.append("tol must be positive and finite")
-    if not (np.isfinite(sensitivity) and sensitivity > 0):
-        problems.append("sensitivity must be positive and finite")
-    if problems:
-        raise ValueError("; ".join(problems))
+def _validate_common(
+    params: PrivacyParams, tol: float, sensitivity: float, *more
+) -> None:
+    require(
+        instance("params", params, PrivacyParams),
+        positive("tol", tol),
+        positive("sensitivity", sensitivity),
+        *more,
+    )
 
 
 def calibrate_l2(
@@ -134,23 +135,22 @@ def calibrate_l2(
     its own certificate is nudged up by float ulps until it passes, so
     the returned sigma is certified in every branch.
     """
-    _validate_common(params, tol, sensitivity)
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
+    _validate_common(params, tol, sensitivity, integer("dim", dim))
     eps = params.epsilon
+    log_neg_log_delta = math.log(-math.log(params.delta))
     evals = 0
 
-    def probe(s: float) -> BoundReport | None:
+    def probe(s: float):
         nonlocal evals
         evals += 1
         try:
-            return check_approx_dp(dim, s, params, n_r, n_R, tail_fraction)
+            report = check_approx_dp(dim, s, params, n_r, n_R, tail_fraction)
         except GridDomainError:
-            return None
+            return False, None
+        return report.satisfies_dp, _margin_point(report, s, eps, log_neg_log_delta)
 
     def certified(s: float) -> bool:
-        report = probe(s)
-        return report is not None and report.satisfies_dp
+        return probe(s)[0]
 
     def result(sigma: float, floor: bool = False) -> CalibrationResult:
         return CalibrationResult(
@@ -162,12 +162,8 @@ def calibrate_l2(
             _certify_upward(1.0 / (eps - 2.0 * math.log1p(-params.delta)), certified)
         )
 
-    hi = 1.0 / eps
-    lo = tol
-    while lo >= hi:
-        lo *= 0.5
-    depth = _bisection_depth(lo, hi, tol)
-    k = _lattice_search(lo, hi, depth, probe, eps, params.delta)
+    lo, hi, depth = _bracket(eps, tol)
+    k = _lattice_search(lo, hi, depth, probe, lambda points: _margin_sigma(points, eps))
     if k == 1 and certified(lo):
         return result(lo, floor=True)
     if k == 1 << depth:
@@ -189,6 +185,15 @@ def _certify_upward(sigma: float, certified) -> float:
     raise RuntimeError("calibrate_l2: sigma failed its certificate repeatedly")
 
 
+def _bracket(eps: float, tol: float) -> tuple[float, float, int]:
+    """[tol, 1/eps] with tol halved until it lies below 1/eps, and its depth."""
+    hi = 1.0 / eps
+    lo = tol
+    while lo >= hi:
+        lo *= 0.5
+    return lo, hi, _bisection_depth(lo, hi, tol)
+
+
 def _bisection_depth(lo: float, hi: float, tol: float) -> int:
     """Halvings a bisection makes before its bracket [lo, hi] is <= tol wide."""
     width, depth = hi - lo, 0
@@ -196,7 +201,7 @@ def _bisection_depth(lo: float, hi: float, tol: float) -> int:
         width *= 0.5
         depth += 1
     if depth >= _MAX_SEARCH:
-        raise RuntimeError("calibrate_l2: binary search failed to converge")
+        raise RuntimeError("binary search failed to converge")
     return depth
 
 
@@ -224,7 +229,7 @@ def _margin_point(report, sigma: float, eps: float, log_neg_log_delta: float):
     a line of slope -1, so a secant on it lands near the threshold.
     None when the report carries no usable margin.
     """
-    if report is None or not 0.0 < report.lhs_upper < 1.0:
+    if not 0.0 < report.lhs_upper < 1.0:
         return None
     gap = 1.0 / sigma - eps
     if gap <= 0.0:
@@ -232,67 +237,61 @@ def _margin_point(report, sigma: float, eps: float, log_neg_log_delta: float):
     return math.log(gap), math.log(-math.log(report.lhs_upper)) - log_neg_log_delta
 
 
-def _lattice_search(
-    lo: float, hi: float, depth: int, probe, eps: float, delta: float
-) -> int:
-    """Smallest lattice index k in [1, 2^depth] whose sigma certifies.
+def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
+    """Smallest lattice index k in [1, 2^depth] whose sigma passes.
 
-    Index 0 (the floor) is taken as not certified and 2^depth (the top)
-    as certified without probing either; the caller settles them.  The
-    next probe is the margin estimate of the threshold rounded up to the
-    lattice and kept strictly inside the bracket, which closes the last
-    step from the other side.  After a probe with no usable margin (the
-    first one included) it is the bracket's midpoint instead.  As in
-    ITP, every probe also stays close enough to the midpoint that
-    bisection could still finish the search within depth + 3 probes, so
-    a misleading margin costs at most three probes over plain bisection.
+    probe(sigma) returns (passed, margin point or None).  Index 0 (the
+    floor) is taken to fail and 2^depth (the top) to pass without
+    probing either; the caller settles them.  Unsteered, every probe is
+    the bracket's midpoint: exactly a bisection's probes, in its order.
+    steer(points) estimates the threshold sigma (or gives None); the
+    next probe is that estimate rounded up to the lattice and kept
+    strictly inside the bracket, which closes the last step from the
+    other side, or the midpoint after a probe with no point (the first
+    one included).  As in ITP, every steered probe also stays close
+    enough to the midpoint that bisection could still finish within
+    depth + 3 probes, so a misleading margin costs at most three more.
     """
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
-    log_neg_log_delta = math.log(-math.log(delta))
     points = []
-    probes = 0
     point = None
+    probes = 0
     while above - below > 1:
         reach = 1 << (depth + 2 - probes)
         probes += 1
-        k = _margin_index(points, eps, lo, spacing) if point else None
-        if k is None:
+        guess = steer(points) if point else None
+        if guess is None:
             k = (below + above) // 2
         else:
+            k = math.ceil((guess - lo) / spacing)
             k = min(max(k, below + 1, above - reach), above - 1, below + reach)
-        sigma = _lattice_sigma(k, depth, lo, hi)
-        report = probe(sigma)
-        point = _margin_point(report, sigma, eps, log_neg_log_delta)
+        passed, point = probe(_lattice_sigma(k, depth, lo, hi))
         if point:
             points.append(point)
-        if report is not None and report.satisfies_dp:
+        if passed:
             above = k
         else:
             below = k
     return above
 
 
-def _margin_index(points, eps: float, lo: float, spacing: float):
-    """Lattice index just above the sigma where v reaches 0, or None.
+def _margin_sigma(points, eps: float):
+    """The sigma where v reaches 0 on the margin points, or None.
 
-    A secant through the two probes closest to the threshold in v, or
-    the slope -1 line through the only one there is.  Far probes are
+    A secant through the two points closest to the threshold in v, or
+    the slope -1 line through the only one there is.  Far points are
     left out because the curve bends where lhs_upper nears 0 or 1.
     """
-    points = sorted(points, key=lambda p: abs(p[1]))[:2]
-    if len(points) == 2:
-        (u1, v1), (u2, v2) = points
-        if v1 == v2:
+    (u, v), *rest = sorted(points, key=lambda p: abs(p[1]))[:2]
+    if rest:
+        ((u2, v2),) = rest
+        if v == v2:
             return None
-        u = u1 - v1 * (u2 - u1) / (v2 - v1)
-    elif points:
-        u, v = points[0]
-        u += v
+        u -= v * (u2 - u) / (v2 - v)
     else:
-        return None
-    sigma = 1.0 / (eps + math.exp(min(u, 700.0)))
-    return math.ceil((sigma - lo) / spacing)
+        u += v
+    return 1.0 / (eps + math.exp(min(u, 700.0)))
 
 
 def gaussian_dp_lhs(sigma: float, epsilon: float) -> float:
@@ -301,10 +300,7 @@ def gaussian_dp_lhs(sigma: float, epsilon: float) -> float:
     Phi(1/(2 sigma) - eps sigma) - e^eps Phi(-1/(2 sigma) - eps sigma);
     the mechanism is (eps, delta)-DP iff this is <= delta.
     """
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    require(positive("sigma", sigma), positive("epsilon", epsilon))
     a = 1.0 / (2.0 * sigma) - epsilon * sigma
     b = -1.0 / (2.0 * sigma) - epsilon * sigma
     return std_normal_cdf(a) - _exp_eps(epsilon) * std_normal_cdf(b)
@@ -320,7 +316,6 @@ def calibrate_gaussian(
     """
     _validate_common(params, tol, sensitivity)
     eps, delta = params.epsilon, params.delta
-
     evals = 0
 
     def passes(s: float) -> bool:
@@ -335,34 +330,19 @@ def calibrate_gaussian(
         hi *= 2.0
     else:
         raise RuntimeError("calibrate_gaussian: failed to bracket from above")
+    # ends within 40 halvings: hi / 2 already failed unless hi == 1
     lo = hi / 2.0
-    for _ in range(_MAX_SEARCH):
-        if not passes(lo):
-            break
+    while passes(lo):
         hi = lo
         lo /= 2.0
         if lo < 1e-12:
             return CalibrationResult(
-                MECH_GAUSSIAN,
-                hi * sensitivity,
-                None,
-                evals,
-                tol,
-                hit_bracket_floor=True,
+                MECH_GAUSSIAN, hi * sensitivity, None, evals, tol, hit_bracket_floor=True
             )
-    else:
-        raise RuntimeError("calibrate_gaussian: failed to bracket from below")
-    for _ in range(_MAX_SEARCH):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise RuntimeError("calibrate_gaussian: binary search failed to converge")
-    return CalibrationResult(MECH_GAUSSIAN, hi * sensitivity, None, evals, tol)
+    depth = _bisection_depth(lo, hi, tol)
+    k = _lattice_search(lo, hi, depth, lambda s: (passes(s), None))
+    sigma = _lattice_sigma(k, depth, lo, hi)
+    return CalibrationResult(MECH_GAUSSIAN, sigma * sensitivity, None, evals, tol)
 
 
 def laplace_sigma(
@@ -376,12 +356,11 @@ def laplace_sigma(
     in particular implies (epsilon, delta)-DP.  Slightly above the
     exact minimum (see laplace_sigma_lower_bound).
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
-    if not isinstance(params, PrivacyParams):
-        raise ValueError("params must be a PrivacyParams")
-    if not (np.isfinite(sensitivity) and sensitivity > 0):
-        raise ValueError("sensitivity must be positive and finite")
+    require(
+        integer("dim", dim),
+        instance("params", params, PrivacyParams),
+        positive("sensitivity", sensitivity),
+    )
     unit = math.sqrt(dim) / (params.epsilon + params.delta)
     return CalibrationResult(
         MECH_LAPLACE, unit * sensitivity, math.sqrt(dim) / unit, 0, 0.0
@@ -395,8 +374,5 @@ def laplace_sigma_lower_bound(dim: int, params: PrivacyParams) -> float:
     for the worst-case pair at l1-distance sqrt(dim); the closed-form
     choice above exceeds it by O(delta) relative, never the reverse.
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
-    if not isinstance(params, PrivacyParams):
-        raise ValueError("params must be a PrivacyParams")
+    require(integer("dim", dim), instance("params", params, PrivacyParams))
     return math.sqrt(dim) / (params.epsilon - 2.0 * math.log1p(-params.delta))

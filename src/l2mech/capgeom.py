@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, positive, require
 from .specfun import reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
@@ -38,19 +39,15 @@ class LossGeometry:
     epsilon: float
 
     def __post_init__(self):
-        problems = []
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            problems.append("dim must be an integer >= 1")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            problems.append("sigma must be positive and finite")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            problems.append("epsilon must be positive and finite")
-        if not problems and not self.epsilon * self.sigma < 1.0:
-            problems.append(
+        require(
+            integer("dim", self.dim),
+            positive("sigma", self.sigma),
+            positive("epsilon", self.epsilon),
+        )
+        if not self.epsilon * self.sigma < 1.0:
+            raise ValueError(
                 "epsilon * sigma must be < 1 (otherwise the loss region is empty)"
             )
-        if problems:
-            raise ValueError("; ".join(problems))
 
     @property
     def tau(self) -> float:
@@ -65,8 +62,7 @@ def height_h(geom: LossGeometry, r):
     the whole sphere and the height saturates at the diameter 2r.
     """
     r_arr = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(r_arr)) or np.any(r_arr <= 0):
-        raise ValueError("r must be positive and finite")
+    require(positive("r", r_arr))
     tau = geom.tau
     val = np.minimum((1.0 - tau) * (r_arr + (1.0 + tau) / 2.0), 2.0 * r_arr)
     return float(val) if np.ndim(r) == 0 else val
@@ -81,8 +77,7 @@ def height_H(geom: LossGeometry, R):
     (1 - tau) * (R - (1 + tau)/2) is exactly 0 at the threshold.
     """
     R_arr = np.asarray(R, dtype=np.float64)
-    if not np.all(np.isfinite(R_arr)) or np.any(R_arr <= 0):
-        raise ValueError("R must be positive and finite")
+    require(positive("R", R_arr))
     tau = geom.tau
     lo = (1.0 + tau) / 2.0
     if np.any(R_arr < lo):
@@ -101,8 +96,9 @@ def cap_fraction(dim: int, r, h):
     I_{1-(1-h/r)^2}((dim-1)/2, 1/2) / 2; taller caps use the complement
     of the opposite cap.  Exact at h = 0 (0), h = r (1/2) and h = 2r (1).
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 2):
-        raise ValueError("dim must be an integer >= 2 (spheres need dimension)")
+    require(
+        integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)")
+    )
     r_arr = np.asarray(r, dtype=np.float64)
     h_arr = np.asarray(h, dtype=np.float64)
     if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(h_arr))):
@@ -126,10 +122,7 @@ def radial_cdf(dim: int, sigma: float, r):
     The radial density is proportional to s^(dim-1) exp(-s/sigma), so the
     CDF is the regularized lower incomplete gamma P(dim, r/sigma).
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
+    require(integer("dim", dim), positive("sigma", sigma))
     r_arr = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r_arr)) or np.any(r_arr < 0):
         raise ValueError("r must be nonnegative and finite")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .calibrate import (
     MECHANISMS,
+    CalibrationResult,
     PrivacyParams,
     calibrate_gaussian,
     calibrate_l2,
@@ -245,16 +246,19 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _run_calibrate(config: CliConfig) -> dict:
+def _calibrate(config: CliConfig, mechanism: str) -> CalibrationResult:
     params = PrivacyParams(config.epsilon, config.delta)
-    if config.mechanism == "l2":
-        res = calibrate_l2(
+    if mechanism == "l2":
+        return calibrate_l2(
             config.dim, params, n_r=config.n_r, n_R=config.n_R, tol=config.tol
         )
-    elif config.mechanism == "laplace":
-        res = laplace_sigma(config.dim, params)
-    else:
-        res = calibrate_gaussian(params, tol=config.tol)
+    if mechanism == "laplace":
+        return laplace_sigma(config.dim, params)
+    return calibrate_gaussian(params, tol=config.tol)
+
+
+def _run_calibrate(config: CliConfig) -> dict:
+    res = _calibrate(config, config.mechanism)
     return {
         "mechanism": res.mechanism,
         "dim": config.dim,
@@ -346,26 +350,18 @@ def _time_call(fn, trials: int):
 
 
 def _run_bench(config: CliConfig):
-    params = PrivacyParams(config.epsilon, config.delta)
     n_draws = config.samples or 1000
     rng = RngState(config.seed)
     center = [0.0] * config.dim
     rows = []
-    calibrated = {
-        "l2": lambda: calibrate_l2(
-            config.dim, params, n_r=config.n_r, n_R=config.n_R, tol=config.tol
-        ).sigma,
-        "laplace": lambda: laplace_sigma(config.dim, params).sigma,
-        "gaussian": lambda: calibrate_gaussian(params, tol=config.tol).sigma,
-    }
     samplers = {"l2": sample_l2, "laplace": sample_laplace, "gaussian": sample_gaussian}
     for mech in ("l2", "laplace", "gaussian"):
-        mean_s, median_s = _time_call(calibrated[mech], config.trials)
+        mean_s, median_s = _time_call(lambda: _calibrate(config, mech), config.trials)
         rows.append(
             {"mechanism": mech, "operation": "calibrate",
              "mean_s": mean_s, "median_s": median_s}
         )
-        sigma = calibrated[mech]()
+        sigma = _calibrate(config, mech).sigma
         mean_s, median_s = _time_call(
             lambda: samplers[mech](center, sigma, rng, size=n_draws), config.trials
         )

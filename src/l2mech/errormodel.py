@@ -23,8 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from ._checks import integer, positive, require
 from .calibrate import (
     MECH_GAUSSIAN,
     MECH_L2,
@@ -63,19 +62,10 @@ class ErrorRow:
     normalized_mse: float
 
 
-def _check_dim(dim) -> int:
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
-    return int(dim)
-
-
 def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
     """Mean squared l2 error of the lp-ball mechanism at scale sigma."""
-    d = _check_dim(dim)
-    if not (np.isfinite(p) and p > 0):
-        raise ValueError("p must be positive and finite")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
+    require(integer("dim", dim), positive("p", p), positive("sigma", sigma))
+    d = int(dim)
     log_ratio = (
         math.lgamma(d / p)
         + math.lgamma(3.0 / p)
@@ -87,18 +77,14 @@ def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
 
 def mse_gaussian(dim: int, sigma: float) -> float:
     """Mean squared l2 error of i.i.d. N(0, sigma^2) noise: dim sigma^2."""
-    d = _check_dim(dim)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
-    return d * sigma**2
+    require(integer("dim", dim), positive("sigma", sigma))
+    return int(dim) * sigma**2
 
 
 def mse_laplace(dim: int, scale: float) -> float:
     """Mean squared l2 error of i.i.d. Laplace(scale) noise: 2 dim scale^2."""
-    d = _check_dim(dim)
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError("scale must be positive and finite")
-    return 2.0 * d * scale**2
+    require(integer("dim", dim), positive("scale", scale))
+    return 2.0 * int(dim) * scale**2
 
 
 def comparison_table(
@@ -114,10 +100,10 @@ def comparison_table(
     order), each normalized by the Gaussian MSE of its dimension.  The
     Gaussian scale is dimension-independent, so it is calibrated once.
     """
-    d_max = _check_dim(d_max)
+    require(integer("dim", d_max))
     gauss = calibrate_gaussian(params, tol=tol)
     rows: list[ErrorRow] = []
-    for d in range(1, d_max + 1):
+    for d in range(1, int(d_max) + 1):
         l2 = calibrate_l2(d, params, n_r=n_r, n_R=n_R, tol=tol)
         lap = laplace_sigma(d, params)
         anchor = mse_gaussian(d, gauss.sigma)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import integer, positive, require, unless
 from .capgeom import LossGeometry, cap_fraction, height_H, height_h
 from .specfun import inv_reg_upper_gamma, reg_lower_gamma, reg_upper_gamma
 
@@ -70,16 +71,14 @@ class GridSpec:
     r_star: float | None = None
 
     def __post_init__(self):
-        problems = []
-        for name, n in (("n_r", self.n_r), ("n_R", self.n_R)):
-            if not (isinstance(n, (int, np.integer)) and n >= 2):
-                problems.append(f"{name} must be an integer >= 2")
-        if self.r_star is not None and not (
-            np.isfinite(self.r_star) and self.r_star > 0
-        ):
-            problems.append("r_star must be positive and finite when set")
-        if problems:
-            raise ValueError("; ".join(problems))
+        require(
+            integer("n_r", self.n_r, 2),
+            integer("n_R", self.n_R, 2),
+            unless(
+                self.r_star is None or not positive("r_star", self.r_star),
+                "r_star must be positive and finite when set",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,7 @@ class BoundReport:
 
 
 def _validate_dse(dim, sigma, epsilon) -> None:
-    problems = []
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        problems.append("dim must be an integer >= 1")
-    if not (np.isfinite(sigma) and sigma > 0):
-        problems.append("sigma must be positive and finite")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        problems.append("epsilon must be positive and finite")
-    if problems:
-        raise ValueError("; ".join(problems))
+    require(integer("dim", dim), positive("sigma", sigma), positive("epsilon", epsilon))
 
 
 def _exp_eps(epsilon: float) -> float:
@@ -119,6 +110,31 @@ def _exp_eps(epsilon: float) -> float:
     # exponent only lowers that term, which keeps an upper bound on the
     # left-hand side one while avoiding float overflow
     return math.exp(min(epsilon, 700.0))
+
+
+def _riemann_stieltjes(
+    geom: LossGeometry, grid: GridSpec, r_first: float, n: int, height, ball: bool
+) -> float:
+    """The left Riemann-Stieltjes sum both terms share (see term1_upper_bound).
+
+    The terms differ only in r_first, the cap height function, and
+    whether the ball below r_first counts in full (ball).
+    """
+    if grid.r_star is None:
+        raise ValueError("grid.r_star is required for the general branch")
+    if grid.r_star <= r_first:
+        center = "" if ball else " around the shifted center"
+        raise GridDomainError(
+            f"r_star={grid.r_star} is at or below the first grid radius "
+            f"{r_first}{center}; the grid cannot resolve the loss region"
+        )
+    dim, sigma = geom.dim, geom.sigma
+    radii = np.linspace(r_first, grid.r_star, n)
+    cdf = reg_lower_gamma(float(dim), radii / sigma)
+    frac = cap_fraction(dim, radii, height(geom, radii))
+    tail = reg_upper_gamma(float(dim), grid.r_star / sigma)
+    below = cdf[0] if ball else 0.0
+    return below + float(np.dot(np.diff(cdf), frac[:-1])) + tail * frac[-1]
 
 
 def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) -> float:
@@ -136,20 +152,8 @@ def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) ->
         return 0.0
     if dim == 1:
         return 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
-    if grid.r_star is None:
-        raise ValueError("grid.r_star is required for the general branch")
-    r_first = (1.0 - tau) / 2.0
-    if grid.r_star <= r_first:
-        raise GridDomainError(
-            f"r_star={grid.r_star} is at or below the first grid radius "
-            f"{r_first}; the grid cannot resolve the loss region"
-        )
     geom = LossGeometry(dim, sigma, epsilon)
-    radii = np.linspace(r_first, grid.r_star, grid.n_r)
-    cdf = reg_lower_gamma(float(dim), radii / sigma)
-    frac = cap_fraction(dim, radii, height_h(geom, radii))
-    tail = reg_upper_gamma(float(dim), grid.r_star / sigma)
-    total = cdf[0] + float(np.dot(np.diff(cdf), frac[:-1])) + tail * frac[-1]
+    total = _riemann_stieltjes(geom, grid, (1.0 - tau) / 2.0, grid.n_r, height_h, True)
     return min(total, 1.0)
 
 
@@ -167,20 +171,8 @@ def term2_lower_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) ->
         return 0.0
     if dim == 1:
         return 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
-    if grid.r_star is None:
-        raise ValueError("grid.r_star is required for the general branch")
-    r_first = (1.0 + tau) / 2.0
-    if grid.r_star <= r_first:
-        raise GridDomainError(
-            f"r_star={grid.r_star} is at or below the first grid radius "
-            f"{r_first} around the shifted center"
-        )
     geom = LossGeometry(dim, sigma, epsilon)
-    radii = np.linspace(r_first, grid.r_star, grid.n_R)
-    cdf = reg_lower_gamma(float(dim), radii / sigma)
-    frac = cap_fraction(dim, radii, height_H(geom, radii))
-    tail = reg_upper_gamma(float(dim), grid.r_star / sigma)
-    total = float(np.dot(np.diff(cdf), frac[:-1])) + tail * frac[-1]
+    total = _riemann_stieltjes(geom, grid, (1.0 + tau) / 2.0, grid.n_R, height_H, False)
     return max(total, 0.0)
 
 

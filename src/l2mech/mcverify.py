@@ -11,7 +11,8 @@ Estimates are exact-sampler based, so there is no discretization bias,
 only binomial noise; std_error adds the two binomial deviations (a
 conservative choice, since the difference's variance is at most the
 sum), with a 1/n floor per term so empty counts still report a
-positive error bar.
+positive error bar.  empirical_min_sigma searches with calibrate's
+_lattice_search, unsteered, on the bracket calibrate_l2 searches.
 """
 from __future__ import annotations
 
@@ -22,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import PrivacyParams
+from ._checks import instance, integer, positive, require
+from .calibrate import PrivacyParams, _bracket, _lattice_search, _lattice_sigma
 from .lossbounds import _exp_eps
 from .sampler import RngState, sample_l2
 
 __all__ = ["EmpiricalPrivacyEstimate", "empirical_lhs", "empirical_min_sigma"]
 
 _CHUNK_ELEMENTS = 2**24
-_MAX_SEARCH = 200
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class EmpiricalPrivacyEstimate:
 
     lhs_estimate = c1 - e^epsilon * c2 by construction; std_error is
     the conservative binomial bar described in the module docstring.
-    seed names the stream that produced the draws.
+    seed and stream_id name the stream that produced the draws.
     """
 
     dim: int
@@ -50,6 +51,7 @@ class EmpiricalPrivacyEstimate:
     n: int
     std_error: float
     seed: int
+    stream_id: int = 0
 
     def to_json(self) -> str:
         payload = {
@@ -62,6 +64,7 @@ class EmpiricalPrivacyEstimate:
             "lhs": float(self.lhs_estimate),
             "std_error": float(self.std_error),
             "seed": int(self.seed),
+            "stream_id": int(self.stream_id),
         }
         return json.dumps(payload, indent=2)
 
@@ -76,14 +79,12 @@ def empirical_lhs(
     combines.  Deterministic given the rng state; large batches are
     processed in fixed-size chunks, so memory stays bounded.
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
+    require(
+        integer("dim", dim),
+        positive("sigma", sigma),
+        positive("epsilon", epsilon),
+        integer("n", n),
+    )
     dim = int(dim)
     n = int(n)
     e1 = np.zeros(dim)
@@ -119,6 +120,7 @@ def empirical_lhs(
         n=n,
         std_error=se1 + ee * se2,
         seed=rng.seed,
+        stream_id=rng.stream_id,
     )
 
 
@@ -128,15 +130,13 @@ def empirical_min_sigma(
     """Binary search for the smallest sigma whose empirical lhs is <= delta.
 
     Purely observational (no certificate): each probe spends n fresh
-    draws per center, and the search walks the same [tol, 1/epsilon]
-    bracket as the analytic calibrator.  Expect noise of a few percent
-    at n * delta ~ 1000; a warning fires when n * delta < 100, where
-    the boundary events are too rare to steer the search.
+    draws per center, and the search bisects the same [tol, 1/epsilon]
+    bracket as the analytic calibrator, after checking that its floor
+    fails.  Expect noise of a few percent at n * delta ~ 1000; a warning
+    fires when n * delta < 100, where the boundary events are too rare
+    to steer the search.
     """
-    if not isinstance(params, PrivacyParams):
-        raise ValueError("params must be a PrivacyParams")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    require(instance("params", params, PrivacyParams), positive("tol", tol))
     if n * params.delta < 100:
         warnings.warn(
             f"n * delta = {n * params.delta:.3g} < 100: too few expected "
@@ -145,23 +145,14 @@ def empirical_min_sigma(
             stacklevel=2,
         )
     eps, delta = params.epsilon, params.delta
-    hi = 1.0 / eps
-    lo = tol
-    while lo >= hi:
-        lo *= 0.5
-    if empirical_lhs(dim, lo, eps, n, rng).lhs_estimate <= delta:
+    lo, hi, depth = _bracket(eps, tol)
+
+    def passes(sigma: float):
+        return empirical_lhs(dim, sigma, eps, n, rng).lhs_estimate <= delta, None
+
+    if passes(lo)[0]:
         raise RuntimeError(
             f"empirical_min_sigma: bracketing failure, the empirical check "
             f"already passes at sigma = {lo}"
         )
-    for _ in range(_MAX_SEARCH):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if empirical_lhs(dim, mid, eps, n, rng).lhs_estimate <= delta:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise RuntimeError("empirical_min_sigma: binary search failed to converge")
-    return hi
+    return _lattice_sigma(_lattice_search(lo, hi, depth, passes), depth, lo, hi)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, positive, require, unless
+
 __all__ = [
     "RngState",
     "SampleBatch",
@@ -57,13 +59,14 @@ class RngState:
     )
 
     def __post_init__(self):
-        problems = []
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            problems.append("seed must be an integer in [0, 2^64)")
-        if not (isinstance(self.stream_id, (int, np.integer)) and self.stream_id >= 0):
-            problems.append("stream_id must be a nonnegative integer")
-        if problems:
-            raise ValueError("; ".join(problems))
+        nonnegative = "stream_id must be a nonnegative integer"
+        require(
+            unless(
+                not integer("seed", self.seed, 0) and self.seed < 2**64,
+                "seed must be an integer in [0, 2^64)",
+            ),
+            integer("stream_id", self.stream_id, 0, nonnegative),
+        )
         self.seed = int(self.seed)
         self.stream_id = int(self.stream_id)
 
@@ -80,8 +83,7 @@ class RngState:
 def _check_size(size) -> tuple[int, bool]:
     if size is None:
         return 1, True
-    if not (isinstance(size, (int, np.integer)) and size >= 1):
-        raise ValueError("size must be None or an integer >= 1")
+    require(integer("size", size, 1, "size must be None or an integer >= 1"))
     return int(size), False
 
 
@@ -95,8 +97,7 @@ def _check_center(center) -> np.ndarray:
 
 
 def _check_scale(value: float, name: str) -> float:
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite")
+    require(positive(name, value))
     return float(value)
 
 
@@ -106,8 +107,7 @@ def sample_gamma(shape: int, scale: float, rng: RngState, size=None):
     Uniforms are taken from (0, 1] (one minus the half-open generator
     output), so -log U is always finite and no redraw is ever needed.
     """
-    if not (isinstance(shape, (int, np.integer)) and shape >= 1):
-        raise ValueError("shape must be an integer >= 1")
+    require(integer("shape", shape))
     scale = _check_scale(scale, "scale")
     n, scalar = _check_size(size)
     u = 1.0 - rng.generator.random((n, int(shape)))
@@ -123,8 +123,7 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     possible) is redrawn.  Draw order per batch: the Gaussian block,
     then the radial uniforms.
     """
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError("dim must be an integer >= 1")
+    require(integer("dim", dim))
     n, scalar = _check_size(size)
     gen = rng.generator
     x = gen.standard_normal((n, int(dim)))
@@ -256,22 +255,20 @@ class SampleBatch:
     mechanism: str
     sigma: float
     seed: int
+    stream_id: int = 0
 
     def __post_init__(self):
-        problems = []
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            problems.append("dim must be an integer >= 1")
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 1):
-            problems.append("count must be an integer >= 1")
         vals = np.asarray(self.values)
-        if vals.shape != (self.count, self.dim):
-            problems.append(
-                f"values must have shape (count, dim) = ({self.count}, {self.dim})"
-            )
-        elif not np.all(np.isfinite(vals)):
-            problems.append("values must be finite")
-        if problems:
-            raise ValueError("; ".join(problems))
+        shaped = vals.shape == (self.count, self.dim)
+        require(
+            integer("dim", self.dim),
+            integer("count", self.count),
+            unless(
+                shaped,
+                f"values must have shape (count, dim) = ({self.count}, {self.dim})",
+            ),
+            unless(not shaped or np.all(np.isfinite(vals)), "values must be finite"),
+        )
 
     def to_csv(self) -> str:
         """RFC-4180 CSV: header x0..x{dim-1}, one row per sample."""
@@ -290,6 +287,7 @@ class SampleBatch:
             "mechanism": self.mechanism,
             "sigma": float(self.sigma),
             "seed": int(self.seed),
+            "stream_id": int(self.stream_id),
             "values": [[float(v) for v in row] for row in np.asarray(self.values)],
         }
         return json.dumps(payload, indent=2)
@@ -306,13 +304,12 @@ def draw_batch(
 ) -> SampleBatch:
     """Draw a SampleBatch for one of the named mechanisms.
 
-    The default center is the origin.  The batch records (seed,
-    stream_id applies only to the draw) so a rerun reproduces the
+    The default center is the origin.  The batch records seed and
+    stream_id, so RngState(batch.seed, batch.stream_id) replays the
     values bit for bit.
     """
     if center is None:
-        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-            raise ValueError("dim must be an integer >= 1")
+        require(integer("dim", dim))
         center = np.zeros(int(dim))
     c = _check_center(center)
     if c.size != dim:
@@ -333,4 +330,5 @@ def draw_batch(
         mechanism=mechanism,
         sigma=float(sigma),
         seed=int(seed),
+        stream_id=int(stream_id),
     )

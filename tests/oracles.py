@@ -6,9 +6,10 @@ reference implementations of the certified bounds run on scipy.special,
 and the Monte-Carlo helpers draw through numpy's default generator with
 the gamma-norm-times-sphere-direction route (the library samples a
 gamma of shape d+1 times a ball point, a different decomposition of the
-same law).  The one exception is bisect_calibrate_l2, the reference
-for calibrate_l2's search: it is handed the library's certificate and
-checks only how the search walks it.  Golden constants below were computed once with the
+same law).  The exceptions are the reference searches built on
+bisect: they are handed the library's pass tests (the certificate, the
+Gaussian condition, the empirical estimate) and check only how the
+library's searches walk them.  Golden constants below were computed once with the
 quadrature oracles and are frozen as literals so the main run stays
 fast; recompute_goldens() regenerates them.
 """
@@ -282,45 +283,93 @@ def masked_betacf(a, b, x, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# Reference search: the plain boolean bisection on [tol, 1/epsilon] whose
-# lattice calibrate_l2 searches.  check is a check_approx_dp.
+# Reference searches: the plain boolean bisection, and the three searches
+# built on it whose lattices the library's search walks.
+
+
+def bisect(passes, lo, hi, tol):
+    """Bisect [lo, hi] (lo failing, hi passing) to width tol; return hi."""
+    for _ in range(200):
+        if hi - lo <= tol:
+            return hi
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    raise RuntimeError("binary search failed to converge")
+
+
+def l2_bracket(eps, tol):
+    """[tol, 1/eps], with tol halved until it lies below 1/eps."""
+    hi = 1.0 / eps
+    lo = tol
+    while lo >= hi:
+        lo *= 0.5
+    return lo, hi
 
 
 def bisect_calibrate_l2(
     check, dim, params, n_r=1000, n_R=1000, tol=1e-3, tail_fraction=0.01
 ):
-    """(sigma, hit_bracket_floor, evals) of the bisection, for dim >= 2."""
+    """(sigma, hit_bracket_floor, evals) of the bisection, for dim >= 2.
+
+    check is a check_approx_dp.
+    """
     from l2mech.lossbounds import GridDomainError
 
-    eps = params.epsilon
+    evals = 0
 
     def certified(s):
+        nonlocal evals
+        evals += 1
         try:
             report = check(dim, s, params, n_r, n_R, tail_fraction)
         except GridDomainError:
             return False
         return report.satisfies_dp
 
-    evals = 0
-    hi = 1.0 / eps
-    lo = tol
-    while lo >= hi:
-        lo *= 0.5
-    evals += 1
+    lo, hi = l2_bracket(params.epsilon, tol)
     if certified(lo):
         return lo, True, evals
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
+    sigma = bisect(certified, lo, hi, tol)
+    return sigma, False, evals
+
+
+def bisect_calibrate_gaussian(params, tol):
+    """(sigma, evals, hit_bracket_floor): double from 1, halve, bisect."""
+    from l2mech.calibrate import gaussian_dp_lhs
+
+    evals = 0
+
+    def passes(s):
+        nonlocal evals
         evals += 1
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise RuntimeError("calibrate_l2: binary search failed to converge")
-    return hi, False, evals
+        return gaussian_dp_lhs(s, params.epsilon) <= params.delta
+
+    hi = 1.0
+    while not passes(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    while passes(lo):
+        hi, lo = lo, lo / 2.0
+        if lo < 1e-12:
+            return hi, evals, True
+    sigma = bisect(passes, lo, hi, tol)
+    return sigma, evals, False
+
+
+def bisect_empirical_min_sigma(dim, params, n, tol, rng):
+    """The bisection on empirical_lhs that empirical_min_sigma runs."""
+    from l2mech.mcverify import empirical_lhs
+
+    def passes(s):
+        est = empirical_lhs(dim, s, params.epsilon, n, rng)
+        return est.lhs_estimate <= params.delta
+
+    lo, hi = l2_bracket(params.epsilon, tol)
+    assert not passes(lo)
+    return bisect(passes, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,23 @@ def test_gaussian_calibration_against_root_find():
     assert res.pure_epsilon is None
 
 
+def test_gaussian_search_matches_bisection():
+    # the unsteered lattice search probes the bisection's own sigmas, in
+    # its order, so sigma, probe count and floor flag all agree exactly
+    grid = itertools.product(
+        (0.01, 0.3, 1.0, 5.0, 50.0),
+        (1e-12, 1e-5, 0.1, 0.5, 0.999, 1.0 - 1e-12),
+        (0.1, 1e-3, 1e-8),
+    )
+    targets = [(PrivacyParams(eps, delta), tol) for eps, delta, tol in grid]
+    targets.append((PrivacyParams(1e25, 1e-5), 1e-3))  # passes at the floor
+    for pp, tol in targets:
+        res = calibrate_gaussian(pp, tol=tol)
+        got = (res.sigma, res.search_iterations, res.hit_bracket_floor)
+        assert got == oracles.bisect_calibrate_gaussian(pp, tol), (pp, tol)
+    assert res.hit_bracket_floor
+
+
 def test_gaussian_minimality_and_monotonicity():
     for eps, delta in [(0.3, 1e-4), (2.0, 1e-6)]:
         res = calibrate_gaussian(PrivacyParams(eps, delta))

@@ -95,6 +95,15 @@ def test_cap_fraction_monotone_and_complement():
         assert np.max(np.abs(f + cap_fraction(d, r, 2.0 * r - h) - 1.0)) < 1e-10
 
 
+def test_scalar_cap_fraction_is_the_vector_path():
+    for d in (2, 3, 10, 100, 1000):
+        for r in (0.3, 2.0):
+            for h in np.linspace(0.0, 2.0 * r, 9):
+                got = cap_fraction(d, r, float(h))
+                assert type(got) is float
+                assert got == cap_fraction(d, np.array([r]), np.array([h]))[0], (d, r, h)
+
+
 def test_cap_fraction_validation():
     with pytest.raises(ValueError):
         cap_fraction(1, 1.0, 0.5)  # needs a sphere, not two points

@@ -122,6 +122,94 @@ def test_grid_domain_error_on_unresolvable_grid():
         term2_lower_bound(2, 0.9, 1.0, GridSpec(r_star=0.8))
 
 
+# Frozen float.hex of (term1_upper, term2_lower, lhs_upper) for tau =
+# eps * sigma in {0.05, 0.3, 0.7, 0.95} at four dimensions, on a square
+# grid and on one with n_r != n_R: a change to the Riemann-Stieltjes sum
+# or its kernels that moves a single bit shows here.
+CHECK_HEX = [
+    # d, sigma, eps, delta, n_r, n_R, then term1, term2, lhs
+    (2, 0.5, 0.1, 1e-05, 1000, 1000,
+     "0x1.7e086fd06f8bfp-1", "0x1.c56eb95e4bf5dp-3", "0x1.00c0bab07346ep-1"),
+    (2, 0.5, 0.1, 1e-05, 64, 2000,
+     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc9p-3", "0x1.0ca931b980c32p-1"),
+    (2, 0.3, 1.0, 1e-10, 1000, 1000,
+     "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac6p-4", "0x1.1f60319ce67d6p-1"),
+    (2, 0.3, 1.0, 1e-10, 64, 2000,
+     "0x1.9a26a7e27fcaap-1", "0x1.2dc46c8cf5cfcp-4", "0x1.339d6c59d2f99p-1"),
+    (2, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
+     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb2ep-7", "0x1.36595bb3d2a7dp-2"),
+    (2, 0.2333333333333333, 3.0, 0.001, 64, 2000,
+     "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2751p-7", "0x1.50d6bb238b52dp-2"),
+    (2, 1.9, 0.5, 1e-05, 1000, 1000,
+     "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021ep-4", "0x1.a6b4dc2b5a640p-9"),
+    (2, 1.9, 0.5, 1e-05, 64, 2000,
+     "0x1.42f698d75ddcbp-3", "0x1.2a44a3f7be871p-4", "0x1.3454c0e1c629cp-5"),
+    (10, 0.5, 0.1, 1e-05, 1000, 1000,
+     "0x1.23fcab7c178a5p-1", "0x1.46c296f9c45bep-2", "0x1.bdb24803dad14p-3"),
+    (10, 0.5, 0.1, 1e-05, 64, 2000,
+     "0x1.26269d54e9f27p-1", "0x1.46e2adf121c37p-2", "0x1.c6132184ef120p-3"),
+    (10, 0.3, 1.0, 1e-10, 1000, 1000,
+     "0x1.6864453ef7770p-2", "0x1.386ec7c860f98p-4", "0x1.2824abf4fb26bp-3"),
+    (10, 0.3, 1.0, 1e-10, 64, 2000,
+     "0x1.71dcbfe396adcp-2", "0x1.38db64682c882p-4", "0x1.3a8202d738dc7p-3"),
+    (10, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
+     "0x1.0cdd55f2bd109p-5", "0x1.4b7180be01616p-10", "0x1.e69cbae35efb0p-8"),
+    (10, 0.2333333333333333, 3.0, 0.001, 64, 2000,
+     "0x1.16e240524d378p-5", "0x1.4be343dded4fep-10", "0x1.1a4467bcdac12p-7"),
+    (10, 1.9, 0.5, 1e-05, 1000, 1000,
+     "0x1.4777e963e0867p-18", "0x1.8ae0a6e0fcf4cp-19", "0x1.f26809abc7e00p-26"),
+    (10, 1.9, 0.5, 1e-05, 64, 2000,
+     "0x1.4a75833c57e4ep-18", "0x1.8afcfc1a27e1cp-19", "0x1.3629a723fd640p-24"),
+    (100, 0.5, 0.1, 1e-05, 1000, 1000,
+     "0x1.623f01180f857p-2", "0x1.19eafe257db26p-2", "0x1.556dc68c13d80p-5"),
+    (100, 0.5, 0.1, 1e-05, 64, 2000,
+     "0x1.62b6dd739ea17p-2", "0x1.19ee94298ccf2p-2", "0x1.590cf4e49af90p-5"),
+    (100, 0.3, 1.0, 1e-10, 1000, 1000,
+     "0x1.00ad20736735ap-9", "0x1.5a1506e1a5321p-11", "0x1.57d3467867fe0p-13"),
+    (100, 0.3, 1.0, 1e-10, 64, 2000,
+     "0x1.029c314491e83p-9", "0x1.5a2ccd160d393p-11", "0x1.75c1d376edc68p-13"),
+    (100, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
+     "0x1.e5de13769627ap-51", "0x1.76a09cf018a95p-55", "0x1.f29323ec31560p-56"),
+    (100, 0.2333333333333333, 3.0, 0.001, 64, 2000,
+     "0x1.ee3d32556f8fep-51", "0x1.76d73eeee5286p-55", "0x1.7af22baa0adb0p-55"),
+    (100, 1.9, 0.5, 1e-05, 1000, 1000,
+     "0x1.75b53bedb4f74p-171", "0x1.c4e70af331273p-172", "0x1.696a2dee70400p-181"),
+    (100, 1.9, 0.5, 1e-05, 64, 2000,
+     "0x1.76dfbd3341337p-171", "0x1.c4f2f53ab54cap-172", "0x1.7b09494a9ae00p-179"),
+    (1000, 0.5, 0.1, 1e-05, 1000, 1000,
+     "0x1.f0df39c929cd1p-5", "0x1.b59b6648c2f14p-5", "0x1.a7b9a7ac62560p-10"),
+    (1000, 0.5, 0.1, 1e-05, 64, 2000,
+     "0x1.f125be3296b19p-5", "0x1.b59d8564fc4d6p-5", "0x1.b03f2d80abd00p-10"),
+    (1000, 0.3, 1.0, 1e-10, 1000, 1000,
+     "0x1.21c0a07160206p-72", "0x1.a5e86b0cf03f2p-74", "0x1.84a5f7cb03180p-79"),
+    (1000, 0.3, 1.0, 1e-10, 64, 2000,
+     "0x1.231e547e28d65p-72", "0x1.a5f971c220459p-74", "0x1.16db7bf46a2c0p-78"),
+    (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
+     "0x1.19f378826704cp-489", "0x1.bf095c8969423p-494", "0x1.5bb6fa74a5300p-497"),
+    (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,
+     "0x1.1d9efe718717cp-489", "0x1.bf3a827bb4c21p-494", "0x1.3a18e4183cb00p-495"),
+    (1000, 1.9, 0.5, 1e-05, 1000, 1000,
+     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    (1000, 1.9, 0.5, 1e-05, 64, 2000,
+     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+]
+
+
+def test_check_values_pinned_bitwise():
+    for d, sigma, eps, delta, n_r, n_R, *want in CHECK_HEX:
+        rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+        got = [rep.term1_upper.hex(), rep.term2_lower.hex(), rep.lhs_upper.hex()]
+        assert got == want, (d, sigma, n_r, n_R)
+    # r_star = 0.7 lies above term1's first radius (0.25) but below
+    # term2's (0.75): each term refuses its own unresolvable grid
+    grid = GridSpec(n_r=50, r_star=0.7)
+    assert term1_upper_bound(10, 0.5, 1.0, grid).hex() == "0x1.15414333713e3p-1"
+    with pytest.raises(GridDomainError):
+        term2_lower_bound(10, 0.5, 1.0, grid)
+    with pytest.raises(GridDomainError):
+        term1_upper_bound(10, 0.5, 1.0, GridSpec(r_star=0.2))
+
+
 def test_check_validation_errors():
     pp = PrivacyParams(1.0, 1e-5)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.lossbounds import check_approx_dp
 from l2mech.mcverify import EmpiricalPrivacyEstimate, empirical_lhs, empirical_min_sigma
@@ -70,6 +71,20 @@ def test_min_sigma_matches_analytic_search():
     assert abs(got - want) / want <= 0.04
 
 
+def test_min_sigma_matches_bisection():
+    # same probes in the same order, so the same draws and the same float
+    for dim, pp, rng_args in (
+        (1, PrivacyParams(1.0, 0.01), (31, 0)),
+        (2, PrivacyParams(1.0, 0.01), (32, 0)),
+        (3, PrivacyParams(0.5, 0.05), (33, 4)),
+    ):
+        got = empirical_min_sigma(dim, pp, 20000, 1e-3, RngState(*rng_args))
+        want = oracles.bisect_empirical_min_sigma(
+            dim, pp, 20000, 1e-3, RngState(*rng_args)
+        )
+        assert got == want, (dim, pp, rng_args)
+
+
 def test_min_sigma_warns_with_starved_tail():
     # n * delta = 10: far too few boundary events
     with pytest.warns(RuntimeWarning):
@@ -81,9 +96,17 @@ def test_json_schema():
     payload = json.loads(est.to_json())
     assert set(payload) == {
         "d", "sigma", "epsilon", "n", "c1", "c2", "lhs", "std_error", "seed",
+        "stream_id",
     }
     assert payload["d"] == 2 and payload["n"] == 1000 and payload["seed"] == 15
     assert payload["lhs"] == est.lhs_estimate
+
+
+def test_estimate_records_its_stream():
+    est = empirical_lhs(2, 0.6, 1.0, 1000, RngState(15, 3))
+    assert est.stream_id == 3 and json.loads(est.to_json())["stream_id"] == 3
+    again = empirical_lhs(2, 0.6, 1.0, 1000, RngState(est.seed, est.stream_id))
+    assert again == est
 
 
 def test_input_validation():

@@ -224,6 +224,17 @@ def test_sample_batch_json_schema():
     assert np.array_equal(vals, batch.values)
 
 
+def test_sample_batch_replays_from_its_metadata():
+    import json
+
+    batch = draw_batch("l2", 3, 0.5, 4, seed=9, stream_id=2)
+    assert batch.stream_id == 2 and json.loads(batch.to_json())["stream_id"] == 2
+    rng = RngState(batch.seed, batch.stream_id)
+    replay = sample_l2(np.zeros(3), batch.sigma, rng, size=batch.count)
+    assert np.array_equal(replay, batch.values)
+    assert not np.array_equal(draw_batch("l2", 3, 0.5, 4, seed=9).values, replay)
+
+
 def test_draw_batch_dispatch_and_determinism():
     for mech in ["l2", "laplace", "gaussian"]:
         a = draw_batch(mech, 2, 1.0, 4, seed=3)

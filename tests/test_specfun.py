@@ -165,6 +165,15 @@ def test_reg_inc_beta_monotone_in_x():
         assert vals[0] == 0.0 and vals[-1] == 1.0
 
 
+def test_scalar_beta_runs_the_vector_kernel():
+    for x in (0.0, 0.1, 0.36, 0.5, 0.9, 0.9999, 1.0):
+        for a, b in ((0.5, 0.5), (4.5, 0.5), (49.5, 0.5), (499.5, 0.5), (2.0, 3.0)):
+            got = reg_inc_beta(x, a, b)
+            assert type(got) is float
+            one = reg_inc_beta(np.array([x]), np.array([a]), np.array([b]))
+            assert got == one[0], (x, a, b)
+
+
 def test_reg_inc_beta_domain_errors():
     for args in [(-0.1, 1.0, 1.0), (1.1, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, -1.0)]:
         with pytest.raises(ValueError):
