@@ -3,8 +3,8 @@ Calibration cost and sampling throughput
 ========================================
 
 Calibration is a search over certified tail bounds, so its cost
-is set by the grid size, not by the dimension.  Sampling is one gamma
-radius plus one ball direction per draw.  Numbers vary by machine; the
+is set by the grid size, not by the dimension.  Sampling is one
+Gamma(d) radius plus one normalised Gaussian direction per draw.  Numbers vary by machine; the
 shape of the table should not.
 """
 

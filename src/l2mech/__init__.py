@@ -43,7 +43,6 @@ from .sampler import (
     RngState,
     SampleBatch,
     draw_batch,
-    sample_gamma,
     sample_gaussian,
     sample_l2,
     sample_l2_parallel,
@@ -104,7 +103,6 @@ __all__ = [
     "reg_lower_gamma",
     "reg_lower_gamma_result",
     "reg_upper_gamma",
-    "sample_gamma",
     "sample_gaussian",
     "sample_l2",
     "sample_l2_parallel",

@@ -330,15 +330,17 @@ def calibrate_gaussian(
         hi *= 2.0
     else:
         raise RuntimeError("calibrate_gaussian: failed to bracket from above")
-    # ends within 40 halvings: hi / 2 already failed unless hi == 1
     lo = hi / 2.0
-    while passes(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-12:
-            return CalibrationResult(
-                MECH_GAUSSIAN, hi * sensitivity, None, evals, tol, hit_bracket_floor=True
-            )
+    # once the doubling moved past 1, hi / 2 is a probe that already failed
+    if hi == 1.0:
+        while passes(lo):
+            hi = lo
+            lo /= 2.0
+            if lo < 1e-12:
+                return CalibrationResult(
+                    MECH_GAUSSIAN, hi * sensitivity, None, evals, tol,
+                    hit_bracket_floor=True,
+                )
     depth = _bisection_depth(lo, hi, tol)
     k = _lattice_search(lo, hi, depth, lambda s: (passes(s), None))
     sigma = _lattice_sigma(k, depth, lo, hi)

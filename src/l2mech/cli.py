@@ -1,4 +1,4 @@
-"""Command-line front end: calibrate, compare, sample, verify, bench.
+"""Command-line front end: calibrate, compare, sample, verify.
 
 All value flags are parsed leniently and validated in one pass, so a
 usage error reports every violated constraint in a single stderr line.
@@ -8,7 +8,7 @@ Exit codes: 0 success, 2 usage/validation error, 1 numerical failure
 The seed defaults to the L2MECH_SEED environment variable when the
 --seed flag is absent, and to 0 when neither is set.  Outputs go to
 stdout unless --out is given; JSON is the default format for
-calibrate/verify/bench, CSV for compare/sample.
+calibrate/verify, CSV for compare/sample.
 """
 from __future__ import annotations
 
@@ -18,14 +18,11 @@ import io
 import json
 import math
 import os
-import statistics
 import sys
-import time
 from dataclasses import dataclass
 
 from .calibrate import (
     MECHANISMS,
-    CalibrationResult,
     PrivacyParams,
     calibrate_gaussian,
     calibrate_l2,
@@ -34,15 +31,14 @@ from .calibrate import (
 from .errormodel import comparison_table, table_to_csv, table_to_json
 from .lossbounds import check_approx_dp
 from .mcverify import empirical_lhs, empirical_min_sigma
-from .sampler import RngState, draw_batch, sample_gaussian, sample_l2, sample_laplace
+from .sampler import RngState, draw_batch
 from .specfun import ConvergenceError
 
 __all__ = ["CliConfig", "UsageError", "parse_args", "run", "main"]
 
-COMMANDS = ("calibrate", "compare", "sample", "verify", "bench")
+COMMANDS = ("calibrate", "compare", "sample", "verify")
 FORMATS = ("json", "csv")
 SEED_ENV_VAR = "L2MECH_SEED"
-BENCH_NOTE = "wall-clock timings vary run to run and across machines"
 
 
 class UsageError(ValueError):
@@ -64,7 +60,6 @@ class CliConfig:
     tol: float = 1e-3
     samples: int | None = None
     seed: int = 0
-    trials: int = 100
     output_format: str = "json"
     output_path: str | None = None
 
@@ -103,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                mech=True, sigma=True, samples=True)
     add_common(sub.add_parser("verify", help="analytic + Monte-Carlo check"),
                eps=True, sigma=True, samples=True)
-    bench = sub.add_parser("bench", help="timing of calibration and sampling")
-    add_common(bench, eps=True, samples=True)
-    bench.add_argument("--trials", help="timing repetitions (default 100)")
     return parser
 
 
@@ -133,7 +125,6 @@ def parse_args(argv=None) -> CliConfig:
     n_r = _convert(problems, getattr(ns, "n_r", None), "nr", int, default=1000)
     n_R = _convert(problems, getattr(ns, "n_R", None), "nR", int, default=1000)
     tol = _convert(problems, getattr(ns, "tol", None), "tol", float, default=1e-3)
-    trials = _convert(problems, getattr(ns, "trials", None), "trials", int, default=100)
     mechanism = getattr(ns, "mech", None)
 
     raw_seed = getattr(ns, "seed", None)
@@ -151,7 +142,7 @@ def parse_args(argv=None) -> CliConfig:
             problems.append(f"{seed_origin} must be an integer, got {raw_seed!r}")
             seed = 0
 
-    needs_eps = command in ("calibrate", "compare", "verify", "bench")
+    needs_eps = command in ("calibrate", "compare", "verify")
     if needs_eps:
         if epsilon is None and getattr(ns, "eps", None) is None:
             problems.append("--eps is required")
@@ -191,8 +182,6 @@ def parse_args(argv=None) -> CliConfig:
         problems.append(f"--nR must be >= 2, got {n_R}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         problems.append(f"--tol must be positive and finite, got {tol}")
-    if trials is not None and trials < 1:
-        problems.append(f"--trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         problems.append(f"seed must lie in [0, 2^64), got {seed}")
 
@@ -212,7 +201,6 @@ def parse_args(argv=None) -> CliConfig:
         tol=tol,
         samples=samples,
         seed=seed,
-        trials=trials,
         output_format=output_format,
         output_path=ns.output_path,
     )
@@ -246,19 +234,16 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _calibrate(config: CliConfig, mechanism: str) -> CalibrationResult:
+def _run_calibrate(config: CliConfig) -> dict:
     params = PrivacyParams(config.epsilon, config.delta)
-    if mechanism == "l2":
-        return calibrate_l2(
+    if config.mechanism == "l2":
+        res = calibrate_l2(
             config.dim, params, n_r=config.n_r, n_R=config.n_R, tol=config.tol
         )
-    if mechanism == "laplace":
-        return laplace_sigma(config.dim, params)
-    return calibrate_gaussian(params, tol=config.tol)
-
-
-def _run_calibrate(config: CliConfig) -> dict:
-    res = _calibrate(config, config.mechanism)
+    elif config.mechanism == "laplace":
+        res = laplace_sigma(config.dim, params)
+    else:
+        res = calibrate_gaussian(params, tol=config.tol)
     return {
         "mechanism": res.mechanism,
         "dim": config.dim,
@@ -340,53 +325,6 @@ def _run_verify(config: CliConfig) -> dict:
     }
 
 
-def _time_call(fn, trials: int):
-    times = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.mean(times), statistics.median(times)
-
-
-def _run_bench(config: CliConfig):
-    n_draws = config.samples or 1000
-    rng = RngState(config.seed)
-    center = [0.0] * config.dim
-    rows = []
-    samplers = {"l2": sample_l2, "laplace": sample_laplace, "gaussian": sample_gaussian}
-    for mech in ("l2", "laplace", "gaussian"):
-        mean_s, median_s = _time_call(lambda: _calibrate(config, mech), config.trials)
-        rows.append(
-            {"mechanism": mech, "operation": "calibrate",
-             "mean_s": mean_s, "median_s": median_s}
-        )
-        sigma = _calibrate(config, mech).sigma
-        mean_s, median_s = _time_call(
-            lambda: samplers[mech](center, sigma, rng, size=n_draws), config.trials
-        )
-        rows.append(
-            {"mechanism": mech, "operation": f"sample{n_draws}",
-             "mean_s": mean_s, "median_s": median_s}
-        )
-    if config.output_format == "json":
-        return {
-            "note": BENCH_NOTE,
-            "trials": config.trials,
-            "dim": config.dim,
-            "rows": rows,
-        }
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["mechanism", "operation", "trials", "mean_s", "median_s", "note"])
-    for row in rows:
-        writer.writerow(
-            [row["mechanism"], row["operation"], config.trials,
-             repr(row["mean_s"]), repr(row["median_s"]), BENCH_NOTE]
-        )
-    return buf.getvalue()
-
-
 def run(config: CliConfig) -> int:
     """Execute a validated CLI config; writes the artifact, returns 0."""
     handlers = {
@@ -394,7 +332,6 @@ def run(config: CliConfig) -> int:
         "compare": _run_compare,
         "sample": _run_sample,
         "verify": _run_verify,
-        "bench": _run_bench,
     }
     text = _emit(config, handlers[config.command](config))
     if config.output_path:

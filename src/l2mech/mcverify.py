@@ -92,7 +92,8 @@ def empirical_lhs(
     origin = np.zeros(dim)
 
     def in_region(y: np.ndarray) -> np.ndarray:
-        dist_shift = np.sqrt(np.einsum("ij,ij->i", y - e1, y - e1))
+        shifted = y - e1
+        dist_shift = np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
         dist_origin = np.sqrt(np.einsum("ij,ij->i", y, y))
         return (dist_shift - dist_origin) / sigma >= epsilon
 

@@ -1,13 +1,15 @@
 """Exact samplers for the l2 mechanism and its baselines.
 
 The l2 mechanism's noise has density proportional to
-exp(-||y||_2 / sigma): a radius with the law sigma * Gamma(dim + 1)
-thinned by a uniform Y^(1/dim) factor, times a uniform direction.  All
-three pieces come from elementary draws, so the sampler needs no
-rejection step and parallelizes coordinate-wise: each worker owns one
-log-uniform (a summand of the Gamma radius) and one Gaussian coordinate
-(a summand of the direction), and a manager combines them in two
-deterministic phases.
+exp(-||y||_2 / sigma), so its norm has the Gamma(dim, sigma) law and
+its direction is uniform on the sphere.  sample_l2 draws exactly that:
+a Gamma(dim) radius times a normalised Gaussian row.  The parallel
+sampler splits the same law coordinate-wise instead: a Gamma(dim + 1)
+radius, as a sum of dim + 1 exponentials, thinned by a uniform
+Y^(1/dim) factor, times a Gaussian direction.  Each worker owns one
+log-uniform (a summand of the radius) and one Gaussian coordinate (a
+summand of the direction), and a manager combines them in two
+deterministic phases.  Neither sampler needs a rejection step.
 
 Randomness is counter-based (numpy Philox keyed by (seed, stream_id)),
 so a fresh RngState replays the identical sequence bit for bit, and
@@ -30,7 +32,6 @@ __all__ = [
     "RngState",
     "SampleBatch",
     "ParallelTrace",
-    "sample_gamma",
     "sample_unit_ball",
     "sample_l2",
     "sample_l2_parallel",
@@ -101,42 +102,34 @@ def _check_scale(value: float, name: str) -> float:
     return float(value)
 
 
-def sample_gamma(shape: int, scale: float, rng: RngState, size=None):
-    """Gamma(shape, scale) draws as sums of shape exponentials.
+def _gaussian_rows(gen: np.random.Generator, n: int, dim: int):
+    """An (n, dim) standard normal block and its row norms.
 
-    Uniforms are taken from (0, 1] (one minus the half-open generator
-    output), so -log U is always finite and no redraw is ever needed.
+    An all-zero row (probability zero, float possible) is redrawn, so
+    every norm is positive.
     """
-    require(integer("shape", shape))
-    scale = _check_scale(scale, "scale")
-    n, scalar = _check_size(size)
-    u = 1.0 - rng.generator.random((n, int(shape)))
-    vals = -scale * np.log(u).sum(axis=1)
-    return float(vals[0]) if scalar else vals
+    x = gen.standard_normal((n, dim))
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    for _ in range(_MAX_REDRAWS):
+        bad = norms == 0.0
+        if not bad.any():
+            return x, norms
+        x[bad] = gen.standard_normal((int(bad.sum()), dim))
+        norms[bad] = np.sqrt(np.einsum("ij,ij->i", x[bad], x[bad]))
+    raise RuntimeError("persistent zero direction vector")
 
 
 def sample_unit_ball(dim: int, rng: RngState, size=None):
     """Uniform draws from the unit ball in R^dim.
 
     A Gaussian direction scaled to the sphere, then pulled inward by
-    U^(1/dim).  An all-zero Gaussian row (probability zero, float
-    possible) is redrawn.  Draw order per batch: the Gaussian block,
-    then the radial uniforms.
+    U^(1/dim).  Draw order per batch: the Gaussian block, then the
+    radial uniforms.
     """
     require(integer("dim", dim))
     n, scalar = _check_size(size)
     gen = rng.generator
-    x = gen.standard_normal((n, int(dim)))
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    for _ in range(_MAX_REDRAWS):
-        bad = norms == 0.0
-        if not bad.any():
-            break
-        k = int(bad.sum())
-        x[bad] = gen.standard_normal((k, int(dim)))
-        norms[bad] = np.sqrt(np.einsum("ij,ij->i", x[bad], x[bad]))
-    else:
-        raise RuntimeError("sample_unit_ball: persistent zero direction vector")
+    x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
     out = x * (pull / norms)[:, None]
     return out[0] if scalar else out
@@ -145,17 +138,18 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
 def sample_l2(center, sigma: float, rng: RngState, size=None):
     """Draws from the l2 mechanism centered at center with scale sigma.
 
-    radius ~ Gamma(dim + 1, sigma) times a uniform point of the unit
-    ball; the product's norm has the exp(-r/sigma) radial law, i.e. the
-    radial CDF is the regularized lower incomplete gamma P(dim, r/sigma).
+    A Gamma(dim, sigma) radius times a uniform direction (a normalised
+    Gaussian row), so the radial CDF is the regularized lower
+    incomplete gamma P(dim, r/sigma).  Draw order per batch: the
+    Gaussian block, then the radii.
     """
     c = _check_center(center)
     sigma = _check_scale(sigma, "sigma")
     n, scalar = _check_size(size)
-    d = c.size
-    radius = sample_gamma(d + 1, sigma, rng, size=n)
-    ball = sample_unit_ball(d, rng, size=n)
-    out = c[None, :] + radius[:, None] * ball
+    gen = rng.generator
+    x, norms = _gaussian_rows(gen, n, c.size)
+    radius = gen.gamma(c.size, sigma, size=n)
+    out = c + x * (radius / norms)[:, None]
     return out[0] if scalar else out
 
 

@@ -12,7 +12,6 @@ from l2mech.sampler import (
     RngState,
     SampleBatch,
     draw_batch,
-    sample_gamma,
     sample_gaussian,
     sample_l2,
     sample_l2_parallel,
@@ -44,41 +43,6 @@ def test_rng_state_advances_with_use():
     assert not np.array_equal(first, second)
 
 
-def test_sample_gamma_exponential_mean():
-    vals = sample_gamma(1, 1.0, RngState(31), size=1000000)
-    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
-    assert abs(float(np.mean(vals)) - 1.0) < 0.004
-
-
-def test_sample_gamma_shape_scale_moments():
-    d, sigma, n = 6, 0.5, 1000000
-    vals = sample_gamma(d + 1, sigma, RngState(32), size=n)
-    mean = float(np.mean(vals))
-    assert abs(mean - (d + 1) * sigma) < 4.0 * sigma * math.sqrt(d + 1) / 1000.0
-    var = float(np.var(vals))
-    want_var = (d + 1) * sigma * sigma
-    assert abs(var - want_var) < 0.05 * want_var
-
-
-def test_sample_gamma_determinism_and_validation():
-    assert sample_gamma(3, 1.0, RngState(5)) == sample_gamma(3, 1.0, RngState(5))
-    a = sample_gamma(2, 0.7, RngState(6), size=10)
-    b = sample_gamma(2, 0.7, RngState(6), size=10)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        sample_gamma(0, 1.0, RngState(1))
-    with pytest.raises(ValueError):
-        sample_gamma(2.5, 1.0, RngState(1))
-    with pytest.raises(ValueError):
-        sample_gamma(2, -1.0, RngState(1))
-
-
-def test_sample_gamma_law():
-    vals = sample_gamma(4, 2.0, RngState(33), size=100000)
-    res = stats.kstest(vals, stats.gamma(a=4, scale=2.0).cdf)
-    assert res.pvalue > KS_LEVEL
-
-
 def test_unit_ball_norm_moments():
     z = sample_unit_ball(3, RngState(41), size=1000000)
     sq = np.einsum("ij,ij->i", z, z)
@@ -102,10 +66,20 @@ def test_unit_ball_determinism():
 
 
 def test_sample_l2_radial_law():
-    for d in [2, 5]:
-        y = sample_l2(np.zeros(d), 0.8, RngState(50 + d), size=50000)
+    for d, n in [(1, 50000), (2, 50000), (5, 50000), (1000, 5000)]:
+        y = sample_l2(np.zeros(d), 0.8, RngState(50 + d), size=n)
         norms = np.linalg.norm(y, axis=1)
         res = stats.kstest(norms, lambda r, d=d: radial_cdf(d, 0.8, r))
+        assert res.pvalue > KS_LEVEL, d
+
+
+def test_sample_l2_direction_law():
+    # (1 + cos angle to e1) / 2 of a uniform direction is Beta((d-1)/2, (d-1)/2)
+    for d in [3, 20]:
+        y = sample_l2(np.zeros(d), 0.8, RngState(150 + d), size=50000)
+        t = (1.0 + y[:, 0] / np.linalg.norm(y, axis=1)) / 2.0
+        half = (d - 1) / 2.0
+        res = stats.kstest(t, stats.beta(half, half).cdf)
         assert res.pvalue > KS_LEVEL, d
 
 
