@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .calibrate import (
     MECHANISMS,
@@ -36,7 +37,6 @@ from .specfun import ConvergenceError
 
 __all__ = ["CliConfig", "UsageError", "parse_args", "run", "main"]
 
-COMMANDS = ("calibrate", "compare", "sample", "verify")
 FORMATS = ("json", "csv")
 SEED_ENV_VAR = "L2MECH_SEED"
 
@@ -90,14 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="output_format", choices=FORMATS)
         p.add_argument("--out", dest="output_path", help="write output to this path")
 
-    add_common(sub.add_parser("calibrate", help="minimal sigma for a mechanism"),
-               eps=True, mech=True)
-    add_common(sub.add_parser("compare", help="error table for all mechanisms"),
-               eps=True)
-    add_common(sub.add_parser("sample", help="draw mechanism outputs"),
-               mech=True, sigma=True, samples=True)
-    add_common(sub.add_parser("verify", help="analytic + Monte-Carlo check"),
-               eps=True, sigma=True, samples=True)
+    for name, command in _SUBCOMMANDS.items():
+        add_common(sub.add_parser(name, help=command.help), **command.options)
     return parser
 
 
@@ -142,8 +136,8 @@ def parse_args(argv=None) -> CliConfig:
             problems.append(f"{seed_origin} must be an integer, got {raw_seed!r}")
             seed = 0
 
-    needs_eps = command in ("calibrate", "compare", "verify")
-    if needs_eps:
+    options = _SUBCOMMANDS[command].options
+    if options.get("eps"):
         if epsilon is None and getattr(ns, "eps", None) is None:
             problems.append("--eps is required")
         elif epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
@@ -153,7 +147,7 @@ def parse_args(argv=None) -> CliConfig:
         elif delta is not None and not (math.isfinite(delta) and 0 < delta < 1):
             problems.append(f"--delta must lie strictly in (0, 1), got {delta}")
 
-    if command in ("calibrate", "sample"):
+    if options.get("mech"):
         if mechanism is None:
             problems.append("--mech is required")
         elif mechanism not in MECHANISMS:
@@ -325,15 +319,36 @@ def _run_verify(config: CliConfig) -> dict:
     }
 
 
+class _Subcommand(NamedTuple):
+    """One subcommand: its help line, its handler and its flag groups."""
+
+    help: str
+    handler: Callable[[CliConfig], "dict | str"]
+    options: dict  # keywords of _build_parser's add_common
+
+
+# the one table of subcommands: the parser, the validation in parse_args
+# and run all read it
+_SUBCOMMANDS = {
+    "calibrate": _Subcommand(
+        "minimal sigma for a mechanism", _run_calibrate, dict(eps=True, mech=True)
+    ),
+    "compare": _Subcommand(
+        "error table for all mechanisms", _run_compare, dict(eps=True)
+    ),
+    "sample": _Subcommand(
+        "draw mechanism outputs", _run_sample, dict(mech=True, sigma=True, samples=True)
+    ),
+    "verify": _Subcommand(
+        "analytic + Monte-Carlo check", _run_verify, dict(eps=True, sigma=True, samples=True)
+    ),
+}
+COMMANDS = tuple(_SUBCOMMANDS)
+
+
 def run(config: CliConfig) -> int:
     """Execute a validated CLI config; writes the artifact, returns 0."""
-    handlers = {
-        "calibrate": _run_calibrate,
-        "compare": _run_compare,
-        "sample": _run_sample,
-        "verify": _run_verify,
-    }
-    text = _emit(config, handlers[config.command](config))
+    text = _emit(config, _SUBCOMMANDS[config.command].handler(config))
     if config.output_path:
         with open(config.output_path, "w", newline="") as fh:
             fh.write(text)

@@ -15,7 +15,11 @@ never toward a false guarantee.
 
 check_approx_dp picks the working radius r_star so that only a
 tail_fraction * delta sliver of radial mass lies beyond the grid, and
-the tail contribution is bounded by the same cap-fraction logic.
+the tail contribution is bounded by the same cap-fraction logic.  It
+evaluates both terms in one pass of the special-function kernels: the
+two radial grids go as two rows into one reg_lower_gamma call and one
+cap_fraction call, with one tail mass for both, and each sum comes out
+bit for bit as term1_upper_bound or term2_lower_bound computes it.
 """
 from __future__ import annotations
 
@@ -113,28 +117,52 @@ def _exp_eps(epsilon: float) -> float:
 
 
 def _riemann_stieltjes(
-    geom: LossGeometry, grid: GridSpec, r_first: float, n: int, height, ball: bool
-) -> float:
-    """The left Riemann-Stieltjes sum both terms share (see term1_upper_bound).
+    geom: LossGeometry, grid: GridSpec, uppers: tuple[bool, ...]
+) -> list[float]:
+    """The left Riemann-Stieltjes sums of the terms in uppers, in one pass.
 
-    The terms differ only in r_first, the cap height function, and
-    whether the ball below r_first counts in full (ball).
+    True stands for term1's upper bound, False for term2's lower bound
+    (see term1_upper_bound and term2_lower_bound).  The two differ only
+    in the first radius, the grid size, the cap height function and
+    whether the ball below the first radius counts in full.  Each term's
+    grid is one row of a single reg_lower_gamma call and a single
+    cap_fraction call, and both share one tail mass beyond r_star.  A
+    shorter row is padded with r_star, a repeat of its largest radius,
+    which changes none of its values (see the specfun module), so every
+    sum is bitwise the one a pass of its own would give.
     """
     if grid.r_star is None:
         raise ValueError("grid.r_star is required for the general branch")
-    if grid.r_star <= r_first:
-        center = "" if ball else " around the shifted center"
-        raise GridDomainError(
-            f"r_star={grid.r_star} is at or below the first grid radius "
-            f"{r_first}{center}; the grid cannot resolve the loss region"
-        )
+    r_star, tau = grid.r_star, geom.tau
+    terms = [
+        ((1.0 - tau) / 2.0, grid.n_r, height_h, True)
+        if upper
+        else ((1.0 + tau) / 2.0, grid.n_R, height_H, False)
+        for upper in uppers
+    ]
+    for r_first, _, _, upper in terms:
+        if r_star <= r_first:
+            center = "" if upper else " around the shifted center"
+            raise GridDomainError(
+                f"r_star={r_star} is at or below the first grid radius "
+                f"{r_first}{center}; the grid cannot resolve the loss region"
+            )
     dim, sigma = geom.dim, geom.sigma
-    radii = np.linspace(r_first, grid.r_star, n)
+    radii = np.full((len(terms), max(n for _, n, _, _ in terms)), r_star)
+    heights = np.empty_like(radii)
+    for k, (r_first, n, height, _) in enumerate(terms):
+        radii[k, :n] = np.linspace(r_first, r_star, n)
+        heights[k] = height(geom, radii[k])
     cdf = reg_lower_gamma(float(dim), radii / sigma)
-    frac = cap_fraction(dim, radii, height(geom, radii))
-    tail = reg_upper_gamma(float(dim), grid.r_star / sigma)
-    below = cdf[0] if ball else 0.0
-    return below + float(np.dot(np.diff(cdf), frac[:-1])) + tail * frac[-1]
+    frac = cap_fraction(dim, radii, heights)
+    tail = reg_upper_gamma(float(dim), r_star / sigma)
+    sums = []
+    for c, f, (_, n, _, upper) in zip(cdf, frac, terms):
+        c, f = c[:n], f[:n]
+        below = c[0] if upper else 0.0
+        total = below + float(np.dot(np.diff(c), f[:-1])) + tail * f[-1]
+        sums.append(min(total, 1.0) if upper else max(total, 0.0))
+    return sums
 
 
 def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) -> float:
@@ -143,8 +171,9 @@ def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) ->
     Left Riemann-Stieltjes sum over the radial CDF: the sphere mass
     between consecutive radii is weighted by the cap fraction at the
     left radius (cap fractions shrink with radius, so this over-counts),
-    the ball below the first grid radius is counted in full, and the
-    mass beyond r_star is charged the cap fraction at r_star.
+    the ball below the first grid radius, (1 - tau)/2, is counted in
+    full, and the mass beyond r_star is charged the cap fraction at
+    r_star.
     """
     _validate_dse(dim, sigma, epsilon)
     tau = epsilon * sigma
@@ -152,9 +181,7 @@ def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) ->
         return 0.0
     if dim == 1:
         return 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
-    geom = LossGeometry(dim, sigma, epsilon)
-    total = _riemann_stieltjes(geom, grid, (1.0 - tau) / 2.0, grid.n_r, height_h, True)
-    return min(total, 1.0)
+    return _riemann_stieltjes(LossGeometry(dim, sigma, epsilon), grid, (True,))[0]
 
 
 def term2_lower_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) -> float:
@@ -171,9 +198,7 @@ def term2_lower_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) ->
         return 0.0
     if dim == 1:
         return 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
-    geom = LossGeometry(dim, sigma, epsilon)
-    total = _riemann_stieltjes(geom, grid, (1.0 + tau) / 2.0, grid.n_R, height_H, False)
-    return max(total, 0.0)
+    return _riemann_stieltjes(LossGeometry(dim, sigma, epsilon), grid, (False,))[0]
 
 
 def check_approx_dp(
@@ -189,8 +214,11 @@ def check_approx_dp(
     The outer radius is set so the radial mass beyond it is exactly
     tail_fraction * delta (default: one percent of the privacy budget),
     then both Riemann bounds are evaluated on [first radius, r_star]
-    grids.  satisfies_dp=True is a proof up to float arithmetic;
-    False only means this grid could not certify the pair.
+    grids, together in one pass of the kernels (see _riemann_stieltjes);
+    the values, and a GridDomainError from either grid, are those of
+    term1_upper_bound then term2_lower_bound on the same GridSpec.
+    satisfies_dp=True is a proof up to float arithmetic; False only
+    means this grid could not certify the pair.
     """
     epsilon = float(eps_delta.epsilon)
     delta = float(eps_delta.delta)
@@ -209,8 +237,12 @@ def check_approx_dp(
         branch = BRANCH_ONE_DIM
     else:
         branch = BRANCH_GENERAL
-    t1 = term1_upper_bound(dim, sigma, epsilon, grid)
-    t2 = term2_lower_bound(dim, sigma, epsilon, grid)
+    if branch == BRANCH_GENERAL:
+        geom = LossGeometry(dim, sigma, epsilon)
+        t1, t2 = _riemann_stieltjes(geom, grid, (True, False))
+    else:
+        t1 = term1_upper_bound(dim, sigma, epsilon, grid)
+        t2 = term2_lower_bound(dim, sigma, epsilon, grid)
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,

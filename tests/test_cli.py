@@ -1,15 +1,14 @@
 """Command-line surface: parsing, payload shapes, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import l2mech
 import l2mech.cli as cli
 from l2mech.cli import UsageError, main, parse_args
 from l2mech.errormodel import TABLE_FIELDS
@@ -57,6 +56,12 @@ def test_more_flag_validation():
         parse_args(CAL + ["--seed", "-1"])
     with pytest.raises(UsageError, match="must be an integer"):
         parse_args(CAL + ["--seed", "abc"])
+
+
+def test_commands_are_the_parsers_subcommands():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert cli.COMMANDS == tuple(sub.choices) == ("calibrate", "compare", "sample", "verify")
 
 
 def test_exit_codes(capsys):
@@ -188,16 +193,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_bytes().decode() == streamed
 
 
-def test_console_script_entry():
-    # the child must import the same l2mech, installed or not
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(l2mech.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+def test_console_script_entry(child_env):
     proc = subprocess.run(
         [sys.executable, "-c",
          "from l2mech.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
          *CAL],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mechanism"] == "l2"

@@ -18,6 +18,7 @@ from l2mech.lossbounds import (
     term1_upper_bound,
     term2_lower_bound,
 )
+from l2mech.specfun import inv_reg_upper_gamma
 
 # probe points for the scipy reference comparison
 PROBES = [
@@ -208,6 +209,49 @@ def test_check_values_pinned_bitwise():
         term2_lower_bound(10, 0.5, 1.0, grid)
     with pytest.raises(GridDomainError):
         term1_upper_bound(10, 0.5, 1.0, GridSpec(r_star=0.2))
+
+
+def test_check_equals_its_terms_bitwise():
+    # check_approx_dp sums both terms in one kernel pass; each must be the
+    # bit pattern its own function gives on the same grid, square or not
+    for d in (2, 3, 10, 100, 1000):
+        for eps in (0.1, 1.0, 5.0):
+            for tau in (0.3, 0.6, 0.95):
+                for delta in (1e-3, 1e-10):
+                    for n_r, n_R in ((100, 100), (17, 300), (300, 17)):
+                        sigma = tau / eps
+                        rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+                        t1 = term1_upper_bound(d, sigma, eps, rep.grid)
+                        t2 = term2_lower_bound(d, sigma, eps, rep.grid)
+                        assert rep.branch == BRANCH_GENERAL
+                        assert rep.term1_upper.hex() == t1.hex(), (d, eps, tau, delta, n_r)
+                        assert rep.term2_lower.hex() == t2.hex(), (d, eps, tau, delta, n_R)
+
+
+def test_check_raises_its_terms_grid_errors_in_order():
+    # when r_star falls below both first radii term1's error comes first;
+    # between them, term2's; the check raises what its terms would
+    seen = set()
+    for d, sigma, eps, delta in ((2, 0.3, 0.5, 0.9), (3, 0.3, 1.0, 0.5), (10, 0.05, 2.0, 0.2)):
+        for tail in (0.3, 0.6, 0.9, 1.05):
+            params = PrivacyParams(eps, delta)
+            r_star = sigma * inv_reg_upper_gamma(float(d), tail * delta)
+            grid = GridSpec(r_star=r_star)
+            want = None
+            for term in (term1_upper_bound, term2_lower_bound):
+                try:
+                    term(d, sigma, eps, grid)
+                except GridDomainError as exc:
+                    want = str(exc)
+                    seen.add(term.__name__)
+                    break
+            if want is None:
+                check_approx_dp(d, sigma, params, tail_fraction=tail)
+                continue
+            with pytest.raises(GridDomainError) as excinfo:
+                check_approx_dp(d, sigma, params, tail_fraction=tail)
+            assert str(excinfo.value) == want
+    assert seen == {"term1_upper_bound", "term2_lower_bound"}
 
 
 def test_check_validation_errors():

@@ -115,6 +115,70 @@ def test_vector_kernels_match_masked_reference(max_iter):
                 got = specfun._betacf_vec(pa, pb, x, max_iter)
                 assert np.array_equal(got[0], want), d
                 assert got[1] == iters.max() and np.array_equal(got[2], ok)
+    # a 2-D call: each row against masked references on that row alone,
+    # the series stopping per row (row 0 stays below 0.8 a, so it
+    # converges before row 1), the continued fraction shared; a generator
+    # of its own leaves the cases above as they were
+    rows_rng = np.random.default_rng(6)
+    for d in (2, 3, 10, 100, 1000, 5000):
+        for a in (np.full((2, 300), float(d)), rows_rng.uniform(0.5, 2.0 * d, (2, 300))):
+            x = a * np.stack([rows_rng.uniform(0.01, 0.8, 300),
+                              rows_rng.uniform(0.01, 3.0, 300)])
+            p, q, iters, conv = specfun._gamma_pq_vec(a, x, max_iter)
+            most = 0
+            for k in range(2):
+                low = x[k] < a[k] + 1.0
+                for sel, got, ref in ((low, p, oracles.masked_gamma_series),
+                                      (~low, q, oracles.masked_gamma_cf)):
+                    want, it, ok = ref(a[k][sel], x[k][sel], max_iter)
+                    assert np.array_equal(got[k][sel], want), (d, k, ref)
+                    assert np.array_equal(conv[k][sel], ok), (d, k, ref)
+                    most = max(most, it.max(initial=0))
+            assert iters == most, d
+
+
+def _check_hex_rows():
+    # the radial grids of test_lossbounds.CHECK_HEX's case (100,
+    # 0.2333..., eps 3, delta 1e-3, n_r=64, n_R=2000) as check_approx_dp
+    # stacks them, term1's 64 radii padded with r_star, over sigma
+    sigma, tau = 0.2333333333333333, 3.0 * 0.2333333333333333
+    r_star = sigma * inv_reg_upper_gamma(100.0, 0.01 * 1e-3)
+    radii = np.full((2, 2000), r_star)
+    radii[0, :64] = np.linspace((1.0 - tau) / 2.0, r_star, 64)
+    radii[1] = np.linspace((1.0 + tau) / 2.0, r_star, 2000)
+    return radii / sigma
+
+
+@pytest.mark.parametrize("max_iter", [20000, 92, 4])
+def test_gamma_rows_match_one_dim_calls(max_iter):
+    # row 0's series converges after 91 iterations and row 1's after 94:
+    # one batch of both would keep adding terms to row 0, and max_iter=92
+    # converges row 0 but not row 1
+    x = _check_hex_rows()
+    for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
+        both = fn(100.0, x, max_iter)
+        ones = [fn(100.0, row, max_iter) for row in x]
+        for k, one in enumerate(ones):
+            assert np.array_equal(both.value[k], one.value), (fn, k)
+        assert both.iterations == max(one.iterations for one in ones)
+        assert both.converged == all(one.converged for one in ones)
+        # rows are the slices along the last axis, whatever the leading shape
+        deep = fn(np.full((2, 1, 1), 100.0), x[:, None, :], max_iter)
+        assert np.array_equal(deep.value[:, 0, :], both.value)
+        assert (deep.iterations, deep.converged) == (both.iterations, both.converged)
+    if max_iter == 20000:
+        assert [one.iterations for one in ones] == [91, 94]
+        plain = reg_lower_gamma(100.0, x)
+        assert all(np.array_equal(plain[k], reg_lower_gamma(100.0, x[k])) for k in range(2))
+    if max_iter == 92:
+        assert [one.converged for one in ones] == [True, False]
+    # element flags, which the result objects fold into one bool
+    a = np.full(x.shape, 100.0)
+    p, q, iters, conv = specfun._gamma_pq_vec(a, x, max_iter)
+    for k in range(2):
+        p1, q1, it1, conv1 = specfun._gamma_pq_vec(a[k:k + 1], x[k:k + 1], max_iter)
+        assert np.array_equal(p[k], p1[0]) and np.array_equal(q[k], q1[0])
+        assert np.array_equal(conv[k], conv1[0]) and it1 <= iters
 
 
 def test_gamma_scipy_cross_check_grid():
