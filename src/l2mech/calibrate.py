@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
-from .lossbounds import GridDomainError, _exp_eps, check_approx_dp
+from .lossbounds import GridDomainError, _check, _exp_eps, _x_star
 from .specfun import std_normal_cdf
 
 __all__ = [
@@ -133,9 +133,11 @@ def calibrate_l2(
     1/epsilon only when it ends there; search_iterations counts both.
     dim == 1 uses the exact closed form.  Either way a sigma that fails
     its own certificate is nudged up by float ulps until it passes, so
-    the returned sigma is certified in every branch.
+    the returned sigma is certified in every branch.  Every probe shares
+    one x_star = r_star / sigma, computed before the search.
     """
     _validate_common(params, tol, sensitivity, integer("dim", dim))
+    x_star = _x_star(dim, params.delta, tail_fraction)
     eps = params.epsilon
     log_neg_log_delta = math.log(-math.log(params.delta))
     evals = 0
@@ -144,7 +146,7 @@ def calibrate_l2(
         nonlocal evals
         evals += 1
         try:
-            report = check_approx_dp(dim, s, params, n_r, n_R, tail_fraction)
+            report = _check(dim, s, params, n_r, n_R, x_star)
         except GridDomainError:
             return False, None
         return report.satisfies_dp, _margin_point(report, s, eps, log_neg_log_delta)

@@ -126,6 +126,4 @@ def radial_cdf(dim: int, sigma: float, r):
     r_arr = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r_arr)) or np.any(r_arr < 0):
         raise ValueError("r must be nonnegative and finite")
-    scaled = r_arr / sigma
-    val = reg_lower_gamma(float(dim), scaled if np.ndim(r) else float(scaled))
-    return val
+    return reg_lower_gamma(float(dim), r_arr / sigma)

@@ -13,13 +13,14 @@ CDF whose direction of error is certified (upper for the first term,
 lower for the second), so the check can only err toward "not certified",
 never toward a false guarantee.
 
-check_approx_dp picks the working radius r_star so that only a
-tail_fraction * delta sliver of radial mass lies beyond the grid, and
-the tail contribution is bounded by the same cap-fraction logic.  It
-evaluates both terms in one pass of the special-function kernels: the
-two radial grids go as two rows into one reg_lower_gamma call and one
-cap_fraction call, with one tail mass for both, and each sum comes out
-bit for bit as term1_upper_bound or term2_lower_bound computes it.
+check_approx_dp picks the working radius r_star = sigma * x_star so
+that only a tail_fraction * delta sliver of radial mass lies beyond the
+grid, and bounds that tail by the same cap-fraction logic; calibrate_l2
+computes x_star, which does not depend on sigma, once per calibration.
+A check evaluates both terms in one kernel pass: the two radial grids
+go as two rows into one incomplete-gamma call, which also gives the
+tail mass, and one cap_fraction call, and each sum comes out bit for
+bit as term1_upper_bound or term2_lower_bound computes it.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from ._checks import integer, positive, require, unless
 from .capgeom import LossGeometry, cap_fraction, height_H, height_h
-from .specfun import inv_reg_upper_gamma, reg_lower_gamma, reg_upper_gamma
+from .specfun import _gamma_pq, _unwrap, inv_reg_upper_gamma
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .calibrate import PrivacyParams
@@ -125,8 +126,9 @@ def _riemann_stieltjes(
     (see term1_upper_bound and term2_lower_bound).  The two differ only
     in the first radius, the grid size, the cap height function and
     whether the ball below the first radius counts in full.  Each term's
-    grid is one row of a single reg_lower_gamma call and a single
-    cap_fraction call, and both share one tail mass beyond r_star.  A
+    grid is one row of a single incomplete-gamma call and a single
+    cap_fraction call.  Every row ends at r_star, so the same gamma call
+    gives the tail mass beyond it, Q(dim, r_star / sigma), for both.  A
     shorter row is padded with r_star, a repeat of its largest radius,
     which changes none of its values (see the specfun module), so every
     sum is bitwise the one a pass of its own would give.
@@ -153,9 +155,9 @@ def _riemann_stieltjes(
     for k, (r_first, n, height, _) in enumerate(terms):
         radii[k, :n] = np.linspace(r_first, r_star, n)
         heights[k] = height(geom, radii[k])
-    cdf = reg_lower_gamma(float(dim), radii / sigma)
+    cdf, sf = _unwrap(_gamma_pq(float(dim), radii / sigma), "reg_lower_gamma")
     frac = cap_fraction(dim, radii, heights)
-    tail = reg_upper_gamma(float(dim), r_star / sigma)
+    tail = float(sf[0, -1])
     sums = []
     for c, f, (_, n, _, upper) in zip(cdf, frac, terms):
         c, f = c[:n], f[:n]
@@ -211,38 +213,46 @@ def check_approx_dp(
 ) -> BoundReport:
     """Certified check that sigma gives (epsilon, delta)-DP in dim dims.
 
-    The outer radius is set so the radial mass beyond it is exactly
-    tail_fraction * delta (default: one percent of the privacy budget),
-    then both Riemann bounds are evaluated on [first radius, r_star]
-    grids, together in one pass of the kernels (see _riemann_stieltjes);
-    the values, and a GridDomainError from either grid, are those of
+    The outer radius r_star = sigma * x_star is set so the radial mass
+    beyond it is exactly tail_fraction * delta (default: one percent of
+    the privacy budget), then both Riemann bounds are evaluated on
+    [first radius, r_star] grids, together in one pass of the kernels
+    that also gives that tail mass (see _riemann_stieltjes); the values,
+    and a GridDomainError from either grid, are those of
     term1_upper_bound then term2_lower_bound on the same GridSpec.
+    calibrate_l2 runs the same check on one x_star per calibration.
     satisfies_dp=True is a proof up to float arithmetic; False only
     means this grid could not certify the pair.
     """
-    epsilon = float(eps_delta.epsilon)
-    delta = float(eps_delta.delta)
-    _validate_dse(dim, sigma, epsilon)
+    _validate_dse(dim, sigma, eps_delta.epsilon)
+    x_star = _x_star(dim, eps_delta.delta, tail_fraction)
+    return _check(dim, sigma, eps_delta, n_r, n_R, x_star)
+
+
+def _x_star(dim: int, delta: float, tail_fraction: float) -> float:
+    """r_star / sigma = Q^-1(dim, tail_fraction * delta), whatever sigma is."""
     if not (np.isfinite(delta) and 0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if not (np.isfinite(tail_fraction) and 0.0 < tail_fraction * delta < 1.0):
         raise ValueError("tail_fraction * delta must lie in (0, 1)")
+    return inv_reg_upper_gamma(float(dim), tail_fraction * delta)
+
+
+def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
+    """check_approx_dp on checked arguments and a precomputed x_star."""
+    epsilon = float(eps_delta.epsilon)
+    delta = float(eps_delta.delta)
     sigma = float(sigma)
     tau = epsilon * sigma
-    r_star = sigma * inv_reg_upper_gamma(float(dim), tail_fraction * delta)
-    grid = GridSpec(n_r=n_r, n_R=n_R, r_star=r_star)
-    if tau >= 1.0:
-        branch = BRANCH_LARGE_SIGMA
-    elif dim == 1:
-        branch = BRANCH_ONE_DIM
-    else:
-        branch = BRANCH_GENERAL
-    if branch == BRANCH_GENERAL:
-        geom = LossGeometry(dim, sigma, epsilon)
-        t1, t2 = _riemann_stieltjes(geom, grid, (True, False))
-    else:
+    grid = GridSpec(n_r=n_r, n_R=n_R, r_star=sigma * x_star)
+    if tau >= 1.0 or dim == 1:
+        branch = BRANCH_LARGE_SIGMA if tau >= 1.0 else BRANCH_ONE_DIM
         t1 = term1_upper_bound(dim, sigma, epsilon, grid)
         t2 = term2_lower_bound(dim, sigma, epsilon, grid)
+    else:
+        branch = BRANCH_GENERAL
+        geom = LossGeometry(dim, sigma, epsilon)
+        t1, t2 = _riemann_stieltjes(geom, grid, (True, False))
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,

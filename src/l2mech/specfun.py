@@ -8,13 +8,9 @@ imports scipy; the test suite cross-checks these kernels against an
 independent high-precision quadrature oracle.
 
 Array inputs run packed numpy iterations so that thousand-point radial
-grids converge in a handful of vector ops.  Scalar gamma calls take a
-pure-Python path instead: the r_star inverse evaluates P or Q at 54
-single points per certificate check, and a one-element vector call
-costs 35-50 times a scalar one (6-14 us against 190-650 us for
-a = 2..1000 on a 2-core x86 VM).  The incomplete beta has no such
-scalar caller, so scalar arguments go through the vector kernel as
-one-element arrays and come back as a float.
+grids converge in a handful of vector ops.  That is the only path:
+scalars run as a 1x1 row (a one-element array for the beta) and come
+back as floats, and the gamma inverses take Newton steps on it.
 
 A gamma call on arrays of two or more dimensions works row by row,
 each row a 1-D slice along the last axis: every row's values,
@@ -23,9 +19,9 @@ row alone, and the call reports the largest iteration count over its
 rows.  The power series runs, and stops, once per row; the continued
 fraction, which freezes each element as it converges, runs once over
 all rows.  So check_approx_dp can evaluate both radial grids of a
-certificate in one call at the cost of one call's set-up.  The beta
-continued fraction freezes its elements too, so its array calls need
-no rows.
+certificate, and the tail mass beyond their common last radius, in one
+call at the cost of one call's set-up.  The beta continued fraction
+freezes its elements too, so its array calls need no rows.
 """
 from __future__ import annotations
 
@@ -98,16 +94,6 @@ def _stirling_corr(a):
     )
 
 
-def _log1pmx(t: float) -> float:
-    # log(1+t) - t; series below |t| = 0.25 where the direct form cancels
-    if t < -0.25 or t > 0.25:
-        return math.log1p(t) - t
-    s = 1.0 / 34.0
-    for k in range(33, 1, -1):
-        s = 1.0 / k - t * s
-    return -(t * t) * s
-
-
 def _log1pmx_vec(t: np.ndarray) -> np.ndarray:
     small = np.abs(t) <= 0.25
     out = np.empty(t.shape)
@@ -120,17 +106,6 @@ def _log1pmx_vec(t: np.ndarray) -> np.ndarray:
     if big.any():
         out[big] = np.log1p(t[big]) - t[big]
     return out
-
-
-def _gamma_log_prefactor(a: float, x: float) -> float:
-    if a < _STIRLING_SWITCH:
-        return a * math.log(x) - x - math.lgamma(a)
-    return (
-        a * _log1pmx(x / a - 1.0)
-        + 0.5 * math.log(a)
-        - _HALF_LN_2PI
-        - _stirling_corr(a)
-    )
 
 
 def _gamma_log_prefactor_vec(a, x: np.ndarray) -> np.ndarray:
@@ -149,61 +124,6 @@ def _gamma_log_prefactor_vec(a, x: np.ndarray) -> np.ndarray:
             - _stirling_corr(ab)
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# scalar gamma kernels (see the module docstring for why only gamma)
-
-
-def _gamma_series_scalar(a: float, x: float, max_iter: int):
-    # power series for P(a, x), reliable for x < a + 1
-    ap = a
-    total = 1.0 / a
-    term = total
-    for i in range(1, max_iter + 1):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            p = total * math.exp(_gamma_log_prefactor(a, x))
-            return p, i, True
-    return 0.0, max_iter, False
-
-
-def _gamma_cf_scalar(a: float, x: float, max_iter: int):
-    # Lentz continued fraction for Q(a, x), reliable for x >= a + 1
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < _EPS:
-            q = h * math.exp(_gamma_log_prefactor(a, x))
-            return q, i, True
-    return 0.0, max_iter, False
-
-
-def _gamma_pq_scalar(a: float, x: float, max_iter: int):
-    if x == 0.0:
-        return 0.0, 1.0, 0, True
-    if x < a + 1.0:
-        p, it, ok = _gamma_series_scalar(a, x, max_iter)
-        p = min(max(p, 0.0), 1.0)
-        return p, 1.0 - p, it, ok
-    q, it, ok = _gamma_cf_scalar(a, x, max_iter)
-    q = min(max(q, 0.0), 1.0)
-    return 1.0 - q, q, it, ok
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +350,8 @@ def _flat(*arrays):
 # public surface
 
 
-def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
+def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
+    """P(a, x) and Q(a, x) of one kernel pass as value; scalars run as a 1x1 row."""
     a_arr = np.asarray(a, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     require(
@@ -441,15 +362,18 @@ def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
         unless(not np.any(a_arr <= 0), "a must be positive"),
         unless(not np.any(x_arr < 0), "x must be nonnegative"),
     )
-    if a_arr.ndim == 0 and x_arr.ndim == 0:
-        *pq, it, ok = _gamma_pq_scalar(float(a), float(x), max_iter)
-        return SpecFunResult(pq[upper], bool(ok), it)
     (a_flat, x_flat), shape = _flat(a_arr, x_arr)
-    by_row = (math.prod(shape[:-1]), shape[-1])
+    by_row = (math.prod(shape[:-1]), shape[-1]) if shape else (1, 1)
     *pq, iters, conv = _gamma_pq_vec(
         a_flat.reshape(by_row), x_flat.reshape(by_row), max_iter
     )
-    return SpecFunResult(pq[upper].reshape(shape), bool(conv.all()), iters)
+    pq = tuple(v.reshape(shape) if shape else float(v[0, 0]) for v in pq)
+    return SpecFunResult(pq, bool(conv.all()), iters)
+
+
+def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
+    res = _gamma_pq(a, x, max_iter)
+    return SpecFunResult(res.value[upper], res.converged, res.iterations)
 
 
 def reg_lower_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
@@ -519,43 +443,59 @@ def reg_inc_beta(x, a, b, max_iter: int = _MAX_ITER):
     return _unwrap(reg_inc_beta_result(x, a, b, max_iter), "reg_inc_beta")
 
 
+# Newton steps on log x: one of at most _NEWTON_TOL settles the root
+_NEWTON_TOL, _NEWTON_MAX_STEP, _NEWTON_STEPS = 2.0**-34, 4.0, 100
+
+
 def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
     # x with P(a, x) = mass (upper=False) or Q(a, x) = mass (upper=True),
-    # by bracketed bisection on the smaller tail: Q is computed directly
-    # in the tail, so tiny tail masses keep relative accuracy
+    # on the smaller tail, which the kernel computes directly.  Newton
+    # steps in u = log x on g(u) = log(tail / mass), concave in u as log x
+    # of a gamma variate has a log-concave density, start at Wilson-
+    # Hilferty, raised to the root of x^a / Gamma(a + 1) = P (which lies
+    # below the quantile), and keep to a sign bracket [lo, hi]
     if mass > 0.5:
         mass, upper = 1.0 - mass, not upper
-    a = float(a)
-
-    def reached(x: float) -> bool:
-        pv, qv, _, ok = _gamma_pq_scalar(a, x, max_iter)
-        if not ok:
+    a, sign = float(a), -1.0 if upper else 1.0
+    log_mass, log_gamma = math.log(mass), math.lgamma(a)
+    t = math.sqrt(-2.0 * log_mass)  # normal quantile, Abramowitz & Stegun 26.2.23
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    base = 1.0 - 1.0 / (9.0 * a) - sign * z / (3.0 * math.sqrt(a))
+    log_p = math.log1p(-mass) if upper else log_mass
+    small_p = math.exp((log_p + math.lgamma(a + 1.0)) / a)
+    x = max(a * base**3 if base > 0.0 else 0.0, small_p)
+    lo, hi = 0.0, math.inf
+    for _ in range(_NEWTON_STEPS):
+        if x == 0.0:
+            return x  # the quantile lies below the smallest float
+        *pq, _, conv = _gamma_pq_vec(np.full((1, 1), a), np.full((1, 1), x), max_iter)
+        if not conv.all():
             raise ConvergenceError("gamma quantile: CDF evaluation stalled")
-        return qv <= mass if upper else pv >= mass
-
-    lo = 0.0
-    hi = a + 10.0 * math.sqrt(a) + 10.0
-    for _ in range(200):
-        if reached(hi):
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("gamma quantile: failed to bracket")
-    for _ in range(300):
-        if hi - lo <= _EPS * max(hi, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise ConvergenceError("gamma quantile: bisection did not converge")
-    return 0.5 * (lo + hi)
+        tail = float(pq[upper][0, 0])
+        lo, hi = (x, hi) if (tail > mass) == upper else (lo, x)
+        step = sign * _NEWTON_MAX_STEP  # the tail underflowed
+        if tail > 0.0:
+            # dg/du = sign * x * density / tail, in a plain log form: the
+            # slope sets only the pace, not the root
+            log_tail = math.log(tail)
+            slope = sign * math.exp(a * math.log(x) - x - log_gamma - log_tail)
+            step = (log_mass - log_tail) / slope
+            step = min(max(step, -_NEWTON_MAX_STEP), _NEWTON_MAX_STEP)
+        nxt = x * math.exp(step)
+        if abs(nxt - x) <= _NEWTON_TOL * x:
+            return nxt
+        if not lo < nxt < hi:
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+            if hi - lo <= _NEWTON_TOL * lo:
+                return nxt
+        x = nxt
+    raise ConvergenceError("gamma quantile: Newton steps did not converge")
 
 
 def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
-    """Solve P(a, x) = p for x >= 0 by bracketed bisection.
+    """Solve P(a, x) = p for x >= 0 by Newton steps, to ~1e-12 relative.
 
     For p > 1/2 the search runs on Q(a, x) = 1 - p instead, so quantiles
     like p = 1 - 1e-7 keep full relative accuracy in the tail.
@@ -571,8 +511,8 @@ def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
 def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
     """Solve Q(a, x) = q for x >= 0; the tail-mass form of the inverse.
 
-    Taking the tail mass q directly (rather than p = 1 - q) avoids the
-    1 - q cancellation, so tail radii stay accurate down to q ~ 1e-300.
+    Taking q directly (rather than p = 1 - q) avoids the cancellation: x
+    keeps ~1e-12 relative accuracy down to q ~ 1e-300 when a >= 0.01.
     """
     require(positive("a", a))
     if not (np.isfinite(q) and 0.0 < q <= 1.0):

@@ -8,6 +8,7 @@ import pytest
 from scipy import optimize
 
 import l2mech.calibrate
+import l2mech.lossbounds
 import oracles
 from l2mech.calibrate import (
     MECHANISMS,
@@ -100,24 +101,37 @@ def test_l2_probe_counts_at_reference_scales():
 
 
 def test_l2_search_matches_bisection(monkeypatch):
-    # the lattice search lands on the bisection's own float, probing less;
-    # both share one memo of certificate outcomes to keep the test quick
+    # the lattice search lands on the bisection's own float, probing less.
+    # calibrate_l2 runs each probe through lossbounds._check on an x_star
+    # it computes once, the bisection through check_approx_dp; both share
+    # one memo of certificate outcomes to keep the test quick
     memo = {}
     calls = 0
+    check_at = l2mech.calibrate._check
 
-    def check(*args):
+    def remember(key, run):
+        if key not in memo:
+            try:
+                memo[key] = run()
+            except GridDomainError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], GridDomainError):
+            raise memo[key]
+        return memo[key]
+
+    def probe(dim, sigma, params, n_r, n_R, x_star):
         nonlocal calls
         calls += 1
-        if args not in memo:
-            try:
-                memo[args] = check_approx_dp(*args)
-            except GridDomainError as exc:
-                memo[args] = exc
-        if isinstance(memo[args], GridDomainError):
-            raise memo[args]
-        return memo[args]
+        key = (dim, sigma, params, n_r, n_R)
+        return remember(key, lambda: check_at(dim, sigma, params, n_r, n_R, x_star))
 
-    monkeypatch.setattr(l2mech.calibrate, "check_approx_dp", check)
+    def check(dim, sigma, params, n_r, n_R, tail_fraction):
+        key = (dim, sigma, params, n_r, n_R)
+        return remember(
+            key, lambda: check_approx_dp(dim, sigma, params, n_r, n_R, tail_fraction)
+        )
+
+    monkeypatch.setattr(l2mech.calibrate, "_check", probe)
     grid = itertools.product(
         (2, 3, 10, 100, 1000, 2000), (0.01, 0.2, 1.0, 20.0), (1e-10, 1e-5, 1e-3)
     )
@@ -136,6 +150,38 @@ def test_l2_search_matches_bisection(monkeypatch):
         old_probes.append(evals)
     assert res.hit_bracket_floor
     assert np.mean(new_probes) < np.mean(old_probes)
+
+
+def test_l2_inverts_the_tail_once_per_calibration(monkeypatch):
+    # x_star = r_star / sigma does not depend on sigma, so a calibration
+    # inverts the tail mass at most once however many probes it runs, and
+    # each sigma it returns passes a fresh check_approx_dp
+    inverses = 0
+    invert = l2mech.lossbounds.inv_reg_upper_gamma
+
+    def counted(*args):
+        nonlocal inverses
+        inverses += 1
+        return invert(*args)
+
+    targets = [
+        (1, PrivacyParams(1.0, 1e-5), 1e-3),
+        (4, PrivacyParams(0.2605353308290174, 6.884270460076574e-09), 1e-3),
+        (10, PrivacyParams(1.0, 1e-5), 1e-3),
+        (100, PrivacyParams(0.2, 1e-10), 1e-3),
+        (1000, PrivacyParams(1.0, 1e-5), 0.5),
+    ]
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(l2mech.lossbounds, "inv_reg_upper_gamma", counted)
+        for d, pp, tol in targets:
+            inverses = 0
+            res = calibrate_l2(d, pp, tol=tol)
+            assert inverses <= 1, (d, inverses, res.search_iterations)
+            results.append(res)
+    assert sum(res.search_iterations for res in results) > 2 * len(targets)
+    for (d, pp, _), res in zip(targets, results):
+        assert check_approx_dp(d, res.sigma, pp).satisfies_dp, d
 
 
 def test_l2_bracket_top_is_certified():

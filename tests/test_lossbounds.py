@@ -132,7 +132,7 @@ CHECK_HEX = [
     (2, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.7e086fd06f8bfp-1", "0x1.c56eb95e4bf5dp-3", "0x1.00c0bab07346ep-1"),
     (2, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc9p-3", "0x1.0ca931b980c32p-1"),
+     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc8p-3", "0x1.0ca931b980c32p-1"),
     (2, 0.3, 1.0, 1e-10, 1000, 1000,
      "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac6p-4", "0x1.1f60319ce67d6p-1"),
     (2, 0.3, 1.0, 1e-10, 64, 2000,
@@ -144,15 +144,15 @@ CHECK_HEX = [
     (2, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021ep-4", "0x1.a6b4dc2b5a640p-9"),
     (2, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.42f698d75ddcbp-3", "0x1.2a44a3f7be871p-4", "0x1.3454c0e1c629cp-5"),
+     "0x1.42f698d75ddc9p-3", "0x1.2a44a3f7be871p-4", "0x1.3454c0e1c6294p-5"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.23fcab7c178a5p-1", "0x1.46c296f9c45bep-2", "0x1.bdb24803dad14p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.26269d54e9f27p-1", "0x1.46e2adf121c37p-2", "0x1.c6132184ef120p-3"),
     (10, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.6864453ef7770p-2", "0x1.386ec7c860f98p-4", "0x1.2824abf4fb26bp-3"),
+     "0x1.6864453ef7771p-2", "0x1.386ec7c860f99p-4", "0x1.2824abf4fb26cp-3"),
     (10, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.71dcbfe396adcp-2", "0x1.38db64682c882p-4", "0x1.3a8202d738dc7p-3"),
+     "0x1.71dcbfe396b84p-2", "0x1.38db64682c882p-4", "0x1.3a8202d738f17p-3"),
     (10, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
      "0x1.0cdd55f2bd109p-5", "0x1.4b7180be01616p-10", "0x1.e69cbae35efb0p-8"),
     (10, 0.2333333333333333, 3.0, 0.001, 64, 2000,
@@ -182,9 +182,9 @@ CHECK_HEX = [
     (1000, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.f125be3296b19p-5", "0x1.b59d8564fc4d6p-5", "0x1.b03f2d80abd00p-10"),
     (1000, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.21c0a07160206p-72", "0x1.a5e86b0cf03f2p-74", "0x1.84a5f7cb03180p-79"),
+     "0x1.21c0a07160200p-72", "0x1.a5e86b0cf03dep-74", "0x1.84a5f7cb03580p-79"),
     (1000, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.231e547e28d65p-72", "0x1.a5f971c220459p-74", "0x1.16db7bf46a2c0p-78"),
+     "0x1.231e547e28d5ep-72", "0x1.a5f971c220461p-74", "0x1.16db7bf469fc0p-78"),
     (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
      "0x1.19f378826704cp-489", "0x1.bf095c8969423p-494", "0x1.5bb6fa74a5300p-497"),
     (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,

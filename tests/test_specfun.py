@@ -1,7 +1,9 @@
 """Special-function kernels against quadrature goldens and identities."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -77,13 +79,17 @@ def test_reg_lower_gamma_domain_errors():
 
 
 def test_gamma_vector_matches_scalar():
-    a = np.array([1.0, 2.0, 7.0, 120.0, 5000.0])
-    x = np.array([0.5, 1.0, 9.0, 100.0, 5100.0])
+    # a scalar call is a 1x1 row of the vector kernel: a float, bit for
+    # bit the one-element array call's value
+    a = np.array([0.5, 1.0, 2.0, 7.0, 120.0, 5000.0])
+    x = np.array([1e-9, 0.5, 1.0, 9.0, 100.0, 5100.0])
+    for fn in (reg_lower_gamma, reg_upper_gamma):
+        for i in range(a.size):
+            got = fn(float(a[i]), float(x[i]))
+            assert type(got) is float
+            one = fn(a[i:i + 1], x[i:i + 1])
+            assert got == one[0], (fn, a[i], x[i])
     vec = reg_lower_gamma(a, x)
-    for i in range(a.size):
-        # accumulation order differs between the paths, so a few ulp
-        scalar = reg_lower_gamma(float(a[i]), float(x[i]))
-        assert math.isclose(vec[i], scalar, rel_tol=5e-14, abs_tol=5e-14)
     qvec = reg_upper_gamma(a, x)
     assert np.all(np.abs(vec + qvec - 1.0) < ABS_TOL)
 
@@ -256,8 +262,8 @@ def test_inv_reg_lower_gamma_basics():
 
 
 def test_inv_reg_lower_gamma_round_trip():
-    for a in [1.0, 2.0, 10.0, 100.0, 1000.0]:
-        for p in [1e-6, 0.01, 0.3, 0.5, 0.9, 0.999]:
+    for a in [0.5, 1.0, 2.0, 10.0, 100.0, 1000.0]:
+        for p in [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999]:
             x = inv_reg_lower_gamma(a, p)
             assert math.isclose(reg_lower_gamma(a, x), p, rel_tol=1e-9)
 
@@ -266,12 +272,45 @@ def test_inv_reg_upper_gamma_tail_accuracy():
     # tiny tail masses must invert with relative accuracy, the outer
     # grid radius depends on them
     for a in [1.0, 3.0, 50.0]:
-        for q in [0.5, 1e-3, 1e-7, 1e-12]:
+        for q in [1.0 - 1e-9, 0.5, 1e-3, 1e-7, 1e-12]:
             x = inv_reg_upper_gamma(a, q)
             assert math.isclose(reg_upper_gamma(a, x), q, rel_tol=1e-9)
             assert math.isclose(x, special.gammainccinv(a, q), rel_tol=1e-9)
     with pytest.raises(ValueError):
         inv_reg_upper_gamma(2.0, 0.0)
+
+
+def test_gamma_inverses_against_mpmath():
+    # both tails at 40 digits, for masses from 1e-300 to 1/2, wherever
+    # the exact quantile is a normal float.  One Newton step at 40 digits
+    # from the returned x gives the exact quantile to ~(1e-12)^2
+    masses = [10.0**-k for k in (300, 250, 200, 150, 100, 50, 30, 20, 12, 7, 3, 1)]
+    masses += [0.3, 0.5]
+    smallest = float(np.finfo(np.float64).tiny)
+    checked = 0
+    with mpmath.workdps(40):
+        for a in (0.5, 1.0, 2.0, 3.0, 10.0, 100.0, 1e3, 1e4):
+            big = mpmath.mpf(a)
+            log_gamma = mpmath.loggamma(big)
+            below_floats = mpmath.gammainc(big, 0, smallest, regularized=True)
+            for mass, upper in itertools.product(masses, (False, True)):
+                if not upper and below_floats >= mass:
+                    continue
+                invert = inv_reg_upper_gamma if upper else inv_reg_lower_gamma
+                x = invert(a, mass)
+                xm = mpmath.mpf(x)
+                if upper:
+                    tail = mpmath.gammainc(big, xm, mpmath.inf, regularized=True)
+                else:
+                    tail = mpmath.gammainc(big, 0, xm, regularized=True)
+                density = mpmath.exp((big - 1) * mpmath.log(xm) - xm - log_gamma)
+                step = (tail - mass) / density
+                exact = xm + step if upper else xm - step
+                assert abs(xm - exact) <= 1e-12 * exact, (a, mass, upper, x)
+                checked += 1
+    # only a = 0.5 puts lower-tail quantiles (of 1e-300, 1e-250 and
+    # 1e-200) below the normal floats
+    assert checked == 8 * len(masses) * 2 - 3
 
 
 def test_std_normal_cdf_values():
