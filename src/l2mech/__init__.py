@@ -34,8 +34,6 @@ from .lossbounds import (
     GridDomainError,
     GridSpec,
     check_approx_dp,
-    term1_upper_bound,
-    term2_lower_bound,
 )
 from .mcverify import EmpiricalPrivacyEstimate, empirical_lhs, empirical_min_sigma
 from .sampler import (
@@ -111,6 +109,4 @@ __all__ = [
     "std_normal_cdf",
     "table_to_csv",
     "table_to_json",
-    "term1_upper_bound",
-    "term2_lower_bound",
 ]

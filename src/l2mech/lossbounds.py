@@ -7,20 +7,30 @@ the (epsilon, delta) guarantee holds iff
     P0[loss >= eps] - e^eps * P1[loss >= eps] <= delta,
 
 where P0 / P1 put the noise at the two centers.  Both probabilities
-decompose radially into spherical-cap masses; term1_upper_bound and
-term2_lower_bound evaluate left Riemann-Stieltjes sums over the radial
-CDF whose direction of error is certified (upper for the first term,
-lower for the second), so the check can only err toward "not certified",
+decompose radially into spherical-cap masses, and check_approx_dp
+bounds each by a left Riemann-Stieltjes sum over the radial CDF whose
+direction of error is certified:
+
+- term1 bounds P0[loss >= eps] from above.  The sphere mass between
+  consecutive radii is weighted by the cap fraction at the left radius
+  (cap fractions around the noise center shrink with radius, so this
+  over-counts), and the ball below the first radius, (1 - tau)/2, lies
+  inside the loss region and counts in full.
+- term2 bounds P1[loss >= eps] from below.  Spheres around the shifted
+  center below radius (1 + tau)/2 miss the region entirely, and the
+  cap fraction grows with radius, so the left-endpoint weights
+  under-count.
+
+Both sums charge the mass beyond their last radius r_star the cap
+fraction at r_star, so the check can only err toward "not certified",
 never toward a false guarantee.
 
-check_approx_dp picks the working radius r_star = sigma * x_star so
-that only a tail_fraction * delta sliver of radial mass lies beyond the
-grid, and bounds that tail by the same cap-fraction logic; calibrate_l2
-computes x_star, which does not depend on sigma, once per calibration.
-A check evaluates both terms in one kernel pass: the two radial grids
-go as two rows into one incomplete-gamma call, which also gives the
-tail mass, and one cap_fraction call, and each sum comes out bit for
-bit as term1_upper_bound or term2_lower_bound computes it.
+check_approx_dp picks r_star = sigma * x_star so that only a
+tail_fraction * delta sliver of radial mass lies beyond the grid;
+calibrate_l2 computes x_star, which does not depend on sigma, once per
+calibration.  The two radial grids go as one flat batch into one
+incomplete-gamma call, which also gives the tail mass, and one
+cap_fraction call.
 """
 from __future__ import annotations
 
@@ -41,8 +51,6 @@ __all__ = [
     "GridSpec",
     "BoundReport",
     "GridDomainError",
-    "term1_upper_bound",
-    "term2_lower_bound",
     "check_approx_dp",
 ]
 
@@ -106,10 +114,6 @@ class BoundReport:
     branch: str
 
 
-def _validate_dse(dim, sigma, epsilon) -> None:
-    require(integer("dim", dim), positive("sigma", sigma), positive("epsilon", epsilon))
-
-
 def _exp_eps(epsilon: float) -> float:
     # e^epsilon weighting the subtracted hockey-stick term; capping the
     # exponent only lowers that term, which keeps an upper bound on the
@@ -118,89 +122,39 @@ def _exp_eps(epsilon: float) -> float:
 
 
 def _riemann_stieltjes(
-    geom: LossGeometry, grid: GridSpec, uppers: tuple[bool, ...]
-) -> list[float]:
-    """The left Riemann-Stieltjes sums of the terms in uppers, in one pass.
+    geom: LossGeometry, r_star: float, n_r: int, n_R: int
+) -> tuple[float, float]:
+    """(term1_upper, term2_lower): both left Riemann-Stieltjes sums in one pass.
 
-    True stands for term1's upper bound, False for term2's lower bound
-    (see term1_upper_bound and term2_lower_bound).  The two differ only
-    in the first radius, the grid size, the cap height function and
-    whether the ball below the first radius counts in full.  Each term's
-    grid is one row of a single incomplete-gamma call and a single
-    cap_fraction call.  Every row ends at r_star, so the same gamma call
-    gives the tail mass beyond it, Q(dim, r_star / sigma), for both.  A
-    shorter row is padded with r_star, a repeat of its largest radius,
-    which changes none of its values (see the specfun module), so every
-    sum is bitwise the one a pass of its own would give.
+    The two terms differ only in the first radius, the grid size, the
+    cap height function and whether the ball below the first radius
+    counts in full (see the module docstring).  Their grids, n_r radii
+    from (1 - tau)/2 and n_R from (1 + tau)/2, both up to r_star, go
+    end to end into a single incomplete-gamma call and a single
+    cap_fraction call, and the same gamma call gives the tail mass
+    beyond r_star, Q(dim, r_star / sigma), that both sums charge.
     """
-    if grid.r_star is None:
-        raise ValueError("grid.r_star is required for the general branch")
-    r_star, tau = grid.r_star, geom.tau
-    terms = [
-        ((1.0 - tau) / 2.0, grid.n_r, height_h, True)
-        if upper
-        else ((1.0 + tau) / 2.0, grid.n_R, height_H, False)
-        for upper in uppers
-    ]
-    for r_first, _, _, upper in terms:
-        if r_star <= r_first:
-            center = "" if upper else " around the shifted center"
+    tau = geom.tau
+    r_first, big_r_first = (1.0 - tau) / 2.0, (1.0 + tau) / 2.0
+    for first, center in ((r_first, ""), (big_r_first, " around the shifted center")):
+        if r_star <= first:
             raise GridDomainError(
                 f"r_star={r_star} is at or below the first grid radius "
-                f"{r_first}{center}; the grid cannot resolve the loss region"
+                f"{first}{center}; the grid cannot resolve the loss region"
             )
     dim, sigma = geom.dim, geom.sigma
-    radii = np.full((len(terms), max(n for _, n, _, _ in terms)), r_star)
-    heights = np.empty_like(radii)
-    for k, (r_first, n, height, _) in enumerate(terms):
-        radii[k, :n] = np.linspace(r_first, r_star, n)
-        heights[k] = height(geom, radii[k])
+    radii = np.concatenate(
+        [np.linspace(r_first, r_star, n_r), np.linspace(big_r_first, r_star, n_R)]
+    )
+    heights = np.concatenate([height_h(geom, radii[:n_r]), height_H(geom, radii[n_r:])])
     cdf, sf = _unwrap(_gamma_pq(float(dim), radii / sigma), "reg_lower_gamma")
     frac = cap_fraction(dim, radii, heights)
-    tail = float(sf[0, -1])
+    tail = float(sf[-1])
     sums = []
-    for c, f, (_, n, _, upper) in zip(cdf, frac, terms):
-        c, f = c[:n], f[:n]
-        below = c[0] if upper else 0.0
-        total = below + float(np.dot(np.diff(c), f[:-1])) + tail * f[-1]
-        sums.append(min(total, 1.0) if upper else max(total, 0.0))
-    return sums
-
-
-def term1_upper_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) -> float:
-    """Upper bound on P0[loss >= eps], the first hockey-stick term.
-
-    Left Riemann-Stieltjes sum over the radial CDF: the sphere mass
-    between consecutive radii is weighted by the cap fraction at the
-    left radius (cap fractions shrink with radius, so this over-counts),
-    the ball below the first grid radius, (1 - tau)/2, is counted in
-    full, and the mass beyond r_star is charged the cap fraction at
-    r_star.
-    """
-    _validate_dse(dim, sigma, epsilon)
-    tau = epsilon * sigma
-    if tau >= 1.0:
-        return 0.0
-    if dim == 1:
-        return 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
-    return _riemann_stieltjes(LossGeometry(dim, sigma, epsilon), grid, (True,))[0]
-
-
-def term2_lower_bound(dim: int, sigma: float, epsilon: float, grid: GridSpec) -> float:
-    """Lower bound on P1[loss >= eps], the subtracted hockey-stick term.
-
-    Same region as term1 but measured from the shifted center: spheres
-    below radius (1 + tau)/2 miss the region entirely, and the cap
-    fraction grows with radius, so weighting each mass increment by the
-    left-endpoint fraction under-counts, as a lower bound must.
-    """
-    _validate_dse(dim, sigma, epsilon)
-    tau = epsilon * sigma
-    if tau >= 1.0:
-        return 0.0
-    if dim == 1:
-        return 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
-    return _riemann_stieltjes(LossGeometry(dim, sigma, epsilon), grid, (False,))[0]
+    for part, below in ((slice(None, n_r), cdf[0]), (slice(n_r, None), 0.0)):
+        c, f = cdf[part], frac[part]
+        sums.append(below + float(np.dot(np.diff(c), f[:-1])) + tail * f[-1])
+    return min(sums[0], 1.0), max(sums[1], 0.0)
 
 
 def check_approx_dp(
@@ -217,14 +171,18 @@ def check_approx_dp(
     beyond it is exactly tail_fraction * delta (default: one percent of
     the privacy budget), then both Riemann bounds are evaluated on
     [first radius, r_star] grids, together in one pass of the kernels
-    that also gives that tail mass (see _riemann_stieltjes); the values,
-    and a GridDomainError from either grid, are those of
-    term1_upper_bound then term2_lower_bound on the same GridSpec.
-    calibrate_l2 runs the same check on one x_star per calibration.
-    satisfies_dp=True is a proof up to float arithmetic; False only
-    means this grid could not certify the pair.
+    that also gives that tail mass (see _riemann_stieltjes).  A
+    GridDomainError names the first grid, term1's then term2's, whose
+    first radius r_star does not exceed.  calibrate_l2 runs the same
+    check on one x_star per calibration.  satisfies_dp=True is a proof
+    up to float arithmetic; False only means this grid could not
+    certify the pair.
     """
-    _validate_dse(dim, sigma, eps_delta.epsilon)
+    require(
+        integer("dim", dim),
+        positive("sigma", sigma),
+        positive("epsilon", eps_delta.epsilon),
+    )
     x_star = _x_star(dim, eps_delta.delta, tail_fraction)
     return _check(dim, sigma, eps_delta, n_r, n_R, x_star)
 
@@ -245,14 +203,18 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     sigma = float(sigma)
     tau = epsilon * sigma
     grid = GridSpec(n_r=n_r, n_R=n_R, r_star=sigma * x_star)
-    if tau >= 1.0 or dim == 1:
-        branch = BRANCH_LARGE_SIGMA if tau >= 1.0 else BRANCH_ONE_DIM
-        t1 = term1_upper_bound(dim, sigma, epsilon, grid)
-        t2 = term2_lower_bound(dim, sigma, epsilon, grid)
+    if tau >= 1.0:
+        branch, t1, t2 = BRANCH_LARGE_SIGMA, 0.0, 0.0
+    elif dim == 1:
+        # the loss region is the half-line y <= (1 - tau)/2: both terms
+        # are Laplace CDFs there
+        branch = BRANCH_ONE_DIM
+        t1 = 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
+        t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
     else:
         branch = BRANCH_GENERAL
         geom = LossGeometry(dim, sigma, epsilon)
-        t1, t2 = _riemann_stieltjes(geom, grid, (True, False))
+        t1, t2 = _riemann_stieltjes(geom, grid.r_star, n_r, n_R)
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,

@@ -9,19 +9,9 @@ independent high-precision quadrature oracle.
 
 Array inputs run packed numpy iterations so that thousand-point radial
 grids converge in a handful of vector ops.  That is the only path:
-scalars run as a 1x1 row (a one-element array for the beta) and come
-back as floats, and the gamma inverses take Newton steps on it.
-
-A gamma call on arrays of two or more dimensions works row by row,
-each row a 1-D slice along the last axis: every row's values,
-iteration count and convergence flags are those of a 1-D call on that
-row alone, and the call reports the largest iteration count over its
-rows.  The power series runs, and stops, once per row; the continued
-fraction, which freezes each element as it converges, runs once over
-all rows.  So check_approx_dp can evaluate both radial grids of a
-certificate, and the tail mass beyond their common last radius, in one
-call at the cost of one call's set-up.  The beta continued fraction
-freezes its elements too, so its array calls need no rows.
+arguments broadcast together and run as one flat batch (a scalar as a
+one-element array, which comes back as a float), and the gamma
+inverses take Newton steps on it.
 """
 from __future__ import annotations
 
@@ -94,7 +84,11 @@ def _stirling_corr(a):
     )
 
 
-def _log1pmx_vec(t: np.ndarray) -> np.ndarray:
+def _log1pmx_vec(r: np.ndarray) -> np.ndarray:
+    # log(r) - (r - 1) for r = x / a: a series in t = r - 1 near r = 1.
+    # Below that log(r) itself, since t's absolute rounding would swamp
+    # the relative size of a small r
+    t = r - 1.0
     small = np.abs(t) <= 0.25
     out = np.empty(t.shape)
     ts = t[small]
@@ -102,9 +96,10 @@ def _log1pmx_vec(t: np.ndarray) -> np.ndarray:
     for k in range(33, 1, -1):
         s = 1.0 / k - ts * s
     out[small] = -(ts * ts) * s
-    big = ~small
-    if big.any():
-        out[big] = np.log1p(t[big]) - t[big]
+    low = t < -0.25
+    out[low] = np.log(r[low]) - t[low]
+    high = t > 0.25
+    out[high] = np.log1p(t[high]) - t[high]
     return out
 
 
@@ -118,7 +113,7 @@ def _gamma_log_prefactor_vec(a, x: np.ndarray) -> np.ndarray:
     if big.any():
         ab = a[big]
         out[big] = (
-            ab * _log1pmx_vec(x[big] / ab - 1.0)
+            ab * _log1pmx_vec(x[big] / ab)
             + 0.5 * np.log(ab)
             - _HALF_LN_2PI
             - _stirling_corr(ab)
@@ -271,8 +266,6 @@ def _lgamma_vec(a):
 
 
 def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
-    # 2-D a and x: the series once per row, the continued fraction once
-    # over all rows (see the module docstring)
     p = np.empty(x.shape)
     q = np.empty(x.shape)
     conv = np.ones(x.shape, dtype=bool)
@@ -282,14 +275,12 @@ def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
     q[zero] = 1.0
     low = (x < a + 1.0) & ~zero
     a = _uniform(a)
-    for k, sel in enumerate(low):
-        if sel.any():
-            a_row = a if isinstance(a, float) else a[k]
-            pv, it, ok = _gamma_series_vec(_part(a_row, sel), x[k, sel], max_iter)
-            p[k, sel] = pv
-            q[k, sel] = 1.0 - pv
-            conv[k, sel] = ok
-            iters = max(iters, it)
+    if low.any():
+        pv, it, ok = _gamma_series_vec(_part(a, low), x[low], max_iter)
+        p[low] = pv
+        q[low] = 1.0 - pv
+        conv[low] = ok
+        iters = it
     high = ~low & ~zero
     if high.any():
         qv, it, ok = _gamma_cf_vec(_part(a, high), x[high], max_iter)
@@ -351,7 +342,7 @@ def _flat(*arrays):
 
 
 def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
-    """P(a, x) and Q(a, x) of one kernel pass as value; scalars run as a 1x1 row."""
+    """P(a, x) and Q(a, x) of one kernel pass over the flattened arguments."""
     a_arr = np.asarray(a, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     require(
@@ -363,11 +354,8 @@ def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
         unless(not np.any(x_arr < 0), "x must be nonnegative"),
     )
     (a_flat, x_flat), shape = _flat(a_arr, x_arr)
-    by_row = (math.prod(shape[:-1]), shape[-1]) if shape else (1, 1)
-    *pq, iters, conv = _gamma_pq_vec(
-        a_flat.reshape(by_row), x_flat.reshape(by_row), max_iter
-    )
-    pq = tuple(v.reshape(shape) if shape else float(v[0, 0]) for v in pq)
+    *pq, iters, conv = _gamma_pq_vec(a_flat, x_flat, max_iter)
+    pq = tuple(v.reshape(shape) if shape else float(v[0]) for v in pq)
     return SpecFunResult(pq, bool(conv.all()), iters)
 
 
@@ -377,11 +365,7 @@ def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
 
 
 def reg_lower_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
-    """P(a, x) = lower incomplete gamma(a, x) / Gamma(a), with diagnostics.
-
-    Arrays of two or more dimensions are evaluated row by row (see
-    reg_lower_gamma).
-    """
+    """P(a, x) = lower incomplete gamma(a, x) / Gamma(a), with diagnostics."""
     return _gamma_result(a, x, max_iter, upper=False)
 
 
@@ -399,14 +383,7 @@ def _unwrap(res: SpecFunResult, what: str):
 
 
 def reg_lower_gamma(a, x, max_iter: int = _MAX_ITER):
-    """Regularized lower incomplete gamma P(a, x), clamped to [0, 1].
-
-    When a and x broadcast to two or more dimensions, each 1-D slice
-    along the last axis is a row, and each row's values equal, bit for
-    bit, those of a call on that row alone: the power series runs and
-    stops per row, the continued fraction once over all rows.  The
-    series loop is per row, so prefer few long rows to many short ones.
-    """
+    """Regularized lower incomplete gamma P(a, x), clamped to [0, 1]."""
     return _unwrap(reg_lower_gamma_result(a, x, max_iter), "reg_lower_gamma")
 
 
@@ -470,10 +447,10 @@ def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
     for _ in range(_NEWTON_STEPS):
         if x == 0.0:
             return x  # the quantile lies below the smallest float
-        *pq, _, conv = _gamma_pq_vec(np.full((1, 1), a), np.full((1, 1), x), max_iter)
+        *pq, _, conv = _gamma_pq_vec(np.array([a]), np.array([x]), max_iter)
         if not conv.all():
             raise ConvergenceError("gamma quantile: CDF evaluation stalled")
-        tail = float(pq[upper][0, 0])
+        tail = float(pq[upper][0])
         lo, hi = (x, hi) if (tail > mass) == upper else (lo, x)
         step = sign * _NEWTON_MAX_STEP  # the tail underflowed
         if tail > 0.0:

@@ -160,16 +160,19 @@ def ref_lhs_d1(sigma, eps):
 # included.  They share the library's prefactor constants.
 
 
-def masked_log1pmx(t):
+def masked_log1pmx(r):
+    """log(r) - (r - 1), split at |r - 1| = 0.25 as the library splits it."""
+    t = r - 1.0
     small = np.abs(t) <= 0.25
     ts = np.where(small, t, 0.0)
     s = np.full(t.shape, 1.0 / 34.0)
     for k in range(33, 1, -1):
         s = 1.0 / k - ts * s
     out = -(ts * ts) * s
-    big = ~small
-    if big.any():
-        out[big] = np.log1p(t[big]) - t[big]
+    low = t < -0.25
+    out[low] = np.log(r[low]) - t[low]
+    high = t > 0.25
+    out[high] = np.log1p(t[high]) - t[high]
     return out
 
 
@@ -185,7 +188,7 @@ def masked_gamma_log_prefactor(a, x):
     if big.any():
         ab = a[big]
         out[big] = (
-            ab * masked_log1pmx(x[big] / ab - 1.0)
+            ab * masked_log1pmx(x[big] / ab)
             + 0.5 * np.log(ab)
             - _HALF_LN_2PI
             - _stirling_corr(ab)

@@ -15,8 +15,6 @@ from l2mech.lossbounds import (
     GridDomainError,
     GridSpec,
     check_approx_dp,
-    term1_upper_bound,
-    term2_lower_bound,
 )
 from l2mech.specfun import inv_reg_upper_gamma
 
@@ -39,9 +37,9 @@ def test_grid_spec_validation():
 
 
 def test_one_dim_closed_forms():
-    grid = GridSpec(r_star=50.0)
-    t1 = term1_upper_bound(1, 0.5, 1.0, grid)
-    t2 = term2_lower_bound(1, 0.5, 1.0, grid)
+    rep = check_approx_dp(1, 0.5, PrivacyParams(1.0, 1e-5))
+    assert rep.branch == BRANCH_ONE_DIM
+    t1, t2 = rep.term1_upper, rep.term2_lower
     assert abs(t1 - (1.0 - 0.5 * math.exp(-0.5))) < 1e-12
     assert abs(t2 - 0.5 * math.exp(-1.5)) < 1e-12
     assert abs(t1 - 0.696734670143683) < 1e-12
@@ -49,10 +47,10 @@ def test_one_dim_closed_forms():
 
 
 def test_large_sigma_terms_vanish():
-    grid = GridSpec(r_star=10.0)
     for d in [1, 2, 17]:
-        assert term1_upper_bound(d, 1.2, 1.0, grid) == 0.0
-        assert term2_lower_bound(d, 1.2, 1.0, grid) == 0.0
+        rep = check_approx_dp(d, 1.2, PrivacyParams(1.0, 1e-5))
+        assert rep.branch == BRANCH_LARGE_SIGMA
+        assert rep.term1_upper == 0.0 and rep.term2_lower == 0.0
 
 
 def test_check_branches_and_verdicts():
@@ -108,19 +106,10 @@ def test_grid_refinement_is_monotone():
         assert t1s[2] >= t2s[2]
 
 
-def test_general_branch_requires_r_star():
-    with pytest.raises(ValueError):
-        term1_upper_bound(3, 0.2, 1.0, GridSpec())
-    with pytest.raises(ValueError):
-        term2_lower_bound(3, 0.2, 1.0, GridSpec())
-
-
 def test_grid_domain_error_on_unresolvable_grid():
     # a huge tail fraction pulls r_star inside the first grid radius
     with pytest.raises(GridDomainError):
         check_approx_dp(2, 0.9, PrivacyParams(1.0, 0.9), tail_fraction=0.9)
-    with pytest.raises(GridDomainError):
-        term2_lower_bound(2, 0.9, 1.0, GridSpec(r_star=0.8))
 
 
 # Frozen float.hex of (term1_upper, term2_lower, lhs_upper) for tau =
@@ -172,9 +161,9 @@ CHECK_HEX = [
     (100, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
      "0x1.e5de13769627ap-51", "0x1.76a09cf018a95p-55", "0x1.f29323ec31560p-56"),
     (100, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.ee3d32556f8fep-51", "0x1.76d73eeee5286p-55", "0x1.7af22baa0adb0p-55"),
+     "0x1.ee3d32556f8ffp-51", "0x1.76d73eeee5286p-55", "0x1.7af22baa0adc0p-55"),
     (100, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.75b53bedb4f74p-171", "0x1.c4e70af331273p-172", "0x1.696a2dee70400p-181"),
+     "0x1.75b53bedb4f73p-171", "0x1.c4e70af331273p-172", "0x1.696a2dee70000p-181"),
     (100, 1.9, 0.5, 1e-05, 64, 2000,
      "0x1.76dfbd3341337p-171", "0x1.c4f2f53ab54cap-172", "0x1.7b09494a9ae00p-179"),
     (1000, 0.5, 0.1, 1e-05, 1000, 1000,
@@ -182,13 +171,13 @@ CHECK_HEX = [
     (1000, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.f125be3296b19p-5", "0x1.b59d8564fc4d6p-5", "0x1.b03f2d80abd00p-10"),
     (1000, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.21c0a07160200p-72", "0x1.a5e86b0cf03dep-74", "0x1.84a5f7cb03580p-79"),
+     "0x1.21c0a07160200p-72", "0x1.a5e86b0cf03dfp-74", "0x1.84a5f7cb03500p-79"),
     (1000, 0.3, 1.0, 1e-10, 64, 2000,
      "0x1.231e547e28d5ep-72", "0x1.a5f971c220461p-74", "0x1.16db7bf469fc0p-78"),
     (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
      "0x1.19f378826704cp-489", "0x1.bf095c8969423p-494", "0x1.5bb6fa74a5300p-497"),
     (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.1d9efe718717cp-489", "0x1.bf3a827bb4c21p-494", "0x1.3a18e4183cb00p-495"),
+     "0x1.1d9efe718717bp-489", "0x1.bf3a827bb4c21p-494", "0x1.3a18e4183cac0p-495"),
     (1000, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     (1000, 1.9, 0.5, 1e-05, 64, 2000,
@@ -201,57 +190,53 @@ def test_check_values_pinned_bitwise():
         rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
         got = [rep.term1_upper.hex(), rep.term2_lower.hex(), rep.lhs_upper.hex()]
         assert got == want, (d, sigma, n_r, n_R)
-    # r_star = 0.7 lies above term1's first radius (0.25) but below
-    # term2's (0.75): each term refuses its own unresolvable grid
-    grid = GridSpec(n_r=50, r_star=0.7)
-    assert term1_upper_bound(10, 0.5, 1.0, grid).hex() == "0x1.15414333713e3p-1"
-    with pytest.raises(GridDomainError):
-        term2_lower_bound(10, 0.5, 1.0, grid)
-    with pytest.raises(GridDomainError):
-        term1_upper_bound(10, 0.5, 1.0, GridSpec(r_star=0.2))
 
 
-def test_check_equals_its_terms_bitwise():
-    # check_approx_dp sums both terms in one kernel pass; each must be the
-    # bit pattern its own function gives on the same grid, square or not
-    for d in (2, 3, 10, 100, 1000):
-        for eps in (0.1, 1.0, 5.0):
-            for tau in (0.3, 0.6, 0.95):
-                for delta in (1e-3, 1e-10):
-                    for n_r, n_R in ((100, 100), (17, 300), (300, 17)):
-                        sigma = tau / eps
-                        rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
-                        t1 = term1_upper_bound(d, sigma, eps, rep.grid)
-                        t2 = term2_lower_bound(d, sigma, eps, rep.grid)
-                        assert rep.branch == BRANCH_GENERAL
-                        assert rep.term1_upper.hex() == t1.hex(), (d, eps, tau, delta, n_r)
-                        assert rep.term2_lower.hex() == t2.hex(), (d, eps, tau, delta, n_R)
+def test_check_sends_each_radius_once(monkeypatch):
+    # the two grids go end to end into one gamma call and one cap_fraction
+    # call: n_r + n_R elements, with no padding of the shorter grid
+    from l2mech import lossbounds
+
+    sizes = []
+    real_gamma_pq, real_cap_fraction = lossbounds._gamma_pq, lossbounds.cap_fraction
+
+    def gamma_pq(a, x):
+        sizes.append(("_gamma_pq", np.size(x)))
+        return real_gamma_pq(a, x)
+
+    def cap_fraction(dim, r, h):
+        sizes.append(("cap_fraction", np.broadcast(r, h).size))
+        return real_cap_fraction(dim, r, h)
+
+    monkeypatch.setattr(lossbounds, "_gamma_pq", gamma_pq)
+    monkeypatch.setattr(lossbounds, "cap_fraction", cap_fraction)
+    check_approx_dp(100, 0.2333333333333333, PrivacyParams(3.0, 1e-3), 64, 2000)
+    assert sizes == [("_gamma_pq", 2064), ("cap_fraction", 2064)]
 
 
 def test_check_raises_its_terms_grid_errors_in_order():
-    # when r_star falls below both first radii term1's error comes first;
-    # between them, term2's; the check raises what its terms would
+    # when r_star falls at or below both first radii term1's error comes
+    # first; between them, term2's, around the shifted center
     seen = set()
     for d, sigma, eps, delta in ((2, 0.3, 0.5, 0.9), (3, 0.3, 1.0, 0.5), (10, 0.05, 2.0, 0.2)):
+        tau = eps * sigma
         for tail in (0.3, 0.6, 0.9, 1.05):
             params = PrivacyParams(eps, delta)
             r_star = sigma * inv_reg_upper_gamma(float(d), tail * delta)
-            grid = GridSpec(r_star=r_star)
-            want = None
-            for term in (term1_upper_bound, term2_lower_bound):
-                try:
-                    term(d, sigma, eps, grid)
-                except GridDomainError as exc:
-                    want = str(exc)
-                    seen.add(term.__name__)
-                    break
-            if want is None:
+            if r_star > (1.0 + tau) / 2.0:
                 check_approx_dp(d, sigma, params, tail_fraction=tail)
                 continue
+            first, center = (1.0 - tau) / 2.0, ""
+            if r_star > first:
+                first, center = (1.0 + tau) / 2.0, " around the shifted center"
             with pytest.raises(GridDomainError) as excinfo:
                 check_approx_dp(d, sigma, params, tail_fraction=tail)
-            assert str(excinfo.value) == want
-    assert seen == {"term1_upper_bound", "term2_lower_bound"}
+            assert str(excinfo.value) == (
+                f"r_star={r_star} is at or below the first grid radius "
+                f"{first}{center}; the grid cannot resolve the loss region"
+            )
+            seen.add(center)
+    assert seen == {"", " around the shifted center"}
 
 
 def test_check_validation_errors():

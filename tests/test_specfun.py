@@ -121,70 +121,54 @@ def test_vector_kernels_match_masked_reference(max_iter):
                 got = specfun._betacf_vec(pa, pb, x, max_iter)
                 assert np.array_equal(got[0], want), d
                 assert got[1] == iters.max() and np.array_equal(got[2], ok)
-    # a 2-D call: each row against masked references on that row alone,
-    # the series stopping per row (row 0 stays below 0.8 a, so it
-    # converges before row 1), the continued fraction shared; a generator
-    # of its own leaves the cases above as they were
-    rows_rng = np.random.default_rng(6)
-    for d in (2, 3, 10, 100, 1000, 5000):
-        for a in (np.full((2, 300), float(d)), rows_rng.uniform(0.5, 2.0 * d, (2, 300))):
-            x = a * np.stack([rows_rng.uniform(0.01, 0.8, 300),
-                              rows_rng.uniform(0.01, 3.0, 300)])
-            p, q, iters, conv = specfun._gamma_pq_vec(a, x, max_iter)
-            most = 0
-            for k in range(2):
-                low = x[k] < a[k] + 1.0
-                for sel, got, ref in ((low, p, oracles.masked_gamma_series),
-                                      (~low, q, oracles.masked_gamma_cf)):
-                    want, it, ok = ref(a[k][sel], x[k][sel], max_iter)
-                    assert np.array_equal(got[k][sel], want), (d, k, ref)
-                    assert np.array_equal(conv[k][sel], ok), (d, k, ref)
-                    most = max(most, it.max(initial=0))
-            assert iters == most, d
 
 
-def _check_hex_rows():
+def _check_hex_grids():
     # the radial grids of test_lossbounds.CHECK_HEX's case (100,
     # 0.2333..., eps 3, delta 1e-3, n_r=64, n_R=2000) as check_approx_dp
-    # stacks them, term1's 64 radii padded with r_star, over sigma
+    # sends them to the gamma kernel, term1's 64 radii then term2's 2000,
+    # over sigma
     sigma, tau = 0.2333333333333333, 3.0 * 0.2333333333333333
     r_star = sigma * inv_reg_upper_gamma(100.0, 0.01 * 1e-3)
-    radii = np.full((2, 2000), r_star)
-    radii[0, :64] = np.linspace((1.0 - tau) / 2.0, r_star, 64)
-    radii[1] = np.linspace((1.0 + tau) / 2.0, r_star, 2000)
+    radii = np.concatenate([np.linspace((1.0 - tau) / 2.0, r_star, 64),
+                            np.linspace((1.0 + tau) / 2.0, r_star, 2000)])
     return radii / sigma
 
 
 @pytest.mark.parametrize("max_iter", [20000, 92, 4])
-def test_gamma_rows_match_one_dim_calls(max_iter):
-    # row 0's series converges after 91 iterations and row 1's after 94:
-    # one batch of both would keep adding terms to row 0, and max_iter=92
-    # converges row 0 but not row 1
-    x = _check_hex_rows()
+def test_gamma_array_call_is_the_flat_call_reshaped(max_iter):
+    # an array call of any shape is one flat batch.  Term1's grid alone
+    # converges after 91 series iterations and term2's after 94, so the
+    # batch of both runs 94 and max_iter=92 does not converge
+    x = _check_hex_grids()
     for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
-        both = fn(100.0, x, max_iter)
-        ones = [fn(100.0, row, max_iter) for row in x]
-        for k, one in enumerate(ones):
-            assert np.array_equal(both.value[k], one.value), (fn, k)
-        assert both.iterations == max(one.iterations for one in ones)
-        assert both.converged == all(one.converged for one in ones)
-        # rows are the slices along the last axis, whatever the leading shape
-        deep = fn(np.full((2, 1, 1), 100.0), x[:, None, :], max_iter)
-        assert np.array_equal(deep.value[:, 0, :], both.value)
-        assert (deep.iterations, deep.converged) == (both.iterations, both.converged)
-    if max_iter == 20000:
-        assert [one.iterations for one in ones] == [91, 94]
-        plain = reg_lower_gamma(100.0, x)
-        assert all(np.array_equal(plain[k], reg_lower_gamma(100.0, x[k])) for k in range(2))
-    if max_iter == 92:
-        assert [one.converged for one in ones] == [True, False]
-    # element flags, which the result objects fold into one bool
-    a = np.full(x.shape, 100.0)
-    p, q, iters, conv = specfun._gamma_pq_vec(a, x, max_iter)
-    for k in range(2):
-        p1, q1, it1, conv1 = specfun._gamma_pq_vec(a[k:k + 1], x[k:k + 1], max_iter)
-        assert np.array_equal(p[k], p1[0]) and np.array_equal(q[k], q1[0])
-        assert np.array_equal(conv[k], conv1[0]) and it1 <= iters
+        flat = fn(100.0, x, max_iter)
+        for shape in ((2, 1032), (24, 1, 86)):
+            got = fn(np.full(shape[:-1] + (1,), 100.0), x.reshape(shape), max_iter)
+            assert np.array_equal(got.value, flat.value.reshape(shape)), (fn, shape)
+            assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
+        if max_iter == 20000:
+            assert (flat.iterations, flat.converged) == (94, True)
+        else:
+            assert (flat.iterations, flat.converged) == (max_iter, False)
+
+
+def test_large_shape_gamma_far_below_the_mean_against_mpmath():
+    # for a >= 20 and x << a the rounding of t = x/a - 1 swamps the
+    # relative size of x/a, so the log prefactor takes log(x/a) there
+    with mpmath.workdps(40):
+        for a, x in ((21.07, 3.5e-13), (100.0, 0.0384), (30.0, 1e-6), (1000.0, 300.0)):
+            want = mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x), regularized=True)
+            got = reg_lower_gamma(a, x)
+            assert abs(got - want) <= 1e-12 * want, (a, x, got)
+        # a lower-tail quantile there, against one Newton step at 40
+        # digits as in test_gamma_inverses_against_mpmath
+        a, mass = 21.07, 5.1e-283
+        xm, big = mpmath.mpf(inv_reg_lower_gamma(a, mass)), mpmath.mpf(a)
+        tail = mpmath.gammainc(big, 0, xm, regularized=True)
+        density = mpmath.exp((big - 1) * mpmath.log(xm) - xm - mpmath.loggamma(big))
+        exact = xm - (tail - mass) / density
+        assert abs(xm - exact) <= 1e-12 * exact
 
 
 def test_gamma_scipy_cross_check_grid():
