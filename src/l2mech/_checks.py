@@ -12,8 +12,15 @@ import numpy as np
 
 
 def integer(name: str, value, minimum: int = 1, message: str | None = None):
-    """None if value is an integer >= minimum, else a message saying so."""
-    if isinstance(value, (int, np.integer)) and value >= minimum:
+    """None if value is an integer >= minimum, else a message saying so.
+
+    bool is an int subclass, but True is no count of anything: refused.
+    """
+    if (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= minimum
+    ):
         return None
     return message or f"{name} must be an integer >= {minimum}"
 

@@ -7,8 +7,13 @@ a different sensitivity is given (scales multiply through linearly).
 
 Every search runs on _lattice_search, over the sigmas a bisection of
 the bracket would visit.  The l2 mechanism is searched against the
-certified Riemann check from lossbounds on [tol, 1/epsilon], each
-probe steered by the margin lhs_upper left at the probes before it.
+certified Riemann check from lossbounds on [tol, 1/epsilon].  Its
+first probe is the equal-error sigma sigma_G / sqrt(d + 1), the l2
+scale with the Gaussian mechanism's MSE, which the l2 answer
+approaches as d grows (comparison_table starts from the previous
+dimension's sigma instead); each later probe is steered by the margin
+lhs_upper left at the probes before it.  The estimates move the
+probes, never the answer.
 sigma = 1/epsilon passes in exact arithmetic (the loss region is empty
 there); when epsilon * (1/epsilon) rounds below 1 it is nudged up by
 ulps until its certificate passes.  In one dimension the check
@@ -124,17 +129,35 @@ def calibrate_l2(
     Searches the dyadic lattice lo + k (hi - lo) / 2^m that a bisection
     on [tol, 1/epsilon] to width tol would visit, and returns the
     lattice point with the smallest certified index k whose k - 1 is
-    not certified.  Each probe's lhs_upper steers the next one (see
-    _lattice_search), so the answer, bit for bit the bisection's
-    whenever the verdict is monotone in sigma, takes about five probes
-    instead of m + 1.  Probes whose grid cannot resolve the loss region
-    (tiny sigma) count as not certified, which is always sound.  The
-    floor is probed only when the search ends at index 1 and the top
-    1/epsilon only when it ends there; search_iterations counts both.
-    dim == 1 uses the exact closed form.  Either way a sigma that fails
-    its own certificate is nudged up by float ulps until it passes, so
-    the returned sigma is certified in every branch.  Every probe shares
-    one x_star = r_star / sigma, computed before the search.
+    not certified.  The first probe goes to the equal-error sigma
+    sigma_G / sqrt(dim + 1), the l2 scale whose MSE dim (dim + 1) sigma^2
+    matches the Gaussian mechanism's dim sigma_G^2: the l2 mechanism
+    approaches the Gaussian as dim grows, so this estimate sharpens
+    with dim (the bracket's midpoint when it is not below 1/epsilon).
+    Each later probe is steered by the lhs_upper of the probes before
+    it (see _lattice_search), so the answer, bit for bit the
+    bisection's whenever the verdict is monotone in sigma, takes about
+    three probes for dim > 100 and about five below, instead of m + 1.
+    Probes whose grid cannot resolve the loss region (tiny sigma) count
+    as not certified, which is always sound.  The floor is probed only
+    when the search ends at index 1 and the top 1/epsilon only when it
+    ends there; search_iterations counts both.  dim == 1 uses the exact
+    closed form.  Either way a sigma that fails its own certificate is
+    nudged up by float ulps until it passes, so the returned sigma is
+    certified in every branch.  Every probe shares one
+    x_star = r_star / sigma, computed before the search.
+    """
+    return _calibrate_l2(dim, params, n_r, n_R, tol, tail_fraction, sensitivity, None)
+
+
+def _calibrate_l2(
+    dim, params, n_r, n_R, tol, tail_fraction, sensitivity, estimate
+) -> CalibrationResult:
+    """calibrate_l2 with its first probe at estimate, a unit-sensitivity sigma.
+
+    estimate None means the equal-error sigma.  The estimate only moves
+    the probes, never the answer: comparison_table passes the previous
+    dimension's sigma, which is close but not always above the answer.
     """
     _validate_common(params, tol, sensitivity, integer("dim", dim))
     x_star = _x_star(dim, params.delta, tail_fraction)
@@ -165,12 +188,32 @@ def calibrate_l2(
         )
 
     lo, hi, depth = _bracket(eps, tol)
-    k = _lattice_search(lo, hi, depth, probe, lambda points: _margin_sigma(points, eps))
+    if estimate is None:
+        estimate = _equal_error_sigma(dim, params, tol, hi)
+
+    def steer(points):
+        return _margin_sigma(points, eps) if points else estimate
+
+    k = _lattice_search(lo, hi, depth, probe, steer)
     if k == 1 and certified(lo):
         return result(lo, floor=True)
     if k == 1 << depth:
         return result(_certify_upward(hi, certified))
     return result(_lattice_sigma(k, depth, lo, hi))
+
+
+def _equal_error_sigma(dim: int, params: PrivacyParams, tol: float, hi: float):
+    """sigma_G / sqrt(dim + 1) if it lies below hi, else None.
+
+    The l2 scale with the Gaussian mechanism's MSE.  None also when the
+    Gaussian search cannot converge (at tiny delta its bracket is wider
+    than the l2 one), so an l2 calibration never raises for it.
+    """
+    try:
+        sigma = calibrate_gaussian(params, tol).sigma / math.sqrt(dim + 1)
+    except RuntimeError:
+        return None
+    return sigma if sigma < hi else None
 
 
 def _certify_upward(sigma: float, certified) -> float:
@@ -246,13 +289,16 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
     floor) is taken to fail and 2^depth (the top) to pass without
     probing either; the caller settles them.  Unsteered, every probe is
     the bracket's midpoint: exactly a bisection's probes, in its order.
-    steer(points) estimates the threshold sigma (or gives None); the
-    next probe is that estimate rounded up to the lattice and kept
-    strictly inside the bracket, which closes the last step from the
-    other side, or the midpoint after a probe with no point (the first
-    one included).  As in ITP, every steered probe also stays close
-    enough to the midpoint that bisection could still finish within
-    depth + 3 probes, so a misleading margin costs at most three more.
+    steer(points) estimates the threshold sigma from the margin points
+    so far, or gives None for the midpoint.  It places the first probe
+    (as steer([])) and each probe after one that left a margin point;
+    a probe after one that left none is the midpoint.  A probe at an
+    estimate is rounded up to the lattice and kept strictly inside the bracket, which closes
+    the last step from the other side.  As in ITP, every steered probe
+    also stays close enough to the midpoint that bisection could still
+    finish within depth + 3 probes, so a misleading estimate or margin
+    costs at most three more.  The estimates move the probes only: the
+    returned k is the unsteered search's whenever passing is monotone.
     """
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
@@ -262,7 +308,7 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
     while above - below > 1:
         reach = 1 << (depth + 2 - probes)
         probes += 1
-        guess = steer(points) if point else None
+        guess = steer(points) if steer and (point or probes == 1) else None
         if guess is None:
             k = (below + above) // 2
         else:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import l2mech.calibrate
@@ -14,6 +16,9 @@ from l2mech.calibrate import (
     MECHANISMS,
     CalibrationResult,
     PrivacyParams,
+    _bracket,
+    _lattice_search,
+    _lattice_sigma,
     calibrate_gaussian,
     calibrate_l2,
     gaussian_dp_lhs,
@@ -94,10 +99,78 @@ def test_l2_fig_reference_scales():
 
 
 def test_l2_probe_counts_at_reference_scales():
-    # the margin-guided search needs about half the bisection's 11 probes
+    # the bisection takes 11 probes; starting at the equal-error sigma and
+    # steering by the margin, the search needs three at most
     pp = PrivacyParams(1.0, 1e-5)
     for d in (100, 1000):
-        assert calibrate_l2(d, pp).search_iterations <= 7, d
+        assert calibrate_l2(d, pp).search_iterations <= 3, d
+
+
+def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
+    # sigma_G / sqrt(d + 1) gives the l2 mechanism the Gaussian's MSE; the
+    # search's first certificate is the lattice point at or just above it
+    pp = PrivacyParams(1.0, 1e-5)
+    probed = []
+    check_at = l2mech.calibrate._check
+
+    def probe(dim, sigma, *rest):
+        probed.append(sigma)
+        return check_at(dim, sigma, *rest)
+
+    monkeypatch.setattr(l2mech.calibrate, "_check", probe)
+    calibrate_l2(1000, pp)
+    lo, hi, depth = _bracket(pp.epsilon, 1e-3)
+    estimate = calibrate_gaussian(pp).sigma / math.sqrt(1001)
+    k = math.ceil((estimate - lo) / ((hi - lo) / (1 << depth)))
+    assert probed[0] == _lattice_sigma(k, depth, lo, hi)
+    assert estimate <= probed[0] < estimate + 1e-3
+
+
+def test_l2_starts_at_the_midpoint_without_a_gaussian_sigma():
+    # at delta = 1e-300 the Gaussian bracket needs more halvings than the
+    # search allows while the l2 one does not: the l2 search starts at
+    # its midpoint instead of raising
+    pp = PrivacyParams(1.0, 1e-300)
+    tol = 2.0**-195
+    with pytest.raises(RuntimeError):
+        calibrate_gaussian(pp, tol)
+    res = calibrate_l2(10, pp, tol=tol)
+    assert res.sigma == 1.0 and not res.hit_bracket_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    depth=st.integers(1, 20),
+    lo=st.floats(1e-4, 1.0),
+    width=st.floats(1e-2, 10.0),
+    where=st.sampled_from(("inside", "below", "above")),
+    t=st.floats(0.0, 1.0),
+    u=st.floats(0.0, 1.0),
+    fraction=st.floats(0.0, 2.0),
+)
+def test_lattice_search_estimate_moves_probes_not_the_answer(
+    depth, lo, width, where, t, u, fraction
+):
+    # a monotone verdict with its threshold at any lattice index, and a
+    # steer that keeps offering one estimate inside, below or above the
+    # bracket: the search finds the unsteered index within depth + 3 probes
+    hi = lo + width
+    threshold = _lattice_sigma(round(t * (1 << depth)), depth, lo, hi)
+    estimate = {
+        "inside": lo + u * width,
+        "below": lo - fraction * width,
+        "above": hi + fraction * width,
+    }[where]
+    probes = 0
+
+    def probe(sigma):
+        nonlocal probes
+        probes += 1
+        return sigma >= threshold, (sigma, sigma - threshold)
+
+    want = _lattice_search(lo, hi, depth, lambda s: (s >= threshold, None))
+    assert _lattice_search(lo, hi, depth, probe, lambda points: estimate) == want
+    assert probes <= depth + 3
 
 
 def test_l2_search_matches_bisection(monkeypatch):

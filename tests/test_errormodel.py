@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from l2mech.calibrate import PrivacyParams
+import l2mech.calibrate
+from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.errormodel import (
     TABLE_FIELDS,
     ErrorRow,
@@ -133,3 +134,45 @@ def test_table_json_round_trip():
 def test_table_validation():
     with pytest.raises(ValueError):
         comparison_table(PrivacyParams(1.0, 1e-5), 0)
+
+
+def test_table_validation_names_d_max():
+    with pytest.raises(ValueError, match="d_max must be an integer"):
+        comparison_table(PrivacyParams(1.0, 1e-5), 2.0)
+
+
+def test_counts_refuse_bools():
+    # True is an int to isinstance, but not a dimension
+    pp = PrivacyParams(1.0, 1e-5)
+    with pytest.raises(ValueError, match="d_max"):
+        comparison_table(pp, True)
+    with pytest.raises(ValueError, match="dim"):
+        calibrate_l2(True, pp)
+    with pytest.raises(ValueError, match="dim"):
+        mse_gaussian(True, 1.0)
+
+
+@pytest.mark.parametrize(
+    "epsilon,delta,max_probes", [(1.0, 1e-5, 55), (0.1, 1e-7, 73), (10.0, 1e-3, 59)]
+)
+def test_table_warm_start_changes_no_sigma(monkeypatch, epsilon, delta, max_probes):
+    # each l2 search starts at the previous dimension's sigma; its answer
+    # is still the stand-alone calibration's, and the table probes no more
+    # than searches started at the bracket's midpoint (73 and 59), and
+    # clearly less at (1, 1e-5), where those take 67
+    pp = PrivacyParams(epsilon, delta)
+    probes = 0
+    check_at = l2mech.calibrate._check
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return check_at(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(l2mech.calibrate, "_check", counted)
+        rows = comparison_table(pp, 12)
+    table = [r.sigma for r in rows if r.mechanism == "l2"]
+    alone = [calibrate_l2(d, pp).sigma for d in range(1, 13)]
+    assert [s.hex() for s in table] == [s.hex() for s in alone]
+    assert probes <= max_probes
