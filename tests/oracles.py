@@ -17,6 +17,7 @@ fast; recompute_goldens() regenerates them.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -92,6 +93,54 @@ def recompute_goldens():
         else:
             out[key] = quad_std_normal_cdf(key[1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact coefficients of Temme's uniform expansion (DLMF 8.12.8-8.12.10):
+# Q(a, x) = erfc(eta*sqrt(a/2))/2 + e^(-a*eta^2/2)/sqrt(2*pi*a) * sum_k C_k(eta) a^-k
+# with eta^2/2 = lambda - 1 - log(lambda), lambda = x/a, and
+# C_0 = 1/(lambda - 1) - 1/eta,  C_k = C_k-1'(eta)/eta + (-1)^k g_k/(lambda - 1),
+# g_k the Stirling coefficients of Gamma(a).  Everything is a power series
+# in eta with rational coefficients, so Fractions give d_kn exactly.
+
+
+def stirling_coefficients(k_max):
+    """g_0..g_k_max of Gamma(a) ~ sqrt(2*pi) a^(a-1/2) e^-a sum_k g_k a^-k, exact."""
+    bern = [Fraction(1)]
+    for n in range(1, 2 * k_max + 3):
+        bern.append(-sum(math.comb(n + 1, k) * bern[k] for k in range(n)) / (n + 1))
+    # the series is exp(sum_j B_2j / (2j (2j - 1)) a^(1 - 2j))
+    log_terms = [Fraction(0)] * (k_max + 1)
+    for j in range(1, (k_max + 3) // 2):
+        log_terms[2 * j - 1] = bern[2 * j] / (2 * j * (2 * j - 1))
+    g = [Fraction(1)] + [Fraction(0)] * k_max
+    for n in range(1, k_max + 1):
+        g[n] = sum(k * log_terms[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
+
+
+def temme_coefficients(k_max, n_max):
+    """d[k][n], the eta^n coefficient of C_k(eta), k <= k_max and n < n_max."""
+    order = n_max + 2 * k_max + 2
+    # mu = lambda - 1 = sum m_i eta^i solves mu * mu' = eta * (1 + mu)
+    m = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    for n in range(2, order + 1):
+        inner = sum((n + 1 - i) * m[i] * m[n + 1 - i] for i in range(2, n))
+        m[n] = (m[n - 1] - inner) / (n + 1)
+    # eta / mu = sum r_i eta^i, so 1/mu = sum r_i eta^(i-1) and C_0 = sum r_(n+1) eta^n
+    r = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for n in range(1, order):
+        r[n] = -sum(m[i + 1] * r[n - i] for i in range(1, n + 1))
+    g = stirling_coefficients(k_max)
+    rows = [r[1:]]
+    for k in range(1, k_max + 1):
+        prev, gk = rows[-1], g[k] if k % 2 == 0 else -g[k]
+        # the 1/eta poles of C_k-1'/eta and gk/mu cancel
+        assert prev[1] + gk == 0
+        rows.append(
+            [(n + 2) * prev[n + 2] + gk * r[n + 1] for n in range(len(prev) - 2)]
+        )
+    return [row[:n_max] for row in rows]
 
 
 # ---------------------------------------------------------------------------

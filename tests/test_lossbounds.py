@@ -151,33 +151,33 @@ CHECK_HEX = [
     (10, 1.9, 0.5, 1e-05, 64, 2000,
      "0x1.4a75833c57e4ep-18", "0x1.8afcfc1a27e1cp-19", "0x1.3629a723fd640p-24"),
     (100, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.623f01180f857p-2", "0x1.19eafe257db26p-2", "0x1.556dc68c13d80p-5"),
+     "0x1.623f01180f87fp-2", "0x1.19eafe257db5fp-2", "0x1.556dc68c13cc8p-5"),
     (100, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.62b6dd739ea17p-2", "0x1.19ee94298ccf2p-2", "0x1.590cf4e49af90p-5"),
+     "0x1.62b6dd739ea3ep-2", "0x1.19ee94298cd2cp-2", "0x1.590cf4e49aec8p-5"),
     (100, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.00ad20736735ap-9", "0x1.5a1506e1a5321p-11", "0x1.57d3467867fe0p-13"),
+     "0x1.00ad20736731dp-9", "0x1.5a1506e1a52cep-11", "0x1.57d3467867f98p-13"),
     (100, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.029c314491e83p-9", "0x1.5a2ccd160d393p-11", "0x1.75c1d376edc68p-13"),
+     "0x1.029c314491e49p-9", "0x1.5a2ccd160d33ep-11", "0x1.75c1d376edc60p-13"),
     (100, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.e5de13769627ap-51", "0x1.76a09cf018a95p-55", "0x1.f29323ec31560p-56"),
+     "0x1.e5de137696201p-51", "0x1.76a09cf018a38p-55", "0x1.f29323ec314e0p-56"),
     (100, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.ee3d32556f8ffp-51", "0x1.76d73eeee5286p-55", "0x1.7af22baa0adc0p-55"),
+     "0x1.ee3d32556f882p-51", "0x1.76d73eeee5229p-55", "0x1.7af22baa0ad40p-55"),
     (100, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.75b53bedb4f73p-171", "0x1.c4e70af331273p-172", "0x1.696a2dee70000p-181"),
+     "0x1.75b53bedb4eeap-171", "0x1.c4e70af3311cep-172", "0x1.696a2dee6fc00p-181"),
     (100, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.76dfbd3341337p-171", "0x1.c4f2f53ab54cap-172", "0x1.7b09494a9ae00p-179"),
+     "0x1.76dfbd3341297p-171", "0x1.c4f2f53ab5426p-172", "0x1.7b09494a99500p-179"),
     (1000, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.f0df39c929cd1p-5", "0x1.b59b6648c2f14p-5", "0x1.a7b9a7ac62560p-10"),
+     "0x1.f0df39c92c768p-5", "0x1.b59b6648c5a61p-5", "0x1.a7b9a7ac57ce0p-10"),
     (1000, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.f125be3296b19p-5", "0x1.b59d8564fc4d6p-5", "0x1.b03f2d80abd00p-10"),
+     "0x1.f125be3299597p-5", "0x1.b59d8564ff01ep-5", "0x1.b03f2d80a1220p-10"),
     (1000, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.21c0a07160200p-72", "0x1.a5e86b0cf03dfp-74", "0x1.84a5f7cb03500p-79"),
+     "0x1.21c0a0715fe90p-72", "0x1.a5e86b0cefedbp-74", "0x1.84a5f7cb03180p-79"),
     (1000, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.231e547e28d5ep-72", "0x1.a5f971c220461p-74", "0x1.16db7bf469fc0p-78"),
+     "0x1.231e547e28a00p-72", "0x1.a5f971c21ff63p-74", "0x1.16db7bf46a140p-78"),
     (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.19f378826704cp-489", "0x1.bf095c8969423p-494", "0x1.5bb6fa74a5300p-497"),
+     "0x1.19f3788266cfdp-489", "0x1.bf095c8968ee7p-494", "0x1.5bb6fa74a4d00p-497"),
     (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.1d9efe718717bp-489", "0x1.bf3a827bb4c21p-494", "0x1.3a18e4183cac0p-495"),
+     "0x1.1d9efe7186e22p-489", "0x1.bf3a827bb46e4p-494", "0x1.3a18e4183c6c0p-495"),
     (1000, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     (1000, 1.9, 0.5, 1e-05, 64, 2000,

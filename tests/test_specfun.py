@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from l2mech.specfun import (
 )
 
 ABS_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def test_reg_lower_gamma_closed_forms():
@@ -135,11 +137,12 @@ def _check_hex_grids():
     return radii / sigma
 
 
-@pytest.mark.parametrize("max_iter", [20000, 92, 4])
+@pytest.mark.parametrize("max_iter", [20000, 48, 4])
 def test_gamma_array_call_is_the_flat_call_reshaped(max_iter):
     # an array call of any shape is one flat batch.  Term1's grid alone
-    # converges after 91 series iterations and term2's after 94, so the
-    # batch of both runs 94 and max_iter=92 does not converge
+    # converges after 48 series iterations and term2's after 49 (its
+    # elements within 0.4a of a = 100 take Temme's 18 terms), so the
+    # batch of both runs 49 and max_iter=48 does not converge
     x = _check_hex_grids()
     for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
         flat = fn(100.0, x, max_iter)
@@ -148,7 +151,7 @@ def test_gamma_array_call_is_the_flat_call_reshaped(max_iter):
             assert np.array_equal(got.value, flat.value.reshape(shape)), (fn, shape)
             assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
         if max_iter == 20000:
-            assert (flat.iterations, flat.converged) == (94, True)
+            assert (flat.iterations, flat.converged) == (49, True)
         else:
             assert (flat.iterations, flat.converged) == (max_iter, False)
 
@@ -176,6 +179,93 @@ def test_gamma_scipy_cross_check_grid():
     a = rng.uniform(0.5, 2000.0, size=200)
     x = a * rng.uniform(0.1, 2.5, size=200)
     assert np.max(np.abs(reg_lower_gamma(a, x) - special.gammainc(a, x))) < ABS_TOL
+
+
+def _gamma_sample(a):
+    # x across Temme's region |x/a - 1| <= 0.4 and past it, with both
+    # sides of each seam
+    x = a * np.linspace(0.6, 1.4, 33)
+    seams = [0.6 * a, a, a + 1.0, 1.4 * a]
+    near = [np.nextafter(v, v + side) for v in seams for side in (-np.inf, np.inf)]
+    return np.sort(np.concatenate([x, seams, near]))
+
+
+def _tail_errors(a, x):
+    # relative error of the smaller tail, P below a and Q above, wherever
+    # the 40-digit tail is a normal float
+    p, q = reg_lower_gamma(a, x), reg_upper_gamma(a, x)
+    errs = []
+    with mpmath.workdps(40):
+        big = mpmath.mpf(a)
+        for xi, pi, qi in zip(x, p, q):
+            xm, upper = mpmath.mpf(xi), xi >= a
+            if upper:
+                want = mpmath.gammainc(big, xm, mpmath.inf, regularized=True)
+            else:
+                want = mpmath.gammainc(big, 0, xm, regularized=True)
+            if want > 1e-300:
+                errs.append(float(abs((qi if upper else pi) - want) / want))
+    return max(errs)
+
+
+# per band of shapes, the largest error that the series and continued
+# fraction alone made on the same sample (3.93e-15, 1.24e-14, 1.17e-13
+# and 4.85e-13), rounded up
+GAMMA_BANDS = {
+    (20.0, 27.5, 45.0): 4.0e-15,
+    (64.5, 100.0, 210.0): 1.3e-14,
+    (500.5, 1000.0, 2000.0): 1.2e-13,
+    (5000.0, 10000.0): 4.9e-13,
+}
+
+
+def test_large_shape_gamma_against_mpmath():
+    for shapes, bound in GAMMA_BANDS.items():
+        worst = max(_tail_errors(a, _gamma_sample(a)) for a in shapes)
+        assert worst <= bound, (shapes, worst)
+
+
+@pytest.mark.parametrize("a", [19.5, 20.0, 100.0, 1e4])
+def test_gamma_monotone_across_seams(a):
+    # fine sweeps over every regime switch: the Temme edges at x = 0.6a
+    # and 1.4a, its P/Q switch at x = a, and the series/CF switch at
+    # x = a + 1 (inside the Temme region for a >= 20)
+    for seam in (0.6 * a, a, a + 1.0, 1.4 * a):
+        x = seam + np.linspace(-1.0, 1.0, 401) * 1e-3 * math.sqrt(a)
+        p, q = reg_lower_gamma(a, x), reg_upper_gamma(a, x)
+        assert np.all(np.isfinite(p)) and np.all(np.isfinite(q))
+        assert np.all(np.diff(p) >= 0.0) and np.all(np.diff(q) <= 0.0), (a, seam)
+        assert np.all(np.abs(p + q - 1.0) <= _EPS), (a, seam)
+
+
+def test_large_shape_gamma_underflows_to_zero():
+    # a tail below the smallest float is 0, never NaN, on every path: the
+    # series, Temme's expansion on both sides of a, the fraction
+    for a, ratios in ((1e4, [0.05, 0.3, 0.6, 0.61, 2.0, 3.0]), (1e5, [0.7, 1.3])):
+        x = a * np.array(ratios)
+        p, q = reg_lower_gamma(a, x), reg_upper_gamma(a, x)
+        assert np.array_equal(np.minimum(p, q), np.zeros(x.size)), a
+        assert np.array_equal(p + q, np.ones(x.size)), a
+
+
+def test_temme_table_is_the_generated_one():
+    # specfun's d_kn are the exact rationals correctly rounded, and each
+    # row keeps exactly the terms whose tail at a = 20, |eta| = eta_max
+    # reaches 1e-17
+    exact = oracles.temme_coefficients(len(specfun._TEMME_D) + 1, 40)
+    assert exact[0][:6] == [
+        Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
+        Fraction(1, 864), Fraction(1, 2835), Fraction(-139, 777600),
+    ]
+    reach = specfun._TEMME_REACH
+    eta = max(math.sqrt(2.0 * (s * reach - math.log1p(s * reach))) for s in (-1, 1))
+    for k, row in enumerate(exact):
+        size = [abs(float(v)) * 20.0**-k * eta**n for n, v in enumerate(row)]
+        keep = len(row)
+        while keep and sum(size[keep - 1:]) < 1e-17:
+            keep -= 1
+        table = specfun._TEMME_D[k] if k < len(specfun._TEMME_D) else ()
+        assert list(table) == [float(v) for v in row[:keep]], k
 
 
 def test_result_objects_and_convergence_failure():
@@ -226,6 +316,70 @@ def test_scalar_beta_runs_the_vector_kernel():
             assert type(got) is float
             one = reg_inc_beta(np.array([x]), np.array([a]), np.array([b]))
             assert got == one[0], (x, a, b)
+
+
+def _beta_errors(a, b, x):
+    got = reg_inc_beta(x, a, b)
+    errs = []
+    with mpmath.workdps(40):
+        for xi, gi in zip(x, got):
+            want = mpmath.betainc(
+                mpmath.mpf(a), mpmath.mpf(b), 0, mpmath.mpf(xi), regularized=True
+            )
+            if want > 1e-300:
+                errs.append(float(abs(gi - want) / want))
+    return max(errs)
+
+
+def test_beta_large_shape_prefactor_against_mpmath():
+    # lgamma(a + b) - lgamma(a) cancels O(a log a) terms down to O(b log
+    # a); formed directly it cost I_x(a, 1/2) up to 5e-11 at a = 4999.5.
+    # Both paths share the Stirling-form difference: BGRAT for b <= 1
+    # near x = 1, the continued fraction elsewhere
+    for a in (499.5, 1999.5, 4999.5):
+        x = 1.0 - np.geomspace(0.1 / a, 20.0 / a, 12)
+        for b in (0.5, 1.0):
+            assert _beta_errors(a, b, x) <= 1e-13, (a, b)
+        with mpmath.workdps(40):
+            for b in (0.5, 2.0):
+                want = mpmath.loggamma(a + b) - mpmath.loggamma(a)
+                got = specfun._lgamma_ratio(a, b)
+                assert abs(got - want) <= 1e-15 * want, (a, b)
+
+
+# I_x(a, 1/2) with 1 - x from 0.1/a to 0.6, on both sides of BGRAT's
+# edge, at the prefactor's 1e-13 (the continued fraction alone, with the
+# direct prefactor, made 9.8e-14, 1.15e-12 and 6.09e-11 here)
+BETA_BANDS = {
+    (15.0, 15.5, 20.0, 49.5): 1e-13,
+    (100.0, 499.5): 1e-13,
+    (1999.5, 4999.5): 1e-13,
+}
+
+
+def _beta_sample(a):
+    y = np.concatenate([np.geomspace(0.1 / a, 0.6, 24), [0.3]])
+    edge = [np.nextafter(y[-1], 0.0), np.nextafter(y[-1], 1.0)]
+    return 1.0 - np.concatenate([y, edge])
+
+
+def test_large_shape_beta_against_mpmath():
+    for shapes, bound in BETA_BANDS.items():
+        worst = max(_beta_errors(a, 0.5, _beta_sample(a)) for a in shapes)
+        assert worst <= bound, (shapes, worst)
+
+
+@pytest.mark.parametrize("a", [14.5, 15.0, 100.0, 4999.5])
+def test_beta_monotone_across_seams(a):
+    # BGRAT's edge at 1 - x = 0.3 and the continued fraction's switch to
+    # the complement at x = (a + 1)/(a + 2.5), which BGRAT covers from
+    # a = 15 on; a tail below the smallest float is 0, never NaN
+    for seam in (0.7, (a + 1.0) / (a + 2.5)):
+        x = seam + np.linspace(-1.0, 1.0, 401) * 1e-3 * (1.0 - seam)
+        got = reg_inc_beta(x, a, 0.5)
+        assert np.all(np.isfinite(got)), (a, seam)
+        assert np.all(np.diff(got) >= 0.0), (a, seam)
+    assert reg_inc_beta(0.71, 4999.5, 0.5) == 0.0
 
 
 def test_reg_inc_beta_domain_errors():
