@@ -11,9 +11,11 @@ certified Riemann check from lossbounds on [tol, 1/epsilon].  Its
 first probe is the equal-error sigma sigma_G / sqrt(d + 1), the l2
 scale with the Gaussian mechanism's MSE, which the l2 answer
 approaches as d grows (comparison_table starts from the previous
-dimension's sigma instead); each later probe is steered by the margin
-lhs_upper left at the probes before it.  The estimates move the
-probes, never the answer.
+dimension's sigma instead).  Each later probe takes a safeguarded
+Newton step toward lhs_upper = delta, in u = log(1/sigma - epsilon) and
+w = log(lhs_upper / delta), on the exact slope of the bound that every
+check reports with it (lhs_slope).  The estimates move the probes,
+never the answer.
 sigma = 1/epsilon passes in exact arithmetic (the loss region is empty
 there); when epsilon * (1/epsilon) rounds below 1 it is nudged up by
 ulps until its certificate passes.  In one dimension the check
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,10 +137,11 @@ def calibrate_l2(
     matches the Gaussian mechanism's dim sigma_G^2: the l2 mechanism
     approaches the Gaussian as dim grows, so this estimate sharpens
     with dim (the bracket's midpoint when it is not below 1/epsilon).
-    Each later probe is steered by the lhs_upper of the probes before
-    it (see _lattice_search), so the answer, bit for bit the
-    bisection's whenever the verdict is monotone in sigma, takes about
-    three probes for dim > 100 and about five below, instead of m + 1.
+    Each later probe takes a Newton step on the lhs_upper and lhs_slope
+    of the probes before it (see _margin_sigma and _lattice_search), so
+    the answer, bit for bit the bisection's whenever the verdict is
+    monotone in sigma, takes about three probes for dim > 100, four to
+    five for 10 < dim <= 100 and three to four below, instead of m + 1.
     Probes whose grid cannot resolve the loss region (tiny sigma) count
     as not certified, which is always sound.  The floor is probed only
     when the search ends at index 1 and the top 1/epsilon only when it
@@ -162,7 +166,7 @@ def _calibrate_l2(
     _validate_common(params, tol, sensitivity, integer("dim", dim))
     x_star = _x_star(dim, params.delta, tail_fraction)
     eps = params.epsilon
-    log_neg_log_delta = math.log(-math.log(params.delta))
+    log_delta = math.log(params.delta)
     evals = 0
 
     def probe(s: float):
@@ -172,7 +176,7 @@ def _calibrate_l2(
             report = _check(dim, s, params, n_r, n_R, x_star)
         except GridDomainError:
             return False, None
-        return report.satisfies_dp, _margin_point(report, s, eps, log_neg_log_delta)
+        return report.satisfies_dp, _margin_point(report, s, eps, log_delta)
 
     def certified(s: float) -> bool:
         return probe(s)[0]
@@ -267,19 +271,29 @@ def _lattice_sigma(k: int, depth: int, lo: float, hi: float) -> float:
     return lo if k == a else hi
 
 
-def _margin_point(report, sigma: float, eps: float, log_neg_log_delta: float):
-    """(u, v) with u = log(1/sigma - eps), v = log(-log lhs) - log(-log delta).
+class _Margin(NamedTuple):
+    """Where a probe's certificate sits against delta, and how fast it moves.
 
-    v >= 0 exactly when the probe certifies, and v against u is close to
-    a line of slope -1, so a secant on it lands near the threshold.
-    None when the report carries no usable margin.
+    u = log(1/sigma - eps) and w = log(lhs_upper / delta), in which the
+    bound is close to a line near the threshold w = 0; s = dw/du, from
+    the check's lhs_slope; passed is the probe's verdict.
     """
-    if not 0.0 < report.lhs_upper < 1.0:
-        return None
+
+    u: float
+    w: float
+    s: float
+    passed: bool
+
+
+def _margin_point(report, sigma: float, eps: float, log_delta: float):
+    """The probe's _Margin, or None when its report carries no usable one."""
+    lhs, slope = report.lhs_upper, report.lhs_slope
     gap = 1.0 / sigma - eps
-    if gap <= 0.0:
+    if slope is None or not (lhs > 0.0 and gap > 0.0):
         return None
-    return math.log(gap), math.log(-math.log(report.lhs_upper)) - log_neg_log_delta
+    # du/dsigma = -1 / (sigma^2 gap)
+    s = -slope * sigma * sigma * gap / lhs
+    return _Margin(math.log(gap), math.log(lhs) - log_delta, s, report.satisfies_dp)
 
 
 def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
@@ -292,13 +306,17 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
     steer(points) estimates the threshold sigma from the margin points
     so far, or gives None for the midpoint.  It places the first probe
     (as steer([])) and each probe after one that left a margin point;
-    a probe after one that left none is the midpoint.  A probe at an
-    estimate is rounded up to the lattice and kept strictly inside the bracket, which closes
-    the last step from the other side.  As in ITP, every steered probe
-    also stays close enough to the midpoint that bisection could still
-    finish within depth + 3 probes, so a misleading estimate or margin
-    costs at most three more.  The estimates move the probes only: the
-    returned k is the unsteered search's whenever passing is monotone.
+    a probe after one that left none is the midpoint, and so is a
+    non-finite estimate.  A probe at an estimate is rounded up to the
+    lattice and kept strictly inside the bracket, which closes the last
+    step from the other side.  While no probe has failed, an estimate
+    from margin points is rounded one step further down: an accurate one
+    then lands on the failing side, which is the side the search still
+    needs.  As in ITP, every steered probe also stays close enough to
+    the midpoint that bisection could still finish within depth + 3
+    probes, so a misleading estimate or margin costs at most three
+    more.  The estimates move the probes only: the returned k is the
+    unsteered search's whenever passing is monotone.
     """
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
@@ -309,10 +327,12 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
         reach = 1 << (depth + 2 - probes)
         probes += 1
         guess = steer(points) if steer and (point or probes == 1) else None
-        if guess is None:
+        if guess is None or not math.isfinite(guess):
             k = (below + above) // 2
         else:
-            k = math.ceil((guess - lo) / spacing)
+            k = math.ceil((min(max(guess, lo), hi) - lo) / spacing)
+            if points and below == 0:
+                k -= 1
             k = min(max(k, below + 1, above - reach), above - 1, below + reach)
         passed, point = probe(_lattice_sigma(k, depth, lo, hi))
         if point:
@@ -324,21 +344,36 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
     return above
 
 
-def _margin_sigma(points, eps: float):
-    """The sigma where v reaches 0 on the margin points, or None.
+def _margin_sigma(points, eps: float) -> float:
+    """The sigma where w reaches 0, by safeguarded Newton steps on the points.
 
-    A secant through the two points closest to the threshold in v, or
-    the slope -1 line through the only one there is.  Far points are
-    left out because the curve bends where lhs_upper nears 0 or 1.
+    Until the points hold a pass and a failure, a Newton step from the
+    point with the smallest |w|.  Then a Newton step from whichever end
+    of the tightest such pair has the smaller |w|, or else from the
+    other end, if it lands strictly between them; if neither does, the
+    secant through the two.  A zero slope or equal w gives NaN, which
+    _lattice_search takes as the midpoint.
     """
-    (u, v), *rest = sorted(points, key=lambda p: abs(p[1]))[:2]
-    if rest:
-        ((u2, v2),) = rest
-        if v == v2:
-            return None
-        u -= v * (u2 - u) / (v2 - v)
-    else:
-        u += v
+    passed = [p for p in points if p.passed]
+    failed = [p for p in points if not p.passed]
+    if not (passed and failed):
+        return _sigma_at(_newton(min(points, key=lambda p: abs(p.w))), eps)
+    top = max(passed, key=lambda p: p.u)  # the smallest passing sigma
+    bottom = min(failed, key=lambda p: p.u)  # the largest failing sigma
+    for end in sorted((top, bottom), key=lambda p: abs(p.w)):
+        u = _newton(end)
+        if top.u < u < bottom.u:
+            return _sigma_at(u, eps)
+    rise = bottom.w - top.w
+    secant = top.u - top.w * (bottom.u - top.u) / rise if rise else math.nan
+    return _sigma_at(secant, eps)
+
+
+def _newton(p: _Margin) -> float:
+    return p.u - p.w / p.s if p.s else math.nan
+
+
+def _sigma_at(u: float, eps: float) -> float:
     return 1.0 / (eps + math.exp(min(u, 700.0)))
 
 

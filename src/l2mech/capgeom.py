@@ -13,14 +13,17 @@ grids of radii evaluate in single vectorized calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import integer, positive, require
-from .specfun import reg_inc_beta, reg_lower_gamma
+from .specfun import _lgamma_ratio, reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
+
+_HALF_LN_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,23 @@ def cap_fraction(dim: int, r, h):
     half = 0.5 * reg_inc_beta(arg, (dim - 1) / 2.0, 0.5)
     val = np.where(h_b <= r_b, half, 1.0 - half)
     return float(val) if np.ndim(val) == 0 or val.shape == () else val
+
+
+def _cap_fraction_rate(dim: int, v: np.ndarray) -> np.ndarray:
+    """d cap_fraction(dim, r, v r) / dv for an array of relative heights v = h/r.
+
+    With z = v (2 - v) and a = (dim - 1)/2 this is z^(a - 1) / B(a, 1/2):
+    the beta density of z times dz/dv, whose 1/sqrt(1 - z) factors cancel.
+    It is taken as 0 where z = 0 (v = 0 or 2: an empty cap or the whole
+    sphere), the heights a grid keeps there at every sigma, which also
+    keeps z^(a - 1) finite at dim = 2.
+    """
+    a = (dim - 1) / 2.0
+    z = v * (2.0 - v)
+    inside = z > 0.0
+    log_beta = _HALF_LN_PI - _lgamma_ratio(a, 0.5)
+    rate = np.exp((a - 1.0) * np.log(np.where(inside, z, 1.0)) - log_beta)
+    return np.where(inside, rate, 0.0)
 
 
 def radial_cdf(dim: int, sigma: float, r):

@@ -30,7 +30,8 @@ tail_fraction * delta sliver of radial mass lies beyond the grid;
 calibrate_l2 computes x_star, which does not depend on sigma, once per
 calibration.  The two radial grids go as one flat batch into one
 incomplete-gamma call, which also gives the tail mass, and one
-cap_fraction call.
+cap_fraction call.  The same pass gives lhs_slope, the exact
+sigma-derivative of those two sums, from the arrays it already holds.
 """
 from __future__ import annotations
 
@@ -41,7 +42,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._checks import integer, positive, require, unless
-from .capgeom import LossGeometry, cap_fraction, height_H, height_h
+from .capgeom import (
+    LossGeometry,
+    _cap_fraction_rate,
+    cap_fraction,
+    height_H,
+    height_h,
+)
 from .specfun import _gamma_pq, _unwrap, inv_reg_upper_gamma
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -103,7 +110,10 @@ class BoundReport:
     produced the numbers: "large_sigma" (eps * sigma >= 1, loss region
     empty, both terms 0), "one_dim" (closed forms), or "general"
     (Riemann grids).  A False verdict means "not certified", not
-    "violates DP".
+    "violates DP".  lhs_slope is d lhs_upper / d sigma of the general
+    branch's sums, exact up to float rounding (None in the other
+    branches).  It is not certified and is not evidence: calibrate_l2
+    steers its next probe by it, and only the verdicts decide the answer.
     """
 
     term1_upper: float
@@ -112,6 +122,7 @@ class BoundReport:
     satisfies_dp: bool
     grid: GridSpec
     branch: str
+    lhs_slope: float | None = None
 
 
 def _exp_eps(epsilon: float) -> float:
@@ -123,8 +134,8 @@ def _exp_eps(epsilon: float) -> float:
 
 def _riemann_stieltjes(
     geom: LossGeometry, r_star: float, n_r: int, n_R: int
-) -> tuple[float, float]:
-    """(term1_upper, term2_lower): both left Riemann-Stieltjes sums in one pass.
+) -> tuple[float, float, float]:
+    """(term1_upper, term2_lower, lhs_slope) of both left Riemann-Stieltjes sums.
 
     The two terms differ only in the first radius, the grid size, the
     cap height function and whether the ball below the first radius
@@ -133,6 +144,15 @@ def _riemann_stieltjes(
     end to end into a single incomplete-gamma call and a single
     cap_fraction call, and the same gamma call gives the tail mass
     beyond r_star, Q(dim, r_star / sigma), that both sums charge.
+
+    lhs_slope is the exact sigma-derivative of term1 - e^eps term2 as
+    these sums compute them, from the same arrays: each sum is a dot
+    product of CDF steps and cap fractions, so its derivative is the
+    steps' derivatives dotted with the fractions plus the steps dotted
+    with the fractions' derivatives.  A grid is the linspace of its
+    first radius, which moves with tau, to r_star = sigma * x_star, so
+    its radii move by the linspace of those two rates, and the tail
+    mass Q(dim, x_star) does not move at all.
     """
     tau = geom.tau
     r_first, big_r_first = (1.0 - tau) / 2.0, (1.0 + tau) / 2.0
@@ -142,19 +162,51 @@ def _riemann_stieltjes(
                 f"r_star={r_star} is at or below the first grid radius "
                 f"{first}{center}; the grid cannot resolve the loss region"
             )
-    dim, sigma = geom.dim, geom.sigma
+    dim, sigma, eps = geom.dim, geom.sigma, geom.epsilon
     radii = np.concatenate(
         [np.linspace(r_first, r_star, n_r), np.linspace(big_r_first, r_star, n_R)]
     )
     heights = np.concatenate([height_h(geom, radii[:n_r]), height_H(geom, radii[n_r:])])
-    cdf, sf = _unwrap(_gamma_pq(float(dim), radii / sigma), "reg_lower_gamma")
+    x = radii / sigma
+    cdf, sf = _unwrap(_gamma_pq(float(dim), x), "reg_lower_gamma")
     frac = cap_fraction(dim, radii, heights)
     tail = float(sf[-1])
-    sums = []
-    for part, below in ((slice(None, n_r), cdf[0]), (slice(n_r, None), 0.0)):
-        c, f = cdf[part], frac[part]
+    # sigma-derivatives of the radii, the CDF at them, the heights
+    # (1 - tau) (r + offset) with offset = +-(1 + tau)/2, which moves at
+    # +-eps/2 = offset * eps / (1 + tau), and the cap fractions
+    x_star = r_star / sigma
+    d_radii = np.concatenate(
+        [np.linspace(-eps / 2.0, x_star, n_r), np.linspace(eps / 2.0, x_star, n_R)]
+    )
+    # the gamma density x^(dim-1) e^-x / Gamma(dim) in its direct log form:
+    # it loses about dim * log(x) ulps, far below what a slope needs
+    density = np.exp((dim - 1.0) * np.log(x) - x - math.lgamma(dim))
+    d_cdf = density * ((d_radii - x) / sigma)
+    offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
+    d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau))) - eps * (
+        radii + offset
+    )
+    rel = heights / radii
+    d_frac = _cap_fraction_rate(dim, rel) * ((d_heights - rel * d_radii) / radii)
+    sums, slopes = [], []
+    for part, below, d_below in (
+        (slice(None, n_r), cdf[0], d_cdf[0]),
+        (slice(n_r, None), 0.0, 0.0),
+    ):
+        c, f, dc, df = cdf[part], frac[part], d_cdf[part], d_frac[part]
         sums.append(below + float(np.dot(np.diff(c), f[:-1])) + tail * f[-1])
-    return min(sums[0], 1.0), max(sums[1], 0.0)
+        slopes.append(
+            float(
+                d_below
+                + np.dot(np.diff(dc), f[:-1])
+                + np.dot(np.diff(c), df[:-1])
+                + tail * df[-1]
+            )
+        )
+    t1, t2 = min(sums[0], 1.0), max(sums[1], 0.0)
+    d_t1 = slopes[0] if t1 == sums[0] else 0.0
+    d_t2 = slopes[1] if t2 == sums[1] else 0.0
+    return t1, t2, d_t1 - _exp_eps(eps) * d_t2
 
 
 def check_approx_dp(
@@ -203,6 +255,7 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     sigma = float(sigma)
     tau = epsilon * sigma
     grid = GridSpec(n_r=n_r, n_R=n_R, r_star=sigma * x_star)
+    slope = None
     if tau >= 1.0:
         branch, t1, t2 = BRANCH_LARGE_SIGMA, 0.0, 0.0
     elif dim == 1:
@@ -214,7 +267,7 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     else:
         branch = BRANCH_GENERAL
         geom = LossGeometry(dim, sigma, epsilon)
-        t1, t2 = _riemann_stieltjes(geom, grid.r_star, n_r, n_R)
+        t1, t2, slope = _riemann_stieltjes(geom, grid.r_star, n_r, n_R)
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,
@@ -223,4 +276,5 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
         satisfies_dp=bool(lhs <= delta),
         grid=grid,
         branch=branch,
+        lhs_slope=slope,
     )

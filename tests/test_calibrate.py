@@ -19,6 +19,8 @@ from l2mech.calibrate import (
     _bracket,
     _lattice_search,
     _lattice_sigma,
+    _Margin,
+    _margin_sigma,
     calibrate_gaussian,
     calibrate_l2,
     gaussian_dp_lhs,
@@ -100,10 +102,38 @@ def test_l2_fig_reference_scales():
 
 def test_l2_probe_counts_at_reference_scales():
     # the bisection takes 11 probes; starting at the equal-error sigma and
-    # steering by the margin, the search needs three at most
+    # taking Newton steps on each check's slope, the search needs three at
+    # most from d = 100 up and at d = 2 (where the slope-1 steer took five).
+    # At d = 10 the equal-error sigma lies above 1/epsilon, so the search
+    # starts at the midpoint, whose failure leaves the ITP guard a probe
     pp = PrivacyParams(1.0, 1e-5)
-    for d in (100, 1000):
-        assert calibrate_l2(d, pp).search_iterations <= 3, d
+    for d, most in {2: 3, 10: 6, 100: 3, 1000: 3}.items():
+        assert calibrate_l2(d, pp).search_iterations <= most, d
+
+
+def test_l2_probe_budget_over_a_calibrate_mix_grid():
+    # a seeded 64-target grid shaped like the benchmark's calibrate-mix:
+    # 8 strata of log d in [1, 2000] by 8 of log epsilon in [0.1, 10], log
+    # delta in [1e-10, 1e-3] one cell per target.  Probe counts do not
+    # depend on the machine: 3.31 per call on average and 8 at worst
+    # (3.83 and 7 when the steer took slope-1 steps)
+    rng = np.random.default_rng(20261018)
+    n = 64
+    i_d, i_eps = np.divmod(np.arange(n), 8)
+    i_delta = rng.permutation(n)
+
+    def place(cell, cells):
+        return (cell + 0.5 + 0.1 * (rng.random(n) - 0.5)) / cells
+
+    dims = np.floor(np.exp(place(i_d, 8) * math.log(2001))).astype(int)
+    eps = 10.0 ** (-1.0 + 2.0 * place(i_eps, 8))
+    delta = 10.0 ** (-10.0 + 7.0 * place(i_delta, n))
+    probes = [
+        calibrate_l2(int(d), PrivacyParams(float(e), float(dl))).search_iterations
+        for d, e, dl in zip(dims, eps, delta)
+    ]
+    assert np.mean(probes) <= 3.3125 + 0.15
+    assert max(probes) <= 9
 
 
 def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
@@ -138,39 +168,65 @@ def test_l2_starts_at_the_midpoint_without_a_gaussian_sigma():
     assert res.sigma == 1.0 and not res.hit_bracket_floor
 
 
+_ODD_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     depth=st.integers(1, 20),
     lo=st.floats(1e-4, 1.0),
     width=st.floats(1e-2, 10.0),
-    where=st.sampled_from(("inside", "below", "above")),
+    where=st.sampled_from(("inside", "below", "above", "huge", "inf", "nan")),
     t=st.floats(0.0, 1.0),
     u=st.floats(0.0, 1.0),
     fraction=st.floats(0.0, 2.0),
+    margins=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats()),
+            st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats()),
+            st.one_of(st.sampled_from(_ODD_FLOATS), st.floats(-1e3, 1e3)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
 )
 def test_lattice_search_estimate_moves_probes_not_the_answer(
-    depth, lo, width, where, t, u, fraction
+    depth, lo, width, where, t, u, fraction, margins
 ):
     # a monotone verdict with its threshold at any lattice index, and a
     # steer that keeps offering one estimate inside, below or above the
-    # bracket: the search finds the unsteered index within depth + 3 probes
+    # bracket, or one that is not finite; then calibrate_l2's own steer on
+    # arbitrary margin points, with zero, wrong-signed, huge and
+    # non-finite slopes and repeated w: every search finds the unsteered
+    # index within depth + 3 probes, and none raises
     hi = lo + width
     threshold = _lattice_sigma(round(t * (1 << depth)), depth, lo, hi)
     estimate = {
         "inside": lo + u * width,
         "below": lo - fraction * width,
         "above": hi + fraction * width,
+        "huge": 1e308,
+        "inf": math.inf,
+        "nan": math.nan,
     }[where]
+    eps = 0.5 / hi  # 1/sigma - eps > 0 over the whole bracket
     probes = 0
 
     def probe(sigma):
         nonlocal probes
         probes += 1
-        return sigma >= threshold, (sigma, sigma - threshold)
+        passed = sigma >= threshold
+        du, w, s = margins[probes % len(margins)]
+        return passed, _Margin(math.log(1.0 / sigma - eps) + du, w, s, passed)
+
+    def margin_steer(points):
+        return _margin_sigma(points, eps) if points else estimate
 
     want = _lattice_search(lo, hi, depth, lambda s: (s >= threshold, None))
-    assert _lattice_search(lo, hi, depth, probe, lambda points: estimate) == want
-    assert probes <= depth + 3
+    for steer in (lambda points: estimate, margin_steer):
+        probes = 0
+        assert _lattice_search(lo, hi, depth, probe, steer) == want
+        assert probes <= depth + 3
 
 
 def test_l2_search_matches_bisection(monkeypatch):

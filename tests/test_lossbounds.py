@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from l2mech.calibrate import PrivacyParams
+from l2mech.calibrate import PrivacyParams, calibrate_l2
+from l2mech.capgeom import LossGeometry, height_h
 from l2mech.lossbounds import (
     BRANCH_GENERAL,
     BRANCH_LARGE_SIGMA,
@@ -69,6 +70,9 @@ def test_check_branches_and_verdicts():
     assert rep4.branch == BRANCH_GENERAL
     assert isinstance(rep4, BoundReport)
     assert abs(rep4.lhs_upper - (rep4.term1_upper - math.e * rep4.term2_lower)) < 1e-15
+    # only the general branch's sums carry a slope
+    assert rep.lhs_slope is None and rep2.lhs_slope is None and rep3.lhs_slope is None
+    assert isinstance(rep4.lhs_slope, float) and rep4.lhs_slope < 0.0
 
 
 def test_terms_match_scipy_reference():
@@ -183,6 +187,34 @@ CHECK_HEX = [
     (1000, 1.9, 0.5, 1e-05, 64, 2000,
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 ]
+
+
+@pytest.mark.parametrize(
+    "d,eps,delta",
+    [(2, 1.0, 1e-3), (3, 1.0, 1e-5), (10, 1.0, 1e-5), (100, 1.0, 1e-5),
+     (1000, 1.0, 1e-5)],
+)
+def test_lhs_slope_is_the_derivative_of_lhs_upper(d, eps, delta):
+    # lhs_slope steers calibrate_l2's probes, so it must be the derivative
+    # of the discrete bound itself, not of the true hockey-stick: here a
+    # central difference of lhs_upper, at and below the calibrated sigma.
+    # Each term1 grid starts at a saturated node (h = 2r, the whole
+    # sphere), and term2's d = 2 grid at h = 0, where z^(a - 1) = z^(-1/2)
+    # of the cap fraction's rate is singular
+    pp = PrivacyParams(eps, delta)
+    calibrated = calibrate_l2(d, pp).sigma
+    for fraction in (0.6, 0.95, 1.0):
+        sigma = fraction * calibrated
+        tau = eps * sigma
+        r_first = (1.0 - tau) / 2.0
+        assert height_h(LossGeometry(d, sigma, eps), r_first) == 2.0 * r_first
+        rep = check_approx_dp(d, sigma, pp)
+        assert rep.branch == BRANCH_GENERAL
+        step = 1e-6 * sigma
+        above = check_approx_dp(d, sigma + step, pp).lhs_upper
+        below = check_approx_dp(d, sigma - step, pp).lhs_upper
+        central = (above - below) / (2.0 * step)
+        assert rep.lhs_slope == pytest.approx(central, rel=1e-4), (d, fraction)
 
 
 def test_check_values_pinned_bitwise():
