@@ -34,6 +34,13 @@ def positive(name: str, value):
     return None if ok else f"{name} must be positive and finite"
 
 
+def number(name: str, value):
+    """None if value is one number (a 0-d array counts), else a message saying so."""
+    if np.ndim(value) == 0:
+        return None
+    return f"{name} must be one number, not an array of shape {np.shape(value)}"
+
+
 def instance(name: str, value, cls: type):
     """None if value is a cls, else a message saying it must be one."""
     return None if isinstance(value, cls) else f"{name} must be a {cls.__name__}"

@@ -103,7 +103,10 @@ class CalibrationResult:
                 self.mechanism in MECHANISMS, f"mechanism must be one of {MECHANISMS}"
             ),
             positive("sigma", self.sigma),
-            unless(not self.tolerance < 0, "tolerance must be nonnegative"),
+            unless(
+                math.isfinite(self.tolerance) and self.tolerance >= 0,
+                "tolerance must be finite and nonnegative",
+            ),
         )
 
 

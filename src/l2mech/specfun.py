@@ -26,11 +26,12 @@ stay finite:
 Nothing here imports scipy; the test suite cross-checks these kernels
 against 40-digit mpmath and an independent quadrature oracle.
 
-Array inputs run packed numpy iterations so that thousand-point radial
-grids converge in a handful of vector ops.  That is the only path:
-arguments broadcast together and run as one flat batch (a scalar as a
-one-element array, which comes back as a float), and the gamma
-inverses take Newton steps on it.
+Each call takes one shape: a (and b) are single numbers, x a number or
+an array of any shape.  x runs as one flat batch of packed numpy
+iterations, so a thousand-point radial grid converges in a handful of
+vector ops; a number x is a one-element batch that comes back as a
+float.  That is the only path, and the gamma inverses take Newton steps
+on it.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive, require, unless
+from ._checks import number, positive, require, unless
 
 __all__ = [
     "ConvergenceError",
@@ -68,7 +69,8 @@ class ConvergenceError(RuntimeError):
 class SpecFunResult:
     """Value of an iterative kernel plus its convergence diagnostics.
 
-    value holds a float (or an array for array calls), iterations the
+    value holds a float for a number x and an array of x's shape for an
+    array x (the shapes a and b are always single numbers), iterations the
     worst element's count over every regime the call ran: loop
     iterations for the series and continued fractions, terms for the
     asymptotic expansions (Temme's polynomial in eta, BGRAT's sum).  A
@@ -126,46 +128,20 @@ def _log1pmx_vec(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_log_prefactor_vec(a, x: np.ndarray) -> np.ndarray:
-    a = np.broadcast_to(a, x.shape)
-    out = np.empty(x.shape)
-    small = a < _STIRLING_SWITCH
-    if small.any():
-        out[small] = a[small] * np.log(x[small]) - x[small] - _lgamma_vec(a[small])
-    big = ~small
-    if big.any():
-        ab = a[big]
-        out[big] = (
-            ab * _log1pmx_vec(x[big] / ab)
-            + 0.5 * np.log(ab)
-            - _HALF_LN_2PI
-            - _stirling_corr(ab)
-        )
-    return out
+def _gamma_log_prefactor_vec(a: float, x: np.ndarray) -> np.ndarray:
+    if a < _STIRLING_SWITCH:
+        return a * np.log(x) - x - math.lgamma(a)
+    return a * _log1pmx_vec(x / a) + 0.5 * np.log(a) - _HALF_LN_2PI - _stirling_corr(a)
 
 
 # ---------------------------------------------------------------------------
-# packed vector kernels (flat arrays, every element in the same regime).
-# A shape parameter may be a float instead of an array: radial grids share
-# one shape ((d-1)/2, 1/2 or d), and scalar operands save array work in
-# every iteration.  The loops use only + - * /, which round the same for
-# floats and array elements, so either form gives bitwise equal values.
+# packed vector kernels: one float shape (a radial grid's (d-1)/2, 1/2 or
+# d) and a flat array x, every element in the same regime
 
 
-def _uniform(v: np.ndarray):
-    """v's single value as a float when every element shares it, else v."""
-    if v.size and (v == v.flat[0]).all():
-        return float(v.flat[0])
-    return v
-
-
-def _part(v, mask: np.ndarray):
-    return v if isinstance(v, float) else v[mask]
-
-
-def _gamma_series_vec(a, x: np.ndarray, max_iter: int):
+def _gamma_series_vec(a: float, x: np.ndarray, max_iter: int):
     ap = a
-    total = np.broadcast_to(1.0 / a, x.shape).copy()
+    total = np.full(x.shape, 1.0 / a)
     term = total.copy()
     # with x < a + 1 every term is positive and smaller than the one
     # before, so an element stays converged once it is: the loop stops at
@@ -186,17 +162,16 @@ def _gamma_series_vec(a, x: np.ndarray, max_iter: int):
     return np.clip(p, 0.0, 1.0), i, term < total * _EPS
 
 
-def _gamma_cf_vec(a, x: np.ndarray, max_iter: int):
+def _gamma_cf_vec(a: float, x: np.ndarray, max_iter: int):
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d.copy()
     lentz = _Lentz(x.size)
-    aw = a
     i = 0
     while lentz.left.size and i < max_iter:
         i += 1
-        an = -i * (i - aw)
+        an = -i * (i - a)
         b += 2.0
         d = an * d + b
         np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
@@ -207,12 +182,12 @@ def _gamma_cf_vec(a, x: np.ndarray, max_iter: int):
         h = h * delt
         done = np.abs(delt - 1.0) < _EPS
         if done.any():
-            aw, b, c, d, h = lentz.retire(done, h, aw, b, c, d, h)
+            b, c, d, h = lentz.retire(done, h, b, c, d, h)
     q = lentz.finish(h) * np.exp(_gamma_log_prefactor_vec(a, x))
     return np.clip(q, 0.0, 1.0), i, lentz.conv
 
 
-def _betacf_vec(a, b, x: np.ndarray, max_iter: int):
+def _betacf_vec(a: float, b: float, x: np.ndarray, max_iter: int):
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -243,9 +218,7 @@ def _betacf_vec(a, b, x: np.ndarray, max_iter: int):
         h = h * even * delt
         done = np.abs(delt - 1.0) < _EPS
         if done.any():
-            a, b, x, qab, qap, qam, c, d, h = lentz.retire(
-                done, h, a, b, x, qab, qap, qam, c, d, h
-            )
+            x, c, d, h = lentz.retire(done, h, x, c, d, h)
     return lentz.finish(h), m, lentz.conv
 
 
@@ -271,7 +244,7 @@ class _Lentz:
         self.conv[gone] = True
         keep = ~done
         self.left = self.left[keep]
-        return [w[keep] if isinstance(w, np.ndarray) else w for w in work]
+        return [w[keep] for w in work]
 
     def finish(self, value: np.ndarray) -> np.ndarray:
         self.value[self.left] = value
@@ -348,7 +321,7 @@ def _erfc(v: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(e) for e in v.tolist()])
 
 
-def _gamma_temme_vec(a, x: np.ndarray, max_iter: int):
+def _gamma_temme_vec(a: float, x: np.ndarray, max_iter: int):
     """(P, Q, terms, converged) by Temme's uniform expansion, for a >= 20 near x = a.
 
     With eta = sign(x - a) sqrt(2 (lambda - 1 - log(lambda))), lambda = x/a,
@@ -370,21 +343,21 @@ def _gamma_temme_vec(a, x: np.ndarray, max_iter: int):
     log_pref = a * (2.0 * (w * w2) * s - t * w)  # -a eta^2 / 2
     root = np.sqrt(-log_pref)  # |eta| sqrt(a/2)
     eta = np.copysign(root, t) * np.sqrt(2.0 / a)
-    coef = np.power.outer(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
-    terms = min(coef.shape[-1], max_iter)  # a max_iter below it cuts the sum short
-    poly = np.broadcast_to(coef[..., terms - 1], t.shape)
+    coef = np.power(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
+    terms = min(coef.size, max_iter)  # a max_iter below it cuts the sum short
+    poly = np.full(t.shape, coef[terms - 1])
     for n in range(terms - 2, -1, -1):
-        poly = poly * eta + coef[..., n]
+        poly = poly * eta + coef[n]
     r = np.exp(log_pref) * poly / np.sqrt(2.0 * math.pi * a)
     upper = t >= 0.0
     tail = 0.5 * _erfc(root) + np.where(upper, r, -r)
     tail = np.clip(tail, 0.0, 1.0)
     p = np.where(upper, 1.0 - tail, tail)
     q = np.where(upper, tail, 1.0 - tail)
-    return p, q, terms, terms == coef.shape[-1]
+    return p, q, terms, terms == coef.size
 
 
-def _bgrat_vec(a, b, x: np.ndarray, ratio, max_iter: int):
+def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float, max_iter: int):
     """(I_x(a, b), terms, converged) for a >= 15, b <= 1, 1 - x < 0.3.
 
     BGRAT (DiDonato & Morris 1992, ACM TOMS 18, Algorithm 708): with
@@ -398,12 +371,12 @@ def _bgrat_vec(a, b, x: np.ndarray, ratio, max_iter: int):
     log_x = np.log1p(-(1.0 - x))  # 1 - x is exact for x >= 1/2
     nu = a + 0.5 * (b - 1.0)
     z = -nu * log_x
-    if isinstance(b, float) and b == 0.5:
+    if b == 0.5:
         k, iters, conv = _erfc(np.sqrt(z)), 0, np.ones(z.shape, dtype=bool)
     else:
-        _, k, iters, conv = _gamma_pq_vec(np.broadcast_to(b, z.shape), z, max_iter)
+        _, k, iters, conv = _gamma_pq_vec(b, z, max_iter)
     # R (z / (2 nu))^(2n - 2), R = z^b e^-z / Gamma(b)
-    power = np.exp(b * np.log(z) - z - _lgamma_vec(b))
+    power = np.exp(b * np.log(z) - z - math.lgamma(b))
     quarter_log2 = 0.25 * log_x * log_x
     v = 0.25 / (nu * nu)
     total = k.copy()
@@ -425,17 +398,7 @@ def _bgrat_vec(a, b, x: np.ndarray, ratio, max_iter: int):
     return np.clip(val, 0.0, 1.0), max(n, iters), conv & done
 
 
-_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
-
-
-def _lgamma_vec(a):
-    """lgamma of a float, or of each element (once if they all agree)."""
-    if isinstance(a, np.ndarray):
-        a = _uniform(a)
-    return math.lgamma(a) if isinstance(a, float) else _lgamma_each(a)
-
-
-def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
+def _gamma_pq_vec(a: float, x: np.ndarray, max_iter: int):
     p = np.empty(x.shape)
     q = np.empty(x.shape)
     conv = np.ones(x.shape, dtype=bool)
@@ -445,23 +408,20 @@ def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
     q[zero] = 1.0
     low = (x < a + 1.0) & ~zero
     high = ~low & ~zero
-    a = _uniform(a)
-    if not (isinstance(a, float) and a < _TEMME_MIN_A):
-        near = (a >= _TEMME_MIN_A) & (np.abs(x - a) <= _TEMME_REACH * a)
+    if a >= _TEMME_MIN_A:
+        near = np.abs(x - a) <= _TEMME_REACH * a
         if near.any():
-            p[near], q[near], iters, conv[near] = _gamma_temme_vec(
-                _part(a, near), x[near], max_iter
-            )
+            p[near], q[near], iters, conv[near] = _gamma_temme_vec(a, x[near], max_iter)
             low &= ~near
             high &= ~near
     if low.any():
-        pv, it, ok = _gamma_series_vec(_part(a, low), x[low], max_iter)
+        pv, it, ok = _gamma_series_vec(a, x[low], max_iter)
         p[low] = pv
         q[low] = 1.0 - pv
         conv[low] = ok
         iters = max(iters, it)
     if high.any():
-        qv, it, ok = _gamma_cf_vec(_part(a, high), x[high], max_iter)
+        qv, it, ok = _gamma_cf_vec(a, x[high], max_iter)
         q[high] = qv
         p[high] = 1.0 - qv
         conv[high] = ok
@@ -469,25 +429,22 @@ def _gamma_pq_vec(a: np.ndarray, x: np.ndarray, max_iter: int):
     return p, q, iters, conv
 
 
-def _lgamma_ratio(a, b):
+def _lgamma_ratio(a: float, b: float) -> float:
     """lgamma(a + b) - lgamma(a).
 
     Above _STIRLING_SWITCH the two are O(a log a) and their difference
     O(b log a), so their Stirling forms are subtracted symbolically.
     """
-    if isinstance(a, float) and a < _STIRLING_SWITCH:
-        return _lgamma_vec(a + b) - _lgamma_vec(a)
-    big = (
+    if a < _STIRLING_SWITCH:
+        return math.lgamma(a + b) - math.lgamma(a)
+    return (
         (a - 0.5) * np.log1p(b / a)
         + b * (np.log(a + b) - 1.0)
         + (_stirling_corr(a + b) - _stirling_corr(a))
     )
-    if isinstance(a, float):
-        return big
-    return np.where(a >= _STIRLING_SWITCH, big, _lgamma_vec(a + b) - _lgamma_vec(a))
 
 
-def _betainc_vec(x: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int):
+def _betainc_vec(x: np.ndarray, a: float, b: float, max_iter: int):
     val = np.empty(x.shape)
     conv = np.ones(x.shape, dtype=bool)
     iters = 0
@@ -497,36 +454,35 @@ def _betainc_vec(x: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int):
     val[hi] = 1.0
     mid = ~lo & ~hi
     if mid.any():
-        xm, am, bm = x[mid], _uniform(a[mid]), _uniform(b[mid])
-        ratio = _lgamma_ratio(am, bm)
-        lbt = ratio - _lgamma_vec(bm) + am * np.log(xm) + bm * np.log1p(-xm)
-        bt = np.exp(lbt)
+        xm = x[mid]
+        ratio = _lgamma_ratio(a, b)
+        log_front = ratio - math.lgamma(b)
+
+        def front(sel):
+            # x^a (1 - x)^b / B(a, b), which only the continued fraction uses
+            xs = xm[sel]
+            return np.exp(log_front + a * np.log(xs) + b * np.log1p(-xs))
+
         out = np.empty(xm.shape)
         okm = np.ones(xm.shape, dtype=bool)
-        direct = xm < (am + 1.0) / (am + bm + 2.0)
+        direct = xm < (a + 1.0) / (a + b + 2.0)
         swap = ~direct
-        if not (
-            isinstance(am, float) and am < _BGRAT_MIN_A
-            or isinstance(bm, float) and bm > 1.0
-        ):
-            near = (am >= _BGRAT_MIN_A) & (bm <= 1.0) & (1.0 - xm < _BGRAT_REACH)
+        if a >= _BGRAT_MIN_A and b <= 1.0:
+            near = 1.0 - xm < _BGRAT_REACH
             if near.any():
-                am_n, bm_n, ratio_n = (_part(v, near) for v in (am, bm, ratio))
                 out[near], iters, okm[near] = _bgrat_vec(
-                    am_n, bm_n, xm[near], ratio_n, max_iter
+                    a, b, xm[near], ratio, max_iter
                 )
                 direct &= ~near
                 swap &= ~near
         if direct.any():
-            am_d = _part(am, direct)
-            cf, it, ok = _betacf_vec(am_d, _part(bm, direct), xm[direct], max_iter)
-            out[direct] = bt[direct] * cf / am_d
+            cf, it, ok = _betacf_vec(a, b, xm[direct], max_iter)
+            out[direct] = front(direct) * cf / a
             okm[direct] = ok
             iters = max(iters, it)
         if swap.any():
-            bm_s = _part(bm, swap)
-            cf, it, ok = _betacf_vec(bm_s, _part(am, swap), 1.0 - xm[swap], max_iter)
-            out[swap] = 1.0 - bt[swap] * cf / bm_s
+            cf, it, ok = _betacf_vec(b, a, 1.0 - xm[swap], max_iter)
+            out[swap] = 1.0 - front(swap) * cf / b
             okm[swap] = ok
             iters = max(iters, it)
         val[mid] = out
@@ -534,31 +490,26 @@ def _betainc_vec(x: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int):
     return np.clip(val, 0.0, 1.0), iters, conv
 
 
-def _flat(*arrays):
-    """The arrays broadcast together and flattened, plus their common shape."""
-    arrays = np.broadcast_arrays(*arrays)
-    return [v.astype(np.float64).ravel() for v in arrays], arrays[0].shape
-
-
 # ---------------------------------------------------------------------------
 # public surface
 
 
+def _shaped(v: np.ndarray, shape: tuple):
+    """A kernel's flat output in x's shape: a float for a number x."""
+    return v.reshape(shape) if shape else float(v[0])
+
+
 def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
-    """P(a, x) and Q(a, x) of one kernel pass over the flattened arguments."""
-    a_arr = np.asarray(a, dtype=np.float64)
+    """P(a, x) and Q(a, x) of one kernel pass over the flattened x."""
+    require(number("a", a))
     x_arr = np.asarray(x, dtype=np.float64)
     require(
-        unless(
-            np.all(np.isfinite(a_arr)) and np.all(np.isfinite(x_arr)),
-            "a and x must be finite",
-        ),
-        unless(not np.any(a_arr <= 0), "a must be positive"),
+        positive("a", a),
+        unless(np.all(np.isfinite(x_arr)), "x must be finite"),
         unless(not np.any(x_arr < 0), "x must be nonnegative"),
     )
-    (a_flat, x_flat), shape = _flat(a_arr, x_arr)
-    *pq, iters, conv = _gamma_pq_vec(a_flat, x_flat, max_iter)
-    pq = tuple(v.reshape(shape) if shape else float(v[0]) for v in pq)
+    *pq, iters, conv = _gamma_pq_vec(float(a), x_arr.ravel(), max_iter)
+    pq = tuple(_shaped(v, x_arr.shape) for v in pq)
     return SpecFunResult(pq, bool(conv.all()), iters)
 
 
@@ -570,8 +521,9 @@ def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
 def reg_lower_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
     """P(a, x) = lower incomplete gamma(a, x) / Gamma(a), with diagnostics.
 
-    iterations is the worst element's count: loop iterations, or terms
-    where the element took an asymptotic expansion (see SpecFunResult).
+    a is one number, x a number or an array of any shape.  iterations
+    is the worst element's count: loop iterations, or terms where the
+    element took an asymptotic expansion (see SpecFunResult).
     """
     return _gamma_result(a, x, max_iter, upper=False)
 
@@ -579,8 +531,9 @@ def reg_lower_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
 def reg_upper_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
     """Q(a, x) = 1 - P(a, x), computed directly in the tail regime.
 
-    iterations is the worst element's count: loop iterations, or terms
-    where the element took an asymptotic expansion (see SpecFunResult).
+    a is one number, x a number or an array of any shape.  iterations
+    is the worst element's count: loop iterations, or terms where the
+    element took an asymptotic expansion (see SpecFunResult).
     """
     return _gamma_result(a, x, max_iter, upper=True)
 
@@ -594,44 +547,36 @@ def _unwrap(res: SpecFunResult, what: str):
 
 
 def reg_lower_gamma(a, x, max_iter: int = _MAX_ITER):
-    """Regularized lower incomplete gamma P(a, x), clamped to [0, 1]."""
+    """Regularized lower incomplete gamma P(a, x) for one number a, in [0, 1]."""
     return _unwrap(reg_lower_gamma_result(a, x, max_iter), "reg_lower_gamma")
 
 
 def reg_upper_gamma(a, x, max_iter: int = _MAX_ITER):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x) for one number a."""
     return _unwrap(reg_upper_gamma_result(a, x, max_iter), "reg_upper_gamma")
 
 
 def reg_inc_beta_result(x, a, b, max_iter: int = _MAX_ITER) -> SpecFunResult:
     """Regularized incomplete beta I_x(a, b), with diagnostics.
 
+    a and b are one number each, x a number or an array of any shape.
     iterations is the worst element's count: loop iterations, or terms
     where the element took an asymptotic expansion (see SpecFunResult).
     """
+    require(number("a", a), number("b", b))
     x_arr = np.asarray(x, dtype=np.float64)
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
     require(
-        unless(
-            np.all(np.isfinite(x_arr))
-            and np.all(np.isfinite(a_arr))
-            and np.all(np.isfinite(b_arr)),
-            "x, a, b must be finite",
-        ),
-        unless(
-            not (np.any(a_arr <= 0) or np.any(b_arr <= 0)), "a and b must be positive"
-        ),
+        positive("a", a),
+        positive("b", b),
+        unless(np.all(np.isfinite(x_arr)), "x must be finite"),
         unless(not (np.any(x_arr < 0) or np.any(x_arr > 1)), "x must lie in [0, 1]"),
     )
-    flat, shape = _flat(x_arr, a_arr, b_arr)
-    val, iters, conv = _betainc_vec(*flat, max_iter)
-    value = float(val[0]) if shape == () else val.reshape(shape)
-    return SpecFunResult(value, bool(conv.all()), iters)
+    val, iters, conv = _betainc_vec(x_arr.ravel(), float(a), float(b), max_iter)
+    return SpecFunResult(_shaped(val, x_arr.shape), bool(conv.all()), iters)
 
 
 def reg_inc_beta(x, a, b, max_iter: int = _MAX_ITER):
-    """Regularized incomplete beta I_x(a, b), clamped to [0, 1]."""
+    """Regularized incomplete beta I_x(a, b) for one number a and b, in [0, 1]."""
     return _unwrap(reg_inc_beta_result(x, a, b, max_iter), "reg_inc_beta")
 
 
@@ -662,7 +607,7 @@ def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
     for _ in range(_NEWTON_STEPS):
         if x == 0.0:
             return x  # the quantile lies below the smallest float
-        *pq, _, conv = _gamma_pq_vec(np.array([a]), np.array([x]), max_iter)
+        *pq, _, conv = _gamma_pq_vec(a, np.array([x]), max_iter)
         if not conv.all():
             raise ConvergenceError("gamma quantile: CDF evaluation stalled")
         tail = float(pq[upper][0])
@@ -692,6 +637,7 @@ def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
     For p > 1/2 the search runs on Q(a, x) = 1 - p instead, so quantiles
     like p = 1 - 1e-7 keep full relative accuracy in the tail.
     """
+    require(number("a", a), number("p", p))
     require(positive("a", a))
     if not (np.isfinite(p) and 0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
@@ -706,6 +652,7 @@ def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
     Taking q directly (rather than p = 1 - q) avoids the cancellation: x
     keeps ~1e-12 relative accuracy down to q ~ 1e-300 when a >= 0.01.
     """
+    require(number("a", a), number("q", q))
     require(positive("a", a))
     if not (np.isfinite(q) and 0.0 < q <= 1.0):
         raise ValueError("q must lie in (0, 1]")
@@ -716,6 +663,7 @@ def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
 
 def std_normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc; accurate deep into both tails."""
+    require(number("t", t))
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     return 0.5 * math.erfc(-float(t) / _SQRT2)

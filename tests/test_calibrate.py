@@ -45,6 +45,10 @@ def test_calibration_result_validation():
         CalibrationResult("cauchy", 0.5, 2.0, 11, 1e-3)
     with pytest.raises(ValueError):
         CalibrationResult("l2", -0.5, 2.0, 11, 1e-3)
+    assert CalibrationResult("l2", 0.5, 2.0, 0, 0.0).tolerance == 0.0
+    for tolerance in (math.nan, math.inf, -1e-3):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            CalibrationResult("l2", 0.5, 2.0, 11, tolerance)
     assert MECHANISMS == ("l2", "laplace", "gaussian")
 
 

@@ -1,5 +1,6 @@
 """Special-function kernels against quadrature goldens and identities."""
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import oracles
@@ -81,48 +84,44 @@ def test_reg_lower_gamma_domain_errors():
 
 
 def test_gamma_vector_matches_scalar():
-    # a scalar call is a 1x1 row of the vector kernel: a float, bit for
-    # bit the one-element array call's value
+    # a number x is a 1x1 row of the vector kernel: a float, bit for bit
+    # the one-element array call's value
     a = np.array([0.5, 1.0, 2.0, 7.0, 120.0, 5000.0])
     x = np.array([1e-9, 0.5, 1.0, 9.0, 100.0, 5100.0])
-    for fn in (reg_lower_gamma, reg_upper_gamma):
-        for i in range(a.size):
+    for i in range(a.size):
+        for fn in (reg_lower_gamma, reg_upper_gamma):
             got = fn(float(a[i]), float(x[i]))
             assert type(got) is float
-            one = fn(a[i:i + 1], x[i:i + 1])
+            one = fn(float(a[i]), x[i:i + 1])
             assert got == one[0], (fn, a[i], x[i])
-    vec = reg_lower_gamma(a, x)
-    qvec = reg_upper_gamma(a, x)
-    assert np.all(np.abs(vec + qvec - 1.0) < ABS_TOL)
+        p, q = reg_lower_gamma(float(a[i]), x[i]), reg_upper_gamma(float(a[i]), x[i])
+        assert abs(p + q - 1.0) < ABS_TOL
 
 
 @pytest.mark.parametrize("max_iter", [20000, 4])
 def test_vector_kernels_match_masked_reference(max_iter):
-    # scalar shapes, early exit and dropped elements change how much work
-    # the loops do, never the arithmetic an element sees
+    # early exit and dropped elements change how much work the loops do,
+    # never the arithmetic an element sees
     rng = np.random.default_rng(5)
     for d in (2, 3, 10, 100, 1000, 5000):
-        shapes = [np.full(400, float(d)), rng.uniform(0.5, 2.0 * d, 400)]
-        for a in shapes:
-            x = a * rng.uniform(0.01, 3.0, 400)
-            low = x < a + 1.0
-            for sel, kernel, ref in (
-                (low, specfun._gamma_series_vec, oracles.masked_gamma_series),
-                (~low, specfun._gamma_cf_vec, oracles.masked_gamma_cf),
-            ):
-                want, iters, ok = ref(a[sel], x[sel], max_iter)
-                for shape in (a[sel], specfun._uniform(a[sel])):
-                    got = kernel(shape, x[sel], max_iter)
-                    assert np.array_equal(got[0], want), (d, kernel)
-                    assert got[1] == iters.max() and np.array_equal(got[2], ok)
-        for a, b in ((np.full(400, (d - 1) / 2.0), np.full(400, 0.5)),
-                     (rng.uniform(0.5, d, 400), rng.uniform(0.5, 3.0, 400))):
-            x = rng.uniform(0.0, 1.0, 400)
-            want, iters, ok = oracles.masked_betacf(a, b, x, max_iter)
-            for pa, pb in ((a, b), (specfun._uniform(a), specfun._uniform(b))):
-                got = specfun._betacf_vec(pa, pb, x, max_iter)
-                assert np.array_equal(got[0], want), d
-                assert got[1] == iters.max() and np.array_equal(got[2], ok)
+        a = np.full(400, float(d))
+        x = a * rng.uniform(0.01, 3.0, 400)
+        low = x < a + 1.0
+        for sel, kernel, ref in (
+            (low, specfun._gamma_series_vec, oracles.masked_gamma_series),
+            (~low, specfun._gamma_cf_vec, oracles.masked_gamma_cf),
+        ):
+            want, iters, ok = ref(a[sel], x[sel], max_iter)
+            got = kernel(float(d), x[sel], max_iter)
+            assert np.array_equal(got[0], want), (d, kernel)
+            assert got[1] == iters.max() and np.array_equal(got[2], ok)
+        a, b = (d - 1) / 2.0, 0.5
+        x = rng.uniform(0.0, 1.0, 400)
+        shapes = np.full(400, a), np.full(400, b)
+        want, iters, ok = oracles.masked_betacf(*shapes, x, max_iter)
+        got = specfun._betacf_vec(a, b, x, max_iter)
+        assert np.array_equal(got[0], want), d
+        assert got[1] == iters.max() and np.array_equal(got[2], ok)
 
 
 def _check_hex_grids():
@@ -147,7 +146,7 @@ def test_gamma_array_call_is_the_flat_call_reshaped(max_iter):
     for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
         flat = fn(100.0, x, max_iter)
         for shape in ((2, 1032), (24, 1, 86)):
-            got = fn(np.full(shape[:-1] + (1,), 100.0), x.reshape(shape), max_iter)
+            got = fn(100.0, x.reshape(shape), max_iter)
             assert np.array_equal(got.value, flat.value.reshape(shape)), (fn, shape)
             assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
         if max_iter == 20000:
@@ -178,7 +177,8 @@ def test_gamma_scipy_cross_check_grid():
     rng = np.random.default_rng(1)
     a = rng.uniform(0.5, 2000.0, size=200)
     x = a * rng.uniform(0.1, 2.5, size=200)
-    assert np.max(np.abs(reg_lower_gamma(a, x) - special.gammainc(a, x))) < ABS_TOL
+    got = np.array([reg_lower_gamma(ai, xi) for ai, xi in zip(a, x)])
+    assert np.max(np.abs(got - special.gammainc(a, x))) < ABS_TOL
 
 
 def _gamma_sample(a):
@@ -291,14 +291,23 @@ def test_reg_inc_beta_frozen_goldens():
             assert abs(reg_inc_beta(x, a, b) - want) < ABS_TOL, key
 
 
-def test_reg_inc_beta_reflection_identity():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.0, 1.0, size=100)
-    a = rng.uniform(0.2, 80.0, size=100)
-    b = rng.uniform(0.2, 80.0, size=100)
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.2, 80.0),
+    b=st.floats(0.2, 80.0),
+    x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_reg_inc_beta_reflection_identity(a, b, x):
+    # I_x(a, b) = 1 - I_(1-x)(b, a), and P(a, y) + Q(a, y) = 1, for one
+    # shape and an array argument.  x is moved to 1 - (1 - x) so that
+    # 1 - x is its exact complement: at x = 6e-28 the rounded 1 - x is 1
+    x = 1.0 - (1.0 - np.array(x))
     lhs = reg_inc_beta(x, a, b)
     rhs = 1.0 - reg_inc_beta(1.0 - x, b, a)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+    y = 3.0 * a * x
+    total = reg_lower_gamma(a, y) + reg_upper_gamma(a, y)
+    assert np.max(np.abs(total - 1.0)) < ABS_TOL
 
 
 def test_reg_inc_beta_monotone_in_x():
@@ -314,7 +323,7 @@ def test_scalar_beta_runs_the_vector_kernel():
         for a, b in ((0.5, 0.5), (4.5, 0.5), (49.5, 0.5), (499.5, 0.5), (2.0, 3.0)):
             got = reg_inc_beta(x, a, b)
             assert type(got) is float
-            one = reg_inc_beta(np.array([x]), np.array([a]), np.array([b]))
+            one = reg_inc_beta(np.array([x]), a, b)
             assert got == one[0], (x, a, b)
 
 
@@ -449,6 +458,35 @@ def test_gamma_inverses_against_mpmath():
     # only a = 0.5 puts lower-tail quantiles (of 1e-300, 1e-250 and
     # 1e-200) below the normal floats
     assert checked == 8 * len(masses) * 2 - 3
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (reg_lower_gamma, (2.0, 0.5), "a"),
+        (reg_upper_gamma_result, (2.0, 0.5), "a"),
+        (reg_inc_beta, (0.3, 2.0, 0.5), "a"),
+        (reg_inc_beta_result, (0.3, 2.0, 0.5), "b"),
+        (inv_reg_lower_gamma, (2.0, 0.25), "a"),
+        (inv_reg_lower_gamma, (2.0, 0.25), "p"),
+        (inv_reg_upper_gamma, (2.0, 0.25), "a"),
+        (inv_reg_upper_gamma, (2.0, 0.25), "q"),
+        (std_normal_cdf, (0.3,), "t"),
+    ],
+)
+def test_one_number_arguments(fn, args, name):
+    # a shape, mass or point is one number: a numpy scalar or a 0-d array
+    # gives the float call's value, and an array is refused by name
+    at = list(inspect.signature(fn).parameters).index(name)
+
+    def call(value):
+        return fn(*args[:at], value, *args[at + 1:])
+
+    want = call(args[at])
+    assert call(np.float64(args[at])) == want
+    assert call(np.array(args[at])) == want
+    with pytest.raises(ValueError, match=f"^{name} must be one number"):
+        call(np.array([args[at], args[at]]))
 
 
 def test_std_normal_cdf_values():
