@@ -32,7 +32,6 @@ from .errormodel import (
 from .lossbounds import (
     BoundReport,
     GridDomainError,
-    GridSpec,
     check_approx_dp,
 )
 from .mcverify import EmpiricalPrivacyEstimate, empirical_lhs, empirical_min_sigma
@@ -69,7 +68,6 @@ __all__ = [
     "EmpiricalPrivacyEstimate",
     "ErrorRow",
     "GridDomainError",
-    "GridSpec",
     "LossGeometry",
     "MECHANISMS",
     "ParallelTrace",

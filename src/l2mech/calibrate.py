@@ -18,15 +18,17 @@ check reports with it (lhs_slope).  The estimates move the probes,
 never the answer.
 sigma = 1/epsilon passes in exact arithmetic (the loss region is empty
 there); when epsilon * (1/epsilon) rounds below 1 it is nudged up by
-ulps until its certificate passes.  In one dimension the check
-collapses to a closed form whose minimal sigma is
-1/(epsilon - 2 ln(1 - delta)), used directly.  The Gaussian calibrator
+ulps until its certificate passes.  In one dimension the l2 mechanism
+is the Laplace mechanism, and the check collapses to a closed form
+whose minimal sigma, 1/(epsilon - 2 ln(1 - delta)), is
+laplace_sigma_lower_bound's, used directly.  The Gaussian calibrator
 brackets the exact normal-CDF condition (dimension-independent for
 l2-sensitivity) by powers of two, then bisects it unsteered, as
 mcverify's observational search does on calibrate_l2's bracket.  The
 Laplace scale sqrt(d)/(epsilon + delta) is a closed-form choice
 sitting just above the exact threshold, which is also provided for
-reference.
+reference.  PrivacyParams lives in lossbounds, next to the certificate
+that reads it, and is re-exported here.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
-from .lossbounds import GridDomainError, _check, _exp_eps, _x_star
+from .lossbounds import GridDomainError, PrivacyParams, _check, _exp_eps, _x_star
 from .specfun import std_normal_cdf
 
 __all__ = [
@@ -58,23 +60,6 @@ MECHANISMS = (MECH_L2, MECH_LAPLACE, MECH_GAUSSIAN)
 
 _MAX_SEARCH = 200
 _ULP_BUMP = 1.0 + 4.0 * float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """An (epsilon, delta) approximate-DP target; both strictly bounded."""
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        require(
-            positive("epsilon", self.epsilon),
-            unless(
-                np.isfinite(self.delta) and 0.0 < self.delta < 1.0,
-                "delta must lie strictly in (0, 1)",
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,6 @@ def calibrate_l2(
     n_r: int = 1000,
     n_R: int = 1000,
     tol: float = 1e-3,
-    tail_fraction: float = 0.01,
     sensitivity: float = 1.0,
 ) -> CalibrationResult:
     """Smallest certified sigma for the l2 mechanism in dim dimensions.
@@ -152,13 +136,14 @@ def calibrate_l2(
     closed form.  Either way a sigma that fails its own certificate is
     nudged up by float ulps until it passes, so the returned sigma is
     certified in every branch.  Every probe shares one
-    x_star = r_star / sigma, computed before the search.
+    x_star = r_star / sigma, computed before the search, and every
+    argument is checked once, before the first probe.
     """
-    return _calibrate_l2(dim, params, n_r, n_R, tol, tail_fraction, sensitivity, None)
+    return _calibrate_l2(dim, params, n_r, n_R, tol, sensitivity, None)
 
 
 def _calibrate_l2(
-    dim, params, n_r, n_R, tol, tail_fraction, sensitivity, estimate
+    dim, params, n_r, n_R, tol, sensitivity, estimate
 ) -> CalibrationResult:
     """calibrate_l2 with its first probe at estimate, a unit-sensitivity sigma.
 
@@ -166,8 +151,15 @@ def _calibrate_l2(
     the probes, never the answer: comparison_table passes the previous
     dimension's sigma, which is close but not always above the answer.
     """
-    _validate_common(params, tol, sensitivity, integer("dim", dim))
-    x_star = _x_star(dim, params.delta, tail_fraction)
+    _validate_common(
+        params,
+        tol,
+        sensitivity,
+        integer("dim", dim),
+        integer("n_r", n_r, 2),
+        integer("n_R", n_R, 2),
+    )
+    x_star = _x_star(dim, params.delta)
     eps = params.epsilon
     log_delta = math.log(params.delta)
     evals = 0
@@ -190,9 +182,7 @@ def _calibrate_l2(
         )
 
     if dim == 1:
-        return result(
-            _certify_upward(1.0 / (eps - 2.0 * math.log1p(-params.delta)), certified)
-        )
+        return result(_certify_upward(laplace_sigma_lower_bound(1, params), certified))
 
     lo, hi, depth = _bracket(eps, tol)
     if estimate is None:

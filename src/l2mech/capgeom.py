@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, positive, require
+from ._checks import integer, positive, require, unless
 from .specfun import _lgamma_ratio, reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
@@ -46,11 +46,11 @@ class LossGeometry:
             integer("dim", self.dim),
             positive("sigma", self.sigma),
             positive("epsilon", self.epsilon),
+            unless(
+                self.epsilon * self.sigma < 1.0,
+                "epsilon * sigma must be < 1 (otherwise the loss region is empty)",
+            ),
         )
-        if not self.epsilon * self.sigma < 1.0:
-            raise ValueError(
-                "epsilon * sigma must be < 1 (otherwise the loss region is empty)"
-            )
 
     @property
     def tau(self) -> float:
@@ -80,14 +80,16 @@ def height_H(geom: LossGeometry, R):
     (1 - tau) * (R - (1 + tau)/2) is exactly 0 at the threshold.
     """
     R_arr = np.asarray(R, dtype=np.float64)
-    require(positive("R", R_arr))
     tau = geom.tau
     lo = (1.0 + tau) / 2.0
-    if np.any(R_arr < lo):
-        raise ValueError(
+    require(
+        positive("R", R_arr),
+        unless(
+            not np.any(R_arr < lo),
             f"R must be >= (1 + tau)/2 = {lo}; spheres below that radius "
-            "miss the loss region entirely"
-        )
+            "miss the loss region entirely",
+        ),
+    )
     val = (1.0 - tau) * (R_arr - lo)
     return float(val) if np.ndim(R) == 0 else val
 
@@ -99,17 +101,20 @@ def cap_fraction(dim: int, r, h):
     I_{1-(1-h/r)^2}((dim-1)/2, 1/2) / 2; taller caps use the complement
     of the opposite cap.  Exact at h = 0 (0), h = r (1/2) and h = 2r (1).
     """
-    require(
-        integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)")
-    )
     r_arr = np.asarray(r, dtype=np.float64)
     h_arr = np.asarray(h, dtype=np.float64)
-    if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(h_arr))):
-        raise ValueError("r and h must be finite")
-    if np.any(r_arr <= 0):
-        raise ValueError("r must be positive")
-    if np.any(h_arr < 0) or np.any(h_arr > 2.0 * r_arr):
-        raise ValueError("h must lie in [0, 2r]")
+    require(
+        integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)"),
+        unless(
+            np.all(np.isfinite(r_arr)) and np.all(np.isfinite(h_arr)),
+            "r and h must be finite",
+        ),
+        unless(not np.any(r_arr <= 0), "r must be positive"),
+        unless(
+            not (np.any(h_arr < 0) or np.any(h_arr > 2.0 * r_arr)),
+            "h must lie in [0, 2r]",
+        ),
+    )
     r_b, h_b = np.broadcast_arrays(r_arr, h_arr)
     short = np.minimum(h_b, 2.0 * r_b - h_b)
     u = short / r_b
@@ -142,8 +147,13 @@ def radial_cdf(dim: int, sigma: float, r):
     The radial density is proportional to s^(dim-1) exp(-s/sigma), so the
     CDF is the regularized lower incomplete gamma P(dim, r/sigma).
     """
-    require(integer("dim", dim), positive("sigma", sigma))
     r_arr = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(r_arr)) or np.any(r_arr < 0):
-        raise ValueError("r must be nonnegative and finite")
+    require(
+        integer("dim", dim),
+        positive("sigma", sigma),
+        unless(
+            np.all(np.isfinite(r_arr)) and not np.any(r_arr < 0),
+            "r must be nonnegative and finite",
+        ),
+    )
     return reg_lower_gamma(float(dim), r_arr / sigma)

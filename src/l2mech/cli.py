@@ -1,7 +1,9 @@
 """Command-line front end: calibrate, compare, sample, verify.
 
-All value flags are parsed leniently and validated in one pass, so a
-usage error reports every violated constraint in a single stderr line.
+One table of value flags (_FLAGS: field, parser, _checks rule, help)
+builds every subparser, and parse_args runs every required-flag and
+range check over it in one loop, so a usage error reports every
+violated constraint in a single stderr line.
 Exit codes: 0 success, 2 usage/validation error, 1 numerical failure
 (non-convergence, unresolvable grids, bracketing failures).
 
@@ -22,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from ._checks import integer, positive, unless
 from .calibrate import (
     MECHANISMS,
     PrivacyParams,
@@ -64,6 +67,65 @@ class CliConfig:
     output_path: str | None = None
 
 
+class _Flag(NamedTuple):
+    """One value flag: the CliConfig field it fills, how to parse it, its
+    _checks rule (flag name and parsed value to a message or None) and its
+    help line."""
+
+    field: str
+    kind: Callable
+    rule: Callable
+    help: str
+
+
+def _at_least(minimum: int):
+    return lambda name, v: integer(name, v, minimum, f"{name} must be >= {minimum}")
+
+
+_MECHANISMS = ", ".join(MECHANISMS)
+# the one table of value flags, keyed by argparse dest (the flag is --dest
+# without its underscore): the parser, parse_args' checks and the help
+# all read it
+_FLAGS = {
+    "eps": _Flag("epsilon", float, positive, "privacy epsilon (> 0)"),
+    "delta": _Flag(
+        "delta",
+        float,
+        lambda name, v: unless(0 < v < 1, f"{name} must lie strictly in (0, 1)"),
+        "privacy delta (in (0, 1))",
+    ),
+    "mech": _Flag(
+        "mechanism",
+        str,
+        lambda name, v: unless(v in MECHANISMS, f"{name} must be one of {_MECHANISMS}"),
+        f"one of {_MECHANISMS}",
+    ),
+    "dim": _Flag("dim", int, _at_least(1), "dimension (integer >= 1)"),
+    "sigma": _Flag("sigma", float, positive, "noise scale (> 0)"),
+    "samples": _Flag("samples", int, _at_least(1), "number of draws (integer >= 1)"),
+    "seed": _Flag(
+        "seed",
+        int,
+        lambda name, v: unless(0 <= v < 2**64, "seed must lie in [0, 2^64)"),
+        f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
+    ),
+    "n_r": _Flag("n_r", int, _at_least(2), "radial grid size, first bound"),
+    "n_R": _Flag("n_R", int, _at_least(2), "radial grid size, second bound"),
+    "tol": _Flag("tol", float, positive, "binary-search tolerance on sigma"),
+}
+# the value flags of every subcommand
+_COMMON = ("dim", "seed", "n_r", "n_R", "tol")
+
+
+def _flags_of(command) -> list[str]:
+    """A subcommand's value flags, as dests, in table order."""
+    return [dest for dest in _FLAGS if dest in _COMMON or dest in command.flags]
+
+
+def _flag_name(dest: str) -> str:
+    return "--" + dest.replace("_", "")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l2mech",
@@ -71,132 +133,51 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, eps=False, mech=False, sigma=False, samples=False):
-        if eps:
-            p.add_argument("--eps", help="privacy epsilon (> 0)")
-            p.add_argument("--delta", help="privacy delta (in (0, 1))")
-        if mech:
-            p.add_argument("--mech", help=f"one of {', '.join(MECHANISMS)}")
-        p.add_argument("--dim", help="dimension (integer >= 1)")
-        if sigma:
-            p.add_argument("--sigma", help="noise scale (> 0)")
-        if samples:
-            p.add_argument("--samples", help="number of draws (integer >= 1)")
-        p.add_argument("--seed", help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--nr", dest="n_r", help="radial grid size, first bound")
-        p.add_argument("--nR", dest="n_R", help="radial grid size, second bound")
-        p.add_argument("--tol", help="binary-search tolerance on sigma")
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in _flags_of(command):
+            p.add_argument(_flag_name(dest), dest=dest, help=_FLAGS[dest].help)
         p.add_argument("--format", dest="output_format", choices=FORMATS)
         p.add_argument("--out", dest="output_path", help="write output to this path")
-
-    for name, command in _SUBCOMMANDS.items():
-        add_common(sub.add_parser(name, help=command.help), **command.options)
     return parser
 
 
-def _convert(problems, raw, name, kind, default=None):
-    if raw is None:
-        return default
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        problems.append(f"--{name} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
-        return None
-
-
 def parse_args(argv=None) -> CliConfig:
-    """Parse and validate argv into a CliConfig; UsageError lists all faults."""
+    """Parse and validate argv into a CliConfig; UsageError lists all faults.
+
+    Each value flag in turn is required or left to CliConfig's default,
+    parsed, and checked by its rule; the seed falls back to $L2MECH_SEED.
+    """
     ns = _build_parser().parse_args(argv)
+    command = _SUBCOMMANDS[ns.command]
     problems: list[str] = []
-    command = ns.command
-
-    epsilon = _convert(problems, getattr(ns, "eps", None), "eps", float)
-    delta = _convert(problems, getattr(ns, "delta", None), "delta", float)
-    dim = _convert(problems, getattr(ns, "dim", None), "dim", int, default=1)
-    sigma = _convert(problems, getattr(ns, "sigma", None), "sigma", float)
-    samples = _convert(problems, getattr(ns, "samples", None), "samples", int)
-    n_r = _convert(problems, getattr(ns, "n_r", None), "nr", int, default=1000)
-    n_R = _convert(problems, getattr(ns, "n_R", None), "nR", int, default=1000)
-    tol = _convert(problems, getattr(ns, "tol", None), "tol", float, default=1e-3)
-    mechanism = getattr(ns, "mech", None)
-
-    raw_seed = getattr(ns, "seed", None)
-    if raw_seed is None:
-        raw_seed = os.environ.get(SEED_ENV_VAR)
-        seed_origin = f"${SEED_ENV_VAR}"
-    else:
-        seed_origin = "--seed"
-    if raw_seed is None:
-        seed = 0
-    else:
+    values = {}
+    for dest in _flags_of(command):
+        flag, name, raw = _FLAGS[dest], _flag_name(dest), getattr(ns, dest)
+        if raw is None and dest == "seed" and SEED_ENV_VAR in os.environ:
+            name, raw = f"${SEED_ENV_VAR}", os.environ[SEED_ENV_VAR]
+        if raw is None:
+            note = command.flags.get(dest)
+            if note is not None:
+                problems.append(f"{name} is required{note}")
+            continue
         try:
-            seed = int(raw_seed)
-        except (TypeError, ValueError):
-            problems.append(f"{seed_origin} must be an integer, got {raw_seed!r}")
-            seed = 0
-
-    options = _SUBCOMMANDS[command].options
-    if options.get("eps"):
-        if epsilon is None and getattr(ns, "eps", None) is None:
-            problems.append("--eps is required")
-        elif epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
-            problems.append(f"--eps must be positive and finite, got {epsilon}")
-        if delta is None and getattr(ns, "delta", None) is None:
-            problems.append("--delta is required")
-        elif delta is not None and not (math.isfinite(delta) and 0 < delta < 1):
-            problems.append(f"--delta must lie strictly in (0, 1), got {delta}")
-
-    if options.get("mech"):
-        if mechanism is None:
-            problems.append("--mech is required")
-        elif mechanism not in MECHANISMS:
-            problems.append(f"--mech must be one of {', '.join(MECHANISMS)}, got {mechanism!r}")
-
-    if command == "sample":
-        if getattr(ns, "sigma", None) is None:
-            problems.append("--sigma is required")
-        if getattr(ns, "samples", None) is None:
-            problems.append("--samples is required")
-        if getattr(ns, "dim", None) is None:
-            problems.append("--dim is required")
-
-    if command == "compare" and getattr(ns, "dim", None) is None:
-        problems.append("--dim is required (the largest dimension of the table)")
-
-    if dim is not None and dim < 1:
-        problems.append(f"--dim must be >= 1, got {dim}")
-    if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-        problems.append(f"--sigma must be positive and finite, got {sigma}")
-    if samples is not None and samples < 1:
-        problems.append(f"--samples must be >= 1, got {samples}")
-    if n_r is not None and n_r < 2:
-        problems.append(f"--nr must be >= 2, got {n_r}")
-    if n_R is not None and n_R < 2:
-        problems.append(f"--nR must be >= 2, got {n_R}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        problems.append(f"--tol must be positive and finite, got {tol}")
-    if not 0 <= seed < 2**64:
-        problems.append(f"seed must lie in [0, 2^64), got {seed}")
-
+            value = flag.kind(raw)
+        except ValueError:
+            kind = "an integer" if flag.kind is int else "a number"
+            problems.append(f"{name} must be {kind}, got {raw!r}")
+            continue
+        fault = flag.rule(name, value)
+        if fault:
+            problems.append(f"{fault}, got {value!r}")
+        values[flag.field] = value
     if problems:
         raise UsageError("; ".join(problems))
-
-    output_format = ns.output_format or ("csv" if command in ("compare", "sample") else "json")
+    output_format = ns.output_format or (
+        "csv" if ns.command in ("compare", "sample") else "json"
+    )
     return CliConfig(
-        command=command,
-        epsilon=epsilon,
-        delta=delta,
-        dim=dim,
-        mechanism=mechanism,
-        sigma=sigma,
-        n_r=n_r,
-        n_R=n_R,
-        tol=tol,
-        samples=samples,
-        seed=seed,
-        output_format=output_format,
-        output_path=ns.output_path,
+        ns.command, output_format=output_format, output_path=ns.output_path, **values
     )
 
 
@@ -290,9 +271,9 @@ def _run_verify(config: CliConfig) -> dict:
                 "lhs_upper": report.lhs_upper,
                 "satisfies_dp": report.satisfies_dp,
                 "branch": report.branch,
-                "r_star": report.grid.r_star,
-                "n_r": report.grid.n_r,
-                "n_R": report.grid.n_R,
+                "r_star": report.r_star,
+                "n_r": report.n_r,
+                "n_R": report.n_R,
             },
             "empirical": {
                 "lhs": est.lhs_estimate,
@@ -320,27 +301,40 @@ def _run_verify(config: CliConfig) -> dict:
 
 
 class _Subcommand(NamedTuple):
-    """One subcommand: its help line, its handler and its flag groups."""
+    """One subcommand: its help line, its handler and its own flags.
+
+    flags maps each value flag beyond _COMMON, and each common one the
+    subcommand requires, to None when it is optional, or else to the
+    note its "is required" message ends with.
+    """
 
     help: str
     handler: Callable[[CliConfig], "dict | str"]
-    options: dict  # keywords of _build_parser's add_common
+    flags: dict
 
 
 # the one table of subcommands: the parser, the validation in parse_args
 # and run all read it
 _SUBCOMMANDS = {
     "calibrate": _Subcommand(
-        "minimal sigma for a mechanism", _run_calibrate, dict(eps=True, mech=True)
+        "minimal sigma for a mechanism",
+        _run_calibrate,
+        {"eps": "", "delta": "", "mech": ""},
     ),
     "compare": _Subcommand(
-        "error table for all mechanisms", _run_compare, dict(eps=True)
+        "error table for all mechanisms",
+        _run_compare,
+        {"eps": "", "delta": "", "dim": " (the largest dimension of the table)"},
     ),
     "sample": _Subcommand(
-        "draw mechanism outputs", _run_sample, dict(mech=True, sigma=True, samples=True)
+        "draw mechanism outputs",
+        _run_sample,
+        {"mech": "", "dim": "", "sigma": "", "samples": ""},
     ),
     "verify": _Subcommand(
-        "analytic + Monte-Carlo check", _run_verify, dict(eps=True, sigma=True, samples=True)
+        "analytic + Monte-Carlo check",
+        _run_verify,
+        {"eps": "", "delta": "", "sigma": None, "samples": None},
     ),
 }
 COMMANDS = tuple(_SUBCOMMANDS)

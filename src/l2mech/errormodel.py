@@ -114,8 +114,7 @@ def comparison_table(
     previous = None
     for d in range(1, int(d_max) + 1):
         l2 = _calibrate_l2(
-            d, params, n_r, n_R, tol, tail_fraction=0.01, sensitivity=1.0,
-            estimate=previous,
+            d, params, n_r, n_R, tol, sensitivity=1.0, estimate=previous
         )
         previous = l2.sigma
         lap = laplace_sigma(d, params)

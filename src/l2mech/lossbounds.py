@@ -26,22 +26,25 @@ fraction at r_star, so the check can only err toward "not certified",
 never toward a false guarantee.
 
 check_approx_dp picks r_star = sigma * x_star so that only a
-tail_fraction * delta sliver of radial mass lies beyond the grid;
-calibrate_l2 computes x_star, which does not depend on sigma, once per
-calibration.  The two radial grids go as one flat batch into one
-incomplete-gamma call, which also gives the tail mass, and one
-cap_fraction call.  The same pass gives lhs_slope, the exact
-sigma-derivative of those two sums, from the arrays it already holds.
+_TAIL_FRACTION * delta sliver of radial mass lies beyond the grid: one
+percent of the privacy budget, a constant, so (dim, sigma, epsilon,
+delta, n_r, n_R) alone replay a check.  calibrate_l2 computes x_star, which
+does not depend on sigma, once per calibration.  Both check the
+(epsilon, delta) target, a PrivacyParams defined here, and the grid
+sizes once, where they enter; no per-probe record re-checks them.  The
+two radial grids go as one flat batch into one incomplete-gamma call,
+which also gives the tail mass, and one cap_fraction call.  The same
+pass gives lhs_slope, the exact sigma-derivative of those two sums,
+from the arrays it already holds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._checks import integer, positive, require, unless
+from ._checks import instance, integer, positive, require, unless
 from .capgeom import (
     LossGeometry,
     _cap_fraction_rate,
@@ -51,11 +54,8 @@ from .capgeom import (
 )
 from .specfun import _gamma_pq, _unwrap, inv_reg_upper_gamma
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .calibrate import PrivacyParams
-
 __all__ = [
-    "GridSpec",
+    "PrivacyParams",
     "BoundReport",
     "GridDomainError",
     "check_approx_dp",
@@ -64,6 +64,26 @@ __all__ = [
 BRANCH_LARGE_SIGMA = "large_sigma"
 BRANCH_ONE_DIM = "one_dim"
 BRANCH_GENERAL = "general"
+
+# the share of delta left to the radial mass beyond r_star
+_TAIL_FRACTION = 0.01
+
+
+@dataclass(frozen=True)
+class PrivacyParams:
+    """An (epsilon, delta) approximate-DP target; both strictly bounded."""
+
+    epsilon: float
+    delta: float
+
+    def __post_init__(self):
+        require(
+            positive("epsilon", self.epsilon),
+            unless(
+                np.isfinite(self.delta) and 0.0 < self.delta < 1.0,
+                "delta must lie strictly in (0, 1)",
+            ),
+        )
 
 
 class GridDomainError(ValueError):
@@ -78,30 +98,6 @@ class GridDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Radial grid resolution for the two Riemann bounds.
-
-    n_r / n_R are the grid sizes for the bound around the noise center
-    and the shifted center; r_star is the outer radius shared by both
-    (None until a check computes it from the tail rule).
-    """
-
-    n_r: int = 1000
-    n_R: int = 1000
-    r_star: float | None = None
-
-    def __post_init__(self):
-        require(
-            integer("n_r", self.n_r, 2),
-            integer("n_R", self.n_R, 2),
-            unless(
-                self.r_star is None or not positive("r_star", self.r_star),
-                "r_star must be positive and finite when set",
-            ),
-        )
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Outcome of one certified (epsilon, delta) check.
 
@@ -110,17 +106,22 @@ class BoundReport:
     produced the numbers: "large_sigma" (eps * sigma >= 1, loss region
     empty, both terms 0), "one_dim" (closed forms), or "general"
     (Riemann grids).  A False verdict means "not certified", not
-    "violates DP".  lhs_slope is d lhs_upper / d sigma of the general
-    branch's sums, exact up to float rounding (None in the other
-    branches).  It is not certified and is not evidence: calibrate_l2
-    steers its next probe by it, and only the verdicts decide the answer.
+    "violates DP".  n_r and n_R are the two grid sizes and r_star their
+    shared outer radius, set by the tail rule in every branch, though
+    only the general branch builds the grids.  lhs_slope is
+    d lhs_upper / d sigma of the general branch's sums, exact up to float
+    rounding (None in the other branches).  It is not certified and is
+    not evidence: calibrate_l2 steers its next probe by it, and only the
+    verdicts decide the answer.
     """
 
     term1_upper: float
     term2_lower: float
     lhs_upper: float
     satisfies_dp: bool
-    grid: GridSpec
+    n_r: int
+    n_R: int
+    r_star: float
     branch: str
     lhs_slope: float | None = None
 
@@ -212,16 +213,15 @@ def _riemann_stieltjes(
 def check_approx_dp(
     dim: int,
     sigma: float,
-    eps_delta: "PrivacyParams",
+    eps_delta: PrivacyParams,
     n_r: int = 1000,
     n_R: int = 1000,
-    tail_fraction: float = 0.01,
 ) -> BoundReport:
     """Certified check that sigma gives (epsilon, delta)-DP in dim dims.
 
     The outer radius r_star = sigma * x_star is set so the radial mass
-    beyond it is exactly tail_fraction * delta (default: one percent of
-    the privacy budget), then both Riemann bounds are evaluated on
+    beyond it is exactly _TAIL_FRACTION * delta (one percent of the
+    privacy budget), then both Riemann bounds are evaluated on
     [first radius, r_star] grids, together in one pass of the kernels
     that also gives that tail mass (see _riemann_stieltjes).  A
     GridDomainError names the first grid, term1's then term2's, whose
@@ -233,19 +233,16 @@ def check_approx_dp(
     require(
         integer("dim", dim),
         positive("sigma", sigma),
-        positive("epsilon", eps_delta.epsilon),
+        instance("eps_delta", eps_delta, PrivacyParams),
+        integer("n_r", n_r, 2),
+        integer("n_R", n_R, 2),
     )
-    x_star = _x_star(dim, eps_delta.delta, tail_fraction)
-    return _check(dim, sigma, eps_delta, n_r, n_R, x_star)
+    return _check(dim, sigma, eps_delta, n_r, n_R, _x_star(dim, eps_delta.delta))
 
 
-def _x_star(dim: int, delta: float, tail_fraction: float) -> float:
-    """r_star / sigma = Q^-1(dim, tail_fraction * delta), whatever sigma is."""
-    if not (np.isfinite(delta) and 0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not (np.isfinite(tail_fraction) and 0.0 < tail_fraction * delta < 1.0):
-        raise ValueError("tail_fraction * delta must lie in (0, 1)")
-    return inv_reg_upper_gamma(float(dim), tail_fraction * delta)
+def _x_star(dim: int, delta: float) -> float:
+    """r_star / sigma = Q^-1(dim, _TAIL_FRACTION * delta), whatever sigma is."""
+    return inv_reg_upper_gamma(float(dim), _TAIL_FRACTION * delta)
 
 
 def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
@@ -254,7 +251,7 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     delta = float(eps_delta.delta)
     sigma = float(sigma)
     tau = epsilon * sigma
-    grid = GridSpec(n_r=n_r, n_R=n_R, r_star=sigma * x_star)
+    r_star = sigma * x_star
     slope = None
     if tau >= 1.0:
         branch, t1, t2 = BRANCH_LARGE_SIGMA, 0.0, 0.0
@@ -267,14 +264,16 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     else:
         branch = BRANCH_GENERAL
         geom = LossGeometry(dim, sigma, epsilon)
-        t1, t2, slope = _riemann_stieltjes(geom, grid.r_star, n_r, n_R)
+        t1, t2, slope = _riemann_stieltjes(geom, r_star, n_r, n_R)
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,
         term2_lower=t2,
         lhs_upper=lhs,
         satisfies_dp=bool(lhs <= delta),
-        grid=grid,
+        n_r=n_r,
+        n_R=n_R,
+        r_star=r_star,
         branch=branch,
         lhs_slope=slope,
     )

@@ -90,10 +90,13 @@ def _check_size(size) -> tuple[int, bool]:
 
 def _check_center(center) -> np.ndarray:
     arr = np.asarray(center, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("center must be a 1-d vector with at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("center must be finite")
+    require(
+        unless(
+            arr.ndim == 1 and arr.size >= 1,
+            "center must be a 1-d vector with at least one entry",
+        ),
+        unless(np.all(np.isfinite(arr)), "center must be finite"),
+    )
     return arr
 
 
@@ -185,8 +188,8 @@ def sample_l2_parallel(
     c = _check_center(center)
     sigma = _check_scale(sigma, "sigma")
     d = c.size
-    if len(worker_rngs) != d:
-        raise ValueError(f"need exactly {d} worker streams, got {len(worker_rngs)}")
+    n = len(worker_rngs)
+    require(unless(n == d, f"need exactly {d} worker streams, got {n}"))
     for _ in range(_MAX_REDRAWS):
         wlogs = np.empty(d)
         wgauss = np.empty(d)
@@ -306,16 +309,16 @@ def draw_batch(
         require(integer("dim", dim))
         center = np.zeros(int(dim))
     c = _check_center(center)
-    if c.size != dim:
-        raise ValueError("center length must equal dim")
-    rng = RngState(seed, stream_id)
     samplers = {
         "l2": sample_l2,
         "laplace": sample_laplace,
         "gaussian": sample_gaussian,
     }
-    if mechanism not in samplers:
-        raise ValueError(f"mechanism must be one of {sorted(samplers)}")
+    require(
+        unless(c.size == dim, "center length must equal dim"),
+        unless(mechanism in samplers, f"mechanism must be one of {sorted(samplers)}"),
+    )
+    rng = RngState(seed, stream_id)
     values = samplers[mechanism](c, sigma, rng, size=count)
     return SampleBatch(
         dim=int(dim),

@@ -110,22 +110,13 @@ def _stirling_corr(a):
 
 
 def _log1pmx_vec(r: np.ndarray) -> np.ndarray:
-    # log(r) - (r - 1) for r = x / a: a series in t = r - 1 near r = 1.
-    # Below that log(r) itself, since t's absolute rounding would swamp
-    # the relative size of a small r
+    # log(r) - (r - 1) for r = x / a, with log(r) itself below r = 1,
+    # since t's absolute rounding would swamp the relative size of a small
+    # r.  No series near r = 1: this runs only for a >= _STIRLING_SWITCH =
+    # _TEMME_MIN_A, where Temme's expansion takes every |r - 1| <= 0.4.
+    # np.maximum keeps log1p off the t = -1 that a tiny r rounds to
     t = r - 1.0
-    small = np.abs(t) <= 0.25
-    out = np.empty(t.shape)
-    ts = t[small]
-    s = np.full(ts.shape, 1.0 / 34.0)
-    for k in range(33, 1, -1):
-        s = 1.0 / k - ts * s
-    out[small] = -(ts * ts) * s
-    low = t < -0.25
-    out[low] = np.log(r[low]) - t[low]
-    high = t > 0.25
-    out[high] = np.log1p(t[high]) - t[high]
-    return out
+    return np.where(t < 0.0, np.log(r), np.log1p(np.maximum(t, 0.0))) - t
 
 
 def _gamma_log_prefactor_vec(a: float, x: np.ndarray) -> np.ndarray:
@@ -171,14 +162,8 @@ def _gamma_cf_vec(a: float, x: np.ndarray, max_iter: int):
     i = 0
     while lentz.left.size and i < max_iter:
         i += 1
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = b + an / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delt = d * c
+        c, d, delt = _lentz_step(-i * (i - a), b, c, d)
         h = h * delt
         done = np.abs(delt - 1.0) < _EPS
         if done.any():
@@ -202,24 +187,24 @@ def _betacf_vec(a: float, b: float, x: np.ndarray, max_iter: int):
         m += 1
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        even = d * c
+        c, d, even = _lentz_step(aa, 1.0, c, d)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delt = d * c
+        c, d, delt = _lentz_step(aa, 1.0, c, d)
         h = h * even * delt
         done = np.abs(delt - 1.0) < _EPS
         if done.any():
             x, c, d, h = lentz.retire(done, h, x, c, d, h)
     return lentz.finish(h), m, lentz.conv
+
+
+def _lentz_step(num, den, c: np.ndarray, d: np.ndarray):
+    """(c, d, d * c) after one modified-Lentz step on the term num / (den + ...)."""
+    d = num * d + den
+    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
+    c = den + num / c
+    np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
+    d = 1.0 / d
+    return c, d, d * c
 
 
 class _Lentz:
@@ -618,7 +603,10 @@ def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
             # slope sets only the pace, not the root
             log_tail = math.log(tail)
             slope = sign * math.exp(a * math.log(x) - x - log_gamma - log_tail)
-            step = (log_mass - log_tail) / slope
+            gap = log_mass - log_tail
+            # a density that underflowed to 0 still gives the slope's sign:
+            # take the full clamped step that way, and the bracket bisects
+            step = gap / slope if slope else math.copysign(math.inf, sign * gap)
             step = min(max(step, -_NEWTON_MAX_STEP), _NEWTON_MAX_STEP)
         nxt = x * math.exp(step)
         if abs(nxt - x) <= _NEWTON_TOL * x:
@@ -638,9 +626,10 @@ def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
     like p = 1 - 1e-7 keep full relative accuracy in the tail.
     """
     require(number("a", a), number("p", p))
-    require(positive("a", a))
-    if not (np.isfinite(p) and 0.0 <= p < 1.0):
-        raise ValueError("p must lie in [0, 1)")
+    require(
+        positive("a", a),
+        unless(np.isfinite(p) and 0.0 <= p < 1.0, "p must lie in [0, 1)"),
+    )
     if p == 0.0:
         return 0.0
     return _gamma_quantile(a, float(p), False, max_iter)
@@ -653,9 +642,10 @@ def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
     keeps ~1e-12 relative accuracy down to q ~ 1e-300 when a >= 0.01.
     """
     require(number("a", a), number("q", q))
-    require(positive("a", a))
-    if not (np.isfinite(q) and 0.0 < q <= 1.0):
-        raise ValueError("q must lie in (0, 1]")
+    require(
+        positive("a", a),
+        unless(np.isfinite(q) and 0.0 < q <= 1.0, "q must lie in (0, 1]"),
+    )
     if q == 1.0:
         return 0.0
     return _gamma_quantile(a, float(q), True, max_iter)
@@ -664,6 +654,5 @@ def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
 def std_normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc; accurate deep into both tails."""
     require(number("t", t))
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    require(unless(np.isfinite(t), "t must be finite"))
     return 0.5 * math.erfc(-float(t) / _SQRT2)

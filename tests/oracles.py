@@ -187,9 +187,10 @@ def ref_term2(d, sigma, eps, n_R, r_star):
     return max(float(np.dot(np.diff(cdf), frac[:-1])) + tail * frac[-1], 0.0)
 
 
-def ref_check(d, sigma, eps, delta, n=1000, tail_fraction=0.01):
-    """(term1, term2, lhs) via scipy, mirroring the library's grid rule."""
-    r_star = sigma * special.gammainccinv(d, tail_fraction * delta)
+def ref_check(d, sigma, eps, delta, n=1000):
+    """(term1, term2, lhs) via scipy, mirroring the library's grid rule:
+    r_star leaves one percent of delta in the radial tail."""
+    r_star = sigma * special.gammainccinv(d, 0.01 * delta)
     t1 = ref_term1(d, sigma, eps, n, r_star)
     t2 = ref_term2(d, sigma, eps, n, r_star)
     return t1, t2, t1 - math.exp(eps) * t2
@@ -210,18 +211,12 @@ def ref_lhs_d1(sigma, eps):
 
 
 def masked_log1pmx(r):
-    """log(r) - (r - 1), split at |r - 1| = 0.25 as the library splits it."""
+    """log(r) - (r - 1), split at r = 1 as the library splits it."""
     t = r - 1.0
-    small = np.abs(t) <= 0.25
-    ts = np.where(small, t, 0.0)
-    s = np.full(t.shape, 1.0 / 34.0)
-    for k in range(33, 1, -1):
-        s = 1.0 / k - ts * s
-    out = -(ts * ts) * s
-    low = t < -0.25
+    out = np.empty(t.shape)
+    low = t < 0.0
     out[low] = np.log(r[low]) - t[low]
-    high = t > 0.25
-    out[high] = np.log1p(t[high]) - t[high]
+    out[~low] = np.log1p(t[~low]) - t[~low]
     return out
 
 
@@ -363,9 +358,7 @@ def l2_bracket(eps, tol):
     return lo, hi
 
 
-def bisect_calibrate_l2(
-    check, dim, params, n_r=1000, n_R=1000, tol=1e-3, tail_fraction=0.01
-):
+def bisect_calibrate_l2(check, dim, params, n_r=1000, n_R=1000, tol=1e-3):
     """(sigma, hit_bracket_floor, evals) of the bisection, for dim >= 2.
 
     check is a check_approx_dp.
@@ -378,7 +371,7 @@ def bisect_calibrate_l2(
         nonlocal evals
         evals += 1
         try:
-            report = check(dim, s, params, n_r, n_R, tail_fraction)
+            report = check(dim, s, params, n_r, n_R)
         except GridDomainError:
             return False
         return report.satisfies_dp

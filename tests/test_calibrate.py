@@ -258,11 +258,9 @@ def test_l2_search_matches_bisection(monkeypatch):
         key = (dim, sigma, params, n_r, n_R)
         return remember(key, lambda: check_at(dim, sigma, params, n_r, n_R, x_star))
 
-    def check(dim, sigma, params, n_r, n_R, tail_fraction):
+    def check(dim, sigma, params, n_r, n_R):
         key = (dim, sigma, params, n_r, n_R)
-        return remember(
-            key, lambda: check_approx_dp(dim, sigma, params, n_r, n_R, tail_fraction)
-        )
+        return remember(key, lambda: check_approx_dp(dim, sigma, params, n_r, n_R))
 
     monkeypatch.setattr(l2mech.calibrate, "_check", probe)
     grid = itertools.product(

@@ -1,10 +1,12 @@
 """Certified Riemann bounds: reference equality, sandwiches, monotonicity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import l2mech.calibrate
 import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.capgeom import LossGeometry, height_h
@@ -14,7 +16,6 @@ from l2mech.lossbounds import (
     BRANCH_ONE_DIM,
     BoundReport,
     GridDomainError,
-    GridSpec,
     check_approx_dp,
 )
 from l2mech.specfun import inv_reg_upper_gamma
@@ -29,12 +30,28 @@ PROBES = [
 ]
 
 
-def test_grid_spec_validation():
-    grid = GridSpec()
-    assert grid.n_r == 1000 and grid.n_R == 1000 and grid.r_star is None
-    for bad in [dict(n_r=1), dict(n_R=0), dict(r_star=-1.0), dict(r_star=math.inf)]:
-        with pytest.raises(ValueError):
-            GridSpec(**bad)
+def test_entry_checks_reject_grids_and_targets_before_any_probe(monkeypatch):
+    # the grid sizes and the (epsilon, delta) target are checked once, where
+    # they enter, in every branch: d = 1 and the large-sigma case build no grid
+    probes = []
+    monkeypatch.setattr(l2mech.calibrate, "_check", lambda *args: probes.append(args))
+    pp = PrivacyParams(1.0, 1e-5)
+    rep = check_approx_dp(6, 0.3, pp)
+    assert (rep.n_r, rep.n_R) == (1000, 1000) and rep.r_star > 0.3
+    for dim, sigma in ((1, 0.5), (2, 2.0), (6, 0.3)):
+        with pytest.raises(ValueError, match="n_r must be an integer >= 2"):
+            check_approx_dp(dim, sigma, pp, n_r=1)
+        with pytest.raises(ValueError, match="n_R must be an integer >= 2"):
+            check_approx_dp(dim, sigma, pp, n_R=0)
+        with pytest.raises(ValueError, match="n_r .*; n_R "):
+            calibrate_l2(dim, pp, n_r=1, n_R=0)
+    # a look-alike (epsilon, delta) object skips PrivacyParams' own checks
+    duck = SimpleNamespace(epsilon=1.0, delta=1e-5)
+    with pytest.raises(ValueError, match="eps_delta must be a PrivacyParams"):
+        check_approx_dp(6, 0.3, duck)
+    with pytest.raises(ValueError, match="params must be a PrivacyParams"):
+        calibrate_l2(6, duck)
+    assert probes == []
 
 
 def test_one_dim_closed_forms():
@@ -111,9 +128,10 @@ def test_grid_refinement_is_monotone():
 
 
 def test_grid_domain_error_on_unresolvable_grid():
-    # a huge tail fraction pulls r_star inside the first grid radius
+    # at so small a sigma r_star, beyond which 1% of delta's radial mass
+    # lies, falls inside the first grid radius
     with pytest.raises(GridDomainError):
-        check_approx_dp(2, 0.9, PrivacyParams(1.0, 0.9), tail_fraction=0.9)
+        check_approx_dp(2, 0.05, PrivacyParams(1.0, 0.9))
 
 
 # Frozen float.hex of (term1_upper, term2_lower, lhs_upper) for tau =
@@ -250,19 +268,19 @@ def test_check_raises_its_terms_grid_errors_in_order():
     # when r_star falls at or below both first radii term1's error comes
     # first; between them, term2's, around the shifted center
     seen = set()
-    for d, sigma, eps, delta in ((2, 0.3, 0.5, 0.9), (3, 0.3, 1.0, 0.5), (10, 0.05, 2.0, 0.2)):
-        tau = eps * sigma
-        for tail in (0.3, 0.6, 0.9, 1.05):
-            params = PrivacyParams(eps, delta)
-            r_star = sigma * inv_reg_upper_gamma(float(d), tail * delta)
+    for d, eps, delta in ((2, 0.5, 0.9), (3, 8.0, 0.5), (10, 2.0, 0.2)):
+        params = PrivacyParams(eps, delta)
+        for sigma in (0.02, 0.05, 0.08, 0.1):
+            tau = eps * sigma
+            r_star = sigma * inv_reg_upper_gamma(float(d), 0.01 * delta)
             if r_star > (1.0 + tau) / 2.0:
-                check_approx_dp(d, sigma, params, tail_fraction=tail)
+                check_approx_dp(d, sigma, params)
                 continue
             first, center = (1.0 - tau) / 2.0, ""
             if r_star > first:
                 first, center = (1.0 + tau) / 2.0, " around the shifted center"
             with pytest.raises(GridDomainError) as excinfo:
-                check_approx_dp(d, sigma, params, tail_fraction=tail)
+                check_approx_dp(d, sigma, params)
             assert str(excinfo.value) == (
                 f"r_star={r_star} is at or below the first grid radius "
                 f"{first}{center}; the grid cannot resolve the loss region"
@@ -277,18 +295,16 @@ def test_check_validation_errors():
         check_approx_dp(0, 0.5, pp)
     with pytest.raises(ValueError):
         check_approx_dp(2, -0.5, pp)
-    with pytest.raises(ValueError):
-        check_approx_dp(2, 0.5, pp, tail_fraction=0.0)
 
 
 def test_r_star_tail_rule():
-    # mass beyond r_star equals tail_fraction * delta by construction
+    # mass beyond r_star is one percent of delta by construction
     from l2mech.specfun import reg_upper_gamma
 
-    for tail in [0.01, 0.2]:
-        rep = check_approx_dp(4, 0.3, PrivacyParams(1.0, 1e-3), tail_fraction=tail)
-        q = reg_upper_gamma(4.0, rep.grid.r_star / 0.3)
-        assert math.isclose(q, tail * 1e-3, rel_tol=1e-9)
+    for delta in [1e-3, 0.2]:
+        rep = check_approx_dp(4, 0.3, PrivacyParams(1.0, delta))
+        q = reg_upper_gamma(4.0, rep.r_star / 0.3)
+        assert math.isclose(q, 0.01 * delta, rel_tol=1e-9)
 
 
 def test_huge_epsilon_does_not_overflow():

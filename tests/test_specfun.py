@@ -458,6 +458,16 @@ def test_gamma_inverses_against_mpmath():
     # only a = 0.5 puts lower-tail quantiles (of 1e-300, 1e-250 and
     # 1e-200) below the normal floats
     assert checked == 8 * len(masses) * 2 - 3
+    # a clamped Newton step from below lands where P = 1 and the density
+    # underflows, so the step has no slope to divide by
+    with mpmath.workdps(40):
+        for a in (536.25, 550.0, 561.5):
+            x = inv_reg_lower_gamma(a, 1e-300)
+            big, xm = mpmath.mpf(a), mpmath.mpf(x)
+            tail = mpmath.gammainc(big, 0, xm, regularized=True)
+            density = mpmath.exp((big - 1) * mpmath.log(xm) - xm - mpmath.loggamma(big))
+            exact = xm - (tail - 1e-300) / density
+            assert abs(xm - exact) <= 1e-12 * exact, (a, x)
 
 
 @pytest.mark.parametrize(
