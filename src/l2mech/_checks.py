@@ -27,7 +27,9 @@ def integer(name: str, value, minimum: int = 1, message: str | None = None):
 
 def positive(name: str, value):
     """None if value (every element of an array) is positive and finite."""
-    if isinstance(value, (int, float)):  # plain numbers skip numpy's overhead
+    if isinstance(value, (bool, np.bool_)):  # as in integer: True is no scale
+        ok = False
+    elif isinstance(value, (int, float)):  # plain numbers skip numpy's overhead
         ok = math.isfinite(value) and value > 0
     else:
         ok = np.all(np.isfinite(value)) and np.all(np.greater(value, 0))

@@ -32,10 +32,13 @@ delta, n_r, n_R) alone replay a check.  calibrate_l2 computes x_star, which
 does not depend on sigma, once per calibration.  Both check the
 (epsilon, delta) target, a PrivacyParams defined here, and the grid
 sizes once, where they enter; no per-probe record re-checks them.  The
-two radial grids go as one flat batch into one incomplete-gamma call,
-which also gives the tail mass, and one cap_fraction call.  The same
-pass gives lhs_slope, the exact sigma-derivative of those two sums,
-from the arrays it already holds.
+two radial grids go as one flat batch into one call of the packed gamma
+kernel, which also gives the tail mass, and one cap_fraction call.  The
+cap heights are capgeom's height_h and height_H, built here from the
+slope's offset array; only cap_fraction and its reg_inc_beta, the
+benchmark's seams, re-check a probe's grid.  The same pass gives
+lhs_slope, the exact sigma-derivative of those two sums, from the
+arrays it already holds.
 """
 from __future__ import annotations
 
@@ -45,14 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
-from .capgeom import (
-    LossGeometry,
-    _cap_fraction_rate,
-    cap_fraction,
-    height_H,
-    height_h,
-)
-from .specfun import _gamma_pq, _unwrap, inv_reg_upper_gamma
+from .capgeom import _cap_fraction_rate, cap_fraction
+from .specfun import ConvergenceError, _gamma_pq_vec, inv_reg_upper_gamma
 
 __all__ = [
     "PrivacyParams",
@@ -134,7 +131,7 @@ def _exp_eps(epsilon: float) -> float:
 
 
 def _riemann_stieltjes(
-    geom: LossGeometry, r_star: float, n_r: int, n_R: int
+    dim: int, sigma: float, eps: float, r_star: float, n_r: int, n_R: int
 ) -> tuple[float, float, float]:
     """(term1_upper, term2_lower, lhs_slope) of both left Riemann-Stieltjes sums.
 
@@ -155,7 +152,7 @@ def _riemann_stieltjes(
     its radii move by the linspace of those two rates, and the tail
     mass Q(dim, x_star) does not move at all.
     """
-    tau = geom.tau
+    tau = eps * sigma
     r_first, big_r_first = (1.0 - tau) / 2.0, (1.0 + tau) / 2.0
     for first, center in ((r_first, ""), (big_r_first, " around the shifted center")):
         if r_star <= first:
@@ -163,18 +160,26 @@ def _riemann_stieltjes(
                 f"r_star={r_star} is at or below the first grid radius "
                 f"{first}{center}; the grid cannot resolve the loss region"
             )
-    dim, sigma, eps = geom.dim, geom.sigma, geom.epsilon
     radii = np.concatenate(
         [np.linspace(r_first, r_star, n_r), np.linspace(big_r_first, r_star, n_R)]
     )
-    heights = np.concatenate([height_h(geom, radii[:n_r]), height_H(geom, radii[n_r:])])
+    # the cap heights (1 - tau) (r + offset), offset = +(1 + tau)/2 around
+    # the noise center, where the sphere's diameter 2r caps them, and
+    # -(1 + tau)/2 around the shifted one, where the cap never reaches 2r
+    offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
+    shifted = radii + offset
+    heights = np.minimum((1.0 - tau) * shifted, 2.0 * radii)
     x = radii / sigma
-    cdf, sf = _unwrap(_gamma_pq(float(dim), x), "reg_lower_gamma")
+    cdf, sf, iters, conv = _gamma_pq_vec(float(dim), x)
+    if not conv.all():
+        raise ConvergenceError(
+            f"reg_lower_gamma did not converge within {iters} iterations"
+        )
     frac = cap_fraction(dim, radii, heights)
     tail = float(sf[-1])
-    # sigma-derivatives of the radii, the CDF at them, the heights
-    # (1 - tau) (r + offset) with offset = +-(1 + tau)/2, which moves at
-    # +-eps/2 = offset * eps / (1 + tau), and the cap fractions
+    # sigma-derivatives of the radii, the CDF at them, the heights, whose
+    # offset moves at +-eps/2 = offset * eps / (1 + tau), and the cap
+    # fractions
     x_star = r_star / sigma
     d_radii = np.concatenate(
         [np.linspace(-eps / 2.0, x_star, n_r), np.linspace(eps / 2.0, x_star, n_R)]
@@ -183,10 +188,7 @@ def _riemann_stieltjes(
     # it loses about dim * log(x) ulps, far below what a slope needs
     density = np.exp((dim - 1.0) * np.log(x) - x - math.lgamma(dim))
     d_cdf = density * ((d_radii - x) / sigma)
-    offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
-    d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau))) - eps * (
-        radii + offset
-    )
+    d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau))) - eps * shifted
     rel = heights / radii
     d_frac = _cap_fraction_rate(dim, rel) * ((d_heights - rel * d_radii) / radii)
     sums, slopes = [], []
@@ -263,8 +265,7 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
         t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
     else:
         branch = BRANCH_GENERAL
-        geom = LossGeometry(dim, sigma, epsilon)
-        t1, t2, slope = _riemann_stieltjes(geom, r_star, n_r, n_R)
+        t1, t2, slope = _riemann_stieltjes(dim, sigma, epsilon, r_star, n_r, n_R)
     lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,

@@ -137,7 +137,12 @@ def empirical_min_sigma(
     fires when n * delta < 100, where the boundary events are too rare
     to steer the search.
     """
-    require(instance("params", params, PrivacyParams), positive("tol", tol))
+    require(
+        integer("dim", dim),
+        instance("params", params, PrivacyParams),
+        integer("n", n),
+        positive("tol", tol),
+    )
     if n * params.delta < 100:
         warnings.warn(
             f"n * delta = {n * params.delta:.3g} < 100: too few expected "

@@ -32,6 +32,9 @@ iterations, so a thousand-point radial grid converges in a handful of
 vector ops; a number x is a one-element batch that comes back as a
 float.  That is the only path, and the gamma inverses take Newton steps
 on it.
+
+Every loop stops at the constant _MAX_ITER, not a keyword, and reports
+converged=False there; Temme's expansion always sums its 18 terms.
 """
 from __future__ import annotations
 
@@ -73,10 +76,8 @@ class SpecFunResult:
     array x (the shapes a and b are always single numbers), iterations the
     worst element's count over every regime the call ran: loop
     iterations for the series and continued fractions, terms for the
-    asymptotic expansions (Temme's polynomial in eta, BGRAT's sum).  A
-    max_iter below an expansion's terms cuts it short and reports
-    converged=False, as for a loop.  A converged=False result is never
-    produced by the plain functions; they raise instead.
+    asymptotic expansions (Temme's polynomial in eta, BGRAT's sum).  The
+    plain functions raise ConvergenceError where converged is False.
     """
 
     value: float | np.ndarray
@@ -130,7 +131,7 @@ def _gamma_log_prefactor_vec(a: float, x: np.ndarray) -> np.ndarray:
 # d) and a flat array x, every element in the same regime
 
 
-def _gamma_series_vec(a: float, x: np.ndarray, max_iter: int):
+def _gamma_series_vec(a: float, x: np.ndarray):
     ap = a
     total = np.full(x.shape, 1.0 / a)
     term = total.copy()
@@ -142,7 +143,7 @@ def _gamma_series_vec(a: float, x: np.ndarray, max_iter: int):
     # test waits for that element; the result does not depend on it
     slow = int(np.argmax(x))
     i = 0
-    while i < max_iter:
+    while i < _MAX_ITER:
         i += 1
         ap = ap + 1.0
         term *= x / ap
@@ -153,14 +154,14 @@ def _gamma_series_vec(a: float, x: np.ndarray, max_iter: int):
     return np.clip(p, 0.0, 1.0), i, term < total * _EPS
 
 
-def _gamma_cf_vec(a: float, x: np.ndarray, max_iter: int):
+def _gamma_cf_vec(a: float, x: np.ndarray):
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d.copy()
     lentz = _Lentz(x.size)
     i = 0
-    while lentz.left.size and i < max_iter:
+    while lentz.left.size and i < _MAX_ITER:
         i += 1
         b += 2.0
         c, d, delt = _lentz_step(-i * (i - a), b, c, d)
@@ -172,7 +173,7 @@ def _gamma_cf_vec(a: float, x: np.ndarray, max_iter: int):
     return np.clip(q, 0.0, 1.0), i, lentz.conv
 
 
-def _betacf_vec(a: float, b: float, x: np.ndarray, max_iter: int):
+def _betacf_vec(a: float, b: float, x: np.ndarray):
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -183,7 +184,7 @@ def _betacf_vec(a: float, b: float, x: np.ndarray, max_iter: int):
     h = d.copy()
     lentz = _Lentz(x.size)
     m = 0
-    while lentz.left.size and m < max_iter:
+    while lentz.left.size and m < _MAX_ITER:
         m += 1
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -306,15 +307,16 @@ def _erfc(v: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(e) for e in v.tolist()])
 
 
-def _gamma_temme_vec(a: float, x: np.ndarray, max_iter: int):
-    """(P, Q, terms, converged) by Temme's uniform expansion, for a >= 20 near x = a.
+def _gamma_temme_vec(a: float, x: np.ndarray):
+    """(P, Q, terms) by Temme's uniform expansion, for a >= 20 near x = a.
 
     With eta = sign(x - a) sqrt(2 (lambda - 1 - log(lambda))), lambda = x/a,
     the tail beyond x on eta's side is erfc(|eta| sqrt(a/2)) / 2 +- R, and
     R = e^(-a eta^2/2) / sqrt(2 pi a) sum_k C_k(eta) a^-k (DiDonato &
     Morris 1986, ACM TOMS 12; Temme 1979).  For one shape sum_k d_kn a^-k
     is one coefficient per power of eta, so an element costs one
-    polynomial and one erfc.
+    polynomial and one erfc.  terms is the table's 18 columns: the
+    polynomial is always summed in full.
     """
     # t = x/a - 1 with one rounding (x - a is exact within a factor of 2),
     # and log(1 + t) - t = -t w + 2 w^3 (1/3 + w^2/5 + ...), w = t/(2 + t),
@@ -329,9 +331,8 @@ def _gamma_temme_vec(a: float, x: np.ndarray, max_iter: int):
     root = np.sqrt(-log_pref)  # |eta| sqrt(a/2)
     eta = np.copysign(root, t) * np.sqrt(2.0 / a)
     coef = np.power(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
-    terms = min(coef.size, max_iter)  # a max_iter below it cuts the sum short
-    poly = np.full(t.shape, coef[terms - 1])
-    for n in range(terms - 2, -1, -1):
+    poly = np.full(t.shape, coef[-1])
+    for n in range(coef.size - 2, -1, -1):
         poly = poly * eta + coef[n]
     r = np.exp(log_pref) * poly / np.sqrt(2.0 * math.pi * a)
     upper = t >= 0.0
@@ -339,10 +340,10 @@ def _gamma_temme_vec(a: float, x: np.ndarray, max_iter: int):
     tail = np.clip(tail, 0.0, 1.0)
     p = np.where(upper, 1.0 - tail, tail)
     q = np.where(upper, tail, 1.0 - tail)
-    return p, q, terms, terms == coef.size
+    return p, q, coef.size
 
 
-def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float, max_iter: int):
+def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
     """(I_x(a, b), terms, converged) for a >= 15, b <= 1, 1 - x < 0.3.
 
     BGRAT (DiDonato & Morris 1992, ACM TOMS 18, Algorithm 708): with
@@ -359,7 +360,7 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float, max_iter: int):
     if b == 0.5:
         k, iters, conv = _erfc(np.sqrt(z)), 0, np.ones(z.shape, dtype=bool)
     else:
-        _, k, iters, conv = _gamma_pq_vec(b, z, max_iter)
+        _, k, iters, conv = _gamma_pq_vec(b, z)
     # R (z / (2 nu))^(2n - 2), R = z^b e^-z / Gamma(b)
     power = np.exp(b * np.log(z) - z - math.lgamma(b))
     quarter_log2 = 0.25 * log_x * log_x
@@ -367,7 +368,7 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float, max_iter: int):
     total = k.copy()
     c, d = [1.0], [1.0]  # sinh(u)/u = sum c_n u^2n, (sinh(u)/u)^(b-1) = sum d_n u^2n
     n, done = 0, np.ones(z.shape, dtype=bool)
-    while n < min(_BGRAT_TERMS, max_iter):
+    while n < _BGRAT_TERMS:
         n += 1
         s = b + (2 * n - 2)
         k = v * (s * (s + 1.0) * k + (z + s + 1.0) * power)
@@ -383,7 +384,7 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float, max_iter: int):
     return np.clip(val, 0.0, 1.0), max(n, iters), conv & done
 
 
-def _gamma_pq_vec(a: float, x: np.ndarray, max_iter: int):
+def _gamma_pq_vec(a: float, x: np.ndarray):
     p = np.empty(x.shape)
     q = np.empty(x.shape)
     conv = np.ones(x.shape, dtype=bool)
@@ -396,17 +397,17 @@ def _gamma_pq_vec(a: float, x: np.ndarray, max_iter: int):
     if a >= _TEMME_MIN_A:
         near = np.abs(x - a) <= _TEMME_REACH * a
         if near.any():
-            p[near], q[near], iters, conv[near] = _gamma_temme_vec(a, x[near], max_iter)
+            p[near], q[near], iters = _gamma_temme_vec(a, x[near])
             low &= ~near
             high &= ~near
     if low.any():
-        pv, it, ok = _gamma_series_vec(a, x[low], max_iter)
+        pv, it, ok = _gamma_series_vec(a, x[low])
         p[low] = pv
         q[low] = 1.0 - pv
         conv[low] = ok
         iters = max(iters, it)
     if high.any():
-        qv, it, ok = _gamma_cf_vec(a, x[high], max_iter)
+        qv, it, ok = _gamma_cf_vec(a, x[high])
         q[high] = qv
         p[high] = 1.0 - qv
         conv[high] = ok
@@ -429,7 +430,7 @@ def _lgamma_ratio(a: float, b: float) -> float:
     )
 
 
-def _betainc_vec(x: np.ndarray, a: float, b: float, max_iter: int):
+def _betainc_vec(x: np.ndarray, a: float, b: float):
     val = np.empty(x.shape)
     conv = np.ones(x.shape, dtype=bool)
     iters = 0
@@ -455,18 +456,16 @@ def _betainc_vec(x: np.ndarray, a: float, b: float, max_iter: int):
         if a >= _BGRAT_MIN_A and b <= 1.0:
             near = 1.0 - xm < _BGRAT_REACH
             if near.any():
-                out[near], iters, okm[near] = _bgrat_vec(
-                    a, b, xm[near], ratio, max_iter
-                )
+                out[near], iters, okm[near] = _bgrat_vec(a, b, xm[near], ratio)
                 direct &= ~near
                 swap &= ~near
         if direct.any():
-            cf, it, ok = _betacf_vec(a, b, xm[direct], max_iter)
+            cf, it, ok = _betacf_vec(a, b, xm[direct])
             out[direct] = front(direct) * cf / a
             okm[direct] = ok
             iters = max(iters, it)
         if swap.any():
-            cf, it, ok = _betacf_vec(b, a, 1.0 - xm[swap], max_iter)
+            cf, it, ok = _betacf_vec(b, a, 1.0 - xm[swap])
             out[swap] = 1.0 - front(swap) * cf / b
             okm[swap] = ok
             iters = max(iters, it)
@@ -484,8 +483,8 @@ def _shaped(v: np.ndarray, shape: tuple):
     return v.reshape(shape) if shape else float(v[0])
 
 
-def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
-    """P(a, x) and Q(a, x) of one kernel pass over the flattened x."""
+def _gamma_result(a, x, upper: bool) -> SpecFunResult:
+    """P(a, x), or Q(a, x) if upper, of one kernel pass over the flattened x."""
     require(number("a", a))
     x_arr = np.asarray(x, dtype=np.float64)
     require(
@@ -493,34 +492,26 @@ def _gamma_pq(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
         unless(np.all(np.isfinite(x_arr)), "x must be finite"),
         unless(not np.any(x_arr < 0), "x must be nonnegative"),
     )
-    *pq, iters, conv = _gamma_pq_vec(float(a), x_arr.ravel(), max_iter)
-    pq = tuple(_shaped(v, x_arr.shape) for v in pq)
-    return SpecFunResult(pq, bool(conv.all()), iters)
+    *pq, iters, conv = _gamma_pq_vec(float(a), x_arr.ravel())
+    return SpecFunResult(_shaped(pq[upper], x_arr.shape), bool(conv.all()), iters)
 
 
-def _gamma_result(a, x, max_iter: int, upper: bool) -> SpecFunResult:
-    res = _gamma_pq(a, x, max_iter)
-    return SpecFunResult(res.value[upper], res.converged, res.iterations)
-
-
-def reg_lower_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
+def reg_lower_gamma_result(a, x) -> SpecFunResult:
     """P(a, x) = lower incomplete gamma(a, x) / Gamma(a), with diagnostics.
 
     a is one number, x a number or an array of any shape.  iterations
     is the worst element's count: loop iterations, or terms where the
     element took an asymptotic expansion (see SpecFunResult).
     """
-    return _gamma_result(a, x, max_iter, upper=False)
+    return _gamma_result(a, x, upper=False)
 
 
-def reg_upper_gamma_result(a, x, max_iter: int = _MAX_ITER) -> SpecFunResult:
+def reg_upper_gamma_result(a, x) -> SpecFunResult:
     """Q(a, x) = 1 - P(a, x), computed directly in the tail regime.
 
-    a is one number, x a number or an array of any shape.  iterations
-    is the worst element's count: loop iterations, or terms where the
-    element took an asymptotic expansion (see SpecFunResult).
+    Shapes and iterations as in reg_lower_gamma_result.
     """
-    return _gamma_result(a, x, max_iter, upper=True)
+    return _gamma_result(a, x, upper=True)
 
 
 def _unwrap(res: SpecFunResult, what: str):
@@ -531,17 +522,17 @@ def _unwrap(res: SpecFunResult, what: str):
     return res.value
 
 
-def reg_lower_gamma(a, x, max_iter: int = _MAX_ITER):
+def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) for one number a, in [0, 1]."""
-    return _unwrap(reg_lower_gamma_result(a, x, max_iter), "reg_lower_gamma")
+    return _unwrap(reg_lower_gamma_result(a, x), "reg_lower_gamma")
 
 
-def reg_upper_gamma(a, x, max_iter: int = _MAX_ITER):
+def reg_upper_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x) for one number a."""
-    return _unwrap(reg_upper_gamma_result(a, x, max_iter), "reg_upper_gamma")
+    return _unwrap(reg_upper_gamma_result(a, x), "reg_upper_gamma")
 
 
-def reg_inc_beta_result(x, a, b, max_iter: int = _MAX_ITER) -> SpecFunResult:
+def reg_inc_beta_result(x, a, b) -> SpecFunResult:
     """Regularized incomplete beta I_x(a, b), with diagnostics.
 
     a and b are one number each, x a number or an array of any shape.
@@ -556,20 +547,20 @@ def reg_inc_beta_result(x, a, b, max_iter: int = _MAX_ITER) -> SpecFunResult:
         unless(np.all(np.isfinite(x_arr)), "x must be finite"),
         unless(not (np.any(x_arr < 0) or np.any(x_arr > 1)), "x must lie in [0, 1]"),
     )
-    val, iters, conv = _betainc_vec(x_arr.ravel(), float(a), float(b), max_iter)
+    val, iters, conv = _betainc_vec(x_arr.ravel(), float(a), float(b))
     return SpecFunResult(_shaped(val, x_arr.shape), bool(conv.all()), iters)
 
 
-def reg_inc_beta(x, a, b, max_iter: int = _MAX_ITER):
+def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) for one number a and b, in [0, 1]."""
-    return _unwrap(reg_inc_beta_result(x, a, b, max_iter), "reg_inc_beta")
+    return _unwrap(reg_inc_beta_result(x, a, b), "reg_inc_beta")
 
 
 # Newton steps on log x: one of at most _NEWTON_TOL settles the root
 _NEWTON_TOL, _NEWTON_MAX_STEP, _NEWTON_STEPS = 2.0**-34, 4.0, 100
 
 
-def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
+def _gamma_quantile(a: float, mass: float, upper: bool) -> float:
     # x with P(a, x) = mass (upper=False) or Q(a, x) = mass (upper=True),
     # on the smaller tail, which the kernel computes directly.  Newton
     # steps in u = log x on g(u) = log(tail / mass), concave in u as log x
@@ -592,7 +583,7 @@ def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
     for _ in range(_NEWTON_STEPS):
         if x == 0.0:
             return x  # the quantile lies below the smallest float
-        *pq, _, conv = _gamma_pq_vec(a, np.array([x]), max_iter)
+        *pq, _, conv = _gamma_pq_vec(a, np.array([x]))
         if not conv.all():
             raise ConvergenceError("gamma quantile: CDF evaluation stalled")
         tail = float(pq[upper][0])
@@ -619,7 +610,7 @@ def _gamma_quantile(a: float, mass: float, upper: bool, max_iter: int) -> float:
     raise ConvergenceError("gamma quantile: Newton steps did not converge")
 
 
-def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
+def inv_reg_lower_gamma(a: float, p: float) -> float:
     """Solve P(a, x) = p for x >= 0 by Newton steps, to ~1e-12 relative.
 
     For p > 1/2 the search runs on Q(a, x) = 1 - p instead, so quantiles
@@ -632,10 +623,10 @@ def inv_reg_lower_gamma(a: float, p: float, max_iter: int = _MAX_ITER) -> float:
     )
     if p == 0.0:
         return 0.0
-    return _gamma_quantile(a, float(p), False, max_iter)
+    return _gamma_quantile(a, float(p), False)
 
 
-def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
+def inv_reg_upper_gamma(a: float, q: float) -> float:
     """Solve Q(a, x) = q for x >= 0; the tail-mass form of the inverse.
 
     Taking q directly (rather than p = 1 - q) avoids the cancellation: x
@@ -648,7 +639,7 @@ def inv_reg_upper_gamma(a: float, q: float, max_iter: int = _MAX_ITER) -> float:
     )
     if q == 1.0:
         return 0.0
-    return _gamma_quantile(a, float(q), True, max_iter)
+    return _gamma_quantile(a, float(q), True)
 
 
 def std_normal_cdf(t: float) -> float:

@@ -33,7 +33,9 @@ from l2mech.lossbounds import GridDomainError, check_approx_dp
 def test_privacy_params_validation():
     pp = PrivacyParams(1.0, 1e-5)
     assert pp.epsilon == 1.0 and pp.delta == 1e-5
-    for eps, delta in [(0.0, 1e-5), (-1.0, 1e-5), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]:
+    bad = [(0.0, 1e-5), (-1.0, 1e-5), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]
+    bad += [(True, 0.5), (np.True_, 0.5)]  # a flag is no epsilon
+    for eps, delta in bad:
         with pytest.raises(ValueError):
             PrivacyParams(eps, delta)
 
@@ -341,6 +343,11 @@ def test_l2_validation():
         calibrate_l2(2, pp, tol=0.0)
     with pytest.raises(ValueError):
         calibrate_l2(2, pp, sensitivity=-1.0)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            calibrate_l2(2, pp, tol=flag)
+        with pytest.raises(ValueError, match="sensitivity must be positive"):
+            calibrate_l2(2, pp, sensitivity=flag)
 
 
 def test_gaussian_lhs_matches_closed_form():

@@ -9,7 +9,7 @@ import pytest
 import l2mech.calibrate
 import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
-from l2mech.capgeom import LossGeometry, height_h
+from l2mech.capgeom import LossGeometry, height_H, height_h
 from l2mech.lossbounds import (
     BRANCH_GENERAL,
     BRANCH_LARGE_SIGMA,
@@ -244,24 +244,47 @@ def test_check_values_pinned_bitwise():
 
 def test_check_sends_each_radius_once(monkeypatch):
     # the two grids go end to end into one gamma call and one cap_fraction
-    # call: n_r + n_R elements, with no padding of the shorter grid
+    # call: n_r + n_R elements, with no padding of the shorter grid.  The
+    # heights the check builds itself are capgeom's, bit for bit
     from l2mech import lossbounds
 
-    sizes = []
-    real_gamma_pq, real_cap_fraction = lossbounds._gamma_pq, lossbounds.cap_fraction
+    sizes, grids = [], []
+    real_gamma_pq, real_cap_fraction = lossbounds._gamma_pq_vec, lossbounds.cap_fraction
 
     def gamma_pq(a, x):
-        sizes.append(("_gamma_pq", np.size(x)))
+        sizes.append(("_gamma_pq_vec", np.size(x)))
         return real_gamma_pq(a, x)
 
     def cap_fraction(dim, r, h):
         sizes.append(("cap_fraction", np.broadcast(r, h).size))
+        grids.append((r, h))
         return real_cap_fraction(dim, r, h)
 
-    monkeypatch.setattr(lossbounds, "_gamma_pq", gamma_pq)
+    monkeypatch.setattr(lossbounds, "_gamma_pq_vec", gamma_pq)
     monkeypatch.setattr(lossbounds, "cap_fraction", cap_fraction)
-    check_approx_dp(100, 0.2333333333333333, PrivacyParams(3.0, 1e-3), 64, 2000)
-    assert sizes == [("_gamma_pq", 2064), ("cap_fraction", 2064)]
+    sigma, eps = 0.2333333333333333, 3.0
+    check_approx_dp(100, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
+    assert sizes == [("_gamma_pq_vec", 2064), ("cap_fraction", 2064)]
+    (radii, heights), geom = grids[0], LossGeometry(100, sigma, eps)
+    assert np.array_equal(heights[:64], height_h(geom, radii[:64]))
+    assert np.array_equal(heights[64:], height_H(geom, radii[64:]))
+
+
+def test_general_check_builds_no_geometry(monkeypatch):
+    # a probe's arguments were checked where they entered: the general
+    # branch builds its heights itself, with no LossGeometry, height_h or
+    # height_H re-checking them
+    from l2mech import capgeom, lossbounds
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe re-checked arguments it built itself")
+
+    for name in ("LossGeometry", "height_h", "height_H"):
+        monkeypatch.setattr(capgeom, name, refuse)
+        monkeypatch.setattr(lossbounds, name, refuse, raising=False)
+    pp = PrivacyParams(1.0, 1e-5)
+    assert check_approx_dp(100, 0.2, pp).branch == BRANCH_GENERAL
+    assert calibrate_l2(10, pp).search_iterations >= 2
 
 
 def test_check_raises_its_terms_grid_errors_in_order():
@@ -295,6 +318,9 @@ def test_check_validation_errors():
         check_approx_dp(0, 0.5, pp)
     with pytest.raises(ValueError):
         check_approx_dp(2, -0.5, pp)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            check_approx_dp(2, flag, pp)
 
 
 def test_r_star_tail_rule():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,3 +124,10 @@ def test_input_validation():
         empirical_min_sigma(2, (1.0, 0.01), 1000, 1e-3, rng)
     with pytest.raises(ValueError):
         empirical_min_sigma(2, PrivacyParams(1.0, 0.01), 1000, 0.0, rng)
+    # dim and n are checked at entry: before n * delta, and before the
+    # starved-tail warning, which an invalid n must not trigger
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim, n in [(2, "10"), (2, 0), (2, 1.5e4), (0, 1000), (True, 1000)]:
+            with pytest.raises(ValueError, match="(n|dim) must be an integer"):
+                empirical_min_sigma(dim, PrivacyParams(1.0, 0.01), n, 1e-3, rng)

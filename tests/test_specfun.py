@@ -98,10 +98,12 @@ def test_gamma_vector_matches_scalar():
         assert abs(p + q - 1.0) < ABS_TOL
 
 
-@pytest.mark.parametrize("max_iter", [20000, 4])
-def test_vector_kernels_match_masked_reference(max_iter):
+@pytest.mark.parametrize("cap", [20000, 4])
+def test_vector_kernels_match_masked_reference(cap, monkeypatch):
     # early exit and dropped elements change how much work the loops do,
-    # never the arithmetic an element sees
+    # never the arithmetic an element sees, at the default iteration cap
+    # and at one that stops every loop early
+    monkeypatch.setattr(specfun, "_MAX_ITER", cap)
     rng = np.random.default_rng(5)
     for d in (2, 3, 10, 100, 1000, 5000):
         a = np.full(400, float(d))
@@ -111,15 +113,15 @@ def test_vector_kernels_match_masked_reference(max_iter):
             (low, specfun._gamma_series_vec, oracles.masked_gamma_series),
             (~low, specfun._gamma_cf_vec, oracles.masked_gamma_cf),
         ):
-            want, iters, ok = ref(a[sel], x[sel], max_iter)
-            got = kernel(float(d), x[sel], max_iter)
+            want, iters, ok = ref(a[sel], x[sel], cap)
+            got = kernel(float(d), x[sel])
             assert np.array_equal(got[0], want), (d, kernel)
             assert got[1] == iters.max() and np.array_equal(got[2], ok)
         a, b = (d - 1) / 2.0, 0.5
         x = rng.uniform(0.0, 1.0, 400)
         shapes = np.full(400, a), np.full(400, b)
-        want, iters, ok = oracles.masked_betacf(*shapes, x, max_iter)
-        got = specfun._betacf_vec(a, b, x, max_iter)
+        want, iters, ok = oracles.masked_betacf(*shapes, x, cap)
+        got = specfun._betacf_vec(a, b, x)
         assert np.array_equal(got[0], want), d
         assert got[1] == iters.max() and np.array_equal(got[2], ok)
 
@@ -136,23 +138,23 @@ def _check_hex_grids():
     return radii / sigma
 
 
-@pytest.mark.parametrize("max_iter", [20000, 48, 4])
-def test_gamma_array_call_is_the_flat_call_reshaped(max_iter):
+@pytest.mark.parametrize("cap", [20000, 48, 4])
+def test_gamma_array_call_is_the_flat_call_reshaped(cap, monkeypatch):
     # an array call of any shape is one flat batch.  Term1's grid alone
-    # converges after 48 series iterations and term2's after 49 (its
-    # elements within 0.4a of a = 100 take Temme's 18 terms), so the
-    # batch of both runs 49 and max_iter=48 does not converge
+    # converges after 48 series iterations and term2's after 49, so the
+    # batch of both runs 49 and a cap of 48 does not converge.  Its
+    # elements within 0.4a of a = 100 take Temme's 18 terms whatever the
+    # cap, so below 18 the batch reports those terms
     x = _check_hex_grids()
+    reported = {20000: (49, True), 48: (48, False), 4: (18, False)}[cap]
+    monkeypatch.setattr(specfun, "_MAX_ITER", cap)
     for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
-        flat = fn(100.0, x, max_iter)
+        flat = fn(100.0, x)
         for shape in ((2, 1032), (24, 1, 86)):
-            got = fn(100.0, x.reshape(shape), max_iter)
+            got = fn(100.0, x.reshape(shape))
             assert np.array_equal(got.value, flat.value.reshape(shape)), (fn, shape)
             assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
-        if max_iter == 20000:
-            assert (flat.iterations, flat.converged) == (49, True)
-        else:
-            assert (flat.iterations, flat.converged) == (max_iter, False)
+        assert (flat.iterations, flat.converged) == reported
 
 
 def test_large_shape_gamma_far_below_the_mean_against_mpmath():
@@ -268,14 +270,17 @@ def test_temme_table_is_the_generated_one():
         assert list(table) == [float(v) for v in row[:keep]], k
 
 
-def test_result_objects_and_convergence_failure():
+def test_result_objects_and_convergence_failure(monkeypatch):
     res = reg_lower_gamma_result(3.0, 2.0)
     assert isinstance(res, SpecFunResult)
     assert res.converged and res.iterations >= 1
-    starved = reg_upper_gamma_result(300.0, 400.0, max_iter=2)
-    assert not starved.converged
-    with pytest.raises(ConvergenceError):
-        reg_upper_gamma(300.0, 400.0, max_iter=2)
+    # Q(300, 600) lies beyond Temme's reach (|x/a - 1| <= 0.4), so the
+    # continued fraction serves it, and 2 iterations cannot settle it
+    monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+    starved = reg_upper_gamma_result(300.0, 600.0)
+    assert (starved.iterations, starved.converged) == (2, False)
+    with pytest.raises(ConvergenceError, match="within 2 iterations"):
+        reg_upper_gamma(300.0, 600.0)
 
 
 def test_reg_inc_beta_closed_forms():
@@ -391,12 +396,17 @@ def test_beta_monotone_across_seams(a):
     assert reg_inc_beta(0.71, 4999.5, 0.5) == 0.0
 
 
-def test_reg_inc_beta_domain_errors():
+def test_reg_inc_beta_domain_errors(monkeypatch):
     for args in [(-0.1, 1.0, 1.0), (1.1, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, -1.0)]:
         with pytest.raises(ValueError):
             reg_inc_beta(*args)
-    starved = reg_inc_beta_result(0.5, 400.0, 300.0, max_iter=2)
-    assert not starved.converged
+    # b = 300 > 1 keeps I_0.5(400, 300) off BGRAT: the continued fraction
+    # serves it, and 2 iterations cannot settle it
+    monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+    starved = reg_inc_beta_result(0.5, 400.0, 300.0)
+    assert (starved.iterations, starved.converged) == (2, False)
+    with pytest.raises(ConvergenceError, match="within 2 iterations"):
+        reg_inc_beta(0.5, 400.0, 300.0)
 
 
 def test_inv_reg_lower_gamma_basics():
