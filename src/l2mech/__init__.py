@@ -56,6 +56,7 @@ from .specfun import (
     reg_lower_gamma,
     reg_lower_gamma_result,
     reg_upper_gamma,
+    reg_upper_gamma_result,
     std_normal_cdf,
 )
 
@@ -99,6 +100,7 @@ __all__ = [
     "reg_lower_gamma",
     "reg_lower_gamma_result",
     "reg_upper_gamma",
+    "reg_upper_gamma_result",
     "sample_gaussian",
     "sample_l2",
     "sample_l2_parallel",

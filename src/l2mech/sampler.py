@@ -134,8 +134,8 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
-    out = x * (pull / norms)[:, None]
-    return out[0] if scalar else out
+    x *= (pull / norms)[:, None]
+    return x[0] if scalar else x
 
 
 def sample_l2(center, sigma: float, rng: RngState, size=None):
@@ -152,8 +152,9 @@ def sample_l2(center, sigma: float, rng: RngState, size=None):
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, c.size)
     radius = gen.gamma(c.size, sigma, size=n)
-    out = c + x * (radius / norms)[:, None]
-    return out[0] if scalar else out
+    x *= (radius / norms)[:, None]
+    x += c
+    return x[0] if scalar else x
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ __all__ = [
     "reg_lower_gamma",
     "reg_upper_gamma",
     "reg_lower_gamma_result",
+    "reg_upper_gamma_result",
     "reg_inc_beta",
     "reg_inc_beta_result",
     "inv_reg_lower_gamma",

@@ -432,7 +432,10 @@ def mc_clouds(d, sigma, eps, n, seed):
     """(c1, se1, c2, se2): loss-region fractions from both centers.
 
     Norm ~ Gamma(d, sigma) times a uniform sphere direction; the region
-    test is the raw loss predicate, no cap geometry involved.
+    test is the raw loss predicate, no cap geometry involved.  This is
+    the full d-dimensional reference for empirical_lhs, which draws only
+    each output's distance from its center and first direction
+    coordinate.
     """
     rng = np.random.default_rng(seed)
     e1 = np.zeros(d)

@@ -113,7 +113,7 @@ def test_criterion_04_empirical_matches_certified():
     for d in (1, 2, 5, 10, 25, 50, 100):
         analytic = calibrate_l2(d, params).sigma
         empirical = empirical_min_sigma(
-            d, params, 100000, 1e-3, RngState(20260819, stream_id=d)
+            d, params, 1000000, 1e-3, RngState(20260819, stream_id=d)
         )
         gap = abs(empirical - analytic) / analytic
         assert gap <= 0.03, f"d={d}: gap {gap:.4f} exceeds 3%"

@@ -10,7 +10,12 @@ import pytest
 import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.lossbounds import check_approx_dp
-from l2mech.mcverify import EmpiricalPrivacyEstimate, empirical_lhs, empirical_min_sigma
+from l2mech.mcverify import (
+    EmpiricalPrivacyEstimate,
+    _first_coordinate,
+    empirical_lhs,
+    empirical_min_sigma,
+)
 from l2mech.sampler import RngState
 
 
@@ -30,6 +35,55 @@ def test_one_dim_closed_form():
     assert abs(est.lhs_estimate - want) <= 4.0 * est.std_error
     # the bar itself should be tight at this n
     assert est.std_error < 2e-3
+
+
+def test_radius_and_first_coordinate_match_full_clouds():
+    # empirical_lhs draws (||y - center||, y_1) only; the oracle draws
+    # whole d-dimensional outputs.  sigma puts the region's boundary
+    # through the bulk: at the typical radius R = d sigma, a direction
+    # orthogonal to e1 has loss exactly tau = eps sigma.
+    for i, d in enumerate((1, 2, 3, 50, 1000)):
+        n = min(100000, 4000000 // d)  # the oracle holds n x d floats
+        for j, tau in enumerate((0.1, 0.5, 0.9)):
+            sigma = (1.0 - tau * tau) / (2.0 * tau * d)
+            seed = 100 + 10 * i + j
+            c1, se1, c2, se2 = oracles.mc_clouds(d, sigma, tau / sigma, n, seed)
+            est = empirical_lhs(d, sigma, tau / sigma, n, RngState(seed))
+            for want, se, got in ((c1, se1, est.c1), (c2, se2, est.c2)):
+                se_got = max(math.sqrt(got * (1.0 - got) / n), 1.0 / n)
+                assert abs(got - want) <= 4.0 * math.hypot(se, se_got), (d, tau)
+
+
+class _SignedZeroNormals:
+    """A generator whose normals are all +-0.0, alternating in sign."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def gamma(self, *args, **kwargs):
+        return self.gen.gamma(*args, **kwargs)
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        z.reshape(-1)[1::2] = -0.0
+        return z
+
+
+def test_one_dim_direction_from_a_zero_normal():
+    stub = _SignedZeroNormals(np.random.default_rng(16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, w = _first_coordinate(stub, 1, (2, 5))
+        rng = RngState(16)
+        rng._gen = stub
+        est = empirical_lhs(1, 0.5, 1.0, 20000, rng)
+    assert np.array_equal(t, np.tile([1.0, -1.0], 5).reshape(2, 5))
+    assert np.array_equal(w, np.zeros((2, 5)))
+    # half the outputs lie at -R, where the loss is always 1/sigma >= eps;
+    # the other half at +R, in the region when R <= (1 - eps sigma)/2
+    want = 0.5 + 0.5 * (1.0 - math.exp(-0.25 / 0.5))
+    assert math.isfinite(est.lhs_estimate)
+    assert abs(est.c1 - want) <= 4.0 * est.std_error
 
 
 def test_loss_cannot_reach_epsilon():

@@ -44,6 +44,7 @@ SIGNATURES = {
     "reg_lower_gamma": "(a, x)",
     "reg_lower_gamma_result": "(a, x) -> 'SpecFunResult'",
     "reg_upper_gamma": "(a, x)",
+    "reg_upper_gamma_result": "(a, x) -> 'SpecFunResult'",
     "sample_gaussian": "(center, sigma: 'float', rng: 'RngState', size=None)",
     "sample_l2": "(center, sigma: 'float', rng: 'RngState', size=None)",
     "sample_l2_parallel": "(center, sigma: 'float', worker_rngs: 'list[RngState]', "

@@ -1,5 +1,6 @@
 """Exact samplers: determinism, moments, and distributional law checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -220,3 +221,36 @@ def test_draw_batch_dispatch_and_determinism():
     assert not np.array_equal(lap.values, gau.values)
     with pytest.raises(ValueError):
         draw_batch("cauchy", 2, 1.0, 4, seed=3)
+
+
+# SHA-1 of the float64 bytes of fixed draws.  A released sample_l2
+# stream must replay bit for bit across versions, so any change to the
+# arithmetic or the draw order of these samplers shows up here.
+STREAM_SHA1 = {
+    (1, "l2"): "7267e00b5b2a04aded56b3cc1bd5bc4c039f5f2f",
+    (1, "l2 scalar"): "676014cfda210cbd3e0b5baef849058a66f4434a",
+    (1, "unit ball"): "b6d65890164f61610083f2dac408c476f3a75937",
+    (1, "draw_batch"): "bea0fd890c1b33b302f998b32763e6d437b3cb57",
+    (3, "l2"): "885bce4c7eea8487594795df6c8158a61e31712e",
+    (3, "l2 scalar"): "971c9135404a0f679a6c5602ce74dc6f8638ec98",
+    (3, "unit ball"): "eb662c8dd44339a7b7c190d3831c3cb78dcafa03",
+    (3, "draw_batch"): "92db084a4536616a6c98b745334402d36c31b3a2",
+    (100, "l2"): "41e68bf8e8966141781240335bf3d644ca0f2ea1",
+    (100, "l2 scalar"): "598f80bd5d5afbdc84da17d6276cf9bbe3ae6031",
+    (100, "unit ball"): "1b01f1b40029482db65cb82e45b517e4555e2583",
+    (100, "draw_batch"): "48694872628b3b223731295b1292d8cd0f2d1fb3",
+}
+
+
+def test_sample_streams_are_pinned():
+    def sha1(a):
+        return hashlib.sha1(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    got = {}
+    for d in (1, 3, 100):
+        center = np.linspace(-1.5, 2.0, d)
+        got[d, "l2"] = sha1(sample_l2(center, 0.7, RngState(2024, d), size=64))
+        got[d, "l2 scalar"] = sha1(sample_l2(center, 0.7, RngState(2027, d)))
+        got[d, "unit ball"] = sha1(sample_unit_ball(d, RngState(2025, d), size=64))
+        got[d, "draw_batch"] = sha1(draw_batch("l2", d, 0.7, 64, 2026, d).values)
+    assert got == STREAM_SHA1
