@@ -10,9 +10,9 @@ the bracket would visit.  The l2 mechanism is searched against the
 certified Riemann check from lossbounds on [tol, 1/epsilon].  Its
 first probe is the equal-error sigma sigma_G / sqrt(d + 1), the l2
 scale with the Gaussian mechanism's MSE, which the l2 answer
-approaches as d grows (comparison_table starts from the previous
-dimension's sigma instead).  Each later probe takes a safeguarded
-Newton step toward lhs_upper = delta, in u = log(1/sigma - epsilon) and
+approaches as d grows (comparison_table starts from its own estimate
+instead).  Each later probe takes a safeguarded Newton step toward
+lhs_upper = delta, in u = log(1/sigma - epsilon) and
 w = log(lhs_upper / delta), on the exact slope of the bound that every
 check reports with it (lhs_slope).  The estimates move the probes,
 never the answer.
@@ -148,8 +148,9 @@ def _calibrate_l2(
     """calibrate_l2 with its first probe at estimate, a unit-sensitivity sigma.
 
     estimate None means the equal-error sigma.  The estimate only moves
-    the probes, never the answer: comparison_table passes the previous
-    dimension's sigma, which is close but not always above the answer.
+    the probes, never the answer: comparison_table passes a secant
+    extrapolation of its earlier rows, which is close but may lie on
+    either side of the answer.
     """
     _validate_common(
         params,

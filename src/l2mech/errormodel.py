@@ -14,10 +14,12 @@ p = 1 it gives 2 dim sigma^2, matching i.i.d. Laplace noise.
 comparison_table calibrates all three mechanisms to a shared
 (epsilon, delta) target and reports each MSE normalized by the
 Gaussian row, reproducing the headline utility comparison.  The l2
-sigma falls slowly with the dimension, so each l2 search takes the
-previous dimension's sigma as its first probe.  That moves the probes,
-not the answer: wherever the verdict is monotone in sigma, each l2 row
-is bit for bit a stand-alone calibrate_l2 call.
+sigma falls smoothly with the dimension, so each l2 search takes the
+secant through the two sigmas before it as its first probe (the second
+row takes the first row's sigma), a predictor as in numerical
+continuation.  That moves the probes, not the answer: wherever the
+verdict is monotone in sigma, each l2 row is bit for bit a stand-alone
+calibrate_l2 call.
 """
 from __future__ import annotations
 
@@ -103,20 +105,20 @@ def comparison_table(
     Returns three rows per dimension (l2, laplace, gaussian in that
     order), each normalized by the Gaussian MSE of its dimension.  The
     Gaussian scale is dimension-independent, so it is calibrated once.
-    Each l2 search starts at the previous dimension's sigma, next to
-    the answer, and still certifies the answer and the lattice point
-    below it itself, so the l2 rows are the stand-alone calibrate_l2
-    sigmas.
+    Each l2 search starts at the secant through the two sigmas before
+    it (_secant), next to the answer, and still certifies the answer
+    and the lattice point below it itself, so the l2 rows are the
+    stand-alone calibrate_l2 sigmas.
     """
     require(integer("d_max", d_max))
     gauss = calibrate_gaussian(params, tol=tol)
     rows: list[ErrorRow] = []
-    previous = None
+    found: list[tuple[int, float]] = []
     for d in range(1, int(d_max) + 1):
         l2 = _calibrate_l2(
-            d, params, n_r, n_R, tol, sensitivity=1.0, estimate=previous
+            d, params, n_r, n_R, tol, sensitivity=1.0, estimate=_secant(found, d)
         )
-        previous = l2.sigma
+        found.append((d, l2.sigma))
         lap = laplace_sigma(d, params)
         anchor = mse_gaussian(d, gauss.sigma)
         for mech, sigma, mse in (
@@ -134,6 +136,20 @@ def comparison_table(
                 )
             )
     return rows
+
+
+def _secant(found: list[tuple[int, float]], d: int) -> float | None:
+    """First-probe sigma at d from the (dim, sigma) pairs found so far.
+
+    The secant through the last two, written in the dimension so an
+    uneven list of dimensions extrapolates as well as 1..d_max; the
+    last sigma when there is one pair, None (the equal-error sigma)
+    when there is none.
+    """
+    if len(found) < 2:
+        return found[-1][1] if found else None
+    (a, sa), (b, sb) = found[-2:]
+    return sb + (sb - sa) * (d - b) / (b - a)
 
 
 def table_to_csv(rows: list[ErrorRow]) -> str:

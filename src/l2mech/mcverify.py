@@ -81,13 +81,19 @@ def _first_coordinate(gen: np.random.Generator, dim: int, size):
     t = z / sqrt(z^2 + 2G) with z ~ N(0, 1) and G ~ Gamma((dim - 1)/2):
     z^2 is the first coordinate's share of a chi-square(dim) squared
     norm and 2G the chi-square(dim - 1) rest, so 1 - t^2 = 2G / (z^2 +
-    2G) comes without cancellation.  At dim = 1 the direction is +-1,
-    the sign of z (a z of exactly +-0 still gives +-1).
+    2G) comes without cancellation.  At dim = 2 the chi-square(1) rest
+    is drawn as the square of a second normal, the same law as 2G
+    without numpy's slow shape < 1 gamma path.  At dim = 1 the
+    direction is +-1, the sign of z (a z of exactly +-0 still gives
+    +-1).
     """
     z = gen.standard_normal(size)
     if dim == 1:
         return np.copysign(1.0, z), np.zeros(size)
-    rest = 2.0 * gen.standard_gamma(0.5 * (dim - 1), size)
+    if dim == 2:
+        rest = np.square(gen.standard_normal(size))
+    else:
+        rest = 2.0 * gen.standard_gamma(0.5 * (dim - 1), size)
     norm2 = z * z + rest
     return z / np.sqrt(norm2), rest / norm2
 
@@ -118,9 +124,9 @@ def empirical_lhs(
 
     Deterministic given the rng state.  Draws come in chunks of at most
     _CHUNK_DRAWS per cloud; per chunk of m the stream gives 2m radii
-    (the cloud at 0 first), then 2m normals z, then, when dim > 1, 2m
-    Gamma((dim - 1)/2) variates.  Memory is a few arrays of 2m floats,
-    independent of dim and n.
+    (the cloud at 0 first), then 2m normals z, then 2m more normals
+    when dim = 2 or 2m Gamma((dim - 1)/2) variates when dim > 2.
+    Memory is a few arrays of 2m floats, independent of dim and n.
     """
     require(
         integer("dim", dim),

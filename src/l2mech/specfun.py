@@ -305,7 +305,7 @@ _BGRAT_TERMS = 30
 
 
 def _erfc(v: np.ndarray) -> np.ndarray:
-    return np.array([math.erfc(e) for e in v.tolist()])
+    return np.fromiter(map(math.erfc, v.tolist()), np.float64, v.size)
 
 
 def _gamma_temme_vec(a: float, x: np.ndarray):

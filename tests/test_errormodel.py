@@ -153,13 +153,23 @@ def test_counts_refuse_bools():
 
 
 @pytest.mark.parametrize(
-    "epsilon,delta,max_probes", [(1.0, 1e-5, 40), (0.1, 1e-7, 54), (10.0, 1e-3, 36)]
+    "epsilon,delta,d_max,max_probes",
+    [
+        (1.0, 1e-5, 12, 33),
+        (0.1, 1e-7, 12, 47),
+        (10.0, 1e-3, 12, 31),
+        (1.0, 1e-5, 40, 98),
+    ],
 )
-def test_table_warm_start_changes_no_sigma(monkeypatch, epsilon, delta, max_probes):
-    # each l2 search starts at the previous dimension's sigma; its answer
-    # is still the stand-alone calibration's.  With Newton steps on each
-    # check's slope the tables take 36, 49 and 33 checks (51, 65 and 53
-    # with slope-1 steps); the bounds leave about 10% on top
+def test_table_warm_start_changes_no_sigma(
+    monkeypatch, epsilon, delta, d_max, max_probes
+):
+    # each l2 search from the third row on starts at the secant through
+    # the two sigmas before it (the second at the first row's sigma); its
+    # answer is still the stand-alone calibration's.  The d_max = 12
+    # tables take 30, 43 and 28 checks (36, 49 and 33 from the previous
+    # row's sigma) and the d_max = 40 one 89 (120); the bounds leave
+    # about 10% on top
     pp = PrivacyParams(epsilon, delta)
     probes = 0
     check_at = l2mech.calibrate._check
@@ -171,8 +181,8 @@ def test_table_warm_start_changes_no_sigma(monkeypatch, epsilon, delta, max_prob
 
     with monkeypatch.context() as patch:
         patch.setattr(l2mech.calibrate, "_check", counted)
-        rows = comparison_table(pp, 12)
+        rows = comparison_table(pp, d_max)
     table = [r.sigma for r in rows if r.mechanism == "l2"]
-    alone = [calibrate_l2(d, pp).sigma for d in range(1, 13)]
+    alone = [calibrate_l2(d, pp).sigma for d in range(1, d_max + 1)]
     assert [s.hex() for s in table] == [s.hex() for s in alone]
     assert probes <= max_probes
