@@ -6,29 +6,19 @@ tolerance) whose privacy certificate passes for the requested
 a different sensitivity is given (scales multiply through linearly).
 
 Every search runs on _lattice_search, over the sigmas a bisection of
-the bracket would visit.  The l2 mechanism is searched against the
-certified Riemann check from lossbounds on [tol, 1/epsilon].  Its
-first probe is the equal-error sigma sigma_G / sqrt(d + 1), the l2
-scale with the Gaussian mechanism's MSE, which the l2 answer
-approaches as d grows (comparison_table starts from its own estimate
-instead).  Each later probe takes a safeguarded Newton step toward
-lhs_upper = delta, in u = log(1/sigma - epsilon) and
-w = log(lhs_upper / delta), on the exact slope of the bound that every
-check reports with it (lhs_slope).  The estimates move the probes,
-never the answer.
-sigma = 1/epsilon passes in exact arithmetic (the loss region is empty
-there); when epsilon * (1/epsilon) rounds below 1 it is nudged up by
-ulps until its certificate passes.  In one dimension the l2 mechanism
-is the Laplace mechanism, and the check collapses to a closed form
-whose minimal sigma, 1/(epsilon - 2 ln(1 - delta)), is
-laplace_sigma_lower_bound's, used directly.  The Gaussian calibrator
-brackets the exact normal-CDF condition (dimension-independent for
-l2-sensitivity) by powers of two, then bisects it unsteered, as
-mcverify's observational search does on calibrate_l2's bracket.  The
-Laplace scale sqrt(d)/(epsilon + delta) is a closed-form choice
-sitting just above the exact threshold, which is also provided for
-reference.  PrivacyParams lives in lossbounds, next to the certificate
-that reads it, and is re-exported here.
+the bracket would visit; calibrate_l2 says how its probes are steered.
+In one dimension the l2 mechanism is the Laplace mechanism, and the
+check collapses to a closed form whose minimal sigma,
+1/(epsilon - 2 ln(1 - delta)), is laplace_sigma_lower_bound's, used
+directly.  The Gaussian calibrator brackets the exact normal-CDF
+condition (dimension-independent for l2-sensitivity) by powers of two,
+then bisects it unsteered, as mcverify's observational search does on
+calibrate_l2's bracket.  The Laplace scale sqrt(d)/(epsilon + delta) is
+a closed-form pure-DP choice; at d = 1 it sits just above the exact
+threshold sqrt(d)/(epsilon - 2 ln(1 - delta)), which is also provided
+(for d >= 2 that scale is neither exact nor a lower bound).
+PrivacyParams lives in lossbounds, next to the certificate that reads
+it, and is re-exported here.
 """
 from __future__ import annotations
 
@@ -124,11 +114,15 @@ def calibrate_l2(
     matches the Gaussian mechanism's dim sigma_G^2: the l2 mechanism
     approaches the Gaussian as dim grows, so this estimate sharpens
     with dim (the bracket's midpoint when it is not below 1/epsilon).
-    Each later probe takes a Newton step on the lhs_upper and lhs_slope
-    of the probes before it (see _margin_sigma and _lattice_search), so
-    the answer, bit for bit the bisection's whenever the verdict is
-    monotone in sigma, takes about three probes for dim > 100, four to
-    five for 10 < dim <= 100 and three to four below, instead of m + 1.
+    Each probe then names the next: a safeguarded Newton step toward
+    lhs_upper = delta, in u = log(1/sigma - epsilon) and
+    w = log(lhs_upper / delta), on the margins of the probes so far and
+    the exact slope each check reports (lhs_slope; see _margin_sigma),
+    or the midpoint after a probe that gives no margin (no slope, or a
+    grid that cannot resolve the loss region).  The answer, bit for bit
+    the bisection's whenever the verdict is monotone in sigma, takes
+    about three probes for dim > 100, four to five for 10 < dim <= 100
+    and three to four below, instead of m + 1.
     Probes whose grid cannot resolve the loss region (tiny sigma) count
     as not certified, which is always sound.  The floor is probed only
     when the search ends at index 1 and the top 1/epsilon only when it
@@ -164,6 +158,7 @@ def _calibrate_l2(
     eps = params.epsilon
     log_delta = math.log(params.delta)
     evals = 0
+    points = []
 
     def probe(s: float):
         nonlocal evals
@@ -172,7 +167,11 @@ def _calibrate_l2(
             report = _check(dim, s, params, n_r, n_R, x_star)
         except GridDomainError:
             return False, None
-        return report.satisfies_dp, _margin_point(report, s, eps, log_delta)
+        point = _margin_point(report, s, eps, log_delta)
+        if point is None:
+            return report.satisfies_dp, None
+        points.append(point)
+        return report.satisfies_dp, _margin_sigma(points, eps)
 
     def certified(s: float) -> bool:
         return probe(s)[0]
@@ -188,11 +187,7 @@ def _calibrate_l2(
     lo, hi, depth = _bracket(eps, tol)
     if estimate is None:
         estimate = _equal_error_sigma(dim, params, tol, hi)
-
-    def steer(points):
-        return _margin_sigma(points, eps) if points else estimate
-
-    k = _lattice_search(lo, hi, depth, probe, steer)
+    k = _lattice_search(lo, hi, depth, probe, estimate)
     if k == 1 and certified(lo):
         return result(lo, floor=True)
     if k == 1 << depth:
@@ -290,47 +285,40 @@ def _margin_point(report, sigma: float, eps: float, log_delta: float):
     return _Margin(math.log(gap), math.log(lhs) - log_delta, s, report.satisfies_dp)
 
 
-def _lattice_search(lo: float, hi: float, depth: int, probe, steer=None) -> int:
+def _lattice_search(lo: float, hi: float, depth: int, probe, first=None) -> int:
     """Smallest lattice index k in [1, 2^depth] whose sigma passes.
 
-    probe(sigma) returns (passed, margin point or None).  Index 0 (the
-    floor) is taken to fail and 2^depth (the top) to pass without
-    probing either; the caller settles them.  Unsteered, every probe is
-    the bracket's midpoint: exactly a bisection's probes, in its order.
-    steer(points) estimates the threshold sigma from the margin points
-    so far, or gives None for the midpoint.  It places the first probe
-    (as steer([])) and each probe after one that left a margin point;
-    a probe after one that left none is the midpoint, and so is a
-    non-finite estimate.  A probe at an estimate is rounded up to the
-    lattice and kept strictly inside the bracket, which closes the last
-    step from the other side.  While no probe has failed, an estimate
-    from margin points is rounded one step further down: an accurate one
-    then lands on the failing side, which is the side the search still
-    needs.  As in ITP, every steered probe also stays close enough to
-    the midpoint that bisection could still finish within depth + 3
-    probes, so a misleading estimate or margin costs at most three
-    more.  The estimates move the probes only: the returned k is the
-    unsteered search's whenever passing is monotone.
+    probe(sigma) returns (passed, the sigma to probe next or None).
+    Index 0 (the floor) is taken to fail and 2^depth (the top) to pass
+    without probing either; the caller settles them.  The first probe
+    goes to first and each later one to the sigma the probe before it
+    named; None or a non-finite sigma means the bracket's midpoint, so
+    probes that never name one are exactly a bisection's, in its order.
+    A named sigma is rounded up to the lattice and kept strictly inside
+    the bracket, which closes the last step from the other side.  While
+    no probe has failed, any probe after the first is rounded one step
+    further down: an accurate estimate then lands on the failing side,
+    which is the side the search still needs.  As in ITP, every probe
+    also stays close enough to the midpoint that bisection could still
+    finish within depth + 3 probes, so misleading sigmas cost at most
+    three more.  They move the probes only: the returned k is the
+    bisection's whenever passing is monotone.
     """
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
-    points = []
-    point = None
+    guess = first
     probes = 0
     while above - below > 1:
         reach = 1 << (depth + 2 - probes)
         probes += 1
-        guess = steer(points) if steer and (point or probes == 1) else None
         if guess is None or not math.isfinite(guess):
             k = (below + above) // 2
         else:
             k = math.ceil((min(max(guess, lo), hi) - lo) / spacing)
-            if points and below == 0:
+            if probes > 1 and below == 0:
                 k -= 1
             k = min(max(k, below + 1, above - reach), above - 1, below + reach)
-        passed, point = probe(_lattice_sigma(k, depth, lo, hi))
-        if point:
-            points.append(point)
+        passed, guess = probe(_lattice_sigma(k, depth, lo, hi))
         if passed:
             above = k
         else:
@@ -432,8 +420,9 @@ def laplace_sigma(
     An l2-sensitivity of 1 caps the l1-sensitivity at sqrt(dim); adding
     i.i.d. Laplace(scale) noise then gives pure sqrt(dim)/scale-DP, and
     this scale spends the whole (epsilon + delta) budget on it, which
-    in particular implies (epsilon, delta)-DP.  Slightly above the
-    exact minimum (see laplace_sigma_lower_bound).
+    in particular implies (epsilon, delta)-DP.  At dim == 1 it lies
+    slightly above the exact minimum, laplace_sigma_lower_bound; for
+    dim >= 2 that function gives no minimum (see there).
     """
     require(
         integer("dim", dim),
@@ -447,11 +436,15 @@ def laplace_sigma(
 
 
 def laplace_sigma_lower_bound(dim: int, params: PrivacyParams) -> float:
-    """Exact minimal Laplace scale sqrt(dim)/(epsilon - 2 ln(1 - delta)).
+    """The Laplace scale sqrt(dim)/(epsilon - 2 ln(1 - delta)).
 
-    Below this scale the mechanism provably fails (epsilon, delta)-DP
-    for the worst-case pair at l1-distance sqrt(dim); the closed-form
-    choice above exceeds it by O(delta) relative, never the reverse.
+    At dim == 1 this is the exact minimal scale: below it the mechanism
+    fails (epsilon, delta)-DP for the pair at distance 1, and
+    laplace_sigma exceeds it by O(delta) relative, never the reverse.
+    For dim >= 2 it is neither exact nor a lower bound: the privacy
+    loss of the pair at l1-distance sqrt(dim), the diagonal shift, is a
+    sum of dim bounded terms and concentrates, so smaller scales can
+    still pass there.
     """
     require(integer("dim", dim), instance("params", params, PrivacyParams))
     return math.sqrt(dim) / (params.epsilon - 2.0 * math.log1p(-params.delta))

@@ -66,8 +66,7 @@ def height_h(geom: LossGeometry, r):
     """
     r_arr = np.asarray(r, dtype=np.float64)
     require(positive("r", r_arr))
-    tau = geom.tau
-    val = np.minimum((1.0 - tau) * (r_arr + (1.0 + tau) / 2.0), 2.0 * r_arr)
+    val = _cap_heights(geom.tau, r_arr, (1.0 + geom.tau) / 2.0)
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -77,11 +76,11 @@ def height_H(geom: LossGeometry, R):
     Defined only for R >= (1 + tau)/2; smaller spheres do not meet the
     loss region at all and asking for their cap height is a caller bug,
     so this raises rather than clamping.  The factored form
-    (1 - tau) * (R - (1 + tau)/2) is exactly 0 at the threshold.
+    (1 - tau) * (R - (1 + tau)/2) is exactly 0 at the threshold, and it
+    never reaches the diameter 2R.
     """
     R_arr = np.asarray(R, dtype=np.float64)
-    tau = geom.tau
-    lo = (1.0 + tau) / 2.0
+    lo = (1.0 + geom.tau) / 2.0
     require(
         positive("R", R_arr),
         unless(
@@ -90,8 +89,18 @@ def height_H(geom: LossGeometry, R):
             "miss the loss region entirely",
         ),
     )
-    val = (1.0 - tau) * (R_arr - lo)
+    val = _cap_heights(geom.tau, R_arr, -lo)
     return float(val) if np.ndim(R) == 0 else val
+
+
+def _cap_heights(tau: float, r, offset):
+    """The cap-height line min((1 - tau) * (r + offset), 2r), unchecked.
+
+    offset is +(1 + tau)/2 on spheres around the noise center and
+    -(1 + tau)/2 around the shifted one; height_h, height_H and the
+    certificate's grids all take their heights from here.
+    """
+    return np.minimum((1.0 - tau) * (r + offset), 2.0 * r)
 
 
 def cap_fraction(dim: int, r, h):

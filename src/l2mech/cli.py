@@ -7,10 +7,12 @@ violated constraint in a single stderr line.
 Exit codes: 0 success, 2 usage/validation error, 1 numerical failure
 (non-convergence, unresolvable grids, bracketing failures).
 
-The seed defaults to the L2MECH_SEED environment variable when the
---seed flag is absent, and to 0 when neither is set.  Outputs go to
-stdout unless --out is given; JSON is the default format for
-calibrate/verify, CSV for compare/sample.
+Each subcommand takes only the value flags it reads; any other is a
+usage error.  The seed of sample and verify defaults to the
+L2MECH_SEED environment variable when the --seed flag is absent, and
+to 0 when neither is set.  Outputs go to stdout unless --out is given;
+JSON is the default format for calibrate/verify, CSV for
+compare/sample.
 """
 from __future__ import annotations
 
@@ -113,13 +115,6 @@ _FLAGS = {
     "n_R": _Flag("n_R", int, _at_least(2), "radial grid size, second bound"),
     "tol": _Flag("tol", float, positive, "binary-search tolerance on sigma"),
 }
-# the value flags of every subcommand
-_COMMON = ("dim", "seed", "n_r", "n_R", "tol")
-
-
-def _flags_of(command) -> list[str]:
-    """A subcommand's value flags, as dests, in table order."""
-    return [dest for dest in _FLAGS if dest in _COMMON or dest in command.flags]
 
 
 def _flag_name(dest: str) -> str:
@@ -135,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for dest in _flags_of(command):
+        for dest in command.flags:
             p.add_argument(_flag_name(dest), dest=dest, help=_FLAGS[dest].help)
         p.add_argument("--format", dest="output_format", choices=FORMATS)
         p.add_argument("--out", dest="output_path", help="write output to this path")
@@ -152,7 +147,7 @@ def parse_args(argv=None) -> CliConfig:
     command = _SUBCOMMANDS[ns.command]
     problems: list[str] = []
     values = {}
-    for dest in _flags_of(command):
+    for dest in command.flags:
         flag, name, raw = _FLAGS[dest], _flag_name(dest), getattr(ns, dest)
         if raw is None and dest == "seed" and SEED_ENV_VAR in os.environ:
             name, raw = f"${SEED_ENV_VAR}", os.environ[SEED_ENV_VAR]
@@ -301,11 +296,11 @@ def _run_verify(config: CliConfig) -> dict:
 
 
 class _Subcommand(NamedTuple):
-    """One subcommand: its help line, its handler and its own flags.
+    """One subcommand: its help line, its handler and its value flags.
 
-    flags maps each value flag beyond _COMMON, and each common one the
-    subcommand requires, to None when it is optional, or else to the
-    note its "is required" message ends with.
+    flags maps each value flag the subcommand reads, in _FLAGS order, to
+    None when it is optional, or else to the note its "is required"
+    message ends with.
     """
 
     help: str
@@ -319,22 +314,24 @@ _SUBCOMMANDS = {
     "calibrate": _Subcommand(
         "minimal sigma for a mechanism",
         _run_calibrate,
-        {"eps": "", "delta": "", "mech": ""},
+        dict(eps="", delta="", mech="", dim=None, n_r=None, n_R=None, tol=None),
     ),
     "compare": _Subcommand(
         "error table for all mechanisms",
         _run_compare,
-        {"eps": "", "delta": "", "dim": " (the largest dimension of the table)"},
+        dict(eps="", delta="", dim=" (the largest dimension of the table)",
+             n_r=None, n_R=None, tol=None),
     ),
     "sample": _Subcommand(
         "draw mechanism outputs",
         _run_sample,
-        {"mech": "", "dim": "", "sigma": "", "samples": ""},
+        dict(mech="", dim="", sigma="", samples="", seed=None),
     ),
     "verify": _Subcommand(
         "analytic + Monte-Carlo check",
         _run_verify,
-        {"eps": "", "delta": "", "sigma": None, "samples": None},
+        dict(eps="", delta="", dim=None, sigma=None, samples=None, seed=None,
+             n_r=None, n_R=None, tol=None),
     ),
 }
 COMMANDS = tuple(_SUBCOMMANDS)

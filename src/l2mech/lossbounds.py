@@ -34,8 +34,8 @@ does not depend on sigma, once per calibration.  Both check the
 sizes once, where they enter; no per-probe record re-checks them.  The
 two radial grids go as one flat batch into one call of the packed gamma
 kernel, which also gives the tail mass, and one cap_fraction call.  The
-cap heights are capgeom's height_h and height_H, built here from the
-slope's offset array; only cap_fraction and its reg_inc_beta, the
+cap heights come from capgeom's one cap-height line, on the offset
+array the slope reads too; only cap_fraction and its reg_inc_beta, the
 benchmark's seams, re-check a probe's grid.  The same pass gives
 lhs_slope, the exact sigma-derivative of those two sums, from the
 arrays it already holds.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
-from .capgeom import _cap_fraction_rate, cap_fraction
+from .capgeom import _cap_fraction_rate, _cap_heights, cap_fraction
 from .specfun import ConvergenceError, _gamma_pq_vec, inv_reg_upper_gamma
 
 __all__ = [
@@ -98,8 +98,11 @@ class GridDomainError(ValueError):
 class BoundReport:
     """Outcome of one certified (epsilon, delta) check.
 
-    lhs_upper = term1_upper - e^epsilon * term2_lower by construction;
-    satisfies_dp compares it against delta.  branch records which case
+    lhs_upper = term1_upper - e^epsilon * term2_lower by construction,
+    except in the "one_dim" branch, where lhs_upper is the same closed
+    form taken without cancelling two terms near 1/2 (so it can differ
+    from that difference by its rounding error); satisfies_dp compares
+    it against delta.  branch records which case
     produced the numbers: "large_sigma" (eps * sigma >= 1, loss region
     empty, both terms 0), "one_dim" (closed forms), or "general"
     (Riemann grids).  A False verdict means "not certified", not
@@ -163,12 +166,8 @@ def _riemann_stieltjes(
     radii = np.concatenate(
         [np.linspace(r_first, r_star, n_r), np.linspace(big_r_first, r_star, n_R)]
     )
-    # the cap heights (1 - tau) (r + offset), offset = +(1 + tau)/2 around
-    # the noise center, where the sphere's diameter 2r caps them, and
-    # -(1 + tau)/2 around the shifted one, where the cap never reaches 2r
     offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
-    shifted = radii + offset
-    heights = np.minimum((1.0 - tau) * shifted, 2.0 * radii)
+    heights = _cap_heights(tau, radii, offset)
     x = radii / sigma
     cdf, sf, iters, conv = _gamma_pq_vec(float(dim), x)
     if not conv.all():
@@ -188,7 +187,8 @@ def _riemann_stieltjes(
     # it loses about dim * log(x) ulps, far below what a slope needs
     density = np.exp((dim - 1.0) * np.log(x) - x - math.lgamma(dim))
     d_cdf = density * ((d_radii - x) / sigma)
-    d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau))) - eps * shifted
+    d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau)))
+    d_heights -= eps * (radii + offset)
     rel = heights / radii
     d_frac = _cap_fraction_rate(dim, rel) * ((d_heights - rel * d_radii) / radii)
     sums, slopes = [], []
@@ -256,17 +256,19 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     r_star = sigma * x_star
     slope = None
     if tau >= 1.0:
-        branch, t1, t2 = BRANCH_LARGE_SIGMA, 0.0, 0.0
+        branch, t1, t2, lhs = BRANCH_LARGE_SIGMA, 0.0, 0.0, 0.0
     elif dim == 1:
         # the loss region is the half-line y <= (1 - tau)/2: both terms
-        # are Laplace CDFs there
-        branch = BRANCH_ONE_DIM
+        # are Laplace CDFs there, and their difference is
+        # 1 - e^((eps - 1/sigma)/2), taken without the cancellation of
+        # two terms near 1/2
+        branch, lhs = BRANCH_ONE_DIM, -math.expm1(0.5 * (epsilon - 1.0 / sigma))
         t1 = 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
         t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
     else:
         branch = BRANCH_GENERAL
         t1, t2, slope = _riemann_stieltjes(dim, sigma, epsilon, r_star, n_r, n_R)
-    lhs = t1 - _exp_eps(epsilon) * t2
+        lhs = t1 - _exp_eps(epsilon) * t2
     return BoundReport(
         term1_upper=t1,
         term2_lower=t2,

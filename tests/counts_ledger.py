@@ -1,0 +1,141 @@
+"""The counts ledger: machine-independent work counts of the calibration path.
+
+For each target (epsilon, delta) in TARGETS this records one calibrate_l2
+call per dimension in DIMS and one comparison_table up to TABLE_D_MAX.
+Each calibration (and each l2 row of a table) records:
+
+- checks: calls of calibrate._check, and search_iterations as reported;
+- gamma_elements and gamma_iterations: elements of lossbounds'
+  _gamma_pq_vec calls and the sum of their worst-element iterations;
+- beta_calls and beta_elements: calls of specfun._betainc_vec and their
+  elements;
+- sigma as float.hex, and hit_bracket_floor.
+
+The counts follow float bits, not wall time, so they are the same on
+every machine with the same numpy and libm.  tests/test_counts_ledger.py
+recomputes the ledger and requires it to equal tests/BENCH_counts.json.
+To regenerate the file after a change that moves counts, run from the
+repository root
+
+    PYTHONPATH=src python3 tests/counts_ledger.py --write
+
+and explain each moved entry in CHANGES.md; without --write the script
+prints the ledger.
+"""
+from __future__ import annotations
+
+import json
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
+
+import l2mech.calibrate as calibrate
+import l2mech.errormodel as errormodel
+import l2mech.lossbounds as lossbounds
+import l2mech.specfun as specfun
+from l2mech.calibrate import PrivacyParams, calibrate_l2
+
+LEDGER_PATH = Path(__file__).with_name("BENCH_counts.json")
+TARGETS = ((1.0, 1e-5), (0.1, 1e-7), (10.0, 1e-3))
+DIMS = (2, 10, 100, 1000, 10000)
+TABLE_D_MAX = 12
+
+
+@contextmanager
+def _counting(counts: list[Counter]):
+    """Count checks and kernel work into counts[-1] while the block runs."""
+    check, gamma, beta = calibrate._check, lossbounds._gamma_pq_vec, specfun._betainc_vec
+
+    def counted_check(*args):
+        counts[-1]["checks"] += 1
+        return check(*args)
+
+    def counted_gamma(a, x):
+        out = gamma(a, x)
+        counts[-1]["gamma_elements"] += int(x.size)
+        counts[-1]["gamma_iterations"] += int(out[2])
+        return out
+
+    def counted_beta(x, a, b):
+        counts[-1]["beta_calls"] += 1
+        counts[-1]["beta_elements"] += int(x.size)
+        return beta(x, a, b)
+
+    calibrate._check = counted_check
+    lossbounds._gamma_pq_vec = counted_gamma
+    specfun._betainc_vec = counted_beta
+    try:
+        yield
+    finally:
+        calibrate._check = check
+        lossbounds._gamma_pq_vec = gamma
+        specfun._betainc_vec = beta
+
+
+def _entry(count: Counter, result) -> dict:
+    return {
+        "checks": count["checks"],
+        "search_iterations": result.search_iterations,
+        "gamma_elements": count["gamma_elements"],
+        "gamma_iterations": count["gamma_iterations"],
+        "beta_calls": count["beta_calls"],
+        "beta_elements": count["beta_elements"],
+        "sigma": result.sigma.hex(),
+        "hit_bracket_floor": result.hit_bracket_floor,
+    }
+
+
+def _calibration(dim: int, params: PrivacyParams) -> dict:
+    counts = [Counter()]
+    with _counting(counts):
+        result = calibrate_l2(dim, params)
+    return _entry(counts[0], result)
+
+
+def _table(params: PrivacyParams) -> dict:
+    """One entry per l2 row, each counted from its own search."""
+    counts: list[Counter] = []
+    rows = {}
+    row = errormodel._calibrate_l2
+
+    def counted_row(dim, *args, **kwargs):
+        counts.append(Counter())
+        result = row(dim, *args, **kwargs)
+        rows[f"d={dim}"] = _entry(counts[-1], result)
+        return result
+
+    errormodel._calibrate_l2 = counted_row
+    try:
+        with _counting(counts):
+            errormodel.comparison_table(params, TABLE_D_MAX)
+    finally:
+        errormodel._calibrate_l2 = row
+    return rows
+
+
+def ledger() -> dict:
+    """Every case's counts, keyed by a name that spells out its inputs."""
+    out = {}
+    for eps, delta in TARGETS:
+        params = PrivacyParams(eps, delta)
+        for dim in DIMS:
+            out[f"calibrate_l2 d={dim} eps={eps!r} delta={delta!r}"] = _calibration(
+                dim, params
+            )
+        out[f"comparison_table d_max={TABLE_D_MAX} eps={eps!r} delta={delta!r}"] = (
+            _table(params)
+        )
+    return out
+
+
+def dumps(entries: dict) -> str:
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    text = dumps(ledger())
+    if sys.argv[1:] == ["--write"]:
+        LEDGER_PATH.write_text(text)
+    else:
+        sys.stdout.write(text)

@@ -67,8 +67,18 @@ def test_l2_d1_closed_form():
 
 def test_l2_d1_certificate_never_undershoots():
     # the closed form is bumped by ulps until its own check passes, so
-    # the returned scale is certified, not merely theoretical
-    for eps, delta in [(1.0, 1e-5), (0.25, 1e-7), (3.0, 1e-3), (1.0, 0.4)]:
+    # the returned scale is certified, not merely theoretical.  At small
+    # epsilon a check that subtracts its two terms, both near 1/2, carries
+    # more rounding error than any number of bumps removes; the last four
+    # targets catch that
+    targets = [(1.0, 1e-5), (0.25, 1e-7), (3.0, 1e-3), (1.0, 0.4)]
+    targets += [
+        (0.0011917981712312778, 4.214641240042618e-14),
+        (0.001080574138625876, 6.620765224083929e-13),
+        (0.0013567817902727427, 1.7611170356535522e-15),
+        (0.0010812827760203455, 2.1888557706729825e-05),
+    ]
+    for eps, delta in targets:
         pp = PrivacyParams(eps, delta)
         res = calibrate_l2(1, pp)
         assert check_approx_dp(1, res.sigma, pp).satisfies_dp, (eps, delta)
@@ -200,11 +210,12 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
     depth, lo, width, where, t, u, fraction, margins
 ):
     # a monotone verdict with its threshold at any lattice index, and a
-    # steer that keeps offering one estimate inside, below or above the
-    # bracket, or one that is not finite; then calibrate_l2's own steer on
-    # arbitrary margin points, with zero, wrong-signed, huge and
-    # non-finite slopes and repeated w: every search finds the unsteered
-    # index within depth + 3 probes, and none raises
+    # probe that keeps naming one estimate inside, below or above the
+    # bracket, or one that is not finite; then a probe that names
+    # calibrate_l2's _margin_sigma of the arbitrary margin points it has
+    # returned, with zero, wrong-signed, huge and non-finite slopes and
+    # repeated w: every search finds the bisection's index within
+    # depth + 3 probes, and none raises
     hi = lo + width
     threshold = _lattice_sigma(round(t * (1 << depth)), depth, lo, hi)
     estimate = {
@@ -218,20 +229,26 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
     eps = 0.5 / hi  # 1/sigma - eps > 0 over the whole bracket
     probes = 0
 
-    def probe(sigma):
-        nonlocal probes
-        probes += 1
-        passed = sigma >= threshold
-        du, w, s = margins[probes % len(margins)]
-        return passed, _Margin(math.log(1.0 / sigma - eps) + du, w, s, passed)
+    def naming(next_sigma):
+        points = []
 
-    def margin_steer(points):
-        return _margin_sigma(points, eps) if points else estimate
+        def probe(sigma):
+            nonlocal probes
+            probes += 1
+            passed = sigma >= threshold
+            du, w, s = margins[probes % len(margins)]
+            points.append(_Margin(math.log(1.0 / sigma - eps) + du, w, s, passed))
+            return passed, next_sigma(points)
+
+        return probe
 
     want = _lattice_search(lo, hi, depth, lambda s: (s >= threshold, None))
-    for steer in (lambda points: estimate, margin_steer):
+    def margin_sigma(points):
+        return _margin_sigma(points, eps)
+
+    for next_sigma in (lambda points: estimate, margin_sigma):
         probes = 0
-        assert _lattice_search(lo, hi, depth, probe, steer) == want
+        assert _lattice_search(lo, hi, depth, naming(next_sigma), estimate) == want
         assert probes <= depth + 3
 
 
@@ -269,6 +286,7 @@ def test_l2_search_matches_bisection(monkeypatch):
         (2, 3, 10, 100, 1000, 2000), (0.01, 0.2, 1.0, 20.0), (1e-10, 1e-5, 1e-3)
     )
     targets = [(d, PrivacyParams(eps, delta), 1e-3) for d, eps, delta in grid]
+    targets.append((10, PrivacyParams(20.0, 1e-3), 0.1))  # tol halves below 1/eps
     targets.append((1000, PrivacyParams(1.0, 1e-5), 0.5))  # certifies at the floor
     new_probes, old_probes = [], []
     for d, pp, tol in targets:
@@ -282,6 +300,7 @@ def test_l2_search_matches_bisection(monkeypatch):
         new_probes.append(res.search_iterations)
         old_probes.append(evals)
     assert res.hit_bracket_floor
+    assert _bracket(20.0, 0.1)[:2] == (0.025, 0.05)
     assert np.mean(new_probes) < np.mean(old_probes)
 
 

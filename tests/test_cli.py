@@ -10,11 +10,14 @@ import sys
 import pytest
 
 import l2mech.cli as cli
+from l2mech.calibrate import PrivacyParams, calibrate_gaussian, laplace_sigma
 from l2mech.cli import UsageError, main, parse_args
-from l2mech.errormodel import TABLE_FIELDS
+from l2mech.errormodel import TABLE_FIELDS, comparison_table, table_to_json
+from l2mech.lossbounds import check_approx_dp
 from l2mech.specfun import ConvergenceError
 
 CAL = ["calibrate", "--eps", "1", "--delta", "1e-5", "--mech", "l2"]
+SAMPLE = ["sample", "--mech", "l2", "--sigma", "1", "--samples", "3", "--dim", "2"]
 
 
 def test_parse_defaults():
@@ -53,9 +56,21 @@ def test_more_flag_validation():
     with pytest.raises(UsageError, match="--tol must be positive"):
         parse_args(CAL + ["--tol", "0"])
     with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64\)"):
-        parse_args(CAL + ["--seed", "-1"])
+        parse_args(SAMPLE + ["--seed", "-1"])
     with pytest.raises(UsageError, match="must be an integer"):
-        parse_args(CAL + ["--seed", "abc"])
+        parse_args(SAMPLE + ["--seed", "abc"])
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    # calibrate and compare draw nothing, so they take no seed; sample
+    # runs no certificate search, so it takes no grid sizes or tolerance
+    compare = ["compare", "--eps", "1", "--delta", "1e-5", "--dim", "2"]
+    unread = [CAL + ["--seed", "1"], compare + ["--seed", "1"]]
+    unread += [SAMPLE + [flag, "10"] for flag in ("--nr", "--nR", "--tol")]
+    for args in unread:
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2, args
 
 
 def test_commands_are_the_parsers_subcommands():
@@ -102,6 +117,30 @@ def test_calibrate_csv_flattens(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0][0] == "mechanism" and rows[1][0] == "l2"
     assert len(rows[0]) == len(rows[1]) == 9
+
+
+def test_calibrate_baselines_match_the_library(capsys):
+    params = PrivacyParams(1.0, 1e-5)
+    want = {
+        "laplace": laplace_sigma(3, params),
+        "gaussian": calibrate_gaussian(params, 0.01),
+    }
+    for mech, res in want.items():
+        args = ["calibrate", "--eps", "1", "--delta", "1e-5", "--mech", mech,
+                "--dim", "3", "--tol", "0.01"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mechanism"] == mech
+        assert payload["sigma"] == res.sigma
+        assert payload["pure_epsilon"] == res.pure_epsilon
+        assert payload["search_iterations"] == res.search_iterations
+
+
+def test_compare_json_is_the_table(capsys):
+    args = ["compare", "--eps", "1", "--delta", "1e-5", "--dim", "3", "--format", "json"]
+    assert main(args) == 0
+    rows = comparison_table(PrivacyParams(1.0, 1e-5), 3)
+    assert capsys.readouterr().out == table_to_json(rows) + "\n"
 
 
 def test_compare_csv_table(capsys):
@@ -169,6 +208,20 @@ def test_verify_with_sigma_payload(capsys):
     assert emp["n"] == 20000 and emp["seed"] == 3
     # the certified bound must dominate the noisy estimate
     assert ana["lhs_upper"] >= emp["lhs"] - 4.0 * emp["std_error"]
+
+
+def test_verify_with_sigma_csv_flattens_the_nested_payload(capsys):
+    args = ["verify", "--eps", "1", "--delta", "0.01", "--dim", "2", "--sigma", "0.7",
+            "--samples", "1000", "--seed", "3", "--format", "csv"]
+    assert main(args) == 0
+    header, values = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    row = dict(zip(header, values))
+    assert header[:4] == ["d", "sigma", "epsilon", "delta"]
+    assert "analytic.lhs_upper" in row and "empirical.std_error" in row
+    report = check_approx_dp(2, 0.7, PrivacyParams(1.0, 0.01))
+    assert float(row["analytic.lhs_upper"]) == report.lhs_upper
+    assert row["analytic.branch"] == report.branch
+    assert row["empirical.n"] == "1000" and row["empirical.seed"] == "3"
 
 
 def test_verify_search_mode(capsys):

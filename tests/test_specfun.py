@@ -433,6 +433,7 @@ def test_inv_reg_upper_gamma_tail_accuracy():
             x = inv_reg_upper_gamma(a, q)
             assert math.isclose(reg_upper_gamma(a, x), q, rel_tol=1e-9)
             assert math.isclose(x, special.gammainccinv(a, q), rel_tol=1e-9)
+    assert inv_reg_upper_gamma(3.0, 1.0) == 0.0  # the whole mass lies above 0
     with pytest.raises(ValueError):
         inv_reg_upper_gamma(2.0, 0.0)
 
