@@ -59,10 +59,10 @@ class CalibrationResult:
     pure_epsilon is the pure-DP guarantee implied by the scale (None for
     the Gaussian, which has none); search_iterations counts certificate
     evaluations (0 for closed forms), for calibrate_l2 including the
-    deferred probes of the bracket's floor and top and any ulp nudges.
-    hit_bracket_floor flags the degenerate case where the certificate
-    already passed at the lowest sigma probed, so the returned value is
-    a ceiling, not a minimum.
+    deferred probes of the bracket's floor and top and any ulp nudges,
+    each distinct sigma once.  hit_bracket_floor flags the degenerate
+    case where the certificate already passed at the lowest sigma
+    probed, so the returned value is a ceiling, not a minimum.
     """
 
     mechanism: str
@@ -126,8 +126,9 @@ def calibrate_l2(
     Probes whose grid cannot resolve the loss region (tiny sigma) count
     as not certified, which is always sound.  The floor is probed only
     when the search ends at index 1 and the top 1/epsilon only when it
-    ends there; search_iterations counts both.  dim == 1 uses the exact
-    closed form.  Either way a sigma that fails its own certificate is
+    ends there; search_iterations counts both.  A sigma that two lattice
+    indices share (below the float spacing) is checked once.  dim == 1
+    uses the exact closed form.  Either way a sigma that fails its own certificate is
     nudged up by float ulps until it passes, so the returned sigma is
     certified in every branch.  Every probe shares one
     x_star = r_star / sigma, computed before the search, and every
@@ -159,13 +160,20 @@ def _calibrate_l2(
     log_delta = math.log(params.delta)
     evals = 0
     points = []
+    reports = {}
 
     def probe(s: float):
+        # a sigma checked before keeps its report: below the float spacing
+        # near the top of a deep bracket, lattice indices share a sigma
         nonlocal evals
-        evals += 1
-        try:
-            report = _check(dim, s, params, n_r, n_R, x_star)
-        except GridDomainError:
+        if s not in reports:
+            evals += 1
+            try:
+                reports[s] = _check(dim, s, params, n_r, n_R, x_star)
+            except GridDomainError:
+                reports[s] = None
+        report = reports[s]
+        if report is None:
             return False, None
         point = _margin_point(report, s, eps, log_delta)
         if point is None:

@@ -32,7 +32,7 @@ delta, n_r, n_R) alone replay a check.  calibrate_l2 computes x_star, which
 does not depend on sigma, once per calibration.  Both check the
 (epsilon, delta) target, a PrivacyParams defined here, and the grid
 sizes once, where they enter; no per-probe record re-checks them.  The
-two radial grids go as one flat batch into one call of the packed gamma
+two radial grids go as one flat batch into one call of the whole-array gamma
 kernel, which also gives the tail mass, and one cap_fraction call.  The
 cap heights come from capgeom's one cap-height line, on the offset
 array the slope reads too; only cap_fraction and its reg_inc_beta, the
@@ -170,7 +170,7 @@ def _riemann_stieltjes(
     heights = _cap_heights(tau, radii, offset)
     x = radii / sigma
     cdf, sf, iters, conv = _gamma_pq_vec(float(dim), x)
-    if not conv.all():
+    if not conv:
         raise ConvergenceError(
             f"reg_lower_gamma did not converge within {iters} iterations"
         )

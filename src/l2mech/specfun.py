@@ -5,8 +5,8 @@ regimes chosen per element from its arguments, with every prefactor
 kept in log space so that shape parameters up to ~1e4 (dimension-sized)
 stay finite:
 
-- P/Q(a, x): a power series for x < a + 1 and a Lentz continued
-  fraction above, except where a >= 20 and |x/a - 1| <= 0.4, which
+- P/Q(a, x): a power series for x < a + 1 and a continued fraction
+  above, except where a >= 20 and |x/a - 1| <= 0.4, which
   takes Temme's uniform asymptotic expansion in erfc (DiDonato & Morris
   1986), 18 terms whatever a and x.  Near x = a the series and the
   fraction need O(sqrt(a)) iterations: on a certificate's grid at
@@ -27,19 +27,26 @@ Nothing here imports scipy; the test suite cross-checks these kernels
 against 40-digit mpmath and an independent quadrature oracle.
 
 Each call takes one shape: a (and b) are single numbers, x a number or
-an array of any shape.  x runs as one flat batch of packed numpy
-iterations, so a thousand-point radial grid converges in a handful of
-vector ops; a number x is a one-element batch that comes back as a
+an array of any shape.  x runs as one flat batch of whole-array numpy
+operations; a number x is a one-element batch that comes back as a
 float.  That is the only path, and the gamma inverses take Newton steps
-on it.
+on it.  A batch's series stops when its slowest element has converged.
+A continued fraction is summed backward, from its innermost term out,
+over as many terms as forward modified Lentz needs at the batch's
+slowest element, plus a quarter of them and one: three array
+operations a term, and no per-element bookkeeping.  erfc, which Temme's
+expansion and BGRAT at b = 1/2 take, is a rational function times a
+split e^(-x^2), also over the whole array.
 
-Every loop stops at the constant _MAX_ITER, not a keyword, and reports
-converged=False there; Temme's expansion always sums its 18 terms.
+The series and the Lentz count stop at the constant _MAX_ITER, not a
+keyword, and report converged=False there, one flag for the batch;
+Temme's expansion always sums its 18 terms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,11 +81,14 @@ class SpecFunResult:
     """Value of an iterative kernel plus its convergence diagnostics.
 
     value holds a float for a number x and an array of x's shape for an
-    array x (the shapes a and b are always single numbers), iterations the
-    worst element's count over every regime the call ran: loop
-    iterations for the series and continued fractions, terms for the
-    asymptotic expansions (Temme's polynomial in eta, BGRAT's sum).  The
-    plain functions raise ConvergenceError where converged is False.
+    array x (the shapes a and b are always single numbers).  iterations
+    is the most any regime the call ran evaluated for its whole batch:
+    series terms up to its slowest element's convergence, continued
+    fraction terms (for I_x(a, b), pairs of them) by the Lentz count of
+    its slowest element plus the margin, and terms of the asymptotic
+    expansions (Temme's polynomial in eta, BGRAT's sum).  converged is
+    one flag for the whole call; the plain functions raise
+    ConvergenceError where it is False.
     """
 
     value: float | np.ndarray
@@ -128,7 +138,7 @@ def _gamma_log_prefactor_vec(a: float, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# packed vector kernels: one float shape (a radial grid's (d-1)/2, 1/2 or
+# whole-array kernels: one float shape (a radial grid's (d-1)/2, 1/2 or
 # d) and a flat array x, every element in the same regime
 
 
@@ -143,99 +153,115 @@ def _gamma_series_vec(a: float, x: np.ndarray):
     # largest x converges last (term / total grows with x), so the full
     # test waits for that element; the result does not depend on it
     slow = int(np.argmax(x))
-    i = 0
-    while i < _MAX_ITER:
+    step = np.empty(x.shape)
+    i, conv = 0, False
+    while i < _MAX_ITER and not conv:
         i += 1
         ap = ap + 1.0
-        term *= x / ap
+        term *= np.divide(x, ap, out=step)
         total += term
-        if term[slow] < total[slow] * _EPS and (term < total * _EPS).all():
-            break
+        conv = bool(term[slow] < total[slow] * _EPS and (term < total * _EPS).all())
     p = total * np.exp(_gamma_log_prefactor_vec(a, x))
-    return np.clip(p, 0.0, 1.0), i, term < total * _EPS
+    return np.clip(p, 0.0, 1.0), i, conv
+
+
+def _gamma_cf_term(a: float, x, i: int):
+    """(num_i, den_i) of Q's fraction 1/(den_0 + num_1/(den_1 + num_2/(...))).
+
+    Q(a, x) = x^a e^-x / Gamma(a) times the fraction, with num_i =
+    i (a - i) and den_i = x + 2i + 1 - a; x is one point or an array.
+    """
+    return i * (a - i), x + (2.0 * i + 1.0 - a)
+
+
+def _beta_cf_term(a: float, b: float, x, j: int):
+    """(num_j, den_j) of I_x(a, b)'s fraction 1/(1 + d_1/(1 + d_2/(...))).
+
+    d_2m+1 = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)) and d_2m =
+    m (b - m) x / ((a + 2m - 1)(a + 2m)); every den_j is 1.
+    """
+    m = j // 2
+    if j % 2:
+        coef = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 2.0 * m + 1.0))
+    else:
+        coef = m * (b - m) / ((a + 2.0 * m - 1.0) * (a + 2.0 * m)) if m else 0.0
+    return coef * x, 1.0
+
+
+def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
+    """(iterations, converged): how far a batch's backward pass runs.
+
+    Forward modified Lentz at x0, the batch's slowest point, on the
+    terms term(x0, j) of _cf_backward: an iteration takes every terms
+    (the first one lead more) and the loop stops where the last of them
+    moves the value by less than eps, or at _MAX_ITER.  That test cannot
+    see a change below eps, and the count is not monotone in x, so at
+    it other elements could still move by an ulp or two: the batch runs
+    a quarter more iterations, plus one, past which 8 more moved no
+    value in any batch tried (tests/test_specfun.py).
+    """
+    tiny = _FPMIN
+    d = term(x0, 0)[1]
+    c, d = 1.0 / tiny, 1.0 / (d if abs(d) >= tiny else tiny)
+    j = 0
+    for k in range(1, _MAX_ITER + 1):
+        for _ in range(every + (lead if k == 1 else 0)):
+            j += 1
+            num, den = term(x0, j)
+            d = num * d + den
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = den + num / c
+            c = c if abs(c) >= tiny else tiny
+        if abs(c * d - 1.0) < _EPS:
+            return min(k + (k + 3) // 4 + 1, _MAX_ITER), True
+    return _MAX_ITER, False
+
+
+def _cf_backward(term, x: np.ndarray, terms: int) -> np.ndarray:
+    """1/(den_0 + num_1/(den_1 + ... + num_n/den_n)) over the array x, n = terms.
+
+    Evaluated from the innermost term out: three whole-array operations
+    per term, with no convergence test and no guard against a zero
+    denominator, which the regimes the kernels use (x >= a + 1 for Q,
+    x below I_x's mean) do not produce: on every batch tried, each
+    backward denominator stayed above 0.1.  A one-element batch runs the
+    same operations on a numpy scalar, which rounds as an array does,
+    without an array operation's fixed cost.
+    """
+    if x.size == 1:
+        v = x[0]
+        num, t = term(v, terms)
+        for j in range(terms - 1, -1, -1):
+            below, den = term(v, j)
+            t = den + num / t
+            num = below
+        return np.array([1.0 / t])
+    num, den = term(x, terms)
+    t = den + np.zeros(x.shape)  # a new array, also where den is one number
+    for j in range(terms - 1, -1, -1):
+        below, den = term(x, j)
+        np.divide(num, t, out=t)
+        t += den
+        num = below
+    return 1.0 / t
 
 
 def _gamma_cf_vec(a: float, x: np.ndarray):
-    b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    lentz = _Lentz(x.size)
-    i = 0
-    while lentz.left.size and i < _MAX_ITER:
-        i += 1
-        b += 2.0
-        c, d, delt = _lentz_step(-i * (i - a), b, c, d)
-        h = h * delt
-        done = np.abs(delt - 1.0) < _EPS
-        if done.any():
-            b, c, d, h = lentz.retire(done, h, b, c, d, h)
-    q = lentz.finish(h) * np.exp(_gamma_log_prefactor_vec(a, x))
-    return np.clip(q, 0.0, 1.0), i, lentz.conv
+    # Q for x >= a + 1.  The smallest x converges last, so its Lentz
+    # count sets the terms for the whole batch
+    term = partial(_gamma_cf_term, a)
+    n, conv = _cf_length(term, float(x.min()))
+    q = np.exp(_gamma_log_prefactor_vec(a, x)) * _cf_backward(term, x, n)
+    return np.clip(q, 0.0, 1.0), n, conv
 
 
 def _betacf_vec(a: float, b: float, x: np.ndarray):
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones(x.shape)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    lentz = _Lentz(x.size)
-    m = 0
-    while lentz.left.size and m < _MAX_ITER:
-        m += 1
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        c, d, even = _lentz_step(aa, 1.0, c, d)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        c, d, delt = _lentz_step(aa, 1.0, c, d)
-        h = h * even * delt
-        done = np.abs(delt - 1.0) < _EPS
-        if done.any():
-            x, c, d, h = lentz.retire(done, h, x, c, d, h)
-    return lentz.finish(h), m, lentz.conv
-
-
-def _lentz_step(num, den, c: np.ndarray, d: np.ndarray):
-    """(c, d, d * c) after one modified-Lentz step on the term num / (den + ...)."""
-    d = num * d + den
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    c = den + num / c
-    np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-    d = 1.0 / d
-    return c, d, d * c
-
-
-class _Lentz:
-    """Bookkeeping for a continued-fraction loop that drops converged elements.
-
-    A converged element's value is stored and frozen (late near-unit
-    factors would otherwise add ~eps of drift per extra iteration), and
-    the loop goes on over the shorter working arrays that retire
-    returns, so its last iteration is the worst element's count.  Each
-    element sees the arithmetic it would see in the full array, so the
-    values are those of a loop that masks instead.
-    """
-
-    def __init__(self, size: int):
-        self.left = np.arange(size)
-        self.value = np.empty(size)
-        self.conv = np.zeros(size, dtype=bool)
-
-    def retire(self, done: np.ndarray, value: np.ndarray, *work):
-        gone = self.left[done]
-        self.value[gone] = value[done]
-        self.conv[gone] = True
-        keep = ~done
-        self.left = self.left[keep]
-        return [w[keep] for w in work]
-
-    def finish(self, value: np.ndarray) -> np.ndarray:
-        self.value[self.left] = value
-        return self.value
+    # the fraction of I_x(a, b) below its mean, x < (a + 1)/(a + b + 2).
+    # The largest x converges last; an iteration is the pair d_2m, d_2m+1
+    # after the leading d_1, as in Numerical Recipes' betacf
+    term = partial(_beta_cf_term, a, b)
+    n, conv = _cf_length(term, float(x.max()), every=2, lead=1)
+    return _cf_backward(term, x, 2 * n + 1), n, conv
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +330,63 @@ _BGRAT_REACH = 0.3  # 1 - x < _BGRAT_REACH
 _BGRAT_TERMS = 30
 
 
-def _erfc(v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.erfc, v.tolist()), np.float64, v.size)
+# erfcx(x) = e^(x^2) erfc(x) ~ P(x)/Q(x) on [0, inf), degrees 10 and 11,
+# correctly rounded from the 60-digit rationals of
+# tests/oracles.erfcx_coefficients; so rounded, the rational is within
+# 1e-16 relative of erfcx up to x = 27, past which erfc underflows
+_ERFCX_P = (
+    1.0, 2.4088724141114564, 2.867965959266897, 2.1859049465747327,
+    1.1712747649980797, 0.4592273728934928, 0.13331415236542968,
+    0.028345893811779006, 0.004243873805181623, 0.00040728887609039804,
+    1.9300996693953924e-05,
+)
+_ERFCX_Q = (
+    1.0, 3.5372515812069696, 5.8593269522764775, 6.012448609582029,
+    4.25717689567263, 2.190458781132582, 0.8387192696619542,
+    0.2400371129076327, 0.05060273901253051, 0.007539175531709088,
+    0.0007219007368574066, 3.4210125916513266e-05,
+)
+
+
+def _estrin(coef, powers) -> np.ndarray:
+    """sum coef[i] x^i for powers = (x, x^2, x^4, ...): pairs, then pairs of pairs.
+
+    With every coefficient and x positive, the rounding stays within a
+    few ulps: each value passes through log2(len(coef)) levels, not the
+    len(coef) steps of Horner's rule.
+    """
+    terms = list(coef)
+    for p in powers:
+        pairs = []
+        for low, high in zip(terms[::2], terms[1::2]):
+            pair = high * p
+            pair += low
+            pairs.append(pair)
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc over an array x >= 0, within 1e-15 relative where it is a normal float.
+
+    erfcx's rational times e^(-x^2), and e^(-x^2) as e^(-h^2) e^(-(x - h)(x + h))
+    with h = x cut to sixteenths, whose square is exact (Cody 1969): the
+    rounding of x^2 itself would cost x^2 eps relative, 4e-15 at x = 6.
+    One element, as an array or a numpy scalar, runs the same operations
+    on a numpy scalar, as in _cf_backward.
+    """
+    one = np.shape(x) == (1,)
+    x = np.minimum(x[0] if one else x, 30.0)  # erfc(30) underflows; x^11 stays finite
+    x2 = x * x
+    x4 = x2 * x2
+    powers = (x, x2, x4, x4 * x4)
+    value = _estrin(_ERFCX_P, powers)
+    value /= _estrin(_ERFCX_Q, powers)
+    h = np.trunc(x * 16.0) * 0.0625
+    scale = np.exp((h - x) * (x + h))
+    scale *= np.exp(h * -h)
+    value *= scale
+    return np.array([value]) if one else value
 
 
 def _gamma_temme_vec(a: float, x: np.ndarray):
@@ -317,24 +398,29 @@ def _gamma_temme_vec(a: float, x: np.ndarray):
     Morris 1986, ACM TOMS 12; Temme 1979).  For one shape sum_k d_kn a^-k
     is one coefficient per power of eta, so an element costs one
     polynomial and one erfc.  terms is the table's 18 columns: the
-    polynomial is always summed in full.
+    polynomial is always summed in full.  One element runs on a numpy
+    scalar, as in _cf_backward.
     """
+    if x.size == 1:
+        x = x[0]
     # t = x/a - 1 with one rounding (x - a is exact within a factor of 2),
     # and log(1 + t) - t = -t w + 2 w^3 (1/3 + w^2/5 + ...), w = t/(2 + t),
     # a sum of same-signed terms: log1p(t) - t cancels for |t| > 0.25
     t = (x - a) / a
     w = t / (2.0 + t)
     w2 = w * w
-    s = np.full(t.shape, 1.0 / 29.0)
+    s = 1.0 / 29.0  # the first product makes it w2's shape
     for j in range(13, 0, -1):
-        s = 1.0 / (2 * j + 1) + w2 * s
+        s *= w2
+        s += 1.0 / (2 * j + 1)
     log_pref = a * (2.0 * (w * w2) * s - t * w)  # -a eta^2 / 2
     root = np.sqrt(-log_pref)  # |eta| sqrt(a/2)
     eta = np.copysign(root, t) * np.sqrt(2.0 / a)
     coef = np.power(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
-    poly = np.full(t.shape, coef[-1])
+    poly = coef[-1]
     for n in range(coef.size - 2, -1, -1):
-        poly = poly * eta + coef[n]
+        poly *= eta
+        poly += coef[n]
     r = np.exp(log_pref) * poly / np.sqrt(2.0 * math.pi * a)
     upper = t >= 0.0
     tail = 0.5 * _erfc(root) + np.where(upper, r, -r)
@@ -359,7 +445,7 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
     nu = a + 0.5 * (b - 1.0)
     z = -nu * log_x
     if b == 0.5:
-        k, iters, conv = _erfc(np.sqrt(z)), 0, np.ones(z.shape, dtype=bool)
+        k, iters, conv = _erfc(np.sqrt(z)), 0, True
     else:
         _, k, iters, conv = _gamma_pq_vec(b, z)
     # R (z / (2 nu))^(2n - 2), R = z^b e^-z / Gamma(b)
@@ -368,28 +454,39 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
     v = 0.25 / (nu * nu)
     total = k.copy()
     c, d = [1.0], [1.0]  # sinh(u)/u = sum c_n u^2n, (sinh(u)/u)^(b-1) = sum d_n u^2n
-    n, done = 0, np.ones(z.shape, dtype=bool)
+    # the largest z converges last, so the whole batch is tested only
+    # once that element has converged, as in _gamma_series_vec
+    slow = int(np.argmax(z))
+    n, done = 0, True
     while n < _BGRAT_TERMS:
         n += 1
         s = b + (2 * n - 2)
-        k = v * (s * (s + 1.0) * k + (z + s + 1.0) * power)
-        power = power * quarter_log2
+        # k = v (s (s + 1) k + (z + s + 1) power), in place
+        rise = z + s
+        rise += 1.0
+        rise *= power
+        k *= s * (s + 1.0)
+        k += rise
+        k *= v
+        power *= quarter_log2
         c.append(c[-1] / (2 * n * (2 * n + 1)))
         d.append(sum((b * i - n) * c[i] * d[n - i] for i in range(1, n + 1)) / n)
         term = d[n] * k
         total += term
-        done = np.abs(term) <= _EPS * total
-        if done.all():
+        done = bool(
+            abs(term[slow]) <= _EPS * total[slow]
+            and (np.abs(term) <= _EPS * total).all()
+        )
+        if done:
             break
     val = np.exp(ratio - b * np.log(nu)) * total
-    return np.clip(val, 0.0, 1.0), max(n, iters), conv & done
+    return np.clip(val, 0.0, 1.0), max(n, iters), conv and done
 
 
 def _gamma_pq_vec(a: float, x: np.ndarray):
     p = np.empty(x.shape)
     q = np.empty(x.shape)
-    conv = np.ones(x.shape, dtype=bool)
-    iters = 0
+    conv, iters = True, 0
     zero = x == 0.0
     p[zero] = 0.0
     q[zero] = 1.0
@@ -405,14 +502,12 @@ def _gamma_pq_vec(a: float, x: np.ndarray):
         pv, it, ok = _gamma_series_vec(a, x[low])
         p[low] = pv
         q[low] = 1.0 - pv
-        conv[low] = ok
-        iters = max(iters, it)
+        conv, iters = conv and ok, max(iters, it)
     if high.any():
         qv, it, ok = _gamma_cf_vec(a, x[high])
         q[high] = qv
         p[high] = 1.0 - qv
-        conv[high] = ok
-        iters = max(iters, it)
+        conv, iters = conv and ok, max(iters, it)
     return p, q, iters, conv
 
 
@@ -433,8 +528,7 @@ def _lgamma_ratio(a: float, b: float) -> float:
 
 def _betainc_vec(x: np.ndarray, a: float, b: float):
     val = np.empty(x.shape)
-    conv = np.ones(x.shape, dtype=bool)
-    iters = 0
+    conv, iters = True, 0
     lo = x == 0.0
     hi = x == 1.0
     val[lo] = 0.0
@@ -451,27 +545,23 @@ def _betainc_vec(x: np.ndarray, a: float, b: float):
             return np.exp(log_front + a * np.log(xs) + b * np.log1p(-xs))
 
         out = np.empty(xm.shape)
-        okm = np.ones(xm.shape, dtype=bool)
         direct = xm < (a + 1.0) / (a + b + 2.0)
         swap = ~direct
         if a >= _BGRAT_MIN_A and b <= 1.0:
             near = 1.0 - xm < _BGRAT_REACH
             if near.any():
-                out[near], iters, okm[near] = _bgrat_vec(a, b, xm[near], ratio)
+                out[near], iters, conv = _bgrat_vec(a, b, xm[near], ratio)
                 direct &= ~near
                 swap &= ~near
         if direct.any():
             cf, it, ok = _betacf_vec(a, b, xm[direct])
             out[direct] = front(direct) * cf / a
-            okm[direct] = ok
-            iters = max(iters, it)
+            conv, iters = conv and ok, max(iters, it)
         if swap.any():
             cf, it, ok = _betacf_vec(b, a, 1.0 - xm[swap])
             out[swap] = 1.0 - front(swap) * cf / b
-            okm[swap] = ok
-            iters = max(iters, it)
+            conv, iters = conv and ok, max(iters, it)
         val[mid] = out
-        conv[mid] = okm
     return np.clip(val, 0.0, 1.0), iters, conv
 
 
@@ -494,15 +584,14 @@ def _gamma_result(a, x, upper: bool) -> SpecFunResult:
         unless(not np.any(x_arr < 0), "x must be nonnegative"),
     )
     *pq, iters, conv = _gamma_pq_vec(float(a), x_arr.ravel())
-    return SpecFunResult(_shaped(pq[upper], x_arr.shape), bool(conv.all()), iters)
+    return SpecFunResult(_shaped(pq[upper], x_arr.shape), conv, iters)
 
 
 def reg_lower_gamma_result(a, x) -> SpecFunResult:
     """P(a, x) = lower incomplete gamma(a, x) / Gamma(a), with diagnostics.
 
     a is one number, x a number or an array of any shape.  iterations
-    is the worst element's count: loop iterations, or terms where the
-    element took an asymptotic expansion (see SpecFunResult).
+    counts the terms the batch evaluated (see SpecFunResult).
     """
     return _gamma_result(a, x, upper=False)
 
@@ -537,8 +626,7 @@ def reg_inc_beta_result(x, a, b) -> SpecFunResult:
     """Regularized incomplete beta I_x(a, b), with diagnostics.
 
     a and b are one number each, x a number or an array of any shape.
-    iterations is the worst element's count: loop iterations, or terms
-    where the element took an asymptotic expansion (see SpecFunResult).
+    iterations counts the terms the batch evaluated (see SpecFunResult).
     """
     require(number("a", a), number("b", b))
     x_arr = np.asarray(x, dtype=np.float64)
@@ -549,7 +637,7 @@ def reg_inc_beta_result(x, a, b) -> SpecFunResult:
         unless(not (np.any(x_arr < 0) or np.any(x_arr > 1)), "x must lie in [0, 1]"),
     )
     val, iters, conv = _betainc_vec(x_arr.ravel(), float(a), float(b))
-    return SpecFunResult(_shaped(val, x_arr.shape), bool(conv.all()), iters)
+    return SpecFunResult(_shaped(val, x_arr.shape), conv, iters)
 
 
 def reg_inc_beta(x, a, b):
@@ -585,7 +673,7 @@ def _gamma_quantile(a: float, mass: float, upper: bool) -> float:
         if x == 0.0:
             return x  # the quantile lies below the smallest float
         *pq, _, conv = _gamma_pq_vec(a, np.array([x]))
-        if not conv.all():
+        if not conv:
             raise ConvergenceError("gamma quantile: CDF evaluation stalled")
         tail = float(pq[upper][0])
         lo, hi = (x, hi) if (tail > mass) == upper else (lo, x)

@@ -6,9 +6,10 @@ Each calibration (and each l2 row of a table) records:
 
 - checks: calls of calibrate._check, and search_iterations as reported;
 - gamma_elements and gamma_iterations: elements of lossbounds'
-  _gamma_pq_vec calls and the sum of their worst-element iterations;
-- beta_calls and beta_elements: calls of specfun._betainc_vec and their
-  elements;
+  _gamma_pq_vec calls and the sum of their reported iterations;
+- beta_calls, beta_elements and beta_iterations: calls of
+  specfun._betainc_vec, their elements and the sum of their reported
+  iterations (the terms each call's batch evaluated);
 - sigma as float.hex, and hit_bracket_floor.
 
 The counts follow float bits, not wall time, so they are the same on
@@ -58,9 +59,11 @@ def _counting(counts: list[Counter]):
         return out
 
     def counted_beta(x, a, b):
+        out = beta(x, a, b)
         counts[-1]["beta_calls"] += 1
         counts[-1]["beta_elements"] += int(x.size)
-        return beta(x, a, b)
+        counts[-1]["beta_iterations"] += int(out[1])
+        return out
 
     calibrate._check = counted_check
     lossbounds._gamma_pq_vec = counted_gamma
@@ -81,6 +84,7 @@ def _entry(count: Counter, result) -> dict:
         "gamma_iterations": count["gamma_iterations"],
         "beta_calls": count["beta_calls"],
         "beta_elements": count["beta_elements"],
+        "beta_iterations": count["beta_iterations"],
         "sigma": result.sigma.hex(),
         "hit_bracket_floor": result.hit_bracket_floor,
     }

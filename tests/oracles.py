@@ -143,6 +143,30 @@ def temme_coefficients(k_max, n_max):
     return [row[:n_max] for row in rows]
 
 
+def erfcx_coefficients(dps=60):
+    """(p, q), ascending, of specfun's rational P/Q for erfcx(x) = e^(x^2) erfc(x).
+
+    Degrees 10 and 11, q_0 = 1, interpolating erfcx at the 22 points
+    x = 2.5 (1 - t) / t with t the Chebyshev nodes of (0, 1), so that
+    one rational covers x in [0, inf) and keeps erfcx's 1/(x sqrt(pi))
+    decay.  Each coefficient is then rounded once to a float.
+    """
+    m, n = 10, 11
+    size = m + n + 1
+    with mp.workdps(dps):
+        rows, rhs = [], []
+        for i in range(size):
+            t = (1 + mp.cos(mp.pi * (2 * i + 1) / (2 * size))) / 2
+            x = mp.mpf(5) / 2 * (1 - t) / t
+            fx = mp.exp(x * x) * mp.erfc(x)
+            # p(x) - fx (q(x) - 1) = fx, unknowns p_0..p_m, q_1..q_n
+            rows.append([x**j for j in range(m + 1)]
+                        + [-fx * x**j for j in range(1, n + 1)])
+            rhs.append(fx)
+        sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        return [sol[j] for j in range(m + 1)], [mp.mpf(1)] + [sol[m + j] for j in range(1, n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # scipy reference implementation of the two certified Riemann bounds.
 # Deliberately written from the plain (unfactored) height formulas so an
@@ -204,10 +228,12 @@ def ref_lhs_d1(sigma, eps):
 # ---------------------------------------------------------------------------
 # Reference vector kernels in the plain masked form: full-length arrays,
 # per-element shape parameters, every element iterating until the last
-# one converges.  The library's kernels (scalar shapes, early exit,
-# dropped elements) give each element the same arithmetic, so they must
-# match these bit for bit, iteration counts and convergence flags
-# included.  They share the library's prefactor constants.
+# one converges.  The library's power series (scalar shape, early exit)
+# gives each element the same arithmetic, so it must match its reference
+# bit for bit, iteration counts included.  The two forward-Lentz
+# continued fractions are a cross-check on the library's backward ones,
+# which round differently: they agree within a few ulps.  They share the
+# library's prefactor constants.
 
 
 def masked_log1pmx(r):
@@ -329,6 +355,78 @@ def masked_betacf(a, b, x, max_iter):
         active &= ~done
     iters[active] = max_iter
     return h, iters, ~active
+
+
+# ---------------------------------------------------------------------------
+# Reference continued fractions in the backward scheme, one element at a
+# time in Python floats: the forward modified-Lentz count of the batch's
+# slowest element sets the terms (plus a quarter of them and one), and
+# each element's fraction is then summed from its innermost term out.
+# The library's kernels run the same arithmetic over whole arrays, so
+# they must match these bit for bit, term counts and flags included.
+
+
+def _lentz_count(den0, term, every, lead, max_iter):
+    """(iterations, converged) of forward modified Lentz on 1/(den0 + num_1/(den_1 + ...))."""
+    def guard(v):
+        return v if abs(v) >= 1e-300 else 1e-300
+
+    c, d = 1.0 / 1e-300, 1.0 / guard(den0)
+    j = 0
+    for k in range(1, max_iter + 1):
+        steps = every + lead if k == 1 else every
+        for _ in range(steps):
+            j += 1
+            num, den = term(j)
+            d = 1.0 / guard(num * d + den)
+            c = guard(den + num / c)
+        if abs(c * d - 1.0) < np.finfo(np.float64).eps:
+            return min(k + (k + 3) // 4 + 1, max_iter), True
+    return max_iter, False
+
+
+def _backward(den0, term, terms):
+    t = term(terms)[1]
+    for j in range(terms, 0, -1):
+        t = (term(j - 1)[1] if j > 1 else den0) + term(j)[0] / t
+    return 1.0 / t
+
+
+def backward_gamma_cf(a, x, max_iter):
+    """(Q, terms, converged) for one shape a and x >= a + 1.
+
+    Q's fraction 1/(x + 1 - a + 1 (a - 1)/(x + 3 - a + 2 (a - 2)/(...))),
+    counted at the smallest x.
+    """
+    def at(v):
+        return lambda i: (i * (a - i), v + (2.0 * i + 1.0 - a))
+
+    den0 = lambda v: v + (1.0 - a)
+    terms, conv = _lentz_count(den0(float(x.min())), at(float(x.min())), 1, 0, max_iter)
+    cf = np.array([_backward(den0(v), at(v), terms) for v in x.tolist()])
+    q = np.exp(masked_gamma_log_prefactor(np.full(x.shape, float(a)), x)) * cf
+    return np.clip(q, 0.0, 1.0), terms, conv
+
+
+def backward_betacf(a, b, x, max_iter):
+    """(fraction, iterations, converged) of I_x(a, b) for x below the mean.
+
+    1/(1 + d_1/(1 + d_2/(...))) with Numerical Recipes' d_j, counted at
+    the largest x in pairs d_2m, d_2m+1 after d_1.
+    """
+    def at(v):
+        def term(j):
+            m = j // 2
+            if j % 2:
+                c = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 2.0 * m + 1.0))
+            else:
+                c = m * (b - m) / ((a + 2.0 * m - 1.0) * (a + 2.0 * m))
+            return c * v, 1.0
+        return term
+
+    pairs, conv = _lentz_count(1.0, at(float(x.max())), 2, 1, max_iter)
+    cf = np.array([_backward(1.0, at(v), 2 * pairs + 1) for v in x.tolist()])
+    return cf, pairs, conv
 
 
 # ---------------------------------------------------------------------------

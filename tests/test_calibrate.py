@@ -184,6 +184,25 @@ def test_l2_starts_at_the_midpoint_without_a_gaussian_sigma():
     assert res.sigma == 1.0 and not res.hit_bracket_floor
 
 
+def test_l2_checks_each_sigma_once(monkeypatch):
+    # at tol = 2^-195 the lattice spacing near the bracket's top is below
+    # the float spacing, so many lattice indices round to one sigma: the
+    # search checks each of the 54 distinct sigmas it visits once, and
+    # returns the same answer
+    from l2mech import calibrate
+
+    sigmas, check = [], calibrate._check
+
+    def spy(dim, sigma, *args):
+        sigmas.append(sigma)
+        return check(dim, sigma, *args)
+
+    monkeypatch.setattr(calibrate, "_check", spy)
+    res = calibrate_l2(10, PrivacyParams(1.0, 1e-300), tol=2.0**-195)
+    assert res.sigma == 1.0 and not res.hit_bracket_floor
+    assert len(sigmas) == len(set(sigmas)) == res.search_iterations <= 54
+
+
 _ODD_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
 
 

@@ -141,7 +141,7 @@ def test_grid_domain_error_on_unresolvable_grid():
 CHECK_HEX = [
     # d, sigma, eps, delta, n_r, n_R, then term1, term2, lhs
     (2, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.7e086fd06f8bfp-1", "0x1.c56eb95e4bf5dp-3", "0x1.00c0bab07346ep-1"),
+     "0x1.7e086fd06f8bep-1", "0x1.c56eb95e4bf5cp-3", "0x1.00c0bab07346ep-1"),
     (2, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc8p-3", "0x1.0ca931b980c32p-1"),
     (2, 0.3, 1.0, 1e-10, 1000, 1000,
@@ -149,37 +149,37 @@ CHECK_HEX = [
     (2, 0.3, 1.0, 1e-10, 64, 2000,
      "0x1.9a26a7e27fcaap-1", "0x1.2dc46c8cf5cfcp-4", "0x1.339d6c59d2f99p-1"),
     (2, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb2ep-7", "0x1.36595bb3d2a7dp-2"),
+     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb2fp-7", "0x1.36595bb3d2a7cp-2"),
     (2, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2751p-7", "0x1.50d6bb238b52dp-2"),
+     "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2753p-7", "0x1.50d6bb238b52bp-2"),
     (2, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021ep-4", "0x1.a6b4dc2b5a640p-9"),
+     "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021fp-4", "0x1.a6b4dc2b5a600p-9"),
     (2, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.42f698d75ddc9p-3", "0x1.2a44a3f7be871p-4", "0x1.3454c0e1c6294p-5"),
+     "0x1.42f698d75ddcap-3", "0x1.2a44a3f7be872p-4", "0x1.3454c0e1c6294p-5"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.23fcab7c178a5p-1", "0x1.46c296f9c45bep-2", "0x1.bdb24803dad14p-3"),
+     "0x1.23fcab7c178a5p-1", "0x1.46c296f9c45bdp-2", "0x1.bdb24803dad16p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.26269d54e9f27p-1", "0x1.46e2adf121c37p-2", "0x1.c6132184ef120p-3"),
     (10, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.6864453ef7771p-2", "0x1.386ec7c860f99p-4", "0x1.2824abf4fb26cp-3"),
+     "0x1.6864453ef7771p-2", "0x1.386ec7c860f97p-4", "0x1.2824abf4fb26fp-3"),
     (10, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.71dcbfe396b84p-2", "0x1.38db64682c882p-4", "0x1.3a8202d738f17p-3"),
+     "0x1.71dcbfe396b84p-2", "0x1.38db64682c880p-4", "0x1.3a8202d738f1ap-3"),
     (10, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.0cdd55f2bd109p-5", "0x1.4b7180be01616p-10", "0x1.e69cbae35efb0p-8"),
+     "0x1.0cdd55f2bd10ap-5", "0x1.4b7180be01617p-10", "0x1.e69cbae35efb4p-8"),
     (10, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.16e240524d378p-5", "0x1.4be343dded4fep-10", "0x1.1a4467bcdac12p-7"),
+     "0x1.16e240524d376p-5", "0x1.4be343dded4fep-10", "0x1.1a4467bcdac0ap-7"),
     (10, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.4777e963e0867p-18", "0x1.8ae0a6e0fcf4cp-19", "0x1.f26809abc7e00p-26"),
+     "0x1.4777e963e0868p-18", "0x1.8ae0a6e0fcf4dp-19", "0x1.f26809abc7e00p-26"),
     (10, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.4a75833c57e4ep-18", "0x1.8afcfc1a27e1cp-19", "0x1.3629a723fd640p-24"),
+     "0x1.4a75833c57e4ep-18", "0x1.8afcfc1a27e1dp-19", "0x1.3629a723fd640p-24"),
     (100, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.623f01180f87fp-2", "0x1.19eafe257db5fp-2", "0x1.556dc68c13cc8p-5"),
     (100, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.62b6dd739ea3ep-2", "0x1.19ee94298cd2cp-2", "0x1.590cf4e49aec8p-5"),
+     "0x1.62b6dd739ea3fp-2", "0x1.19ee94298cd2cp-2", "0x1.590cf4e49aed0p-5"),
     (100, 0.3, 1.0, 1e-10, 1000, 1000,
      "0x1.00ad20736731dp-9", "0x1.5a1506e1a52cep-11", "0x1.57d3467867f98p-13"),
     (100, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.029c314491e49p-9", "0x1.5a2ccd160d33ep-11", "0x1.75c1d376edc60p-13"),
+     "0x1.029c314491e48p-9", "0x1.5a2ccd160d33fp-11", "0x1.75c1d376edc48p-13"),
     (100, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
      "0x1.e5de137696201p-51", "0x1.76a09cf018a38p-55", "0x1.f29323ec314e0p-56"),
     (100, 0.2333333333333333, 3.0, 0.001, 64, 2000,
@@ -187,19 +187,19 @@ CHECK_HEX = [
     (100, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x1.75b53bedb4eeap-171", "0x1.c4e70af3311cep-172", "0x1.696a2dee6fc00p-181"),
     (100, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.76dfbd3341297p-171", "0x1.c4f2f53ab5426p-172", "0x1.7b09494a99500p-179"),
+     "0x1.76dfbd3341297p-171", "0x1.c4f2f53ab5427p-172", "0x1.7b09494a99400p-179"),
     (1000, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.f0df39c92c768p-5", "0x1.b59b6648c5a61p-5", "0x1.a7b9a7ac57ce0p-10"),
+     "0x1.f0df39c92c766p-5", "0x1.b59b6648c5a60p-5", "0x1.a7b9a7ac57cc0p-10"),
     (1000, 0.5, 0.1, 1e-05, 64, 2000,
      "0x1.f125be3299597p-5", "0x1.b59d8564ff01ep-5", "0x1.b03f2d80a1220p-10"),
     (1000, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.21c0a0715fe90p-72", "0x1.a5e86b0cefedbp-74", "0x1.84a5f7cb03180p-79"),
+     "0x1.21c0a0715fe8fp-72", "0x1.a5e86b0cefedap-74", "0x1.84a5f7cb03100p-79"),
     (1000, 0.3, 1.0, 1e-10, 64, 2000,
      "0x1.231e547e28a00p-72", "0x1.a5f971c21ff63p-74", "0x1.16db7bf46a140p-78"),
     (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.19f3788266cfdp-489", "0x1.bf095c8968ee7p-494", "0x1.5bb6fa74a4d00p-497"),
+     "0x1.19f3788266cffp-489", "0x1.bf095c8968ee9p-494", "0x1.5bb6fa74a4d00p-497"),
     (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.1d9efe7186e22p-489", "0x1.bf3a827bb46e4p-494", "0x1.3a18e4183c6c0p-495"),
+     "0x1.1d9efe7186e21p-489", "0x1.bf3a827bb46e5p-494", "0x1.3a18e4183c680p-495"),
     (1000, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     (1000, 1.9, 0.5, 1e-05, 64, 2000,

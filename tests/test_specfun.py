@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -98,32 +99,139 @@ def test_gamma_vector_matches_scalar():
         assert abs(p + q - 1.0) < ABS_TOL
 
 
+def _fraction_arguments(d, rng):
+    # what _gamma_pq_vec sends Q's fraction at a = d, and what
+    # _betainc_vec sends I_x's at a = (d - 1)/2, b = 1/2: x below the mean,
+    # away from BGRAT for a >= 15, and 1 - x above it for the complement
+    a = float(d)
+    x = a * rng.uniform(0.01, 3.0, 400)
+    gamma = x[x >= a + 1.0]
+    a, b = (d - 1) / 2.0, 0.5
+    x = rng.uniform(0.0, 1.0, 400)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    if a >= specfun._BGRAT_MIN_A:
+        direct &= 1.0 - x >= specfun._BGRAT_REACH
+        swap = np.zeros(x.shape, dtype=bool)
+    else:
+        swap = ~direct
+    betas = ((a, b, x[direct]), (b, a, 1.0 - x[swap]))
+    return gamma, [(a, b, v) for a, b, v in betas if v.size]
+
+
 @pytest.mark.parametrize("cap", [20000, 4])
-def test_vector_kernels_match_masked_reference(cap, monkeypatch):
-    # early exit and dropped elements change how much work the loops do,
-    # never the arithmetic an element sees, at the default iteration cap
-    # and at one that stops every loop early
+def test_vector_kernels_match_reference_kernels(cap, monkeypatch):
+    # the series, with its early exit, matches the masked reference bit
+    # for bit.  Each continued fraction matches a scalar backward
+    # evaluation over the same terms bit for bit, and the masked
+    # forward-Lentz reference within the rounding the two schemes differ
+    # by, at the default iteration cap and at one that stops every loop
     monkeypatch.setattr(specfun, "_MAX_ITER", cap)
     rng = np.random.default_rng(5)
     for d in (2, 3, 10, 100, 1000, 5000):
         a = np.full(400, float(d))
         x = a * rng.uniform(0.01, 3.0, 400)
         low = x < a + 1.0
-        for sel, kernel, ref in (
-            (low, specfun._gamma_series_vec, oracles.masked_gamma_series),
-            (~low, specfun._gamma_cf_vec, oracles.masked_gamma_cf),
-        ):
-            want, iters, ok = ref(a[sel], x[sel], cap)
-            got = kernel(float(d), x[sel])
-            assert np.array_equal(got[0], want), (d, kernel)
-            assert got[1] == iters.max() and np.array_equal(got[2], ok)
-        a, b = (d - 1) / 2.0, 0.5
-        x = rng.uniform(0.0, 1.0, 400)
-        shapes = np.full(400, a), np.full(400, b)
-        want, iters, ok = oracles.masked_betacf(*shapes, x, cap)
-        got = specfun._betacf_vec(a, b, x)
+        want, iters, ok = oracles.masked_gamma_series(a[low], x[low], cap)
+        got = specfun._gamma_series_vec(float(d), x[low])
         assert np.array_equal(got[0], want), d
-        assert got[1] == iters.max() and np.array_equal(got[2], ok)
+        assert got[1:] == (iters.max(), ok.all())
+        gamma, betas = _fraction_arguments(d, rng)
+        want = oracles.backward_gamma_cf(float(d), gamma, cap)
+        got = specfun._gamma_cf_vec(float(d), gamma)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], d
+        if cap == 20000:
+            lentz = oracles.masked_gamma_cf(np.full(gamma.size, float(d)), gamma, cap)[0]
+            assert np.all(np.abs(got[0] - lentz) <= 2.0e-15 * lentz), d
+        for a, b, x in betas:
+            want = oracles.backward_betacf(a, b, x, cap)
+            got = specfun._betacf_vec(a, b, x)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (a, b)
+            if cap == 20000:
+                shapes = np.full(x.size, a), np.full(x.size, b)
+                lentz = oracles.masked_betacf(*shapes, x, cap)[0]
+                assert np.all(np.abs(got[0] - lentz) <= 4.7e-15 * lentz), (a, b)
+
+
+def _with_more_terms(monkeypatch, extra):
+    # every continued fraction evaluates extra more iterations than its count
+    count = specfun._cf_length
+
+    def longer(*args, **kwargs):
+        n, conv = count(*args, **kwargs)
+        return n + extra, conv
+
+    monkeypatch.setattr(specfun, "_cf_length", longer)
+
+
+def _fraction_values(batches):
+    out = []
+    for kind, a, b, x in batches:
+        if kind == "gamma":
+            out.append(specfun._gamma_cf_vec(a, x)[0])
+        else:
+            out.append(specfun._betacf_vec(a, b, x)[0])
+    return out
+
+
+def _check_hex_fraction_batches():
+    # the fraction batches that test_lossbounds.CHECK_HEX's checks send,
+    # recorded by spying on the two kernels
+    from l2mech.lossbounds import PrivacyParams, check_approx_dp
+    from test_lossbounds import CHECK_HEX
+
+    batches = []
+    gamma_cf, betacf = specfun._gamma_cf_vec, specfun._betacf_vec
+
+    def gamma_spy(a, x):
+        batches.append(("gamma", a, None, x.copy()))
+        return gamma_cf(a, x)
+
+    def beta_spy(a, b, x):
+        batches.append(("beta", a, b, x.copy()))
+        return betacf(a, b, x)
+
+    specfun._gamma_cf_vec, specfun._betacf_vec = gamma_spy, beta_spy
+    try:
+        for d, sigma, eps, delta, n_r, n_R, *_ in CHECK_HEX:
+            check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+    finally:
+        specfun._gamma_cf_vec, specfun._betacf_vec = gamma_cf, betacf
+    return batches
+
+
+def test_fraction_truncation_has_converged_on_the_check_hex_grids(monkeypatch):
+    # the batches run their count's terms, and 8 more iterations move no
+    # value: the truncation has converged for every element, not only
+    # for the slowest one that set the count
+    batches = _check_hex_fraction_batches()
+    assert {kind for kind, *_ in batches} == {"gamma", "beta"}
+    want = _fraction_values(batches)
+    _with_more_terms(monkeypatch, 8)
+    for got, expect, batch in zip(_fraction_values(batches), want, batches):
+        assert np.array_equal(got, expect), batch[:3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_a=st.floats(math.log(0.5), math.log(5000.0)),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+    swap=st.booleans(),
+)
+def test_beta_fraction_truncation_has_converged(log_a, u, swap):
+    # I_x(a, 1/2)'s fraction, on a random batch of the arguments that
+    # _betainc_vec sends it: x below the mean, or 1 - x for the complement
+    a, b = math.exp(log_a), 0.5
+    mean = (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x = b, a, (1.0 - mean) * np.array(u)
+    else:
+        x = mean * np.array(u)
+    batch = [("beta", a, b, x)]
+    want = _fraction_values(batch)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        _with_more_terms(mp, 8)
+        got = _fraction_values(batch)[0]
+    assert np.array_equal(got, want)
 
 
 def _check_hex_grids():
@@ -268,6 +376,61 @@ def test_temme_table_is_the_generated_one():
             keep -= 1
         table = specfun._TEMME_D[k] if k < len(specfun._TEMME_D) else ()
         assert list(table) == [float(v) for v in row[:keep]], k
+
+
+def test_erfc_table_is_the_generated_one():
+    # specfun's erfcx rational is the 60-digit interpolant correctly
+    # rounded, and the rounded rational stays within 1e-16 of erfcx
+    # (9.2e-17 measured on 5401 points)
+    p, q = oracles.erfcx_coefficients()
+    assert specfun._ERFCX_P == tuple(float(v) for v in p)
+    assert specfun._ERFCX_Q == tuple(float(v) for v in q)
+    with mpmath.workdps(40):
+        for x in np.linspace(0.0, 27.0, 271):
+            xm = mpmath.mpf(x)
+            num = sum(mpmath.mpf(c) * xm**i for i, c in enumerate(specfun._ERFCX_P))
+            den = sum(mpmath.mpf(c) * xm**i for i, c in enumerate(specfun._ERFCX_Q))
+            erfcx = mpmath.exp(xm * xm) * mpmath.erfc(xm)
+            assert abs(num / den / erfcx - 1) <= 1e-16, x
+
+
+def test_one_element_batches_round_as_arrays():
+    # a one-element batch runs on a numpy scalar, which must give the
+    # element the bits it gets inside a larger batch: erfc, Temme's
+    # expansion, and a continued fraction over a given number of terms
+    rng = np.random.default_rng(9)
+    x = np.concatenate([np.linspace(0.0, 30.0, 301), rng.uniform(0.0, 8.0, 200)])
+    one = [specfun._erfc(x[i:i + 1])[0] for i in range(x.size)]
+    assert one == specfun._erfc(x).tolist()
+    for a in (20.0, 100.0, 1e4):
+        x = a * rng.uniform(0.6, 1.4, 200)
+        p, q, _ = specfun._gamma_temme_vec(a, x)
+        one = [specfun._gamma_temme_vec(a, x[i:i + 1])[:2] for i in range(x.size)]
+        assert [float(v) for v, _ in one] == p.tolist(), a
+        assert [float(v) for _, v in one] == q.tolist(), a
+    fractions = (
+        (partial(specfun._gamma_cf_term, 3.5), 4.5 * np.exp(rng.uniform(0.0, 3.0, 50))),
+        (partial(specfun._beta_cf_term, 49.5, 0.5), rng.uniform(0.0, 0.7, 50)),
+    )
+    for term, x in fractions:
+        one = [specfun._cf_backward(term, x[i:i + 1], 40)[0] for i in range(x.size)]
+        assert one == specfun._cf_backward(term, x, 40).tolist()
+
+
+def test_erfc_against_mpmath():
+    # within 1e-15 relative on [0, 6], and on to 26.5, where erfc stops
+    # being a normal float (7e-16 and 8e-16 measured on 60 001 and
+    # 20 001 points); beyond, it underflows to 0, never NaN
+    for lo, hi in ((0.0, 6.0), (6.0, 26.5)):
+        x = np.linspace(lo, hi, 2001)
+        got = specfun._erfc(x)
+        with mpmath.workdps(40):
+            worst = max(
+                float(abs(g / mpmath.erfc(mpmath.mpf(v)) - 1)) for g, v in zip(got, x)
+            )
+        assert worst <= 1e-15, (lo, hi, worst)
+    huge = specfun._erfc(np.array([27.5, 30.0, 1e10, 1e300]))
+    assert np.array_equal(huge, np.zeros(4))
 
 
 def test_result_objects_and_convergence_failure(monkeypatch):
