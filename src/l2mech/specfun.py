@@ -30,7 +30,8 @@ Each call takes one shape: a (and b) are single numbers, x a number or
 an array of any shape.  x runs as one flat batch of whole-array numpy
 operations; a number x is a one-element batch that comes back as a
 float.  That is the only path, and the gamma inverses take Newton steps
-on it.  A batch's series stops when its slowest element has converged.
+on it.  A batch's series and BGRAT sum stop when its slowest element
+has converged.
 A continued fraction is summed backward, from its innermost term out,
 over as many terms as forward modified Lentz needs at the batch's
 slowest element, plus a quarter of them and one: three array
@@ -153,12 +154,11 @@ def _gamma_series_vec(a: float, x: np.ndarray):
     # largest x converges last (term / total grows with x), so the full
     # test waits for that element; the result does not depend on it
     slow = int(np.argmax(x))
-    step = np.empty(x.shape)
     i, conv = 0, False
     while i < _MAX_ITER and not conv:
         i += 1
         ap = ap + 1.0
-        term *= np.divide(x, ap, out=step)
+        term *= x / ap
         total += term
         conv = bool(term[slow] < total[slow] * _EPS and (term < total * _EPS).all())
     p = total * np.exp(_gamma_log_prefactor_vec(a, x))
@@ -197,8 +197,12 @@ def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
     moves the value by less than eps, or at _MAX_ITER.  That test cannot
     see a change below eps, and the count is not monotone in x, so at
     it other elements could still move by an ulp or two: the batch runs
-    a quarter more iterations, plus one, past which 8 more moved no
-    value in any batch tried (tests/test_specfun.py).
+    a quarter more iterations, plus one.  Past that, 8 more moved no
+    value on the shapes the library asks for (integer a for Q, a = (d -
+    1)/2 and b = 1/2 for I_x; tests/test_specfun.py).  The margin is not
+    always enough for Q at a non-integer a below about 3 with x just
+    above a + 1, where the fraction converges slowest: there a value can
+    still move by one ulp.
     """
     tiny = _FPMIN
     d = term(x0, 0)[1]
@@ -224,24 +228,12 @@ def _cf_backward(term, x: np.ndarray, terms: int) -> np.ndarray:
     per term, with no convergence test and no guard against a zero
     denominator, which the regimes the kernels use (x >= a + 1 for Q,
     x below I_x's mean) do not produce: on every batch tried, each
-    backward denominator stayed above 0.1.  A one-element batch runs the
-    same operations on a numpy scalar, which rounds as an array does,
-    without an array operation's fixed cost.
+    backward denominator stayed above 0.1.
     """
-    if x.size == 1:
-        v = x[0]
-        num, t = term(v, terms)
-        for j in range(terms - 1, -1, -1):
-            below, den = term(v, j)
-            t = den + num / t
-            num = below
-        return np.array([1.0 / t])
-    num, den = term(x, terms)
-    t = den + np.zeros(x.shape)  # a new array, also where den is one number
+    num, t = term(x, terms)
     for j in range(terms - 1, -1, -1):
         below, den = term(x, j)
-        np.divide(num, t, out=t)
-        t += den
+        t = den + num / t
         num = below
     return 1.0 / t
 
@@ -348,45 +340,32 @@ _ERFCX_Q = (
 )
 
 
-def _estrin(coef, powers) -> np.ndarray:
-    """sum coef[i] x^i for powers = (x, x^2, x^4, ...): pairs, then pairs of pairs.
-
-    With every coefficient and x positive, the rounding stays within a
-    few ulps: each value passes through log2(len(coef)) levels, not the
-    len(coef) steps of Horner's rule.
-    """
-    terms = list(coef)
-    for p in powers:
-        pairs = []
-        for low, high in zip(terms[::2], terms[1::2]):
-            pair = high * p
-            pair += low
-            pairs.append(pair)
-        terms = pairs + terms[len(pairs) * 2:]
-    return terms[0]
+# both as one (2, 3, 2, 2, 1) block: quads of coefficients c_4q..c_4q+3,
+# each split into its low and its high pair, P's padded with a zero x^11
+# term, which adds exactly 0
+_ERFCX_QUADS = np.array([_ERFCX_P + (0.0,), _ERFCX_Q]).reshape(2, 3, 2, 2, 1)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """erfc over an array x >= 0, within 1e-15 relative where it is a normal float.
+    """erfc over a flat array x >= 0, within 1e-15 relative where it is a normal float.
 
     erfcx's rational times e^(-x^2), and e^(-x^2) as e^(-h^2) e^(-(x - h)(x + h))
     with h = x cut to sixteenths, whose square is exact (Cody 1969): the
     rounding of x^2 itself would cost x^2 eps relative, 4e-15 at x = 6.
-    One element, as an array or a numpy scalar, runs the same operations
-    on a numpy scalar, as in _cf_backward.
+    P and Q are summed together by Estrin's scheme: pairs of
+    coefficients in x, then pairs of pairs in x^2, x^4 and x^8.  With
+    every coefficient and x positive, each value passes through four
+    roundings, not Horner's eleven, and P and Q share each array
+    operation.
     """
-    one = np.shape(x) == (1,)
-    x = np.minimum(x[0] if one else x, 30.0)  # erfc(30) underflows; x^11 stays finite
+    x = np.minimum(x, 30.0)  # erfc(30) underflows; x^11 stays finite
     x2 = x * x
     x4 = x2 * x2
-    powers = (x, x2, x4, x4 * x4)
-    value = _estrin(_ERFCX_P, powers)
-    value /= _estrin(_ERFCX_Q, powers)
+    c = _ERFCX_QUADS
+    v = (c[:, :, 0, 0] + c[:, :, 0, 1] * x) + (c[:, :, 1, 0] + c[:, :, 1, 1] * x) * x2
+    v = (v[:, 0] + v[:, 1] * x4) + v[:, 2] * (x4 * x4)  # (2, n): P and Q
     h = np.trunc(x * 16.0) * 0.0625
-    scale = np.exp((h - x) * (x + h))
-    scale *= np.exp(h * -h)
-    value *= scale
-    return np.array([value]) if one else value
+    return v[0] / v[1] * (np.exp((h - x) * (x + h)) * np.exp(h * -h))
 
 
 def _gamma_temme_vec(a: float, x: np.ndarray):
@@ -398,29 +377,24 @@ def _gamma_temme_vec(a: float, x: np.ndarray):
     Morris 1986, ACM TOMS 12; Temme 1979).  For one shape sum_k d_kn a^-k
     is one coefficient per power of eta, so an element costs one
     polynomial and one erfc.  terms is the table's 18 columns: the
-    polynomial is always summed in full.  One element runs on a numpy
-    scalar, as in _cf_backward.
+    polynomial is always summed in full.
     """
-    if x.size == 1:
-        x = x[0]
     # t = x/a - 1 with one rounding (x - a is exact within a factor of 2),
     # and log(1 + t) - t = -t w + 2 w^3 (1/3 + w^2/5 + ...), w = t/(2 + t),
     # a sum of same-signed terms: log1p(t) - t cancels for |t| > 0.25
     t = (x - a) / a
     w = t / (2.0 + t)
     w2 = w * w
-    s = 1.0 / 29.0  # the first product makes it w2's shape
+    s = np.full(t.shape, 1.0 / 29.0)
     for j in range(13, 0, -1):
-        s *= w2
-        s += 1.0 / (2 * j + 1)
+        s = 1.0 / (2 * j + 1) + w2 * s
     log_pref = a * (2.0 * (w * w2) * s - t * w)  # -a eta^2 / 2
     root = np.sqrt(-log_pref)  # |eta| sqrt(a/2)
     eta = np.copysign(root, t) * np.sqrt(2.0 / a)
     coef = np.power(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
-    poly = coef[-1]
+    poly = np.full(t.shape, coef[-1])
     for n in range(coef.size - 2, -1, -1):
-        poly *= eta
-        poly += coef[n]
+        poly = poly * eta + coef[n]
     r = np.exp(log_pref) * poly / np.sqrt(2.0 * math.pi * a)
     upper = t >= 0.0
     tail = 0.5 * _erfc(root) + np.where(upper, r, -r)
@@ -461,14 +435,8 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
     while n < _BGRAT_TERMS:
         n += 1
         s = b + (2 * n - 2)
-        # k = v (s (s + 1) k + (z + s + 1) power), in place
-        rise = z + s
-        rise += 1.0
-        rise *= power
-        k *= s * (s + 1.0)
-        k += rise
-        k *= v
-        power *= quarter_log2
+        k = v * (s * (s + 1.0) * k + (z + s + 1.0) * power)
+        power = power * quarter_log2
         c.append(c[-1] / (2 * n * (2 * n + 1)))
         d.append(sum((b * i - n) * c[i] * d[n - i] for i in range(1, n + 1)) / n)
         term = d[n] * k

@@ -4,7 +4,6 @@ import inspect
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 
 import mpmath
 import numpy as np
@@ -234,6 +233,29 @@ def test_beta_fraction_truncation_has_converged(log_a, u, swap):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    log_d=st.floats(0.0, math.log(5000.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma_fraction_truncation_has_converged(log_d, seed):
+    # Q(d, x)'s fraction at an integer shape d, as the library asks for
+    # it, on a random batch of the arguments _gamma_pq_vec sends it:
+    # x >= d + 1, and beyond Temme's band where d >= 20, within a quarter
+    # of the lowest such x, where the fraction converges slowest
+    a = float(round(math.exp(log_d)))
+    low = a + 1.0
+    if a >= specfun._TEMME_MIN_A:
+        low = max(low, math.nextafter((1.0 + specfun._TEMME_REACH) * a, math.inf))
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, 64)
+    batch = [("gamma", a, None, low * (1.0 + 0.25 * u))]
+    want = _fraction_values(batch)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        _with_more_terms(mp, 8)
+        got = _fraction_values(batch)[0]
+    assert np.array_equal(got, want)
+
+
 def _check_hex_grids():
     # the radial grids of test_lossbounds.CHECK_HEX's case (100,
     # 0.2333..., eps 3, delta 1e-3, n_r=64, n_R=2000) as check_approx_dp
@@ -392,29 +414,6 @@ def test_erfc_table_is_the_generated_one():
             den = sum(mpmath.mpf(c) * xm**i for i, c in enumerate(specfun._ERFCX_Q))
             erfcx = mpmath.exp(xm * xm) * mpmath.erfc(xm)
             assert abs(num / den / erfcx - 1) <= 1e-16, x
-
-
-def test_one_element_batches_round_as_arrays():
-    # a one-element batch runs on a numpy scalar, which must give the
-    # element the bits it gets inside a larger batch: erfc, Temme's
-    # expansion, and a continued fraction over a given number of terms
-    rng = np.random.default_rng(9)
-    x = np.concatenate([np.linspace(0.0, 30.0, 301), rng.uniform(0.0, 8.0, 200)])
-    one = [specfun._erfc(x[i:i + 1])[0] for i in range(x.size)]
-    assert one == specfun._erfc(x).tolist()
-    for a in (20.0, 100.0, 1e4):
-        x = a * rng.uniform(0.6, 1.4, 200)
-        p, q, _ = specfun._gamma_temme_vec(a, x)
-        one = [specfun._gamma_temme_vec(a, x[i:i + 1])[:2] for i in range(x.size)]
-        assert [float(v) for v, _ in one] == p.tolist(), a
-        assert [float(v) for _, v in one] == q.tolist(), a
-    fractions = (
-        (partial(specfun._gamma_cf_term, 3.5), 4.5 * np.exp(rng.uniform(0.0, 3.0, 50))),
-        (partial(specfun._beta_cf_term, 49.5, 0.5), rng.uniform(0.0, 0.7, 50)),
-    )
-    for term, x in fractions:
-        one = [specfun._cf_backward(term, x[i:i + 1], 40)[0] for i in range(x.size)]
-        assert one == specfun._cf_backward(term, x, 40).tolist()
 
 
 def test_erfc_against_mpmath():
