@@ -13,12 +13,16 @@ check collapses to a closed form whose minimal sigma,
 directly.  The Gaussian calibrator brackets the exact normal-CDF
 condition (dimension-independent for l2-sensitivity) by powers of two,
 then bisects it unsteered, as mcverify's observational search does on
-calibrate_l2's bracket.  The Laplace scale sqrt(d)/(epsilon + delta) is
-a closed-form pure-DP choice; at d = 1 it sits just above the exact
-threshold sqrt(d)/(epsilon - 2 ln(1 - delta)), which is also provided
-(for d >= 2 that scale is neither exact nor a lower bound).
+calibrate_l2's bracket.  Its arguments are checked once, on entry, and
+each probe evaluates the hockey-stick formula unchecked
+(_gaussian_lhs, which gaussian_dp_lhs puts behind its checks).  The
+Laplace scale sqrt(d)/(epsilon + delta) is a closed-form pure-DP
+choice; at d = 1 it sits just above the exact threshold
+sqrt(d)/(epsilon - 2 ln(1 - delta)), which is also provided (for
+d >= 2 that scale is neither exact nor a lower bound).
 PrivacyParams lives in lossbounds, next to the certificate that reads
-it, and is re-exported here.
+it, and is declared public there alone; it is imported here, so
+l2mech.calibrate.PrivacyParams still names it.
 """
 from __future__ import annotations
 
@@ -30,10 +34,9 @@ import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
 from .lossbounds import GridDomainError, PrivacyParams, _check, _exp_eps, _x_star
-from .specfun import std_normal_cdf
+from .specfun import _normal_cdf
 
 __all__ = [
-    "PrivacyParams",
     "CalibrationResult",
     "MECHANISMS",
     "calibrate_l2",
@@ -340,9 +343,9 @@ def _margin_sigma(points, eps: float) -> float:
     Until the points hold a pass and a failure, a Newton step from the
     point with the smallest |w|.  Then a Newton step from whichever end
     of the tightest such pair has the smaller |w|, or else from the
-    other end, if it lands strictly between them; if neither does, the
-    secant through the two.  A zero slope or equal w gives NaN, which
-    _lattice_search takes as the midpoint.
+    other end, if it lands strictly between them.  If neither does, or
+    a slope is zero, the result is NaN, which _lattice_search takes as
+    the midpoint.
     """
     passed = [p for p in points if p.passed]
     failed = [p for p in points if not p.passed]
@@ -354,9 +357,7 @@ def _margin_sigma(points, eps: float) -> float:
         u = _newton(end)
         if top.u < u < bottom.u:
             return _sigma_at(u, eps)
-    rise = bottom.w - top.w
-    secant = top.u - top.w * (bottom.u - top.u) / rise if rise else math.nan
-    return _sigma_at(secant, eps)
+    return math.nan
 
 
 def _newton(p: _Margin) -> float:
@@ -374,9 +375,14 @@ def gaussian_dp_lhs(sigma: float, epsilon: float) -> float:
     the mechanism is (eps, delta)-DP iff this is <= delta.
     """
     require(positive("sigma", sigma), positive("epsilon", epsilon))
+    return _gaussian_lhs(sigma, epsilon)
+
+
+def _gaussian_lhs(sigma: float, epsilon: float) -> float:
+    # gaussian_dp_lhs on arguments already checked
     a = 1.0 / (2.0 * sigma) - epsilon * sigma
     b = -1.0 / (2.0 * sigma) - epsilon * sigma
-    return std_normal_cdf(a) - _exp_eps(epsilon) * std_normal_cdf(b)
+    return _normal_cdf(a) - _exp_eps(epsilon) * _normal_cdf(b)
 
 
 def calibrate_gaussian(
@@ -394,7 +400,7 @@ def calibrate_gaussian(
     def passes(s: float) -> bool:
         nonlocal evals
         evals += 1
-        return gaussian_dp_lhs(s, eps) <= delta
+        return _gaussian_lhs(s, eps) <= delta
 
     hi = 1.0
     for _ in range(_MAX_SEARCH):

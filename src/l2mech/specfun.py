@@ -703,4 +703,9 @@ def std_normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc; accurate deep into both tails."""
     require(number("t", t))
     require(unless(np.isfinite(t), "t must be finite"))
-    return 0.5 * math.erfc(-float(t) / _SQRT2)
+    return _normal_cdf(float(t))
+
+
+def _normal_cdf(t: float) -> float:
+    # std_normal_cdf on a float already checked
+    return 0.5 * math.erfc(-t / _SQRT2)

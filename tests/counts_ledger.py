@@ -12,6 +12,11 @@ Each calibration (and each l2 row of a table) records:
   iterations (the terms each call's batch evaluated);
 - sigma as float.hex, and hit_bracket_floor.
 
+It also records one empirical_min_sigma search per dimension in
+EMPIRICAL_DIMS at EMPIRICAL_TARGET: its empirical_lhs calls, their draws
+(n per cloud, both clouds) and its sigma as float.hex.  These follow
+the seeded stream as well as float bits.
+
 The counts follow float bits, not wall time, so they are the same on
 every machine with the same numpy and libm.  tests/test_counts_ledger.py
 recomputes the ledger and requires it to equal tests/BENCH_counts.json.
@@ -34,13 +39,18 @@ from pathlib import Path
 import l2mech.calibrate as calibrate
 import l2mech.errormodel as errormodel
 import l2mech.lossbounds as lossbounds
+import l2mech.mcverify as mcverify
 import l2mech.specfun as specfun
 from l2mech.calibrate import PrivacyParams, calibrate_l2
+from l2mech.sampler import RngState
 
 LEDGER_PATH = Path(__file__).with_name("BENCH_counts.json")
 TARGETS = ((1.0, 1e-5), (0.1, 1e-7), (10.0, 1e-3))
 DIMS = (2, 10, 100, 1000, 10000)
 TABLE_D_MAX = 12
+EMPIRICAL_DIMS = (2, 10)
+EMPIRICAL_TARGET = (1.0, 1e-2)
+EMPIRICAL_N, EMPIRICAL_TOL, EMPIRICAL_SEED = 20000, 1e-3, 7
 
 
 @contextmanager
@@ -118,6 +128,31 @@ def _table(params: PrivacyParams) -> dict:
     return rows
 
 
+def _empirical(dim: int) -> dict:
+    calls = draws = 0
+    estimate = mcverify.empirical_lhs
+
+    def counted_estimate(*args):
+        nonlocal calls, draws
+        out = estimate(*args)
+        calls += 1
+        draws += 2 * out.n
+        return out
+
+    mcverify.empirical_lhs = counted_estimate
+    try:
+        sigma = mcverify.empirical_min_sigma(
+            dim,
+            PrivacyParams(*EMPIRICAL_TARGET),
+            EMPIRICAL_N,
+            EMPIRICAL_TOL,
+            RngState(EMPIRICAL_SEED),
+        )
+    finally:
+        mcverify.empirical_lhs = estimate
+    return {"empirical_lhs_calls": calls, "draws": draws, "sigma": sigma.hex()}
+
+
 def ledger() -> dict:
     """Every case's counts, keyed by a name that spells out its inputs."""
     out = {}
@@ -130,6 +165,12 @@ def ledger() -> dict:
         out[f"comparison_table d_max={TABLE_D_MAX} eps={eps!r} delta={delta!r}"] = (
             _table(params)
         )
+    eps, delta = EMPIRICAL_TARGET
+    for dim in EMPIRICAL_DIMS:
+        out[
+            f"empirical_min_sigma d={dim} eps={eps!r} delta={delta!r} "
+            f"n={EMPIRICAL_N} tol={EMPIRICAL_TOL!r} seed={EMPIRICAL_SEED}"
+        ] = _empirical(dim)
     return out
 
 

@@ -11,7 +11,9 @@ from scipy import optimize
 
 import l2mech.calibrate
 import l2mech.lossbounds
+import l2mech.specfun
 import oracles
+from l2mech._checks import require
 from l2mech.calibrate import (
     MECHANISMS,
     CalibrationResult,
@@ -426,6 +428,27 @@ def test_gaussian_search_matches_bisection():
         got = (res.sigma, res.search_iterations, res.hit_bracket_floor)
         assert got == oracles.bisect_calibrate_gaussian(pp, tol), (pp, tol)
     assert res.hit_bracket_floor
+
+
+def test_gaussian_search_checks_its_arguments_once(monkeypatch):
+    # its probes evaluate the formula unchecked: a finer tolerance adds
+    # probes, not argument checks
+    calls = 0
+
+    def counting(*problems):
+        nonlocal calls
+        calls += 1
+        require(*problems)
+
+    for module in (l2mech.calibrate, l2mech.specfun):
+        monkeypatch.setattr(module, "require", counting)
+    seen = {}
+    for tol in (1e-3, 1e-9):
+        calls = 0
+        probes = calibrate_gaussian(PrivacyParams(1.0, 1e-5), tol).search_iterations
+        seen[tol] = (probes, calls)
+    assert seen[1e-9][0] > seen[1e-3][0]
+    assert seen[1e-9][1] == seen[1e-3][1]
 
 
 def test_gaussian_minimality_and_monotonicity():

@@ -140,6 +140,14 @@ def test_min_sigma_matches_bisection():
         assert got == want, (dim, pp, rng_args)
 
 
+def test_min_sigma_refuses_a_floor_that_already_passes():
+    # the floor sigma = tol = 0.99999 sits just below 1/epsilon, where the
+    # loss barely reaches epsilon: the empirical lhs there is 0 <= delta,
+    # so the bracket holds no failing end to search from
+    with pytest.raises(RuntimeError, match="already passes at sigma = 0.99999"):
+        empirical_min_sigma(10, PrivacyParams(1.0, 0.5), 20000, 0.99999, RngState(1))
+
+
 def test_min_sigma_warns_with_starved_tail():
     # n * delta = 10: far too few boundary events
     with pytest.warns(RuntimeWarning):

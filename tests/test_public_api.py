@@ -7,8 +7,11 @@ modules use postponed annotations, so types read as strings.
 
 import dataclasses
 import inspect
+from collections import Counter
 
 import l2mech
+
+SUBMODULES = "calibrate capgeom errormodel lossbounds mcverify sampler specfun".split()
 
 SIGNATURES = {
     "calibrate_gaussian": "(params: 'PrivacyParams', tol: 'float' = 0.001, "
@@ -106,3 +109,11 @@ def test_exceptions_and_constants():
             assert got.__bases__ == (want,), name
         else:
             assert got == want, name
+
+
+def test_each_public_name_is_declared_in_one_submodule():
+    declared = Counter(
+        name for module in SUBMODULES for name in getattr(l2mech, module).__all__
+    )
+    assert [name for name, count in declared.items() if count > 1] == []
+    assert sorted(l2mech.__all__) == sorted(declared)

@@ -580,6 +580,13 @@ def test_inv_reg_lower_gamma_basics():
         inv_reg_lower_gamma(2.0, 1.0)
 
 
+def test_inv_reg_lower_gamma_below_the_smallest_float_is_zero():
+    # at a = 0.01 the smallest positive float already holds P ~ 5.9e-4, so
+    # the quantile of a smaller mass lies below it and 0.0 is the answer
+    assert reg_lower_gamma(0.01, 5e-324) > 1e-10
+    assert inv_reg_lower_gamma(0.01, 1e-10) == 0.0
+
+
 def test_inv_reg_lower_gamma_round_trip():
     for a in [0.5, 1.0, 2.0, 10.0, 100.0, 1000.0]:
         for p in [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999]:
