@@ -5,14 +5,19 @@ tolerance) whose privacy certificate passes for the requested
 (epsilon, delta) pair, for a statistic with unit l2-sensitivity unless
 a different sensitivity is given (scales multiply through linearly).
 
-Every search runs on _lattice_search, over the sigmas a bisection of
-the bracket would visit; calibrate_l2 says how its probes are steered.
-In one dimension the l2 mechanism is the Laplace mechanism, and the
-check collapses to a closed form whose minimal sigma,
+Every search runs on _lattice_search: a caller hands it a bracket
+[lo, hi] and the tolerance, and gets back the lattice sigmas
+(sigma_{k-1}, sigma_k) on either side of the first passing index k of
+the bisection that would narrow the bracket to tol; the lattice, its
+depth and its indices live in _lattice_search alone.  calibrate_l2
+says how its probes are steered.  Every search answers a sigma it
+already saw from memory and counts each distinct sigma once.  In one
+dimension the l2 mechanism is the Laplace mechanism, and the check
+collapses to a closed form whose minimal sigma,
 1/(epsilon - 2 ln(1 - delta)), is laplace_sigma_lower_bound's, used
 directly.  The Gaussian calibrator brackets the exact normal-CDF
 condition (dimension-independent for l2-sensitivity) by powers of two,
-then bisects it unsteered, as mcverify's observational search does on
+then searches it unsteered, as mcverify's observational search does on
 calibrate_l2's bracket.  Its arguments are checked once, on entry, and
 each probe evaluates the hockey-stick formula unchecked
 (_gaussian_lhs, which gaussian_dp_lhs puts behind its checks).  The
@@ -61,9 +66,10 @@ class CalibrationResult:
 
     pure_epsilon is the pure-DP guarantee implied by the scale (None for
     the Gaussian, which has none); search_iterations counts certificate
-    evaluations (0 for closed forms), for calibrate_l2 including the
-    deferred probes of the bracket's floor and top and any ulp nudges,
-    each distinct sigma once.  hit_bracket_floor flags the degenerate
+    evaluations (0 for closed forms), each distinct sigma once in every
+    search: for calibrate_gaussian its bracketing probes as well, for
+    calibrate_l2 the deferred probes of the bracket's floor and top and
+    any ulp nudges.  hit_bracket_floor flags the degenerate
     case where the certificate already passed at the lowest sigma
     probed, so the returned value is a ceiling, not a minimum.
     """
@@ -137,19 +143,6 @@ def calibrate_l2(
     x_star = r_star / sigma, computed before the search, and every
     argument is checked once, before the first probe.
     """
-    return _calibrate_l2(dim, params, n_r, n_R, tol, sensitivity, None)
-
-
-def _calibrate_l2(
-    dim, params, n_r, n_R, tol, sensitivity, estimate
-) -> CalibrationResult:
-    """calibrate_l2 with its first probe at estimate, a unit-sensitivity sigma.
-
-    estimate None means the equal-error sigma.  The estimate only moves
-    the probes, never the answer: comparison_table passes a secant
-    extrapolation of its earlier rows, which is close but may lie on
-    either side of the answer.
-    """
     _validate_common(
         params,
         tol,
@@ -158,19 +151,29 @@ def _calibrate_l2(
         integer("n_r", n_r, 2),
         integer("n_R", n_R, 2),
     )
+    return _calibrate_l2(dim, params, n_r, n_R, tol, sensitivity, None)
+
+
+def _calibrate_l2(
+    dim, params, n_r, n_R, tol, sensitivity, estimate
+) -> CalibrationResult:
+    """calibrate_l2 on checked arguments, its first probe at estimate.
+
+    estimate is a unit-sensitivity sigma; None means the equal-error
+    sigma.  The estimate only moves the probes, never the answer:
+    comparison_table passes a secant extrapolation of its earlier rows,
+    which is close but may lie on either side of the answer.
+    """
     x_star = _x_star(dim, params.delta)
     eps = params.epsilon
     log_delta = math.log(params.delta)
-    evals = 0
     points = []
     reports = {}
 
     def probe(s: float):
         # a sigma checked before keeps its report: below the float spacing
         # near the top of a deep bracket, lattice indices share a sigma
-        nonlocal evals
         if s not in reports:
-            evals += 1
             try:
                 reports[s] = _check(dim, s, params, n_r, n_R, x_star)
             except GridDomainError:
@@ -189,21 +192,23 @@ def _calibrate_l2(
 
     def result(sigma: float, floor: bool = False) -> CalibrationResult:
         return CalibrationResult(
-            MECH_L2, sigma * sensitivity, 1.0 / sigma, evals, tol, floor
+            MECH_L2, sigma * sensitivity, 1.0 / sigma, len(reports), tol, floor
         )
 
     if dim == 1:
         return result(_certify_upward(laplace_sigma_lower_bound(1, params), certified))
 
-    lo, hi, depth = _bracket(eps, tol)
+    lo, hi = _bracket(eps, tol)
     if estimate is None:
         estimate = _equal_error_sigma(dim, params, tol, hi)
-    k = _lattice_search(lo, hi, depth, probe, estimate)
-    if k == 1 and certified(lo):
+    below, sigma = _lattice_search(lo, hi, tol, probe, estimate)
+    # the floor and the top were not probed; a sigma that rounds to the
+    # top passed as a probe, so _certify_upward finds it in reports
+    if below == lo and certified(lo):
         return result(lo, floor=True)
-    if k == 1 << depth:
+    if sigma == hi:
         return result(_certify_upward(hi, certified))
-    return result(_lattice_sigma(k, depth, lo, hi))
+    return result(sigma)
 
 
 def _equal_error_sigma(dim: int, params: PrivacyParams, tol: float, hi: float):
@@ -234,24 +239,13 @@ def _certify_upward(sigma: float, certified) -> float:
     raise RuntimeError("calibrate_l2: sigma failed its certificate repeatedly")
 
 
-def _bracket(eps: float, tol: float) -> tuple[float, float, int]:
-    """[tol, 1/eps] with tol halved until it lies below 1/eps, and its depth."""
+def _bracket(eps: float, tol: float) -> tuple[float, float]:
+    """[tol, 1/eps] with tol halved until it lies below 1/eps."""
     hi = 1.0 / eps
     lo = tol
     while lo >= hi:
         lo *= 0.5
-    return lo, hi, _bisection_depth(lo, hi, tol)
-
-
-def _bisection_depth(lo: float, hi: float, tol: float) -> int:
-    """Halvings a bisection makes before its bracket [lo, hi] is <= tol wide."""
-    width, depth = hi - lo, 0
-    while width > tol:
-        width *= 0.5
-        depth += 1
-    if depth >= _MAX_SEARCH:
-        raise RuntimeError("binary search failed to converge")
-    return depth
+    return lo, hi
 
 
 def _lattice_sigma(k: int, depth: int, lo: float, hi: float) -> float:
@@ -296,25 +290,37 @@ def _margin_point(report, sigma: float, eps: float, log_delta: float):
     return _Margin(math.log(gap), math.log(lhs) - log_delta, s, report.satisfies_dp)
 
 
-def _lattice_search(lo: float, hi: float, depth: int, probe, first=None) -> int:
-    """Smallest lattice index k in [1, 2^depth] whose sigma passes.
+def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
+    """(sigma_{k-1}, sigma_k) for the smallest lattice index k >= 1 that passes.
 
+    The lattice holds the 2^depth + 1 sigmas lo + k (hi - lo) / 2^depth
+    that a bisection of [lo, hi] visits until its bracket is at most tol
+    wide, each rounded as that bisection rounds it (_lattice_sigma).
     probe(sigma) returns (passed, the sigma to probe next or None).
-    Index 0 (the floor) is taken to fail and 2^depth (the top) to pass
-    without probing either; the caller settles them.  The first probe
-    goes to first and each later one to the sigma the probe before it
-    named; None or a non-finite sigma means the bracket's midpoint, so
-    probes that never name one are exactly a bisection's, in its order.
-    A named sigma is rounded up to the lattice and kept strictly inside
-    the bracket, which closes the last step from the other side.  While
-    no probe has failed, any probe after the first is rounded one step
-    further down: an accurate estimate then lands on the failing side,
-    which is the side the search still needs.  As in ITP, every probe
-    also stays close enough to the midpoint that bisection could still
-    finish within depth + 3 probes, so misleading sigmas cost at most
-    three more.  They move the probes only: the returned k is the
-    bisection's whenever passing is monotone.
+    Index 0 (lo) is taken to fail and 2^depth (hi) to pass without
+    probing either; the caller settles them.  sigma_{k-1} is lo only at
+    k = 1, since the spacing exceeds tol / 2 >= lo / 2; sigma_k is hi at
+    k = 2^depth, or where lattice points round to hi (then it passed as a
+    probe).  The first probe goes to first and each later one to the
+    sigma the probe before it named; None or a non-finite sigma means
+    the bracket's midpoint, so probes that never name one are exactly a
+    bisection's, in its order.  A named sigma is rounded up to the
+    lattice and kept strictly inside the bracket, which closes the last
+    step from the other side.  While no probe has failed, any probe
+    after the first is rounded one step further down: an accurate
+    estimate then lands on the failing side, which is the side the
+    search still needs.  As in ITP, every probe also stays close enough
+    to the midpoint that bisection could still finish within depth + 3
+    probes, so misleading sigmas cost at most three more.  They move the
+    probes only: the returned pair is the bisection's whenever passing
+    is monotone.
     """
+    width, depth = hi - lo, 0
+    while width > tol:
+        width *= 0.5
+        depth += 1
+    if depth >= _MAX_SEARCH:
+        raise RuntimeError("binary search failed to converge")
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
     guess = first
@@ -334,7 +340,7 @@ def _lattice_search(lo: float, hi: float, depth: int, probe, first=None) -> int:
             above = k
         else:
             below = k
-    return above
+    return _lattice_sigma(below, depth, lo, hi), _lattice_sigma(above, depth, lo, hi)
 
 
 def _margin_sigma(points, eps: float) -> float:
@@ -392,15 +398,19 @@ def calibrate_gaussian(
 
     The condition is dimension-free for unit l2-sensitivity, so no dim
     argument: the same sigma per coordinate works in every dimension.
+    The bracket doubles up from 1 until the condition passes, or halves
+    down while it still passes (to a floor below 1e-12, where the result
+    is a ceiling and says so); _lattice_search then searches it,
+    unsteered, to width tol.
     """
     _validate_common(params, tol, sensitivity)
     eps, delta = params.epsilon, params.delta
-    evals = 0
+    seen = {}
 
     def passes(s: float) -> bool:
-        nonlocal evals
-        evals += 1
-        return _gaussian_lhs(s, eps) <= delta
+        if s not in seen:
+            seen[s] = _gaussian_lhs(s, eps) <= delta
+        return seen[s]
 
     hi = 1.0
     for _ in range(_MAX_SEARCH):
@@ -409,21 +419,17 @@ def calibrate_gaussian(
         hi *= 2.0
     else:
         raise RuntimeError("calibrate_gaussian: failed to bracket from above")
+    # once the doubling moved past 1, hi / 2 already failed: seen answers it
     lo = hi / 2.0
-    # once the doubling moved past 1, hi / 2 is a probe that already failed
-    if hi == 1.0:
-        while passes(lo):
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-12:
-                return CalibrationResult(
-                    MECH_GAUSSIAN, hi * sensitivity, None, evals, tol,
-                    hit_bracket_floor=True,
-                )
-    depth = _bisection_depth(lo, hi, tol)
-    k = _lattice_search(lo, hi, depth, lambda s: (passes(s), None))
-    sigma = _lattice_sigma(k, depth, lo, hi)
-    return CalibrationResult(MECH_GAUSSIAN, sigma * sensitivity, None, evals, tol)
+    floor = False
+    while not floor and passes(lo):
+        hi, lo = lo, lo / 2.0
+        floor = lo < 1e-12
+    if not floor:
+        hi = _lattice_search(lo, hi, tol, lambda s: (passes(s), None))[1]
+    return CalibrationResult(
+        MECH_GAUSSIAN, hi * sensitivity, None, len(seen), tol, floor
+    )
 
 
 def laplace_sigma(

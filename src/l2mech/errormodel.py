@@ -110,7 +110,7 @@ def comparison_table(
     and the lattice point below it itself, so the l2 rows are the
     stand-alone calibrate_l2 sigmas.
     """
-    require(integer("d_max", d_max))
+    require(integer("d_max", d_max), integer("n_r", n_r, 2), integer("n_R", n_R, 2))
     gauss = calibrate_gaussian(params, tol=tol)
     rows: list[ErrorRow] = []
     found: list[tuple[int, float]] = []

@@ -18,7 +18,11 @@ difference's variance is at most the sum), with a 1/n floor per term
 so empty counts still report a positive error bar.  The full
 d-dimensional clouds survive only as the test oracle.
 empirical_min_sigma searches with calibrate's _lattice_search,
-unsteered, on the bracket calibrate_l2 searches.
+unsteered, on the bracket calibrate_l2 searches (calibrate's _bracket),
+and returns the sigma_k of the pair that search hands back.  Its probes
+never share a memo: each draws fresh samples, so a sigma probed twice
+can get two verdicts.  Every argument, the rng included, is checked on
+entry.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, positive, require
-from .calibrate import PrivacyParams, _bracket, _lattice_search, _lattice_sigma
+from .calibrate import PrivacyParams, _bracket, _lattice_search
 from .lossbounds import _exp_eps
 from .sampler import RngState
 
@@ -133,6 +137,7 @@ def empirical_lhs(
         positive("sigma", sigma),
         positive("epsilon", epsilon),
         integer("n", n),
+        instance("rng", rng, RngState),
     )
     dim = int(dim)
     n = int(n)
@@ -189,6 +194,7 @@ def empirical_min_sigma(
         instance("params", params, PrivacyParams),
         integer("n", n),
         positive("tol", tol),
+        instance("rng", rng, RngState),
     )
     if n * params.delta < 100:
         warnings.warn(
@@ -198,7 +204,7 @@ def empirical_min_sigma(
             stacklevel=2,
         )
     eps, delta = params.epsilon, params.delta
-    lo, hi, depth = _bracket(eps, tol)
+    lo, hi = _bracket(eps, tol)
 
     def passes(sigma: float):
         return empirical_lhs(dim, sigma, eps, n, rng).lhs_estimate <= delta, None
@@ -208,4 +214,4 @@ def empirical_min_sigma(
             f"empirical_min_sigma: bracketing failure, the empirical check "
             f"already passes at sigma = {lo}"
         )
-    return _lattice_sigma(_lattice_search(lo, hi, depth, passes), depth, lo, hi)
+    return _lattice_search(lo, hi, tol, passes)[1]

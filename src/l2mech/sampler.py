@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, positive, require, unless
+from ._checks import instance, integer, positive, require, unless
 
 __all__ = [
     "RngState",
@@ -81,11 +81,14 @@ class RngState:
         return self._gen
 
 
-def _check_size(size) -> tuple[int, bool]:
-    if size is None:
-        return 1, True
-    require(integer("size", size, 1, "size must be None or an integer >= 1"))
-    return int(size), False
+def _check_draws(rng, size) -> tuple[int, bool]:
+    """(rows to draw, whether to return one row) for size, after checking rng."""
+    batch = size is not None
+    require(
+        instance("rng", rng, RngState),
+        batch and integer("size", size, 1, "size must be None or an integer >= 1"),
+    )
+    return (int(size), False) if batch else (1, True)
 
 
 def _check_center(center) -> np.ndarray:
@@ -130,7 +133,7 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     radial uniforms.
     """
     require(integer("dim", dim))
-    n, scalar = _check_size(size)
+    n, scalar = _check_draws(rng, size)
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
@@ -148,7 +151,7 @@ def sample_l2(center, sigma: float, rng: RngState, size=None):
     """
     c = _check_center(center)
     sigma = _check_scale(sigma, "sigma")
-    n, scalar = _check_size(size)
+    n, scalar = _check_draws(rng, size)
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, c.size)
     radius = gen.gamma(c.size, sigma, size=n)
@@ -190,7 +193,14 @@ def sample_l2_parallel(
     sigma = _check_scale(sigma, "sigma")
     d = c.size
     n = len(worker_rngs)
-    require(unless(n == d, f"need exactly {d} worker streams, got {n}"))
+    require(
+        unless(n == d, f"need exactly {d} worker streams, got {n}"),
+        unless(
+            all(isinstance(w, RngState) for w in worker_rngs),
+            "worker_rngs must hold only RngState",
+        ),
+        instance("manager_rng", manager_rng, RngState),
+    )
     for _ in range(_MAX_REDRAWS):
         wlogs = np.empty(d)
         wgauss = np.empty(d)
@@ -226,7 +236,7 @@ def sample_laplace(center, scale: float, rng: RngState, size=None):
     """
     c = _check_center(center)
     scale = _check_scale(scale, "scale")
-    n, scalar = _check_size(size)
+    n, scalar = _check_draws(rng, size)
     out = c[None, :] + rng.generator.laplace(0.0, scale, size=(n, c.size))
     return out[0] if scalar else out
 
@@ -238,7 +248,7 @@ def sample_gaussian(center, sigma: float, rng: RngState, size=None):
     """
     c = _check_center(center)
     sigma = _check_scale(sigma, "sigma")
-    n, scalar = _check_size(size)
+    n, scalar = _check_draws(rng, size)
     out = c[None, :] + sigma * rng.generator.standard_normal((n, c.size))
     return out[0] if scalar else out
 

@@ -12,6 +12,11 @@ Each calibration (and each l2 row of a table) records:
   iterations (the terms each call's batch evaluated);
 - sigma as float.hex, and hit_bracket_floor.
 
+For each target it also records calibrate_gaussian at each tolerance in
+GAUSSIAN_TOLS, the search every calibrate_l2 call at dim >= 2 runs to
+place its first probe: its search_iterations (distinct sigmas
+evaluated) and its sigma as float.hex.
+
 It also records one empirical_min_sigma search per dimension in
 EMPIRICAL_DIMS at EMPIRICAL_TARGET: its empirical_lhs calls, their draws
 (n per cloud, both clouds) and its sigma as float.hex.  These follow
@@ -41,13 +46,14 @@ import l2mech.errormodel as errormodel
 import l2mech.lossbounds as lossbounds
 import l2mech.mcverify as mcverify
 import l2mech.specfun as specfun
-from l2mech.calibrate import PrivacyParams, calibrate_l2
+from l2mech.calibrate import PrivacyParams, calibrate_gaussian, calibrate_l2
 from l2mech.sampler import RngState
 
 LEDGER_PATH = Path(__file__).with_name("BENCH_counts.json")
 TARGETS = ((1.0, 1e-5), (0.1, 1e-7), (10.0, 1e-3))
 DIMS = (2, 10, 100, 1000, 10000)
 TABLE_D_MAX = 12
+GAUSSIAN_TOLS = (1e-3, 2.0**-120)
 EMPIRICAL_DIMS = (2, 10)
 EMPIRICAL_TARGET = (1.0, 1e-2)
 EMPIRICAL_N, EMPIRICAL_TOL, EMPIRICAL_SEED = 20000, 1e-3, 7
@@ -165,6 +171,12 @@ def ledger() -> dict:
         out[f"comparison_table d_max={TABLE_D_MAX} eps={eps!r} delta={delta!r}"] = (
             _table(params)
         )
+        for tol in GAUSSIAN_TOLS:
+            result = calibrate_gaussian(params, tol)
+            out[f"calibrate_gaussian eps={eps!r} delta={delta!r} tol={tol!r}"] = {
+                "search_iterations": result.search_iterations,
+                "sigma": result.sigma.hex(),
+            }
     eps, delta = EMPIRICAL_TARGET
     for dim in EMPIRICAL_DIMS:
         out[

@@ -167,7 +167,9 @@ def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
 
     monkeypatch.setattr(l2mech.calibrate, "_check", probe)
     calibrate_l2(1000, pp)
-    lo, hi, depth = _bracket(pp.epsilon, 1e-3)
+    lo, hi = _bracket(pp.epsilon, 1e-3)
+    depth = 10  # the fewest halvings that take [lo, hi] to 1e-3 wide
+    assert (hi - lo) / 2**depth <= 1e-3 < (hi - lo) / 2 ** (depth - 1)
     estimate = calibrate_gaussian(pp).sigma / math.sqrt(1001)
     k = math.ceil((estimate - lo) / ((hi - lo) / (1 << depth)))
     assert probed[0] == _lattice_sigma(k, depth, lo, hi)
@@ -205,6 +207,24 @@ def test_l2_checks_each_sigma_once(monkeypatch):
     assert len(sigmas) == len(set(sigmas)) == res.search_iterations <= 54
 
 
+@pytest.mark.parametrize("tol", (1e-17, 2.0**-120))
+def test_gaussian_evaluates_each_sigma_once(monkeypatch, tol):
+    # below the float spacing several lattice indices round to one sigma:
+    # the Gaussian search evaluates each of the 55 distinct sigmas it
+    # visits once, at either tolerance
+    from l2mech import calibrate
+
+    sigmas, lhs = [], calibrate._gaussian_lhs
+
+    def spy(sigma, epsilon):
+        sigmas.append(sigma)
+        return lhs(sigma, epsilon)
+
+    monkeypatch.setattr(calibrate, "_gaussian_lhs", spy)
+    res = calibrate_gaussian(PrivacyParams(1.0, 1e-5), tol)
+    assert len(sigmas) == len(set(sigmas)) == res.search_iterations == 55
+
+
 _ODD_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
 
 
@@ -235,9 +255,10 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
     # bracket, or one that is not finite; then a probe that names
     # calibrate_l2's _margin_sigma of the arbitrary margin points it has
     # returned, with zero, wrong-signed, huge and non-finite slopes and
-    # repeated w: every search finds the bisection's index within
-    # depth + 3 probes, and none raises
+    # repeated w: every search returns the bisection's pair (sigma_{k-1},
+    # sigma_k) within depth + 3 probes, and none raises
     hi = lo + width
+    tol = (hi - lo) / 2**depth  # exact: the search halves hi - lo depth times
     threshold = _lattice_sigma(round(t * (1 << depth)), depth, lo, hi)
     estimate = {
         "inside": lo + u * width,
@@ -263,13 +284,13 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
 
         return probe
 
-    want = _lattice_search(lo, hi, depth, lambda s: (s >= threshold, None))
+    want = _lattice_search(lo, hi, tol, lambda s: (s >= threshold, None))
     def margin_sigma(points):
         return _margin_sigma(points, eps)
 
     for next_sigma in (lambda points: estimate, margin_sigma):
         probes = 0
-        assert _lattice_search(lo, hi, depth, naming(next_sigma), estimate) == want
+        assert _lattice_search(lo, hi, tol, naming(next_sigma), estimate) == want
         assert probes <= depth + 3
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import l2mech.calibrate
+import l2mech.errormodel as errormodel
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.errormodel import (
     TABLE_FIELDS,
@@ -139,6 +140,19 @@ def test_table_validation():
 def test_table_validation_names_d_max():
     with pytest.raises(ValueError, match="d_max must be an integer"):
         comparison_table(PrivacyParams(1.0, 1e-5), 2.0)
+
+
+def test_table_checks_grid_sizes_on_entry(monkeypatch):
+    # before any calibration: the rows then run unchecked
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrated before checking the grid sizes")
+
+    monkeypatch.setattr(errormodel, "calibrate_gaussian", refuse)
+    pp = PrivacyParams(1.0, 1e-5)
+    with pytest.raises(ValueError, match="n_r must be an integer >= 2"):
+        comparison_table(pp, 3, n_r=1)
+    with pytest.raises(ValueError, match="n_R must be an integer >= 2"):
+        comparison_table(pp, 3, n_R=2.5)
 
 
 def test_counts_refuse_bools():

@@ -140,6 +140,14 @@ def test_min_sigma_matches_bisection():
         assert got == want, (dim, pp, rng_args)
 
 
+def test_rng_is_checked_at_entry():
+    for rng in (7, None):
+        with pytest.raises(ValueError, match="rng must be a RngState"):
+            empirical_lhs(2, 0.5, 1.0, 100, rng)
+        with pytest.raises(ValueError, match="rng must be a RngState"):
+            empirical_min_sigma(2, PrivacyParams(1.0, 0.01), 20000, 1e-3, rng)
+
+
 def test_min_sigma_refuses_a_floor_that_already_passes():
     # the floor sigma = tol = 0.99999 sits just below 1/epsilon, where the
     # loss barely reaches epsilon: the empirical lhs there is 0 <= delta,

@@ -105,6 +105,26 @@ def test_sample_l2_determinism_and_validation():
         sample_l2(np.array([np.inf, 0.0]), 1.0, RngState(1))
 
 
+def test_samplers_check_their_rng():
+    c = np.zeros(2)
+    for draw in (
+        lambda rng: sample_l2(c, 1.0, rng),
+        lambda rng: sample_unit_ball(2, rng),
+        lambda rng: sample_laplace(c, 1.0, rng, size=3),
+        lambda rng: sample_gaussian(c, 1.0, rng),
+    ):
+        for rng in (7, None, np.random.default_rng(7)):
+            with pytest.raises(ValueError, match="rng must be a RngState"):
+                draw(rng)
+    # every stream is checked before any advances: worker 0's stays fresh
+    first = RngState(1)
+    with pytest.raises(ValueError, match="worker_rngs must hold only RngState"):
+        sample_l2_parallel(c, 1.0, [first, 5], RngState(3))
+    with pytest.raises(ValueError, match="manager_rng must be a RngState"):
+        sample_l2_parallel(c, 1.0, [first, RngState(2)], 3)
+    assert first.generator.random() == RngState(1).generator.random()
+
+
 def test_parallel_trace_identities():
     workers = [RngState(99, i) for i in range(4)]
     manager = RngState(99, 4)
