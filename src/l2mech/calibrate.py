@@ -139,7 +139,7 @@ def calibrate_l2(
     indices share (below the float spacing) is checked once.  dim == 1
     uses the exact closed form.  Either way a sigma that fails its own certificate is
     nudged up by float ulps until it passes, so the returned sigma is
-    certified in every branch.  Every probe shares one
+    certified in every branch.  Every probe at dim >= 2 shares one
     x_star = r_star / sigma, computed before the search, and every
     argument is checked once, before the first probe.
     """
@@ -164,7 +164,8 @@ def _calibrate_l2(
     comparison_table passes a secant extrapolation of its earlier rows,
     which is close but may lie on either side of the answer.
     """
-    x_star = _x_star(dim, params.delta)
+    # the d = 1 closed form reads no grid, so it needs no r_star
+    x_star = math.nan if dim == 1 else _x_star(dim, params.delta)
     eps = params.epsilon
     log_delta = math.log(params.delta)
     points = []

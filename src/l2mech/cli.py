@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 usage/validation error, 1 numerical failure
 Each subcommand takes only the value flags it reads; any other is a
 usage error.  The seed of sample and verify defaults to the
 L2MECH_SEED environment variable when the --seed flag is absent, and
-to 0 when neither is set.  Outputs go to stdout unless --out is given;
+to 0 when neither is set.  Without --samples, verify draws
+ceil(1000/delta) pairs per probe, and refuses with a usage error when
+that exceeds 10^7.  Outputs go to stdout unless --out is given;
 JSON is the default format for calibrate/verify, CSV for
 compare/sample.
 """
@@ -44,6 +46,9 @@ __all__ = ["CliConfig", "UsageError", "parse_args", "run", "main"]
 
 FORMATS = ("json", "csv")
 SEED_ENV_VAR = "L2MECH_SEED"
+# the most pairs per probe verify draws by default; beyond this the
+# default would run for hours, so verify asks for --samples instead
+_MAX_DEFAULT_SAMPLES = 10**7
 
 
 class UsageError(ValueError):
@@ -141,7 +146,9 @@ def parse_args(argv=None) -> CliConfig:
     """Parse and validate argv into a CliConfig; UsageError lists all faults.
 
     Each value flag in turn is required or left to CliConfig's default,
-    parsed, and checked by its rule; the seed falls back to $L2MECH_SEED.
+    parsed, and checked by its rule; the seed falls back to $L2MECH_SEED,
+    and verify's default sample count, ceil(1000/delta), must not exceed
+    _MAX_DEFAULT_SAMPLES.
     """
     ns = _build_parser().parse_args(argv)
     command = _SUBCOMMANDS[ns.command]
@@ -155,6 +162,15 @@ def parse_args(argv=None) -> CliConfig:
             note = command.flags.get(dest)
             if note is not None:
                 problems.append(f"{name} is required{note}")
+            elif dest == "samples" and "delta" in values:
+                n = _default_samples(values["delta"])
+                fault = unless(
+                    n <= _MAX_DEFAULT_SAMPLES,
+                    f"{name} is required when its default ceil(1000/delta) = {n} "
+                    f"exceeds {_MAX_DEFAULT_SAMPLES}",
+                )
+                if fault:
+                    problems.append(fault)
             continue
         try:
             value = flag.kind(raw)
@@ -165,6 +181,7 @@ def parse_args(argv=None) -> CliConfig:
         fault = flag.rule(name, value)
         if fault:
             problems.append(f"{fault}, got {value!r}")
+            continue
         values[flag.field] = value
     if problems:
         raise UsageError("; ".join(problems))
@@ -174,6 +191,11 @@ def parse_args(argv=None) -> CliConfig:
     return CliConfig(
         ns.command, output_format=output_format, output_path=ns.output_path, **values
     )
+
+
+def _default_samples(delta: float) -> int:
+    """verify's pairs per probe without --samples: 1000 expected boundary events."""
+    return int(math.ceil(1000.0 / delta))
 
 
 def _dict_to_csv(payload: dict) -> str:
@@ -248,7 +270,7 @@ def _run_sample(config: CliConfig) -> str:
 
 def _run_verify(config: CliConfig) -> dict:
     params = PrivacyParams(config.epsilon, config.delta)
-    n = config.samples or int(math.ceil(1000.0 / config.delta))
+    n = config.samples or _default_samples(config.delta)
     rng = RngState(config.seed)
     if config.sigma is not None:
         report = check_approx_dp(

@@ -11,12 +11,19 @@ The loss (||y - e1|| - ||y||) / sigma of an output y depends on y only
 through its distance R from its own center and the first coordinate t
 of its direction, so each draw is the exact pair (R, t): R ~
 Gamma(dim, sigma) as in sample_l2, and t the first coordinate of a
-uniform direction on the sphere.  A draw costs O(1) whatever dim is,
-and there is no discretization bias, only binomial noise; std_error
-adds the two binomial deviations (a conservative choice, since the
-difference's variance is at most the sum), with a 1/n floor per term
-so empty counts still report a positive error bar.  The full
-d-dimensional clouds survive only as the test oracle.
+uniform direction on the sphere.  One pair serves both centers: the
+noise vector R u is added to each (common random numbers), giving the
+output R u around the origin and e1 + R u around e1, each an exact
+draw of its own mechanism.  The stream gives, per chunk, the radii,
+then the normals, then the rest variates (see empirical_lhs).  A draw
+costs O(1) whatever dim is, and there is no discretization bias, only
+binomial noise: each count is Binomial(n, c_i).  std_error is
+se1 + e^eps se2, the two binomial deviations with a 1/n floor each so
+empty counts still report a positive error bar.  By Minkowski's
+inequality that sum bounds the SD of c1 - e^eps c2 whatever the
+dependence between the two counts, so the bar holds for the coupled
+clouds too.  The full d-dimensional clouds survive only as the test
+oracle.
 empirical_min_sigma searches with calibrate's _lattice_search,
 unsteered, on the bracket calibrate_l2 searches (calibrate's _bracket),
 and returns the sigma_k of the pair that search hands back.  Its probes
@@ -117,20 +124,22 @@ def empirical_lhs(
 ) -> EmpiricalPrivacyEstimate:
     """Estimate the hockey-stick lhs at (dim, sigma, epsilon) from n draws.
 
-    Draws n outputs around the origin and n around the unit vector e1,
-    counts membership of both clouds in the high-loss region
-    (||y - e1|| - ||y||) / sigma >= epsilon, and combines.  The loss
-    depends on an output only through its distance R ~ Gamma(dim, sigma)
-    from its own center and the first coordinate t of its direction
-    (_first_coordinate), so each draw is two scalars whatever dim is:
-    around 0, ||y|| = R and ||y - e1||^2 = R^2 - 2Rt + 1; around e1,
-    ||y - e1|| = R and ||y||^2 = R^2 + 2Rt + 1 (_loss_gap).
+    Tests n outputs around the origin and n around the unit vector e1
+    for membership in the high-loss region
+    (||y - e1|| - ||y||) / sigma >= epsilon, and combines the two
+    counts.  The loss depends on an output only through its distance
+    R ~ Gamma(dim, sigma) from its own center and the first coordinate
+    t of its direction (_first_coordinate), so each draw is two scalars
+    whatever dim is: around 0, ||y|| = R and ||y - e1||^2 = R^2 - 2Rt + 1;
+    around e1, ||y - e1|| = R and ||y||^2 = R^2 + 2Rt + 1 (_loss_gap).
+    Each pair (R, t) gives one output of each cloud, the same noise R u
+    added to both centers: R u around 0 and e1 + R u around e1.
 
     Deterministic given the rng state.  Draws come in chunks of at most
-    _CHUNK_DRAWS per cloud; per chunk of m the stream gives 2m radii
-    (the cloud at 0 first), then 2m normals z, then 2m more normals
-    when dim = 2 or 2m Gamma((dim - 1)/2) variates when dim > 2.
-    Memory is a few arrays of 2m floats, independent of dim and n.
+    _CHUNK_DRAWS pairs; per chunk of m the stream gives m radii, m
+    normals z, then m rest variates: m more normals when dim = 2, m
+    Gamma((dim - 1)/2) variates when dim > 2 and none when dim = 1.
+    Memory is a few arrays of m floats, independent of dim and n.
     """
     require(
         integer("dim", dim),
@@ -148,12 +157,12 @@ def empirical_lhs(
     done = 0
     while done < n:
         m = min(_CHUNK_DRAWS, n - done)
-        r = gen.gamma(dim, sigma, size=(2, m))
-        t, w = _first_coordinate(gen, dim, (2, m))
-        k1 += int(np.count_nonzero(_loss_gap(r[0], t[0], w[0]) >= tau))
-        # y = e1 + Ru mirrors through e1/2 to -Ru, which swaps the two
-        # distances and so negates the loss
-        k2 += int(np.count_nonzero(_loss_gap(r[1], -t[1], w[1]) <= -tau))
+        r = gen.gamma(dim, sigma, size=m)
+        t, w = _first_coordinate(gen, dim, m)
+        k1 += int(np.count_nonzero(_loss_gap(r, t, w) >= tau))
+        # y = e1 + Ru, the same noise around e1, mirrors through e1/2 to
+        # -Ru, which swaps the two distances and so negates the loss
+        k2 += int(np.count_nonzero(_loss_gap(r, -t, w) <= -tau))
         done += m
     c1 = k1 / n
     c2 = k2 / n
@@ -180,9 +189,9 @@ def empirical_min_sigma(
     """Binary search for the smallest sigma whose empirical lhs is <= delta.
 
     Purely observational (no certificate): each probe spends n fresh
-    draws per center, and the search bisects the same [tol, 1/epsilon]
-    bracket as the analytic calibrator, after checking that its floor
-    fails.  A probe costs O(n) whatever dim is, so n = 10^6 is
+    pairs (R, t), each serving both centers, and the search bisects the
+    same [tol, 1/epsilon] bracket as the analytic calibrator, after
+    checking that its floor fails.  A probe costs O(n) whatever dim is, so n = 10^6 is
     affordable (a few seconds per search).  At delta = 0.01 the gap to
     calibrate_l2's sigma then has an SD near 0.5%, against about 1.5%
     at n * delta ~ 1000, where a few percent is common.  A warning

@@ -201,14 +201,14 @@ def sample_l2_parallel(
         ),
         instance("manager_rng", manager_rng, RngState),
     )
+    gens = [w.generator for w in worker_rngs]
+    mgen = manager_rng.generator
     for _ in range(_MAX_REDRAWS):
         wlogs = np.empty(d)
         wgauss = np.empty(d)
-        for i, w in enumerate(worker_rngs):
-            gen = w.generator
+        for i, gen in enumerate(gens):
             wlogs[i] = -math.log(1.0 - gen.random())
             wgauss[i] = gen.standard_normal()
-        mgen = manager_rng.generator
         mlog = -math.log(1.0 - mgen.random())
         y = 1.0 - mgen.random()
         ss = float(np.dot(wgauss, wgauss))

@@ -19,8 +19,9 @@ evaluated) and its sigma as float.hex.
 
 It also records one empirical_min_sigma search per dimension in
 EMPIRICAL_DIMS at EMPIRICAL_TARGET: its empirical_lhs calls, their draws
-(n per cloud, both clouds) and its sigma as float.hex.  These follow
-the seeded stream as well as float bits.
+(outputs tested: n per cloud, both clouds), the random variates they
+take from the stream (counted by a proxy generator) and its sigma as
+float.hex.  These follow the seeded stream as well as float bits.
 
 The counts follow float bits, not wall time, so they are the same on
 every machine with the same numpy and libm.  tests/test_counts_ledger.py
@@ -40,6 +41,8 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 import l2mech.calibrate as calibrate
 import l2mech.errormodel as errormodel
@@ -134,8 +137,29 @@ def _table(params: PrivacyParams) -> dict:
     return rows
 
 
+class _CountingGenerator:
+    """A numpy Generator that counts the variates each draw returns."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.variates = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.variates += int(np.size(out))
+            return out
+
+        return counted
+
+
 def _empirical(dim: int) -> dict:
     calls = draws = 0
+    rng = RngState(EMPIRICAL_SEED)
+    gen = _CountingGenerator(rng.generator)
+    rng._gen = gen
     estimate = mcverify.empirical_lhs
 
     def counted_estimate(*args):
@@ -152,11 +176,16 @@ def _empirical(dim: int) -> dict:
             PrivacyParams(*EMPIRICAL_TARGET),
             EMPIRICAL_N,
             EMPIRICAL_TOL,
-            RngState(EMPIRICAL_SEED),
+            rng,
         )
     finally:
         mcverify.empirical_lhs = estimate
-    return {"empirical_lhs_calls": calls, "draws": draws, "sigma": sigma.hex()}
+    return {
+        "empirical_lhs_calls": calls,
+        "draws": draws,
+        "variates": gen.variates,
+        "sigma": sigma.hex(),
+    }
 
 
 def ledger() -> dict:

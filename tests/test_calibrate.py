@@ -378,6 +378,24 @@ def test_l2_inverts_the_tail_once_per_calibration(monkeypatch):
         assert check_approx_dp(d, res.sigma, pp).satisfies_dp, d
 
 
+def test_l2_d1_skips_the_tail_inverse(monkeypatch):
+    # the d = 1 closed form reads no grid, so it needs no r_star; the spy
+    # wraps lossbounds._x_star under the name calibrate calls it by
+    calls = []
+    x_star = l2mech.lossbounds._x_star
+
+    def spy(dim, delta):
+        calls.append(dim)
+        return x_star(dim, delta)
+
+    monkeypatch.setattr(l2mech.calibrate, "_x_star", spy)
+    res = calibrate_l2(1, PrivacyParams(1.0, 1e-5))
+    assert calls == []
+    assert res.sigma.hex() == "0x1.fffd60ebe2960p-1" and res.search_iterations == 1
+    calibrate_l2(2, PrivacyParams(1.0, 1e-5))
+    assert calls == [2]
+
+
 def test_l2_bracket_top_is_certified():
     # epsilon * (1/epsilon) rounds to 1 - 2^-53 here, so 1/epsilon itself
     # fails the check and the search must nudge it up by ulps

@@ -235,6 +235,21 @@ def test_verify_search_mode(capsys):
     assert payload["relative_gap"] <= 0.05
 
 
+def test_verify_refuses_an_unaffordable_default_sample_count(capsys):
+    # ceil(1000/delta) = 10^12 pairs per probe would run for days
+    args = ["verify", "--eps", "1", "--delta", "1e-9", "--dim", "2"]
+    assert main(args) == 2
+    assert "--samples is required" in capsys.readouterr().err
+    assert main(args + ["--sigma", "0.7"]) == 2
+    capsys.readouterr()
+    # 10^7 itself is allowed, and an explicit count runs as given
+    assert parse_args(["verify", "--eps", "1", "--delta", "1e-4"]).samples is None
+    cfg = parse_args(args + ["--sigma", "0.7", "--samples", "1000"])
+    assert cfg.samples == 1000 and cfg.delta == 1e-9
+    assert main(args + ["--sigma", "0.7", "--samples", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["empirical"]["n"] == 1000
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     args = ["sample", "--mech", "l2", "--sigma", "0.5", "--samples", "4",
             "--dim", "2", "--seed", "9"]

@@ -11,6 +11,7 @@ import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.lossbounds import check_approx_dp
 from l2mech.mcverify import (
+    _CHUNK_DRAWS,
     EmpiricalPrivacyEstimate,
     _first_coordinate,
     empirical_lhs,
@@ -52,6 +53,42 @@ def test_radius_and_first_coordinate_match_full_clouds():
             for want, se, got in ((c1, se1, est.c1), (c2, se2, est.c2)):
                 se_got = max(math.sqrt(got * (1.0 - got) / n), 1.0 / n)
                 assert abs(got - want) <= 4.0 * math.hypot(se, se_got), (d, tau)
+
+
+def test_error_bar_covers_the_coupled_estimate():
+    # one (R, t) serves both clouds, so c1 and c2 are dependent; the bar
+    # se1 + e^eps se2 still bounds the SD of c1 - e^eps c2 (Minkowski).
+    # Replicates at the calibrated sigma of (1, 1e-2), where the region's
+    # boundary events drive the search
+    pp = PrivacyParams(1.0, 0.01)
+    for dim in (2, 10):
+        sigma = calibrate_l2(dim, pp).sigma
+        runs = [
+            empirical_lhs(dim, sigma, pp.epsilon, 20000, RngState(40 + dim, i))
+            for i in range(100)
+        ]
+        spread = np.std([r.lhs_estimate for r in runs], ddof=1)
+        bar = np.mean([r.std_error for r in runs])
+        assert spread <= bar, (dim, spread, bar)
+
+
+def test_stream_gives_radii_normals_then_rest_per_chunk():
+    # the documented draw order: per chunk of m pairs, m radii, m normals
+    # z, then m rest variates (none at d = 1), so the stream stands where
+    # a replay of exactly those draws leaves it
+    n = _CHUNK_DRAWS + 1000
+    for dim in (1, 2, 5):
+        rng = RngState(17, dim)
+        empirical_lhs(dim, 0.3, 1.0, n, rng)
+        replay = RngState(17, dim).generator
+        for m in (_CHUNK_DRAWS, 1000):
+            replay.gamma(dim, 0.3, size=m)
+            replay.standard_normal(m)
+            if dim == 2:
+                replay.standard_normal(m)
+            elif dim > 2:
+                replay.standard_gamma(0.5 * (dim - 1), m)
+        assert rng.generator.random() == replay.random(), dim
 
 
 class _SignedZeroNormals:

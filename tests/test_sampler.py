@@ -259,6 +259,9 @@ STREAM_SHA1 = {
     (100, "l2 scalar"): "598f80bd5d5afbdc84da17d6276cf9bbe3ae6031",
     (100, "unit ball"): "1b01f1b40029482db65cb82e45b517e4555e2583",
     (100, "draw_batch"): "48694872628b3b223731295b1292d8cd0f2d1fb3",
+    (1, "parallel"): "98cec49964842ba72c8f828683969ebbd30ceefc",
+    (3, "parallel"): "36dee872b1b19d795b7abf51cf569c2c138efd72",
+    (100, "parallel"): "113b6e6ffc6c983a5805137ac7005163cf71708b",
 }
 
 
@@ -273,4 +276,9 @@ def test_sample_streams_are_pinned():
         got[d, "l2 scalar"] = sha1(sample_l2(center, 0.7, RngState(2027, d)))
         got[d, "unit ball"] = sha1(sample_unit_ball(d, RngState(2025, d), size=64))
         got[d, "draw_batch"] = sha1(draw_batch("l2", d, 0.7, 64, 2026, d).values)
+        workers = [RngState(2028, i) for i in range(d)]
+        manager = RngState(2028, d)
+        got[d, "parallel"] = sha1(
+            [sample_l2_parallel(center, 0.7, workers, manager)[0] for _ in range(50)]
+        )
     assert got == STREAM_SHA1
