@@ -211,7 +211,7 @@ def _emit(config: CliConfig, payload) -> str:
     if isinstance(payload, str):
         return payload
     if config.output_format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     return _dict_to_csv(_flatten(payload))
 
 

@@ -177,4 +177,4 @@ def table_to_json(rows: list[ErrorRow]) -> str:
         d = asdict(row)
         d["d"] = d.pop("dim")
         payload.append({k: d[k] for k in TABLE_FIELDS})
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)

@@ -111,8 +111,9 @@ class BoundReport:
     only the general branch builds the grids.  lhs_slope is
     d lhs_upper / d sigma of the general branch's sums, exact up to float
     rounding (None in the other branches).  It is not certified and is
-    not evidence: calibrate_l2 steers its next probe by it, and only the
-    verdicts decide the answer.
+    not evidence: calibrate_l2 takes one Newton step from this report
+    alone, by lhs_upper and this slope, to place its next probe, and
+    only the verdicts decide the answer.
     """
 
     term1_upper: float

@@ -83,7 +83,7 @@ class EmpiricalPrivacyEstimate:
             "seed": int(self.seed),
             "stream_id": int(self.stream_id),
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _first_coordinate(gen: np.random.Generator, dim: int, size):

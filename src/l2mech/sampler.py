@@ -298,7 +298,7 @@ class SampleBatch:
             "stream_id": int(self.stream_id),
             "values": [[float(v) for v in row] for row in np.asarray(self.values)],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def draw_batch(

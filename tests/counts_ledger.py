@@ -17,6 +17,11 @@ GAUSSIAN_TOLS, the search every calibrate_l2 call at dim >= 2 runs to
 place its first probe: its search_iterations (distinct sigmas
 evaluated) and its sigma as float.hex.
 
+It also records the search_iterations total and worst case of
+calibrate_l2 over mix_grid(), a seeded grid shaped like the
+benchmark's calibrate-mix, so a change to how the search steers shows
+here even where no sigma moves.
+
 It also records one empirical_min_sigma search per dimension in
 EMPIRICAL_DIMS at EMPIRICAL_TARGET: its empirical_lhs calls, their draws
 (outputs tested: n per cloud, both clouds), the random variates they
@@ -37,6 +42,7 @@ prints the ledger.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -60,6 +66,32 @@ GAUSSIAN_TOLS = (1e-3, 2.0**-120)
 EMPIRICAL_DIMS = (2, 10)
 EMPIRICAL_TARGET = (1.0, 1e-2)
 EMPIRICAL_N, EMPIRICAL_TOL, EMPIRICAL_SEED = 20000, 1e-3, 7
+GRID_STRATA, GRID_SEED = 8, 20261018
+
+
+def mix_grid() -> list[tuple[int, PrivacyParams]]:
+    """GRID_STRATA^2 seeded (dim, params) targets shaped like calibrate-mix.
+
+    GRID_STRATA strata of log d in [1, 2000] by as many of log epsilon in
+    [0.1, 10]; log delta in [1e-10, 1e-3] gets one of as many cells as
+    there are targets, by a seeded permutation.  Each target sits near
+    its cell's centre, moved by a seeded offset of at most 5% of a cell.
+    """
+    rng = np.random.default_rng(GRID_SEED)
+    n = GRID_STRATA * GRID_STRATA
+    i_d, i_eps = np.divmod(np.arange(n), GRID_STRATA)
+    i_delta = rng.permutation(n)
+
+    def place(cell, cells):
+        return (cell + 0.5 + 0.1 * (rng.random(n) - 0.5)) / cells
+
+    dims = np.floor(np.exp(place(i_d, GRID_STRATA) * math.log(2001))).astype(int)
+    eps = 10.0 ** (-1.0 + 2.0 * place(i_eps, GRID_STRATA))
+    delta = 10.0 ** (-10.0 + 7.0 * place(i_delta, n))
+    return [
+        (int(d), PrivacyParams(float(e), float(dl)))
+        for d, e, dl in zip(dims, eps, delta)
+    ]
 
 
 @contextmanager
@@ -206,6 +238,11 @@ def ledger() -> dict:
                 "search_iterations": result.search_iterations,
                 "sigma": result.sigma.hex(),
             }
+    probes = [calibrate_l2(dim, params).search_iterations for dim, params in mix_grid()]
+    out[f"calibrate_l2 mix_grid strata={GRID_STRATA} seed={GRID_SEED}"] = {
+        "search_iterations_total": sum(probes),
+        "search_iterations_worst": max(probes),
+    }
     eps, delta = EMPIRICAL_TARGET
     for dim in EMPIRICAL_DIMS:
         out[

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import counts_ledger
 import l2mech.calibrate
 import l2mech.lossbounds
 import l2mech.specfun
@@ -21,8 +24,7 @@ from l2mech.calibrate import (
     _bracket,
     _lattice_search,
     _lattice_sigma,
-    _Margin,
-    _margin_sigma,
+    _newton_sigma,
     calibrate_gaussian,
     calibrate_l2,
     gaussian_dp_lhs,
@@ -121,7 +123,7 @@ def test_l2_fig_reference_scales():
 def test_l2_probe_counts_at_reference_scales():
     # the bisection takes 11 probes; starting at the equal-error sigma and
     # taking Newton steps on each check's slope, the search needs three at
-    # most from d = 100 up and at d = 2 (where the slope-1 steer took five).
+    # most from d = 100 up and at d = 2.
     # At d = 10 the equal-error sigma lies above 1/epsilon, so the search
     # starts at the midpoint, whose failure leaves the ITP guard a probe
     pp = PrivacyParams(1.0, 1e-5)
@@ -130,26 +132,14 @@ def test_l2_probe_counts_at_reference_scales():
 
 
 def test_l2_probe_budget_over_a_calibrate_mix_grid():
-    # a seeded 64-target grid shaped like the benchmark's calibrate-mix:
-    # 8 strata of log d in [1, 2000] by 8 of log epsilon in [0.1, 10], log
-    # delta in [1e-10, 1e-3] one cell per target.  Probe counts do not
-    # depend on the machine: 3.31 per call on average and 8 at worst
-    # (3.83 and 7 when the steer took slope-1 steps)
-    rng = np.random.default_rng(20261018)
-    n = 64
-    i_d, i_eps = np.divmod(np.arange(n), 8)
-    i_delta = rng.permutation(n)
-
-    def place(cell, cells):
-        return (cell + 0.5 + 0.1 * (rng.random(n) - 0.5)) / cells
-
-    dims = np.floor(np.exp(place(i_d, 8) * math.log(2001))).astype(int)
-    eps = 10.0 ** (-1.0 + 2.0 * place(i_eps, 8))
-    delta = 10.0 ** (-10.0 + 7.0 * place(i_delta, n))
+    # counts_ledger's seeded 64-target grid shaped like the benchmark's
+    # calibrate-mix.  Probe counts do not depend on the machine: 3.34 per
+    # call on average and 8 at worst
     probes = [
-        calibrate_l2(int(d), PrivacyParams(float(e), float(dl))).search_iterations
-        for d, e, dl in zip(dims, eps, delta)
+        calibrate_l2(dim, params).search_iterations
+        for dim, params in counts_ledger.mix_grid()
     ]
+    assert len(probes) == 64
     assert np.mean(probes) <= 3.3125 + 0.15
     assert max(probes) <= 9
 
@@ -237,26 +227,25 @@ _ODD_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, m
     t=st.floats(0.0, 1.0),
     u=st.floats(0.0, 1.0),
     fraction=st.floats(0.0, 2.0),
-    margins=st.lists(
+    reports=st.lists(
         st.tuples(
-            st.one_of(st.just(0.0), st.floats()),
-            st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats()),
-            st.one_of(st.sampled_from(_ODD_FLOATS), st.floats(-1e3, 1e3)),
+            st.one_of(st.sampled_from(_ODD_FLOATS), st.floats()),
+            st.one_of(st.none(), st.sampled_from(_ODD_FLOATS), st.floats()),
         ),
         min_size=1,
         max_size=6,
     ),
 )
 def test_lattice_search_estimate_moves_probes_not_the_answer(
-    depth, lo, width, where, t, u, fraction, margins
+    depth, lo, width, where, t, u, fraction, reports
 ):
     # a monotone verdict with its threshold at any lattice index, and a
     # probe that keeps naming one estimate inside, below or above the
     # bracket, or one that is not finite; then a probe that names
-    # calibrate_l2's _margin_sigma of the arbitrary margin points it has
-    # returned, with zero, wrong-signed, huge and non-finite slopes and
-    # repeated w: every search returns the bisection's pair (sigma_{k-1},
-    # sigma_k) within depth + 3 probes, and none raises
+    # calibrate_l2's _newton_sigma of an arbitrary report, with no,
+    # zero, wrong-signed, huge and non-finite slopes and lhs_upper values:
+    # every search returns the bisection's pair (sigma_{k-1}, sigma_k)
+    # within depth + 3 probes, and none raises
     hi = lo + width
     tol = (hi - lo) / 2**depth  # exact: the search halves hi - lo depth times
     threshold = _lattice_sigma(round(t * (1 << depth)), depth, lo, hi)
@@ -272,26 +261,46 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
     probes = 0
 
     def naming(next_sigma):
-        points = []
-
         def probe(sigma):
             nonlocal probes
             probes += 1
-            passed = sigma >= threshold
-            du, w, s = margins[probes % len(margins)]
-            points.append(_Margin(math.log(1.0 / sigma - eps) + du, w, s, passed))
-            return passed, next_sigma(points)
+            return sigma >= threshold, next_sigma(sigma)
 
         return probe
 
-    want = _lattice_search(lo, hi, tol, lambda s: (s >= threshold, None))
-    def margin_sigma(points):
-        return _margin_sigma(points, eps)
+    def newton_sigma(sigma):
+        lhs_upper, lhs_slope = reports[probes % len(reports)]
+        report = SimpleNamespace(lhs_upper=lhs_upper, lhs_slope=lhs_slope)
+        return _newton_sigma(report, sigma, eps, math.log(1e-5))
 
-    for next_sigma in (lambda points: estimate, margin_sigma):
+    want = _lattice_search(lo, hi, tol, lambda s: (s >= threshold, None))
+    for next_sigma in (lambda sigma: estimate, newton_sigma):
         probes = 0
         assert _lattice_search(lo, hi, tol, naming(next_sigma), estimate) == want
         assert probes <= depth + 3
+
+
+def test_a_tolerance_too_fine_for_the_lattice_is_named(monkeypatch):
+    # at tol = 1e-70 the lattice would take over 199 halvings of the
+    # bracket: each search refuses, naming tol, its bracket and the
+    # halvings, and calibrate_l2 does so before its first certificate
+    from l2mech.mcverify import empirical_min_sigma
+    from l2mech.sampler import RngState
+
+    def unexpected(*args):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(l2mech.calibrate, "_check", unexpected)
+    pp = PrivacyParams(1.0, 1e-2)
+    searches = [
+        ("[1e-70, 1.0]", lambda: calibrate_l2(2, pp, tol=1e-70)),
+        ("[2.0, 4.0]", lambda: calibrate_gaussian(PrivacyParams(1.0, 1e-5), 1e-70)),
+        ("[1e-70, 1.0]", lambda: empirical_min_sigma(2, pp, 10**4, 1e-70, RngState(1))),
+    ]
+    for bracket, search in searches:
+        want = f"tol=1e-70 is too fine for the bracket {bracket}: the search would need 23"
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            search()
 
 
 def test_l2_search_matches_bisection(monkeypatch):

@@ -250,6 +250,56 @@ def test_verify_refuses_an_unaffordable_default_sample_count(capsys):
     assert json.loads(capsys.readouterr().out)["empirical"]["n"] == 1000
 
 
+def test_json_refuses_values_json_cannot_hold(capsys):
+    # r_star = sigma * x_star overflows to inf at sigma = 1e308: JSON has no
+    # Infinity, so the command fails instead of printing invalid JSON
+    args = ["verify", "--eps", "1", "--delta", "0.01", "--dim", "2",
+            "--sigma", "1e308", "--samples", "10"]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_a_tolerance_too_fine_for_the_search_exits_1(capsys):
+    assert main(CAL + ["--dim", "2", "--tol", "1e-70"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tol=1e-70 is too fine for the bracket [1e-70, 1.0]")
+
+
+def _flat(payload: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        CAL + ["--dim", "3"],
+        ["calibrate", "--eps", "1", "--delta", "1e-5", "--mech", "gaussian"],
+        ["verify", "--eps", "1", "--delta", "0.01", "--dim", "2", "--sigma", "0.7",
+         "--samples", "1000", "--seed", "3"],
+    ],
+    ids=["calibrate-l2", "calibrate-gaussian", "verify-sigma"],
+)
+def test_csv_row_is_the_flattened_json(capsys, args):
+    # the CSV header is the JSON's flattened keys in order, and each cell
+    # is the JSON value as csv writes it: floats in their shortest
+    # round-trip form, null as an empty cell
+    assert main(args) == 0
+    want = _flat(json.loads(capsys.readouterr().out))
+    assert main(args + ["--format", "csv"]) == 0
+    header, values = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert header == list(want)
+    assert values == ["" if v is None else str(v) for v in want.values()]
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     args = ["sample", "--mech", "l2", "--sigma", "0.5", "--samples", "4",
             "--dim", "2", "--seed", "9"]
