@@ -14,14 +14,12 @@ to 0 when neither is set.  Without --samples, verify draws
 ceil(1000/delta) pairs per probe, and refuses with a usage error when
 that exceeds 10^7.  Outputs go to stdout unless --out is given;
 JSON is the default format for calibrate/verify, CSV for
-compare/sample.
+compare/sample.  calibrate and verify read their records through one
+key table each.  `python -m l2mech.cli` runs main, as l2mech does.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -29,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ._checks import integer, positive, unless
+from ._records import to_csv, to_json
 from .calibrate import (
     MECHANISMS,
     PrivacyParams,
@@ -198,21 +197,13 @@ def _default_samples(delta: float) -> int:
     return int(math.ceil(1000.0 / delta))
 
 
-def _dict_to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    keys = list(payload.keys())
-    writer.writerow(keys)
-    writer.writerow([payload[k] for k in keys])
-    return buf.getvalue()
-
-
 def _emit(config: CliConfig, payload) -> str:
     if isinstance(payload, str):
         return payload
     if config.output_format == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    return _dict_to_csv(_flatten(payload))
+        return to_json(payload) + "\n"
+    flat = _flatten(payload)
+    return to_csv(flat, [flat.values()])
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -226,6 +217,20 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
+# the key tables: each output key, in payload order, and the field it reads
+# of a CalibrationResult, a BoundReport or an EmpiricalPrivacyEstimate
+_CALIBRATION_KEYS = {k: k for k in ("sigma", "pure_epsilon", "search_iterations",
+                                    "tolerance", "hit_bracket_floor")}
+_REPORT_KEYS = {k: k for k in ("term1_upper", "term2_lower", "lhs_upper",
+                               "satisfies_dp", "branch", "r_star", "n_r", "n_R")}
+_ESTIMATE_KEYS = {"lhs": "lhs_estimate", "c1": "c1", "c2": "c2", "n": "n",
+                  "std_error": "std_error", "seed": "seed"}
+
+
+def _read(record, keys: dict) -> dict:
+    return {key: getattr(record, field) for key, field in keys.items()}
+
+
 def _run_calibrate(config: CliConfig) -> dict:
     params = PrivacyParams(config.epsilon, config.delta)
     if config.mechanism == "l2":
@@ -237,15 +242,11 @@ def _run_calibrate(config: CliConfig) -> dict:
     else:
         res = calibrate_gaussian(params, tol=config.tol)
     return {
-        "mechanism": res.mechanism,
+        "mechanism": config.mechanism,
         "dim": config.dim,
         "epsilon": config.epsilon,
         "delta": config.delta,
-        "sigma": res.sigma,
-        "pure_epsilon": res.pure_epsilon,
-        "search_iterations": res.search_iterations,
-        "tolerance": res.tolerance,
-        "hit_bracket_floor": res.hit_bracket_floor,
+        **_read(res, _CALIBRATION_KEYS),
     }
 
 
@@ -282,24 +283,8 @@ def _run_verify(config: CliConfig) -> dict:
             "sigma": config.sigma,
             "epsilon": config.epsilon,
             "delta": config.delta,
-            "analytic": {
-                "term1_upper": report.term1_upper,
-                "term2_lower": report.term2_lower,
-                "lhs_upper": report.lhs_upper,
-                "satisfies_dp": report.satisfies_dp,
-                "branch": report.branch,
-                "r_star": report.r_star,
-                "n_r": report.n_r,
-                "n_R": report.n_R,
-            },
-            "empirical": {
-                "lhs": est.lhs_estimate,
-                "c1": est.c1,
-                "c2": est.c2,
-                "n": est.n,
-                "std_error": est.std_error,
-                "seed": est.seed,
-            },
+            "analytic": _read(report, _REPORT_KEYS),
+            "empirical": _read(est, _ESTIMATE_KEYS),
         }
     analytic = calibrate_l2(
         config.dim, params, n_r=config.n_r, n_R=config.n_R, tol=config.tol
@@ -382,3 +367,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

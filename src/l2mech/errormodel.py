@@ -23,13 +23,11 @@ calibrate_l2 call.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass
 
 from ._checks import integer, positive, require
+from ._records import to_csv, to_json
 from .calibrate import (
     MECH_GAUSSIAN,
     MECH_L2,
@@ -50,6 +48,7 @@ __all__ = [
     "table_to_json",
 ]
 
+# the table's columns: each names the ErrorRow field in its place (d for dim)
 TABLE_FIELDS = ("d", "mechanism", "sigma", "mse", "normalized_mse")
 
 
@@ -154,27 +153,9 @@ def _secant(found: list[tuple[int, float]], d: int) -> float | None:
 
 def table_to_csv(rows: list[ErrorRow]) -> str:
     """RFC-4180 CSV with columns d,mechanism,sigma,mse,normalized_mse."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(TABLE_FIELDS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.dim,
-                row.mechanism,
-                repr(float(row.sigma)),
-                repr(float(row.mse)),
-                repr(float(row.normalized_mse)),
-            ]
-        )
-    return buf.getvalue()
+    return to_csv(TABLE_FIELDS, [astuple(row) for row in rows])
 
 
 def table_to_json(rows: list[ErrorRow]) -> str:
-    """JSON array of row objects in table order."""
-    payload = []
-    for row in rows:
-        d = asdict(row)
-        d["d"] = d.pop("dim")
-        payload.append({k: d[k] for k in TABLE_FIELDS})
-    return json.dumps(payload, indent=2, allow_nan=False)
+    """JSON array of row objects in table order, keyed by TABLE_FIELDS."""
+    return to_json([dict(zip(TABLE_FIELDS, astuple(row))) for row in rows])

@@ -33,7 +33,6 @@ entry.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, positive, require
+from ._records import to_json
 from .calibrate import PrivacyParams, _bracket, _lattice_search
 from .lossbounds import _exp_eps
 from .sampler import RngState
@@ -48,6 +48,10 @@ from .sampler import RngState
 __all__ = ["EmpiricalPrivacyEstimate", "empirical_lhs", "empirical_min_sigma"]
 
 _CHUNK_DRAWS = 2**16
+# a radius past this (inf, when sigma * Gamma(dim) overflows) is taken as
+# it: the loss gap is within w/(2R) of its limit -t, so it moves by under
+# 2^-500, while (R - t)^2 and 2Rt stay finite
+_MAX_RADIUS = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class EmpiricalPrivacyEstimate:
     stream_id: int = 0
 
     def to_json(self) -> str:
-        payload = {
+        return to_json({
             "d": int(self.dim),
             "sigma": float(self.sigma),
             "epsilon": float(self.epsilon),
@@ -82,8 +86,7 @@ class EmpiricalPrivacyEstimate:
             "std_error": float(self.std_error),
             "seed": int(self.seed),
             "stream_id": int(self.stream_id),
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
+        })
 
 
 def _first_coordinate(gen: np.random.Generator, dim: int, size):
@@ -157,7 +160,7 @@ def empirical_lhs(
     done = 0
     while done < n:
         m = min(_CHUNK_DRAWS, n - done)
-        r = gen.gamma(dim, sigma, size=m)
+        r = np.minimum(gen.gamma(dim, sigma, size=m), _MAX_RADIUS)
         t, w = _first_coordinate(gen, dim, m)
         k1 += int(np.count_nonzero(_loss_gap(r, t, w) >= tau))
         # y = e1 + Ru, the same noise around e1, mirrors through e1/2 to

@@ -18,15 +18,13 @@ RngState instance advances across calls; share one per thread only.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._checks import instance, integer, positive, require, unless
+from ._records import to_csv, to_json
 
 __all__ = [
     "RngState",
@@ -81,31 +79,29 @@ class RngState:
         return self._gen
 
 
-def _check_draws(rng, size) -> tuple[int, bool]:
-    """(rows to draw, whether to return one row) for size, after checking rng."""
+def _check(center, sigma, size, *more, scale: str = "sigma"):
+    """(center as a float vector, sigma as a float, rows to draw, whether
+    to return one row) of a sampler call; one ValueError lists every fault.
+
+    center (None in sample_unit_ball) must be a finite 1-d vector, sigma
+    (None there too; named scale in its message) positive and finite and
+    size None or an integer >= 1; more holds the caller's own faults.
+    """
+    c = None if center is None else np.asarray(center, dtype=np.float64)
     batch = size is not None
     require(
-        instance("rng", rng, RngState),
-        batch and integer("size", size, 1, "size must be None or an integer >= 1"),
-    )
-    return (int(size), False) if batch else (1, True)
-
-
-def _check_center(center) -> np.ndarray:
-    arr = np.asarray(center, dtype=np.float64)
-    require(
-        unless(
-            arr.ndim == 1 and arr.size >= 1,
+        c is not None
+        and unless(
+            c.ndim == 1 and c.size >= 1,
             "center must be a 1-d vector with at least one entry",
         ),
-        unless(np.all(np.isfinite(arr)), "center must be finite"),
+        c is not None and unless(np.all(np.isfinite(c)), "center must be finite"),
+        sigma is not None and positive(scale, sigma),
+        *more,
+        batch and integer("size", size, 1, "size must be None or an integer >= 1"),
     )
-    return arr
-
-
-def _check_scale(value: float, name: str) -> float:
-    require(positive(name, value))
-    return float(value)
+    sigma = None if sigma is None else float(sigma)
+    return c, sigma, int(size) if batch else 1, not batch
 
 
 def _gaussian_rows(gen: np.random.Generator, n: int, dim: int):
@@ -132,8 +128,9 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     U^(1/dim).  Draw order per batch: the Gaussian block, then the
     radial uniforms.
     """
-    require(integer("dim", dim))
-    n, scalar = _check_draws(rng, size)
+    _, _, n, scalar = _check(
+        None, None, size, integer("dim", dim), instance("rng", rng, RngState)
+    )
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
@@ -149,9 +146,7 @@ def sample_l2(center, sigma: float, rng: RngState, size=None):
     incomplete gamma P(dim, r/sigma).  Draw order per batch: the
     Gaussian block, then the radii.
     """
-    c = _check_center(center)
-    sigma = _check_scale(sigma, "sigma")
-    n, scalar = _check_draws(rng, size)
+    c, sigma, n, scalar = _check(center, sigma, size, instance("rng", rng, RngState))
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, c.size)
     radius = gen.gamma(c.size, sigma, size=n)
@@ -189,11 +184,9 @@ def sample_l2_parallel(
     Returns the sample and the full trace of contributions.  A zero
     direction vector triggers a global redraw round for all parties.
     """
-    c = _check_center(center)
-    sigma = _check_scale(sigma, "sigma")
-    d = c.size
-    n = len(worker_rngs)
-    require(
+    d, n = np.size(center), len(worker_rngs)
+    c, sigma, _, _ = _check(
+        center, sigma, None,
         unless(n == d, f"need exactly {d} worker streams, got {n}"),
         unless(
             all(isinstance(w, RngState) for w in worker_rngs),
@@ -234,9 +227,9 @@ def sample_laplace(center, scale: float, rng: RngState, size=None):
 
     Mean squared l2 error is 2 * dim * scale^2.
     """
-    c = _check_center(center)
-    scale = _check_scale(scale, "scale")
-    n, scalar = _check_draws(rng, size)
+    c, scale, n, scalar = _check(
+        center, scale, size, instance("rng", rng, RngState), scale="scale"
+    )
     out = c[None, :] + rng.generator.laplace(0.0, scale, size=(n, c.size))
     return out[0] if scalar else out
 
@@ -246,9 +239,7 @@ def sample_gaussian(center, sigma: float, rng: RngState, size=None):
 
     Mean squared l2 error is dim * sigma^2.
     """
-    c = _check_center(center)
-    sigma = _check_scale(sigma, "sigma")
-    n, scalar = _check_draws(rng, size)
+    c, sigma, n, scalar = _check(center, sigma, size, instance("rng", rng, RngState))
     out = c[None, :] + sigma * rng.generator.standard_normal((n, c.size))
     return out[0] if scalar else out
 
@@ -280,25 +271,22 @@ class SampleBatch:
 
     def to_csv(self) -> str:
         """RFC-4180 CSV: header x0..x{dim-1}, one row per sample."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([f"x{j}" for j in range(self.dim)])
-        for row in np.asarray(self.values):
-            writer.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+        return to_csv(
+            [f"x{j}" for j in range(self.dim)],
+            np.asarray(self.values, dtype=np.float64).tolist(),
+        )
 
     def to_json(self) -> str:
         """JSON envelope with the draw metadata and the value matrix."""
-        payload = {
+        return to_json({
             "dim": int(self.dim),
             "count": int(self.count),
             "mechanism": self.mechanism,
             "sigma": float(self.sigma),
             "seed": int(self.seed),
             "stream_id": int(self.stream_id),
-            "values": [[float(v) for v in row] for row in np.asarray(self.values)],
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
+            "values": np.asarray(self.values, dtype=np.float64).tolist(),
+        })
 
 
 def draw_batch(
@@ -308,35 +296,21 @@ def draw_batch(
     count: int,
     seed: int,
     stream_id: int = 0,
-    center=None,
 ) -> SampleBatch:
-    """Draw a SampleBatch for one of the named mechanisms.
+    """Draw a SampleBatch of count outputs of a named mechanism at the origin.
 
-    The default center is the origin.  The batch records seed and
-    stream_id, so RngState(batch.seed, batch.stream_id) replays the
-    values bit for bit.
+    The batch records every argument, so its metadata replays it:
+    RngState(batch.seed, batch.stream_id) gives the values bit for bit
+    through the mechanism's sampler at the origin of R^dim.  draw_batch
+    checks the mechanism and dim; the sampler checks the rest.
     """
-    if center is None:
-        require(integer("dim", dim))
-        center = np.zeros(int(dim))
-    c = _check_center(center)
-    samplers = {
-        "l2": sample_l2,
-        "laplace": sample_laplace,
-        "gaussian": sample_gaussian,
-    }
+    samplers = {"l2": sample_l2, "laplace": sample_laplace, "gaussian": sample_gaussian}
     require(
-        unless(c.size == dim, "center length must equal dim"),
+        integer("dim", dim),
         unless(mechanism in samplers, f"mechanism must be one of {sorted(samplers)}"),
     )
     rng = RngState(seed, stream_id)
-    values = samplers[mechanism](c, sigma, rng, size=count)
+    values = samplers[mechanism](np.zeros(int(dim)), sigma, rng, size=count)
     return SampleBatch(
-        dim=int(dim),
-        count=int(count),
-        values=values,
-        mechanism=mechanism,
-        sigma=float(sigma),
-        seed=int(seed),
-        stream_id=int(stream_id),
+        int(dim), int(count), values, mechanism, float(sigma), int(seed), int(stream_id)
     )

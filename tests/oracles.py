@@ -225,6 +225,83 @@ def ref_lhs_d1(sigma, eps):
     return 1.0 - math.exp(0.5 * (eps - 1.0 / sigma))
 
 
+def _sphere_area(n):
+    """|S^(n-1)|, the surface area of the unit sphere in R^n."""
+    return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+
+def prolate_lhs(d, sigma, eps, dps=30, refine=False):
+    """The exact hockey-stick lhs E0[(1 - e^(eps - L))_+] for d >= 2, by 1-D quadrature.
+
+    In prolate spheroidal coordinates around the foci 0 and e1, mu =
+    ||y|| + ||y - e1|| in [1, inf) and nu = ||y - e1|| - ||y|| in [-1, 1],
+    the loss is L = nu / sigma and both densities separate.  With a =
+    1/(2 sigma), tau = eps sigma, k = (d - 3)/2 and g(nu) = 1 - e^(eps -
+    nu/sigma):
+
+        lhs = C (N_{k+1} G_k + N_k G_{k+1}),
+        N_j = int_1^inf e^(-a mu) (mu^2 - 1)^j dmu,
+        G_j = int_tau^1 g(nu) e^(a nu) (1 - nu^2)^j dnu,
+        C = |S^(d-2)| / (2^d |S^(d-1)| Gamma(d) sigma^d).
+
+    For d >= 3 each integral is split at its weight's mode (when inside
+    its range).  At d = 2 (k = -1/2) the endpoints are singular, so nu =
+    cos(theta) and mu = cosh(u) take their place: G_j integrates
+    g(cos t) e^(a cos t) sin(t)^(2j+1) over [0, acos(tau)], and N_{-1/2} =
+    K_0(a), N_{1/2} = K_1(a)/a.  refine gives a second, independent run:
+    more breakpoints (at the N modes +-3 and +10 SDs, at tau + (1 - tau)
+    10^-m for m = 1..5 in G) and, at d = 2, the two N by quadrature in u.
+    """
+    with mp.workdps(dps):
+        s, e = mp.mpf(sigma), mp.mpf(eps)
+        a, tau, k = 1 / (2 * s), e * s, mp.mpf(d - 3) / 2
+        if tau >= 1:
+            return 0.0
+        c = _sphere_area(d - 1) / (2**d * _sphere_area(d) * mp.gamma(d) * s**d)
+
+        def g(nu):
+            return -mp.expm1(e - nu / s) * mp.exp(a * nu)
+
+        if d == 2:
+            def g_int(p):
+                return mp.quad(lambda t: g(mp.cos(t)) * mp.sin(t) ** p, [0, mp.acos(tau)])
+
+            if refine:
+                top = mp.acosh(1 + 300 / a)  # e^(-a cosh u) < e^(-300 - a) beyond
+                n_half = [
+                    mp.quad(lambda u: mp.exp(-a * mp.cosh(u)) * mp.sinh(u) ** p, [0, 1, top])
+                    for p in (0, 2)
+                ]
+            else:
+                n_half = [mp.besselk(0, a), mp.besselk(1, a) / a]
+            return float(c * (n_half[1] * g_int(0) + n_half[0] * g_int(2)))
+
+        def n_int(j):
+            mode = (j + mp.sqrt(j * j + a * a)) / a
+            pts = {mp.mpf(1), mode}
+            if refine:
+                sd = mode / mp.sqrt(2 * j + 1)
+                pts |= {p for p in (mode - 3 * sd, mode + 3 * sd, mode + 10 * sd) if p > 1}
+            return mp.quad(
+                lambda mu: mp.exp(-a * mu + j * mp.log(mu * mu - 1)) if mu > 1 else 0 ** j,
+                sorted(pts) + [mp.inf],
+            )
+
+        def g_int(j):
+            mode = (mp.sqrt(j * j + a * a) - j) / a
+            pts = {tau, mp.mpf(1)} | ({mode} if tau < mode < 1 else set())
+            if refine:
+                pts |= {tau + (1 - tau) * mp.mpf(10) ** -m for m in range(1, 6)}
+
+            def f(nu):
+                w = 1 - nu * nu
+                return g(nu) * (w**j if w > 0 else 0 ** j)
+
+            return mp.quad(f, sorted(pts))
+
+        return float(c * (n_int(k + 1) * g_int(k) + n_int(k) * g_int(k + 1)))
+
+
 # ---------------------------------------------------------------------------
 # Reference vector kernels in the plain masked form: full-length arrays,
 # per-element shape parameters, every element iterating until the last

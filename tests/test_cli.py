@@ -320,3 +320,16 @@ def test_console_script_entry(child_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mechanism"] == "l2"
+
+
+def test_module_run_as_a_script(child_env):
+    # python -m l2mech.cli runs its command and maps faults to exit codes
+    args = [sys.executable, "-m", "l2mech.cli", *CAL, "--dim", "2"]
+    proc = subprocess.run(args, capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 2
+    proc = subprocess.run(
+        args + ["--tol", "1e-70"], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: tol=1e-70 is too fine")

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles
 from l2mech.calibrate import PrivacyParams, calibrate_l2
@@ -127,6 +128,33 @@ def test_loss_cannot_reach_epsilon():
     # max loss is 1/sigma; sigma=1.1 > 1/eps makes the region empty
     est = empirical_lhs(2, 1.1, 1.0, 50000, RngState(7))
     assert est.c1 == 0.0 and est.c2 == 0.0 and est.lhs_estimate == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 10, 100])
+def test_a_huge_sigma_raises_no_warning_and_counts_right(dim):
+    # sigma * Gamma(dim) overflows to inf at sigma = 1e308; no step of the
+    # loss test may overflow or divide inf by inf, and the stream still
+    # advances by one radius, one normal and one rest variate per pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = RngState(0)
+        est = empirical_lhs(dim, 1e308, 1.0, 10, rng)
+        assert est.c1 == 0.0 and est.c2 == 0.0
+        replay = RngState(0).generator
+        replay.gamma(dim, 1e308, size=10)
+        replay.standard_normal(10)
+        if dim == 2:
+            replay.standard_normal(10)
+        else:
+            replay.standard_gamma(0.5 * (dim - 1), 10)
+        assert rng.generator.random() == replay.random()
+        # at tau = eps * sigma = 0.1 the region is not empty: as R -> inf
+        # the gap tends to -t, so both clouds land in it exactly when
+        # t <= -tau, whose chance is I_{1 - tau^2}((dim - 1)/2, 1/2) / 2
+        est = empirical_lhs(dim, 1e308, 1e-309, 100_000, RngState(1))
+    want = 0.5 * special.betainc(0.5 * (dim - 1), 0.5, 1.0 - 0.1**2)
+    assert est.c1 == est.c2
+    assert abs(est.c1 - want) <= 4.0 * math.sqrt(want * (1.0 - want) / est.n)
 
 
 def test_bit_reproducible():

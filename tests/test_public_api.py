@@ -25,7 +25,7 @@ SIGNATURES = {
     "comparison_table": "(params: 'PrivacyParams', d_max: 'int', n_r: 'int' = 1000, "
     "n_R: 'int' = 1000, tol: 'float' = 0.001) -> 'list[ErrorRow]'",
     "draw_batch": "(mechanism: 'str', dim: 'int', sigma: 'float', count: 'int', "
-    "seed: 'int', stream_id: 'int' = 0, center=None) -> 'SampleBatch'",
+    "seed: 'int', stream_id: 'int' = 0) -> 'SampleBatch'",
     "empirical_lhs": "(dim: 'int', sigma: 'float', epsilon: 'float', n: 'int', "
     "rng: 'RngState') -> 'EmpiricalPrivacyEstimate'",
     "empirical_min_sigma": "(dim: 'int', params: 'PrivacyParams', n: 'int', "

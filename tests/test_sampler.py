@@ -125,6 +125,38 @@ def test_samplers_check_their_rng():
     assert first.generator.random() == RngState(1).generator.random()
 
 
+def test_a_sampler_call_reports_all_its_faults_at_once():
+    with pytest.raises(ValueError) as excinfo:
+        sample_l2([np.nan], -1.0, 7)
+    assert str(excinfo.value) == (
+        "center must be finite; sigma must be positive and finite; "
+        "rng must be a RngState"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        sample_laplace(np.zeros((2, 2)), 0.0, RngState(1), size=0)
+    assert str(excinfo.value) == (
+        "center must be a 1-d vector with at least one entry; scale must be "
+        "positive and finite; size must be None or an integer >= 1"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        sample_unit_ball(0, None, size=1.5)
+    assert str(excinfo.value).count(";") == 2
+    first = RngState(1)
+    with pytest.raises(ValueError) as excinfo:
+        sample_l2_parallel([np.inf, 0.0], -1.0, [first], 3)
+    assert str(excinfo.value).count(";") == 3
+    assert first.generator.random() == RngState(1).generator.random()
+    # draw_batch checks what its sampler does not: the mechanism and dim
+    with pytest.raises(ValueError) as excinfo:
+        draw_batch("cauchy", 0, -1.0, 0, 5)
+    assert str(excinfo.value) == (
+        "dim must be an integer >= 1; "
+        "mechanism must be one of ['gaussian', 'l2', 'laplace']"
+    )
+    with pytest.raises(ValueError, match="sigma must be positive and finite; size"):
+        draw_batch("gaussian", 2, -1.0, 0, 5)
+
+
 def test_parallel_trace_identities():
     workers = [RngState(99, i) for i in range(4)]
     manager = RngState(99, 4)
