@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import instance, integer, positive, require, unless
+from ._checks import instance, integer, number, positive, require, unless
 from .lossbounds import GridDomainError, PrivacyParams, _check, _exp_eps, _x_star
 from .specfun import _normal_cdf
 
@@ -86,7 +86,7 @@ class CalibrationResult:
             unless(
                 self.mechanism in MECHANISMS, f"mechanism must be one of {MECHANISMS}"
             ),
-            positive("sigma", self.sigma),
+            number("sigma", self.sigma) or positive("sigma", self.sigma),
             unless(
                 math.isfinite(self.tolerance) and self.tolerance >= 0,
                 "tolerance must be finite and nonnegative",
@@ -99,8 +99,8 @@ def _validate_common(
 ) -> None:
     require(
         instance("params", params, PrivacyParams),
-        positive("tol", tol),
-        positive("sensitivity", sensitivity),
+        number("tol", tol) or positive("tol", tol),
+        number("sensitivity", sensitivity) or positive("sensitivity", sensitivity),
         *more,
     )
 
@@ -125,14 +125,14 @@ def calibrate_l2(
     with dim (the bracket's midpoint when it is not below 1/epsilon).
     Each probe then names the next by one Newton step from its own
     report toward lhs_upper = delta, in u = log(1/sigma - epsilon) and
-    w = log(lhs_upper / delta), on the exact slope the check reports
+    w = log(lhs_upper / delta), on the slope the check reports
     (lhs_slope; see _newton_sigma), or the midpoint after a probe that
     gives no step (no slope, or a grid that cannot resolve the loss
     region); _lattice_search keeps the bracket.  The answer, bit for bit
     the bisection's whenever the verdict is monotone in sigma, takes
-    2.8 probes on average for dim > 100, 4.5 for 10 < dim <= 100 and
-    4.0 for 2 <= dim <= 10 (benchmark-shaped targets at tol = 1e-3),
-    instead of m + 1.
+    2.9 probes on average for dim > 100, 4.2 for 10 < dim <= 100 and
+    3.7 for 2 <= dim <= 10 (the benchmark's calibrate-mix targets, seed
+    1, blocks 0-1, at tol = 1e-3), instead of m + 1.
     Probes whose grid cannot resolve the loss region (tiny sigma) count
     as not certified, which is always sound.  The floor is probed only
     when the search ends at index 1 and the top 1/epsilon only when it
@@ -140,9 +140,10 @@ def calibrate_l2(
     indices share (below the float spacing) is checked once.  dim == 1
     uses the exact closed form.  Either way a sigma that fails its own certificate is
     nudged up by float ulps until it passes, so the returned sigma is
-    certified in every branch.  Every probe at dim >= 2 shares one
-    x_star = r_star / sigma, computed before the search, and every
-    argument is checked once, before the first probe.
+    certified in every branch.  Every probe at dim = 2 shares one
+    x_star = r_star / sigma, computed before the search (the dim >= 3
+    certificate reads none), and every argument is checked once, before
+    the first probe.
     """
     _validate_common(
         params,
@@ -165,8 +166,8 @@ def _calibrate_l2(
     comparison_table passes a secant extrapolation of its earlier rows,
     which is close but may lie on either side of the answer.
     """
-    # the d = 1 closed form reads no grid, so it needs no r_star
-    x_star = math.nan if dim == 1 else _x_star(dim, params.delta)
+    # only the d = 2 radial grids read r_star = sigma * x_star
+    x_star = _x_star(dim, params.delta) if dim == 2 else math.nan
     eps = params.epsilon
     log_delta = math.log(params.delta)
     reports = {}
@@ -278,10 +279,11 @@ def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
     the bracket's midpoint, so probes that never name one are exactly a
     bisection's, in its order.  A named sigma is rounded up to the
     lattice and kept strictly inside the bracket, which closes the last
-    step from the other side.  While no probe has failed, any probe
-    after the first is rounded one step further down: an accurate
-    estimate then lands on the failing side, which is the side the
-    search still needs.  As in ITP, every probe also stays close enough
+    step from the other side.  A sigma named by a passing probe is
+    rounded one step further down: an accurate estimate then lands on
+    the failing side, which is the side the search still needs, and a
+    run of Newton steps that approach the threshold from the passing
+    side gains a step each time.  As in ITP, every probe also stays close enough
     to the midpoint that bisection could still finish within depth + 3
     probes, so misleading sigmas cost at most three more.  They move the
     probes only: the returned pair is the bisection's whenever passing
@@ -298,7 +300,7 @@ def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
         )
     below, above = 0, 1 << depth
     spacing = (hi - lo) / above
-    guess = first
+    guess, passed = first, False
     probes = 0
     while above - below > 1:
         reach = 1 << (depth + 2 - probes)
@@ -307,7 +309,7 @@ def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
             k = (below + above) // 2
         else:
             k = math.ceil((min(max(guess, lo), hi) - lo) / spacing)
-            if probes > 1 and below == 0:
+            if passed:
                 k -= 1
             k = min(max(k, below + 1, above - reach), above - 1, below + reach)
         passed, guess = probe(_lattice_sigma(k, depth, lo, hi))
@@ -345,7 +347,10 @@ def gaussian_dp_lhs(sigma: float, epsilon: float) -> float:
     Phi(1/(2 sigma) - eps sigma) - e^eps Phi(-1/(2 sigma) - eps sigma);
     the mechanism is (eps, delta)-DP iff this is <= delta.
     """
-    require(positive("sigma", sigma), positive("epsilon", epsilon))
+    require(
+        number("sigma", sigma) or positive("sigma", sigma),
+        number("epsilon", epsilon) or positive("epsilon", epsilon),
+    )
     return _gaussian_lhs(sigma, epsilon)
 
 
@@ -412,7 +417,7 @@ def laplace_sigma(
     require(
         integer("dim", dim),
         instance("params", params, PrivacyParams),
-        positive("sensitivity", sensitivity),
+        number("sensitivity", sensitivity) or positive("sensitivity", sensitivity),
     )
     unit = math.sqrt(dim) / (params.epsilon + params.delta)
     return CalibrationResult(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, positive, require, unless
+from ._checks import integer, number, positive, require, unless
 from .specfun import _lgamma_ratio, reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
@@ -44,10 +44,10 @@ class LossGeometry:
     def __post_init__(self):
         require(
             integer("dim", self.dim),
-            positive("sigma", self.sigma),
-            positive("epsilon", self.epsilon),
+            number("sigma", self.sigma) or positive("sigma", self.sigma),
+            number("epsilon", self.epsilon) or positive("epsilon", self.epsilon),
             unless(
-                self.epsilon * self.sigma < 1.0,
+                np.ndim(self.epsilon * self.sigma) or self.epsilon * self.sigma < 1.0,
                 "epsilon * sigma must be < 1 (otherwise the loss region is empty)",
             ),
         )
@@ -159,7 +159,7 @@ def radial_cdf(dim: int, sigma: float, r):
     r_arr = np.asarray(r, dtype=np.float64)
     require(
         integer("dim", dim),
-        positive("sigma", sigma),
+        number("sigma", sigma) or positive("sigma", sigma),
         unless(
             np.all(np.isfinite(r_arr)) and not np.any(r_arr < 0),
             "r must be nonnegative and finite",

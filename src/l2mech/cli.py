@@ -115,8 +115,12 @@ _FLAGS = {
         lambda name, v: unless(0 <= v < 2**64, "seed must lie in [0, 2^64)"),
         f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
     ),
-    "n_r": _Flag("n_r", int, _at_least(2), "radial grid size, first bound"),
-    "n_R": _Flag("n_R", int, _at_least(2), "radial grid size, second bound"),
+    "n_r": _Flag(
+        "n_r", int, _at_least(2), "nu-cells at d >= 3; first radial grid at d = 2"
+    ),
+    "n_R": _Flag(
+        "n_R", int, _at_least(2), "mu-cells at d >= 3; second radial grid at d = 2"
+    ),
     "tol": _Flag("tol", float, positive, "binary-search tolerance on sigma"),
 }
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
-from ._checks import integer, positive, require
+from ._checks import integer, number, positive, require
 from ._records import to_csv, to_json
 from .calibrate import (
     MECH_GAUSSIAN,
@@ -69,7 +69,11 @@ class ErrorRow:
 
 def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
     """Mean squared l2 error of the lp-ball mechanism at scale sigma."""
-    require(integer("dim", dim), positive("p", p), positive("sigma", sigma))
+    require(
+        integer("dim", dim),
+        number("p", p) or positive("p", p),
+        number("sigma", sigma) or positive("sigma", sigma),
+    )
     d = int(dim)
     log_ratio = (
         math.lgamma(d / p)
@@ -82,13 +86,13 @@ def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
 
 def mse_gaussian(dim: int, sigma: float) -> float:
     """Mean squared l2 error of i.i.d. N(0, sigma^2) noise: dim sigma^2."""
-    require(integer("dim", dim), positive("sigma", sigma))
+    require(integer("dim", dim), number("sigma", sigma) or positive("sigma", sigma))
     return int(dim) * sigma**2
 
 
 def mse_laplace(dim: int, scale: float) -> float:
     """Mean squared l2 error of i.i.d. Laplace(scale) noise: 2 dim scale^2."""
-    require(integer("dim", dim), positive("scale", scale))
+    require(integer("dim", dim), number("scale", scale) or positive("scale", scale))
     return 2.0 * int(dim) * scale**2
 
 

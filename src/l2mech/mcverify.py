@@ -1,7 +1,7 @@
 """Monte-Carlo verification of the approximate-DP condition.
 
 The analytic route certifies P0[loss >= eps] - e^eps P1[loss >= eps]
-<= delta with one-sided Riemann bounds; this module estimates the same
+<= delta with one-sided certified bounds; this module estimates the same
 left-hand side by direct simulation, as an independent check.  c1 is
 the fraction of mechanism outputs (centered at the origin) landing in
 the high-loss region, c2 the fraction for the shifted center landing
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import instance, integer, positive, require
+from ._checks import instance, integer, number, positive, require
 from ._records import to_json
 from .calibrate import PrivacyParams, _bracket, _lattice_search
 from .lossbounds import _exp_eps
@@ -146,8 +146,8 @@ def empirical_lhs(
     """
     require(
         integer("dim", dim),
-        positive("sigma", sigma),
-        positive("epsilon", epsilon),
+        number("sigma", sigma) or positive("sigma", sigma),
+        number("epsilon", epsilon) or positive("epsilon", epsilon),
         integer("n", n),
         instance("rng", rng, RngState),
     )
@@ -205,7 +205,7 @@ def empirical_min_sigma(
         integer("dim", dim),
         instance("params", params, PrivacyParams),
         integer("n", n),
-        positive("tol", tol),
+        number("tol", tol) or positive("tol", tol),
         instance("rng", rng, RngState),
     )
     if n * params.delta < 100:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import instance, integer, positive, require, unless
+from ._checks import instance, integer, number, positive, require, unless
 from ._records import to_csv, to_json
 
 __all__ = [
@@ -96,7 +96,7 @@ def _check(center, sigma, size, *more, scale: str = "sigma"):
             "center must be a 1-d vector with at least one entry",
         ),
         c is not None and unless(np.all(np.isfinite(c)), "center must be finite"),
-        sigma is not None and positive(scale, sigma),
+        sigma is not None and (number(scale, sigma) or positive(scale, sigma)),
         *more,
         batch and integer("size", size, 1, "size must be None or an integer >= 1"),
     )

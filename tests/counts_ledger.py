@@ -10,6 +10,9 @@ Each calibration (and each l2 row of a table) records:
 - beta_calls, beta_elements and beta_iterations: calls of
   specfun._betainc_vec, their elements and the sum of their reported
   iterations (the terms each call's batch evaluated);
+- nu_cells and mu_cells: the cells of lossbounds._prolate_bounds' two
+  grids, summed over its calls (the d >= 3 checks, where the gamma and
+  beta counts read 0; d = 2 checks run the radial sum and count none);
 - sigma as float.hex, and hit_bracket_floor.
 
 For each target it also records calibrate_gaussian at each tolerance in
@@ -98,6 +101,7 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 def _counting(counts: list[Counter]):
     """Count checks and kernel work into counts[-1] while the block runs."""
     check, gamma, beta = calibrate._check, lossbounds._gamma_pq_vec, specfun._betainc_vec
+    prolate = lossbounds._prolate_bounds
 
     def counted_check(*args):
         counts[-1]["checks"] += 1
@@ -116,15 +120,22 @@ def _counting(counts: list[Counter]):
         counts[-1]["beta_iterations"] += int(out[1])
         return out
 
+    def counted_prolate(dim, sigma, eps, n_nu, n_mu):
+        counts[-1]["nu_cells"] += n_nu
+        counts[-1]["mu_cells"] += n_mu
+        return prolate(dim, sigma, eps, n_nu, n_mu)
+
     calibrate._check = counted_check
     lossbounds._gamma_pq_vec = counted_gamma
     specfun._betainc_vec = counted_beta
+    lossbounds._prolate_bounds = counted_prolate
     try:
         yield
     finally:
         calibrate._check = check
         lossbounds._gamma_pq_vec = gamma
         specfun._betainc_vec = beta
+        lossbounds._prolate_bounds = prolate
 
 
 def _entry(count: Counter, result) -> dict:
@@ -136,6 +147,8 @@ def _entry(count: Counter, result) -> dict:
         "beta_calls": count["beta_calls"],
         "beta_elements": count["beta_elements"],
         "beta_iterations": count["beta_iterations"],
+        "nu_cells": count["nu_cells"],
+        "mu_cells": count["mu_cells"],
         "sigma": result.sigma.hex(),
         "hit_bracket_floor": result.hit_bracket_floor,
     }

@@ -230,7 +230,7 @@ def _sphere_area(n):
     return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
 
 
-def prolate_lhs(d, sigma, eps, dps=30, refine=False):
+def prolate_lhs(d, sigma, eps, dps=30, refine=False, terms=False):
     """The exact hockey-stick lhs E0[(1 - e^(eps - L))_+] for d >= 2, by 1-D quadrature.
 
     In prolate spheroidal coordinates around the foci 0 and e1, mu =
@@ -251,21 +251,24 @@ def prolate_lhs(d, sigma, eps, dps=30, refine=False):
     K_0(a), N_{1/2} = K_1(a)/a.  refine gives a second, independent run:
     more breakpoints (at the N modes +-3 and +10 SDs, at tau + (1 - tau)
     10^-m for m = 1..5 in G) and, at d = 2, the two N by quadrature in u.
+    terms gives the tuple (lhs, T1, T2) instead: the same formula with g
+    replaced by 1 gives T1 = P0[L >= eps], and by e^(-nu/sigma) gives T2
+    = P1[L >= eps].
     """
     with mp.workdps(dps):
         s, e = mp.mpf(sigma), mp.mpf(eps)
         a, tau, k = 1 / (2 * s), e * s, mp.mpf(d - 3) / 2
         if tau >= 1:
-            return 0.0
+            return (0.0, 0.0, 0.0) if terms else 0.0
         c = _sphere_area(d - 1) / (2**d * _sphere_area(d) * mp.gamma(d) * s**d)
-
-        def g(nu):
-            return -mp.expm1(e - nu / s) * mp.exp(a * nu)
+        # g(nu) e^(a nu) for lhs, T1 and T2
+        weights = [
+            lambda nu: -mp.expm1(e - nu / s) * mp.exp(a * nu),
+            lambda nu: mp.exp(a * nu),
+            lambda nu: mp.exp(-a * nu),
+        ][: 3 if terms else 1]
 
         if d == 2:
-            def g_int(p):
-                return mp.quad(lambda t: g(mp.cos(t)) * mp.sin(t) ** p, [0, mp.acos(tau)])
-
             if refine:
                 top = mp.acosh(1 + 300 / a)  # e^(-a cosh u) < e^(-300 - a) beyond
                 n_half = [
@@ -274,32 +277,139 @@ def prolate_lhs(d, sigma, eps, dps=30, refine=False):
                 ]
             else:
                 n_half = [mp.besselk(0, a), mp.besselk(1, a) / a]
-            return float(c * (n_half[1] * g_int(0) + n_half[0] * g_int(2)))
 
-        def n_int(j):
-            mode = (j + mp.sqrt(j * j + a * a)) / a
-            pts = {mp.mpf(1), mode}
-            if refine:
-                sd = mode / mp.sqrt(2 * j + 1)
-                pts |= {p for p in (mode - 3 * sd, mode + 3 * sd, mode + 10 * sd) if p > 1}
-            return mp.quad(
-                lambda mu: mp.exp(-a * mu + j * mp.log(mu * mu - 1)) if mu > 1 else 0 ** j,
-                sorted(pts) + [mp.inf],
+            def term(g):
+                def g_int(p):
+                    return mp.quad(lambda t: g(mp.cos(t)) * mp.sin(t) ** p, [0, mp.acos(tau)])
+
+                return float(c * (n_half[1] * g_int(0) + n_half[0] * g_int(2)))
+
+        else:
+            def n_int(j):
+                mode = (j + mp.sqrt(j * j + a * a)) / a
+                pts = {mp.mpf(1), mode}
+                if refine:
+                    sd = mode / mp.sqrt(2 * j + 1)
+                    pts |= {p for p in (mode - 3 * sd, mode + 3 * sd, mode + 10 * sd) if p > 1}
+                return mp.quad(
+                    lambda mu: mp.exp(-a * mu + j * mp.log(mu * mu - 1)) if mu > 1 else 0 ** j,
+                    sorted(pts) + [mp.inf],
+                )
+
+            n_k, n_k1 = n_int(k), n_int(k + 1)
+
+            def term(g):
+                def g_int(j):
+                    mode = (mp.sqrt(j * j + a * a) - j) / a
+                    pts = {tau, mp.mpf(1)} | ({mode} if tau < mode < 1 else set())
+                    if refine:
+                        pts |= {tau + (1 - tau) * mp.mpf(10) ** -m for m in range(1, 6)}
+
+                    def f(nu):
+                        w = 1 - nu * nu
+                        return g(nu) * (w**j if w > 0 else 0 ** j)
+
+                    return mp.quad(f, sorted(pts))
+
+                return float(c * (n_k1 * g_int(k) + n_k * g_int(k + 1)))
+
+        values = tuple(term(g) for g in weights)
+        return values if terms else values[0]
+
+
+def prolate_cell_bounds(d, sigma, eps, t, m, ends_at_one, dps=40):
+    """lossbounds' d >= 3 cell sums on its own edges, re-evaluated at dps digits.
+
+    t holds the nu-edges as distances from tau = eps sigma and m the
+    mu-edges as mu - 1, both as the library builds them in floats; here
+    every edge is that float exactly, and every log-integrand and slope
+    is exact at it, except that the last nu-edge stands for nu = 1 when
+    ends_at_one (the library's window then reaches the end of the range,
+    and its float edge may miss 1 by the rounding of 1 - eps sigma).  The envelopes are the library's: on each cell the
+    smaller integral of e^(tangent) at its two edges above and that of
+    e^(chord) below, the tangent at the window's edge over each tail,
+    then C (N_{k+1} G_k + N_k G_{k+1}) and, for lhs, the smaller of that,
+    T1 - e^eps T2 and 1 - e^(eps - 1/sigma).  Returns {"lhs": (lower,
+    upper), "term1": ..., "term2": ...} as mpf, with no rounding margin.
+    """
+    with mp.workdps(dps):
+        s, e = mp.mpf(sigma), mp.mpf(eps)
+        a, tau, k = 1 / (2 * s), e * s, mp.mpf(d - 3) / 2
+        w = 1 - tau
+        t = [mp.mpf(float(x)) for x in t]
+        m = [mp.mpf(float(x)) for x in m]
+
+        def ratio(z):
+            return mp.mpf(1) if z == 0 else mp.expm1(z) / z
+
+        def integral(xs, row, low_tail, high_tail):
+            logs = [row(x) for x in xs]
+            f = [mp.exp(lx) for lx, _ in logs]
+            upper = lower = mp.mpf(0)
+            for i in range(len(xs) - 1):
+                h = xs[i + 1] - xs[i]
+                (la, sa), (lb, sb) = logs[i], logs[i + 1]
+                ups = []
+                if la != mp.ninf:
+                    ups.append(f[i] * h * ratio(sa * h))
+                if lb != mp.ninf:
+                    ups.append(f[i + 1] * h * ratio(-sb * h))
+                upper += min(ups)
+                if mp.ninf not in (la, lb):
+                    lower += max(f[i], f[i + 1]) * h * ratio(-abs(lb - la))
+            (_, s0), (_, sn) = logs[0], logs[-1]
+            if low_tail > 0:
+                upper += f[0] * low_tail * ratio(-s0 * low_tail)
+            if high_tail == mp.inf:
+                upper += f[-1] / -sn
+            elif high_tail > 0:
+                upper += f[-1] * high_tail * ratio(sn * high_tail)
+            return lower, upper
+
+        def nu_row(g, j):
+            def row(x):
+                gap, nu = (0 if ends_at_one and x == t[-1] else w - x), tau + x
+                if gap == 0 and j > 0:
+                    return mp.ninf, mp.ninf
+                weight = j * mp.log(gap * (1 + nu)) if j > 0 else 0
+                d_weight = j * (1 / (1 + nu) - 1 / gap) if j > 0 else 0
+                if g == "lhs":
+                    if x == 0:
+                        return mp.ninf, mp.inf
+                    log_g = mp.log(-mp.expm1(-2 * a * x))
+                    return a * nu + log_g + weight, a + 2 * a / mp.expm1(2 * a * x) + d_weight
+                sign = 1 if g == "T1" else -1
+                return sign * a * nu + weight, sign * a + d_weight
+
+            return row
+
+        def mu_row(j):
+            def row(x):
+                if x == 0 and j > 0:
+                    return mp.ninf, mp.inf
+                weight = j * mp.log(x * (x + 2)) if j > 0 else 0
+                d_weight = j * (1 / x + 1 / (x + 2)) if j > 0 else 0
+                return -a * (1 + x) + weight, -a + d_weight
+
+            return row
+
+        n_int = [integral(m, mu_row(j), m[0], mp.inf) for j in (k, k + 1)]
+        c = mp.exp(
+            mp.loggamma(mp.mpf(d) / 2) - mp.loggamma(mp.mpf(d - 1) / 2)
+            - mp.log(mp.pi) / 2 - d * mp.log(2) - mp.loggamma(d) - d * mp.log(s)
+        )
+        out = {}
+        for name, g in (("lhs", "lhs"), ("term1", "T1"), ("term2", "T2")):
+            g_int = [integral(t, nu_row(g, j), 0, w - t[-1]) for j in (k, k + 1)]
+            out[name] = tuple(
+                c * (n_int[1][b] * g_int[0][b] + n_int[0][b] * g_int[1][b]) for b in (0, 1)
             )
-
-        def g_int(j):
-            mode = (mp.sqrt(j * j + a * a) - j) / a
-            pts = {tau, mp.mpf(1)} | ({mode} if tau < mode < 1 else set())
-            if refine:
-                pts |= {tau + (1 - tau) * mp.mpf(10) ** -m for m in range(1, 6)}
-
-            def f(nu):
-                w = 1 - nu * nu
-                return g(nu) * (w**j if w > 0 else 0 ** j)
-
-            return mp.quad(f, sorted(pts))
-
-        return float(c * (n_int(k + 1) * g_int(k) + n_int(k) * g_int(k + 1)))
+        t1_up = min(out["term1"][1], 1)
+        lhs_up = min(out["lhs"][1], t1_up - mp.exp(e) * out["term2"][0], -mp.expm1(-w / s), 1)
+        out["lhs"] = (out["lhs"][0], lhs_up)
+        out["term1"] = (out["term1"][0], t1_up)
+        out["term2"] = (out["term2"][0], min(out["term2"][1], 1))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_l2_sigma_never_exceeds_pure_dp_scale():
 def test_l2_fig_reference_scales():
     # frozen outputs at (eps, delta) = (1, 1e-5), default grids
     pp = PrivacyParams(1.0, 1e-5)
-    expected = {2: 1.000000, 5: 0.974635, 10: 0.875125, 50: 0.495622}
+    expected = {2: 1.000000, 5: 0.971708, 10: 0.873174, 50: 0.495622}
     for d, want in expected.items():
         got = calibrate_l2(d, pp).sigma
         assert abs(got - want) < 5e-6, (d, got)
@@ -406,12 +406,16 @@ def test_l2_d1_skips_the_tail_inverse(monkeypatch):
 
 
 def test_l2_bracket_top_is_certified():
-    # epsilon * (1/epsilon) rounds to 1 - 2^-53 here, so 1/epsilon itself
-    # fails the check and the search must nudge it up by ulps
+    # epsilon * (1/epsilon) rounds to 1 - 2^-53 here, so at d = 2 1/epsilon
+    # itself fails the radial check and the search must nudge it up by
+    # ulps.  The prolate form certifies d = 4 below the top, at 3.8326
     pp = PrivacyParams(0.2605353308290174, 6.884270460076574e-09)
+    res = calibrate_l2(2, pp)
+    assert check_approx_dp(2, res.sigma, pp).satisfies_dp
+    assert 1.0 / pp.epsilon < res.sigma <= (1.0 / pp.epsilon) * (1.0 + 1e-14)
     res = calibrate_l2(4, pp)
     assert check_approx_dp(4, res.sigma, pp).satisfies_dp
-    assert 1.0 / pp.epsilon < res.sigma <= (1.0 / pp.epsilon) * (1.0 + 1e-14)
+    assert res.sigma == pytest.approx(3.8326, abs=1e-4) and res.sigma < 1.0 / pp.epsilon
 
 
 def test_l2_sensitivity_scaling():

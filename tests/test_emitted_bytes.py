@@ -30,12 +30,12 @@ MORE_COMMANDS = {
 CLI_SHA1 = {
     ("calibrate-l2", "json"): "d310fe4cca31492346ea18b88c3e23e9f2cc0099",
     ("calibrate-l2", "csv"): "5e85d1e6582f1b35e90d5806ddb05ef8e66987b9",
-    ("compare", "json"): "cf893e079476bea9bba358d611a4f6a30d927dc1",
-    ("compare", "csv"): "bb1306814ce8a233ad798a4f1c4c3b5ed37b522b",
+    ("compare", "json"): "0fdac209ea1a0986658898ea926bd76fa700daee",
+    ("compare", "csv"): "aefc036d01c48557c6d5ab2150d59af6118af60b",
     ("sample", "json"): "5038067f1c9399774bb359eca851534ba8653578",
     ("sample", "csv"): "f03144a18f8568620b4a6f87f7779497788f9b1d",
-    ("verify-sigma", "json"): "326553ca2173501b372cb062c97af794bb21b1d9",
-    ("verify-sigma", "csv"): "fb7662c1dc7cc867aabfb77d2462f49358e4ada9",
+    ("verify-sigma", "json"): "48ea82a19088ae4c5c40344cb334077df11dd91d",
+    ("verify-sigma", "csv"): "df6f6a2e9ad1be0feedcc9154d125e79000e9cc6",
     ("calibrate-gaussian", "json"): "e9a0f1b7bf81bbf4880d7957d6302a5c94551efa",
     ("calibrate-gaussian", "csv"): "14514cc32181aa8bdb6b51a142d975732475b1b2",
     ("verify-search", "json"): "c9c4864009ed0e9383e2f6ea1ee1b01022bdfcdc",
@@ -43,8 +43,8 @@ CLI_SHA1 = {
 }
 
 WRITER_SHA1 = {
-    "table_to_csv": "e416a649ba24ea1161fb6944eba0848a713070ef",
-    "table_to_json": "7465c9168b17e0002aa3b38c06d5e084e552328d",
+    "table_to_csv": "86b34cf34a75ff80d1a978a7cd1802e91b13b415",
+    "table_to_json": "e872e680d94cd5f44cc15e00608a83fb6bf7d148",
     "SampleBatch.to_csv": "b7d3d302e1874a958cd6d3ca0f06b24a0da0902f",
     "SampleBatch.to_json": "1f94d2cdda732bbd25f272f5b3cc598cde66744b",
     "EmpiricalPrivacyEstimate.to_json": "fcc90a5b6cf8ee957692f238c166ba7f4c914f4a",

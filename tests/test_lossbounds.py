@@ -1,4 +1,4 @@
-"""Certified Riemann bounds: reference equality, sandwiches, monotonicity."""
+"""Certified bounds: reference equality at d = 2, truths at d >= 3, sandwiches, monotonicity."""
 
 import math
 from types import SimpleNamespace
@@ -20,7 +20,8 @@ from l2mech.lossbounds import (
 )
 from l2mech.specfun import inv_reg_upper_gamma
 
-# probe points for the scipy reference comparison
+# probe points for the reference comparison: the scipy radial sum at d = 2,
+# the 1-D prolate truth at d >= 3
 PROBES = [
     (2, 0.5, 1.0),
     (3, 0.2, 1.0),
@@ -86,19 +87,34 @@ def test_check_branches_and_verdicts():
     rep4 = check_approx_dp(6, 0.3, PrivacyParams(1.0, 1e-5))
     assert rep4.branch == BRANCH_GENERAL
     assert isinstance(rep4, BoundReport)
-    assert abs(rep4.lhs_upper - (rep4.term1_upper - math.e * rep4.term2_lower)) < 1e-15
+    # at d >= 3 lhs_upper is the smaller of the direct prolate bound and
+    # term1_upper - e^eps term2_lower, rounded up; both are sound
+    rounding = 4.0 * 2.0**-53 * rep4.term1_upper
+    assert rep4.lhs_upper <= rep4.term1_upper - math.e * rep4.term2_lower + rounding
+    rep5 = check_approx_dp(2, 0.3, PrivacyParams(1.0, 1e-5))
+    assert rep5.branch == BRANCH_GENERAL
+    assert rep5.lhs_upper == rep5.term1_upper - math.e * rep5.term2_lower
     # only the general branch's sums carry a slope
     assert rep.lhs_slope is None and rep2.lhs_slope is None and rep3.lhs_slope is None
     assert isinstance(rep4.lhs_slope, float) and rep4.lhs_slope < 0.0
 
 
 def test_terms_match_scipy_reference():
+    # d = 2 certifies by the radial sum, which scipy re-computes; at d >= 3
+    # each bound holds the prolate truth (T1 = P0[L >= eps], T2 = P1[L >=
+    # eps]) on its side, within 5e-4 relative at the default 1000 cells
     for d, sigma, eps in PROBES:
         rep = check_approx_dp(d, sigma, PrivacyParams(eps, 1e-5))
-        t1, t2, lhs = oracles.ref_check(d, sigma, eps, 1e-5)
-        assert abs(rep.term1_upper - t1) < 1e-12, (d, sigma, eps)
-        assert abs(rep.term2_lower - t2) < 1e-12, (d, sigma, eps)
-        assert abs(rep.lhs_upper - lhs) < 1e-11, (d, sigma, eps)
+        if d == 2:
+            t1, t2, lhs = oracles.ref_check(d, sigma, eps, 1e-5)
+            assert abs(rep.term1_upper - t1) < 1e-12, (d, sigma, eps)
+            assert abs(rep.term2_lower - t2) < 1e-12, (d, sigma, eps)
+            assert abs(rep.lhs_upper - lhs) < 1e-11, (d, sigma, eps)
+            continue
+        lhs, t1, t2 = oracles.prolate_lhs(d, sigma, eps, terms=True)
+        assert t1 <= rep.term1_upper <= t1 * (1 + 5e-4), (d, sigma, eps)
+        assert t2 * (1 - 5e-4) <= rep.term2_lower <= t2, (d, sigma, eps)
+        assert lhs <= rep.lhs_upper <= lhs * (1 + 5e-4), (d, sigma, eps)
 
 
 def test_terms_sandwich_monte_carlo():
@@ -137,7 +153,8 @@ def test_grid_domain_error_on_unresolvable_grid():
 # Frozen float.hex of (term1_upper, term2_lower, lhs_upper) for tau =
 # eps * sigma in {0.05, 0.3, 0.7, 0.95} at four dimensions, on a square
 # grid and on one with n_r != n_R: a change to the Riemann-Stieltjes sum
-# or its kernels that moves a single bit shows here.
+# (d = 2), the prolate cell bounds (d >= 3) or their kernels that moves a
+# single bit shows here.
 CHECK_HEX = [
     # d, sigma, eps, delta, n_r, n_R, then term1, term2, lhs
     (2, 0.5, 0.1, 1e-05, 1000, 1000,
@@ -157,49 +174,49 @@ CHECK_HEX = [
     (2, 1.9, 0.5, 1e-05, 64, 2000,
      "0x1.42f698d75ddcap-3", "0x1.2a44a3f7be872p-4", "0x1.3454c0e1c6294p-5"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.23fcab7c178a5p-1", "0x1.46c296f9c45bdp-2", "0x1.bdb24803dad16p-3"),
+     "0x1.23dc23db34b0bp-1", "0x1.4700fc454d114p-2", "0x1.bc9c5c9701810p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.26269d54e9f27p-1", "0x1.46e2adf121c37p-2", "0x1.c6132184ef120p-3"),
+     "0x1.23fd29ae90802p-1", "0x1.46f1e686421f2p-2", "0x1.bd4bae24044bfp-3"),
     (10, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.6864453ef7771p-2", "0x1.386ec7c860f97p-4", "0x1.2824abf4fb26fp-3"),
+     "0x1.67d10b2c6f1dcp-2", "0x1.394618c8ca90bp-4", "0x1.25d40426d6415p-3"),
     (10, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.71dcbfe396b84p-2", "0x1.38db64682c880p-4", "0x1.3a8202d738f1ap-3"),
+     "0x1.67f2402fa745cp-2", "0x1.393b1b5f4fe20p-4", "0x1.262aec73c3173p-3"),
     (10, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.0cdd55f2bd10ap-5", "0x1.4b7180be01617p-10", "0x1.e69cbae35efb4p-8"),
+     "0x1.0c3ffbc479226p-5", "0x1.4c53534190115p-10", "0x1.dd2c67ffa3e6ap-8"),
     (10, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.16e240524d376p-5", "0x1.4be343dded4fep-10", "0x1.1a4467bcdac0ap-7"),
+     "0x1.0c51d935b5c2cp-5", "0x1.4c49929876057p-10", "0x1.de03dcdebf749p-8"),
     (10, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.4777e963e0868p-18", "0x1.8ae0a6e0fcf4dp-19", "0x1.f26809abc7e00p-26"),
+     "0x1.474bd6e25f8edp-18", "0x1.8b1738b038e59p-19", "0x1.9474a401c66f6p-26"),
     (10, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.4a75833c57e4ep-18", "0x1.8afcfc1a27e1dp-19", "0x1.3629a723fd640p-24"),
+     "0x1.475e562698acdp-18", "0x1.8b0ba787d477dp-19", "0x1.95a22fb15ff05p-26"),
     (100, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.623f01180f87fp-2", "0x1.19eafe257db5fp-2", "0x1.556dc68c13cc8p-5"),
+     "0x1.623ab4fbd95d7p-2", "0x1.19f0b6097ba6dp-2", "0x1.54f72062a594ap-5"),
     (100, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.62b6dd739ea3fp-2", "0x1.19ee94298cd2cp-2", "0x1.590cf4e49aed0p-5"),
+     "0x1.62bd7a9f142d3p-2", "0x1.19bb8b6d5b42cp-2", "0x1.578ab7f87f9e5p-5"),
     (100, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.00ad20736731dp-9", "0x1.5a1506e1a52cep-11", "0x1.57d3467867f98p-13"),
+     "0x1.008f1b76f2cedp-9", "0x1.5a42ddc341a6fp-11", "0x1.53d7321a43742p-13"),
     (100, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.029c314491e48p-9", "0x1.5a2ccd160d33fp-11", "0x1.75c1d376edc48p-13"),
+     "0x1.00c43bfe196b3p-9", "0x1.5a1d0d496a711p-11", "0x1.58edbd53f0188p-13"),
     (100, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.e5de137696201p-51", "0x1.76a09cf018a38p-55", "0x1.f29323ec314e0p-56"),
+     "0x1.e5565f224e7edp-51", "0x1.770c1e1133b48p-55", "0x1.d00bfa1694b8ap-56"),
     (100, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.ee3d32556f882p-51", "0x1.76d73eeee5229p-55", "0x1.7af22baa0ad40p-55"),
+     "0x1.e58c06e15ea83p-51", "0x1.76f5949c21ae6p-55", "0x1.dafc553f71ab9p-56"),
     (100, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.75b53bedb4eeap-171", "0x1.c4e70af3311cep-172", "0x1.696a2dee6fc00p-181"),
+     "0x1.75a4eb22205fcp-171", "0x1.c4fccbd2986dcp-172", "0x1.9867e094e294ap-182"),
     (100, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.76dfbd3341297p-171", "0x1.c4f2f53ab5427p-172", "0x1.7b09494a99400p-179"),
+     "0x1.75c2b8656f2c5p-171", "0x1.c4e907ac9ff6ep-172", "0x1.a25871a035228p-182"),
     (1000, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.f0df39c92c766p-5", "0x1.b59b6648c5a60p-5", "0x1.a7b9a7ac57cc0p-10"),
+     "0x1.f0deb7e967542p-5", "0x1.b59dcb3d34ce3p-5", "0x1.a69a8f98bfb9bp-10"),
     (1000, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.f125be3299597p-5", "0x1.b59d8564ff01ep-5", "0x1.b03f2d80a1220p-10"),
+     "0x1.f1579446a9228p-5", "0x1.b56678f1759e2p-5", "0x1.aae0631b037e6p-10"),
     (1000, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.21c0a0715fe8fp-72", "0x1.a5e86b0cefedap-74", "0x1.84a5f7cb03100p-79"),
+     "0x1.21aba8065602ap-72", "0x1.a608d9b181e0ep-74", "0x1.6d9a4f11df95ep-79"),
     (1000, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.231e547e28a00p-72", "0x1.a5f971c21ff63p-74", "0x1.16db7bf46a140p-78"),
+     "0x1.21b5baab9f1dfp-72", "0x1.a600dd72946ccp-74", "0x1.753e8ac054721p-79"),
     (1000, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.19f3788266cffp-489", "0x1.bf095c8968ee9p-494", "0x1.5bb6fa74a4d00p-497"),
+     "0x1.19b7a7bad82fdp-489", "0x1.bf69f38428e05p-494", "0x1.c069c43dc3154p-498"),
     (1000, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.1d9efe7186e21p-489", "0x1.bf3a827bb46e5p-494", "0x1.3a18e4183c680p-495"),
+     "0x1.19b96201f9f56p-489", "0x1.bf685e5cf2ca1p-494", "0x1.ca9cc033ddd89p-498"),
     (1000, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     (1000, 1.9, 0.5, 1e-05, 64, 2000,
@@ -213,19 +230,21 @@ CHECK_HEX = [
      (1000, 1.0, 1e-5)],
 )
 def test_lhs_slope_is_the_derivative_of_lhs_upper(d, eps, delta):
-    # lhs_slope steers calibrate_l2's probes, so it must be the derivative
-    # of the discrete bound itself, not of the true hockey-stick: here a
-    # central difference of lhs_upper, at and below the calibrated sigma.
-    # Each term1 grid starts at a saturated node (h = 2r, the whole
-    # sphere), and term2's d = 2 grid at h = 0, where z^(a - 1) = z^(-1/2)
-    # of the cap fraction's rate is singular
+    # lhs_slope steers calibrate_l2's probes: here against a central
+    # difference of lhs_upper, at and below the calibrated sigma.  At d = 2
+    # it is the derivative of the discrete radial bound itself, to 1e-4:
+    # each term1 grid starts at a saturated node (h = 2r, the whole
+    # sphere), and term2's grid at h = 0, where z^(a - 1) = z^(-1/2) of the
+    # cap fraction's rate is singular.  At d >= 3 it is the trapezoid rule
+    # on the sigma-derivative of the true integrands, on the bound's own
+    # edges, which lands within 5e-5 of the bound's difference quotient
     pp = PrivacyParams(eps, delta)
     calibrated = calibrate_l2(d, pp).sigma
     for fraction in (0.6, 0.95, 1.0):
         sigma = fraction * calibrated
-        tau = eps * sigma
-        r_first = (1.0 - tau) / 2.0
-        assert height_h(LossGeometry(d, sigma, eps), r_first) == 2.0 * r_first
+        if d == 2:
+            r_first = (1.0 - eps * sigma) / 2.0
+            assert height_h(LossGeometry(d, sigma, eps), r_first) == 2.0 * r_first
         rep = check_approx_dp(d, sigma, pp)
         assert rep.branch == BRANCH_GENERAL
         step = 1e-6 * sigma
@@ -243,9 +262,10 @@ def test_check_values_pinned_bitwise():
 
 
 def test_check_sends_each_radius_once(monkeypatch):
-    # the two grids go end to end into one gamma call and one cap_fraction
-    # call: n_r + n_R elements, with no padding of the shorter grid.  The
-    # heights the check builds itself are capgeom's, bit for bit
+    # at d = 2 the two grids go end to end into one gamma call and one
+    # cap_fraction call: n_r + n_R elements, with no padding of the shorter
+    # grid.  The heights the check builds itself are capgeom's, bit for
+    # bit.  At d >= 3 the prolate form calls neither kernel
     from l2mech import lossbounds
 
     sizes, grids = [], []
@@ -264,8 +284,10 @@ def test_check_sends_each_radius_once(monkeypatch):
     monkeypatch.setattr(lossbounds, "cap_fraction", cap_fraction)
     sigma, eps = 0.2333333333333333, 3.0
     check_approx_dp(100, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
+    assert sizes == []
+    check_approx_dp(2, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
     assert sizes == [("_gamma_pq_vec", 2064), ("cap_fraction", 2064)]
-    (radii, heights), geom = grids[0], LossGeometry(100, sigma, eps)
+    (radii, heights), geom = grids[0], LossGeometry(2, sigma, eps)
     assert np.array_equal(heights[:64], height_h(geom, radii[:64]))
     assert np.array_equal(heights[64:], height_H(geom, radii[64:]))
 
@@ -288,10 +310,16 @@ def test_general_check_builds_no_geometry(monkeypatch):
 
 
 def test_check_raises_its_terms_grid_errors_in_order():
-    # when r_star falls at or below both first radii term1's error comes
-    # first; between them, term2's, around the shifted center
+    # at d = 2, when r_star falls at or below both first radii term1's
+    # error comes first; between them, term2's, around the shifted center.
+    # At d >= 3 the prolate form has no radial grid, and checks these
+    # sigmas without a grid error
+    for d, eps, delta in ((3, 8.0, 0.5), (10, 2.0, 0.2)):
+        for sigma in (0.02, 0.05, 0.08, 0.1):
+            rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta))
+            assert rep.branch == BRANCH_GENERAL and 0.0 < rep.lhs_upper <= 1.0
     seen = set()
-    for d, eps, delta in ((2, 0.5, 0.9), (3, 8.0, 0.5), (10, 2.0, 0.2)):
+    for d, eps, delta in ((2, 0.5, 0.9), (2, 8.0, 0.5), (2, 2.0, 0.2)):
         params = PrivacyParams(eps, delta)
         for sigma in (0.02, 0.05, 0.08, 0.1):
             tau = eps * sigma
@@ -324,13 +352,20 @@ def test_check_validation_errors():
 
 
 def test_r_star_tail_rule():
-    # mass beyond r_star is one percent of delta by construction
+    # at d = 2 the radial mass beyond r_star is one percent of delta by
+    # construction; at d >= 3 r_star is (mu_hi + 1)/2, the radius of the
+    # ball around the noise center that holds the mu-window mu <= mu_hi
+    from l2mech import lossbounds
     from l2mech.specfun import reg_upper_gamma
 
     for delta in [1e-3, 0.2]:
-        rep = check_approx_dp(4, 0.3, PrivacyParams(1.0, delta))
-        q = reg_upper_gamma(4.0, rep.r_star / 0.3)
+        rep = check_approx_dp(2, 0.3, PrivacyParams(1.0, delta))
+        q = reg_upper_gamma(2.0, rep.r_star / 0.3)
         assert math.isclose(q, 0.01 * delta, rel_tol=1e-9)
+        rep = check_approx_dp(4, 0.3, PrivacyParams(1.0, delta))
+        w = lossbounds._one_minus_product(1.0, 0.3)
+        m_hi = lossbounds._prolate_windows(4, 0.3, 1.0, w)[2]
+        assert rep.r_star == 0.5 * (m_hi + 2.0)
 
 
 def test_huge_epsilon_does_not_overflow():
