@@ -39,7 +39,6 @@ from .errormodel import comparison_table, table_to_csv, table_to_json
 from .lossbounds import check_approx_dp
 from .mcverify import empirical_lhs, empirical_min_sigma
 from .sampler import RngState, draw_batch
-from .specfun import ConvergenceError
 
 __all__ = ["CliConfig", "UsageError", "parse_args", "run", "main"]
 
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
-    except (ValueError, RuntimeError, ConvergenceError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ check_approx_dp bounds lhs from above in one of four ways, each of whose
 errors can only lean toward "not certified", never toward a false
 guarantee:
 
-- eps * sigma >= 1: the loss region is empty and lhs = 0.
+- eps * sigma >= 1, exactly and not merely after rounding: the loss
+  region is empty and lhs = 0.
 - d = 1: closed forms (the l2 mechanism is the Laplace mechanism).
 - d >= 3: the 1-D prolate form.  With mu = ||y|| + ||y - e1|| and nu =
   ||y - e1|| - ||y||, the loss is nu / sigma, both densities separate,
@@ -109,11 +110,14 @@ class BoundReport:
 
     satisfies_dp compares lhs_upper against delta; a False verdict means
     "not certified", not "violates DP".  branch records which case
-    produced the numbers: "large_sigma" (eps * sigma >= 1, loss region
-    empty, every bound 0), "one_dim" (closed forms), or "general"
+    produced the numbers: "large_sigma" (eps * sigma >= 1 exactly, loss
+    region empty, every bound 0), "one_dim" (closed forms), or "general"
     (grids).  By branch:
 
-    - lhs_upper: term1_upper - e^epsilon * term2_lower at d = 2; at
+    - lhs_upper: term1_upper - e^epsilon * term2_lower at d = 2,
+      except where an eps * sigma below 1 rounds to 1 or above: there
+      1 - e^(epsilon - 1/sigma), rounded up, with term1_upper = 1 and
+      term2_lower = 0; at
       d >= 3 the smallest of the direct prolate bound on lhs, that
       difference (rounded up) and 1 - e^(epsilon - 1/sigma), so it is
       at most the difference; at d = 1 the closed form taken without
@@ -280,6 +284,17 @@ def _one_minus_product(a: float, b: float) -> float:
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     out = (1.0 - p) - err
     return out if math.isfinite(out) else 1.0 - p
+
+
+def _loss_cap_bound(w: float, sigma: float) -> tuple[float, float]:
+    """1 - e^(eps - 1/sigma), rounded up, and its sigma-derivative.
+
+    w = 1 - eps sigma > 0.  The loss never exceeds 1/sigma, so this
+    bounds lhs at every dim; 1/sigma - eps is taken as w / sigma,
+    without cancelling.
+    """
+    gap = w / sigma
+    return -math.expm1(-gap) * (1.0 + 8.0 * _U), -math.exp(-gap) / (sigma * sigma)
 
 
 def _mu_log_weight(j: float, a: float, m: float) -> float:
@@ -512,16 +527,14 @@ def _prolate_bounds(
     lhs_up, t1_up, t2_up = (float(v) for v in upper)
     lhs_low, t1_low, t2_low = (float(v) for v in lower)
     t1_up = min(t1_up, 1.0)
-    # the loss never exceeds 1/sigma, so lhs <= 1 - e^(eps - 1/sigma), with
-    # 1/sigma - eps = w / sigma taken without cancelling; where that beats
-    # the grid, the grid did not resolve the integrands and its slope is
-    # that bound's
-    trivial = -math.expm1(-w / sigma) * (1.0 + 8.0 * _U)
+    # where the loss cap bound beats the grid, the grid did not resolve
+    # the integrands and its slope is that bound's
+    trivial, trivial_slope = _loss_cap_bound(w, sigma)
     unresolved = trivial <= lhs_up
     alternative = t1_up - _exp_eps(eps) * t2_low + 4.0 * _U * t1_up
     lhs_up = min(lhs_up, alternative, trivial, 1.0)
     if unresolved:
-        slope = -math.exp(-w / sigma) / (sigma * sigma)
+        slope = trivial_slope
     else:
         slope = _prolate_slope(
             dim, sigma, eps, tau + t, m, h_nu, h_mu, f_nu, s_nu, f_mu, s_mu,
@@ -599,21 +612,29 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
     epsilon = float(eps_delta.epsilon)
     delta = float(eps_delta.delta)
     sigma = float(sigma)
-    tau = epsilon * sigma
     r_star = sigma * x_star if dim == 2 else 0.0
     slope = None
-    # at dim >= 3 the loss region is empty only where eps * sigma >= 1 holds
-    # exactly, not merely after rounding
-    if tau >= 1.0 and (dim < 3 or _one_minus_product(epsilon, sigma) <= 0.0):
+    # the loss region is empty only where eps * sigma >= 1 holds exactly,
+    # not merely after rounding
+    w = _one_minus_product(epsilon, sigma)
+    if w <= 0.0:
         branch, t1, t2, lhs = BRANCH_LARGE_SIGMA, 0.0, 0.0, 0.0
     elif dim == 1:
-        # the loss region is the half-line y <= (1 - tau)/2: both terms
+        # the loss region is the half-line y <= (1 - eps sigma)/2: both terms
         # are Laplace CDFs there, and their difference is
-        # 1 - e^((eps - 1/sigma)/2), taken without the cancellation of
-        # two terms near 1/2
-        branch, lhs = BRANCH_ONE_DIM, -math.expm1(0.5 * (epsilon - 1.0 / sigma))
-        t1 = 1.0 - 0.5 * math.exp(0.5 * (epsilon - 1.0 / sigma))
+        # 1 - e^(-(1/sigma - eps)/2), taken without the cancellation of
+        # two terms near 1/2, and 1/sigma - eps as w / sigma, without
+        # that of two terms near 1/sigma
+        gap = -0.5 * (w / sigma)
+        branch, lhs = BRANCH_ONE_DIM, -math.expm1(gap)
+        t1 = 1.0 - 0.5 * math.exp(gap)
         t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
+    elif dim == 2 and epsilon * sigma >= 1.0:
+        # eps * sigma < 1 rounds to 1 or above, where the radial grids
+        # cannot start: only the loss cap bound certifies, with T1 <= 1
+        # and T2 >= 0
+        branch, t1, t2 = BRANCH_GENERAL, 1.0, 0.0
+        lhs, slope = _loss_cap_bound(w, sigma)
     elif dim == 2:
         branch = BRANCH_GENERAL
         t1, t2, slope = _riemann_stieltjes(dim, sigma, epsilon, r_star, n_r, n_R)

@@ -1,27 +1,27 @@
 """Self-contained special-function kernels for the noise calibration stack.
 
-Regularized incomplete gamma and beta functions, each from one of three
-regimes chosen per element from its arguments, with every prefactor
-kept in log space so that shape parameters up to ~1e4 (dimension-sized)
-stay finite:
+Regularized incomplete gamma and beta functions, each from one of two or
+three regimes chosen per element from its arguments, with every
+prefactor kept in log space so that shape parameters up to ~1e4
+(dimension-sized) stay finite:
 
 - P/Q(a, x): a power series for x < a + 1 and a continued fraction
-  above, except where a >= 20 and |x/a - 1| <= 0.4, which
-  takes Temme's uniform asymptotic expansion in erfc (DiDonato & Morris
-  1986), 18 terms whatever a and x.  Near x = a the series and the
-  fraction need O(sqrt(a)) iterations: on a certificate's grid at
-  a = 1000 the series ran 265, and the series left below 0.6a runs 65.
-  Against 40-digit mpmath the smaller tail is within 4e-15 relative up
-  to a = 45, 1.3e-14 up to a = 210, 1.2e-13 up to a = 2000 and 3.1e-13
-  at a = 1e4, the series' and the fraction's accuracy or better.  What
-  is left is the rounding of the exponent a (log(x/a) - x/a + 1).
+  above.  Near x = a both need O(sqrt(a)) iterations: the series runs
+  94 at a = 100, 266 at a = 1000 and 801 at a = 1e4 just below a + 1,
+  the fraction 50, 116 and 255 at a + 1.  Against 40-digit mpmath the
+  smaller tail is within 4e-15 relative up to a = 45, 7e-15 up to
+  a = 210, 1.2e-13 up to a = 2000 and 3.1e-13 at a = 1e4 for x in
+  [0.6a, 1.4a].  What is left is the rounding of the exponent
+  a (log(x/a) - x/a + 1), whose log(1 + t) - t part is an atanh series
+  for |x/a - 1| <= 0.4 (see _log1pmx_vec).
 - I_x(a, b): a continued fraction, on I_x(a, b) below the mean and on
   its complement above, except where a >= 15, b <= 1 and 1 - x < 0.3,
   which takes the BGRAT expansion (DiDonato & Morris 1992), at most 30
-  terms and 8 or fewer for b = 1/2 (measured over a in [15, 1e4]).  For
-  b = 1/2 it is within 4e-15 relative for 1 - x <= 20/a and a <= 5000;
-  further out the error grows with the rounding of z = -a log(x), to
-  1.2e-13 at a = 4436 and z = 520.
+  terms and 8 or fewer for b = 1/2 (measured over a in [15, 1e4]), on
+  top of the gamma kernel's Q(b, z) for its first term.  For b = 1/2 it
+  is within 4e-15 relative for 1 - x <= 20/a and a <= 5000; further out
+  the error grows with the rounding of z = -a log(x), to 1.2e-13 at
+  a = 4436 and z = 520.
 
 Nothing here imports scipy; the test suite cross-checks these kernels
 against 40-digit mpmath and an independent quadrature oracle.
@@ -35,13 +35,10 @@ has converged.
 A continued fraction is summed backward, from its innermost term out,
 over as many terms as forward modified Lentz needs at the batch's
 slowest element, plus a quarter of them and one: three array
-operations a term, and no per-element bookkeeping.  erfc, which Temme's
-expansion and BGRAT at b = 1/2 take, is a rational function times a
-split e^(-x^2), also over the whole array.
+operations a term, and no per-element bookkeeping.
 
 The series and the Lentz count stop at the constant _MAX_ITER, not a
-keyword, and report converged=False there, one flag for the batch;
-Temme's expansion always sums its 18 terms.
+keyword, and report converged=False there, one flag for the batch.
 """
 from __future__ import annotations
 
@@ -86,9 +83,9 @@ class SpecFunResult:
     is the most any regime the call ran evaluated for its whole batch:
     series terms up to its slowest element's convergence, continued
     fraction terms (for I_x(a, b), pairs of them) by the Lentz count of
-    its slowest element plus the margin, and terms of the asymptotic
-    expansions (Temme's polynomial in eta, BGRAT's sum).  converged is
-    one flag for the whole call; the plain functions raise
+    its slowest element plus the margin, and BGRAT's terms, or those of
+    the gamma kernel under its first term where that ran more.
+    converged is one flag for the whole call; the plain functions raise
     ConvergenceError where it is False.
     """
 
@@ -108,6 +105,7 @@ class SpecFunResult:
 
 _HALF_LN_2PI = 0.9189385332046727
 _STIRLING_SWITCH = 20.0
+_LOG1PMX_REACH = 0.4  # |w| <= 1/4: the series' dropped terms are below 1e-19 of it
 
 
 def _stirling_corr(a):
@@ -122,20 +120,32 @@ def _stirling_corr(a):
     )
 
 
-def _log1pmx_vec(r: np.ndarray) -> np.ndarray:
-    # log(r) - (r - 1) for r = x / a, with log(r) itself below r = 1,
-    # since t's absolute rounding would swamp the relative size of a small
-    # r.  No series near r = 1: this runs only for a >= _STIRLING_SWITCH =
-    # _TEMME_MIN_A, where Temme's expansion takes every |r - 1| <= 0.4.
-    # np.maximum keeps log1p off the t = -1 that a tiny r rounds to
-    t = r - 1.0
-    return np.where(t < 0.0, np.log(r), np.log1p(np.maximum(t, 0.0))) - t
+def _log1pmx_vec(a: float, x: np.ndarray) -> np.ndarray:
+    # log(r) - (r - 1) for r = x / a.  Within |r - 1| <= _LOG1PMX_REACH
+    # the atanh series in t = (x - a) / a, which rounds once (x - a is
+    # exact for x in [a/2, 2a]) where r - 1 would carry r's rounding:
+    # with w = t / (2 + t), log(1 + t) - t = -t w + 2 w^3 (1/3 + w^2/5 +
+    # ...), whose sum has same-signed terms, where log1p(t) - t cancels
+    # for |t| > 0.25.  Beyond, log(r) itself below r = 1, since t's
+    # absolute rounding would swamp the relative size of a small r, and
+    # log1p(r - 1) above; np.maximum keeps log1p off the r - 1 = -1 that
+    # a tiny r rounds to
+    t = (x - a) / a
+    w = t / (2.0 + t)
+    w2 = w * w
+    s = np.full(t.shape, 1.0 / 29.0)
+    for j in range(13, 0, -1):
+        s = 1.0 / (2 * j + 1) + w2 * s
+    series = 2.0 * (w * w2) * s - t * w
+    r = x / a
+    far = np.where(r < 1.0, np.log(r), np.log1p(np.maximum(r - 1.0, 0.0))) - (r - 1.0)
+    return np.where(np.abs(t) <= _LOG1PMX_REACH, series, far)
 
 
 def _gamma_log_prefactor_vec(a: float, x: np.ndarray) -> np.ndarray:
     if a < _STIRLING_SWITCH:
         return a * np.log(x) - x - math.lgamma(a)
-    return a * _log1pmx_vec(x / a) + 0.5 * np.log(a) - _HALF_LN_2PI - _stirling_corr(a)
+    return a * _log1pmx_vec(a, x) + 0.5 * np.log(a) - _HALF_LN_2PI - _stirling_corr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +208,11 @@ def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
     see a change below eps, and the count is not monotone in x, so at
     it other elements could still move by an ulp or two: the batch runs
     a quarter more iterations, plus one.  Past that, 8 more moved no
-    value on the shapes the library asks for (integer a for Q, a = (d -
-    1)/2 and b = 1/2 for I_x; tests/test_specfun.py).  The margin is not
-    always enough for Q at a non-integer a below about 3 with x just
-    above a + 1, where the fraction converges slowest: there a value can
-    still move by one ulp.
+    value on integer a for Q, x from a + 1 up, and on a = (d - 1)/2 and
+    b = 1/2 for I_x (tests/test_specfun.py).  The margin is not always
+    enough for Q at a non-integer a below about 3 with x just above
+    a + 1, where the fraction converges slowest: there a value can still
+    move by one ulp, BGRAT's first term Q(b, z) at b = 1/2 included.
     """
     tiny = _FPMIN
     d = term(x0, 0)[1]
@@ -257,151 +267,12 @@ def _betacf_vec(a: float, b: float, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# large-shape expansions: a fixed number of terms where the series and the
-# continued fractions need O(sqrt(a)) iterations
-
-_TEMME_MIN_A = 20.0
-_TEMME_REACH = 0.4  # |x/a - 1| <= _TEMME_REACH, so |eta| <= 0.4708
-
-# d[k][n], the eta^n coefficient of C_k(eta), correctly rounded from the
-# exact rationals of tests/oracles.temme_coefficients.  Row k keeps the
-# terms whose tail, summed at a = 20 and |eta| = 0.4708, reaches 1e-17
-_TEMME_D = (
-    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
-     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
-     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
-     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
-     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
-     -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11),
-    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
-     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
-     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
-     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
-     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
-     4.162792991842583e-10, -8.56390702649298e-11),
-    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
-     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
-     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
-     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
-     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09),
-    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
-     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
-     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
-     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
-     -1.9111168485973655e-08),
-    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
-     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
-     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
-     8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
-     2.8865829742708783e-08),
-    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
-     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
-     -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
-     -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07),
-    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
-     7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
-     -1.8329116582843375e-05, -3.0796134506033047e-09, 3.465155368803609e-06,
-     -2.0291327396058603e-06),
-    (0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
-     0.0002812695154763237, -0.00010976582244684731, -1.2741009095484485e-07,
-     2.7744451511563645e-05, -1.8263488805711332e-05, 5.7876949497350525e-06),
-    (-0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721,
-     -6.969091458420552e-07, 0.00016644846642067547, -0.00012783517679769218,
-     4.629953263691304e-05),
-    (-0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328,
-     -0.0006401475260262758, 0.00027750107634328704),
-    (0.0013324454494800656, -0.0019144384985654776, 0.0011089369134596636),
-    (0.001579727660730835,),
-)
-_TEMME_COEF = np.array(
-    [row + (0.0,) * (len(_TEMME_D[0]) - len(row)) for row in _TEMME_D]
-)
+# BGRAT: a few terms where I_x's continued fraction needs O(sqrt(a))
+# iterations
 
 _BGRAT_MIN_A = 15.0
 _BGRAT_REACH = 0.3  # 1 - x < _BGRAT_REACH
 _BGRAT_TERMS = 30
-
-
-# erfcx(x) = e^(x^2) erfc(x) ~ P(x)/Q(x) on [0, inf), degrees 10 and 11,
-# correctly rounded from the 60-digit rationals of
-# tests/oracles.erfcx_coefficients; so rounded, the rational is within
-# 1e-16 relative of erfcx up to x = 27, past which erfc underflows
-_ERFCX_P = (
-    1.0, 2.4088724141114564, 2.867965959266897, 2.1859049465747327,
-    1.1712747649980797, 0.4592273728934928, 0.13331415236542968,
-    0.028345893811779006, 0.004243873805181623, 0.00040728887609039804,
-    1.9300996693953924e-05,
-)
-_ERFCX_Q = (
-    1.0, 3.5372515812069696, 5.8593269522764775, 6.012448609582029,
-    4.25717689567263, 2.190458781132582, 0.8387192696619542,
-    0.2400371129076327, 0.05060273901253051, 0.007539175531709088,
-    0.0007219007368574066, 3.4210125916513266e-05,
-)
-
-
-# both as one (2, 3, 2, 2, 1) block: quads of coefficients c_4q..c_4q+3,
-# each split into its low and its high pair, P's padded with a zero x^11
-# term, which adds exactly 0
-_ERFCX_QUADS = np.array([_ERFCX_P + (0.0,), _ERFCX_Q]).reshape(2, 3, 2, 2, 1)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """erfc over a flat array x >= 0, within 1e-15 relative where it is a normal float.
-
-    erfcx's rational times e^(-x^2), and e^(-x^2) as e^(-h^2) e^(-(x - h)(x + h))
-    with h = x cut to sixteenths, whose square is exact (Cody 1969): the
-    rounding of x^2 itself would cost x^2 eps relative, 4e-15 at x = 6.
-    P and Q are summed together by Estrin's scheme: pairs of
-    coefficients in x, then pairs of pairs in x^2, x^4 and x^8.  With
-    every coefficient and x positive, each value passes through four
-    roundings, not Horner's eleven, and P and Q share each array
-    operation.
-    """
-    x = np.minimum(x, 30.0)  # erfc(30) underflows; x^11 stays finite
-    x2 = x * x
-    x4 = x2 * x2
-    c = _ERFCX_QUADS
-    v = (c[:, :, 0, 0] + c[:, :, 0, 1] * x) + (c[:, :, 1, 0] + c[:, :, 1, 1] * x) * x2
-    v = (v[:, 0] + v[:, 1] * x4) + v[:, 2] * (x4 * x4)  # (2, n): P and Q
-    h = np.trunc(x * 16.0) * 0.0625
-    return v[0] / v[1] * (np.exp((h - x) * (x + h)) * np.exp(h * -h))
-
-
-def _gamma_temme_vec(a: float, x: np.ndarray):
-    """(P, Q, terms) by Temme's uniform expansion, for a >= 20 near x = a.
-
-    With eta = sign(x - a) sqrt(2 (lambda - 1 - log(lambda))), lambda = x/a,
-    the tail beyond x on eta's side is erfc(|eta| sqrt(a/2)) / 2 +- R, and
-    R = e^(-a eta^2/2) / sqrt(2 pi a) sum_k C_k(eta) a^-k (DiDonato &
-    Morris 1986, ACM TOMS 12; Temme 1979).  For one shape sum_k d_kn a^-k
-    is one coefficient per power of eta, so an element costs one
-    polynomial and one erfc.  terms is the table's 18 columns: the
-    polynomial is always summed in full.
-    """
-    # t = x/a - 1 with one rounding (x - a is exact within a factor of 2),
-    # and log(1 + t) - t = -t w + 2 w^3 (1/3 + w^2/5 + ...), w = t/(2 + t),
-    # a sum of same-signed terms: log1p(t) - t cancels for |t| > 0.25
-    t = (x - a) / a
-    w = t / (2.0 + t)
-    w2 = w * w
-    s = np.full(t.shape, 1.0 / 29.0)
-    for j in range(13, 0, -1):
-        s = 1.0 / (2 * j + 1) + w2 * s
-    log_pref = a * (2.0 * (w * w2) * s - t * w)  # -a eta^2 / 2
-    root = np.sqrt(-log_pref)  # |eta| sqrt(a/2)
-    eta = np.copysign(root, t) * np.sqrt(2.0 / a)
-    coef = np.power(1.0 / a, np.arange(len(_TEMME_D))) @ _TEMME_COEF
-    poly = np.full(t.shape, coef[-1])
-    for n in range(coef.size - 2, -1, -1):
-        poly = poly * eta + coef[n]
-    r = np.exp(log_pref) * poly / np.sqrt(2.0 * math.pi * a)
-    upper = t >= 0.0
-    tail = 0.5 * _erfc(root) + np.where(upper, r, -r)
-    tail = np.clip(tail, 0.0, 1.0)
-    p = np.where(upper, 1.0 - tail, tail)
-    q = np.where(upper, tail, 1.0 - tail)
-    return p, q, coef.size
 
 
 def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
@@ -411,17 +282,14 @@ def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
     nu = a + (b - 1)/2 and z = -nu log(x), I_x(a, b) = G sum_n d_n K_n,
     G = Gamma(a + b) / (Gamma(a) nu^b) (ratio is log Gamma(a + b) -
     log Gamma(a)), K_n = Gamma(b + 2n, z) / (Gamma(b) (2 nu)^2n) and d_n
-    the coefficients of (sinh(u)/u)^(b - 1) in u^2.  K_0 = Q(b, z), which
-    is erfc(sqrt(z)) at cap_fraction's b = 1/2, and K_n follows from
-    K_n-1 by Gamma(s + 2, z) = s (s + 1) Gamma(s, z) + (z + s + 1) z^s e^-z.
+    the coefficients of (sinh(u)/u)^(b - 1) in u^2.  K_0 = Q(b, z), from
+    the gamma kernel, and K_n follows from K_n-1 by Gamma(s + 2, z) =
+    s (s + 1) Gamma(s, z) + (z + s + 1) z^s e^-z.
     """
     log_x = np.log1p(-(1.0 - x))  # 1 - x is exact for x >= 1/2
     nu = a + 0.5 * (b - 1.0)
     z = -nu * log_x
-    if b == 0.5:
-        k, iters, conv = _erfc(np.sqrt(z)), 0, True
-    else:
-        _, k, iters, conv = _gamma_pq_vec(b, z)
+    _, k, iters, conv = _gamma_pq_vec(b, z)
     # R (z / (2 nu))^(2n - 2), R = z^b e^-z / Gamma(b)
     power = np.exp(b * np.log(z) - z - math.lgamma(b))
     quarter_log2 = 0.25 * log_x * log_x
@@ -459,18 +327,11 @@ def _gamma_pq_vec(a: float, x: np.ndarray):
     p[zero] = 0.0
     q[zero] = 1.0
     low = (x < a + 1.0) & ~zero
-    high = ~low & ~zero
-    if a >= _TEMME_MIN_A:
-        near = np.abs(x - a) <= _TEMME_REACH * a
-        if near.any():
-            p[near], q[near], iters = _gamma_temme_vec(a, x[near])
-            low &= ~near
-            high &= ~near
+    high = x >= a + 1.0
     if low.any():
-        pv, it, ok = _gamma_series_vec(a, x[low])
+        pv, iters, conv = _gamma_series_vec(a, x[low])
         p[low] = pv
         q[low] = 1.0 - pv
-        conv, iters = conv and ok, max(iters, it)
     if high.any():
         qv, it, ok = _gamma_cf_vec(a, x[high])
         q[high] = qv

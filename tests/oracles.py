@@ -17,7 +17,6 @@ fast; recompute_goldens() regenerates them.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -93,78 +92,6 @@ def recompute_goldens():
         else:
             out[key] = quad_std_normal_cdf(key[1])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact coefficients of Temme's uniform expansion (DLMF 8.12.8-8.12.10):
-# Q(a, x) = erfc(eta*sqrt(a/2))/2 + e^(-a*eta^2/2)/sqrt(2*pi*a) * sum_k C_k(eta) a^-k
-# with eta^2/2 = lambda - 1 - log(lambda), lambda = x/a, and
-# C_0 = 1/(lambda - 1) - 1/eta,  C_k = C_k-1'(eta)/eta + (-1)^k g_k/(lambda - 1),
-# g_k the Stirling coefficients of Gamma(a).  Everything is a power series
-# in eta with rational coefficients, so Fractions give d_kn exactly.
-
-
-def stirling_coefficients(k_max):
-    """g_0..g_k_max of Gamma(a) ~ sqrt(2*pi) a^(a-1/2) e^-a sum_k g_k a^-k, exact."""
-    bern = [Fraction(1)]
-    for n in range(1, 2 * k_max + 3):
-        bern.append(-sum(math.comb(n + 1, k) * bern[k] for k in range(n)) / (n + 1))
-    # the series is exp(sum_j B_2j / (2j (2j - 1)) a^(1 - 2j))
-    log_terms = [Fraction(0)] * (k_max + 1)
-    for j in range(1, (k_max + 3) // 2):
-        log_terms[2 * j - 1] = bern[2 * j] / (2 * j * (2 * j - 1))
-    g = [Fraction(1)] + [Fraction(0)] * k_max
-    for n in range(1, k_max + 1):
-        g[n] = sum(k * log_terms[k] * g[n - k] for k in range(1, n + 1)) / n
-    return g
-
-
-def temme_coefficients(k_max, n_max):
-    """d[k][n], the eta^n coefficient of C_k(eta), k <= k_max and n < n_max."""
-    order = n_max + 2 * k_max + 2
-    # mu = lambda - 1 = sum m_i eta^i solves mu * mu' = eta * (1 + mu)
-    m = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
-    for n in range(2, order + 1):
-        inner = sum((n + 1 - i) * m[i] * m[n + 1 - i] for i in range(2, n))
-        m[n] = (m[n - 1] - inner) / (n + 1)
-    # eta / mu = sum r_i eta^i, so 1/mu = sum r_i eta^(i-1) and C_0 = sum r_(n+1) eta^n
-    r = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    for n in range(1, order):
-        r[n] = -sum(m[i + 1] * r[n - i] for i in range(1, n + 1))
-    g = stirling_coefficients(k_max)
-    rows = [r[1:]]
-    for k in range(1, k_max + 1):
-        prev, gk = rows[-1], g[k] if k % 2 == 0 else -g[k]
-        # the 1/eta poles of C_k-1'/eta and gk/mu cancel
-        assert prev[1] + gk == 0
-        rows.append(
-            [(n + 2) * prev[n + 2] + gk * r[n + 1] for n in range(len(prev) - 2)]
-        )
-    return [row[:n_max] for row in rows]
-
-
-def erfcx_coefficients(dps=60):
-    """(p, q), ascending, of specfun's rational P/Q for erfcx(x) = e^(x^2) erfc(x).
-
-    Degrees 10 and 11, q_0 = 1, interpolating erfcx at the 22 points
-    x = 2.5 (1 - t) / t with t the Chebyshev nodes of (0, 1), so that
-    one rational covers x in [0, inf) and keeps erfcx's 1/(x sqrt(pi))
-    decay.  Each coefficient is then rounded once to a float.
-    """
-    m, n = 10, 11
-    size = m + n + 1
-    with mp.workdps(dps):
-        rows, rhs = [], []
-        for i in range(size):
-            t = (1 + mp.cos(mp.pi * (2 * i + 1) / (2 * size))) / 2
-            x = mp.mpf(5) / 2 * (1 - t) / t
-            fx = mp.exp(x * x) * mp.erfc(x)
-            # p(x) - fx (q(x) - 1) = fx, unknowns p_0..p_m, q_1..q_n
-            rows.append([x**j for j in range(m + 1)]
-                        + [-fx * x**j for j in range(1, n + 1)])
-            rhs.append(fx)
-        sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        return [sol[j] for j in range(m + 1)], [mp.mpf(1)] + [sol[m + j] for j in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +350,29 @@ def prolate_cell_bounds(d, sigma, eps, t, m, ends_at_one, dps=40):
 # library's prefactor constants.
 
 
-def masked_log1pmx(r):
-    """log(r) - (r - 1), split at r = 1 as the library splits it."""
-    t = r - 1.0
+def masked_log1pmx(a, x):
+    """log(r) - (r - 1), r = x / a, split as the library splits it.
+
+    The atanh series in t = (x - a) / a for |t| <= 0.4, and beyond it
+    log(r) - (r - 1) below r = 1 and log1p(r - 1) - (r - 1) above, each
+    on its own elements.
+    """
+    from l2mech.specfun import _LOG1PMX_REACH
+
+    t = (x - a) / a
+    r = x / a
     out = np.empty(t.shape)
-    low = t < 0.0
-    out[low] = np.log(r[low]) - t[low]
-    out[~low] = np.log1p(t[~low]) - t[~low]
+    near = np.abs(t) <= _LOG1PMX_REACH
+    low = (r < 1.0) & ~near
+    high = (r >= 1.0) & ~near
+    tn = t[near]
+    w = tn / (2.0 + tn)
+    s = np.full(tn.shape, 1.0 / 29.0)
+    for j in range(13, 0, -1):
+        s = 1.0 / (2 * j + 1) + (w * w) * s
+    out[near] = 2.0 * (w * (w * w)) * s - tn * w
+    out[low] = np.log(r[low]) - (r[low] - 1.0)
+    out[high] = np.log1p(r[high] - 1.0) - (r[high] - 1.0)
     return out
 
 
@@ -445,7 +388,7 @@ def masked_gamma_log_prefactor(a, x):
     if big.any():
         ab = a[big]
         out[big] = (
-            ab * masked_log1pmx(x[big] / ab)
+            ab * masked_log1pmx(ab, x[big])
             + 0.5 * np.log(ab)
             - _HALF_LN_2PI
             - _stirling_corr(ab)

@@ -1,8 +1,10 @@
 """Certified bounds: reference equality at d = 2, truths at d >= 3, sandwiches, monotonicity."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,6 +72,28 @@ def test_large_sigma_terms_vanish():
         rep = check_approx_dp(d, 1.2, PrivacyParams(1.0, 1e-5))
         assert rep.branch == BRANCH_LARGE_SIGMA
         assert rep.term1_upper == 0.0 and rep.term2_lower == 0.0
+
+
+def test_product_that_rounds_to_one_is_not_the_large_sigma_branch():
+    # eps * sigma is 1 - 3.1e-17 exactly but rounds to 1: the loss region
+    # is not empty, and its lhs, about 7.8e-17 at d = 1, exceeds delta
+    sigma, eps = 0.19980789021985085, 5.004807362210215
+    assert eps * sigma >= 1.0 and Fraction(eps) * Fraction(sigma) < 1
+    pp = PrivacyParams(eps, 1e-300)
+    one = check_approx_dp(1, sigma, pp)
+    with mpmath.workdps(40):
+        gap = 1 / mpmath.mpf(sigma) - mpmath.mpf(eps)
+        exact = float(-mpmath.expm1(-gap / 2))
+        cap = float(-mpmath.expm1(-gap))
+    assert one.branch == BRANCH_ONE_DIM and not one.satisfies_dp
+    assert math.isclose(one.lhs_upper, exact, rel_tol=1e-13)
+    # at d = 2 the radial grids cannot start, and 1 - e^(eps - 1/sigma)
+    # bounds lhs: too loose for this delta, tight enough for a usual one
+    two = check_approx_dp(2, sigma, pp)
+    assert two.branch == BRANCH_GENERAL and not two.satisfies_dp
+    assert (two.term1_upper, two.term2_lower) == (1.0, 0.0)
+    assert cap <= two.lhs_upper <= cap * (1.0 + 1e-14)
+    assert check_approx_dp(2, sigma, PrivacyParams(eps, 1e-15)).satisfies_dp
 
 
 def test_check_branches_and_verdicts():

@@ -7,6 +7,8 @@ modules use postponed annotations, so types read as strings.
 
 import dataclasses
 import inspect
+import subprocess
+import sys
 from collections import Counter
 
 import l2mech
@@ -117,3 +119,18 @@ def test_each_public_name_is_declared_in_one_submodule():
     )
     assert [name for name, count in declared.items() if count > 1] == []
     assert sorted(l2mech.__all__) == sorted(declared)
+
+
+def test_import_loads_no_test_only_library(child_env):
+    # pyproject.toml declares numpy alone, so the package and its CLI
+    # import in a fresh process without scipy, mpmath or hypothesis
+    code = (
+        "import sys, l2mech, l2mech.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'scipy', 'mpmath', 'hypothesis'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

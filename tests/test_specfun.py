@@ -3,7 +3,6 @@
 import inspect
 import itertools
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -239,16 +238,12 @@ def test_beta_fraction_truncation_has_converged(log_a, u, swap):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gamma_fraction_truncation_has_converged(log_d, seed):
-    # Q(d, x)'s fraction at an integer shape d, as the library asks for
-    # it, on a random batch of the arguments _gamma_pq_vec sends it:
-    # x >= d + 1, and beyond Temme's band where d >= 20, within a quarter
-    # of the lowest such x, where the fraction converges slowest
+    # Q(d, x)'s fraction at an integer shape d, on a random batch of the
+    # arguments _gamma_pq_vec sends it: x >= d + 1, within a quarter of
+    # d + 1, where the fraction converges slowest
     a = float(round(math.exp(log_d)))
-    low = a + 1.0
-    if a >= specfun._TEMME_MIN_A:
-        low = max(low, math.nextafter((1.0 + specfun._TEMME_REACH) * a, math.inf))
     u = np.random.default_rng(seed).uniform(0.0, 1.0, 64)
-    batch = [("gamma", a, None, low * (1.0 + 0.25 * u))]
+    batch = [("gamma", a, None, (a + 1.0) * (1.0 + 0.25 * u))]
     want = _fraction_values(batch)[0]
     with pytest.MonkeyPatch.context() as mp:
         _with_more_terms(mp, 8)
@@ -270,13 +265,14 @@ def _check_hex_grids():
 
 @pytest.mark.parametrize("cap", [20000, 48, 4])
 def test_gamma_array_call_is_the_flat_call_reshaped(cap, monkeypatch):
-    # an array call of any shape is one flat batch.  Term1's grid alone
-    # converges after 48 series iterations and term2's after 49, so the
-    # batch of both runs 49 and a cap of 48 does not converge.  Its
-    # elements within 0.4a of a = 100 take Temme's 18 terms whatever the
-    # cap, so below 18 the batch reports those terms
+    # an array call of any shape is one flat batch.  The series takes
+    # every element below a + 1 = 101, the largest at 100.96, where it
+    # needs the most terms: term1's grid alone converges after 91
+    # iterations and term2's after 94, so the batch of both runs 94.  The
+    # fraction above needs 50, so a cap of 48, or of 4, stops both
+    # regimes and the batch reports the cap
     x = _check_hex_grids()
-    reported = {20000: (49, True), 48: (48, False), 4: (18, False)}[cap]
+    reported = {20000: (94, True), 48: (48, False), 4: (4, False)}[cap]
     monkeypatch.setattr(specfun, "_MAX_ITER", cap)
     for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
         flat = fn(100.0, x)
@@ -314,8 +310,8 @@ def test_gamma_scipy_cross_check_grid():
 
 
 def _gamma_sample(a):
-    # x across Temme's region |x/a - 1| <= 0.4 and past it, with both
-    # sides of each seam
+    # x across _log1pmx_vec's series region |x/a - 1| <= 0.4 and past
+    # it, with both sides of each seam
     x = a * np.linspace(0.6, 1.4, 33)
     seams = [0.6 * a, a, a + 1.0, 1.4 * a]
     near = [np.nextafter(v, v + side) for v in seams for side in (-np.inf, np.inf)]
@@ -359,9 +355,9 @@ def test_large_shape_gamma_against_mpmath():
 
 @pytest.mark.parametrize("a", [19.5, 20.0, 100.0, 1e4])
 def test_gamma_monotone_across_seams(a):
-    # fine sweeps over every regime switch: the Temme edges at x = 0.6a
-    # and 1.4a, its P/Q switch at x = a, and the series/CF switch at
-    # x = a + 1 (inside the Temme region for a >= 20)
+    # fine sweeps over every switch: the series/CF switch at x = a + 1,
+    # for a >= 20 the edges of _log1pmx_vec's atanh series at x = 0.6a
+    # and 1.4a, and x = a, where t = x/a - 1 changes sign
     for seam in (0.6 * a, a, a + 1.0, 1.4 * a):
         x = seam + np.linspace(-1.0, 1.0, 401) * 1e-3 * math.sqrt(a)
         p, q = reg_lower_gamma(a, x), reg_upper_gamma(a, x)
@@ -372,7 +368,8 @@ def test_gamma_monotone_across_seams(a):
 
 def test_large_shape_gamma_underflows_to_zero():
     # a tail below the smallest float is 0, never NaN, on every path: the
-    # series, Temme's expansion on both sides of a, the fraction
+    # series and the fraction, each with the log prefactor's atanh series
+    # (0.6a to 1.4a) and its logarithm forms beyond
     for a, ratios in ((1e4, [0.05, 0.3, 0.6, 0.61, 2.0, 3.0]), (1e5, [0.7, 1.3])):
         x = a * np.array(ratios)
         p, q = reg_lower_gamma(a, x), reg_upper_gamma(a, x)
@@ -380,64 +377,12 @@ def test_large_shape_gamma_underflows_to_zero():
         assert np.array_equal(p + q, np.ones(x.size)), a
 
 
-def test_temme_table_is_the_generated_one():
-    # specfun's d_kn are the exact rationals correctly rounded, and each
-    # row keeps exactly the terms whose tail at a = 20, |eta| = eta_max
-    # reaches 1e-17
-    exact = oracles.temme_coefficients(len(specfun._TEMME_D) + 1, 40)
-    assert exact[0][:6] == [
-        Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
-        Fraction(1, 864), Fraction(1, 2835), Fraction(-139, 777600),
-    ]
-    reach = specfun._TEMME_REACH
-    eta = max(math.sqrt(2.0 * (s * reach - math.log1p(s * reach))) for s in (-1, 1))
-    for k, row in enumerate(exact):
-        size = [abs(float(v)) * 20.0**-k * eta**n for n, v in enumerate(row)]
-        keep = len(row)
-        while keep and sum(size[keep - 1:]) < 1e-17:
-            keep -= 1
-        table = specfun._TEMME_D[k] if k < len(specfun._TEMME_D) else ()
-        assert list(table) == [float(v) for v in row[:keep]], k
-
-
-def test_erfc_table_is_the_generated_one():
-    # specfun's erfcx rational is the 60-digit interpolant correctly
-    # rounded, and the rounded rational stays within 1e-16 of erfcx
-    # (9.2e-17 measured on 5401 points)
-    p, q = oracles.erfcx_coefficients()
-    assert specfun._ERFCX_P == tuple(float(v) for v in p)
-    assert specfun._ERFCX_Q == tuple(float(v) for v in q)
-    with mpmath.workdps(40):
-        for x in np.linspace(0.0, 27.0, 271):
-            xm = mpmath.mpf(x)
-            num = sum(mpmath.mpf(c) * xm**i for i, c in enumerate(specfun._ERFCX_P))
-            den = sum(mpmath.mpf(c) * xm**i for i, c in enumerate(specfun._ERFCX_Q))
-            erfcx = mpmath.exp(xm * xm) * mpmath.erfc(xm)
-            assert abs(num / den / erfcx - 1) <= 1e-16, x
-
-
-def test_erfc_against_mpmath():
-    # within 1e-15 relative on [0, 6], and on to 26.5, where erfc stops
-    # being a normal float (7e-16 and 8e-16 measured on 60 001 and
-    # 20 001 points); beyond, it underflows to 0, never NaN
-    for lo, hi in ((0.0, 6.0), (6.0, 26.5)):
-        x = np.linspace(lo, hi, 2001)
-        got = specfun._erfc(x)
-        with mpmath.workdps(40):
-            worst = max(
-                float(abs(g / mpmath.erfc(mpmath.mpf(v)) - 1)) for g, v in zip(got, x)
-            )
-        assert worst <= 1e-15, (lo, hi, worst)
-    huge = specfun._erfc(np.array([27.5, 30.0, 1e10, 1e300]))
-    assert np.array_equal(huge, np.zeros(4))
-
-
 def test_result_objects_and_convergence_failure(monkeypatch):
     res = reg_lower_gamma_result(3.0, 2.0)
     assert isinstance(res, SpecFunResult)
     assert res.converged and res.iterations >= 1
-    # Q(300, 600) lies beyond Temme's reach (|x/a - 1| <= 0.4), so the
-    # continued fraction serves it, and 2 iterations cannot settle it
+    # Q(300, 600) lies above a + 1, so the continued fraction serves it,
+    # and 2 iterations cannot settle it
     monkeypatch.setattr(specfun, "_MAX_ITER", 2)
     starved = reg_upper_gamma_result(300.0, 600.0)
     assert (starved.iterations, starved.converged) == (2, False)
