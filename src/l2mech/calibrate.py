@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
-from .lossbounds import GridDomainError, PrivacyParams, _check, _exp_eps, _x_star
+from .lossbounds import PrivacyParams, _check, _exp_eps
 from .specfun import _normal_cdf
 
 __all__ = [
@@ -127,23 +127,18 @@ def calibrate_l2(
     report toward lhs_upper = delta, in u = log(1/sigma - epsilon) and
     w = log(lhs_upper / delta), on the slope the check reports
     (lhs_slope; see _newton_sigma), or the midpoint after a probe that
-    gives no step (no slope, or a grid that cannot resolve the loss
-    region); _lattice_search keeps the bracket.  The answer, bit for bit
-    the bisection's whenever the verdict is monotone in sigma, takes
-    2.9 probes on average for dim > 100, 4.2 for 10 < dim <= 100 and
-    3.7 for 2 <= dim <= 10 (the benchmark's calibrate-mix targets, seed
-    1, blocks 0-1, at tol = 1e-3), instead of m + 1.
-    Probes whose grid cannot resolve the loss region (tiny sigma) count
-    as not certified, which is always sound.  The floor is probed only
-    when the search ends at index 1 and the top 1/epsilon only when it
-    ends there; search_iterations counts both.  A sigma that two lattice
-    indices share (below the float spacing) is checked once.  dim == 1
-    uses the exact closed form.  Either way a sigma that fails its own certificate is
-    nudged up by float ulps until it passes, so the returned sigma is
-    certified in every branch.  Every probe at dim = 2 shares one
-    x_star = r_star / sigma, computed before the search (the dim >= 3
-    certificate reads none), and every argument is checked once, before
-    the first probe.
+    gives no step; _lattice_search keeps the bracket.  The answer, bit
+    for bit the bisection's whenever the verdict is monotone in sigma,
+    takes 2.9 probes on average for dim > 100, 4.2 for 10 < dim <= 100
+    and 3.7 for 2 <= dim <= 10 (the benchmark's calibrate-mix targets,
+    seed 1, blocks 0-1, at tol = 1e-3), instead of m + 1.  The floor is
+    probed only when the search ends at index 1 and the top 1/epsilon
+    only when it ends there; search_iterations counts both.  A sigma
+    that two lattice indices share (below the float spacing) is checked
+    once.  dim == 1 uses the exact closed form.  Either way a sigma that
+    fails its own certificate is nudged up by float ulps until it
+    passes, so the returned sigma is certified in every branch.  Every
+    argument is checked once, before the first probe.
     """
     _validate_common(
         params,
@@ -166,8 +161,6 @@ def _calibrate_l2(
     comparison_table passes a secant extrapolation of its earlier rows,
     which is close but may lie on either side of the answer.
     """
-    # only the d = 2 radial grids read r_star = sigma * x_star
-    x_star = _x_star(dim, params.delta) if dim == 2 else math.nan
     eps = params.epsilon
     log_delta = math.log(params.delta)
     reports = {}
@@ -176,13 +169,8 @@ def _calibrate_l2(
         # a sigma checked before keeps its report: below the float spacing
         # near the top of a deep bracket, lattice indices share a sigma
         if s not in reports:
-            try:
-                reports[s] = _check(dim, s, params, n_r, n_R, x_star)
-            except GridDomainError:
-                reports[s] = None
+            reports[s] = _check(dim, s, params, n_r, n_R)
         report = reports[s]
-        if report is None:
-            return False, None
         return report.satisfies_dp, _newton_sigma(report, s, eps, log_delta)
 
     def certified(s: float) -> bool:

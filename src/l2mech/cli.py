@@ -5,7 +5,7 @@ builds every subparser, and parse_args runs every required-flag and
 range check over it in one loop, so a usage error reports every
 violated constraint in a single stderr line.
 Exit codes: 0 success, 2 usage/validation error, 1 numerical failure
-(non-convergence, unresolvable grids, bracketing failures).
+(non-convergence, bracketing failures, values JSON cannot hold).
 
 Each subcommand takes only the value flags it reads; any other is a
 usage error.  The seed of sample and verify defaults to the

@@ -37,16 +37,19 @@ guarantee:
   left-endpoint weights under-count.  Both charge the mass beyond their
   last radius r_star = sigma * x_star the cap fraction at r_star, where
   x_star leaves a _TAIL_FRACTION * delta sliver (one percent of the
-  budget) beyond it.  The two radial grids go as one flat batch into
-  one call of the whole-array gamma kernel, which also gives the tail
-  mass, and one cap_fraction call; the same pass gives lhs_slope, the
-  exact sigma-derivative of the two sums.
+  budget) beyond it; the check finds x_star itself, from the closed
+  form Q(2, x) = e^-x (1 + x).  The two radial grids go as one flat
+  batch into one call of the whole-array gamma kernel, which also gives
+  the tail mass, and one cap_fraction call; the same pass gives
+  lhs_slope, the exact sigma-derivative of the two sums.  lhs_upper is
+  the smaller of their difference and 1 - e^(eps - 1/sigma), which
+  alone bounds lhs where either grid's first radius is not below
+  r_star (tiny sigma), or where an eps * sigma below 1 rounds to 1.
 
-(dim, sigma, epsilon, delta, n_r, n_R) alone replay a check.
-calibrate_l2 computes x_star, which does not depend on sigma, once per
-calibration, and only at d = 2.  Both check the (epsilon, delta)
-target, a PrivacyParams defined here, and the grid sizes once, where
-they enter; no per-probe record re-checks them.
+(dim, sigma, epsilon, delta, n_r, n_R) alone replay a check, and every
+check returns a report.  check_approx_dp and calibrate_l2 check the
+(epsilon, delta) target, a PrivacyParams defined here, and the grid
+sizes once, where they enter; no per-probe record re-checks them.
 """
 from __future__ import annotations
 
@@ -57,13 +60,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
-from .capgeom import _cap_fraction_rate, _cap_heights, cap_fraction
-from .specfun import ConvergenceError, _gamma_pq_vec, inv_reg_upper_gamma
+from .capgeom import _cap_heights, cap_fraction
+from .specfun import ConvergenceError, _gamma_pq_vec
 
 __all__ = [
     "PrivacyParams",
     "BoundReport",
-    "GridDomainError",
     "check_approx_dp",
 ]
 
@@ -73,6 +75,9 @@ BRANCH_GENERAL = "general"
 
 # the share of delta left to the radial mass beyond r_star
 _TAIL_FRACTION = 0.01
+_LOG_TAIL_FRACTION = math.log(_TAIL_FRACTION)
+# the smallest normal float64
+_TINY = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,6 @@ class PrivacyParams:
         )
 
 
-class GridDomainError(ValueError):
-    """At d = 2, the working radius r_star fell at or below the first grid radius.
-
-    Happens when sigma is so small that all but a sliver of the noise
-    mass sits inside the innermost sphere of the loss region; the grid
-    cannot resolve anything there, so rather than guessing we refuse.
-    Callers probing tiny sigmas (calibration brackets) may treat this
-    as "not certified".
-    """
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one certified (epsilon, delta) check.
@@ -112,30 +106,30 @@ class BoundReport:
     "not certified", not "violates DP".  branch records which case
     produced the numbers: "large_sigma" (eps * sigma >= 1 exactly, loss
     region empty, every bound 0), "one_dim" (closed forms), or "general"
-    (grids).  By branch:
+    (grids, or at d = 2 the loss cap bound where none can start).  By
+    branch:
 
-    - lhs_upper: term1_upper - e^epsilon * term2_lower at d = 2,
-      except where an eps * sigma below 1 rounds to 1 or above: there
-      1 - e^(epsilon - 1/sigma), rounded up, with term1_upper = 1 and
-      term2_lower = 0; at
-      d >= 3 the smallest of the direct prolate bound on lhs, that
-      difference (rounded up) and 1 - e^(epsilon - 1/sigma), so it is
-      at most the difference; at d = 1 the closed form taken without
-      cancelling two terms near 1/2.
+    - lhs_upper: at d = 2 the smaller of term1_upper - e^epsilon *
+      term2_lower and 1 - e^(epsilon - 1/sigma), rounded up; where the
+      radial grids cannot start, the latter alone, with term1_upper = 1
+      and term2_lower = 0.  At d >= 3 the smallest of the direct
+      prolate bound on lhs, that difference (rounded up) and
+      1 - e^(epsilon - 1/sigma).  So at d >= 2 it is at most the
+      difference.  At d = 1 the closed form taken without cancelling
+      two terms near 1/2.
     - n_r, n_R: the two radial grid sizes at d = 2, the nu- and mu-cell
       counts at d >= 3; as given, though unused, in the other branches.
     - r_star: at d = 2 the radial grids' shared outer radius sigma *
-      x_star, set by the tail rule in every branch; at d >= 3 in the
-      general branch (mu_hi + 1)/2, the radius of the ball around the
-      noise center that holds the mu-window mu <= mu_hi, beyond which
-      a tangent bounds the tail; 0.0 where no grid is built (d = 1, and
-      the large-sigma branch at d >= 3).
+      x_star, set by the tail rule; at d >= 3 (mu_hi + 1)/2, the radius
+      of the ball around the noise center that holds the mu-window
+      mu <= mu_hi, beyond which a tangent bounds the tail; 0.0 wherever
+      no grid runs (d = 1, the large-sigma branch, and d = 2 where the
+      radial grids cannot start).
     - lhs_slope: d lhs_upper / d sigma in the general branch (None in
       the others): at d = 2 exact for the radial sums up to float
       rounding; at d >= 3 the trapezoid rule on the sigma-derivative of
-      the true integrands, on the bound's own edges (or, where the grid
-      does not resolve them and 1 - e^(epsilon - 1/sigma) is the
-      bound, that bound's derivative).  It is not certified and is not
+      the true integrands, on the bound's own edges; at either, where
+      1 - e^(epsilon - 1/sigma) is the bound, that bound's derivative.  It is not certified and is not
       evidence: calibrate_l2 takes one Newton step from this report
       alone, by lhs_upper and this slope, to place its next probe, and
       only the verdicts decide the answer.
@@ -160,17 +154,17 @@ def _exp_eps(epsilon: float) -> float:
 
 
 def _riemann_stieltjes(
-    dim: int, sigma: float, eps: float, r_star: float, n_r: int, n_R: int
+    sigma: float, eps: float, r_star: float, n_r: int, n_R: int
 ) -> tuple[float, float, float]:
     """(term1_upper, term2_lower, lhs_slope) of both left Riemann-Stieltjes sums, at d = 2.
 
     The two terms differ only in the first radius, the grid size, the
     cap height function and whether the ball below the first radius
     counts in full (see the module docstring).  Their grids, n_r radii
-    from (1 - tau)/2 and n_R from (1 + tau)/2, both up to r_star, go
-    end to end into a single incomplete-gamma call and a single
-    cap_fraction call, and the same gamma call gives the tail mass
-    beyond r_star, Q(dim, r_star / sigma), that both sums charge.
+    from (1 - tau)/2 and n_R from (1 + tau)/2, both up to r_star, which
+    must exceed both, go end to end into a single incomplete-gamma call
+    and a single cap_fraction call, and the same gamma call gives the
+    tail mass beyond r_star, Q(2, r_star / sigma), that both sums charge.
 
     lhs_slope is the exact sigma-derivative of term1 - e^eps term2 as
     these sums compute them, from the same arrays: each sum is a dot
@@ -179,44 +173,39 @@ def _riemann_stieltjes(
     with the fractions' derivatives.  A grid is the linspace of its
     first radius, which moves with tau, to r_star = sigma * x_star, so
     its radii move by the linspace of those two rates, and the tail
-    mass Q(dim, x_star) does not move at all.
+    mass Q(2, x_star) does not move at all.
     """
     tau = eps * sigma
     r_first, big_r_first = (1.0 - tau) / 2.0, (1.0 + tau) / 2.0
-    for first, center in ((r_first, ""), (big_r_first, " around the shifted center")):
-        if r_star <= first:
-            raise GridDomainError(
-                f"r_star={r_star} is at or below the first grid radius "
-                f"{first}{center}; the grid cannot resolve the loss region"
-            )
     radii = np.concatenate(
         [np.linspace(r_first, r_star, n_r), np.linspace(big_r_first, r_star, n_R)]
     )
     offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
     heights = _cap_heights(tau, radii, offset)
     x = radii / sigma
-    cdf, sf, iters, conv = _gamma_pq_vec(float(dim), x)
+    cdf, sf, iters, conv = _gamma_pq_vec(2.0, x)
     if not conv:
         raise ConvergenceError(
             f"reg_lower_gamma did not converge within {iters} iterations"
         )
-    frac = cap_fraction(dim, radii, heights)
+    frac = cap_fraction(2, radii, heights)
     tail = float(sf[-1])
-    # sigma-derivatives of the radii, the CDF at them, the heights, whose
-    # offset moves at +-eps/2 = offset * eps / (1 + tau), and the cap
-    # fractions
+    # sigma-derivatives of the radii, the CDF at them (the gamma density
+    # x e^-x), the heights, whose offset moves at +-eps/2 = offset * eps /
+    # (1 + tau), and the cap fractions, whose rate in the relative height
+    # v = h/r is 1/(pi sqrt(v (2 - v))), taken as 0 at an empty cap or the
+    # whole sphere, the heights a grid keeps there at every sigma
     x_star = r_star / sigma
     d_radii = np.concatenate(
         [np.linspace(-eps / 2.0, x_star, n_r), np.linspace(eps / 2.0, x_star, n_R)]
     )
-    # the gamma density x^(dim-1) e^-x / Gamma(dim) in its direct log form:
-    # it loses about dim * log(x) ulps, far below what a slope needs
-    density = np.exp((dim - 1.0) * np.log(x) - x - math.lgamma(dim))
-    d_cdf = density * ((d_radii - x) / sigma)
+    d_cdf = x * np.exp(-x) * ((d_radii - x) / sigma)
     d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau)))
     d_heights -= eps * (radii + offset)
     rel = heights / radii
-    d_frac = _cap_fraction_rate(dim, rel) * ((d_heights - rel * d_radii) / radii)
+    z = rel * (2.0 - rel)
+    rate = np.divide(1.0 / math.pi, np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
+    d_frac = rate * ((d_heights - rel * d_radii) / radii)
     sums, slopes = [], []
     for part, below, d_below in (
         (slice(None, n_r), cdf[0], d_cdf[0]),
@@ -579,17 +568,15 @@ def check_approx_dp(
     """Certified check that sigma gives (epsilon, delta)-DP in dim dims.
 
     At dim >= 3 the 1-D prolate form bounds lhs on n_r nu-cells and n_R
-    mu-cells (see _prolate_bounds); it needs no outer radius and raises
-    no GridDomainError.  At dim = 2 the outer radius r_star = sigma *
-    x_star is set so the radial mass beyond it is exactly
-    _TAIL_FRACTION * delta (one percent of the privacy budget), then
-    both Riemann bounds are evaluated on [first radius, r_star] grids,
-    together in one pass of the kernels that also gives that tail mass
-    (see _riemann_stieltjes); a GridDomainError names the first grid,
-    term1's then term2's, whose first radius r_star does not exceed,
-    and calibrate_l2 runs the same check on one x_star per calibration.
-    satisfies_dp=True is a proof up to float arithmetic; False only
-    means these grids could not certify the pair.
+    mu-cells (see _prolate_bounds); it needs no outer radius.  At dim =
+    2 the outer radius r_star = sigma * x_star is set so the radial mass
+    beyond it is _TAIL_FRACTION * delta (one percent of the privacy
+    budget; see _x_star), then both Riemann bounds are evaluated on
+    [first radius, r_star] grids, together in one pass of the kernels
+    that also gives that tail mass (see _riemann_stieltjes); where r_star
+    does not exceed both first radii, 1 - e^(epsilon - 1/sigma) alone
+    bounds lhs.  satisfies_dp=True is a proof up to float arithmetic;
+    False only means these grids could not certify the pair.
     """
     require(
         integer("dim", dim),
@@ -598,21 +585,34 @@ def check_approx_dp(
         integer("n_r", n_r, 2),
         integer("n_R", n_R, 2),
     )
-    x_star = _x_star(dim, eps_delta.delta) if dim == 2 else math.nan
-    return _check(dim, sigma, eps_delta, n_r, n_R, x_star)
+    return _check(dim, sigma, eps_delta, n_r, n_R)
 
 
-def _x_star(dim: int, delta: float) -> float:
-    """r_star / sigma = Q^-1(dim, _TAIL_FRACTION * delta), whatever sigma is."""
-    return inv_reg_upper_gamma(float(dim), _TAIL_FRACTION * delta)
+def _x_star(delta: float) -> float:
+    """r_star / sigma at d = 2: the root of Q(2, x) = _TAIL_FRACTION * delta.
+
+    Q(2, x) = e^-x (1 + x), so x solves x + t = log(1 + x) with t the
+    log of the tail mass: log(q) keeps the relative accuracy of q =
+    _TAIL_FRACTION * delta, and below the normal range, where q loses
+    bits or underflows, log(delta) + log(_TAIL_FRACTION) stands in.  x +
+    t is exact near the root (Sterbenz), and Newton's steps on this
+    convex, rising function close in from above, from 2 log(1 - t) - t,
+    which lies past the root.
+    """
+    q = _TAIL_FRACTION * delta
+    t = math.log(q) if q >= _TINY else math.log(delta) + _LOG_TAIL_FRACTION
+    x = 2.0 * math.log1p(-t) - t
+    for _ in range(_NEWTON_STEPS):
+        x -= ((x + t) - math.log1p(x)) * (1.0 + x) / x
+    return x
 
 
-def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
-    """check_approx_dp on checked arguments and, at dim = 2, a precomputed x_star."""
+def _check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
+    """check_approx_dp on checked arguments."""
     epsilon = float(eps_delta.epsilon)
     delta = float(eps_delta.delta)
     sigma = float(sigma)
-    r_star = sigma * x_star if dim == 2 else 0.0
+    r_star = 0.0
     slope = None
     # the loss region is empty only where eps * sigma >= 1 holds exactly,
     # not merely after rounding
@@ -629,16 +629,20 @@ def _check(dim, sigma, eps_delta, n_r, n_R, x_star) -> BoundReport:
         branch, lhs = BRANCH_ONE_DIM, -math.expm1(gap)
         t1 = 1.0 - 0.5 * math.exp(gap)
         t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
-    elif dim == 2 and epsilon * sigma >= 1.0:
-        # eps * sigma < 1 rounds to 1 or above, where the radial grids
-        # cannot start: only the loss cap bound certifies, with T1 <= 1
-        # and T2 >= 0
+    elif dim == 2:
+        # the loss cap bound, with T1 <= 1 and T2 >= 0, unless the radial
+        # sums beat it; they run only where both grids can start below
+        # r_star, and not where eps * sigma < 1 rounds to 1 or above
         branch, t1, t2 = BRANCH_GENERAL, 1.0, 0.0
         lhs, slope = _loss_cap_bound(w, sigma)
-    elif dim == 2:
-        branch = BRANCH_GENERAL
-        t1, t2, slope = _riemann_stieltjes(dim, sigma, epsilon, r_star, n_r, n_R)
-        lhs = t1 - _exp_eps(epsilon) * t2
+        tau = epsilon * sigma
+        outer = sigma * _x_star(delta)
+        if tau < 1.0 and outer > (1.0 + tau) / 2.0:
+            r_star = outer
+            t1, t2, radial_slope = _riemann_stieltjes(sigma, epsilon, r_star, n_r, n_R)
+            radial = t1 - _exp_eps(epsilon) * t2
+            if radial < lhs:
+                lhs, slope = radial, radial_slope
     else:
         branch = BRANCH_GENERAL
         bounds = _prolate_bounds(dim, sigma, epsilon, n_r, n_R)

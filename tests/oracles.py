@@ -591,18 +591,12 @@ def bisect_calibrate_l2(check, dim, params, n_r=1000, n_R=1000, tol=1e-3):
 
     check is a check_approx_dp.
     """
-    from l2mech.lossbounds import GridDomainError
-
     evals = 0
 
     def certified(s):
         nonlocal evals
         evals += 1
-        try:
-            report = check(dim, s, params, n_r, n_R)
-        except GridDomainError:
-            return False
-        return report.satisfies_dp
+        return check(dim, s, params, n_r, n_R).satisfies_dp
 
     lo, hi = l2_bracket(params.epsilon, tol)
     if certified(lo):

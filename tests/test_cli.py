@@ -4,12 +4,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 import l2mech.cli as cli
+from l2mech._records import to_json
 from l2mech.calibrate import PrivacyParams, calibrate_gaussian, laplace_sigma
 from l2mech.cli import UsageError, main, parse_args
 from l2mech.errormodel import TABLE_FIELDS, comparison_table, table_to_json
@@ -251,14 +253,18 @@ def test_verify_refuses_an_unaffordable_default_sample_count(capsys):
 
 
 def test_json_refuses_values_json_cannot_hold(capsys):
-    # r_star = sigma * x_star overflows to inf at sigma = 1e308: JSON has no
-    # Infinity, so the command fails instead of printing invalid JSON
+    # JSON has no Infinity or NaN, so the one writer refuses them rather
+    # than print invalid JSON.  At sigma = 1e308 no radial grid runs, so
+    # r_star reads 0.0 and the record holds only finite values
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            to_json({"r_star": bad})
     args = ["verify", "--eps", "1", "--delta", "0.01", "--dim", "2",
             "--sigma", "1e308", "--samples", "10"]
-    assert main(args) == 1
+    assert main(args) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err == ""
+    assert json.loads(out)["analytic"]["r_star"] == 0.0
 
 
 def test_a_tolerance_too_fine_for_the_search_exits_1(capsys):

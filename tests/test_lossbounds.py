@@ -17,7 +17,9 @@ from l2mech.lossbounds import (
     BRANCH_LARGE_SIGMA,
     BRANCH_ONE_DIM,
     BoundReport,
-    GridDomainError,
+    _loss_cap_bound,
+    _one_minus_product,
+    _x_star,
     check_approx_dp,
 )
 from l2mech.specfun import inv_reg_upper_gamma
@@ -167,11 +169,35 @@ def test_grid_refinement_is_monotone():
         assert t1s[2] >= t2s[2]
 
 
-def test_grid_domain_error_on_unresolvable_grid():
+def _assert_loss_cap_report(rep, sigma, eps):
+    # no radial grid ran: 1 - e^(eps - 1/sigma) bounds lhs alone, with
+    # T1 <= 1 and T2 >= 0, and r_star reads 0.0
+    assert rep.branch == BRANCH_GENERAL
+    assert (rep.term1_upper, rep.term2_lower, rep.r_star) == (1.0, 0.0, 0.0)
+    want = _loss_cap_bound(_one_minus_product(eps, sigma), sigma)
+    assert (rep.lhs_upper, rep.lhs_slope) == want
+
+
+def test_unresolvable_grid_reports_the_loss_cap():
     # at so small a sigma r_star, beyond which 1% of delta's radial mass
     # lies, falls inside the first grid radius
-    with pytest.raises(GridDomainError):
-        check_approx_dp(2, 0.05, PrivacyParams(1.0, 0.9))
+    rep = check_approx_dp(2, 0.05, PrivacyParams(1.0, 0.9))
+    _assert_loss_cap_report(rep, 0.05, 1.0)
+    assert not rep.satisfies_dp
+
+
+@pytest.mark.parametrize("delta", (5e-324, 1e-300, 1e-15, 1e-5, 0.3, 0.9))
+def test_d2_tail_radius_matches_40_digits(delta):
+    # x_star = r_star / sigma solves Q(2, x) = e^-x (1 + x) = delta / 100
+    # within 2 ulps, also where delta / 100 underflows, and a d = 2 check
+    # at such a delta returns a report
+    with mpmath.workdps(40):
+        log_q = mpmath.log(mpmath.mpf(delta) / 100)
+        exact = mpmath.findroot(lambda x: mpmath.log1p(x) - x - log_q, -log_q)
+    got = _x_star(delta)
+    assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(got), (got, exact)
+    rep = check_approx_dp(2, 0.5, PrivacyParams(1.0, delta))
+    assert rep.branch == BRANCH_GENERAL and rep.r_star == 0.5 * got
 
 
 # Frozen float.hex of (term1_upper, term2_lower, lhs_upper) for tau =
@@ -196,7 +222,7 @@ CHECK_HEX = [
     (2, 1.9, 0.5, 1e-05, 1000, 1000,
      "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021fp-4", "0x1.a6b4dc2b5a600p-9"),
     (2, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.42f698d75ddcap-3", "0x1.2a44a3f7be872p-4", "0x1.3454c0e1c6294p-5"),
+     "0x1.42f698d75ddcap-3", "0x1.2a44a3f7be872p-4", "0x1.a988c189d5490p-6"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.23dc23db34b0bp-1", "0x1.4700fc454d114p-2", "0x1.bc9c5c9701810p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
@@ -333,11 +359,11 @@ def test_general_check_builds_no_geometry(monkeypatch):
     assert calibrate_l2(10, pp).search_iterations >= 2
 
 
-def test_check_raises_its_terms_grid_errors_in_order():
-    # at d = 2, when r_star falls at or below both first radii term1's
-    # error comes first; between them, term2's, around the shifted center.
-    # At d >= 3 the prolate form has no radial grid, and checks these
-    # sigmas without a grid error
+def test_check_reports_the_loss_cap_where_a_grid_cannot_start():
+    # at d = 2, when r_star falls at or below term1's first radius, or
+    # between it and term2's, around the shifted center, no radial grid
+    # runs and the report carries the loss cap bound.  At d >= 3 the
+    # prolate form has no radial grid, and bounds these sigmas by its cells
     for d, eps, delta in ((3, 8.0, 0.5), (10, 2.0, 0.2)):
         for sigma in (0.02, 0.05, 0.08, 0.1):
             rep = check_approx_dp(d, sigma, PrivacyParams(eps, delta))
@@ -348,20 +374,13 @@ def test_check_raises_its_terms_grid_errors_in_order():
         for sigma in (0.02, 0.05, 0.08, 0.1):
             tau = eps * sigma
             r_star = sigma * inv_reg_upper_gamma(float(d), 0.01 * delta)
+            rep = check_approx_dp(d, sigma, params)
             if r_star > (1.0 + tau) / 2.0:
-                check_approx_dp(d, sigma, params)
+                assert rep.r_star == pytest.approx(r_star, rel=1e-12)
                 continue
-            first, center = (1.0 - tau) / 2.0, ""
-            if r_star > first:
-                first, center = (1.0 + tau) / 2.0, " around the shifted center"
-            with pytest.raises(GridDomainError) as excinfo:
-                check_approx_dp(d, sigma, params)
-            assert str(excinfo.value) == (
-                f"r_star={r_star} is at or below the first grid radius "
-                f"{first}{center}; the grid cannot resolve the loss region"
-            )
-            seen.add(center)
-    assert seen == {"", " around the shifted center"}
+            _assert_loss_cap_report(rep, sigma, eps)
+            seen.add("term1" if r_star <= (1.0 - tau) / 2.0 else "term2")
+    assert seen == {"term1", "term2"}
 
 
 def test_check_validation_errors():

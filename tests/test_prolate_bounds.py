@@ -5,7 +5,8 @@ lossbounds._prolate_bounds bounds lhs, T1 = P0[L >= eps] and T2 = P1[L
 log-concave integrands on a nu-grid and a mu-grid.  These tests check
 its rounding margin against a 40-digit re-evaluation of the same sums,
 its order and refinement properties on random draws, and the edges
-where tau = eps sigma comes within ulps of 1.
+where tau = eps sigma comes within ulps of 1.  The draws of the
+monotone-verdict test start at d = 2, where the radial sums certify.
 """
 
 import functools
@@ -90,14 +91,16 @@ def test_bounds_are_ordered_and_tighten_on_a_nested_grid(d, eps, tau, n):
 @seed(20261021)
 @settings(max_examples=60, deadline=None)
 @given(
-    d=_DIMS,
+    d=st.integers(2, 10**4),
     eps=_EPS,
     delta=st.floats(-15.0, -0.5).map(lambda x: 10.0**x),
     fractions=st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=2, max_size=8),
 )
 def test_verdict_is_monotone_in_sigma(d, eps, delta, fractions):
     # along sorted sigmas in (0, 1/eps) the verdicts read False ... True:
-    # the search's answer is the bisection's only where this holds
+    # the search's answer is the bisection's only where this holds.  d = 2
+    # runs the radial sums, capped by the loss cap bound, which also
+    # bounds tiny sigmas where no radial grid can start
     params = PrivacyParams(eps, delta)
     verdicts = [
         check_approx_dp(d, f / eps, params).satisfies_dp for f in sorted(fractions)

@@ -81,7 +81,6 @@ FIELDS = {
 # the rest of __all__: exceptions with their base, and one constant
 OTHERS = {
     "ConvergenceError": RuntimeError,
-    "GridDomainError": ValueError,
     "MECHANISMS": ("l2", "laplace", "gaussian"),
 }
 
