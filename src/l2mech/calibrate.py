@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
-from .lossbounds import PrivacyParams, _check, _exp_eps
+from .lossbounds import PrivacyParams, _exp_eps, _probe_check
 from .specfun import _normal_cdf
 
 __all__ = [
@@ -69,7 +69,8 @@ class CalibrationResult:
     evaluations (0 for closed forms), each distinct sigma once in every
     search: for calibrate_gaussian its bracketing probes as well, for
     calibrate_l2 the deferred probes of the bracket's floor and top and
-    any ulp nudges.  hit_bracket_floor flags the degenerate
+    any ulp nudges, each once whether the quarter grid decided it or the
+    full grid ran as well.  hit_bracket_floor flags the degenerate
     case where the certificate already passed at the lowest sigma
     probed, so the returned value is a ceiling, not a minimum.
     """
@@ -129,9 +130,15 @@ def calibrate_l2(
     (lhs_slope; see _newton_sigma), or the midpoint after a probe that
     gives no step; _lattice_search keeps the bracket.  The answer, bit
     for bit the bisection's whenever the verdict is monotone in sigma,
-    takes 2.9 probes on average for dim > 100, 4.2 for 10 < dim <= 100
+    takes 2.9 probes on average for dim > 100, 4.3 for 10 < dim <= 100
     and 3.7 for 2 <= dim <= 10 (the benchmark's calibrate-mix targets,
-    seed 1, blocks 0-1, at tol = 1e-3), instead of m + 1.  The floor is
+    seed 1, blocks 0-1, at tol = 1e-3), instead of m + 1.  At dim >= 3
+    a probe is decided on the grid of n_r/4 by n_R/4 cells nested in
+    its own where that grid proves the full grid's verdict (its lower
+    bound above delta, or its upper bound below delta by more than the
+    full grid's larger rounding margin can add; see
+    lossbounds._probe_check), and runs the full grid only elsewhere:
+    43 of the 805 dim >= 3 probes on those targets.  The floor is
     probed only when the search ends at index 1 and the top 1/epsilon
     only when it ends there; search_iterations counts both.  A sigma
     that two lattice indices share (below the float spacing) is checked
@@ -169,7 +176,7 @@ def _calibrate_l2(
         # a sigma checked before keeps its report: below the float spacing
         # near the top of a deep bracket, lattice indices share a sigma
         if s not in reports:
-            reports[s] = _check(dim, s, params, n_r, n_R)
+            reports[s] = _probe_check(dim, s, params, n_r, n_R)
         report = reports[s]
         return report.satisfies_dp, _newton_sigma(report, s, eps, log_delta)
 

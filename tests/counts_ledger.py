@@ -4,7 +4,7 @@ For each target (epsilon, delta) in TARGETS this records one calibrate_l2
 call per dimension in DIMS and one comparison_table up to TABLE_D_MAX.
 Each calibration (and each l2 row of a table) records:
 
-- checks: calls of calibrate._check, and search_iterations as reported;
+- checks: calls of calibrate._probe_check, and search_iterations as reported;
 - gamma_elements and gamma_iterations: elements of lossbounds'
   _gamma_pq_vec calls and the sum of their reported iterations;
 - beta_calls, beta_elements and beta_iterations: calls of
@@ -100,7 +100,7 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 @contextmanager
 def _counting(counts: list[Counter]):
     """Count checks and kernel work into counts[-1] while the block runs."""
-    check, gamma, beta = calibrate._check, lossbounds._gamma_pq_vec, specfun._betainc_vec
+    check, gamma, beta = calibrate._probe_check, lossbounds._gamma_pq_vec, specfun._betainc_vec
     prolate = lossbounds._prolate_bounds
 
     def counted_check(*args):
@@ -125,14 +125,14 @@ def _counting(counts: list[Counter]):
         counts[-1]["mu_cells"] += n_mu
         return prolate(dim, sigma, eps, n_nu, n_mu)
 
-    calibrate._check = counted_check
+    calibrate._probe_check = counted_check
     lossbounds._gamma_pq_vec = counted_gamma
     specfun._betainc_vec = counted_beta
     lossbounds._prolate_bounds = counted_prolate
     try:
         yield
     finally:
-        calibrate._check = check
+        calibrate._probe_check = check
         lossbounds._gamma_pq_vec = gamma
         specfun._betainc_vec = beta
         lossbounds._prolate_bounds = prolate

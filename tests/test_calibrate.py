@@ -132,8 +132,8 @@ def test_l2_probe_counts_at_reference_scales():
 
 def test_l2_probe_budget_over_a_calibrate_mix_grid():
     # counts_ledger's seeded 64-target grid shaped like the benchmark's
-    # calibrate-mix.  Probe counts do not depend on the machine: 3.34 per
-    # call on average and 8 at worst
+    # calibrate-mix.  Probe counts do not depend on the machine: the
+    # ledger reads 211 over the 64 calls (3.30 per call) and 7 at worst
     probes = [
         calibrate_l2(dim, params).search_iterations
         for dim, params in counts_ledger.mix_grid()
@@ -148,13 +148,13 @@ def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
     # search's first certificate is the lattice point at or just above it
     pp = PrivacyParams(1.0, 1e-5)
     probed = []
-    check_at = l2mech.calibrate._check
+    check_at = l2mech.calibrate._probe_check
 
     def probe(dim, sigma, *rest):
         probed.append(sigma)
         return check_at(dim, sigma, *rest)
 
-    monkeypatch.setattr(l2mech.calibrate, "_check", probe)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_check", probe)
     calibrate_l2(1000, pp)
     lo, hi = _bracket(pp.epsilon, 1e-3)
     depth = 10  # the fewest halvings that take [lo, hi] to 1e-3 wide
@@ -184,13 +184,13 @@ def test_l2_checks_each_sigma_once(monkeypatch):
     # returns the same answer
     from l2mech import calibrate
 
-    sigmas, check = [], calibrate._check
+    sigmas, check = [], calibrate._probe_check
 
     def spy(dim, sigma, *args):
         sigmas.append(sigma)
         return check(dim, sigma, *args)
 
-    monkeypatch.setattr(calibrate, "_check", spy)
+    monkeypatch.setattr(calibrate, "_probe_check", spy)
     res = calibrate_l2(10, PrivacyParams(1.0, 1e-300), tol=2.0**-195)
     assert res.sigma == 1.0 and not res.hit_bracket_floor
     assert len(sigmas) == len(set(sigmas)) == res.search_iterations <= 54
@@ -289,7 +289,7 @@ def test_a_tolerance_too_fine_for_the_lattice_is_named(monkeypatch):
     def unexpected(*args):
         raise AssertionError("probed")
 
-    monkeypatch.setattr(l2mech.calibrate, "_check", unexpected)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_check", unexpected)
     pp = PrivacyParams(1.0, 1e-2)
     searches = [
         ("[1e-70, 1.0]", lambda: calibrate_l2(2, pp, tol=1e-70)),
@@ -304,12 +304,13 @@ def test_a_tolerance_too_fine_for_the_lattice_is_named(monkeypatch):
 
 def test_l2_search_matches_bisection(monkeypatch):
     # the lattice search lands on the bisection's own float, probing less.
-    # calibrate_l2 runs each probe through lossbounds._check, the
-    # bisection through check_approx_dp; both share one memo of
-    # certificate reports to keep the test quick
+    # calibrate_l2 runs each probe through lossbounds._probe_check, which
+    # may decide it on the nested quarter grid, the bisection through
+    # check_approx_dp on the full grid; each keeps its own entries in one
+    # memo of certificate reports, so the oracle never reads a probe's
     memo = {}
     calls = 0
-    check_at = l2mech.calibrate._check
+    check_at = l2mech.calibrate._probe_check
 
     def remember(key, run):
         if key not in memo:
@@ -319,14 +320,14 @@ def test_l2_search_matches_bisection(monkeypatch):
     def probe(dim, sigma, params, n_r, n_R):
         nonlocal calls
         calls += 1
-        key = (dim, sigma, params, n_r, n_R)
+        key = ("probe", dim, sigma, params, n_r, n_R)
         return remember(key, lambda: check_at(dim, sigma, params, n_r, n_R))
 
     def check(dim, sigma, params, n_r, n_R):
-        key = (dim, sigma, params, n_r, n_R)
+        key = ("full", dim, sigma, params, n_r, n_R)
         return remember(key, lambda: check_approx_dp(dim, sigma, params, n_r, n_R))
 
-    monkeypatch.setattr(l2mech.calibrate, "_check", probe)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_check", probe)
     grid = itertools.product(
         (2, 3, 10, 100, 1000, 2000), (0.01, 0.2, 1.0, 20.0), (1e-10, 1e-5, 1e-3)
     )

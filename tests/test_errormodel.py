@@ -186,7 +186,7 @@ def test_table_warm_start_changes_no_sigma(
     # about 10% on top
     pp = PrivacyParams(epsilon, delta)
     probes = 0
-    check_at = l2mech.calibrate._check
+    check_at = l2mech.calibrate._probe_check
 
     def counted(*args):
         nonlocal probes
@@ -194,7 +194,7 @@ def test_table_warm_start_changes_no_sigma(
         return check_at(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(l2mech.calibrate, "_check", counted)
+        patch.setattr(l2mech.calibrate, "_probe_check", counted)
         rows = comparison_table(pp, d_max)
     table = [r.sigma for r in rows if r.mechanism == "l2"]
     alone = [calibrate_l2(d, pp).sigma for d in range(1, d_max + 1)]

@@ -39,7 +39,7 @@ def test_entry_checks_reject_grids_and_targets_before_any_probe(monkeypatch):
     # the grid sizes and the (epsilon, delta) target are checked once, where
     # they enter, in every branch: d = 1 and the large-sigma case build no grid
     probes = []
-    monkeypatch.setattr(l2mech.calibrate, "_check", lambda *args: probes.append(args))
+    monkeypatch.setattr(l2mech.calibrate, "_probe_check", lambda *args: probes.append(args))
     pp = PrivacyParams(1.0, 1e-5)
     rep = check_approx_dp(6, 0.3, pp)
     assert (rep.n_r, rep.n_R) == (1000, 1000) and rep.r_star > 0.3
