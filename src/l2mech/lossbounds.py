@@ -44,11 +44,17 @@ guarantee:
   budget) beyond it; the check finds x_star itself, from the closed
   form Q(2, x) = e^-x (1 + x).  The two radial grids go as one flat
   batch into one call of the whole-array gamma kernel, which also gives
-  the tail mass, and one cap_fraction call; the same pass gives
-  lhs_slope, the exact sigma-derivative of the two sums.  lhs_upper is
-  the smaller of their difference and 1 - e^(eps - 1/sigma), which
-  alone bounds lhs where either grid's first radius is not below
-  r_star (tiny sigma), or where an eps * sigma below 1 rounds to 1.
+  the tail mass; their cap fractions come from the circle's closed
+  form, (2/pi) arcsin sqrt(h/(2r)), with no beta kernel.  The same pass
+  gives lhs_slope, the exact sigma-derivative of the two sums.
+  lhs_upper is the smaller of their difference and 1 - e^(eps -
+  1/sigma), which alone bounds lhs where either grid's first radius is
+  not below r_star (tiny sigma), or where an eps * sigma below 1 rounds
+  to 1.
+
+Below sigma = 2^-100 the d >= 3 grids say nothing (their rounding margin
+exceeds 10^14 nats) and the loss cap bound, capped at 1 like every
+lhs_upper, stands alone there too, so every positive sigma gets a report.
 
 (dim, sigma, epsilon, delta, n_r, n_R) alone replay a check, and every
 check returns a report.  check_approx_dp and calibrate_l2 check the
@@ -64,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
-from .capgeom import _cap_heights, cap_fraction
+from .capgeom import _cap_heights
 from .specfun import ConvergenceError, _gamma_pq_vec
 
 __all__ = [
@@ -110,12 +116,12 @@ class BoundReport:
     "not certified", not "violates DP".  branch records which case
     produced the numbers: "large_sigma" (eps * sigma >= 1 exactly, loss
     region empty, every bound 0), "one_dim" (closed forms), or "general"
-    (grids, or at d = 2 the loss cap bound where none can start).  By
-    branch:
+    (grids, or the loss cap bound where none can start or, at d >= 3,
+    below sigma = 2^-100).  By branch:
 
     - lhs_upper: at d = 2 the smaller of term1_upper - e^epsilon *
-      term2_lower and 1 - e^(epsilon - 1/sigma), rounded up; where the
-      radial grids cannot start, the latter alone, with term1_upper = 1
+      term2_lower and 1 - e^(epsilon - 1/sigma), rounded up; where no
+      grid can start, the latter alone, at most 1, with term1_upper = 1
       and term2_lower = 0.  At d >= 3 the smallest of the direct
       prolate bound on lhs, that difference (rounded up) and
       1 - e^(epsilon - 1/sigma).  So at d >= 2 it is at most the
@@ -128,8 +134,8 @@ class BoundReport:
       x_star, set by the tail rule; at d >= 3 (mu_hi + 1)/2, the radius
       of the ball around the noise center that holds the mu-window
       mu <= mu_hi, beyond which a tangent bounds the tail; 0.0 wherever
-      no grid runs (d = 1, the large-sigma branch, and d = 2 where the
-      radial grids cannot start).
+      no grid runs (d = 1, the large-sigma branch, and the loss cap
+      bound alone).
     - lhs_slope: d lhs_upper / d sigma in the general branch (None in
       the others): at d = 2 exact for the radial sums up to float
       rounding; at d >= 3 the trapezoid rule on the sigma-derivative of
@@ -167,9 +173,10 @@ def _riemann_stieltjes(
     cap height function and whether the ball below the first radius
     counts in full (see the module docstring).  Their grids, n_r radii
     from (1 - tau)/2 and n_R from (1 + tau)/2, both up to r_star, which
-    must exceed both, go end to end into a single incomplete-gamma call
-    and a single cap_fraction call, and the same gamma call gives the
-    tail mass beyond r_star, Q(2, r_star / sigma), that both sums charge.
+    must exceed both, go end to end into a single incomplete-gamma call,
+    which also gives the tail mass beyond r_star, Q(2, r_star / sigma),
+    that both sums charge; their cap fractions come from the circle's
+    closed form (_arc_fraction), with no kernel call.
 
     lhs_slope is the exact sigma-derivative of term1 - e^eps term2 as
     these sums compute them, from the same arrays: each sum is a dot
@@ -193,13 +200,11 @@ def _riemann_stieltjes(
         raise ConvergenceError(
             f"reg_lower_gamma did not converge within {iters} iterations"
         )
-    frac = cap_fraction(2, radii, heights)
+    frac, rate = _arc_fraction(radii, heights)
     tail = float(sf[-1])
     # sigma-derivatives of the radii, the CDF at them (the gamma density
     # x e^-x), the heights, whose offset moves at +-eps/2 = offset * eps /
-    # (1 + tau), and the cap fractions, whose rate in the relative height
-    # v = h/r is 1/(pi sqrt(v (2 - v))), taken as 0 at an empty cap or the
-    # whole sphere, the heights a grid keeps there at every sigma
+    # (1 + tau), and the cap fractions, at their rate in v = h/r
     x_star = r_star / sigma
     d_radii = np.concatenate(
         [np.linspace(-eps / 2.0, x_star, n_r), np.linspace(eps / 2.0, x_star, n_R)]
@@ -207,10 +212,7 @@ def _riemann_stieltjes(
     d_cdf = x * np.exp(-x) * ((d_radii - x) / sigma)
     d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau)))
     d_heights -= eps * (radii + offset)
-    rel = heights / radii
-    z = rel * (2.0 - rel)
-    rate = np.divide(1.0 / math.pi, np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
-    d_frac = rate * ((d_heights - rel * d_radii) / radii)
+    d_frac = rate * ((d_heights - (heights / radii) * d_radii) / radii)
     sums, slopes = [], []
     for part, below, d_below in (
         (slice(None, n_r), cdf[0], d_cdf[0]),
@@ -232,11 +234,37 @@ def _riemann_stieltjes(
     return t1, t2, d_t1 - _exp_eps(eps) * d_t2
 
 
+def _arc_fraction(r: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The share of a circle of radius r cut off by a cap of height h, and its rate in v = h/r.
+
+    On the circle cap_fraction(2, r, h) is (2/pi) arcsin sqrt(h/(2r)) =
+    acos(1 - v)/pi, v = h/r in [0, 2], whose derivative in v is 1/(pi
+    sqrt(v (2 - v))).  It is taken on the shorter of the cap and its
+    complement, v = min(h, 2r - h)/r in [0, 1] (2r - h is exact where h >
+    r), with 1 minus it for the taller cap, so neither end loses bits;
+    and as atan2(sqrt(v (2 - v)), 1 - v)/pi, which keeps its relative
+    accuracy at small v and is exactly 0, 1/2 and 1 at h = 0, r and 2r.
+    The rate shares that square root; it is taken as 0 at an empty cap
+    or the whole circle, the heights a grid keeps there at every sigma.
+    Unchecked: 0 <= h <= 2r and r > 0.
+    """
+    v = np.minimum(h, 2.0 * r - h) / r
+    z = v * (2.0 - v)
+    root = np.sqrt(z)
+    short = np.arctan2(root, 1.0 - v) / math.pi
+    rate = np.divide(1.0 / math.pi, root, out=np.zeros_like(z), where=z > 0.0)
+    return np.where(h <= r, short, 1.0 - short), rate
+
+
 # ---------------------------------------------------------------------------
 # d >= 3: the hockey-stick in prolate spheroidal coordinates
 
 # unit roundoff of float64
 _U = 2.0**-53
+# below this sigma the prolate bounds say nothing: their rounding margin,
+# at least 8 _U / sigma nats, is over 10^14 nats, and below about 1e-155
+# their windows' logs and curvatures leave the float range
+_PROLATE_FLOOR = 2.0**-100
 # how far, in nats, each window's log-weight falls from its peak by the
 # window's edge; beyond it only a tangent tail bound is charged
 _DROP = 20.0
@@ -289,14 +317,18 @@ def _one_minus_product(a: float, b: float) -> float:
 
 
 def _loss_cap_bound(w: float, sigma: float) -> tuple[float, float]:
-    """1 - e^(eps - 1/sigma), rounded up, and its sigma-derivative.
+    """1 - e^(eps - 1/sigma), rounded up but at most 1, and its sigma-derivative.
 
     w = 1 - eps sigma > 0.  The loss never exceeds 1/sigma, so this
-    bounds lhs at every dim; 1/sigma - eps is taken as w / sigma,
-    without cancelling.
+    bounds lhs at every dim, and so does T1 <= 1; 1/sigma - eps is taken
+    as w / sigma, without cancelling.  The derivative is 0 where e^(-w /
+    sigma) underflows, which it does wherever sigma^2 does (a positive w
+    is above 1e-32).
     """
     gap = w / sigma
-    return -math.expm1(-gap) * (1.0 + 8.0 * _U), -math.exp(-gap) / (sigma * sigma)
+    fall = math.exp(-gap)
+    slope = -fall / (sigma * sigma) if fall else 0.0
+    return min(-math.expm1(-gap) * (1.0 + 8.0 * _U), 1.0), slope
 
 
 def _mu_log_weight(j: float, a: float, m: float) -> float:
@@ -583,7 +615,9 @@ def check_approx_dp(
     """Certified check that sigma gives (epsilon, delta)-DP in dim dims.
 
     At dim >= 3 the 1-D prolate form bounds lhs on n_r nu-cells and n_R
-    mu-cells (see _prolate_bounds); it needs no outer radius.  At dim =
+    mu-cells (see _prolate_bounds); it needs no outer radius, and below
+    sigma = 2^-100, where its bounds say nothing, 1 - e^(epsilon -
+    1/sigma) alone bounds lhs.  At dim =
     2 the outer radius r_star = sigma * x_star is set so the radial mass
     beyond it is _TAIL_FRACTION * delta (one percent of the privacy
     budget; see _x_star), then both Riemann bounds are evaluated on
@@ -644,15 +678,15 @@ def _check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
         branch, lhs = BRANCH_ONE_DIM, -math.expm1(gap)
         t1 = 1.0 - 0.5 * math.exp(gap)
         t2 = 0.5 * math.exp(0.5 * (-epsilon - 1.0 / sigma))
-    elif dim == 2:
+    elif dim == 2 or sigma < _PROLATE_FLOOR:
         # the loss cap bound, with T1 <= 1 and T2 >= 0, unless the radial
-        # sums beat it; they run only where both grids can start below
-        # r_star, and not where eps * sigma < 1 rounds to 1 or above
+        # sums beat it at d = 2; they run only where both grids can start
+        # below r_star, and not where eps * sigma < 1 rounds to 1 or above
         branch, t1, t2 = BRANCH_GENERAL, 1.0, 0.0
         lhs, slope = _loss_cap_bound(w, sigma)
         tau = epsilon * sigma
         outer = sigma * _x_star(delta)
-        if tau < 1.0 and outer > (1.0 + tau) / 2.0:
+        if dim == 2 and tau < 1.0 and outer > (1.0 + tau) / 2.0:
             r_star = outer
             t1, t2, radial_slope = _riemann_stieltjes(sigma, epsilon, r_star, n_r, n_R)
             radial = t1 - _exp_eps(epsilon) * t2
@@ -694,11 +728,12 @@ def _prolate_report(bounds: ProlateBounds, delta: float, n_r: int, n_R: int):
 def _probe_check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
     """_check for one calibrate_l2 probe, decided on the nested quarter grid where it can be.
 
-    At dim >= 3, eps sigma < 1 exactly, and grid sizes that are multiples
-    of 4 (8 or more), the probe first bounds lhs on n_r/4 nu-cells and
-    n_R/4 mu-cells.  Every edge of that quarter grid is an edge of the
-    full one (_edges rounds i/(n/4) and 4i/n, one rational, to one
-    float), so the full grid's verdict can be read off it:
+    At dim >= 3, eps sigma < 1 exactly, sigma >= _PROLATE_FLOOR and grid
+    sizes that are multiples of 4 (8 or more), the probe first bounds lhs
+    on n_r/4 nu-cells and n_R/4 mu-cells.  Every edge of that quarter
+    grid is an edge of the full one (_edges rounds i/(n/4) and 4i/n, one
+    rational, to one float), so the full grid's verdict can be read off
+    it:
 
     - fail: its lower bound exceeds delta.  Then so does lhs, and every
       upper bound on lhs, the full grid's included.
@@ -742,7 +777,7 @@ def _probe_check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
     n_nu, n_mu = n_r // 4, n_R // 4
     if dim >= 3 and n_r == 4 * n_nu and n_R == 4 * n_mu and min(n_nu, n_mu) >= 2:
         eps, delta, sigma = float(eps_delta.epsilon), float(eps_delta.delta), float(sigma)
-        if _one_minus_product(eps, sigma) > 0.0:
+        if _one_minus_product(eps, sigma) > 0.0 and sigma >= _PROLATE_FLOOR:
             bounds = _prolate_bounds(dim, sigma, eps, n_nu, n_mu)
             room = math.exp(-2.0 * _NESTED_MARGIN_GROWTH * bounds.margin)
             passes = bounds.direct <= delta * room

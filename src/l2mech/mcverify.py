@@ -29,7 +29,8 @@ unsteered, on the bracket calibrate_l2 searches (calibrate's _bracket),
 and returns the sigma_k of the pair that search hands back.  Its probes
 never share a memo: each draws fresh samples, so a sigma probed twice
 can get two verdicts.  Every argument, the rng included, is checked on
-entry.
+entry, and the probes run unchecked (_empirical_lhs, which empirical_lhs
+puts behind its checks).
 """
 from __future__ import annotations
 
@@ -151,6 +152,11 @@ def empirical_lhs(
         integer("n", n),
         instance("rng", rng, RngState),
     )
+    return _empirical_lhs(dim, sigma, epsilon, n, rng)
+
+
+def _empirical_lhs(dim, sigma, epsilon, n, rng) -> EmpiricalPrivacyEstimate:
+    # empirical_lhs on arguments already checked
     dim = int(dim)
     n = int(n)
     tau = epsilon * sigma
@@ -219,7 +225,7 @@ def empirical_min_sigma(
     lo, hi = _bracket(eps, tol)
 
     def passes(sigma: float):
-        return empirical_lhs(dim, sigma, eps, n, rng).lhs_estimate <= delta, None
+        return _empirical_lhs(dim, sigma, eps, n, rng).lhs_estimate <= delta, None
 
     if passes(lo)[0]:
         raise RuntimeError(

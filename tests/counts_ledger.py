@@ -7,12 +7,9 @@ Each calibration (and each l2 row of a table) records:
 - checks: calls of calibrate._probe_check, and search_iterations as reported;
 - gamma_elements and gamma_iterations: elements of lossbounds'
   _gamma_pq_vec calls and the sum of their reported iterations;
-- beta_calls, beta_elements and beta_iterations: calls of
-  specfun._betainc_vec, their elements and the sum of their reported
-  iterations (the terms each call's batch evaluated);
 - nu_cells and mu_cells: the cells of lossbounds._prolate_bounds' two
-  grids, summed over its calls (the d >= 3 checks, where the gamma and
-  beta counts read 0; d = 2 checks run the radial sum and count none);
+  grids, summed over its calls (the d >= 3 checks, where the gamma
+  counts read 0; d = 2 checks run the radial sum and count none);
 - sigma as float.hex, and hit_bracket_floor.
 
 For each target it also records calibrate_gaussian at each tolerance in
@@ -26,7 +23,8 @@ benchmark's calibrate-mix, so a change to how the search steers shows
 here even where no sigma moves.
 
 It also records one empirical_min_sigma search per dimension in
-EMPIRICAL_DIMS at EMPIRICAL_TARGET: its empirical_lhs calls, their draws
+EMPIRICAL_DIMS at EMPIRICAL_TARGET: its probes (calls of the unchecked
+mcverify._empirical_lhs that empirical_lhs also runs), their draws
 (outputs tested: n per cloud, both clouds), the random variates they
 take from the stream (counted by a proxy generator) and its sigma as
 float.hex.  These follow the seeded stream as well as float bits.
@@ -57,7 +55,6 @@ import l2mech.calibrate as calibrate
 import l2mech.errormodel as errormodel
 import l2mech.lossbounds as lossbounds
 import l2mech.mcverify as mcverify
-import l2mech.specfun as specfun
 from l2mech.calibrate import PrivacyParams, calibrate_gaussian, calibrate_l2
 from l2mech.sampler import RngState
 
@@ -100,7 +97,7 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 @contextmanager
 def _counting(counts: list[Counter]):
     """Count checks and kernel work into counts[-1] while the block runs."""
-    check, gamma, beta = calibrate._probe_check, lossbounds._gamma_pq_vec, specfun._betainc_vec
+    check, gamma = calibrate._probe_check, lossbounds._gamma_pq_vec
     prolate = lossbounds._prolate_bounds
 
     def counted_check(*args):
@@ -113,13 +110,6 @@ def _counting(counts: list[Counter]):
         counts[-1]["gamma_iterations"] += int(out[2])
         return out
 
-    def counted_beta(x, a, b):
-        out = beta(x, a, b)
-        counts[-1]["beta_calls"] += 1
-        counts[-1]["beta_elements"] += int(x.size)
-        counts[-1]["beta_iterations"] += int(out[1])
-        return out
-
     def counted_prolate(dim, sigma, eps, n_nu, n_mu):
         counts[-1]["nu_cells"] += n_nu
         counts[-1]["mu_cells"] += n_mu
@@ -127,14 +117,12 @@ def _counting(counts: list[Counter]):
 
     calibrate._probe_check = counted_check
     lossbounds._gamma_pq_vec = counted_gamma
-    specfun._betainc_vec = counted_beta
     lossbounds._prolate_bounds = counted_prolate
     try:
         yield
     finally:
         calibrate._probe_check = check
         lossbounds._gamma_pq_vec = gamma
-        specfun._betainc_vec = beta
         lossbounds._prolate_bounds = prolate
 
 
@@ -144,9 +132,6 @@ def _entry(count: Counter, result) -> dict:
         "search_iterations": result.search_iterations,
         "gamma_elements": count["gamma_elements"],
         "gamma_iterations": count["gamma_iterations"],
-        "beta_calls": count["beta_calls"],
-        "beta_elements": count["beta_elements"],
-        "beta_iterations": count["beta_iterations"],
         "nu_cells": count["nu_cells"],
         "mu_cells": count["mu_cells"],
         "sigma": result.sigma.hex(),
@@ -205,7 +190,7 @@ def _empirical(dim: int) -> dict:
     rng = RngState(EMPIRICAL_SEED)
     gen = _CountingGenerator(rng.generator)
     rng._gen = gen
-    estimate = mcverify.empirical_lhs
+    estimate = mcverify._empirical_lhs
 
     def counted_estimate(*args):
         nonlocal calls, draws
@@ -214,7 +199,7 @@ def _empirical(dim: int) -> dict:
         draws += 2 * out.n
         return out
 
-    mcverify.empirical_lhs = counted_estimate
+    mcverify._empirical_lhs = counted_estimate
     try:
         sigma = mcverify.empirical_min_sigma(
             dim,
@@ -224,7 +209,7 @@ def _empirical(dim: int) -> dict:
             rng,
         )
     finally:
-        mcverify.empirical_lhs = estimate
+        mcverify._empirical_lhs = estimate
     return {
         "empirical_lhs_calls": calls,
         "draws": draws,

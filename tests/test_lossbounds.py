@@ -208,21 +208,21 @@ def test_d2_tail_radius_matches_40_digits(delta):
 CHECK_HEX = [
     # d, sigma, eps, delta, n_r, n_R, then term1, term2, lhs
     (2, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.7e086fd06f8bep-1", "0x1.c56eb95e4bf5cp-3", "0x1.00c0bab07346ep-1"),
+     "0x1.7e086fd06f8bfp-1", "0x1.c56eb95e4bf5cp-3", "0x1.00c0bab07346fp-1"),
     (2, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc8p-3", "0x1.0ca931b980c32p-1"),
+     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc6p-3", "0x1.0ca931b980c33p-1"),
     (2, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac6p-4", "0x1.1f60319ce67d6p-1"),
+     "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac8p-4", "0x1.1f60319ce67d5p-1"),
     (2, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.9a26a7e27fcaap-1", "0x1.2dc46c8cf5cfcp-4", "0x1.339d6c59d2f99p-1"),
+     "0x1.9a26a7e27fcabp-1", "0x1.2dc46c8cf5cfep-4", "0x1.339d6c59d2f99p-1"),
     (2, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb2fp-7", "0x1.36595bb3d2a7cp-2"),
+     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb35p-7", "0x1.36595bb3d2a78p-2"),
     (2, 0.2333333333333333, 3.0, 0.001, 64, 2000,
-     "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2753p-7", "0x1.50d6bb238b52bp-2"),
+     "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2757p-7", "0x1.50d6bb238b529p-2"),
     (2, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.f7e8c45ce3476p-4", "0x1.299fd8447021fp-4", "0x1.a6b4dc2b5a600p-9"),
+     "0x1.f7e8c45ce347dp-4", "0x1.299fd84470222p-4", "0x1.a6b4dc2b5a640p-9"),
     (2, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.42f698d75ddcap-3", "0x1.2a44a3f7be872p-4", "0x1.a988c189d5490p-6"),
+     "0x1.42f698d75ddcdp-3", "0x1.2a44a3f7be875p-4", "0x1.a988c189d5490p-6"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.23dc23db34b0bp-1", "0x1.4700fc454d114p-2", "0x1.bc9c5c9701810p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
@@ -312,31 +312,30 @@ def test_check_values_pinned_bitwise():
 
 
 def test_check_sends_each_radius_once(monkeypatch):
-    # at d = 2 the two grids go end to end into one gamma call and one
-    # cap_fraction call: n_r + n_R elements, with no padding of the shorter
-    # grid.  The heights the check builds itself are capgeom's, bit for
-    # bit.  At d >= 3 the prolate form calls neither kernel
+    # at d = 2 the two grids go end to end into one gamma call: n_r + n_R
+    # elements, with no padding of the shorter grid.  The heights the
+    # check builds itself are capgeom's, bit for bit.  At d >= 3 the
+    # prolate form calls no kernel
     from l2mech import lossbounds
 
     sizes, grids = [], []
-    real_gamma_pq, real_cap_fraction = lossbounds._gamma_pq_vec, lossbounds.cap_fraction
+    real_gamma_pq, real_arc_fraction = lossbounds._gamma_pq_vec, lossbounds._arc_fraction
 
     def gamma_pq(a, x):
         sizes.append(("_gamma_pq_vec", np.size(x)))
         return real_gamma_pq(a, x)
 
-    def cap_fraction(dim, r, h):
-        sizes.append(("cap_fraction", np.broadcast(r, h).size))
+    def arc_fraction(r, h):
         grids.append((r, h))
-        return real_cap_fraction(dim, r, h)
+        return real_arc_fraction(r, h)
 
     monkeypatch.setattr(lossbounds, "_gamma_pq_vec", gamma_pq)
-    monkeypatch.setattr(lossbounds, "cap_fraction", cap_fraction)
+    monkeypatch.setattr(lossbounds, "_arc_fraction", arc_fraction)
     sigma, eps = 0.2333333333333333, 3.0
     check_approx_dp(100, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
-    assert sizes == []
+    assert sizes == [] and grids == []
     check_approx_dp(2, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
-    assert sizes == [("_gamma_pq_vec", 2064), ("cap_fraction", 2064)]
+    assert sizes == [("_gamma_pq_vec", 2064)]
     (radii, heights), geom = grids[0], LossGeometry(2, sigma, eps)
     assert np.array_equal(heights[:64], height_h(geom, radii[:64]))
     assert np.array_equal(heights[64:], height_H(geom, radii[64:]))
@@ -357,6 +356,110 @@ def test_general_check_builds_no_geometry(monkeypatch):
     pp = PrivacyParams(1.0, 1e-5)
     assert check_approx_dp(100, 0.2, pp).branch == BRANCH_GENERAL
     assert calibrate_l2(10, pp).search_iterations >= 2
+
+
+def _exact_arc_fraction(r, h):
+    # (2/pi) arcsin sqrt(h/(2r)) at 40 digits, rounded to the nearest float
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(h)) / (2 * mpmath.mpf(float(r)))
+        return 2 / mpmath.pi * mpmath.asin(mpmath.sqrt(x))
+
+
+def _within_ulps(got, exact, ulps):
+    if exact == 0:
+        return got == 0.0
+    return abs(mpmath.mpf(float(got)) - exact) <= ulps * math.ulp(float(exact))
+
+
+def _d2_check_hex_fractions():
+    # (n_r, radii, heights, fractions) of each d = 2 CHECK_HEX check, as
+    # the certificate computes them
+    from l2mech import lossbounds
+
+    seen = []
+    real = lossbounds._arc_fraction
+
+    def spy(r, h):
+        out = real(r, h)
+        seen.append((r, h, out[0]))
+        return out
+
+    rows = [row for row in CHECK_HEX if row[0] == 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lossbounds, "_arc_fraction", spy)
+        for d, sigma, eps, delta, n_r, n_R, *_ in rows:
+            check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+    assert len(seen) == len(rows) == 8
+    return [(row[4], *grid) for row, grid in zip(rows, seen)]
+
+
+def test_d2_cap_fractions_match_40_digits():
+    # the circle's closed form lands within 3 ulps of the 40-digit truth
+    # at the ends and middle of the range of heights, a cap 1e-300 of the
+    # radius high, and on every d = 2 CHECK_HEX grid; it is exactly 0,
+    # 1/2 and 1 at h = 0, r and 2r
+    from l2mech.lossbounds import _arc_fraction
+
+    for r in (1.0, 0.37, 3.3, 1e-3, 250.0):
+        hs = np.array([0.0, 1e-300 * r, r / 2.0, r, math.nextafter(2.0 * r, 0.0), 2.0 * r])
+        frac, _ = _arc_fraction(np.full(hs.size, r), hs)
+        for h, f in zip(hs, frac):
+            assert _within_ulps(f, _exact_arc_fraction(r, h), 3), (r, h, f)
+        assert (frac[0], frac[3], frac[-1]) == (0.0, 0.5, 1.0), r
+    for _, radii, heights, frac in _d2_check_hex_fractions():
+        for r, h, f in zip(radii, heights, frac):
+            assert _within_ulps(f, _exact_arc_fraction(r, h), 3), (r, h, f)
+
+
+def test_d2_cap_fractions_move_as_the_left_sums_need():
+    # term1's fractions fall with the radius and term2's rise, so weighting
+    # each step by its left end over-counts term1 and under-counts term2;
+    # capgeom.cap_fraction, the kept public path, agrees within 1e-13.
+    # The two differ most near h = r, by up to 5.3e-14, where
+    # cap_fraction's argument u (2 - u) rounds 1 - (1 - u)^2 and its beta
+    # kernel is steep; the closed form is within 3 ulps of the truth there
+    from l2mech.capgeom import cap_fraction
+
+    for n_r, radii, heights, frac in _d2_check_hex_fractions():
+        assert np.all(np.diff(frac[:n_r]) <= 0.0) and np.all(np.diff(frac[n_r:]) >= 0.0)
+        assert np.max(np.abs(frac - cap_fraction(2, radii, heights))) <= 1e-13
+
+
+def test_d2_check_runs_no_beta_kernel(monkeypatch):
+    # a d = 2 check takes its cap fractions from the closed form: it calls
+    # neither cap_fraction, which would re-check its grid, nor a beta
+    # kernel, in check_approx_dp or in a calibration's probes
+    from l2mech import capgeom, lossbounds, specfun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d = 2 check ran the beta path")
+
+    assert not hasattr(lossbounds, "cap_fraction")
+    monkeypatch.setattr(capgeom, "cap_fraction", refuse)
+    monkeypatch.setattr(capgeom, "reg_inc_beta", refuse)
+    monkeypatch.setattr(specfun, "_betainc_vec", refuse)
+    pp = PrivacyParams(1.0, 1e-5)
+    assert check_approx_dp(2, 0.9, pp).r_star > 0.0
+    assert calibrate_l2(2, pp).search_iterations >= 2
+
+
+@pytest.mark.parametrize("sigma", (5e-324, 1e-200, 1e-160))
+@pytest.mark.parametrize("d", (2, 3, 10, 10**4))
+def test_a_tiny_sigma_gets_a_report(d, sigma):
+    # every positive sigma returns a report, as a check and as a
+    # calibration probe: finite fields, lhs_upper at most 1 and no
+    # certificate for any delta below 1
+    from l2mech import lossbounds
+
+    params = PrivacyParams(1.0, math.nextafter(1.0, 0.0))
+    for rep in (
+        check_approx_dp(d, sigma, params),
+        lossbounds._probe_check(d, sigma, params, 1000, 1000),
+    ):
+        assert rep.branch == BRANCH_GENERAL and not rep.satisfies_dp
+        fields = (rep.term1_upper, rep.term2_lower, rep.lhs_upper, rep.r_star, rep.lhs_slope)
+        assert all(math.isfinite(v) for v in fields), rep
+        assert 0.0 < rep.lhs_upper <= 1.0
 
 
 def test_check_reports_the_loss_cap_where_a_grid_cannot_start():

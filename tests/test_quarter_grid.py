@@ -25,24 +25,28 @@ def _log_uniform(lo, hi):
 
 
 @seed(20261022)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
     d=st.integers(3, 10**4),
     eps=_log_uniform(1e-3, 100.0),
-    fraction=st.one_of(_log_uniform(1e-100, 1e-3), st.floats(1e-3, 1.0, exclude_max=True)),
+    fraction=st.one_of(
+        _log_uniform(1e-100, 1e-3),
+        st.floats(1e-3, 1.0, exclude_max=True),
+        _log_uniform(5e-324, 1e-100),
+    ),
     delta=_log_uniform(1e-15, 0.3),
     near=st.one_of(st.none(), st.floats(-1e-2, 1e-2)),
 )
 def test_a_quarter_grid_verdict_is_the_full_grids(d, eps, fraction, delta, near):
-    # sigma in (0, 1/eps), from 1e-100/eps up (check_approx_dp itself
-    # raises below about 1e-155 at d >= 3); delta either drawn or placed
-    # within 1% of the full grid's lhs_upper, where the pass rule's
-    # 1 + kappa and the fail rule's lower bound have the least room.  A
-    # decided probe names the quarter grid and gives check_approx_dp's
-    # verdict, and the full grid's rounding margin is within the factor
-    # the pass rule allows for; an undecided one is check_approx_dp's
-    # report itself
-    sigma = fraction / eps
+    # sigma in (0, 1/eps), down to the smallest positive float, which
+    # stands in where fraction / eps underflows; delta either drawn or
+    # placed within 1% of the full grid's lhs_upper, where the pass
+    # rule's 1 + kappa and the fail rule's lower bound have the least
+    # room.  A decided probe names the quarter grid and gives
+    # check_approx_dp's verdict, and the full grid's rounding margin is
+    # within the factor the pass rule allows for; an undecided one is
+    # check_approx_dp's report itself
+    sigma = max(fraction / eps, math.ulp(0.0))
     if near is not None:
         full = check_approx_dp(d, sigma, PrivacyParams(eps, 0.5))
         delta = full.lhs_upper * (1.0 + near)

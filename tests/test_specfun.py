@@ -200,9 +200,11 @@ def _check_hex_fraction_batches():
 def test_fraction_truncation_has_converged_on_the_check_hex_grids(monkeypatch):
     # the batches run their count's terms, and 8 more iterations move no
     # value: the truncation has converged for every element, not only
-    # for the slowest one that set the count
+    # for the slowest one that set the count.  The checks' cap fractions
+    # are closed forms, so only gamma batches run; the beta fraction's
+    # truncation is covered on random batches below
     batches = _check_hex_fraction_batches()
-    assert {kind for kind, *_ in batches} == {"gamma", "beta"}
+    assert {kind for kind, *_ in batches} == {"gamma"}
     want = _fraction_values(batches)
     _with_more_terms(monkeypatch, 8)
     for got, expect, batch in zip(_fraction_values(batches), want, batches):
