@@ -359,7 +359,7 @@ def test_general_check_builds_no_geometry(monkeypatch):
 
 
 def _exact_arc_fraction(r, h):
-    # (2/pi) arcsin sqrt(h/(2r)) at 40 digits, rounded to the nearest float
+    # (2/pi) arcsin sqrt(h/(2r)) at 40 digits, from the floats r and h
     with mpmath.workdps(40):
         x = mpmath.mpf(float(h)) / (2 * mpmath.mpf(float(r)))
         return 2 / mpmath.pi * mpmath.asin(mpmath.sqrt(x))
