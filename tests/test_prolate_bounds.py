@@ -7,10 +7,14 @@ its rounding margin against a 40-digit re-evaluation of the same sums,
 its order and refinement properties on random draws, and the edges
 where tau = eps sigma comes within ulps of 1.  The draws of the
 monotone-verdict test start at d = 2, where the radial sums certify.
+A digest pins every field the bounds return, bit for bit, on seeded
+draws.
 """
 
 import functools
+import hashlib
 import math
+import random
 import warnings
 
 import pytest
@@ -128,3 +132,50 @@ def test_tau_within_ulps_of_one_stays_sound(d, eps, delta):
             assert math.isfinite(report.r_star)
             assert 1.0 > report.lhs_upper >= oracles.prolate_lhs(d, sigma, eps)
             sigma = math.nextafter(sigma, 0.0)
+
+
+PIN_DIMS = (3, 4, 10, 100, 10**4)
+PIN_GRIDS = ((2, 2), (250, 250), (64, 2000), (2000, 64))
+# SHA-1 of float.hex of every ProlateBounds field over _pin_inputs()
+PROLATE_BOUNDS_SHA1 = "54abe38932755247de7dac22b1716d8e638a8bc9"
+
+
+def _pin_inputs():
+    # per (dim, grid): ten tau = eps sigma log-uniform in [1e-4, 1), two
+    # sigma within a factor 2 above _PROLATE_FLOOR and three tau just
+    # below 1, the last within ulps of it (while eps sigma < 1 exactly)
+    rng = random.Random(20261029)
+    for d in PIN_DIMS:
+        for n_nu, n_mu in PIN_GRIDS:
+            for i in range(15):
+                eps = 10.0 ** rng.uniform(-3.0, 2.0)
+                if i < 10:
+                    sigma = 10.0 ** rng.uniform(-4.0, 0.0) / eps
+                elif i < 12:
+                    sigma = lossbounds._PROLATE_FLOOR * (1.0 + rng.random())
+                elif i < 14:
+                    sigma = (1.0 - 10.0 ** rng.uniform(-15.0, -6.0)) / eps
+                else:
+                    sigma = 1.0 / eps
+                    for _ in range(rng.randint(0, 3)):
+                        sigma = math.nextafter(sigma, 0.0)
+                while lossbounds._one_minus_product(eps, sigma) <= 0.0:
+                    sigma = math.nextafter(sigma, 0.0)
+                yield d, sigma, eps, n_nu, n_mu
+
+
+def test_every_prolate_bounds_field_is_pinned_bitwise():
+    # lhs, term1 and term2 pairs, slope, r_star, direct and margin of
+    # 300 draws over d = 3 (k = 0), 4, 10, 100 and 10^4, the smallest
+    # grid, the quarter grid and both lopsided ones, sigma near the floor
+    # and eps sigma within ulps of 1: a change to how the bounds are
+    # evaluated must keep every bit
+    digest = hashlib.sha1()
+    count = 0
+    for args in _pin_inputs():
+        bounds = lossbounds._prolate_bounds(*args)
+        fields = (*bounds.lhs, *bounds.term1, *bounds.term2, *bounds[3:])
+        digest.update(" ".join(float(v).hex() for v in fields).encode() + b"\n")
+        count += 1
+    assert count == 300
+    assert digest.hexdigest() == PROLATE_BOUNDS_SHA1
