@@ -407,61 +407,102 @@ def _expm1_ratio(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_sums(logf, slope, h, low_tail, high_tail, size):
-    """Per row of log-integrands on shared edges: (shift, upper, lower, f, magnitude).
+def _cell_sums(block, grids):
+    """Bounds on the integrals of e^logf along every row of every grid, in one pass.
 
-    Each integral is e^shift times its sum.  A cell's upper bound is the
-    smaller of the integrals of e^(tangent) at its two edges, its lower
-    bound the integral of e^(chord); both read only logf and slope at
-    the edges.  An edge where logf is -inf (an end of the range where
-    the integrand vanishes) offers no tangent and makes the chord 0.
-    low_tail and high_tail are the lengths of the range beyond the first
-    and last edge (inf for an unbounded one): the tangent at that edge
-    bounds the tail from above, and it adds nothing below.  size bounds,
-    edge by edge, the sum of the magnitudes of the terms each log is
-    computed from; magnitude adds |slope| times the length it spans and
-    is the largest over the rows' finite edges, the size of the logs on
-    which the rounding margin rests.  Interior edges are finite; only
-    the first and last can be singular.  Runs under the caller's
-    np.errstate, which lets inf and nan arise.
+    block is (logf, slope, size) at the edges, each a flat array that
+    holds every grid's rows end to end, grid after grid, and one spare
+    element after them; grids gives each grid's (rows, h, low_tail,
+    high_tail), with h its n cell widths, so each of its rows is n + 1
+    edges.  Returns (shift, sums, f, magnitudes): for each row, grid
+    after grid, its integral lies between e^shift times sums[1] and
+    e^shift times sums[0]; f is e^(logf - shift), laid out like logf;
+    magnitudes has one entry per grid.
+
+    A cell's upper bound is the smaller of the integrals of e^(tangent)
+    at its two edges, its lower bound the integral of e^(chord); both
+    read only logf and slope at the edges.  An edge where logf is -inf
+    (an end of the range where the integrand vanishes) offers no tangent
+    and makes the chord 0.  low_tail and high_tail are the lengths of
+    the range beyond the first and last edge (inf for an unbounded one):
+    the tangent at that edge bounds the tail from above, and it adds
+    nothing below.  size bounds, edge by edge, the sum of the magnitudes
+    of the terms each log is computed from; a grid's magnitude adds
+    |slope| times the length it spans and is the largest over its rows'
+    finite edges, the size of the logs on which the rounding margin
+    rests.  Interior edges are finite; only the first and last can be
+    singular.
+
+    Every cell of every row is evaluated in the same few array passes.
+    The flat layout also pairs each row's last edge with the next row's
+    first; that cell gets width 0 and is never read, since each row's
+    sums, tails and magnitude are taken on its own edges.  Runs under
+    the caller's np.errstate, which lets inf and nan arise.
     """
-    shift = logf.max(axis=1)
-    f = logf - shift[:, None]
+    logf, slope, size = block
+    f = np.empty_like(logf)
+    f[-1] = 0.0
+    h = np.zeros(logf.size - 1)
+    shift = np.empty(sum(rows for rows, *_ in grids))
+    views, start, first = [], 0, 0
+    for rows, width, *_ in grids:
+        n = width.size
+        edges, row = slice(start, start + rows * (n + 1)), slice(first, first + rows)
+        part = logf[edges].reshape(rows, n + 1)
+        part.max(axis=1, out=shift[row])
+        np.subtract(part, shift[row, None], out=f[edges].reshape(rows, n + 1))
+        h[edges].reshape(rows, n + 1)[:, :n] = width
+        views.append((edges, row))
+        start, first = edges.stop, row.stop
     np.exp(f, out=f)
-    fa, fb = f[:, :-1], f[:, 1:]
-    up = _expm1_ratio(slope[:, :-1] * h)
-    up *= fa
-    right = _expm1_ratio(slope[:, 1:] * -h)
-    right *= fb
-    np.fmin(up, right, out=up)
-    up *= h
-    upper = up.sum(axis=1)
-    rise = logf[:, :-1] - logf[:, 1:]
-    np.abs(rise, out=rise)
-    np.negative(rise, out=rise)
-    low = _expm1_ratio(rise)
-    low *= np.maximum(fa, fb)
-    low *= h
-    lower = low.sum(axis=1)
-    for i, length in ((0, low_tail), (-1, high_tail)):
-        if length > 0.0:
-            s = slope[:, i] if i == 0 else -slope[:, i]
-            if math.isinf(length):
-                tail = np.where(s > 0.0, f[:, i] / s, np.inf)
-            else:
-                tail = f[:, i] * length * _expm1_ratio(-s * length)
-            upper = upper + tail
-    finite = [length for length in (low_tail, high_tail) if math.isfinite(length)]
-    span = max(float(h.max()), *finite)
-    ends = (size + np.abs(slope) * span)[:, [0, -1]]
-    ok = np.isfinite(logf[:, [0, -1]]) & np.isfinite(slope[:, [0, -1]])
-    inner = size[:, 1:-1] + np.abs(slope[:, 1:-1]) * span
-    magnitude = max(float(inner.max()), float(np.max(ends, where=ok, initial=0.0)))
-    return shift, upper, lower, f, magnitude
+    # exponents of the left and right tangents and of the chord over each cell
+    z = np.empty((3, h.size))
+    np.multiply(slope[:-1], h, out=z[0])
+    np.multiply(slope[1:], h, out=z[1])
+    np.subtract(logf[:-1], logf[1:], out=z[2])
+    np.abs(z[2], out=z[2])
+    np.negative(z[1:], out=z[1:])
+    cells = _expm1_ratio(z)
+    fa, fb = f[:-1], f[1:]
+    cells[0] *= fa
+    cells[1] *= fb
+    np.fmin(cells[0], cells[1], out=cells[0])
+    cells[2] *= np.maximum(fa, fb)
+    cells = cells[::2]
+    cells *= h
+    # each edge's size plus |slope| times its grid's span
+    q = np.abs(slope)
+    sums = np.empty((2, shift.size))
+    for (rows, width, low_tail, high_tail), (edges, row) in zip(grids, views):
+        n = width.size
+        cells[:, edges].reshape(2, rows, n + 1)[..., :n].sum(axis=-1, out=sums[:, row])
+        upper = sums[0, row]
+        f_rows, s_rows = f[edges].reshape(rows, n + 1), slope[edges].reshape(rows, n + 1)
+        for i, length in ((0, low_tail), (-1, high_tail)):
+            if length > 0.0:
+                if math.isinf(length):
+                    s = s_rows[:, i] if i == 0 else -s_rows[:, i]
+                    upper += np.where(s > 0.0, f_rows[:, i] / s, np.inf)
+                else:
+                    # -s * length, s the tangent's fall away from the grid
+                    z = s_rows[:, i] * (-length if i == 0 else length)
+                    upper += f_rows[:, i] * length * _expm1_ratio(z)
+        finite = [length for length in (low_tail, high_tail) if math.isfinite(length)]
+        q[edges] *= max(float(width.max()), *finite)
+    q += size
+    # q is infinite exactly where logf or slope is not finite, at an end
+    # of a range, and such an edge has no magnitude
+    q[np.isinf(q)] = 0.0
+    magnitudes = [float(q[edges].max()) for edges, _ in views]
+    return shift, sums, f, magnitudes
 
 
 def _trapezoid(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 0.5 * ((y[..., :-1] + y[..., 1:]) @ h)
+
+
+# the factors of a t in e^(-2 a t) - 1 and e^(2 a t) - 1 (_prolate_bounds)
+_MINUS_PLUS_TWO = np.array([[-2.0], [2.0]])
 
 
 def _prolate_bounds(
@@ -481,8 +522,11 @@ def _prolate_bounds(
     g -> 1 gives T1 and g -> e^(-nu/sigma) gives T2.  Every integrand is
     log-concave, so _cell_sums bounds each on n_nu uniform cells of the
     nu-window and n_mu of the mu-window (_prolate_windows), one grid per
-    coordinate for all rows.  nu is carried as its distance t from tau
-    and its distance w - t from 1, w = 1 - eps sigma to a few ulps
+    coordinate.  The six nu rows (lhs, T1 and T2 at j = k, k + 1) are
+    built from a (3, n_nu + 1) base and a (2, n_nu + 1) j-weight, the two
+    mu rows from one j-weight, into one block that _cell_sums bounds in
+    a single pass.  nu is carried as its distance t from tau and its
+    distance w - t from 1, w = 1 - eps sigma to a few ulps
     (_one_minus_product), so neither end cancels.  Every summand is a
     nonnegative exp of a computed log: the margin e^(+-M), M =
     _MARGIN_ULPS * u * (the magnitudes of the logs summed, plus the
@@ -494,86 +538,114 @@ def _prolate_bounds(
     w = _one_minus_product(eps, sigma)
     k, a, tau = 0.5 * (dim - 3), 0.5 / sigma, eps * sigma
     t_hi, m_lo, m_hi = _prolate_windows(dim, sigma, eps, w)
-    j = np.array([[k], [k + 1.0]])
+    j, twice_j = np.array([[[k], [k + 1.0]], [[2.0 * k], [2.0 * (k + 1.0)]]])
     half = 0.5 * eps
+    # logf, slope and size at the edges: six nu rows of n_nu + 1 edges,
+    # two mu rows of n_mu + 1, and _cell_sums' spare element
+    split = 6 * (n_nu + 1)
+    block = np.empty((3, split + 2 * (n_mu + 1) + 1))
+    block[:, -1] = 0.0
+    log_nu, d_nu, size_nu = block[:, :split].reshape(3, 3, 2, n_nu + 1)
+    log_mu, d_mu, size_mu = block[:, split:-1].reshape(3, 2, n_mu + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # nu rows: g = 1 - e^(eps - nu/sigma), 1 and e^(-nu/sigma), each at
         # j = k, k + 1; e^(a nu) = e^(eps/2 + a t)
         t = _edges(0.0, t_hi, n_nu)
         gap = w - t
-        log_w = np.log(gap) + np.log1p(tau + t)  # log(1 - nu^2)
         at = a * t
-        log_g = np.log(-np.expm1(-2.0 * at))
-        base = np.stack([half + at + log_g, half + at, -half - at])
-        d_base = np.stack(
-            [a + 2.0 * a / np.expm1(2.0 * at), np.full_like(t, a), np.full_like(t, -a)]
-        )
-        weight = j * log_w
-        d_weight = j * (1.0 / (1.0 + tau + t) - 1.0 / gap)
-        # the ulps 1 - nu^2 = w - t loses to the rounding of w, per its size
-        lost = j * (w / gap)
+        # the g rows' logs before the j-weight, log(1 - e^(-2 a t)) + eps/2
+        # + a t, eps/2 + a t and -eps/2 - a t, and their t-slopes
+        grow = np.expm1(at * _MINUS_PLUS_TWO)
+        base = np.empty((3, n_nu + 1))
+        np.add(at, half, out=base[1])
+        np.negative(base[1], out=base[2])
+        np.negative(grow[0], out=base[0])
+        np.log(base[0], out=base[0])
+        base[0] += base[1]
+        d_base = np.empty((3, n_nu + 1))
+        np.divide(2.0 * a, grow[1], out=d_base[0])
+        d_base[0] += a
+        d_base[1], d_base[2] = a, -a
+        # before the factor j: log(1 - nu^2), its t-slope, and the ulps
+        # 1 - nu^2 = w - t loses to the rounding of w, per its size
+        weights = np.empty((3, 1, n_nu + 1))
+        np.log(gap, out=weights[0, 0])
+        weights[0, 0] += np.log1p(tau + t)
+        np.divide(1.0, (1.0 + tau) + t, out=weights[1, 0])
+        weights[1, 0] -= 1.0 / gap
+        np.divide(w, gap, out=weights[2, 0])
+        weights = weights * j
         if k == 0.0:
-            weight[0], d_weight[0], lost[0] = 0.0, 0.0, 0.0
-        log_nu = (base[:, None] + weight).reshape(6, -1)
-        d_nu = (d_base[:, None] + d_weight).reshape(6, -1)
-        size_nu = (
-            (np.abs(base) + np.abs(half + at))[:, None] + np.abs(weight) + lost
-        ).reshape(6, -1)
+            weights[:, 0] = 0.0
+        np.add(base[:, None], weights[0], out=log_nu)
+        np.add(d_base[:, None], weights[1], out=d_nu)
+        # |base| + |eps/2 + a t| + |weight| + lost
+        np.abs(base, out=base)
+        base += base[1]
+        np.abs(weights[0], out=weights[0])
+        np.add(base[:, None], weights[0], out=size_nu)
+        size_nu += weights[2]
         # mu rows, m = mu - 1: e^(-a mu) (mu^2 - 1)^j at j = k, k + 1
         m = _edges(m_lo, m_hi, n_mu)
-        weight = j * (np.log(m) + np.log(m + 2.0))
-        d_weight = j * (1.0 / m + 1.0 / (m + 2.0))
+        m_2 = m + 2.0
+        weights = np.empty((2, 1, n_mu + 1))
+        np.log(m, out=weights[0, 0])
+        weights[0, 0] += np.log(m_2)
+        np.divide(1.0, m, out=weights[1, 0])
+        weights[1, 0] += 1.0 / m_2
+        weights = weights * j
         if k == 0.0:
-            weight[0], d_weight[0] = 0.0, 0.0
-        log_mu = weight - a * (1.0 + m)
-        d_mu = d_weight - a
-        size_mu = a * (1.0 + m) + np.abs(weight) + 2.0 * j
-        h_nu, h_mu = np.diff(t), np.diff(m)
-        s_nu, up_nu, low_nu, f_nu, magnitude_nu = _cell_sums(
-            log_nu, d_nu, h_nu, 0.0, float(gap[-1]), size_nu
+            weights[:, 0] = 0.0
+        mu = 1.0 + m
+        fall = a * mu
+        np.subtract(weights[0], fall, out=log_mu)
+        np.subtract(weights[1], a, out=d_mu)
+        np.abs(weights[0], out=weights[0])
+        np.add(fall, weights[0], out=size_mu)
+        size_mu += twice_j
+        h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
+        shift, sums, f, (magnitude_nu, magnitude_mu) = _cell_sums(
+            block, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
         )
-        s_mu, up_mu, low_mu, f_mu, magnitude_mu = _cell_sums(
-            log_mu, d_mu, h_mu, m_lo, math.inf, size_mu
+        terms = (
+            math.lgamma(0.5 * dim),
+            -math.lgamma(0.5 * (dim - 1)),
+            -_HALF_LOG_PI,
+            -dim * _LOG_2,
+            -math.lgamma(dim),
+            -dim * math.log(sigma),
         )
-    terms = (
-        math.lgamma(0.5 * dim),
-        -math.lgamma(0.5 * (dim - 1)),
-        -_HALF_LOG_PI,
-        -dim * _LOG_2,
-        -math.lgamma(dim),
-        -dim * math.log(sigma),
-    )
-    log_c = sum(terms)
-    # numpy's pairwise sums err by at most about 20 + log2(n) ulps each
-    sums = 48.0 + math.log2(n_nu) + math.log2(n_mu)
-    sizes = sum(map(abs, terms)) + magnitude_nu + magnitude_mu
-    margin = _MARGIN_ULPS * _U * (sums + sizes)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # axis 0: upper, lower; then (lhs, T1, T2) by (j = k, k + 1)
-        log_g_int = s_nu + np.log(np.stack([up_nu, low_nu]))
-        log_n_int = s_mu + np.log(np.stack([up_mu, low_mu]))
-        log_g_int = log_g_int.reshape(2, 3, 2)
-        first = log_c + log_n_int[:, None, 1] + log_g_int[:, :, 0]
-        second = log_c + log_n_int[:, None, 0] + log_g_int[:, :, 1]
-        both = np.logaddexp(first, second)
-        upper = np.exp(both[0] + margin)
-        lower = np.exp(both[1] - margin)
-    direct, t1_up, t2_up = (float(v) for v in upper)
-    lhs_low, t1_low, t2_low = (float(v) for v in lower)
-    t1_up = min(t1_up, 1.0)
-    # where the loss cap bound beats the grid, the grid did not resolve
-    # the integrands and its slope is that bound's
-    trivial, trivial_slope = _loss_cap_bound(w, sigma)
-    unresolved = trivial <= direct
-    alternative = t1_up - _exp_eps(eps) * t2_low + 4.0 * _U * t1_up
-    lhs_up = min(direct, alternative, trivial, 1.0)
-    if unresolved:
-        slope = trivial_slope
-    else:
-        slope = _prolate_slope(
-            dim, sigma, eps, tau + t, m, h_nu, h_mu, f_nu, s_nu, f_mu, s_mu,
-            second[0, 0] - first[0, 0], lhs_up,
-        )
+        log_c = sum(terms)
+        # numpy's pairwise sums err by at most about 20 + log2(n) ulps each
+        ulps = 48.0 + math.log2(n_nu) + math.log2(n_mu)
+        sizes = sum(map(abs, terms)) + magnitude_nu + magnitude_mu
+        margin = _MARGIN_ULPS * _U * (ulps + sizes)
+        # axis 0: upper, lower; then the nu rows' G by (lhs, T1, T2) and j
+        # = k, k + 1, and the mu rows' N by j
+        logs = np.log(sums)
+        logs += shift
+        log_g_int, log_n_int = logs[:, :6].reshape(2, 3, 2), logs[:, 6:]
+        # log C N_{k+1} G_k and log C N_k G_{k+1}
+        pair = (log_c + log_n_int[:, None, ::-1]) + log_g_int
+        both = np.logaddexp(pair[..., 0], pair[..., 1])
+        both[0] += margin
+        both[1] -= margin
+        (direct, t1_up, t2_up), (lhs_low, t1_low, t2_low) = np.exp(both).tolist()
+        t1_up = min(t1_up, 1.0)
+        # where the loss cap bound beats the grid, the grid did not resolve
+        # the integrands and its slope is that bound's
+        trivial, trivial_slope = _loss_cap_bound(w, sigma)
+        unresolved = trivial <= direct
+        alternative = t1_up - _exp_eps(eps) * t2_low + 4.0 * _U * t1_up
+        lhs_up = min(direct, alternative, trivial, 1.0)
+        if unresolved:
+            slope = trivial_slope
+        else:
+            slope = _prolate_slope(
+                dim, sigma, eps, tau + t, mu, h_nu, h_mu,
+                f[:split].reshape(3, 2, n_nu + 1), f[split:-1].reshape(2, n_mu + 1),
+                shift[:6].reshape(3, 2), pair[0, 0, 1] - pair[0, 0, 0], lhs_up,
+            )
     return ProlateBounds(
         (min(lhs_low, lhs_up), lhs_up),
         (min(t1_low, t1_up), t1_up),
@@ -585,23 +657,36 @@ def _prolate_bounds(
     )
 
 
-def _prolate_slope(dim, sigma, eps, nu, m, h_nu, h_mu, f_nu, s_nu, f_mu, s_mu, odds, lhs):
+def _prolate_slope(dim, sigma, eps, nu, mu, h_nu, h_mu, f_nu, f_mu, s_nu, odds, lhs):
     """d lhs / d sigma by the trapezoid rule on the bound's own edges.
 
     d log C / d sigma = -dim / sigma; d N_j / d sigma is the integral of
     mu e^(-a mu) (mu^2 - 1)^j / (2 sigma^2), and d G_j / d sigma that of
     -nu (e^(a nu) + e^(eps - a nu)) (1 - nu^2)^j / (2 sigma^2), the T1
     plus e^eps times the T2 integrand; N_{k+1} G_k and N_k G_{k+1} weigh
-    in by their shares of the sum, whose log-ratio is odds.
+    in by their shares of the sum, whose log-ratio is odds.  f_nu and
+    s_nu are the nu rows' e^(logf - shift) and shift by (lhs, T1, T2)
+    and j = k, k + 1, f_mu the mu rows' by j.  Runs under the caller's
+    np.errstate.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n_ratio = _trapezoid((1.0 + m) * f_mu, h_mu) / _trapezoid(f_mu, h_mu)
-        f, s = f_nu.reshape(3, 2, -1), s_nu.reshape(3, 2)
-        moment = np.exp(s[1] - s[0]) * _trapezoid(nu * f[1], h_nu)
-        moment += np.exp(eps + s[2] - s[0]) * _trapezoid(nu * f[2], h_nu)
-        g_ratio = moment / _trapezoid(f[0], h_nu)
-        share = 1.0 / (1.0 + math.exp(min(odds, 700.0)))
-        mix = share * (n_ratio[1] - g_ratio[0]) + (1.0 - share) * (n_ratio[0] - g_ratio[1])
+    y = np.empty((2,) + f_mu.shape)
+    np.multiply(mu, f_mu, out=y[0])
+    y[1] = f_mu
+    moment, mass = _trapezoid(y, h_mu)
+    n_ratio = moment / mass
+    y = np.empty_like(f_nu)
+    y[0] = f_nu[0]
+    np.multiply(nu, f_nu[1:], out=y[1:])
+    g_int = _trapezoid(y, h_nu)
+    # the T1 and T2 rows' shifts over the lhs rows', the latter times e^eps
+    lift = s_nu[1:].copy()
+    lift[1] += eps
+    lift -= s_nu[0]
+    np.exp(lift, out=lift)
+    lift *= g_int[1:]
+    g_ratio = (lift[0] + lift[1]) / g_int[0]
+    share = 1.0 / (1.0 + math.exp(min(odds, 700.0)))
+    mix = share * (n_ratio[1] - g_ratio[0]) + (1.0 - share) * (n_ratio[0] - g_ratio[1])
     return float(lhs * (mix / (2.0 * sigma * sigma) - dim / sigma))
 
 
