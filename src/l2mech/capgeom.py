@@ -105,7 +105,11 @@ def cap_fraction(dim: int, r, h):
 
     For h <= r the fraction is half a regularized incomplete beta,
     I_{1-(1-h/r)^2}((dim-1)/2, 1/2) / 2; taller caps use the complement
-    of the opposite cap.  Exact at h = 0 (0), h = r (1/2) and h = 2r (1).
+    of the opposite cap.  Past the beta kernel's own swap point it is
+    taken as (1 - I_y(1/2, (dim-1)/2)) / 2 with y = (1 - h/r)^2 formed
+    directly, since 1 - y would round away the small y on which the
+    fraction, steep at h = r, depends.  Exact at h = 0 (0), h = r (1/2)
+    and h = 2r (1).
     """
     r_arr = np.asarray(r, dtype=np.float64)
     h_arr = np.asarray(h, dtype=np.float64)
@@ -124,8 +128,14 @@ def cap_fraction(dim: int, r, h):
     r_b, h_b = np.broadcast_arrays(r_arr, h_arr)
     short = np.minimum(h_b, 2.0 * r_b - h_b)
     u = short / r_b
-    arg = np.clip(u * (2.0 - u), 0.0, 1.0)
-    half = 0.5 * reg_inc_beta(arg, (dim - 1) / 2.0, 0.5)
+    a = (dim - 1) / 2.0
+    x = np.clip(u * (2.0 - u), 0.0, 1.0)
+    # I_x(a, 1/2) = 1 - I_y(1/2, a), y = (1 - u)^2 = 1 - x
+    far = x >= (a + 1.0) / (a + 2.5)
+    half = np.empty(x.shape)
+    half[~far] = 0.5 * reg_inc_beta(x[~far], a, 0.5)
+    y = 1.0 - u[far]
+    half[far] = 0.5 * (1.0 - reg_inc_beta(y * y, 0.5, a))
     val = np.where(h_b <= r_b, half, 1.0 - half)
     return float(val) if np.ndim(val) == 0 or val.shape == () else val
 

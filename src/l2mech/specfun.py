@@ -365,8 +365,11 @@ def _betainc_vec(x: np.ndarray, a: float, b: float):
     mid = ~lo & ~hi
     if mid.any():
         xm = x[mid]
-        ratio = _lgamma_ratio(a, b)
-        log_front = ratio - math.lgamma(b)
+        # log 1/B(a, b) with the larger shape first, whose lgamma ratio
+        # cancels no large terms; BGRAT's a >= 15 >= b keeps a first
+        big, small = max(a, b), min(a, b)
+        ratio = _lgamma_ratio(big, small)
+        log_front = ratio - math.lgamma(small)
 
         def front(sel):
             # x^a (1 - x)^b / B(a, b), which only the continued fraction uses

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,28 @@ def test_cap_fraction_d2_arc_oracle():
         h = u * r
         want = math.acos((r - h) / r) / math.pi
         assert abs(cap_fraction(2, r, h) - want) < 1e-10, u
+
+
+def _exact_cap_fraction(d, r, h):
+    # I_x((d - 1)/2, 1/2) / 2 on the shorter cap at 40 digits, from the
+    # floats r and h, with x = u (2 - u) taken exactly
+    with mpmath.workdps(40):
+        r, h = mpmath.mpf(float(r)), mpmath.mpf(float(h))
+        u = min(h, 2 * r - h) / r
+        half = mpmath.betainc(mpmath.mpf(d - 1) / 2, 0.5, 0, u * (2 - u), regularized=True) / 2
+        return half if h <= r else 1 - half
+
+
+@pytest.mark.parametrize("d", (2, 3, 10, 100))
+def test_cap_fraction_near_the_equator_matches_40_digits(d):
+    # at v = h/r = 1 +- 1e-1 ... 1e-12 the fraction is within 8 ulps of
+    # the truth: u (2 - u) near 1 would round away the (1 - u)^2 on which
+    # I_x, steep at x = 1, depends, so the complement is taken from it
+    for r in (1.0, 0.37, 3.3):
+        for v in [1.0 + s * 10.0**-k for k in range(1, 13) for s in (-1.0, 1.0)]:
+            h = v * r
+            got, exact = cap_fraction(d, r, h), _exact_cap_fraction(d, r, h)
+            assert abs(mpmath.mpf(got) - exact) <= 8 * math.ulp(float(exact)), (d, r, v, got)
 
 
 def test_cap_fraction_d3_archimedes_oracle():

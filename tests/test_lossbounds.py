@@ -414,15 +414,14 @@ def test_d2_cap_fractions_match_40_digits():
 def test_d2_cap_fractions_move_as_the_left_sums_need():
     # term1's fractions fall with the radius and term2's rise, so weighting
     # each step by its left end over-counts term1 and under-counts term2;
-    # capgeom.cap_fraction, the kept public path, agrees within 1e-13.
-    # The two differ most near h = r, by up to 5.3e-14, where
-    # cap_fraction's argument u (2 - u) rounds 1 - (1 - u)^2 and its beta
-    # kernel is steep; the closed form is within 3 ulps of the truth there
+    # capgeom.cap_fraction, the kept public path, agrees within 1e-15 (at
+    # most 2.8e-16 apart), near h = r too, where it takes the complement
+    # from (1 - u)^2 rather than from its rounded argument u (2 - u)
     from l2mech.capgeom import cap_fraction
 
     for n_r, radii, heights, frac in _d2_check_hex_fractions():
         assert np.all(np.diff(frac[:n_r]) <= 0.0) and np.all(np.diff(frac[n_r:]) >= 0.0)
-        assert np.max(np.abs(frac - cap_fraction(2, radii, heights))) <= 1e-13
+        assert np.max(np.abs(frac - cap_fraction(2, radii, heights))) <= 1e-15
 
 
 def test_d2_check_runs_no_beta_kernel(monkeypatch):
