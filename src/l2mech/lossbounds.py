@@ -407,12 +407,12 @@ def _expm1_ratio(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_sums(block, grids):
+def _cell_sums(logf, slope, size, grids):
     """Bounds on the integrals of e^logf along every row of every grid, in one pass.
 
-    block is (logf, slope, size) at the edges, each a flat array that
-    holds every grid's rows end to end, grid after grid, and one spare
-    element after them; grids gives each grid's (rows, h, low_tail,
+    logf, slope and size are given at the edges, each in a flat array
+    that holds every grid's rows end to end, grid after grid, and one
+    spare element after them; grids gives each grid's (rows, h, low_tail,
     high_tail), with h its n cell widths, so each of its rows is n + 1
     edges.  Returns (shift, sums, f, magnitudes): for each row, grid
     after grid, its integral lies between e^shift times sums[1] and
@@ -436,13 +436,15 @@ def _cell_sums(block, grids):
     Every cell of every row is evaluated in the same few array passes.
     The flat layout also pairs each row's last edge with the next row's
     first; that cell gets width 0 and is never read, since each row's
-    sums, tails and magnitude are taken on its own edges.  Runs under
-    the caller's np.errstate, which lets inf and nan arise.
+    sums, tails and magnitude are taken on its own edges.  The three
+    envelopes are not stacked into one array: at 1000 cells it would
+    pass glibc's 128 KiB mmap threshold, above which every call faults
+    in fresh pages.  Runs under the caller's np.errstate, which lets inf
+    and nan arise.
     """
-    logf, slope, size = block
     f = np.empty_like(logf)
     f[-1] = 0.0
-    h = np.zeros(logf.size - 1)
+    h = np.empty(logf.size - 1)
     shift = np.empty(sum(rows for rows, *_ in grids))
     views, start, first = [], 0, 0
     for rows, width, *_ in grids:
@@ -451,42 +453,47 @@ def _cell_sums(block, grids):
         part = logf[edges].reshape(rows, n + 1)
         part.max(axis=1, out=shift[row])
         np.subtract(part, shift[row, None], out=f[edges].reshape(rows, n + 1))
-        h[edges].reshape(rows, n + 1)[:, :n] = width
+        cell = h[edges].reshape(rows, n + 1)
+        cell[:, :n], cell[:, n] = width, 0.0
         views.append((edges, row))
         start, first = edges.stop, row.stop
     np.exp(f, out=f)
-    # exponents of the left and right tangents and of the chord over each cell
-    z = np.empty((3, h.size))
-    np.multiply(slope[:-1], h, out=z[0])
-    np.multiply(slope[1:], h, out=z[1])
-    np.subtract(logf[:-1], logf[1:], out=z[2])
-    np.abs(z[2], out=z[2])
-    np.negative(z[1:], out=z[1:])
-    cells = _expm1_ratio(z)
     fa, fb = f[:-1], f[1:]
-    cells[0] *= fa
-    cells[1] *= fb
-    np.fmin(cells[0], cells[1], out=cells[0])
-    cells[2] *= np.maximum(fa, fb)
-    cells = cells[::2]
-    cells *= h
+    # each cell's upper bound: the smaller integral of the tangents at its
+    # left and right edge
+    upper = _expm1_ratio(slope[:-1] * h)
+    upper *= fa
+    right = slope[1:] * h
+    np.negative(right, out=right)
+    right = _expm1_ratio(right)
+    right *= fb
+    np.fmin(upper, right, out=upper)
+    upper *= h
+    # and its lower bound, the integral of the chord
+    chord = logf[:-1] - logf[1:]
+    np.abs(chord, out=chord)
+    np.negative(chord, out=chord)
+    lower = _expm1_ratio(chord)
+    lower *= np.maximum(fa, fb)
+    lower *= h
     # each edge's size plus |slope| times its grid's span
     q = np.abs(slope)
     sums = np.empty((2, shift.size))
     for (rows, width, low_tail, high_tail), (edges, row) in zip(grids, views):
         n = width.size
-        cells[:, edges].reshape(2, rows, n + 1)[..., :n].sum(axis=-1, out=sums[:, row])
-        upper = sums[0, row]
+        for cells, out in ((upper, sums[0, row]), (lower, sums[1, row])):
+            cells[edges].reshape(rows, n + 1)[:, :n].sum(axis=1, out=out)
+        upper_sums = sums[0, row]
         f_rows, s_rows = f[edges].reshape(rows, n + 1), slope[edges].reshape(rows, n + 1)
         for i, length in ((0, low_tail), (-1, high_tail)):
             if length > 0.0:
                 if math.isinf(length):
                     s = s_rows[:, i] if i == 0 else -s_rows[:, i]
-                    upper += np.where(s > 0.0, f_rows[:, i] / s, np.inf)
+                    upper_sums += np.where(s > 0.0, f_rows[:, i] / s, np.inf)
                 else:
                     # -s * length, s the tangent's fall away from the grid
                     z = s_rows[:, i] * (-length if i == 0 else length)
-                    upper += f_rows[:, i] * length * _expm1_ratio(z)
+                    upper_sums += f_rows[:, i] * length * _expm1_ratio(z)
         finite = [length for length in (low_tail, high_tail) if math.isfinite(length)]
         q[edges] *= max(float(width.max()), *finite)
     q += size
@@ -543,10 +550,11 @@ def _prolate_bounds(
     # logf, slope and size at the edges: six nu rows of n_nu + 1 edges,
     # two mu rows of n_mu + 1, and _cell_sums' spare element
     split = 6 * (n_nu + 1)
-    block = np.empty((3, split + 2 * (n_mu + 1) + 1))
-    block[:, -1] = 0.0
-    log_nu, d_nu, size_nu = block[:, :split].reshape(3, 3, 2, n_nu + 1)
-    log_mu, d_mu, size_mu = block[:, split:-1].reshape(3, 2, n_mu + 1)
+    edges = [np.empty(split + 2 * (n_mu + 1) + 1) for _ in range(3)]
+    for x in edges:
+        x[-1] = 0.0
+    log_nu, d_nu, size_nu = (x[:split].reshape(3, 2, n_nu + 1) for x in edges)
+    log_mu, d_mu, size_mu = (x[split:-1].reshape(2, n_mu + 1) for x in edges)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # nu rows: g = 1 - e^(eps - nu/sigma), 1 and e^(-nu/sigma), each at
         # j = k, k + 1; e^(a nu) = e^(eps/2 + a t)
@@ -605,7 +613,7 @@ def _prolate_bounds(
         size_mu += twice_j
         h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
         shift, sums, f, (magnitude_nu, magnitude_mu) = _cell_sums(
-            block, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
+            *edges, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
         )
         terms = (
             math.lgamma(0.5 * dim),
