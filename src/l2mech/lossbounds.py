@@ -23,14 +23,16 @@ guarantee:
   smaller integral of e^(tangent) at its two edges and its lower bound
   the integral of e^(chord) (Gilks & Wild's envelopes), tails beyond a
   window are bounded by the tangent at its edge, and a margin derived
-  from the size of the logs summed covers float rounding.  Grids nest
-  under doubling, and refining one can only tighten every bound.  So a
-  calibrate_l2 probe is first bounded on the quarter grid nested in its
-  own (_probe_check): a lower bound above delta fails it, a direct bound
-  below delta by more than the finer grid's margin can add passes it,
-  and only a probe that neither decides runs the full grid.
-  Nothing cancels, no gamma or beta kernel runs, and no r_star bounds
-  a radius.
+  from the size of the logs summed covers float rounding.  The six
+  nu-rows and two mu-rows lie end to end in flat arrays, so one array
+  operation takes each step of the envelopes for all eight (_cell_sums).
+  Grids nest under doubling, and refining one can only tighten every
+  bound.  So a calibrate_l2 probe is first bounded on the quarter grid
+  nested in its own (_probe_check): a lower bound above delta fails it,
+  a direct bound below delta by more than the finer grid's margin can
+  add passes it, and only a probe that neither decides runs the full
+  grid.  Nothing cancels, no gamma or beta kernel runs, and no r_star
+  bounds a radius.
 - d = 2: left Riemann-Stieltjes sums over the radial CDF, weighted by
   spherical-cap fractions.  term1 weights the sphere mass between
   consecutive radii by the cap fraction at the left radius (cap
@@ -463,9 +465,7 @@ def _cell_sums(logf, slope, size, grids):
     # left and right edge
     upper = _expm1_ratio(slope[:-1] * h)
     upper *= fa
-    right = slope[1:] * h
-    np.negative(right, out=right)
-    right = _expm1_ratio(right)
+    right = _expm1_ratio(slope[1:] * -h)
     right *= fb
     np.fmin(upper, right, out=upper)
     upper *= h
@@ -531,8 +531,8 @@ def _prolate_bounds(
     nu-window and n_mu of the mu-window (_prolate_windows), one grid per
     coordinate.  The six nu rows (lhs, T1 and T2 at j = k, k + 1) are
     built from a (3, n_nu + 1) base and a (2, n_nu + 1) j-weight, the two
-    mu rows from one j-weight, into one block that _cell_sums bounds in
-    a single pass.  nu is carried as its distance t from tau and its
+    mu rows from one j-weight, into flat arrays, end to end, that
+    _cell_sums bounds in a single pass.  nu is carried as its distance t from tau and its
     distance w - t from 1, w = 1 - eps sigma to a few ulps
     (_one_minus_product), so neither end cancels.  Every summand is a
     nonnegative exp of a computed log: the margin e^(+-M), M =
@@ -550,11 +550,11 @@ def _prolate_bounds(
     # logf, slope and size at the edges: six nu rows of n_nu + 1 edges,
     # two mu rows of n_mu + 1, and _cell_sums' spare element
     split = 6 * (n_nu + 1)
-    edges = [np.empty(split + 2 * (n_mu + 1) + 1) for _ in range(3)]
-    for x in edges:
+    flat = [np.empty(split + 2 * (n_mu + 1) + 1) for _ in range(3)]
+    for x in flat:
         x[-1] = 0.0
-    log_nu, d_nu, size_nu = (x[:split].reshape(3, 2, n_nu + 1) for x in edges)
-    log_mu, d_mu, size_mu = (x[split:-1].reshape(2, n_mu + 1) for x in edges)
+    log_nu, d_nu, size_nu = (x[:split].reshape(3, 2, n_nu + 1) for x in flat)
+    log_mu, d_mu, size_mu = (x[split:-1].reshape(2, n_mu + 1) for x in flat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # nu rows: g = 1 - e^(eps - nu/sigma), 1 and e^(-nu/sigma), each at
         # j = k, k + 1; e^(a nu) = e^(eps/2 + a t)
@@ -613,7 +613,7 @@ def _prolate_bounds(
         size_mu += twice_j
         h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
         shift, sums, f, (magnitude_nu, magnitude_mu) = _cell_sums(
-            *edges, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
+            *flat, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
         )
         terms = (
             math.lgamma(0.5 * dim),
