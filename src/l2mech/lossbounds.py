@@ -470,14 +470,15 @@ def _cell_sums(logf, slope, size, grids):
     np.fmin(upper, right, out=upper)
     upper *= h
     # and its lower bound, the integral of the chord
-    chord = logf[:-1] - logf[1:]
+    chord = np.subtract(logf[:-1], logf[1:], out=right)
     np.abs(chord, out=chord)
     np.negative(chord, out=chord)
     lower = _expm1_ratio(chord)
-    lower *= np.maximum(fa, fb)
+    lower *= np.maximum(fa, fb, out=chord)
     lower *= h
-    # each edge's size plus |slope| times its grid's span
-    q = np.abs(slope)
+    # each edge's size plus |slope| times its grid's span, in the same
+    # buffer, which keeps the call's peak memory down
+    q = np.abs(slope[:-1], out=chord)
     sums = np.empty((2, shift.size))
     for (rows, width, low_tail, high_tail), (edges, row) in zip(grids, views):
         n = width.size
@@ -496,7 +497,7 @@ def _cell_sums(logf, slope, size, grids):
                     upper_sums += f_rows[:, i] * length * _expm1_ratio(z)
         finite = [length for length in (low_tail, high_tail) if math.isfinite(length)]
         q[edges] *= max(float(width.max()), *finite)
-    q += size
+    q += size[:-1]
     # q is infinite exactly where logf or slope is not finite, at an end
     # of a range, and such an edge has no magnitude
     q[np.isinf(q)] = 0.0
@@ -529,12 +530,11 @@ def _prolate_bounds(
     g -> 1 gives T1 and g -> e^(-nu/sigma) gives T2.  Every integrand is
     log-concave, so _cell_sums bounds each on n_nu uniform cells of the
     nu-window and n_mu of the mu-window (_prolate_windows), one grid per
-    coordinate.  The six nu rows (lhs, T1 and T2 at j = k, k + 1) are
-    built from a (3, n_nu + 1) base and a (2, n_nu + 1) j-weight, the two
-    mu rows from one j-weight, into flat arrays, end to end, that
-    _cell_sums bounds in a single pass.  nu is carried as its distance t from tau and its
-    distance w - t from 1, w = 1 - eps sigma to a few ulps
-    (_one_minus_product), so neither end cancels.  Every summand is a
+    coordinate.  The six nu rows (lhs, T1 and T2 at j = k, k + 1;
+    _nu_rows) and the two mu rows (_mu_rows) lie end to end in flat
+    arrays, which _cell_sums bounds in a single pass.  nu is carried as
+    its distance t from tau and its distance w - t from 1, w = 1 - eps
+    sigma to a few ulps (_one_minus_product), so neither end cancels.  Every summand is a
     nonnegative exp of a computed log: the margin e^(+-M), M =
     _MARGIN_ULPS * u * (the magnitudes of the logs summed, plus the
     ulps of the pairwise sums), moves uppers up and lowers down past
@@ -545,75 +545,21 @@ def _prolate_bounds(
     w = _one_minus_product(eps, sigma)
     k, a, tau = 0.5 * (dim - 3), 0.5 / sigma, eps * sigma
     t_hi, m_lo, m_hi = _prolate_windows(dim, sigma, eps, w)
-    j, twice_j = np.array([[[k], [k + 1.0]], [[2.0 * k], [2.0 * (k + 1.0)]]])
-    half = 0.5 * eps
+    j = np.array([[k], [k + 1.0]])
     # logf, slope and size at the edges: six nu rows of n_nu + 1 edges,
     # two mu rows of n_mu + 1, and _cell_sums' spare element
     split = 6 * (n_nu + 1)
     flat = [np.empty(split + 2 * (n_mu + 1) + 1) for _ in range(3)]
     for x in flat:
         x[-1] = 0.0
-    log_nu, d_nu, size_nu = (x[:split].reshape(3, 2, n_nu + 1) for x in flat)
-    log_mu, d_mu, size_mu = (x[split:-1].reshape(2, n_mu + 1) for x in flat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # nu rows: g = 1 - e^(eps - nu/sigma), 1 and e^(-nu/sigma), each at
-        # j = k, k + 1; e^(a nu) = e^(eps/2 + a t)
         t = _edges(0.0, t_hi, n_nu)
-        gap = w - t
-        at = a * t
-        # the g rows' logs before the j-weight, log(1 - e^(-2 a t)) + eps/2
-        # + a t, eps/2 + a t and -eps/2 - a t, and their t-slopes
-        grow = np.expm1(at * _MINUS_PLUS_TWO)
-        base = np.empty((3, n_nu + 1))
-        np.add(at, half, out=base[1])
-        np.negative(base[1], out=base[2])
-        np.negative(grow[0], out=base[0])
-        np.log(base[0], out=base[0])
-        base[0] += base[1]
-        d_base = np.empty((3, n_nu + 1))
-        np.divide(2.0 * a, grow[1], out=d_base[0])
-        d_base[0] += a
-        d_base[1], d_base[2] = a, -a
-        # before the factor j: log(1 - nu^2), its t-slope, and the ulps
-        # 1 - nu^2 = w - t loses to the rounding of w, per its size
-        weights = np.empty((3, 1, n_nu + 1))
-        np.log(gap, out=weights[0, 0])
-        weights[0, 0] += np.log1p(tau + t)
-        np.divide(1.0, (1.0 + tau) + t, out=weights[1, 0])
-        weights[1, 0] -= 1.0 / gap
-        np.divide(w, gap, out=weights[2, 0])
-        weights = weights * j
-        if k == 0.0:
-            weights[:, 0] = 0.0
-        np.add(base[:, None], weights[0], out=log_nu)
-        np.add(d_base[:, None], weights[1], out=d_nu)
-        # |base| + |eps/2 + a t| + |weight| + lost
-        np.abs(base, out=base)
-        base += base[1]
-        np.abs(weights[0], out=weights[0])
-        np.add(base[:, None], weights[0], out=size_nu)
-        size_nu += weights[2]
-        # mu rows, m = mu - 1: e^(-a mu) (mu^2 - 1)^j at j = k, k + 1
+        _nu_rows([x[:split].reshape(3, 2, n_nu + 1) for x in flat], t, w, a, tau, eps, j)
         m = _edges(m_lo, m_hi, n_mu)
-        m_2 = m + 2.0
-        weights = np.empty((2, 1, n_mu + 1))
-        np.log(m, out=weights[0, 0])
-        weights[0, 0] += np.log(m_2)
-        np.divide(1.0, m, out=weights[1, 0])
-        weights[1, 0] += 1.0 / m_2
-        weights = weights * j
-        if k == 0.0:
-            weights[:, 0] = 0.0
-        mu = 1.0 + m
-        fall = a * mu
-        np.subtract(weights[0], fall, out=log_mu)
-        np.subtract(weights[1], a, out=d_mu)
-        np.abs(weights[0], out=weights[0])
-        np.add(fall, weights[0], out=size_mu)
-        size_mu += twice_j
+        mu = _mu_rows([x[split:-1].reshape(2, n_mu + 1) for x in flat], m, a, j)
         h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
         shift, sums, f, (magnitude_nu, magnitude_mu) = _cell_sums(
-            *flat, ((6, h_nu, 0.0, float(gap[-1])), (2, h_mu, m_lo, math.inf))
+            *flat, ((6, h_nu, 0.0, w - t_hi), (2, h_mu, m_lo, math.inf))
         )
         terms = (
             math.lgamma(0.5 * dim),
@@ -663,6 +609,82 @@ def _prolate_bounds(
         direct,
         margin,
     )
+
+
+def _nu_rows(rows, t, w, a, tau, eps, j):
+    """Write the six nu rows' logf, slope and size at the edges t into rows.
+
+    rows is three (3, 2, n + 1) views, by g = 1 - e^(eps - nu/sigma), 1
+    and e^(-nu/sigma) (lhs, T1 and T2) and by j = k, k + 1; the log of
+    each integrand is log g + eps/2 + a t + j log(1 - nu^2), with nu =
+    tau + t and 1 - nu^2 = (w - t)(1 + tau + t).  Its temporaries end
+    with the call, which keeps _prolate_bounds' peak memory down.  Runs
+    under the caller's np.errstate.
+    """
+    log_nu, d_nu, size_nu = rows
+    half = 0.5 * eps
+    gap = w - t
+    at = a * t
+    # log(1 - e^(-2 a t)) + eps/2 + a t, eps/2 + a t and -eps/2 - a t, and
+    # their t-slopes
+    grow = np.expm1(at * _MINUS_PLUS_TWO)
+    base = np.empty((3, t.size))
+    np.add(at, half, out=base[1])
+    np.negative(base[1], out=base[2])
+    np.negative(grow[0], out=base[0])
+    np.log(base[0], out=base[0])
+    base[0] += base[1]
+    d_base = np.empty((3, t.size))
+    np.divide(2.0 * a, grow[1], out=d_base[0])
+    d_base[0] += a
+    d_base[1], d_base[2] = a, -a
+    # j times log(1 - nu^2), its t-slope, and the ulps 1 - nu^2 = w - t
+    # loses to the rounding of w, per its size; exactly 0 at j = 0
+    weights = np.empty((3, 1, t.size))
+    np.log(gap, out=weights[0, 0])
+    weights[0, 0] += np.log1p(tau + t)
+    np.divide(1.0, (1.0 + tau) + t, out=weights[1, 0])
+    weights[1, 0] -= 1.0 / gap
+    np.divide(w, gap, out=weights[2, 0])
+    weights = weights * j
+    if j[0, 0] == 0.0:
+        weights[:, 0] = 0.0
+    np.add(base[:, None], weights[0], out=log_nu)
+    np.add(d_base[:, None], weights[1], out=d_nu)
+    # |base| + |eps/2 + a t| + |weight| + lost
+    np.abs(base, out=base)
+    base += base[1]
+    np.abs(weights[0], out=weights[0])
+    np.add(base[:, None], weights[0], out=size_nu)
+    size_nu += weights[2]
+
+
+def _mu_rows(rows, m, a, j):
+    """Write the two mu rows' logf, slope and size at m = mu - 1 into rows; return mu.
+
+    rows is three (2, n + 1) views, by j = k, k + 1, of the log of e^(-a
+    mu) (mu^2 - 1)^j, with mu^2 - 1 = m (m + 2).  Runs under the
+    caller's np.errstate.
+    """
+    log_mu, d_mu, size_mu = rows
+    m_2 = m + 2.0
+    # j times log(mu^2 - 1) and its slope; exactly 0 at j = 0
+    weights = np.empty((2, 1, m.size))
+    np.log(m, out=weights[0, 0])
+    weights[0, 0] += np.log(m_2)
+    np.divide(1.0, m, out=weights[1, 0])
+    weights[1, 0] += 1.0 / m_2
+    weights = weights * j
+    if j[0, 0] == 0.0:
+        weights[:, 0] = 0.0
+    mu = 1.0 + m
+    fall = a * mu
+    np.subtract(weights[0], fall, out=log_mu)
+    np.subtract(weights[1], a, out=d_mu)
+    np.abs(weights[0], out=weights[0])
+    np.add(fall, weights[0], out=size_mu)
+    size_mu += 2.0 * j
+    return mu
 
 
 def _prolate_slope(dim, sigma, eps, nu, mu, h_nu, h_mu, f_nu, f_mu, s_nu, odds, lhs):
