@@ -110,6 +110,12 @@ def cap_fraction(dim: int, r, h):
     directly, since 1 - y would round away the small y on which the
     fraction, steep at h = r, depends.  Exact at h = 0 (0), h = r (1/2)
     and h = 2r (1).
+
+    Elsewhere below the swap point the rounding of x = u (2 - u), u =
+    h/r, is magnified by I_x's steepness, which grows with dim: against
+    40 digits, within 202 ulps for dim <= 100 and 796 at dim = 1000 over
+    v = h/r in [0.005, 1.995], and 4.0e3 ulps at dim = 1e4, v = 0.9
+    (a value of 5.95e-24), 1.7e3 at v = 0.98 and 5.3e3 at worst.
     """
     r_arr = np.asarray(r, dtype=np.float64)
     h_arr = np.asarray(h, dtype=np.float64)

@@ -800,8 +800,8 @@ def _check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
         branch, t1, t2 = BRANCH_GENERAL, 1.0, 0.0
         lhs, slope = _loss_cap_bound(w, sigma)
         tau = epsilon * sigma
-        outer = sigma * _x_star(delta)
-        if dim == 2 and tau < 1.0 and outer > (1.0 + tau) / 2.0:
+        outer = sigma * _x_star(delta) if dim == 2 and tau < 1.0 else 0.0
+        if outer > (1.0 + tau) / 2.0:
             r_star = outer
             t1, t2, radial_slope = _riemann_stieltjes(sigma, epsilon, r_star, n_r, n_R)
             radial = t1 - _exp_eps(epsilon) * t2

@@ -1,9 +1,9 @@
 """Self-contained special-function kernels for the noise calibration stack.
 
-Regularized incomplete gamma and beta functions, each from one of two or
-three regimes chosen per element from its arguments, with every
-prefactor kept in log space so that shape parameters up to ~1e4
-(dimension-sized) stay finite:
+Regularized incomplete gamma and beta functions, each from one of two
+regimes chosen per element from its arguments, with every prefactor
+kept in log space so that shape parameters up to ~1e4 (dimension-sized)
+stay finite:
 
 - P/Q(a, x): a power series for x < a + 1 and a continued fraction
   above.  Near x = a both need O(sqrt(a)) iterations: the series runs
@@ -14,14 +14,16 @@ prefactor kept in log space so that shape parameters up to ~1e4
   [0.6a, 1.4a].  What is left is the rounding of the exponent
   a (log(x/a) - x/a + 1), whose log(1 + t) - t part is an atanh series
   for |x/a - 1| <= 0.4 (see _log1pmx_vec).
-- I_x(a, b): a continued fraction, on I_x(a, b) below the mean and on
-  its complement above, except where a >= 15, b <= 1 and 1 - x < 0.3,
-  which takes the BGRAT expansion (DiDonato & Morris 1992), at most 30
-  terms and 8 or fewer for b = 1/2 (measured over a in [15, 1e4]), on
-  top of the gamma kernel's Q(b, z) for its first term.  For b = 1/2 it
-  is within 4e-15 relative for 1 - x <= 20/a and a <= 5000; further out
-  the error grows with the rounding of z = -a log(x), to 1.2e-13 at
-  a = 4436 and z = 520.
+- I_x(a, b): a continued fraction, on I_x(a, b) below the mean
+  (a + 1)/(a + b + 2) and on its complement above; just below the mean
+  it runs 58, 64 and 66 pairs of terms at a = 100, 1000 and 1e4 for
+  b = 1/2.  Its outermost step is taken without the cancellation of
+  1 - (a + b) x / (a + 1) there (see _betacf_vec).  Against 40-digit
+  mpmath it is within 1.4e-14 relative for 1 - x in [0.1/a, 20/a],
+  a from 24.5 to 4999.5 and b in {1/2, 1, 2}, and 5.3e-14 at a = 15,
+  where the complement's rounding just above the mean shows; out to
+  1 - x = 0.6 the error grows with the rounding of a log(x) in the
+  prefactor, to 1.6e-13 at a = 4999.5.
 
 Nothing here imports scipy; the test suite cross-checks these kernels
 against 40-digit mpmath and an independent quadrature oracle.
@@ -30,8 +32,7 @@ Each call takes one shape: a (and b) are single numbers, x a number or
 an array of any shape.  x runs as one flat batch of whole-array numpy
 operations; a number x is a one-element batch that comes back as a
 float.  That is the only path, and the gamma inverses take Newton steps
-on it.  A batch's series and BGRAT sum stop when its slowest element
-has converged.
+on it.  A batch's series stops when its slowest element has converged.
 A continued fraction is summed backward, from its innermost term out,
 over as many terms as forward modified Lentz needs at the batch's
 slowest element, plus a quarter of them and one: three array
@@ -81,12 +82,11 @@ class SpecFunResult:
     value holds a float for a number x and an array of x's shape for an
     array x (the shapes a and b are always single numbers).  iterations
     is the most any regime the call ran evaluated for its whole batch:
-    series terms up to its slowest element's convergence, continued
+    series terms up to its slowest element's convergence, or continued
     fraction terms (for I_x(a, b), pairs of them) by the Lentz count of
-    its slowest element plus the margin, and BGRAT's terms, or those of
-    the gamma kernel under its first term where that ran more.
-    converged is one flag for the whole call; the plain functions raise
-    ConvergenceError where it is False.
+    its slowest element plus the margin.  converged is one flag for the
+    whole call; the plain functions raise ConvergenceError where it is
+    False.
     """
 
     value: float | np.ndarray
@@ -212,7 +212,7 @@ def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
     b = 1/2 for I_x (tests/test_specfun.py).  The margin is not always
     enough for Q at a non-integer a below about 3 with x just above
     a + 1, where the fraction converges slowest: there a value can still
-    move by one ulp, BGRAT's first term Q(b, z) at b = 1/2 included.
+    move by one ulp.
     """
     tiny = _FPMIN
     d = term(x0, 0)[1]
@@ -263,60 +263,27 @@ def _betacf_vec(a: float, b: float, x: np.ndarray):
     # after the leading d_1, as in Numerical Recipes' betacf
     term = partial(_beta_cf_term, a, b)
     n, conv = _cf_length(term, float(x.max()), every=2, lead=1)
-    return _cf_backward(term, x, 2 * n + 1), n, conv
+    # The outermost step, t_0 = 1 - (a + b) x / ((a + 1) t_1), cancels
+    # near the mean.  With t_1 = 1 + r, r = num_2 / t_2 from the pass
+    # below it, 1/t_1 = 1 - r/t_1, so (a + 1) t_0 = (a + 1) - p - e +
+    # p r / t_1 up to e r / t_1, where p + e = (a + b) x exactly and
+    # (a + 1) - p is exact near the mean (Sterbenz); the fraction is 1/t_0
+    r = term(x, 2)[0] * _cf_backward(lambda v, j: term(v, j + 2), x, 2 * n - 1)
+    p, e = _two_product(a + b, x)
+    return (a + 1.0) / (((a + 1.0) - p - e) + p * r / (1.0 + r)), n, conv
 
 
-# ---------------------------------------------------------------------------
-# BGRAT: a few terms where I_x's continued fraction needs O(sqrt(a))
-# iterations
+def _two_product(a: float, x: np.ndarray):
+    """(p, e): p = a x rounded and e its rounding error, p + e = a x exactly.
 
-_BGRAT_MIN_A = 15.0
-_BGRAT_REACH = 0.3  # 1 - x < _BGRAT_REACH
-_BGRAT_TERMS = 30
-
-
-def _bgrat_vec(a: float, b: float, x: np.ndarray, ratio: float):
-    """(I_x(a, b), terms, converged) for a >= 15, b <= 1, 1 - x < 0.3.
-
-    BGRAT (DiDonato & Morris 1992, ACM TOMS 18, Algorithm 708): with
-    nu = a + (b - 1)/2 and z = -nu log(x), I_x(a, b) = G sum_n d_n K_n,
-    G = Gamma(a + b) / (Gamma(a) nu^b) (ratio is log Gamma(a + b) -
-    log Gamma(a)), K_n = Gamma(b + 2n, z) / (Gamma(b) (2 nu)^2n) and d_n
-    the coefficients of (sinh(u)/u)^(b - 1) in u^2.  K_0 = Q(b, z), from
-    the gamma kernel, and K_n follows from K_n-1 by Gamma(s + 2, z) =
-    s (s + 1) Gamma(s, z) + (z + s + 1) z^s e^-z.
+    Dekker's product on Veltkamp's 27-bit halves of a and of each x.
     """
-    log_x = np.log1p(-(1.0 - x))  # 1 - x is exact for x >= 1/2
-    nu = a + 0.5 * (b - 1.0)
-    z = -nu * log_x
-    _, k, iters, conv = _gamma_pq_vec(b, z)
-    # R (z / (2 nu))^(2n - 2), R = z^b e^-z / Gamma(b)
-    power = np.exp(b * np.log(z) - z - math.lgamma(b))
-    quarter_log2 = 0.25 * log_x * log_x
-    v = 0.25 / (nu * nu)
-    total = k.copy()
-    c, d = [1.0], [1.0]  # sinh(u)/u = sum c_n u^2n, (sinh(u)/u)^(b-1) = sum d_n u^2n
-    # the largest z converges last, so the whole batch is tested only
-    # once that element has converged, as in _gamma_series_vec
-    slow = int(np.argmax(z))
-    n, done = 0, True
-    while n < _BGRAT_TERMS:
-        n += 1
-        s = b + (2 * n - 2)
-        k = v * (s * (s + 1.0) * k + (z + s + 1.0) * power)
-        power = power * quarter_log2
-        c.append(c[-1] / (2 * n * (2 * n + 1)))
-        d.append(sum((b * i - n) * c[i] * d[n - i] for i in range(1, n + 1)) / n)
-        term = d[n] * k
-        total += term
-        done = bool(
-            abs(term[slow]) <= _EPS * total[slow]
-            and (np.abs(term) <= _EPS * total).all()
-        )
-        if done:
-            break
-    val = np.exp(ratio - b * np.log(nu)) * total
-    return np.clip(val, 0.0, 1.0), max(n, iters), conv and done
+    p = a * x
+    split = 134217729.0  # 2^27 + 1
+    ca, cx = split * a, split * x
+    ah, xh = ca - (ca - a), cx - (cx - x)
+    al, xl = a - ah, x - xh
+    return p, ((ah * xh - p) + ah * xl + al * xh) + al * xl
 
 
 def _gamma_pq_vec(a: float, x: np.ndarray):
@@ -366,25 +333,18 @@ def _betainc_vec(x: np.ndarray, a: float, b: float):
     if mid.any():
         xm = x[mid]
         # log 1/B(a, b) with the larger shape first, whose lgamma ratio
-        # cancels no large terms; BGRAT's a >= 15 >= b keeps a first
+        # cancels no large terms
         big, small = max(a, b), min(a, b)
-        ratio = _lgamma_ratio(big, small)
-        log_front = ratio - math.lgamma(small)
+        log_front = _lgamma_ratio(big, small) - math.lgamma(small)
 
         def front(sel):
-            # x^a (1 - x)^b / B(a, b), which only the continued fraction uses
+            # x^a (1 - x)^b / B(a, b)
             xs = xm[sel]
             return np.exp(log_front + a * np.log(xs) + b * np.log1p(-xs))
 
         out = np.empty(xm.shape)
         direct = xm < (a + 1.0) / (a + b + 2.0)
         swap = ~direct
-        if a >= _BGRAT_MIN_A and b <= 1.0:
-            near = 1.0 - xm < _BGRAT_REACH
-            if near.any():
-                out[near], iters, conv = _bgrat_vec(a, b, xm[near], ratio)
-                direct &= ~near
-                swap &= ~near
         if direct.any():
             cf, it, ok = _betacf_vec(a, b, xm[direct])
             out[direct] = front(direct) * cf / a

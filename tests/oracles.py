@@ -554,9 +554,27 @@ def backward_betacf(a, b, x, max_iter):
             return c * v, 1.0
         return term
 
+    def fraction(v):
+        # the outermost step from its parts: with t_1 = 1 + r, r =
+        # d_2 / t_2, and p + e = (a + b) v exactly, (a + 1) t_0 = (a + 1)
+        # - p - e + p r / t_1
+        term = at(v)
+        r = term(2)[0] * _backward(1.0, lambda j: term(j + 2), 2 * pairs - 1)
+        p, e = _two_product(a + b, v)
+        return (a + 1.0) / (((a + 1.0) - p - e) + p * r / (1.0 + r))
+
     pairs, conv = _lentz_count(1.0, at(float(x.max())), 2, 1, max_iter)
-    cf = np.array([_backward(1.0, at(v), 2 * pairs + 1) for v in x.tolist()])
+    cf = np.array([fraction(v) for v in x.tolist()])
     return cf, pairs, conv
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, Veltkamp's split)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 # ---------------------------------------------------------------------------

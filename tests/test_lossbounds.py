@@ -442,6 +442,27 @@ def test_d2_check_runs_no_beta_kernel(monkeypatch):
     assert calibrate_l2(2, pp).search_iterations >= 2
 
 
+def test_outer_radius_only_where_the_radial_sums_run(monkeypatch):
+    # r_star's root is found at d = 2 only: below sigma = 2^-100 a d >= 3
+    # check has the loss cap bound alone and needs no outer radius
+    from l2mech import lossbounds
+
+    calls = []
+    x_star = lossbounds._x_star
+
+    def spy(delta):
+        calls.append(delta)
+        return x_star(delta)
+
+    monkeypatch.setattr(lossbounds, "_x_star", spy)
+    params = PrivacyParams(1.0, 1e-5)
+    for d in (3, 10, 10**4):
+        assert check_approx_dp(d, 1e-200, params).r_star == 0.0
+    assert calls == []
+    assert check_approx_dp(2, 0.9, params).r_star > 0.0
+    assert calls == [1e-5]
+
+
 @pytest.mark.parametrize("sigma", (5e-324, 1e-200, 1e-160))
 @pytest.mark.parametrize("d", (2, 3, 10, 10**4))
 def test_a_tiny_sigma_gets_a_report(d, sigma):

@@ -99,21 +99,23 @@ def test_gamma_vector_matches_scalar():
 
 def _fraction_arguments(d, rng):
     # what _gamma_pq_vec sends Q's fraction at a = d, and what
-    # _betainc_vec sends I_x's at a = (d - 1)/2, b = 1/2: x below the mean,
-    # away from BGRAT for a >= 15, and 1 - x above it for the complement
+    # _betainc_vec sends I_x's at a = (d - 1)/2, b = 1/2: x below the
+    # mean, and 1 - x above it for the complement
     a = float(d)
     x = a * rng.uniform(0.01, 3.0, 400)
     gamma = x[x >= a + 1.0]
     a, b = (d - 1) / 2.0, 0.5
     x = rng.uniform(0.0, 1.0, 400)
     direct = x < (a + 1.0) / (a + b + 2.0)
-    if a >= specfun._BGRAT_MIN_A:
-        direct &= 1.0 - x >= specfun._BGRAT_REACH
-        swap = np.zeros(x.shape, dtype=bool)
-    else:
-        swap = ~direct
-    betas = ((a, b, x[direct]), (b, a, 1.0 - x[swap]))
-    return gamma, [(a, b, v) for a, b, v in betas if v.size]
+    # forward Lentz's first step 1 - (a + b) x / (a + 1) cancels near the
+    # mean, by up to 1.7e-13 at a = 2499.5, so from a = 15 on the Lentz
+    # reference is compared only up to x = 0.7
+    sharp = 1.0 - x >= 0.3 if a >= 15.0 else np.ones(x.shape, dtype=bool)
+    betas = (
+        (a, b, x[direct], sharp[direct]),
+        (b, a, 1.0 - x[~direct], sharp[~direct]),
+    )
+    return gamma, [beta for beta in betas if beta[2].size]
 
 
 @pytest.mark.parametrize("cap", [20000, 4])
@@ -140,14 +142,15 @@ def test_vector_kernels_match_reference_kernels(cap, monkeypatch):
         if cap == 20000:
             lentz = oracles.masked_gamma_cf(np.full(gamma.size, float(d)), gamma, cap)[0]
             assert np.all(np.abs(got[0] - lentz) <= 2.0e-15 * lentz), d
-        for a, b, x in betas:
+        for a, b, x, sharp in betas:
             want = oracles.backward_betacf(a, b, x, cap)
             got = specfun._betacf_vec(a, b, x)
             assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (a, b)
-            if cap == 20000:
+            if cap == 20000 and sharp.any():
+                x, cf = x[sharp], got[0][sharp]
                 shapes = np.full(x.size, a), np.full(x.size, b)
                 lentz = oracles.masked_betacf(*shapes, x, cap)[0]
-                assert np.all(np.abs(got[0] - lentz) <= 4.7e-15 * lentz), (a, b)
+                assert np.all(np.abs(cf - lentz) <= 4.7e-15 * lentz), (a, b)
 
 
 def _with_more_terms(monkeypatch, extra):
@@ -457,11 +460,12 @@ def _beta_errors(a, b, x):
 def test_beta_large_shape_prefactor_against_mpmath():
     # lgamma(a + b) - lgamma(a) cancels O(a log a) terms down to O(b log
     # a); formed directly it cost I_x(a, 1/2) up to 5e-11 at a = 4999.5.
-    # Both paths share the Stirling-form difference: BGRAT for b <= 1
-    # near x = 1, the continued fraction elsewhere
+    # The fraction takes the Stirling-form difference on both sides of the
+    # mean.  At b = 2 the mean lies inside this range, where the
+    # fraction's outermost step 1 - (a + b) x / (a + 1) would cancel
     for a in (499.5, 1999.5, 4999.5):
         x = 1.0 - np.geomspace(0.1 / a, 20.0 / a, 12)
-        for b in (0.5, 1.0):
+        for b in (0.5, 1.0, 2.0):
             assert _beta_errors(a, b, x) <= 1e-13, (a, b)
         with mpmath.workdps(40):
             for b in (0.5, 2.0):
@@ -470,9 +474,9 @@ def test_beta_large_shape_prefactor_against_mpmath():
                 assert abs(got - want) <= 1e-15 * want, (a, b)
 
 
-# I_x(a, 1/2) with 1 - x from 0.1/a to 0.6, on both sides of BGRAT's
-# edge, at the prefactor's 1e-13 (the continued fraction alone, with the
-# direct prefactor, made 9.8e-14, 1.15e-12 and 6.09e-11 here)
+# I_x(a, 1/2) with 1 - x from 0.1/a to 0.6 and around 0.3, at the
+# prefactor's 1e-13 (the continued fraction with the direct prefactor
+# made 9.8e-14, 1.15e-12 and 6.09e-11 here)
 BETA_BANDS = {
     (15.0, 15.5, 20.0, 49.5): 1e-13,
     (100.0, 499.5): 1e-13,
@@ -494,9 +498,9 @@ def test_large_shape_beta_against_mpmath():
 
 @pytest.mark.parametrize("a", [14.5, 15.0, 100.0, 4999.5])
 def test_beta_monotone_across_seams(a):
-    # BGRAT's edge at 1 - x = 0.3 and the continued fraction's switch to
-    # the complement at x = (a + 1)/(a + 2.5), which BGRAT covers from
-    # a = 15 on; a tail below the smallest float is 0, never NaN
+    # the continued fraction's switch to the complement at x = (a + 1)/
+    # (a + 2.5), and x = 0.7 inside one regime; a tail below the smallest
+    # float is 0, never NaN
     for seam in (0.7, (a + 1.0) / (a + 2.5)):
         x = seam + np.linspace(-1.0, 1.0, 401) * 1e-3 * (1.0 - seam)
         got = reg_inc_beta(x, a, 0.5)
@@ -505,12 +509,30 @@ def test_beta_monotone_across_seams(a):
     assert reg_inc_beta(0.71, 4999.5, 0.5) == 0.0
 
 
+def test_beta_near_one_calls_no_gamma_kernel(monkeypatch):
+    # I_x(a, b) is its continued fraction up to x = 1 at large a and
+    # b <= 1 too: the beta kernel never calls the gamma kernel
+    calls = []
+    gamma_pq = specfun._gamma_pq_vec
+
+    def spy(a, x):
+        calls.append(a)
+        return gamma_pq(a, x)
+
+    monkeypatch.setattr(specfun, "_gamma_pq_vec", spy)
+    x = 1.0 - np.geomspace(1e-9, 0.3, 40, endpoint=False)
+    for a in (15.0, 499.5, 4999.5):
+        for b in (0.5, 1.0):
+            got = reg_inc_beta(x, a, b)
+            assert np.all((got >= 0.0) & (got <= 1.0)), (a, b)
+    assert calls == []
+
+
 def test_reg_inc_beta_domain_errors(monkeypatch):
     for args in [(-0.1, 1.0, 1.0), (1.1, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, -1.0)]:
         with pytest.raises(ValueError):
             reg_inc_beta(*args)
-    # b = 300 > 1 keeps I_0.5(400, 300) off BGRAT: the continued fraction
-    # serves it, and 2 iterations cannot settle it
+    # 2 iterations cannot settle I_0.5(400, 300)'s continued fraction
     monkeypatch.setattr(specfun, "_MAX_ITER", 2)
     starved = reg_inc_beta_result(0.5, 400.0, 300.0)
     assert (starved.iterations, starved.converged) == (2, False)
