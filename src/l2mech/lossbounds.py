@@ -54,6 +54,30 @@ guarantee:
   not below r_star (tiny sigma), or where an eps * sigma below 1 rounds
   to 1.
 
+The prolate form also gives lhs's sigma-derivative in closed form, for
+every d >= 2.  With primes d/dsigma, a = 1/(2 sigma), tau = eps sigma,
+k = (d - 3)/2, e^(a tau) = e^(eps/2) and N_j, G_j as in _prolate_bounds,
+integration by parts gives
+
+    N_k' = a^3 N_{k+1} / (k + 1),
+    N_{k+1}' = 2a ((2k + 3) N_{k+1} + 2 (k + 1) N_k),
+    G_k' = -(a^2 / (k + 1)) (2 e^(eps/2) (1 - tau^2)^(k+1) + a G_{k+1}),
+    G_{k+1}' = 2a ((2k + 3) G_{k+1} - 2 (k + 1) G_k),
+
+whose boundary terms vanish because g(tau) = 0 and (1 - nu^2)^j and
+(mu^2 - 1)^j vanish at 1 for j > 0.  Summed, S = N_{k+1} G_k + N_k
+G_{k+1} has S' = (d/sigma) S - (a^2/(k + 1)) 2 e^(eps/2) (1 -
+tau^2)^(k+1) N_{k+1}, and (log C)' = -d/sigma cancels the first term:
+
+    d lhs / d sigma = -C N_{k+1} e^(eps/2) (1 - tau^2)^(k+1) / (2 sigma^2 (k + 1)).
+
+The d >= 3 lhs_slope is read from it.  The right side is negative while
+eps sigma < 1, and lhs is 0 from eps sigma = 1 up, so the exact lhs
+strictly decreases in sigma wherever it is positive.  Hence centers at
+a distance s <= 1, which at sigma are the unit pair at sigma/s >= sigma,
+are never worse than the unit pair.  The certified lhs_upper need not
+be monotone in sigma: its windows, grids and margin move with it.
+
 Below sigma = 2^-100 the d >= 3 grids say nothing (their rounding margin
 exceeds 10^14 nats) and the loss cap bound, capped at 1 like every
 lhs_upper, stands alone there too, so every positive sigma gets a report.
@@ -140,12 +164,13 @@ class BoundReport:
       bound alone).
     - lhs_slope: d lhs_upper / d sigma in the general branch (None in
       the others): at d = 2 exact for the radial sums up to float
-      rounding; at d >= 3 the trapezoid rule on the sigma-derivative of
-      the true integrands, on the bound's own edges; at either, where
-      1 - e^(epsilon - 1/sigma) is the bound, that bound's derivative.  It is not certified and is not
-      evidence: calibrate_l2 takes one Newton step from this report
-      alone, by lhs_upper and this slope, to place its next probe, and
-      only the verdicts decide the answer.
+      rounding; at d >= 3 lhs_upper times the closed form of d log lhs
+      / d sigma (see the module docstring), its integrals read halfway
+      between the grid's bounds on them; at either, where 1 - e^(epsilon
+      - 1/sigma) is the bound, that bound's derivative.  It is not
+      certified and is not evidence: calibrate_l2 takes one Newton step
+      from this report alone, by lhs_upper and this slope, to place its
+      next probe, and only the verdicts decide the answer.
     """
 
     term1_upper: float
@@ -416,10 +441,9 @@ def _cell_sums(logf, slope, size, grids):
     that holds every grid's rows end to end, grid after grid, and one
     spare element after them; grids gives each grid's (rows, h, low_tail,
     high_tail), with h its n cell widths, so each of its rows is n + 1
-    edges.  Returns (shift, sums, f, magnitudes): for each row, grid
-    after grid, its integral lies between e^shift times sums[1] and
-    e^shift times sums[0]; f is e^(logf - shift), laid out like logf;
-    magnitudes has one entry per grid.
+    edges.  Returns (shift, sums, magnitudes): for each row, grid after
+    grid, its integral lies between e^shift times sums[1] and e^shift
+    times sums[0]; magnitudes has one entry per grid.
 
     A cell's upper bound is the smaller of the integrals of e^(tangent)
     at its two edges, its lower bound the integral of e^(chord); both
@@ -502,11 +526,7 @@ def _cell_sums(logf, slope, size, grids):
     # of a range, and such an edge has no magnitude
     q[np.isinf(q)] = 0.0
     magnitudes = [float(q[edges].max()) for edges, _ in views]
-    return shift, sums, f, magnitudes
-
-
-def _trapezoid(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return 0.5 * ((y[..., :-1] + y[..., 1:]) @ h)
+    return shift, sums, magnitudes
 
 
 # the factors of a t in e^(-2 a t) - 1 and e^(2 a t) - 1 (_prolate_bounds)
@@ -539,7 +559,10 @@ def _prolate_bounds(
     _MARGIN_ULPS * u * (the magnitudes of the logs summed, plus the
     ulps of the pairwise sums), moves uppers up and lowers down past
     float rounding.  Requires eps sigma < 1 exactly (w > 0).  slope is
-    d lhs / d sigma from the same edges (_prolate_slope); it steers and
+    lhs's upper bound times d log lhs / d sigma = -(N_{k+1} / S) e^(eps/2)
+    (1 - tau^2)^(k+1) / (2 sigma^2 (k + 1)), S = N_{k+1} G_k + N_k
+    G_{k+1} (module docstring), from the same sums, or the loss cap
+    bound's derivative where that bound beats the grid; it steers and
     certifies nothing.
     """
     w = _one_minus_product(eps, sigma)
@@ -556,9 +579,9 @@ def _prolate_bounds(
         t = _edges(0.0, t_hi, n_nu)
         _nu_rows([x[:split].reshape(3, 2, n_nu + 1) for x in flat], t, w, a, tau, eps, j)
         m = _edges(m_lo, m_hi, n_mu)
-        mu = _mu_rows([x[split:-1].reshape(2, n_mu + 1) for x in flat], m, a, j)
+        _mu_rows([x[split:-1].reshape(2, n_mu + 1) for x in flat], m, a, j)
         h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
-        shift, sums, f, (magnitude_nu, magnitude_mu) = _cell_sums(
+        shift, sums, (magnitude_nu, magnitude_mu) = _cell_sums(
             *flat, ((6, h_nu, 0.0, w - t_hi), (2, h_mu, m_lo, math.inf))
         )
         terms = (
@@ -595,11 +618,15 @@ def _prolate_bounds(
         if unresolved:
             slope = trivial_slope
         else:
-            slope = _prolate_slope(
-                dim, sigma, eps, tau + t, mu, h_nu, h_mu,
-                f[:split].reshape(3, 2, n_nu + 1), f[split:-1].reshape(2, n_mu + 1),
-                shift[:6].reshape(3, 2), pair[0, 0, 1] - pair[0, 0, 0], lhs_up,
-            )
+            # the closed form of d log lhs / d sigma, its share N_{k+1} / S
+            # from the lhs rows' G and the mu rows' N, each log-sum read
+            # halfway between its bounds, or at the upper where the lower is 0
+            up, low = logs[:, [0, 1, 6, 7]]
+            mid = np.where(np.isneginf(low), up, 0.5 * (up + low))
+            g_k, g_k1, n_k, n_k1 = mid.tolist()
+            log_share = -np.logaddexp(g_k, n_k - n_k1 + g_k1)
+            rate = log_share + 0.5 * eps + (k + 1.0) * (math.log(w) + math.log1p(tau))
+            slope = -lhs_up * math.exp(rate - math.log(2.0 * sigma * sigma * (k + 1.0)))
     return ProlateBounds(
         (min(lhs_low, lhs_up), lhs_up),
         (min(t1_low, t1_up), t1_up),
@@ -660,7 +687,7 @@ def _nu_rows(rows, t, w, a, tau, eps, j):
 
 
 def _mu_rows(rows, m, a, j):
-    """Write the two mu rows' logf, slope and size at m = mu - 1 into rows; return mu.
+    """Write the two mu rows' logf, slope and size at m = mu - 1 into rows.
 
     rows is three (2, n + 1) views, by j = k, k + 1, of the log of e^(-a
     mu) (mu^2 - 1)^j, with mu^2 - 1 = m (m + 2).  Runs under the
@@ -677,47 +704,12 @@ def _mu_rows(rows, m, a, j):
     weights = weights * j
     if j[0, 0] == 0.0:
         weights[:, 0] = 0.0
-    mu = 1.0 + m
-    fall = a * mu
+    fall = a * (1.0 + m)
     np.subtract(weights[0], fall, out=log_mu)
     np.subtract(weights[1], a, out=d_mu)
     np.abs(weights[0], out=weights[0])
     np.add(fall, weights[0], out=size_mu)
     size_mu += 2.0 * j
-    return mu
-
-
-def _prolate_slope(dim, sigma, eps, nu, mu, h_nu, h_mu, f_nu, f_mu, s_nu, odds, lhs):
-    """d lhs / d sigma by the trapezoid rule on the bound's own edges.
-
-    d log C / d sigma = -dim / sigma; d N_j / d sigma is the integral of
-    mu e^(-a mu) (mu^2 - 1)^j / (2 sigma^2), and d G_j / d sigma that of
-    -nu (e^(a nu) + e^(eps - a nu)) (1 - nu^2)^j / (2 sigma^2), the T1
-    plus e^eps times the T2 integrand; N_{k+1} G_k and N_k G_{k+1} weigh
-    in by their shares of the sum, whose log-ratio is odds.  f_nu and
-    s_nu are the nu rows' e^(logf - shift) and shift by (lhs, T1, T2)
-    and j = k, k + 1, f_mu the mu rows' by j.  Runs under the caller's
-    np.errstate.
-    """
-    y = np.empty((2,) + f_mu.shape)
-    np.multiply(mu, f_mu, out=y[0])
-    y[1] = f_mu
-    moment, mass = _trapezoid(y, h_mu)
-    n_ratio = moment / mass
-    y = np.empty_like(f_nu)
-    y[0] = f_nu[0]
-    np.multiply(nu, f_nu[1:], out=y[1:])
-    g_int = _trapezoid(y, h_nu)
-    # the T1 and T2 rows' shifts over the lhs rows', the latter times e^eps
-    lift = s_nu[1:].copy()
-    lift[1] += eps
-    lift -= s_nu[0]
-    np.exp(lift, out=lift)
-    lift *= g_int[1:]
-    g_ratio = (lift[0] + lift[1]) / g_int[0]
-    share = 1.0 / (1.0 + math.exp(min(odds, 700.0)))
-    mix = share * (n_ratio[1] - g_ratio[0]) + (1.0 - share) * (n_ratio[0] - g_ratio[1])
-    return float(lhs * (mix / (2.0 * sigma * sigma) - dim / sigma))
 
 
 def check_approx_dp(

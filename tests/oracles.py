@@ -450,18 +450,25 @@ def masked_gamma_cf(a, x, max_iter):
 
 
 def masked_betacf(a, b, x, max_iter):
-    """(continued fraction, iterations per element, converged) for I_x(a, b)."""
+    """(continued fraction, iterations per element, converged) for I_x(a, b).
+
+    1/(1 + d_1/(1 + r)) with Numerical Recipes' d_j: forward modified
+    Lentz runs on the tail r = d_2/(1 + d_3/(1 + ...)), counting pairs
+    d_2m, d_2m+1 from m = 2, and the outermost step is taken as the
+    library's is, (a + 1)/(((a + 1) - p - e) + p r/(1 + r)) with p + e =
+    (a + b) x exactly, so it does not cancel near the mean.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones(x.shape)
-    d = 1.0 - qab * x / qap
+    d = 1.0 - qap * (qab + 1.0) * x / ((a + 2.0) * (qap + 2.0))
     _masked_lentz_guard(d)
     d = 1.0 / d
     h = d.copy()
     active = np.ones(x.shape, dtype=bool)
     iters = np.zeros(x.shape, dtype=np.int64)
-    m = 0
+    m = 1
     while active.any() and m < max_iter:
         m += 1
         m2 = 2 * m
@@ -484,7 +491,9 @@ def masked_betacf(a, b, x, max_iter):
         iters[active & done] = m
         active &= ~done
     iters[active] = max_iter
-    return h, iters, ~active
+    r = (b - 1.0) * x / (qap * (a + 2.0)) * h
+    p, e = _two_product(qab, x)
+    return qap / ((qap - p - e) + p * r / (1.0 + r)), iters, ~active
 
 
 # ---------------------------------------------------------------------------

@@ -276,8 +276,12 @@ CHECK_HEX = [
 
 @pytest.mark.parametrize(
     "d,eps,delta",
-    [(2, 1.0, 1e-3), (3, 1.0, 1e-5), (10, 1.0, 1e-5), (100, 1.0, 1e-5),
-     (1000, 1.0, 1e-5)],
+    [(2, 1.0, 1e-3)]
+    + [
+        (d, eps, delta)
+        for d in (3, 10, 100, 1000, 10**4)
+        for eps, delta in ((1.0, 1e-5), (0.1, 1e-7), (10.0, 1e-3))
+    ],
 )
 def test_lhs_slope_is_the_derivative_of_lhs_upper(d, eps, delta):
     # lhs_slope steers calibrate_l2's probes: here against a central
@@ -285,9 +289,11 @@ def test_lhs_slope_is_the_derivative_of_lhs_upper(d, eps, delta):
     # it is the derivative of the discrete radial bound itself, to 1e-4:
     # each term1 grid starts at a saturated node (h = 2r, the whole
     # sphere), and term2's grid at h = 0, where z^(a - 1) = z^(-1/2) of the
-    # cap fraction's rate is singular.  At d >= 3 it is the trapezoid rule
-    # on the sigma-derivative of the true integrands, on the bound's own
-    # edges, which lands within 5e-5 of the bound's difference quotient
+    # cap fraction's rate is singular.  At d >= 3 it is lhs_upper times the
+    # closed form d log lhs / d sigma = -(N_{k+1} / S) e^(eps/2) (1 -
+    # tau^2)^(k+1) / (2 sigma^2 (k + 1)), S = N_{k+1} G_k + N_k G_{k+1},
+    # with the sums read halfway between their bounds' logs, which lands
+    # within 6e-5 of the bound's difference quotient
     pp = PrivacyParams(eps, delta)
     calibrated = calibrate_l2(d, pp).sigma
     for fraction in (0.6, 0.95, 1.0):

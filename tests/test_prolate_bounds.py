@@ -7,8 +7,8 @@ its rounding margin against a 40-digit re-evaluation of the same sums,
 its order and refinement properties on random draws, and the edges
 where tau = eps sigma comes within ulps of 1.  The draws of the
 monotone-verdict test start at d = 2, where the radial sums certify.
-A digest pins every field the bounds return, bit for bit, on seeded
-draws.
+Two digests pin every field the bounds return, bit for bit, on seeded
+draws: one the nine certificate fields, one the slope.
 """
 
 import functools
@@ -17,6 +17,7 @@ import math
 import random
 import warnings
 
+import mpmath as mp
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -134,10 +135,38 @@ def test_tau_within_ulps_of_one_stays_sound(d, eps, delta):
             sigma = math.nextafter(sigma, 0.0)
 
 
+@pytest.mark.parametrize(
+    "d,sigma,eps",
+    [(2, 0.6, 0.5), (3, 0.5, 1.0), (4, 0.3, 2.0), (10, 0.3, 1.0), (100, 0.05, 1.0)],
+)
+def test_lhs_derivative_in_sigma_has_a_closed_form(d, sigma, eps):
+    # the identity the d >= 3 slope is read from, d lhs / d sigma = -C
+    # N_{k+1} e^(eps/2) (1 - tau^2)^(k+1) / (2 sigma^2 (k + 1)), against a
+    # central difference of the exact lhs at 40 digits; it holds from d =
+    # 2 (k = -1/2) on
+    hi, lo = sigma + 1e-6, sigma - 1e-6
+    rise = oracles.prolate_lhs(d, hi, eps, dps=40) - oracles.prolate_lhs(d, lo, eps, dps=40)
+    with mp.workdps(40):
+        central = rise / (mp.mpf(hi) - mp.mpf(lo))
+        s, e = mp.mpf(sigma), mp.mpf(eps)
+        a, tau, j = 1 / (2 * s), e * s, mp.mpf(d - 1) / 2
+        area = oracles._sphere_area
+        c = area(d - 1) / (2**d * area(d) * mp.gamma(d) * s**d)
+        mode = (j + mp.sqrt(j * j + a * a)) / a
+        n = mp.quad(lambda mu: mp.exp(-a * mu) * (mu * mu - 1) ** j, [1, mode, mp.inf])
+        want = -c * n * mp.exp(e / 2) * (1 - tau * tau) ** j / (2 * s * s * j)
+        assert abs(central - want) <= 1e-9 * abs(want), (central, want)
+
+
 PIN_DIMS = (3, 4, 10, 100, 10**4)
 PIN_GRIDS = ((2, 2), (250, 250), (64, 2000), (2000, 64))
-# SHA-1 of float.hex of every ProlateBounds field over _pin_inputs()
-PROLATE_BOUNDS_SHA1 = "54abe38932755247de7dac22b1716d8e638a8bc9"
+# SHA-1 of float.hex of the nine certificate fields (the lhs, term1 and
+# term2 pairs, r_star, direct, margin) over _pin_inputs(), computed
+# while the slope still came from a trapezoid pass over the edges, so it
+# shows that taking the slope from its closed form moved none of them
+PROLATE_BOUNDS_SHA1 = "5f346491f793215f7cc8a9a38ac606c25dac9574"
+# and of the slope alone, one line per draw
+PROLATE_SLOPE_SHA1 = "80cef34b2a2ebc8b7a47e0d0585a2a738507df6f"
 
 
 def _pin_inputs():
@@ -165,17 +194,22 @@ def _pin_inputs():
 
 
 def test_every_prolate_bounds_field_is_pinned_bitwise():
-    # lhs, term1 and term2 pairs, slope, r_star, direct and margin of
-    # 300 draws over d = 3 (k = 0), 4, 10, 100 and 10^4, the smallest
-    # grid, the quarter grid and both lopsided ones, sigma near the floor
-    # and eps sigma within ulps of 1: a change to how the bounds are
-    # evaluated must keep every bit
-    digest = hashlib.sha1()
+    # lhs, term1 and term2 pairs, r_star, direct and margin of 300 draws
+    # over d = 3 (k = 0), 4, 10, 100 and 10^4, the smallest grid, the
+    # quarter grid and both lopsided ones, sigma near the floor and eps
+    # sigma within ulps of 1: a change to how the bounds are evaluated
+    # must keep every bit.  The slope has its own digest, and is finite
+    # and at most 0 on every draw, the 2-cell ones whose lower G sum is 0
+    # included
+    digest, slopes = hashlib.sha1(), hashlib.sha1()
     count = 0
     for args in _pin_inputs():
         bounds = lossbounds._prolate_bounds(*args)
-        fields = (*bounds.lhs, *bounds.term1, *bounds.term2, *bounds[3:])
+        fields = (*bounds.lhs, *bounds.term1, *bounds.term2, *bounds[4:])
         digest.update(" ".join(float(v).hex() for v in fields).encode() + b"\n")
+        slopes.update(float(bounds.slope).hex().encode() + b"\n")
+        assert math.isfinite(bounds.slope) and bounds.slope <= 0.0, args
         count += 1
     assert count == 300
     assert digest.hexdigest() == PROLATE_BOUNDS_SHA1
+    assert slopes.hexdigest() == PROLATE_SLOPE_SHA1
