@@ -26,21 +26,21 @@ def integer(name: str, value, minimum: int = 1, message: str | None = None):
 
 
 def positive(name: str, value):
-    """None if value (every element of an array) is positive and finite."""
-    if isinstance(value, (bool, np.bool_)):  # as in integer: True is no scale
-        ok = False
-    elif isinstance(value, (int, float)):  # plain numbers skip numpy's overhead
-        ok = math.isfinite(value) and value > 0
+    """None if value (every element of an array) is real, positive and finite; no bool is."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        ok = math.isfinite(value) and value > 0  # plain numbers skip numpy's overhead
     else:
-        ok = np.all(np.isfinite(value)) and np.all(np.greater(value, 0))
+        value = np.asarray(value)
+        ok = value.dtype.kind in "iuf" and np.all(np.isfinite(value) & (value > 0))
     return None if ok else f"{name} must be positive and finite"
 
 
 def number(name: str, value):
-    """None if value is one number (a 0-d array counts), else a message saying so."""
-    if np.ndim(value) == 0:
-        return None
-    return f"{name} must be one number, not an array of shape {np.shape(value)}"
+    """None if value is one real number (a 0-d array counts), else a message saying so."""
+    if np.ndim(value):
+        return f"{name} must be one number, not an array of shape {np.shape(value)}"
+    real = isinstance(value, (int, float)) or np.asarray(value).dtype.kind in "biuf"
+    return None if real else f"{name} must be one real number, not {type(value).__name__}"
 
 
 def instance(name: str, value, cls: type):

@@ -44,7 +44,8 @@ class LossGeometry:
             number("sigma", self.sigma) or positive("sigma", self.sigma),
             number("epsilon", self.epsilon) or positive("epsilon", self.epsilon),
             unless(
-                np.ndim(self.epsilon * self.sigma) or self.epsilon * self.sigma < 1.0,
+                number("sigma", self.sigma) or number("epsilon", self.epsilon)
+                or self.epsilon * self.sigma < 1.0,
                 "epsilon * sigma must be < 1 (otherwise the loss region is empty)",
             ),
         )

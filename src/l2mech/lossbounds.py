@@ -9,7 +9,7 @@ the (epsilon, delta) guarantee holds iff
 where P0 / P1 put the noise at the two centers (T1 and T2 below).
 check_approx_dp bounds lhs from above in one of four ways, each of whose
 errors can only lean toward "not certified", never toward a false
-guarantee:
+guarantee, and none of which runs a gamma or beta kernel:
 
 - eps * sigma >= 1, exactly and not merely after rounding: the loss
   region is empty and lhs = 0.
@@ -31,8 +31,7 @@ guarantee:
   nested in its own (_probe_check): a lower bound above delta fails it,
   a direct bound below delta by more than the finer grid's margin can
   add passes it, and only a probe that neither decides runs the full
-  grid.  Nothing cancels, no gamma or beta kernel runs, and no r_star
-  bounds a radius.
+  grid.  Nothing cancels, and no r_star bounds a radius.
 - d = 2: left Riemann-Stieltjes sums over the radial CDF, weighted by
   spherical-cap fractions.  term1 weights the sphere mass between
   consecutive radii by the cap fraction at the left radius (cap
@@ -43,12 +42,10 @@ guarantee:
   left-endpoint weights under-count.  Both charge the mass beyond their
   last radius r_star = sigma * x_star the cap fraction at r_star, where
   x_star leaves a _TAIL_FRACTION * delta sliver (one percent of the
-  budget) beyond it; the check finds x_star itself, from the closed
-  form Q(2, x) = e^-x (1 + x).  The two radial grids go as one flat
-  batch into one call of the whole-array gamma kernel, which also gives
-  the tail mass; their cap fractions come from the circle's closed
-  form, (2/pi) arcsin sqrt(h/(2r)), with no beta kernel.  The same pass
-  gives lhs_slope, the exact sigma-derivative of the two sums.
+  budget) beyond it.  x_star, the radial CDF and the tail mass come
+  from Q(2, x) = e^-x (1 + x) and the cap fractions from the circle's
+  (2/pi) arcsin sqrt(h/(2r)), all closed forms.  The same pass gives
+  lhs_slope, the exact sigma-derivative of the sums.
   lhs_upper is the smaller of their difference and 1 - e^(eps -
   1/sigma), which alone bounds lhs where either grid's first radius is
   not below r_star (tiny sigma), or where an eps * sigma below 1 rounds
@@ -97,7 +94,6 @@ import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
 from .capgeom import _cap_heights
-from .specfun import ConvergenceError, _gamma_pq_vec
 
 __all__ = [
     "PrivacyParams",
@@ -200,10 +196,9 @@ def _riemann_stieltjes(
     cap height function and whether the ball below the first radius
     counts in full (see the module docstring).  Their grids, n_r radii
     from (1 - tau)/2 and n_R from (1 + tau)/2, both up to r_star, which
-    must exceed both, go end to end into a single incomplete-gamma call,
-    which also gives the tail mass beyond r_star, Q(2, r_star / sigma),
-    that both sums charge; their cap fractions come from the circle's
-    closed form (_arc_fraction), with no kernel call.
+    must exceed both, lie end to end in one array; the radial CDF on it
+    and the tail mass Q(2, r_star / sigma) both sums charge (_gamma_2),
+    and the cap fractions (_arc_fraction), are closed forms.
 
     lhs_slope is the exact sigma-derivative of term1 - e^eps term2 as
     these sums compute them, from the same arrays: each sum is a dot
@@ -222,13 +217,9 @@ def _riemann_stieltjes(
     offset = np.concatenate([np.full(n_r, big_r_first), np.full(n_R, -big_r_first)])
     heights = _cap_heights(tau, radii, offset)
     x = radii / sigma
-    cdf, sf, iters, conv = _gamma_pq_vec(2.0, x)
-    if not conv:
-        raise ConvergenceError(
-            f"reg_lower_gamma did not converge within {iters} iterations"
-        )
+    cdf, fall = _gamma_2(x)
     frac, rate = _arc_fraction(radii, heights)
-    tail = float(sf[-1])
+    tail = float(fall[-1] * (1.0 + x[-1]))
     # sigma-derivatives of the radii, the CDF at them (the gamma density
     # x e^-x), the heights, whose offset moves at +-eps/2 = offset * eps /
     # (1 + tau), and the cap fractions, at their rate in v = h/r
@@ -236,7 +227,7 @@ def _riemann_stieltjes(
     d_radii = np.concatenate(
         [np.linspace(-eps / 2.0, x_star, n_r), np.linspace(eps / 2.0, x_star, n_R)]
     )
-    d_cdf = x * np.exp(-x) * ((d_radii - x) / sigma)
+    d_cdf = x * fall * ((d_radii - x) / sigma)
     d_heights = (1.0 - tau) * (d_radii + offset * (eps / (1.0 + tau)))
     d_heights -= eps * (radii + offset)
     d_frac = rate * ((d_heights - (heights / radii) * d_radii) / radii)
@@ -259,6 +250,12 @@ def _riemann_stieltjes(
     d_t1 = slopes[0] if t1 == sums[0] else 0.0
     d_t2 = slopes[1] if t2 == sums[1] else 0.0
     return t1, t2, d_t1 - _exp_eps(eps) * d_t2
+
+
+def _gamma_2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(2, x), e^-x): Q(2, x) = e^-x (1 + x), and P = 1 - Q within 2^-52 absolute."""
+    fall = np.exp(-x)
+    return -np.expm1(-x) - x * fall, fall
 
 
 def _arc_fraction(r: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -724,14 +721,14 @@ def check_approx_dp(
     At dim >= 3 the 1-D prolate form bounds lhs on n_r nu-cells and n_R
     mu-cells (see _prolate_bounds); it needs no outer radius, and below
     sigma = 2^-100, where its bounds say nothing, 1 - e^(epsilon -
-    1/sigma) alone bounds lhs.  At dim =
-    2 the outer radius r_star = sigma * x_star is set so the radial mass
-    beyond it is _TAIL_FRACTION * delta (one percent of the privacy
-    budget; see _x_star), then both Riemann bounds are evaluated on
-    [first radius, r_star] grids, together in one pass of the kernels
-    that also gives that tail mass (see _riemann_stieltjes); where r_star
-    does not exceed both first radii, 1 - e^(epsilon - 1/sigma) alone
-    bounds lhs.  satisfies_dp=True is a proof up to float arithmetic;
+    1/sigma) alone bounds lhs.  At dim = 2 the outer radius r_star =
+    sigma * x_star is set so the radial mass beyond it is _TAIL_FRACTION
+    * delta (one percent of the privacy budget; see _x_star), then both
+    Riemann bounds are evaluated on [first radius, r_star] grids,
+    together in one pass of closed forms that also gives that tail mass
+    (see _riemann_stieltjes); where r_star does not exceed both first
+    radii, 1 - e^(epsilon - 1/sigma) alone bounds lhs.  No iterative
+    kernel runs.  satisfies_dp=True is a proof up to float arithmetic;
     False only means these grids could not certify the pair.
     """
     require(

@@ -83,25 +83,26 @@ def _check(center, sigma, size, *more, scale: str = "sigma"):
     """(center as a float vector, sigma as a float, rows to draw, whether
     to return one row) of a sampler call; one ValueError lists every fault.
 
-    center (None in sample_unit_ball) must be a finite 1-d vector, sigma
-    (None there too; named scale in its message) positive and finite and
-    size None or an integer >= 1; more holds the caller's own faults.
+    center must be a finite 1-d vector and sigma (named scale in its
+    message) one positive finite number; more holds the caller's faults.
     """
-    c = None if center is None else np.asarray(center, dtype=np.float64)
-    batch = size is not None
-    require(
-        c is not None
-        and unless(
-            c.ndim == 1 and c.size >= 1,
-            "center must be a 1-d vector with at least one entry",
-        ),
-        c is not None and unless(np.all(np.isfinite(c)), "center must be finite"),
-        sigma is not None and (number(scale, sigma) or positive(scale, sigma)),
+    c = np.asarray(center, dtype=np.float64)
+    shaped = c.ndim == 1 and c.size >= 1
+    n, scalar = _rows(
+        size,
+        unless(shaped, "center must be a 1-d vector with at least one entry"),
+        unless(np.all(np.isfinite(c)), "center must be finite"),
+        number(scale, sigma) or positive(scale, sigma),
         *more,
-        batch and integer("size", size, 1, "size must be None or an integer >= 1"),
     )
-    sigma = None if sigma is None else float(sigma)
-    return c, sigma, int(size) if batch else 1, not batch
+    return c, float(sigma), n, scalar
+
+
+def _rows(size, *more):
+    """(rows to draw, whether to return one row); size is checked with more."""
+    batch = size is not None
+    require(*more, batch and integer("size", size, 1, "size must be None or an integer >= 1"))
+    return int(size) if batch else 1, not batch
 
 
 def _gaussian_rows(gen: np.random.Generator, n: int, dim: int):
@@ -128,9 +129,7 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     U^(1/dim).  Draw order per batch: the Gaussian block, then the
     radial uniforms.
     """
-    _, _, n, scalar = _check(
-        None, None, size, integer("dim", dim), instance("rng", rng, RngState)
-    )
+    n, scalar = _rows(size, integer("dim", dim), instance("rng", rng, RngState))
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
@@ -184,11 +183,13 @@ def sample_l2_parallel(
     Returns the sample and the full trace of contributions.  A zero
     direction vector triggers a global redraw round for all parties.
     """
-    d, n = np.size(center), len(worker_rngs)
+    d, listed = np.size(center), isinstance(worker_rngs, (list, tuple))
+    n = len(worker_rngs) if listed else 0
     c, sigma, _, _ = _check(
         center, sigma, None,
-        unless(n == d, f"need exactly {d} worker streams, got {n}"),
-        unless(
+        unless(listed, "worker_rngs must be a list of RngState"),
+        listed and unless(n == d, f"need exactly {d} worker streams, got {n}"),
+        listed and unless(
             all(isinstance(w, RngState) for w in worker_rngs),
             "worker_rngs must hold only RngState",
         ),

@@ -5,11 +5,9 @@ call per dimension in DIMS and one comparison_table up to TABLE_D_MAX.
 Each calibration (and each l2 row of a table) records:
 
 - checks: calls of calibrate._probe_check, and search_iterations as reported;
-- gamma_elements and gamma_iterations: elements of lossbounds'
-  _gamma_pq_vec calls and the sum of their reported iterations;
 - nu_cells and mu_cells: the cells of lossbounds._prolate_bounds' two
-  grids, summed over its calls (the d >= 3 checks, where the gamma
-  counts read 0; d = 2 checks run the radial sum and count none);
+  grids, summed over its calls (the d >= 3 checks; d = 2 checks run the
+  radial sum and count none);
 - sigma as float.hex, and hit_bracket_floor.
 
 For each target it also records calibrate_gaussian at each tolerance in
@@ -97,18 +95,11 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 @contextmanager
 def _counting(counts: list[Counter]):
     """Count checks and kernel work into counts[-1] while the block runs."""
-    check, gamma = calibrate._probe_check, lossbounds._gamma_pq_vec
-    prolate = lossbounds._prolate_bounds
+    check, prolate = calibrate._probe_check, lossbounds._prolate_bounds
 
     def counted_check(*args):
         counts[-1]["checks"] += 1
         return check(*args)
-
-    def counted_gamma(a, x):
-        out = gamma(a, x)
-        counts[-1]["gamma_elements"] += int(x.size)
-        counts[-1]["gamma_iterations"] += int(out[2])
-        return out
 
     def counted_prolate(dim, sigma, eps, n_nu, n_mu):
         counts[-1]["nu_cells"] += n_nu
@@ -116,13 +107,11 @@ def _counting(counts: list[Counter]):
         return prolate(dim, sigma, eps, n_nu, n_mu)
 
     calibrate._probe_check = counted_check
-    lossbounds._gamma_pq_vec = counted_gamma
     lossbounds._prolate_bounds = counted_prolate
     try:
         yield
     finally:
         calibrate._probe_check = check
-        lossbounds._gamma_pq_vec = gamma
         lossbounds._prolate_bounds = prolate
 
 
@@ -130,8 +119,6 @@ def _entry(count: Counter, result) -> dict:
     return {
         "checks": count["checks"],
         "search_iterations": result.search_iterations,
-        "gamma_elements": count["gamma_elements"],
-        "gamma_iterations": count["gamma_iterations"],
         "nu_cells": count["nu_cells"],
         "mu_cells": count["mu_cells"],
         "sigma": result.sigma.hex(),

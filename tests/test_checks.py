@@ -20,8 +20,9 @@ def test_value_errors_are_raised_only_by_checks():
 
 
 def test_scalars_are_checked_as_one_number():
-    # an array where one epsilon, delta, sigma, scale, tol or sensitivity
-    # belongs is refused by name at each entry, before any stream advances
+    # an array, None or a string where one epsilon, delta, sigma, scale,
+    # tol or sensitivity belongs is refused by name at each entry, in
+    # require's one ValueError, before any stream advances
     import re
 
     import numpy as np
@@ -47,33 +48,38 @@ def test_scalars_are_checked_as_one_number():
         sample_laplace,
     )
 
-    two = np.array([0.5, 0.6])
     pp = PrivacyParams(1.0, 1e-2)
     streams = [RngState(3, i) for i in range(4)]
     states = [repr(rng.generator.bit_generator.state) for rng in streams]
     rng, worker, manager = streams[0], streams[1], streams[2]
     calls = {
-        "epsilon": [lambda: PrivacyParams(two, 1e-5), lambda: gaussian_dp_lhs(1.0, two),
-                    lambda: LossGeometry(2, 0.5, two), lambda: empirical_lhs(2, 0.5, two, 2, rng)],
-        "delta": [lambda: PrivacyParams(1.0, np.array([1e-5, 1e-6]))],
-        "sigma": [lambda: check_approx_dp(3, two, pp), lambda: check_approx_dp(2, two, pp),
-                  lambda: CalibrationResult("l2", two, 2.0, 1, 1e-3),
-                  lambda: gaussian_dp_lhs(two, 1.0), lambda: LossGeometry(2, two, 1.0),
-                  lambda: radial_cdf(2, two, 1.0), lambda: mse_lp_mechanism(2, 2.0, two),
-                  lambda: mse_gaussian(2, two), lambda: sample_l2([0.0], two, rng),
-                  lambda: sample_gaussian([0.0], two, rng, size=2),
-                  lambda: sample_l2_parallel([0.0], two, [worker], manager),
-                  lambda: empirical_lhs(2, two, 1.0, 2, rng)],
-        "scale": [lambda: sample_laplace([0.0], two, rng), lambda: mse_laplace(2, two)],
-        "p": [lambda: mse_lp_mechanism(2, two, 1.0)],
-        "tol": [lambda: calibrate_l2(3, pp, tol=two), lambda: calibrate_gaussian(pp, two),
-                lambda: empirical_min_sigma(2, pp, 10**4, two, rng)],
-        "sensitivity": [lambda: calibrate_l2(3, pp, sensitivity=two),
-                        lambda: laplace_sigma(3, pp, sensitivity=two)],
+        "epsilon": [lambda v: PrivacyParams(v, 1e-5), lambda v: gaussian_dp_lhs(1.0, v),
+                    lambda v: LossGeometry(2, 0.5, v), lambda v: empirical_lhs(2, 0.5, v, 2, rng)],
+        "delta": [lambda v: PrivacyParams(1.0, v)],
+        "sigma": [lambda v: check_approx_dp(3, v, pp), lambda v: check_approx_dp(2, v, pp),
+                  lambda v: CalibrationResult("l2", v, 2.0, 1, 1e-3),
+                  lambda v: gaussian_dp_lhs(v, 1.0), lambda v: LossGeometry(2, v, 1.0),
+                  lambda v: radial_cdf(2, v, 1.0), lambda v: mse_lp_mechanism(2, 2.0, v),
+                  lambda v: mse_gaussian(2, v), lambda v: sample_l2([0.0], v, rng),
+                  lambda v: sample_gaussian([0.0], v, rng, size=2),
+                  lambda v: sample_l2_parallel([0.0], v, [worker], manager),
+                  lambda v: empirical_lhs(2, v, 1.0, 2, rng)],
+        "scale": [lambda v: sample_laplace([0.0], v, rng), lambda v: mse_laplace(2, v)],
+        "p": [lambda v: mse_lp_mechanism(2, v, 1.0)],
+        "tol": [lambda v: calibrate_l2(3, pp, tol=v), lambda v: calibrate_gaussian(pp, v),
+                lambda v: empirical_min_sigma(2, pp, 10**4, v, rng)],
+        "sensitivity": [lambda v: calibrate_l2(3, pp, sensitivity=v),
+                        lambda v: laplace_sigma(3, pp, sensitivity=v)],
     }
+    values = (
+        (np.array([0.5, 0.6]), "one number, not an array of shape (2,)"),
+        (None, "one real number, not NoneType"),
+        ("0.5", "one real number, not str"),
+    )
     for name, entries in calls.items():
-        message = f"{name} must be one number, not an array of shape (2,)"
-        for call in entries:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                call()
+        for value, fault in values:
+            message = f"^{re.escape(f'{name} must be {fault}')}$"
+            for call in entries:
+                with pytest.raises(ValueError, match=message):
+                    call(value)
     assert [repr(rng.generator.bit_generator.state) for rng in streams] == states

@@ -208,21 +208,21 @@ def test_d2_tail_radius_matches_40_digits(delta):
 CHECK_HEX = [
     # d, sigma, eps, delta, n_r, n_R, then term1, term2, lhs
     (2, 0.5, 0.1, 1e-05, 1000, 1000,
-     "0x1.7e086fd06f8bfp-1", "0x1.c56eb95e4bf5cp-3", "0x1.00c0bab07346fp-1"),
+     "0x1.7e086fd06f8bep-1", "0x1.c56eb95e4bf59p-3", "0x1.00c0bab07346ep-1"),
     (2, 0.5, 0.1, 1e-05, 64, 2000,
-     "0x1.8a4b97639394fp-1", "0x1.c6b6f62483cc6p-3", "0x1.0ca931b980c33p-1"),
+     "0x1.8a4b976393950p-1", "0x1.c6b6f62483cc4p-3", "0x1.0ca931b980c34p-1"),
     (2, 0.3, 1.0, 1e-10, 1000, 1000,
-     "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac8p-4", "0x1.1f60319ce67d5p-1"),
+     "0x1.85530bd76a5cfp-1", "0x1.2c09d99d01ac4p-4", "0x1.1f60319ce67d6p-1"),
     (2, 0.3, 1.0, 1e-10, 64, 2000,
-     "0x1.9a26a7e27fcabp-1", "0x1.2dc46c8cf5cfep-4", "0x1.339d6c59d2f99p-1"),
+     "0x1.9a26a7e27fcaap-1", "0x1.2dc46c8cf5cfap-4", "0x1.339d6c59d2f9ap-1"),
     (2, 0.2333333333333333, 3.0, 0.001, 1000, 1000,
-     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb35p-7", "0x1.36595bb3d2a78p-2"),
+     "0x1.2013a4ed2a91ap-1", "0x1.a779d6145fb34p-7", "0x1.36595bb3d2a79p-2"),
     (2, 0.2333333333333333, 3.0, 0.001, 64, 2000,
      "0x1.2d9f617b6c9b1p-1", "0x1.a86f58c1c2757p-7", "0x1.50d6bb238b529p-2"),
     (2, 1.9, 0.5, 1e-05, 1000, 1000,
-     "0x1.f7e8c45ce347dp-4", "0x1.299fd84470222p-4", "0x1.a6b4dc2b5a640p-9"),
+     "0x1.f7e8c45ce347cp-4", "0x1.299fd84470221p-4", "0x1.a6b4dc2b5a660p-9"),
     (2, 1.9, 0.5, 1e-05, 64, 2000,
-     "0x1.42f698d75ddcdp-3", "0x1.2a44a3f7be875p-4", "0x1.a988c189d5490p-6"),
+     "0x1.42f698d75ddcep-3", "0x1.2a44a3f7be874p-4", "0x1.a988c189d5490p-6"),
     (10, 0.5, 0.1, 1e-05, 1000, 1000,
      "0x1.23dc23db34b0bp-1", "0x1.4700fc454d114p-2", "0x1.bc9c5c9701810p-3"),
     (10, 0.5, 0.1, 1e-05, 64, 2000,
@@ -318,30 +318,25 @@ def test_check_values_pinned_bitwise():
 
 
 def test_check_sends_each_radius_once(monkeypatch):
-    # at d = 2 the two grids go end to end into one gamma call: n_r + n_R
-    # elements, with no padding of the shorter grid.  The heights the
-    # check builds itself are capgeom's, bit for bit.  At d >= 3 the
-    # prolate form calls no kernel
+    # at d = 2 the two grids go end to end into one cap-fraction call:
+    # n_r + n_R radii, with no padding of the shorter grid.  The heights
+    # the check builds itself are capgeom's, bit for bit.  At d >= 3 the
+    # prolate form takes no cap fraction
     from l2mech import lossbounds
 
-    sizes, grids = [], []
-    real_gamma_pq, real_arc_fraction = lossbounds._gamma_pq_vec, lossbounds._arc_fraction
-
-    def gamma_pq(a, x):
-        sizes.append(("_gamma_pq_vec", np.size(x)))
-        return real_gamma_pq(a, x)
+    grids = []
+    real_arc_fraction = lossbounds._arc_fraction
 
     def arc_fraction(r, h):
         grids.append((r, h))
         return real_arc_fraction(r, h)
 
-    monkeypatch.setattr(lossbounds, "_gamma_pq_vec", gamma_pq)
     monkeypatch.setattr(lossbounds, "_arc_fraction", arc_fraction)
     sigma, eps = 0.2333333333333333, 3.0
     check_approx_dp(100, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
-    assert sizes == [] and grids == []
+    assert grids == []
     check_approx_dp(2, sigma, PrivacyParams(eps, 1e-3), 64, 2000)
-    assert sizes == [("_gamma_pq_vec", 2064)]
+    assert [np.size(r) for r, _ in grids] == [2064]
     (radii, heights), geom = grids[0], LossGeometry(2, sigma, eps)
     assert np.array_equal(heights[:64], height_h(geom, radii[:64]))
     assert np.array_equal(heights[64:], height_H(geom, radii[64:]))
@@ -428,6 +423,40 @@ def test_d2_cap_fractions_move_as_the_left_sums_need():
     for n_r, radii, heights, frac in _d2_check_hex_fractions():
         assert np.all(np.diff(frac[:n_r]) <= 0.0) and np.all(np.diff(frac[n_r:]) >= 0.0)
         assert np.max(np.abs(frac - cap_fraction(2, radii, heights))) <= 1e-15
+
+
+def test_d2_radial_cdf_matches_40_digits():
+    # P(2, x) = 1 - e^-x (1 + x) and Q(2, x) = e^-x (1 + x), from
+    # _gamma_2's (P, e^-x), against 40 digits: P within 2 u absolute (the
+    # sums read P only as its first value and its steps) and Q within 4 u
+    # relative, u = 2^-53, at x = 0, on a log grid over [1e-300, 1], a
+    # linear one up to 700 and every d = 2 CHECK_HEX grid; at x = 0 P is
+    # exactly 0 and Q exactly 1
+    from l2mech import lossbounds
+
+    grids = []
+    real = lossbounds._gamma_2
+
+    def spy(x):
+        grids.append(x)
+        return real(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lossbounds, "_gamma_2", spy)
+        for d, sigma, eps, delta, n_r, n_R, *_ in CHECK_HEX:
+            if d == 2:
+                check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+    assert len(grids) == 8
+    x = np.concatenate([[0.0], np.logspace(-300, 0, 301), np.linspace(0.0, 700.0, 1401), *grids])
+    cdf, fall = real(x)
+    sf = fall * (1.0 + x)
+    assert (cdf[0], sf[0]) == (0.0, 1.0)
+    u = 2.0**-53
+    with mpmath.workdps(40):
+        for xi, p, q in zip(x, cdf, sf):
+            exact = mpmath.exp(-mpmath.mpf(float(xi))) * (1 + mpmath.mpf(float(xi)))
+            assert abs(p - (1 - exact)) <= 2 * u, (xi, p)
+            assert abs(q - exact) <= 4 * u * exact, (xi, q)
 
 
 def test_d2_check_runs_no_beta_kernel(monkeypatch):

@@ -122,6 +122,11 @@ def test_samplers_check_their_rng():
         sample_l2_parallel(c, 1.0, [first, 5], RngState(3))
     with pytest.raises(ValueError, match="manager_rng must be a RngState"):
         sample_l2_parallel(c, 1.0, [first, RngState(2)], 3)
+    # the worker streams come as a list or tuple: None and a generator of
+    # streams are refused by name, not by len()
+    for workers in (None, (rng for rng in (first, RngState(2)))):
+        with pytest.raises(ValueError, match="^worker_rngs must be a list of RngState$"):
+            sample_l2_parallel(c, 1.0, workers, RngState(3))
     assert first.generator.random() == RngState(1).generator.random()
 
 

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -166,44 +166,29 @@ def _fraction_values(batches):
     return out
 
 
-def _check_hex_fraction_batches():
-    # the fraction batches that test_lossbounds.CHECK_HEX's checks send,
-    # recorded by spying on the two kernels
-    from l2mech.lossbounds import PrivacyParams, check_approx_dp
+def test_no_certificate_runs_an_iterative_kernel(monkeypatch):
+    # every certificate branch is closed-form: no CHECK_HEX check, at any
+    # dimension, and no d = 2 calibration calls the gamma series, the gamma
+    # fraction or the beta fraction, so none can fail to converge
+    from l2mech.calibrate import PrivacyParams, calibrate_l2
+    from l2mech.lossbounds import check_approx_dp
     from test_lossbounds import CHECK_HEX
 
-    batches = []
-    gamma_cf, betacf = specfun._gamma_cf_vec, specfun._betacf_vec
+    calls = []
 
-    def gamma_spy(a, x):
-        batches.append(("gamma", a, None, x.copy()))
-        return gamma_cf(a, x)
+    def spy(name, kernel):
+        def counted(*args):
+            calls.append(name)
+            return kernel(*args)
 
-    def beta_spy(a, b, x):
-        batches.append(("beta", a, b, x.copy()))
-        return betacf(a, b, x)
+        return counted
 
-    specfun._gamma_cf_vec, specfun._betacf_vec = gamma_spy, beta_spy
-    try:
-        for d, sigma, eps, delta, n_r, n_R, *_ in CHECK_HEX:
-            check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
-    finally:
-        specfun._gamma_cf_vec, specfun._betacf_vec = gamma_cf, betacf
-    return batches
-
-
-def test_fraction_truncation_has_converged_on_the_check_hex_grids(monkeypatch):
-    # the batches run their count's terms, and 8 more iterations move no
-    # value: the truncation has converged for every element, not only
-    # for the slowest one that set the count.  The checks' cap fractions
-    # are closed forms, so only gamma batches run; the beta fraction's
-    # truncation is covered on random batches below
-    batches = _check_hex_fraction_batches()
-    assert {kind for kind, *_ in batches} == {"gamma"}
-    want = _fraction_values(batches)
-    _with_more_terms(monkeypatch, 8)
-    for got, expect, batch in zip(_fraction_values(batches), want, batches):
-        assert np.array_equal(got, expect), batch[:3]
+    for name in ("_gamma_series_vec", "_gamma_cf_vec", "_betacf_vec"):
+        monkeypatch.setattr(specfun, name, spy(name, getattr(specfun, name)))
+    for d, sigma, eps, delta, n_r, n_R, *_ in CHECK_HEX:
+        check_approx_dp(d, sigma, PrivacyParams(eps, delta), n_r, n_R)
+    calibrate_l2(2, PrivacyParams(1.0, 1e-5))
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,10 +219,12 @@ def test_beta_fraction_truncation_has_converged(log_a, u, swap):
     log_d=st.floats(0.0, math.log(5000.0)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(log_d=math.log(2.0), seed=0)
 def test_gamma_fraction_truncation_has_converged(log_d, seed):
     # Q(d, x)'s fraction at an integer shape d, on a random batch of the
     # arguments _gamma_pq_vec sends it: x >= d + 1, within a quarter of
-    # d + 1, where the fraction converges slowest
+    # d + 1, where the fraction converges slowest; d = 2, the circle's
+    # radial law, is always among the draws
     a = float(round(math.exp(log_d)))
     u = np.random.default_rng(seed).uniform(0.0, 1.0, 64)
     batch = [("gamma", a, None, (a + 1.0) * (1.0 + 0.25 * u))]
@@ -252,8 +239,9 @@ def _check_hex_grids():
     # the radial grids of test_lossbounds.CHECK_HEX's case (100,
     # 0.2333..., eps 3, delta 1e-3, n_r=64, n_R=2000) as the radial sums
     # would build them, term1's 64 radii then term2's 2000, over sigma: a
-    # batch that straddles a + 1 at a = 100.  check_approx_dp takes d =
-    # 100 on the prolate form, which sends the gamma kernel nothing
+    # batch that straddles a + 1 at a = 100.  No certificate sends the
+    # gamma kernel anything: d = 100 takes the prolate form, and d = 2
+    # takes Q(2, x) = e^-x (1 + x) in closed form
     sigma, tau = 0.2333333333333333, 3.0 * 0.2333333333333333
     r_star = sigma * inv_reg_upper_gamma(100.0, 0.01 * 1e-3)
     radii = np.concatenate([np.linspace((1.0 - tau) / 2.0, r_star, 64),
