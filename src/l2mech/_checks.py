@@ -2,7 +2,8 @@
 
 Each check returns None when its value is acceptable and the message
 naming the violated constraint otherwise, so require can report every
-fault of a call in one ValueError.
+fault of a call in one ValueError.  Arrays are checked here too, as
+given: real alone decides what is real, before numpy converts anything.
 """
 from __future__ import annotations
 
@@ -25,22 +26,44 @@ def integer(name: str, value, minimum: int = 1, message: str | None = None):
     return message or f"{name} must be an integer >= {minimum}"
 
 
-def positive(name: str, value):
-    """None if value (every element of an array) is real, positive and finite; no bool is."""
+def real(value, kinds: str = "iuf"):
+    """value if it is real, as an array unless a plain number, else None: a
+    Python int or float or an array of a dtype kind in kinds is real, and by
+    default no bool, str, None, complex, object or ragged list is."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        ok = math.isfinite(value) and value > 0  # plain numbers skip numpy's overhead
-    else:
+        return value
+    try:
         value = np.asarray(value)
-        ok = value.dtype.kind in "iuf" and np.all(np.isfinite(value) & (value > 0))
-    return None if ok else f"{name} must be positive and finite"
+    except (TypeError, ValueError):  # numpy makes no one array of it
+        return None
+    return value if value.dtype.kind in kinds else None
+
+
+def finite(name: str, value, above: float = -math.inf):
+    """None if value (every element of an array) is real and finite, else a message.
+
+    above, positive's bound, also refuses what is not above it.
+    """
+    value = real(value)
+    if isinstance(value, (int, float)):
+        ok = math.isfinite(value) and value > above  # plain numbers skip numpy's overhead
+    else:
+        ok = value is not None and np.all(np.isfinite(value) & (value > above))
+    return None if ok else f"{name} must be finite"
+
+
+def positive(name: str, value):
+    """None if value (every element of an array) is real, positive and finite."""
+    return finite(name, value, 0.0) and f"{name} must be positive and finite"
 
 
 def number(name: str, value):
     """None if value is one real number (a 0-d array counts), else a message saying so."""
-    if np.ndim(value):
-        return f"{name} must be one number, not an array of shape {np.shape(value)}"
-    real = isinstance(value, (int, float)) or np.asarray(value).dtype.kind in "biuf"
-    return None if real else f"{name} must be one real number, not {type(value).__name__}"
+    as_real = real(value, "biuf")  # a bool counts, for positive to refuse by name
+    if as_real is None:
+        return f"{name} must be one real number, not {type(value).__name__}"
+    shape = np.shape(as_real)
+    return f"{name} must be one number, not an array of shape {shape}" if shape else None
 
 
 def instance(name: str, value, cls: type):

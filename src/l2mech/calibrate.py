@@ -88,9 +88,9 @@ class CalibrationResult:
                 self.mechanism in MECHANISMS, f"mechanism must be one of {MECHANISMS}"
             ),
             number("sigma", self.sigma) or positive("sigma", self.sigma),
-            unless(
-                math.isfinite(self.tolerance) and self.tolerance >= 0,
-                "tolerance must be finite and nonnegative",
+            number("tolerance", self.tolerance)
+            or unless(
+                0.0 <= self.tolerance < math.inf, "tolerance must be finite and nonnegative"
             ),
         )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, number, positive, require, unless
+from ._checks import finite, integer, number, positive, require, unless
 from .specfun import reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
@@ -62,9 +62,8 @@ def height_h(geom: LossGeometry, r):
     r <= (1 - tau)/2 lie entirely inside the loss region, so the cap is
     the whole sphere and the height saturates at the diameter 2r.
     """
-    r_arr = np.asarray(r, dtype=np.float64)
-    require(positive("r", r_arr))
-    val = _cap_heights(geom.tau, r_arr, (1.0 + geom.tau) / 2.0)
+    require(positive("r", r))
+    val = _cap_heights(geom.tau, np.asarray(r, dtype=np.float64), (1.0 + geom.tau) / 2.0)
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -77,17 +76,15 @@ def height_H(geom: LossGeometry, R):
     (1 - tau) * (R - (1 + tau)/2) is exactly 0 at the threshold, and it
     never reaches the diameter 2R.
     """
-    R_arr = np.asarray(R, dtype=np.float64)
     lo = (1.0 + geom.tau) / 2.0
     require(
-        positive("R", R_arr),
-        unless(
-            not np.any(R_arr < lo),
+        positive("R", R) or unless(
+            not np.any(np.less(R, lo)),
             f"R must be >= (1 + tau)/2 = {lo}; spheres below that radius "
             "miss the loss region entirely",
         ),
     )
-    val = _cap_heights(geom.tau, R_arr, -lo)
+    val = _cap_heights(geom.tau, np.asarray(R, dtype=np.float64), -lo)
     return float(val) if np.ndim(R) == 0 else val
 
 
@@ -118,21 +115,17 @@ def cap_fraction(dim: int, r, h):
     v = h/r in [0.005, 1.995], and 4.0e3 ulps at dim = 1e4, v = 0.9
     (a value of 5.95e-24), 1.7e3 at v = 0.98 and 5.3e3 at worst.
     """
-    r_arr = np.asarray(r, dtype=np.float64)
-    h_arr = np.asarray(h, dtype=np.float64)
+    r_fault = finite("r", r)
     require(
         integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)"),
-        unless(
-            np.all(np.isfinite(r_arr)) and np.all(np.isfinite(h_arr)),
-            "r and h must be finite",
-        ),
-        unless(not np.any(r_arr <= 0), "r must be positive"),
-        unless(
-            not (np.any(h_arr < 0) or np.any(h_arr > 2.0 * r_arr)),
+        r_fault or unless(not np.any(np.less_equal(r, 0)), "r must be positive"),
+        finite("h", h) or unless(
+            r_fault or not np.any(np.less(h, 0) | np.greater(h, np.multiply(2.0, r))),
             "h must lie in [0, 2r]",
         ),
     )
-    r_b, h_b = np.broadcast_arrays(r_arr, h_arr)
+    r, h = np.asarray(r, dtype=np.float64), np.asarray(h, dtype=np.float64)
+    r_b, h_b = np.broadcast_arrays(r, h)
     short = np.minimum(h_b, 2.0 * r_b - h_b)
     u = short / r_b
     a = (dim - 1) / 2.0
@@ -153,13 +146,9 @@ def radial_cdf(dim: int, sigma: float, r):
     The radial density is proportional to s^(dim-1) exp(-s/sigma), so the
     CDF is the regularized lower incomplete gamma P(dim, r/sigma).
     """
-    r_arr = np.asarray(r, dtype=np.float64)
     require(
         integer("dim", dim),
         number("sigma", sigma) or positive("sigma", sigma),
-        unless(
-            np.all(np.isfinite(r_arr)) and not np.any(r_arr < 0),
-            "r must be nonnegative and finite",
-        ),
+        finite("r", r) or unless(not np.any(np.less(r, 0)), "r must be nonnegative"),
     )
-    return reg_lower_gamma(float(dim), r_arr / sigma)
+    return reg_lower_gamma(float(dim), np.asarray(r, dtype=np.float64) / sigma)

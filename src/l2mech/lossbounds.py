@@ -94,6 +94,7 @@ import numpy as np
 
 from ._checks import instance, integer, number, positive, require, unless
 from .capgeom import _cap_heights
+from .specfun import _two_product
 
 __all__ = [
     "PrivacyParams",
@@ -123,10 +124,7 @@ class PrivacyParams:
         require(
             number("epsilon", self.epsilon) or positive("epsilon", self.epsilon),
             number("delta", self.delta)
-            or unless(
-                np.isfinite(self.delta) and 0.0 < self.delta < 1.0,
-                "delta must lie strictly in (0, 1)",
-            ),
+            or unless(0.0 < self.delta < 1.0, "delta must lie strictly in (0, 1)"),
         )
 
 
@@ -142,13 +140,15 @@ class BoundReport:
     below sigma = 2^-100).  By branch:
 
     - lhs_upper: at d = 2 the smaller of term1_upper - e^epsilon *
-      term2_lower and 1 - e^(epsilon - 1/sigma), rounded up; where no
-      grid can start, the latter alone, at most 1, with term1_upper = 1
-      and term2_lower = 0.  At d >= 3 the smallest of the direct
-      prolate bound on lhs, that difference (rounded up) and
-      1 - e^(epsilon - 1/sigma).  So at d >= 2 it is at most the
-      difference.  At d = 1 the closed form taken without cancelling
-      two terms near 1/2.
+      term2_lower as computed, with no rounding margin on the radial
+      sums (an enclosure would come from the ROADMAP's exact re-check),
+      and 1 - e^(epsilon - 1/sigma), the only part rounded up (by the
+      factor 1 + 8u, u = 2^-53); where no grid can start, the latter
+      alone, at most 1, with term1_upper = 1 and term2_lower = 0.  At
+      d >= 3 the smallest of the direct prolate bound on lhs, that
+      difference plus 4u term1_upper, and that loss cap, with every
+      grid bound carrying the rounding margin M.  At d = 1 the closed
+      form taken without cancelling two terms near 1/2.
     - n_r, n_R: the two radial grid sizes at d = 2, the nu- and mu-cell
       counts at d >= 3; as given, though unused, in the other branches.
       A calibrate_l2 probe decided on the quarter grid reads that grid's.
@@ -328,14 +328,9 @@ def _one_minus_product(a: float, b: float) -> float:
     exactly; 1 - p is exact for p in [1/2, 2] (Sterbenz), so the only
     rounding left is that of subtracting e.
     """
-    p = a * b
+    p, err = _two_product(a, b)
     if p < 0.5:
         return 1.0 - p
-    split = 134217729.0  # 2^27 + 1
-    ca, cb = split * a, split * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     out = (1.0 - p) - err
     return out if math.isfinite(out) else 1.0 - p
 

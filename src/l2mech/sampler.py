@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import instance, integer, number, positive, require, unless
+from ._checks import finite, instance, integer, number, positive, real, require, unless
 from ._records import to_csv, to_json
 
 __all__ = [
@@ -86,16 +86,16 @@ def _check(center, sigma, size, *more, scale: str = "sigma"):
     center must be a finite 1-d vector and sigma (named scale in its
     message) one positive finite number; more holds the caller's faults.
     """
-    c = np.asarray(center, dtype=np.float64)
-    shaped = c.ndim == 1 and c.size >= 1
     n, scalar = _rows(
         size,
-        unless(shaped, "center must be a 1-d vector with at least one entry"),
-        unless(np.all(np.isfinite(c)), "center must be finite"),
+        finite("center", center) or unless(
+            np.ndim(center) == 1 and np.size(center) >= 1,
+            "center must be a 1-d vector with at least one entry",
+        ),
         number(scale, sigma) or positive(scale, sigma),
         *more,
     )
-    return c, float(sigma), n, scalar
+    return np.asarray(center, dtype=np.float64), float(sigma), n, scalar
 
 
 def _rows(size, *more):
@@ -183,12 +183,13 @@ def sample_l2_parallel(
     Returns the sample and the full trace of contributions.  A zero
     direction vector triggers a global redraw round for all parties.
     """
-    d, listed = np.size(center), isinstance(worker_rngs, (list, tuple))
-    n = len(worker_rngs) if listed else 0
+    values, listed = real(center), isinstance(worker_rngs, (list, tuple))
+    d, n = np.size(values), len(worker_rngs) if listed else 0
     c, sigma, _, _ = _check(
         center, sigma, None,
         unless(listed, "worker_rngs must be a list of RngState"),
-        listed and unless(n == d, f"need exactly {d} worker streams, got {n}"),
+        listed and values is not None
+        and unless(n == d, f"need exactly {d} worker streams, got {n}"),
         listed and unless(
             all(isinstance(w, RngState) for w in worker_rngs),
             "worker_rngs must hold only RngState",
@@ -258,16 +259,13 @@ class SampleBatch:
     stream_id: int = 0
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        shaped = vals.shape == (self.count, self.dim)
         require(
             integer("dim", self.dim),
             integer("count", self.count),
-            unless(
-                shaped,
+            finite("values", self.values) or unless(
+                np.shape(self.values) == (self.count, self.dim),
                 f"values must have shape (count, dim) = ({self.count}, {self.dim})",
             ),
-            unless(not shaped or np.all(np.isfinite(vals)), "values must be finite"),
         )
 
     def to_csv(self) -> str:

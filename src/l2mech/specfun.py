@@ -49,7 +49,7 @@ from functools import partial
 
 import numpy as np
 
-from ._checks import number, positive, require, unless
+from ._checks import finite, number, positive, require, unless
 
 __all__ = [
     "ConvergenceError",
@@ -273,7 +273,7 @@ def _betacf_vec(a: float, b: float, x: np.ndarray):
     return (a + 1.0) / (((a + 1.0) - p - e) + p * r / (1.0 + r)), n, conv
 
 
-def _two_product(a: float, x: np.ndarray):
+def _two_product(a: float, x):
     """(p, e): p = a x rounded and e its rounding error, p + e = a x exactly.
 
     Dekker's product on Veltkamp's 27-bit halves of a and of each x.
@@ -368,13 +368,11 @@ def _shaped(v: np.ndarray, shape: tuple):
 
 def _gamma_result(a, x, upper: bool) -> SpecFunResult:
     """P(a, x), or Q(a, x) if upper, of one kernel pass over the flattened x."""
-    require(number("a", a))
-    x_arr = np.asarray(x, dtype=np.float64)
     require(
-        positive("a", a),
-        unless(np.all(np.isfinite(x_arr)), "x must be finite"),
-        unless(not np.any(x_arr < 0), "x must be nonnegative"),
+        number("a", a) or positive("a", a),
+        finite("x", x) or unless(not np.any(np.less(x, 0)), "x must be nonnegative"),
     )
+    x_arr = np.asarray(x, dtype=np.float64)
     *pq, iters, conv = _gamma_pq_vec(float(a), x_arr.ravel())
     return SpecFunResult(_shaped(pq[upper], x_arr.shape), conv, iters)
 
@@ -420,14 +418,13 @@ def reg_inc_beta_result(x, a, b) -> SpecFunResult:
     a and b are one number each, x a number or an array of any shape.
     iterations counts the terms the batch evaluated (see SpecFunResult).
     """
-    require(number("a", a), number("b", b))
-    x_arr = np.asarray(x, dtype=np.float64)
     require(
-        positive("a", a),
-        positive("b", b),
-        unless(np.all(np.isfinite(x_arr)), "x must be finite"),
-        unless(not (np.any(x_arr < 0) or np.any(x_arr > 1)), "x must lie in [0, 1]"),
+        number("a", a) or positive("a", a),
+        number("b", b) or positive("b", b),
+        finite("x", x)
+        or unless(not np.any(np.less(x, 0) | np.greater(x, 1)), "x must lie in [0, 1]"),
     )
+    x_arr = np.asarray(x, dtype=np.float64)
     val, iters, conv = _betainc_vec(x_arr.ravel(), float(a), float(b))
     return SpecFunResult(_shaped(val, x_arr.shape), conv, iters)
 
@@ -497,10 +494,9 @@ def inv_reg_lower_gamma(a: float, p: float) -> float:
     For p > 1/2 the search runs on Q(a, x) = 1 - p instead, so quantiles
     like p = 1 - 1e-7 keep full relative accuracy in the tail.
     """
-    require(number("a", a), number("p", p))
     require(
-        positive("a", a),
-        unless(np.isfinite(p) and 0.0 <= p < 1.0, "p must lie in [0, 1)"),
+        number("a", a) or positive("a", a),
+        number("p", p) or unless(0.0 <= p < 1.0, "p must lie in [0, 1)"),
     )
     if p == 0.0:
         return 0.0
@@ -513,10 +509,9 @@ def inv_reg_upper_gamma(a: float, q: float) -> float:
     Taking q directly (rather than p = 1 - q) avoids the cancellation: x
     keeps ~1e-12 relative accuracy down to q ~ 1e-300 when a >= 0.01.
     """
-    require(number("a", a), number("q", q))
     require(
-        positive("a", a),
-        unless(np.isfinite(q) and 0.0 < q <= 1.0, "q must lie in (0, 1]"),
+        number("a", a) or positive("a", a),
+        number("q", q) or unless(0.0 < q <= 1.0, "q must lie in (0, 1]"),
     )
     if q == 1.0:
         return 0.0
@@ -525,8 +520,7 @@ def inv_reg_upper_gamma(a: float, q: float) -> float:
 
 def std_normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc; accurate deep into both tails."""
-    require(number("t", t))
-    require(unless(np.isfinite(t), "t must be finite"))
+    require(number("t", t) or finite("t", t))
     return _normal_cdf(float(t))
 
 

@@ -1,5 +1,6 @@
 """One set of validators: every argument fault goes through l2mech._checks."""
 
+import ast
 from pathlib import Path
 
 import l2mech
@@ -17,6 +18,37 @@ def test_value_errors_are_raised_only_by_checks():
         if "raise ValueError(" in line
     ]
     assert raises == []
+
+
+def test_arguments_are_converted_only_after_their_checks():
+    # np.asarray(<parameter>, dtype=...) above a function's last require
+    # (or sampler._rows, which calls it) converts an argument before
+    # _checks has accepted it, so numpy, not require, meets a bad one
+    package = Path(l2mech.__file__).parent
+    early = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            params = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            checked = max(
+                (call.lineno for call in calls
+                 if isinstance(call.func, ast.Name) and call.func.id in ("require", "_rows")),
+                default=0,
+            )
+            early += [
+                f"{path.stem}.{fn.name}:{call.args[0].id}"
+                for call in calls
+                if ast.unparse(call.func) == "np.asarray"
+                and call.args
+                and isinstance(call.args[0], ast.Name)
+                and call.args[0].id in params
+                and any(keyword.arg == "dtype" for keyword in call.keywords)
+                and call.lineno < checked
+            ]
+    assert early == []
 
 
 def test_scalars_are_checked_as_one_number():
@@ -68,6 +100,7 @@ def test_scalars_are_checked_as_one_number():
         "p": [lambda v: mse_lp_mechanism(2, v, 1.0)],
         "tol": [lambda v: calibrate_l2(3, pp, tol=v), lambda v: calibrate_gaussian(pp, v),
                 lambda v: empirical_min_sigma(2, pp, 10**4, v, rng)],
+        "tolerance": [lambda v: CalibrationResult("l2", 1.0, 2.0, 1, v)],
         "sensitivity": [lambda v: calibrate_l2(3, pp, sensitivity=v),
                         lambda v: laplace_sigma(3, pp, sensitivity=v)],
     }
@@ -82,4 +115,63 @@ def test_scalars_are_checked_as_one_number():
             for call in entries:
                 with pytest.raises(ValueError, match=message):
                     call(value)
+    assert [repr(rng.generator.bit_generator.state) for rng in streams] == states
+
+
+def test_arrays_are_checked_by_name():
+    # a string, an object, a dict, a complex, a bool or a ragged list where
+    # reals belong is refused by name in require's one ValueError, before
+    # numpy converts it and before any stream advances
+    import re
+
+    import numpy as np
+    import pytest
+
+    from l2mech.capgeom import LossGeometry, cap_fraction, height_H, height_h, radial_cdf
+    from l2mech.sampler import (
+        RngState,
+        SampleBatch,
+        sample_gaussian,
+        sample_l2,
+        sample_l2_parallel,
+        sample_laplace,
+    )
+    from l2mech.specfun import (
+        reg_inc_beta,
+        reg_inc_beta_result,
+        reg_lower_gamma,
+        reg_lower_gamma_result,
+        reg_upper_gamma,
+        reg_upper_gamma_result,
+        std_normal_cdf,
+    )
+
+    geom = LossGeometry(2, 0.5, 1.0)
+    streams = [RngState(3, i) for i in range(3)]
+    states = [repr(rng.generator.bit_generator.state) for rng in streams]
+    rng, worker, manager = streams
+    calls = {
+        "center": [lambda v: sample_l2(v, 1.0, rng), lambda v: sample_laplace(v, 1.0, rng),
+                   lambda v: sample_gaussian(v, 1.0, rng),
+                   lambda v: sample_l2_parallel(v, 1.0, [worker], manager)],
+        "values": [lambda v: SampleBatch(1, 1, v, "l2", 1.0, 0)],
+        "r": [lambda v: height_h(geom, v), lambda v: cap_fraction(3, v, 0.5),
+              lambda v: radial_cdf(2, 0.5, v)],
+        "R": [lambda v: height_H(geom, v)],
+        "h": [lambda v: cap_fraction(3, 1.0, v)],
+        "x": [lambda v: reg_lower_gamma_result(2.0, v), lambda v: reg_lower_gamma(2.0, v),
+              lambda v: reg_upper_gamma_result(2.0, v), lambda v: reg_upper_gamma(2.0, v),
+              lambda v: reg_inc_beta_result(v, 2.0, 0.5), lambda v: reg_inc_beta(v, 2.0, 0.5)],
+        "t": [std_normal_cdf],
+    }
+    values = (
+        "abc", ["1", "2"], [object()], {"a": 1}, np.array([1j]), np.array([True]),
+        [[0.5, 0.5], [0.5]],
+    )
+    for name, entries in calls.items():
+        for value in values:
+            for call in entries:
+                with pytest.raises(ValueError, match=f"^{re.escape(name)} must ") as excinfo:
+                    call(value)
+                assert excinfo.type is ValueError and excinfo.traceback[-1].name == "require"
     assert [repr(rng.generator.bit_generator.state) for rng in streams] == states
