@@ -8,21 +8,25 @@ given: real alone decides what is real, before numpy converts anything.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def integer(name: str, value, minimum: int = 1, message: str | None = None):
     """None if value is an integer >= minimum, else a message saying so.
 
     bool is an int subclass, but True is no count of anything: refused.
+    So is an int beyond the float range, which float math cannot take.
     """
     if (
         isinstance(value, (int, np.integer))
         and not isinstance(value, bool)
         and value >= minimum
     ):
-        return None
+        return None if value <= _FLOAT_MAX else f"{name} must be at most {_FLOAT_MAX!r}"
     return message or f"{name} must be an integer >= {minimum}"
 
 
@@ -42,11 +46,15 @@ def real(value, kinds: str = "iuf"):
 def finite(name: str, value, above: float = -math.inf):
     """None if value (every element of an array) is real and finite, else a message.
 
-    above, positive's bound, also refuses what is not above it.
+    above, positive's bound, also refuses what is not above it.  An int
+    beyond the float range is not finite as a float: refused.
     """
     value = real(value)
     if isinstance(value, (int, float)):
-        ok = math.isfinite(value) and value > above  # plain numbers skip numpy's overhead
+        try:  # plain numbers skip numpy's overhead
+            ok = math.isfinite(value) and value > above
+        except OverflowError:  # the int has no float
+            ok = False
     else:
         ok = value is not None and np.all(np.isfinite(value) & (value > above))
     return None if ok else f"{name} must be finite"

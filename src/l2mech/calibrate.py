@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import instance, integer, number, positive, require, unless
+from ._checks import finite, instance, integer, number, positive, require, unless
 from .lossbounds import PrivacyParams, _exp_eps, _probe_check
 from .specfun import _normal_cdf
 
@@ -90,7 +90,8 @@ class CalibrationResult:
             number("sigma", self.sigma) or positive("sigma", self.sigma),
             number("tolerance", self.tolerance)
             or unless(
-                0.0 <= self.tolerance < math.inf, "tolerance must be finite and nonnegative"
+                not finite("tolerance", self.tolerance) and self.tolerance >= 0.0,
+                "tolerance must be finite and nonnegative",
             ),
         )
 

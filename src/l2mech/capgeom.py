@@ -39,13 +39,14 @@ class LossGeometry:
     epsilon: float
 
     def __post_init__(self):
+        sigma_fault = number("sigma", self.sigma) or positive("sigma", self.sigma)
+        epsilon_fault = number("epsilon", self.epsilon) or positive("epsilon", self.epsilon)
         require(
             integer("dim", self.dim),
-            number("sigma", self.sigma) or positive("sigma", self.sigma),
-            number("epsilon", self.epsilon) or positive("epsilon", self.epsilon),
+            sigma_fault,
+            epsilon_fault,
             unless(
-                number("sigma", self.sigma) or number("epsilon", self.epsilon)
-                or self.epsilon * self.sigma < 1.0,
+                sigma_fault or epsilon_fault or self.epsilon * self.sigma < 1.0,
                 "epsilon * sigma must be < 1 (otherwise the loss region is empty)",
             ),
         )
@@ -115,14 +116,14 @@ def cap_fraction(dim: int, r, h):
     v = h/r in [0.005, 1.995], and 4.0e3 ulps at dim = 1e4, v = 0.9
     (a value of 5.95e-24), 1.7e3 at v = 0.98 and 5.3e3 at worst.
     """
-    r_fault = finite("r", r)
+    r_fault, h_fault = finite("r", r), finite("h", h)
     require(
         integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)"),
         r_fault or unless(not np.any(np.less_equal(r, 0)), "r must be positive"),
-        finite("h", h) or unless(
-            r_fault or not np.any(np.less(h, 0) | np.greater(h, np.multiply(2.0, r))),
+        h_fault or r_fault is None and (_shape_fault(r, h) or unless(
+            not np.any(np.less(h, 0) | np.greater(h, np.multiply(2.0, r))),
             "h must lie in [0, 2r]",
-        ),
+        )),
     )
     r, h = np.asarray(r, dtype=np.float64), np.asarray(h, dtype=np.float64)
     r_b, h_b = np.broadcast_arrays(r, h)
@@ -138,6 +139,15 @@ def cap_fraction(dim: int, r, h):
     half[far] = 0.5 * (1.0 - reg_inc_beta(y * y, 0.5, a))
     val = np.where(h_b <= r_b, half, 1.0 - half)
     return float(val) if np.ndim(val) == 0 or val.shape == () else val
+
+
+def _shape_fault(r, h):
+    """None if the arrays r and h broadcast together, else a message naming both."""
+    try:
+        np.broadcast_shapes(np.shape(r), np.shape(h))
+    except ValueError:
+        return f"r and h must broadcast together, not shapes {np.shape(r)} and {np.shape(h)}"
+    return None
 
 
 def radial_cdf(dim: int, sigma: float, r):

@@ -41,6 +41,18 @@ __all__ = [
 _MAX_REDRAWS = 100
 
 
+def _stream_faults(seed, stream_id):
+    """The faults of a (seed, stream_id) pair, for require: the rules of
+    RngState, which SampleBatch's recorded pair keeps too."""
+    return (
+        unless(
+            not integer("seed", seed, 0) and seed < 2**64,
+            "seed must be an integer in [0, 2^64)",
+        ),
+        integer("stream_id", stream_id, 0, "stream_id must be a nonnegative integer"),
+    )
+
+
 @dataclass(eq=False)
 class RngState:
     """A (seed, stream_id) pair naming one deterministic random stream.
@@ -58,14 +70,7 @@ class RngState:
     )
 
     def __post_init__(self):
-        nonnegative = "stream_id must be a nonnegative integer"
-        require(
-            unless(
-                not integer("seed", self.seed, 0) and self.seed < 2**64,
-                "seed must be an integer in [0, 2^64)",
-            ),
-            integer("stream_id", self.stream_id, 0, nonnegative),
-        )
+        require(*_stream_faults(self.seed, self.stream_id))
         self.seed = int(self.seed)
         self.stream_id = int(self.stream_id)
 
@@ -246,6 +251,17 @@ def sample_gaussian(center, sigma: float, rng: RngState, size=None):
     return out[0] if scalar else out
 
 
+_SAMPLERS = {"l2": sample_l2, "laplace": sample_laplace, "gaussian": sample_gaussian}
+
+
+def _mechanism_fault(mechanism):
+    """None if mechanism names a sampler of _SAMPLERS, else a message listing them."""
+    return unless(
+        isinstance(mechanism, str) and mechanism in _SAMPLERS,
+        f"mechanism must be one of {sorted(_SAMPLERS)}",
+    )
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """A batch of mechanism outputs plus the metadata to reproduce it."""
@@ -266,6 +282,9 @@ class SampleBatch:
                 np.shape(self.values) == (self.count, self.dim),
                 f"values must have shape (count, dim) = ({self.count}, {self.dim})",
             ),
+            _mechanism_fault(self.mechanism),
+            number("sigma", self.sigma) or positive("sigma", self.sigma),
+            *_stream_faults(self.seed, self.stream_id),
         )
 
     def to_csv(self) -> str:
@@ -303,13 +322,9 @@ def draw_batch(
     through the mechanism's sampler at the origin of R^dim.  draw_batch
     checks the mechanism and dim; the sampler checks the rest.
     """
-    samplers = {"l2": sample_l2, "laplace": sample_laplace, "gaussian": sample_gaussian}
-    require(
-        integer("dim", dim),
-        unless(mechanism in samplers, f"mechanism must be one of {sorted(samplers)}"),
-    )
+    require(integer("dim", dim), _mechanism_fault(mechanism))
     rng = RngState(seed, stream_id)
-    values = samplers[mechanism](np.zeros(int(dim)), sigma, rng, size=count)
+    values = _SAMPLERS[mechanism](np.zeros(int(dim)), sigma, rng, size=count)
     return SampleBatch(
         int(dim), int(count), values, mechanism, float(sigma), int(seed), int(stream_id)
     )

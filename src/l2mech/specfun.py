@@ -31,7 +31,7 @@ against 40-digit mpmath and an independent quadrature oracle.
 Each call takes one shape: a (and b) are single numbers, x a number or
 an array of any shape.  x runs as one flat batch of whole-array numpy
 operations; a number x is a one-element batch that comes back as a
-float.  That is the only path, and the gamma inverses take Newton steps
+float.  That is the only path, and the gamma inverse takes Newton steps
 on it.  A batch's series stops when its slowest element has converged.
 A continued fraction is summed backward, from its innermost term out,
 over as many terms as forward modified Lentz needs at the batch's
@@ -57,11 +57,9 @@ __all__ = [
     "reg_lower_gamma",
     "reg_upper_gamma",
     "reg_lower_gamma_result",
-    "reg_upper_gamma_result",
     "reg_inc_beta",
     "reg_inc_beta_result",
     "inv_reg_lower_gamma",
-    "inv_reg_upper_gamma",
     "std_normal_cdf",
 ]
 
@@ -386,14 +384,6 @@ def reg_lower_gamma_result(a, x) -> SpecFunResult:
     return _gamma_result(a, x, upper=False)
 
 
-def reg_upper_gamma_result(a, x) -> SpecFunResult:
-    """Q(a, x) = 1 - P(a, x), computed directly in the tail regime.
-
-    Shapes and iterations as in reg_lower_gamma_result.
-    """
-    return _gamma_result(a, x, upper=True)
-
-
 def _unwrap(res: SpecFunResult, what: str):
     if not res.converged:
         raise ConvergenceError(
@@ -409,7 +399,7 @@ def reg_lower_gamma(a, x):
 
 def reg_upper_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x) for one number a."""
-    return _unwrap(reg_upper_gamma_result(a, x), "reg_upper_gamma")
+    return _unwrap(_gamma_result(a, x, upper=True), "reg_upper_gamma")
 
 
 def reg_inc_beta_result(x, a, b) -> SpecFunResult:
@@ -438,15 +428,15 @@ def reg_inc_beta(x, a, b):
 _NEWTON_TOL, _NEWTON_MAX_STEP, _NEWTON_STEPS = 2.0**-34, 4.0, 100
 
 
-def _gamma_quantile(a: float, mass: float, upper: bool) -> float:
-    # x with P(a, x) = mass (upper=False) or Q(a, x) = mass (upper=True),
-    # on the smaller tail, which the kernel computes directly.  Newton
+def _gamma_quantile(a: float, p: float) -> float:
+    # x with P(a, x) = p, found on the smaller tail, which the kernel
+    # computes directly: P = p, or Q = 1 - p above p = 1/2.  Newton
     # steps in u = log x on g(u) = log(tail / mass), concave in u as log x
     # of a gamma variate has a log-concave density, start at Wilson-
     # Hilferty, raised to the root of x^a / Gamma(a + 1) = P (which lies
     # below the quantile), and keep to a sign bracket [lo, hi]
-    if mass > 0.5:
-        mass, upper = 1.0 - mass, not upper
+    upper = p > 0.5
+    mass = 1.0 - p if upper else p
     a, sign = float(a), -1.0 if upper else 1.0
     log_mass, log_gamma = math.log(mass), math.lgamma(a)
     t = math.sqrt(-2.0 * log_mass)  # normal quantile, Abramowitz & Stegun 26.2.23
@@ -500,22 +490,7 @@ def inv_reg_lower_gamma(a: float, p: float) -> float:
     )
     if p == 0.0:
         return 0.0
-    return _gamma_quantile(a, float(p), False)
-
-
-def inv_reg_upper_gamma(a: float, q: float) -> float:
-    """Solve Q(a, x) = q for x >= 0; the tail-mass form of the inverse.
-
-    Taking q directly (rather than p = 1 - q) avoids the cancellation: x
-    keeps ~1e-12 relative accuracy down to q ~ 1e-300 when a >= 0.01.
-    """
-    require(
-        number("a", a) or positive("a", a),
-        number("q", q) or unless(0.0 < q <= 1.0, "q must lie in (0, 1]"),
-    )
-    if q == 1.0:
-        return 0.0
-    return _gamma_quantile(a, float(q), True)
+    return _gamma_quantile(a, float(p))
 
 
 def std_normal_cdf(t: float) -> float:

@@ -734,3 +734,23 @@ def mc_gaussian_lhs(sigma, eps, n, seed):
         return max(math.sqrt(c * (1.0 - c) / n), 1.0 / n)
 
     return c1 - weight * c2, se(c1) + weight * se(c2)
+
+
+def gaussian_mixture_w(d, sigma, sigma_to, n, seed):
+    """n draws (an (n, d) array) of the W with l2(sigma) + W ~ l2(sigma_to).
+
+    For sigma < sigma_to the ratio of the two characteristic functions,
+    ((1 + sigma^2 s) / (1 + sigma_to^2 s))^m in s = ||t||^2 with m =
+    (d + 1)/2, is completely monotone in s, so (Schoenberg) it is the
+    characteristic function of a Gaussian scale mixture W = sqrt(V)
+    N(0, I_d).  V is compound Poisson: N ~ Poisson(m log(sigma_to^2 /
+    sigma^2)) summands (Frullani's integral gives the rate), each
+    Exp(1) / beta with beta log-uniform on [1/(2 sigma_to^2),
+    1/(2 sigma^2)].  Drawn with numpy's default generator.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson((d + 1) / 2.0 * math.log((sigma_to / sigma) ** 2), size=n)
+    total = int(counts.sum())
+    beta = np.exp(rng.uniform(-math.log(2.0 * sigma_to**2), -math.log(2.0 * sigma**2), total))
+    v = np.bincount(np.repeat(np.arange(n), counts), rng.exponential(size=total) / beta, n)
+    return np.sqrt(v)[:, None] * rng.standard_normal((n, d))

@@ -134,6 +134,11 @@ def test_cap_fraction_validation():
         cap_fraction(3, 1.0, -0.1)
     with pytest.raises(ValueError):
         cap_fraction(3, 1.0, 2.1)
+    # shapes that do not broadcast are one fault naming both arguments,
+    # not numpy's from the range rule
+    apart = r"^r and h must broadcast together, not shapes \(2,\) and \(3,\)$"
+    with pytest.raises(ValueError, match=apart):
+        cap_fraction(3, [1.0, 2.0], [0.5, 0.5, 0.5])
 
 
 def test_radial_cdf_closed_forms():

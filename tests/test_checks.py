@@ -115,6 +115,16 @@ def test_scalars_are_checked_as_one_number():
             for call in entries:
                 with pytest.raises(ValueError, match=message):
                     call(value)
+    # an int beyond the float range, here or as a dim, is refused by its
+    # own rule alone, before math.isfinite or float math meets it
+    calls["dim"] = [lambda v: check_approx_dp(v, 0.5, pp), lambda v: calibrate_l2(v, pp),
+                    lambda v: radial_cdf(v, 0.5, 1.0), lambda v: mse_gaussian(v, 1.0),
+                    lambda v: laplace_sigma(v, pp)]
+    for name, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must [^;]*$") as excinfo:
+                call(2**1100)
+            assert excinfo.traceback[-1].name == "require"
     assert [repr(rng.generator.bit_generator.state) for rng in streams] == states
 
 
@@ -142,7 +152,6 @@ def test_arrays_are_checked_by_name():
         reg_lower_gamma,
         reg_lower_gamma_result,
         reg_upper_gamma,
-        reg_upper_gamma_result,
         std_normal_cdf,
     )
 
@@ -160,7 +169,7 @@ def test_arrays_are_checked_by_name():
         "R": [lambda v: height_H(geom, v)],
         "h": [lambda v: cap_fraction(3, 1.0, v)],
         "x": [lambda v: reg_lower_gamma_result(2.0, v), lambda v: reg_lower_gamma(2.0, v),
-              lambda v: reg_upper_gamma_result(2.0, v), lambda v: reg_upper_gamma(2.0, v),
+              lambda v: reg_upper_gamma(2.0, v),
               lambda v: reg_inc_beta_result(v, 2.0, 0.5), lambda v: reg_inc_beta(v, 2.0, 0.5)],
         "t": [std_normal_cdf],
     }

@@ -36,7 +36,6 @@ SIGNATURES = {
     "height_H": "(geom: 'LossGeometry', R)",
     "height_h": "(geom: 'LossGeometry', r)",
     "inv_reg_lower_gamma": "(a: 'float', p: 'float') -> 'float'",
-    "inv_reg_upper_gamma": "(a: 'float', q: 'float') -> 'float'",
     "laplace_sigma": "(dim: 'int', params: 'PrivacyParams', "
     "sensitivity: 'float' = 1.0) -> 'CalibrationResult'",
     "laplace_sigma_lower_bound": "(dim: 'int', params: 'PrivacyParams') -> 'float'",
@@ -49,7 +48,6 @@ SIGNATURES = {
     "reg_lower_gamma": "(a, x)",
     "reg_lower_gamma_result": "(a, x) -> 'SpecFunResult'",
     "reg_upper_gamma": "(a, x)",
-    "reg_upper_gamma_result": "(a, x) -> 'SpecFunResult'",
     "sample_gaussian": "(center, sigma: 'float', rng: 'RngState', size=None)",
     "sample_l2": "(center, sigma: 'float', rng: 'RngState', size=None)",
     "sample_l2_parallel": "(center, sigma: 'float', worker_rngs: 'list[RngState]', "

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from l2mech.capgeom import radial_cdf
 from l2mech.sampler import (
     ParallelTrace,
@@ -82,6 +84,35 @@ def test_sample_l2_direction_law():
         half = (d - 1) / 2.0
         res = stats.kstest(t, stats.beta(half, half).cdf)
         assert res.pvalue > KS_LEVEL, d
+
+
+def test_l2_plus_a_gaussian_mixture_is_l2_at_the_larger_sigma():
+    # the mechanism at sigma' > sigma is the one at sigma plus independent
+    # noise W (oracles.gaussian_mixture_w), so its lhs cannot exceed the
+    # one at sigma.  The radius of sample_l2(0, sigma) + W against
+    # Gamma(d, sigma'), and its direction's first coordinate t against a
+    # uniform direction's: (t + 1)/2 ~ Beta((d - 1)/2, (d - 1)/2), a fair
+    # sign at d = 1.  Ten comparisons at 1e-4 each keep the chance of a
+    # false alarm at or below 1e-3; the seeds were fixed before any run
+    n, chunk = 200_000, 20_000
+    for d, sigma, wider in ((1, 1.0, 1.5), (2, 1.0, 1.5), (3, 0.7, 2.0),
+                            (10, 1.0, 1.1), (100, 0.5, 0.55)):
+        rng = RngState(2500 + d)
+        radius, t = [], []
+        for block in range(n // chunk):
+            y = sample_l2(np.zeros(d), sigma, rng, size=chunk)
+            y += oracles.gaussian_mixture_w(d, sigma, wider, chunk, 3500 + 100 * d + block)
+            norms = np.linalg.norm(y, axis=1)
+            radius.append(norms)
+            t.append(y[:, 0] / norms)
+        radius, t = np.concatenate(radius), np.concatenate(t)
+        assert stats.kstest(radius, stats.gamma(d, scale=wider).cdf).pvalue >= 1e-4, d
+        if d == 1:
+            p_dir = stats.binomtest(int(np.sum(t > 0)), n).pvalue
+        else:
+            half = (d - 1) / 2.0
+            p_dir = stats.kstest((t + 1.0) / 2.0, stats.beta(half, half).cdf).pvalue
+        assert p_dir >= 1e-4, d
 
 
 def test_sample_l2_center_and_shape():
@@ -254,6 +285,18 @@ def test_sample_batch_json_schema():
     vals = np.array(payload["values"])
     assert vals.shape == (3, 2)
     assert np.array_equal(vals, batch.values)
+
+
+def test_sample_batch_checks_its_metadata():
+    # a batch records what replays it, so its mechanism, sigma, seed and
+    # stream id are checked as draw_batch and RngState check them, every
+    # fault in one ValueError
+    mechanisms = re.escape("mechanism must be one of ['gaussian', 'l2', 'laplace']")
+    seed = re.escape("seed must be an integer in [0, 2^64)")
+    with pytest.raises(ValueError, match=f"^{mechanisms}; sigma must be positive and finite; {seed}$"):
+        SampleBatch(1, 1, [[1.0]], "cauchy", -1.0, "x")
+    with pytest.raises(ValueError, match=f"^{seed}; stream_id must be a nonnegative integer$"):
+        SampleBatch(1, 1, [[1.0]], "l2", 1.0, -5, -2)
 
 
 def test_sample_batch_replays_from_its_metadata():

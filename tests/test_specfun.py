@@ -17,13 +17,11 @@ from l2mech.specfun import (
     ConvergenceError,
     SpecFunResult,
     inv_reg_lower_gamma,
-    inv_reg_upper_gamma,
     reg_inc_beta,
     reg_inc_beta_result,
     reg_lower_gamma,
     reg_lower_gamma_result,
     reg_upper_gamma,
-    reg_upper_gamma_result,
     std_normal_cdf,
 )
 
@@ -241,9 +239,10 @@ def _check_hex_grids():
     # would build them, term1's 64 radii then term2's 2000, over sigma: a
     # batch that straddles a + 1 at a = 100.  No certificate sends the
     # gamma kernel anything: d = 100 takes the prolate form, and d = 2
-    # takes Q(2, x) = e^-x (1 + x) in closed form
+    # takes Q(2, x) = e^-x (1 + x) in closed form.  r_star / sigma is
+    # the x with Q(100, x) = 1e-5, frozen so that the batch keeps its bits
     sigma, tau = 0.2333333333333333, 3.0 * 0.2333333333333333
-    r_star = sigma * inv_reg_upper_gamma(100.0, 0.01 * 1e-3)
+    r_star = sigma * float.fromhex("0x1.28ff2b4175e41p+7")
     radii = np.concatenate([np.linspace((1.0 - tau) / 2.0, r_star, 64),
                             np.linspace((1.0 + tau) / 2.0, r_star, 2000)])
     return radii / sigma
@@ -260,13 +259,12 @@ def test_gamma_array_call_is_the_flat_call_reshaped(cap, monkeypatch):
     x = _check_hex_grids()
     reported = {20000: (94, True), 48: (48, False), 4: (4, False)}[cap]
     monkeypatch.setattr(specfun, "_MAX_ITER", cap)
-    for fn in (reg_lower_gamma_result, reg_upper_gamma_result):
-        flat = fn(100.0, x)
-        for shape in ((2, 1032), (24, 1, 86)):
-            got = fn(100.0, x.reshape(shape))
-            assert np.array_equal(got.value, flat.value.reshape(shape)), (fn, shape)
-            assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
-        assert (flat.iterations, flat.converged) == reported
+    flat = reg_lower_gamma_result(100.0, x)
+    for shape in ((2, 1032), (24, 1, 86)):
+        got = reg_lower_gamma_result(100.0, x.reshape(shape))
+        assert np.array_equal(got.value, flat.value.reshape(shape)), shape
+        assert (got.iterations, got.converged) == (flat.iterations, flat.converged)
+    assert (flat.iterations, flat.converged) == reported
 
 
 def test_large_shape_gamma_far_below_the_mean_against_mpmath():
@@ -367,10 +365,10 @@ def test_result_objects_and_convergence_failure(monkeypatch):
     res = reg_lower_gamma_result(3.0, 2.0)
     assert isinstance(res, SpecFunResult)
     assert res.converged and res.iterations >= 1
-    # Q(300, 600) lies above a + 1, so the continued fraction serves it,
-    # and 2 iterations cannot settle it
+    # x = 600 lies above a + 1, so the continued fraction serves P and Q
+    # alike, and 2 iterations cannot settle it
     monkeypatch.setattr(specfun, "_MAX_ITER", 2)
-    starved = reg_upper_gamma_result(300.0, 600.0)
+    starved = reg_lower_gamma_result(300.0, 600.0)
     assert (starved.iterations, starved.converged) == (2, False)
     with pytest.raises(ConvergenceError, match="within 2 iterations"):
         reg_upper_gamma(300.0, 600.0)
@@ -544,23 +542,12 @@ def test_inv_reg_lower_gamma_round_trip():
             assert math.isclose(reg_lower_gamma(a, x), p, rel_tol=1e-9)
 
 
-def test_inv_reg_upper_gamma_tail_accuracy():
-    # tiny tail masses must invert with relative accuracy, the outer
-    # grid radius depends on them
-    for a in [1.0, 3.0, 50.0]:
-        for q in [1.0 - 1e-9, 0.5, 1e-3, 1e-7, 1e-12]:
-            x = inv_reg_upper_gamma(a, q)
-            assert math.isclose(reg_upper_gamma(a, x), q, rel_tol=1e-9)
-            assert math.isclose(x, special.gammainccinv(a, q), rel_tol=1e-9)
-    assert inv_reg_upper_gamma(3.0, 1.0) == 0.0  # the whole mass lies above 0
-    with pytest.raises(ValueError):
-        inv_reg_upper_gamma(2.0, 0.0)
-
-
 def test_gamma_inverses_against_mpmath():
     # both tails at 40 digits, for masses from 1e-300 to 1/2, wherever
-    # the exact quantile is a normal float.  One Newton step at 40 digits
-    # from the returned x gives the exact quantile to ~(1e-12)^2
+    # the exact quantile is a normal float and the public inverse reaches
+    # it: an upper-tail mass q as p = 1 - q, which keeps q >= 1e-12, with
+    # the float p's exact complement as the target.  One Newton step at
+    # 40 digits from the returned x gives the exact quantile to ~(1e-12)^2
     masses = [10.0**-k for k in (300, 250, 200, 150, 100, 50, 30, 20, 12, 7, 3, 1)]
     masses += [0.3, 0.5]
     smallest = float(np.finfo(np.float64).tiny)
@@ -571,23 +558,25 @@ def test_gamma_inverses_against_mpmath():
             log_gamma = mpmath.loggamma(big)
             below_floats = mpmath.gammainc(big, 0, smallest, regularized=True)
             for mass, upper in itertools.product(masses, (False, True)):
-                if not upper and below_floats >= mass:
+                if (upper and mass < 1e-12) or (not upper and below_floats >= mass):
                     continue
-                invert = inv_reg_upper_gamma if upper else inv_reg_lower_gamma
-                x = invert(a, mass)
+                p = 1.0 - mass if upper else mass
+                x = inv_reg_lower_gamma(a, p)
                 xm = mpmath.mpf(x)
                 if upper:
                     tail = mpmath.gammainc(big, xm, mpmath.inf, regularized=True)
+                    target = 1 - mpmath.mpf(p)
                 else:
                     tail = mpmath.gammainc(big, 0, xm, regularized=True)
+                    target = mpmath.mpf(p)
                 density = mpmath.exp((big - 1) * mpmath.log(xm) - xm - log_gamma)
-                step = (tail - mass) / density
+                step = (tail - target) / density
                 exact = xm + step if upper else xm - step
                 assert abs(xm - exact) <= 1e-12 * exact, (a, mass, upper, x)
                 checked += 1
     # only a = 0.5 puts lower-tail quantiles (of 1e-300, 1e-250 and
-    # 1e-200) below the normal floats
-    assert checked == 8 * len(masses) * 2 - 3
+    # 1e-200) below the normal floats; six masses reach the upper tail
+    assert checked == 8 * (len(masses) + 6) - 3
     # a clamped Newton step from below lands where P = 1 and the density
     # underflows, so the step has no slope to divide by
     with mpmath.workdps(40):
@@ -604,13 +593,13 @@ def test_gamma_inverses_against_mpmath():
     "fn, args, name",
     [
         (reg_lower_gamma, (2.0, 0.5), "a"),
-        (reg_upper_gamma_result, (2.0, 0.5), "a"),
+        (reg_upper_gamma, (2.0, 0.5), "a"),
         (reg_inc_beta, (0.3, 2.0, 0.5), "a"),
         (reg_inc_beta_result, (0.3, 2.0, 0.5), "b"),
         (inv_reg_lower_gamma, (2.0, 0.25), "a"),
         (inv_reg_lower_gamma, (2.0, 0.25), "p"),
-        (inv_reg_upper_gamma, (2.0, 0.25), "a"),
-        (inv_reg_upper_gamma, (2.0, 0.25), "q"),
+        (reg_lower_gamma_result, (2.0, 0.5), "a"),
+        (reg_inc_beta, (0.3, 2.0, 0.5), "b"),
         (std_normal_cdf, (0.3,), "t"),
     ],
 )
