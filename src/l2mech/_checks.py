@@ -13,6 +13,13 @@ import sys
 import numpy as np
 
 _FLOAT_MAX = sys.float_info.max
+# the largest dimension any entry takes: up to 2^53 the floats d, d/2,
+# (d - 1)/2 and k = (d - 3)/2 that the certificate computes with are
+# exact, and above it k rounds, so its grids would bound the integrals of
+# another dimension (at sigma = 0.5 and (1, 1e-5), d = 2^60 reads a NaN
+# slope, 2^100 a NaN report, and 2^300 divides by a window curvature
+# that underflows to 0)
+MAX_DIM = 2**53
 
 
 def integer(name: str, value, minimum: int = 1, message: str | None = None):
@@ -28,6 +35,13 @@ def integer(name: str, value, minimum: int = 1, message: str | None = None):
     ):
         return None if value <= _FLOAT_MAX else f"{name} must be at most {_FLOAT_MAX!r}"
     return message or f"{name} must be an integer >= {minimum}"
+
+
+def dimension(name: str, value, minimum: int = 1, message: str | None = None):
+    """integer(name, value, minimum, message), and at most MAX_DIM."""
+    return integer(name, value, minimum, message) or unless(
+        value <= MAX_DIM, f"{name} must be at most 2**53 = {MAX_DIM}"
+    )
 
 
 def real(value, kinds: str = "iuf"):
@@ -67,6 +81,8 @@ def positive(name: str, value):
 
 def number(name: str, value):
     """None if value is one real number (a 0-d array counts), else a message saying so."""
+    if isinstance(value, (int, float)):  # plain numbers skip numpy's overhead
+        return None
     as_real = real(value, "biuf")  # a bool counts, for positive to refuse by name
     if as_real is None:
         return f"{name} must be one real number, not {type(value).__name__}"

@@ -12,11 +12,15 @@ the bisection that would narrow the bracket to tol; the lattice, its
 depth and its indices live in _lattice_search alone, and so does the
 bracket: each calibrate_l2 probe steers by one Newton step from its own
 report, with no history of the probes before it (calibrate_l2 gives the
-probe counts).  Every search answers a sigma it already saw from memory
-and counts each distinct sigma once.  In one dimension the l2 mechanism
-is the Laplace mechanism, and the check collapses to a closed form
-whose minimal sigma, 1/(epsilon - 2 ln(1 - delta)), is
-laplace_sigma_lower_bound's, used directly.  The Gaussian calibrator
+probe counts).  _lattice_search is resumable, a generator that yields
+each sigma and is sent the verdict, so a caller that waits on every
+probe runs it through _drive, and comparison_table advances many
+calibrate_l2 searches (_l2_search) together, one batched certificate
+call per round (_calibrate_l2_rows).  Every search answers a sigma it
+already saw from memory and counts each distinct sigma once.  In one
+dimension the l2 mechanism is the Laplace mechanism, and the check
+collapses to a closed form whose minimal sigma, 1/(epsilon - 2 ln(1 -
+delta)), is laplace_sigma_lower_bound's, used directly.  The Gaussian calibrator
 brackets the exact normal-CDF condition (dimension-independent for
 l2-sensitivity) by powers of two, then searches it unsteered, as
 mcverify's observational search does on calibrate_l2's bracket.  Its
@@ -37,8 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, instance, integer, number, positive, require, unless
-from .lossbounds import PrivacyParams, _exp_eps, _probe_check
+from ._checks import (
+    dimension,
+    finite,
+    instance,
+    integer,
+    number,
+    positive,
+    require,
+    unless,
+)
+from .lossbounds import PrivacyParams, _exp_eps, _probe_check, _probe_checks
 from .specfun import _normal_cdf
 
 __all__ = [
@@ -152,37 +165,47 @@ def calibrate_l2(
         params,
         tol,
         sensitivity,
-        integer("dim", dim),
+        dimension("dim", dim),
         integer("n_r", n_r, 2),
         integer("n_R", n_R, 2),
     )
-    return _calibrate_l2(dim, params, n_r, n_R, tol, sensitivity, None)
+    return _drive(
+        _l2_search(dim, params, n_r, n_R, tol, sensitivity, None),
+        lambda s: _probe_check(dim, s, params, n_r, n_R),
+    )
 
 
-def _calibrate_l2(
-    dim, params, n_r, n_R, tol, sensitivity, estimate
-) -> CalibrationResult:
-    """calibrate_l2 on checked arguments, its first probe at estimate.
+def _l2_search(dim, params, n_r, n_R, tol, sensitivity, estimate):
+    """calibrate_l2 on checked arguments as a resumable search, its first probe at estimate.
 
-    estimate is a unit-sensitivity sigma; None means the equal-error
-    sigma.  The estimate only moves the probes, never the answer:
-    comparison_table passes a secant extrapolation of its earlier rows,
-    which is close but may lie on either side of the answer.
+    A generator: it yields each sigma to certify, is sent that sigma's
+    _probe_checks report, and returns the CalibrationResult.  estimate
+    is a unit-sensitivity sigma; None means the equal-error sigma.  The
+    estimate only moves the probes, never the answer: comparison_table
+    passes a secant extrapolation of its earlier rows, which is close
+    but may lie on either side of the answer.
     """
     eps = params.epsilon
     log_delta = math.log(params.delta)
     reports = {}
 
-    def probe(s: float):
+    def check(s: float):
         # a sigma checked before keeps its report: below the float spacing
         # near the top of a deep bracket, lattice indices share a sigma
         if s not in reports:
-            reports[s] = _probe_check(dim, s, params, n_r, n_R)
-        report = reports[s]
-        return report.satisfies_dp, _newton_sigma(report, s, eps, log_delta)
+            reports[s] = yield s
+        return reports[s]
 
-    def certified(s: float) -> bool:
-        return probe(s)[0]
+    def certify_upward(sigma: float):
+        # the first of sigma, sigma * _ULP_BUMP, ... that passes its
+        # certificate: needed where a sigma is certified in exact
+        # arithmetic but not in floats, the d = 1 closed form and 1/epsilon
+        # when epsilon * (1/epsilon) rounds to 1 - 2^-53
+        for _ in range(_MAX_SEARCH):
+            if (yield from check(sigma)).satisfies_dp:
+                return sigma
+            sigma *= _ULP_BUMP
+        raise RuntimeError("calibrate_l2: sigma failed its certificate repeatedly")
 
     def result(sigma: float, floor: bool = False) -> CalibrationResult:
         return CalibrationResult(
@@ -190,19 +213,98 @@ def _calibrate_l2(
         )
 
     if dim == 1:
-        return result(_certify_upward(laplace_sigma_lower_bound(1, params), certified))
-
+        return result((yield from certify_upward(laplace_sigma_lower_bound(1, params))))
     lo, hi = _bracket(eps, tol)
     if estimate is None:
         estimate = _equal_error_sigma(dim, params, tol, hi)
-    below, sigma = _lattice_search(lo, hi, tol, probe, estimate)
+    search = _lattice_search(lo, hi, tol, estimate)
+    try:
+        s = next(search)
+        while True:
+            report = yield from check(s)
+            s = search.send((report.satisfies_dp, _newton_sigma(report, s, eps, log_delta)))
+    except StopIteration as stop:
+        below, sigma = stop.value
     # the floor and the top were not probed; a sigma that rounds to the
-    # top passed as a probe, so _certify_upward finds it in reports
-    if below == lo and certified(lo):
+    # top passed as a probe, so certify_upward finds it in reports
+    if below == lo and (yield from check(lo)).satisfies_dp:
         return result(lo, floor=True)
     if sigma == hi:
-        return result(_certify_upward(hi, certified))
+        return result((yield from certify_upward(hi)))
     return result(sigma)
+
+
+def _calibrate_l2_rows(dims, params, n_r, n_R, tol) -> list[CalibrationResult]:
+    """calibrate_l2 at unit sensitivity for each of the increasing dims, run as a wavefront.
+
+    The search of dims[i] starts as soon as that of dims[i - 1] has one
+    report, its first probe at the secant (_secant) through the latest
+    sigmas of the two searches before it: a finished search's answer,
+    else the sigma its last report's Newton step names (_newton_sigma),
+    else the sigma it last probed.  Each round then sends the next sigma
+    of every running search to one _probe_checks call, which bounds all
+    of the d >= 3 ones on the quarter grid in one certificate pass and
+    runs the full grid, a batch of one, only for a probe the quarter
+    grid cannot decide.  Every search is _l2_search's own, so each
+    answer is a stand-alone calibrate_l2 call's wherever the verdict is
+    monotone in sigma; the schedule moves the probes only.
+    """
+    eps, log_delta = params.epsilon, math.log(params.delta)
+    results = [None] * len(dims)
+    # (dim, latest sigma) of every started search, and the sigma each
+    # running one waits on
+    found, waiting = [], {}
+
+    def advance(i, search, report=None):
+        try:
+            waiting[i] = search, search.send(report)
+        except StopIteration as stop:
+            results[i] = stop.value
+            found[i] = dims[i], stop.value.sigma
+
+    while len(found) < len(dims) or waiting:
+        i = len(found)
+        if i < len(dims) and (i == 0 or found[i - 1][1] is not None):
+            found.append((dims[i], None))
+            estimate = _secant(found[:i], dims[i])
+            advance(i, _l2_search(dims[i], params, n_r, n_R, tol, 1.0, estimate))
+        batch = list(waiting.items())
+        waiting.clear()
+        reports = _probe_checks(
+            [dims[i] for i, _ in batch], [s for _, (_, s) in batch], params, n_r, n_R
+        )
+        for (i, (search, s)), report in zip(batch, reports):
+            guess = _newton_sigma(report, s, eps, log_delta)
+            found[i] = dims[i], guess if guess is not None and math.isfinite(guess) else s
+            advance(i, search, report)
+    return results
+
+
+def _secant(found: list[tuple[int, float]], d: int) -> float | None:
+    """First-probe sigma at d from the (dim, sigma) pairs found so far.
+
+    The secant through the last two, written in the dimension so an
+    uneven list of dimensions extrapolates as well as 1..d_max; the
+    last sigma when there is one pair, None (the equal-error sigma)
+    when there is none.
+    """
+    if len(found) < 2:
+        return found[-1][1] if found else None
+    (a, sa), (b, sb) = found[-2:]
+    return sb + (sb - sa) * (d - b) / (b - a)
+
+
+def _drive(search, probe):
+    """Run a resumable search to its end, sending it probe(sigma) for each sigma it yields.
+
+    Returns what the search returns.
+    """
+    try:
+        sigma = next(search)
+        while True:
+            sigma = search.send(probe(sigma))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _equal_error_sigma(dim: int, params: PrivacyParams, tol: float, hi: float):
@@ -217,20 +319,6 @@ def _equal_error_sigma(dim: int, params: PrivacyParams, tol: float, hi: float):
     except RuntimeError:
         return None
     return sigma if sigma < hi else None
-
-
-def _certify_upward(sigma: float, certified) -> float:
-    """First of sigma, sigma * _ULP_BUMP, ... that passes its certificate.
-
-    Needed where a sigma is certified in exact arithmetic but not in
-    floats: the d = 1 closed form, and 1/epsilon when epsilon * (1/epsilon)
-    rounds to 1 - 2^-53 so the check takes its general branch.
-    """
-    for _ in range(_MAX_SEARCH):
-        if certified(sigma):
-            return sigma
-        sigma *= _ULP_BUMP
-    raise RuntimeError("calibrate_l2: sigma failed its certificate repeatedly")
 
 
 def _bracket(eps: float, tol: float) -> tuple[float, float]:
@@ -259,13 +347,18 @@ def _lattice_sigma(k: int, depth: int, lo: float, hi: float) -> float:
     return lo if k == a else hi
 
 
-def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
-    """(sigma_{k-1}, sigma_k) for the smallest lattice index k >= 1 that passes.
+def _lattice_search(lo: float, hi: float, tol: float, first=None):
+    """(sigma_{k-1}, sigma_k) for the smallest passing lattice index k >= 1, a resumable search.
+
+    A generator: it yields each sigma to probe and is sent back (passed,
+    the sigma to probe next or None) for it; it returns the pair.  A
+    caller that blocks on every probe runs it through _drive, and
+    comparison_table runs many at once (_calibrate_l2_rows); either way
+    the probes and the answer are the same.
 
     The lattice holds the 2^depth + 1 sigmas lo + k (hi - lo) / 2^depth
     that a bisection of [lo, hi] visits until its bracket is at most tol
     wide, each rounded as that bisection rounds it (_lattice_sigma).
-    probe(sigma) returns (passed, the sigma to probe next or None).
     Index 0 (lo) is taken to fail and 2^depth (hi) to pass without
     probing either; the caller settles them.  sigma_{k-1} is lo only at
     k = 1, since the spacing exceeds tol / 2 >= lo / 2; sigma_k is hi at
@@ -308,7 +401,7 @@ def _lattice_search(lo: float, hi: float, tol: float, probe, first=None):
             if passed:
                 k -= 1
             k = min(max(k, below + 1, above - reach), above - 1, below + reach)
-        passed, guess = probe(_lattice_sigma(k, depth, lo, hi))
+        passed, guess = yield _lattice_sigma(k, depth, lo, hi)
         if passed:
             above = k
         else:
@@ -392,7 +485,7 @@ def calibrate_gaussian(
         hi, lo = lo, lo / 2.0
         floor = lo < 1e-12
     if not floor:
-        hi = _lattice_search(lo, hi, tol, lambda s: (passes(s), None))[1]
+        hi = _drive(_lattice_search(lo, hi, tol), lambda s: (passes(s), None))[1]
     return CalibrationResult(
         MECH_GAUSSIAN, hi * sensitivity, None, len(seen), tol, floor
     )
@@ -411,7 +504,7 @@ def laplace_sigma(
     dim >= 2 that function gives no minimum (see there).
     """
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         instance("params", params, PrivacyParams),
         number("sensitivity", sensitivity) or positive("sensitivity", sensitivity),
     )
@@ -432,5 +525,5 @@ def laplace_sigma_lower_bound(dim: int, params: PrivacyParams) -> float:
     sum of dim bounded terms and concentrates, so smaller scales can
     still pass there.
     """
-    require(integer("dim", dim), instance("params", params, PrivacyParams))
+    require(dimension("dim", dim), instance("params", params, PrivacyParams))
     return math.sqrt(dim) / (params.epsilon - 2.0 * math.log1p(-params.delta))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer, number, positive, require, unless
+from ._checks import dimension, finite, number, positive, require, unless
 from .specfun import reg_inc_beta, reg_lower_gamma
 
 __all__ = ["LossGeometry", "height_h", "height_H", "cap_fraction", "radial_cdf"]
@@ -42,7 +42,7 @@ class LossGeometry:
         sigma_fault = number("sigma", self.sigma) or positive("sigma", self.sigma)
         epsilon_fault = number("epsilon", self.epsilon) or positive("epsilon", self.epsilon)
         require(
-            integer("dim", self.dim),
+            dimension("dim", self.dim),
             sigma_fault,
             epsilon_fault,
             unless(
@@ -118,7 +118,7 @@ def cap_fraction(dim: int, r, h):
     """
     r_fault, h_fault = finite("r", r), finite("h", h)
     require(
-        integer("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)"),
+        dimension("dim", dim, 2, "dim must be an integer >= 2 (spheres need dimension)"),
         r_fault or unless(not np.any(np.less_equal(r, 0)), "r must be positive"),
         h_fault or r_fault is None and (_shape_fault(r, h) or unless(
             not np.any(np.less(h, 0) | np.greater(h, np.multiply(2.0, r))),
@@ -157,7 +157,7 @@ def radial_cdf(dim: int, sigma: float, r):
     CDF is the regularized lower incomplete gamma P(dim, r/sigma).
     """
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         number("sigma", sigma) or positive("sigma", sigma),
         finite("r", r) or unless(not np.any(np.less(r, 0)), "r must be nonnegative"),
     )

@@ -14,26 +14,29 @@ p = 1 it gives 2 dim sigma^2, matching i.i.d. Laplace noise.
 comparison_table calibrates all three mechanisms to a shared
 (epsilon, delta) target and reports each MSE normalized by the
 Gaussian row, reproducing the headline utility comparison.  The l2
-sigma falls smoothly with the dimension, so each l2 search takes the
-secant through the two sigmas before it as its first probe (the second
+sigma falls smoothly with the dimension, so the l2 searches run as a
+wavefront (calibrate._calibrate_l2_rows): the search at d starts as
+soon as the one at d - 1 has a report, its first probe at the secant
+through the latest sigmas of the two searches before it (the second
 row takes the first row's sigma), a predictor as in numerical
-continuation.  That moves the probes, not the answer: wherever the
-verdict is monotone in sigma, each l2 row is bit for bit a stand-alone
-calibrate_l2 call.
+continuation, and each round bounds the next probe of every running
+search in one certificate pass.  That moves the probes, not the
+answer: wherever the verdict is monotone in sigma, each l2 row is bit
+for bit a stand-alone calibrate_l2 call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
 
-from ._checks import integer, number, positive, require
+from ._checks import dimension, integer, number, positive, require
 from ._records import to_csv, to_json
 from .calibrate import (
     MECH_GAUSSIAN,
     MECH_L2,
     MECH_LAPLACE,
     PrivacyParams,
-    _calibrate_l2,
+    _calibrate_l2_rows,
     calibrate_gaussian,
     laplace_sigma,
 )
@@ -70,7 +73,7 @@ class ErrorRow:
 def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
     """Mean squared l2 error of the lp-ball mechanism at scale sigma."""
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         number("p", p) or positive("p", p),
         number("sigma", sigma) or positive("sigma", sigma),
     )
@@ -86,13 +89,13 @@ def mse_lp_mechanism(dim: int, p: float, sigma: float) -> float:
 
 def mse_gaussian(dim: int, sigma: float) -> float:
     """Mean squared l2 error of i.i.d. N(0, sigma^2) noise: dim sigma^2."""
-    require(integer("dim", dim), number("sigma", sigma) or positive("sigma", sigma))
+    require(dimension("dim", dim), number("sigma", sigma) or positive("sigma", sigma))
     return int(dim) * sigma**2
 
 
 def mse_laplace(dim: int, scale: float) -> float:
     """Mean squared l2 error of i.i.d. Laplace(scale) noise: 2 dim scale^2."""
-    require(integer("dim", dim), number("scale", scale) or positive("scale", scale))
+    require(dimension("dim", dim), number("scale", scale) or positive("scale", scale))
     return 2.0 * int(dim) * scale**2
 
 
@@ -108,20 +111,19 @@ def comparison_table(
     Returns three rows per dimension (l2, laplace, gaussian in that
     order), each normalized by the Gaussian MSE of its dimension.  The
     Gaussian scale is dimension-independent, so it is calibrated once.
-    Each l2 search starts at the secant through the two sigmas before
-    it (_secant), next to the answer, and still certifies the answer
-    and the lattice point below it itself, so the l2 rows are the
-    stand-alone calibrate_l2 sigmas.
+    The l2 searches advance together (calibrate._calibrate_l2_rows):
+    the one at d starts once the one at d - 1 has a report, at the
+    secant through the latest sigmas of the two before it, next to the
+    answer, and each round sends every running search's next sigma to
+    one batched certificate call.  Each search still certifies its
+    answer and the lattice point below it itself, so the l2 rows are
+    the stand-alone calibrate_l2 sigmas.
     """
-    require(integer("d_max", d_max), integer("n_r", n_r, 2), integer("n_R", n_R, 2))
+    require(dimension("d_max", d_max), integer("n_r", n_r, 2), integer("n_R", n_R, 2))
     gauss = calibrate_gaussian(params, tol=tol)
+    dims = range(1, int(d_max) + 1)
     rows: list[ErrorRow] = []
-    found: list[tuple[int, float]] = []
-    for d in range(1, int(d_max) + 1):
-        l2 = _calibrate_l2(
-            d, params, n_r, n_R, tol, sensitivity=1.0, estimate=_secant(found, d)
-        )
-        found.append((d, l2.sigma))
+    for d, l2 in zip(dims, _calibrate_l2_rows(dims, params, n_r, n_R, tol)):
         lap = laplace_sigma(d, params)
         anchor = mse_gaussian(d, gauss.sigma)
         for mech, sigma, mse in (
@@ -139,20 +141,6 @@ def comparison_table(
                 )
             )
     return rows
-
-
-def _secant(found: list[tuple[int, float]], d: int) -> float | None:
-    """First-probe sigma at d from the (dim, sigma) pairs found so far.
-
-    The secant through the last two, written in the dimension so an
-    uneven list of dimensions extrapolates as well as 1..d_max; the
-    last sigma when there is one pair, None (the equal-error sigma)
-    when there is none.
-    """
-    if len(found) < 2:
-        return found[-1][1] if found else None
-    (a, sa), (b, sb) = found[-2:]
-    return sb + (sb - sa) * (d - b) / (b - a)
 
 
 def table_to_csv(rows: list[ErrorRow]) -> str:

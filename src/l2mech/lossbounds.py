@@ -25,13 +25,17 @@ guarantee, and none of which runs a gamma or beta kernel:
   window are bounded by the tangent at its edge, and a margin derived
   from the size of the logs summed covers float rounding.  The six
   nu-rows and two mu-rows lie end to end in flat arrays, so one array
-  operation takes each step of the envelopes for all eight (_cell_sums).
-  Grids nest under doubling, and refining one can only tighten every
-  bound.  So a calibrate_l2 probe is first bounded on the quarter grid
-  nested in its own (_probe_check): a lower bound above delta fails it,
-  a direct bound below delta by more than the finer grid's margin can
-  add passes it, and only a probe that neither decides runs the full
-  grid.  Nothing cancels, and no r_star bounds a radius.
+  operation takes each step of the envelopes for all eight (_cell_sums),
+  and for those of every (dim, sigma) row of a batch that shares eps and
+  the cell counts (_prolate_batch): a row's bounds are the same bits in
+  any batch, a batch of one included.  Grids nest under doubling, and
+  refining one can only tighten every bound.  So a calibrate_l2 probe is
+  first bounded on the quarter grid nested in its own (_probe_checks,
+  which takes a round of probes, one per search of comparison_table's
+  wavefront, in one pass): a lower bound above delta fails it, a direct
+  bound below delta by more than the finer grid's margin can add passes
+  it, and only a probe that neither decides runs the full grid.
+  Nothing cancels, and no r_star bounds a radius.
 - d = 2: left Riemann-Stieltjes sums over the radial CDF, weighted by
   spherical-cap fractions.  term1 weights the sphere mass between
   consecutive radii by the cap fraction at the left radius (cap
@@ -81,18 +85,21 @@ lhs_upper, stands alone there too, so every positive sigma gets a report.
 
 (dim, sigma, epsilon, delta, n_r, n_R) alone replay a check, and every
 check returns a report.  check_approx_dp and calibrate_l2 check the
-(epsilon, delta) target, a PrivacyParams defined here, and the grid
-sizes once, where they enter; no per-probe record re-checks them.
+(epsilon, delta) target, a PrivacyParams defined here, the grid sizes
+and dim once, where they enter; no per-probe record re-checks them.  A
+dim above 2^53 (_checks.MAX_DIM) is refused: beyond it the floats of d
+and (d - 3)/2 round.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import instance, integer, number, positive, require, unless
+from ._checks import dimension, instance, integer, number, positive, require, unless
 from .capgeom import _cap_heights
 from .specfun import _two_product
 
@@ -296,7 +303,7 @@ _NEWTON_STEPS = 8
 # the rounding margin in units of _U per nat of log magnitude summed
 _MARGIN_ULPS = 16.0
 # a bound on how many times the rounding margin of a grid nested four to
-# a cell in another exceeds the other's (_probe_check)
+# a cell in another exceeds the other's (_probe_checks)
 _NESTED_MARGIN_GROWTH = 32.0
 _LOG_2 = math.log(2.0)
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
@@ -411,11 +418,22 @@ def _prolate_windows(dim: int, sigma: float, eps: float, w: float):
     return t_hi, m_lo, m_hi
 
 
-def _edges(lo: float, hi: float, n: int) -> np.ndarray:
-    """n uniform cells from lo to hi: n + 1 edges, the last exactly hi."""
-    x = lo + (hi - lo) * (np.arange(n + 1) / n)
-    x[-1] = hi
+def _edges(lo, hi, n: int) -> np.ndarray:
+    """n uniform cells from lo to hi: n + 1 edges, the last exactly hi.
+
+    lo and hi are numbers, or (rows, 1) columns for one grid per row.
+    """
+    x = lo + (hi - lo) * _fractions(n)
+    x[..., -1:] = hi
     return x
+
+
+@functools.lru_cache(maxsize=16)
+def _fractions(n: int) -> np.ndarray:
+    """i / n for i = 0 .. n, read-only: _edges' shared steps, made once per n."""
+    out = np.arange(n + 1) / n
+    out.flags.writeable = False
+    return out
 
 
 def _expm1_ratio(z: np.ndarray) -> np.ndarray:
@@ -431,49 +449,55 @@ def _cell_sums(logf, slope, size, grids):
 
     logf, slope and size are given at the edges, each in a flat array
     that holds every grid's rows end to end, grid after grid, and one
-    spare element after them; grids gives each grid's (rows, h, low_tail,
-    high_tail), with h its n cell widths, so each of its rows is n + 1
-    edges.  Returns (shift, sums, magnitudes): for each row, grid after
-    grid, its integral lies between e^shift times sums[1] and e^shift
-    times sums[0]; magnitudes has one entry per grid.
+    spare element after them.  grids gives each grid's (rows, h, tail,
+    unbounded): h is a (members, n) array of cell widths, one line per
+    member, and the grid holds rows blocks of one row of n + 1 edges per
+    member, on that member's cells.  Returns (shift, sums, magnitudes):
+    for each row, grid after grid, its integral lies between e^shift
+    times sums[1] and e^shift times sums[0]; magnitudes has one array
+    per grid, with one entry per member.
 
     A cell's upper bound is the smaller of the integrals of e^(tangent)
     at its two edges, its lower bound the integral of e^(chord); both
     read only logf and slope at the edges.  An edge where logf is -inf
     (an end of the range where the integrand vanishes) offers no tangent
-    and makes the chord 0.  low_tail and high_tail are the lengths of
-    the range beyond the first and last edge (inf for an unbounded one):
-    the tangent at that edge bounds the tail from above, and it adds
-    nothing below.  size bounds, edge by edge, the sum of the magnitudes
-    of the terms each log is computed from; a grid's magnitude adds
-    |slope| times the length it spans and is the largest over its rows'
-    finite edges, the size of the logs on which the rounding margin
-    rests.  Interior edges are finite; only the first and last can be
-    singular.
+    and makes the chord 0.  tail is None or (end, lengths) for a bounded
+    part of the range beyond the first (end 0) or last (end -1) edge:
+    lengths is one number, or one per member, 0 where a member has none.
+    unbounded says the range runs on past the last edge to infinity.
+    The tangent at an end's edge bounds the tail beyond it from above,
+    and it adds nothing below.
+    size bounds, edge by edge, the sum of the magnitudes of the terms
+    each log is computed from; a member's magnitude adds |slope| times
+    the length its grid spans and is the largest over its rows' finite
+    edges, the size of the logs on which the rounding margin rests.
+    Interior edges are finite; only the first and last can be singular.
 
-    Every cell of every row is evaluated in the same few array passes.
-    The flat layout also pairs each row's last edge with the next row's
-    first; that cell gets width 0 and is never read, since each row's
-    sums, tails and magnitude are taken on its own edges.  The three
-    envelopes are not stacked into one array: at 1000 cells it would
-    pass glibc's 128 KiB mmap threshold, above which every call faults
-    in fresh pages.  Runs under the caller's np.errstate, which lets inf
-    and nan arise.
+    Every cell of every row is evaluated in the same few array passes,
+    and each row's sums read its own cells alone, so a row's bounds do
+    not depend on the other rows in the arrays.  The flat layout also
+    pairs each row's last edge with the next row's first; that cell is
+    never read, and its width holds the member's bounded tail length,
+    so a member's span is the largest of its n + 1 widths.  The three envelopes are not
+    stacked into one array: at 1000 cells it would pass glibc's 128 KiB
+    mmap threshold, above which every call faults in fresh pages.  Runs
+    under the caller's np.errstate, which lets inf and nan arise.
     """
     f = np.empty_like(logf)
     f[-1] = 0.0
     h = np.empty(logf.size - 1)
-    shift = np.empty(sum(rows for rows, *_ in grids))
+    shift = np.empty(sum(rows * width.shape[0] for rows, width, *_ in grids))
     views, start, first = [], 0, 0
-    for rows, width, *_ in grids:
-        n = width.size
-        edges, row = slice(start, start + rows * (n + 1)), slice(first, first + rows)
-        part = logf[edges].reshape(rows, n + 1)
+    for rows, width, tail, _ in grids:
+        members, n = width.shape
+        count = rows * members
+        edges, row = slice(start, start + count * (n + 1)), slice(first, first + count)
+        part = logf[edges].reshape(count, n + 1)
         part.max(axis=1, out=shift[row])
-        np.subtract(part, shift[row, None], out=f[edges].reshape(rows, n + 1))
-        cell = h[edges].reshape(rows, n + 1)
-        cell[:, :n], cell[:, n] = width, 0.0
-        views.append((edges, row))
+        np.subtract(part, shift[row, None], out=f[edges].reshape(count, n + 1))
+        cell = h[edges].reshape(rows, members, n + 1)
+        cell[..., :n], cell[..., n] = width, 0.0 if tail is None else tail[1]
+        views.append((edges, row, cell[0].max(axis=1)))
         start, first = edges.stop, row.stop
     np.exp(f, out=f)
     fa, fb = f[:-1], f[1:]
@@ -492,43 +516,57 @@ def _cell_sums(logf, slope, size, grids):
     lower = _expm1_ratio(chord)
     lower *= np.maximum(fa, fb, out=chord)
     lower *= h
-    # each edge's size plus |slope| times its grid's span, in the same
+    # each edge's size plus |slope| times its member's span, in the same
     # buffer, which keeps the call's peak memory down
     q = np.abs(slope[:-1], out=chord)
     sums = np.empty((2, shift.size))
-    for (rows, width, low_tail, high_tail), (edges, row) in zip(grids, views):
-        n = width.size
+    # each grid's part of q, as a view: its magnitudes are read once q is
+    # complete
+    parts = []
+    for (rows, width, tail, unbounded), (edges, row, span) in zip(grids, views):
+        members, n = width.shape
+        count = rows * members
         for cells, out in ((upper, sums[0, row]), (lower, sums[1, row])):
-            cells[edges].reshape(rows, n + 1)[:, :n].sum(axis=1, out=out)
-        upper_sums = sums[0, row]
-        f_rows, s_rows = f[edges].reshape(rows, n + 1), slope[edges].reshape(rows, n + 1)
-        for i, length in ((0, low_tail), (-1, high_tail)):
-            if length > 0.0:
-                if math.isinf(length):
-                    s = s_rows[:, i] if i == 0 else -s_rows[:, i]
-                    upper_sums += np.where(s > 0.0, f_rows[:, i] / s, np.inf)
-                else:
-                    # -s * length, s the tangent's fall away from the grid
-                    z = s_rows[:, i] * (-length if i == 0 else length)
-                    upper_sums += f_rows[:, i] * length * _expm1_ratio(z)
-        finite = [length for length in (low_tail, high_tail) if math.isfinite(length)]
-        q[edges] *= max(float(width.max()), *finite)
+            cells[edges].reshape(count, n + 1)[:, :n].sum(axis=1, out=out)
+        upper_sums = sums[0, row].reshape(rows, members)
+        f_rows = f[edges].reshape(rows, members, n + 1)
+        s_rows = slope[edges].reshape(rows, members, n + 1)
+        if tail is not None:
+            i, length = tail
+            # -s * length, s the tangent's fall away from the grid
+            z = s_rows[..., i] * (-length if i == 0 else length)
+            bound = f_rows[..., i] * length
+            bound *= _expm1_ratio(z)
+            # a member without this tail adds nothing: its edge may be an
+            # end of the range, where the tail reads nan
+            np.add(upper_sums, bound, out=upper_sums, where=length > 0.0)
+        if unbounded:
+            s = -s_rows[..., -1]
+            upper_sums += np.where(s > 0.0, f_rows[..., -1] / s, np.inf)
+        part = q[edges].reshape(rows, members, n + 1)
+        part *= span[:, None]
+        parts.append(part)
     q += size[:-1]
     # q is infinite exactly where logf or slope is not finite, at an end
     # of a range, and such an edge has no magnitude
     q[np.isinf(q)] = 0.0
-    magnitudes = [float(q[edges].max()) for edges, _ in views]
-    return shift, sums, magnitudes
+    return shift, sums, [part.max(axis=(0, 2)) for part in parts]
 
 
-# the factors of a t in e^(-2 a t) - 1 and e^(2 a t) - 1 (_prolate_bounds)
-_MINUS_PLUS_TWO = np.array([[-2.0], [2.0]])
+# the factors of a t in e^(-2 a t) - 1 and e^(2 a t) - 1 (_nu_rows)
+_MINUS_PLUS_TWO = np.array([-2.0, 2.0])
 
 
 def _prolate_bounds(
     dim: int, sigma: float, eps: float, n_nu: int, n_mu: int
 ) -> ProlateBounds:
-    """Two-sided bounds on lhs, T1 and T2 at dim >= 3 from the 1-D prolate form.
+    """_prolate_batch for the one row (dim, sigma)."""
+    return _prolate_batch((dim,), (sigma,), eps, n_nu, n_mu)[0]
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[ProlateBounds]:
+    """Two-sided bounds on lhs, T1 and T2 for each row (dim, sigma), dim >= 3, by the prolate form.
 
     With the foci at 0 and e1, mu = ||y|| + ||y - e1||, nu = ||y - e1|| -
     ||y||, a = 1/(2 sigma), tau = eps sigma, k = (dim - 3)/2 and g(nu)
@@ -542,12 +580,18 @@ def _prolate_bounds(
     g -> 1 gives T1 and g -> e^(-nu/sigma) gives T2.  Every integrand is
     log-concave, so _cell_sums bounds each on n_nu uniform cells of the
     nu-window and n_mu of the mu-window (_prolate_windows), one grid per
-    coordinate.  The six nu rows (lhs, T1 and T2 at j = k, k + 1;
-    _nu_rows) and the two mu rows (_mu_rows) lie end to end in flat
-    arrays, which _cell_sums bounds in a single pass.  nu is carried as
-    its distance t from tau and its distance w - t from 1, w = 1 - eps
-    sigma to a few ulps (_one_minus_product), so neither end cancels.  Every summand is a
-    nonnegative exp of a computed log: the margin e^(+-M), M =
+    coordinate.  The rows share eps and the cell counts.  Each row's
+    window, j = k and k + 1, a, tau and w are (rows, 1) columns that
+    broadcast against the rows' edges, (rows, n + 1) arrays (numbers and
+    n + 1 edges for a batch of one), so each row's six nu rows (lhs, T1 and T2 at j = k, k + 1; _nu_rows) and two
+    mu rows (_mu_rows) lie end to end with every other row's in flat
+    arrays, and _cell_sums bounds them all in a single pass.  The
+    windows' Newton steps, the lgamma terms of log C and the slope's
+    logs stay scalar, one row at a time.  A row's bounds are the same
+    bits in every batch it is part of.  nu is carried as its distance t
+    from tau and its distance w - t from 1, w = 1 - eps sigma to a few
+    ulps (_one_minus_product), so neither end cancels.  Every summand
+    is a nonnegative exp of a computed log: the margin e^(+-M), M =
     _MARGIN_ULPS * u * (the magnitudes of the logs summed, plus the
     ulps of the pairwise sums), moves uppers up and lowers down past
     float rounding.  Requires eps sigma < 1 exactly (w > 0).  slope is
@@ -557,25 +601,11 @@ def _prolate_bounds(
     bound's derivative where that bound beats the grid; it steers and
     certifies nothing.
     """
-    w = _one_minus_product(eps, sigma)
-    k, a, tau = 0.5 * (dim - 3), 0.5 / sigma, eps * sigma
-    t_hi, m_lo, m_hi = _prolate_windows(dim, sigma, eps, w)
-    j = np.array([[k], [k + 1.0]])
-    # logf, slope and size at the edges: six nu rows of n_nu + 1 edges,
-    # two mu rows of n_mu + 1, and _cell_sums' spare element
-    split = 6 * (n_nu + 1)
-    flat = [np.empty(split + 2 * (n_mu + 1) + 1) for _ in range(3)]
-    for x in flat:
-        x[-1] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _edges(0.0, t_hi, n_nu)
-        _nu_rows([x[:split].reshape(3, 2, n_nu + 1) for x in flat], t, w, a, tau, eps, j)
-        m = _edges(m_lo, m_hi, n_mu)
-        _mu_rows([x[split:-1].reshape(2, n_mu + 1) for x in flat], m, a, j)
-        h_nu, h_mu = t[1:] - t[:-1], m[1:] - m[:-1]
-        shift, sums, (magnitude_nu, magnitude_mu) = _cell_sums(
-            *flat, ((6, h_nu, 0.0, w - t_hi), (2, h_mu, m_lo, math.inf))
-        )
+    table, dim_3, nu_tail, mu_tail = [], [], False, False
+    for i, (dim, sigma) in enumerate(zip(dims, sigmas)):
+        w = _one_minus_product(eps, sigma)
+        k, a, tau = 0.5 * (dim - 3), 0.5 / sigma, eps * sigma
+        t_hi, m_lo, m_hi = _prolate_windows(dim, sigma, eps, w)
         terms = (
             math.lgamma(0.5 * dim),
             -math.lgamma(0.5 * (dim - 1)),
@@ -584,90 +614,149 @@ def _prolate_bounds(
             -math.lgamma(dim),
             -dim * math.log(sigma),
         )
-        log_c = sum(terms)
-        # numpy's pairwise sums err by at most about 20 + log2(n) ulps each
-        ulps = 48.0 + math.log2(n_nu) + math.log2(n_mu)
-        sizes = sum(map(abs, terms)) + magnitude_nu + magnitude_mu
-        margin = _MARGIN_ULPS * _U * (ulps + sizes)
-        # axis 0: upper, lower; then the nu rows' G by (lhs, T1, T2) and j
-        # = k, k + 1, and the mu rows' N by j
-        logs = np.log(sums)
-        logs += shift
-        log_g_int, log_n_int = logs[:, :6].reshape(2, 3, 2), logs[:, 6:]
-        # log C N_{k+1} G_k and log C N_k G_{k+1}
-        pair = (log_c + log_n_int[:, None, ::-1]) + log_g_int
-        both = np.logaddexp(pair[..., 0], pair[..., 1])
-        both[0] += margin
-        both[1] -= margin
-        (direct, t1_up, t2_up), (lhs_low, t1_low, t2_low) = np.exp(both).tolist()
+        # by column: 0 k, 1 k + 1, 2 a, 3 2a, 4 -a, 5 w, 6 tau, 7 1 + tau,
+        # 8 t_hi, 9 the nu tail's length, 10 m_lo, 11 m_hi, 12 log C and
+        # 13 the size of its terms
+        table.append(
+            (k, k + 1.0, a, 2.0 * a, -a, w, tau, 1.0 + tau, t_hi, w - t_hi, m_lo, m_hi)
+            + (sum(terms), sum(map(abs, terms)))
+        )
+        if k == 0.0:
+            dim_3.append(i)
+        nu_tail, mu_tail = nu_tail or t_hi < w, mu_tail or m_lo > 0.0
+    count = len(table)
+    # the rows' numbers by row, and as (rows, 1) columns that broadcast
+    # against their (rows, n + 1) edges, j = k and k + 1 as (2, rows, 1);
+    # a batch of one keeps its numbers as numbers and its edges 1-D, which
+    # numpy broadcasts the same way at less cost
+    if count == 1:
+        by_row = cols = table[0]
+        j = np.array(cols[:2])[:, None]
+    else:
+        by_row = np.array(table).T
+        cols = by_row[:, :, None]
+        j = cols[:2]
+    t = _edges(0.0, cols[8], n_nu)
+    m = _edges(cols[10], cols[11], n_mu)
+    # logf, slope and size at the edges: the six nu rows, each of n_nu + 1
+    # edges per batch row, then the two mu rows of n_mu + 1, and
+    # _cell_sums' spare element
+    split = 6 * t.size
+    flat = [np.empty(split + 2 * m.size + 1) for _ in range(3)]
+    for x in flat:
+        x[-1] = 0.0
+    _nu_rows([x[:split].reshape((3, 2) + t.shape) for x in flat], t, j, cols[2:8], eps, dim_3)
+    _mu_rows([x[split:-1].reshape((2,) + m.shape) for x in flat], m, j, cols[2], dim_3)
+    h_nu, h_mu = t[..., 1:] - t[..., :-1], m[..., 1:] - m[..., :-1]
+    grids = (
+        (6, h_nu.reshape(count, -1), (-1, by_row[9]) if nu_tail else None, False),
+        (2, h_mu.reshape(count, -1), (0, by_row[10]) if mu_tail else None, True),
+    )
+    shift, sums, (magnitude_nu, magnitude_mu) = _cell_sums(*flat, grids)
+    # numpy's pairwise sums err by at most about 20 + log2(n) ulps each
+    ulps = 48.0 + math.log2(n_nu) + math.log2(n_mu)
+    log_c, term_size = by_row[12], by_row[13]
+    sizes = term_size + magnitude_nu
+    sizes += magnitude_mu
+    margin = _MARGIN_ULPS * _U * (ulps + sizes)
+    # axis 0: upper, lower; then the nu rows' G by (lhs, T1, T2), j = k,
+    # k + 1 and row, and the mu rows' N by j and row
+    logs = np.log(sums)
+    logs += shift
+    log_g_int = logs[:, : 6 * count].reshape(2, 3, 2, count)
+    log_n_int = logs[:, 6 * count :].reshape(2, 2, count)
+    # log C N_{k+1} G_k and log C N_k G_{k+1}
+    pair = (log_c + log_n_int[:, None, ::-1]) + log_g_int
+    both = np.logaddexp(pair[:, :, 0], pair[:, :, 1])
+    both[0] += margin
+    both[1] -= margin
+    # by bound, then (lhs, T1, T2) or j, then row
+    uppers, lowers = np.exp(both).tolist()
+    g_logs, n_logs = log_g_int[:, 0].tolist(), log_n_int.tolist()
+    out = []
+    for i, (row, sigma, row_margin) in enumerate(zip(table, sigmas, margin.tolist())):
+        k, w, tau, m_hi = row[0], row[5], row[6], row[11]
+        direct, t1_up, t2_up = uppers[0][i], uppers[1][i], uppers[2][i]
+        lhs_low, t1_low, t2_low = lowers[0][i], lowers[1][i], lowers[2][i]
         t1_up = min(t1_up, 1.0)
-        # where the loss cap bound beats the grid, the grid did not resolve
-        # the integrands and its slope is that bound's
-        trivial, trivial_slope = _loss_cap_bound(w, sigma)
-        unresolved = trivial <= direct
+        # where the loss cap bound beats the grid, the grid did not
+        # resolve the integrands and its slope is that bound's
+        trivial, slope = _loss_cap_bound(w, sigma)
         alternative = t1_up - _exp_eps(eps) * t2_low + 4.0 * _U * t1_up
         lhs_up = min(direct, alternative, trivial, 1.0)
-        if unresolved:
-            slope = trivial_slope
-        else:
-            # the closed form of d log lhs / d sigma, its share N_{k+1} / S
-            # from the lhs rows' G and the mu rows' N, each log-sum read
-            # halfway between its bounds, or at the upper where the lower is 0
-            up, low = logs[:, [0, 1, 6, 7]]
-            mid = np.where(np.isneginf(low), up, 0.5 * (up + low))
-            g_k, g_k1, n_k, n_k1 = mid.tolist()
+        if not trivial <= direct:
+            # the closed form of d log lhs / d sigma, its share N_{k+1} /
+            # S from the lhs rows' G and the mu rows' N
+            (gk_up, gk1_up), (gk_low, gk1_low) = g_logs
+            (nk_up, nk1_up), (nk_low, nk1_low) = n_logs
+            g_k, g_k1 = _halfway(gk_up[i], gk_low[i]), _halfway(gk1_up[i], gk1_low[i])
+            n_k, n_k1 = _halfway(nk_up[i], nk_low[i]), _halfway(nk1_up[i], nk1_low[i])
             log_share = -np.logaddexp(g_k, n_k - n_k1 + g_k1)
             rate = log_share + 0.5 * eps + (k + 1.0) * (math.log(w) + math.log1p(tau))
             slope = -lhs_up * math.exp(rate - math.log(2.0 * sigma * sigma * (k + 1.0)))
-    return ProlateBounds(
-        (min(lhs_low, lhs_up), lhs_up),
-        (min(t1_low, t1_up), t1_up),
-        (t2_low, min(t2_up, 1.0)),
-        slope,
-        0.5 * (m_hi + 2.0),
-        direct,
-        margin,
-    )
+        out.append(
+            ProlateBounds(
+                (min(lhs_low, lhs_up), lhs_up),
+                (min(t1_low, t1_up), t1_up),
+                (t2_low, min(t2_up, 1.0)),
+                slope,
+                0.5 * (m_hi + 2.0),
+                direct,
+                row_margin,
+            )
+        )
+    return out
 
 
-def _nu_rows(rows, t, w, a, tau, eps, j):
-    """Write the six nu rows' logf, slope and size at the edges t into rows.
+def _halfway(up: float, low: float) -> float:
+    # a log-sum read halfway between its bounds, or at the upper where the
+    # lower is 0
+    return up if low == -math.inf else 0.5 * (up + low)
 
-    rows is three (3, 2, n + 1) views, by g = 1 - e^(eps - nu/sigma), 1
-    and e^(-nu/sigma) (lhs, T1 and T2) and by j = k, k + 1; the log of
-    each integrand is log g + eps/2 + a t + j log(1 - nu^2), with nu =
-    tau + t and 1 - nu^2 = (w - t)(1 + tau + t).  Its temporaries end
-    with the call, which keeps _prolate_bounds' peak memory down.  Runs
-    under the caller's np.errstate.
+
+def _nu_rows(rows, t, j, cols, eps, dim_3):
+    """Write the six nu rows' logf, slope and size at every batch row's edges t into rows.
+
+    rows is three (3, 2) + t.shape views, by g = 1 - e^(eps - nu/sigma),
+    1 and e^(-nu/sigma) (lhs, T1 and T2) and by j = k, k + 1; t is
+    (batch rows, n + 1), or n + 1 edges for a batch of one, j holds k
+    and k + 1 and cols a, 2a, -a, w, tau and 1 + tau, each as columns
+    that broadcast against t (_prolate_batch), and dim_3 lists the batch
+    rows at dim = 3 (k = 0).  The log of each integrand is log g + eps/2 + a
+    t + j log(1 - nu^2), with nu = tau + t and 1 - nu^2 = (w - t)(1 +
+    tau + t).  Its temporaries end with the call, which keeps
+    _prolate_batch's peak memory down.  Runs under the caller's
+    np.errstate.
     """
     log_nu, d_nu, size_nu = rows
+    a, two_a, minus_a, w, tau, one_tau = cols
     half = 0.5 * eps
     gap = w - t
     at = a * t
     # log(1 - e^(-2 a t)) + eps/2 + a t, eps/2 + a t and -eps/2 - a t, and
     # their t-slopes
-    grow = np.expm1(at * _MINUS_PLUS_TWO)
-    base = np.empty((3, t.size))
+    grow = np.expm1(np.multiply.outer(_MINUS_PLUS_TWO, at))
+    base = np.empty((3,) + t.shape)
     np.add(at, half, out=base[1])
     np.negative(base[1], out=base[2])
     np.negative(grow[0], out=base[0])
     np.log(base[0], out=base[0])
     base[0] += base[1]
-    d_base = np.empty((3, t.size))
-    np.divide(2.0 * a, grow[1], out=d_base[0])
+    d_base = np.empty((3,) + t.shape)
+    np.divide(two_a, grow[1], out=d_base[0])
     d_base[0] += a
-    d_base[1], d_base[2] = a, -a
+    d_base[1], d_base[2] = a, minus_a
     # j times log(1 - nu^2), its t-slope, and the ulps 1 - nu^2 = w - t
     # loses to the rounding of w, per its size; exactly 0 at j = 0
-    weights = np.empty((3, 1, t.size))
+    weights = np.empty((3, 1) + t.shape)
     np.log(gap, out=weights[0, 0])
     weights[0, 0] += np.log1p(tau + t)
-    np.divide(1.0, (1.0 + tau) + t, out=weights[1, 0])
+    np.divide(1.0, one_tau + t, out=weights[1, 0])
     weights[1, 0] -= 1.0 / gap
     np.divide(w, gap, out=weights[2, 0])
     weights = weights * j
-    if j[0, 0] == 0.0:
-        weights[:, 0] = 0.0
+    if dim_3:
+        weights.reshape(3, 2, -1, t.shape[-1])[:, 0, dim_3] = 0.0
     np.add(base[:, None], weights[0], out=log_nu)
     np.add(d_base[:, None], weights[1], out=d_nu)
     # |base| + |eps/2 + a t| + |weight| + lost
@@ -678,24 +767,25 @@ def _nu_rows(rows, t, w, a, tau, eps, j):
     size_nu += weights[2]
 
 
-def _mu_rows(rows, m, a, j):
-    """Write the two mu rows' logf, slope and size at m = mu - 1 into rows.
+def _mu_rows(rows, m, j, a, dim_3):
+    """Write the two mu rows' logf, slope and size at every batch row's m = mu - 1 into rows.
 
-    rows is three (2, n + 1) views, by j = k, k + 1, of the log of e^(-a
-    mu) (mu^2 - 1)^j, with mu^2 - 1 = m (m + 2).  Runs under the
+    rows is three (2,) + m.shape views, by j = k, k + 1, of the log of
+    e^(-a mu) (mu^2 - 1)^j, with mu^2 - 1 = m (m + 2); m, j, a and dim_3
+    are laid out as _nu_rows' t, j, a and dim_3.  Runs under the
     caller's np.errstate.
     """
     log_mu, d_mu, size_mu = rows
     m_2 = m + 2.0
     # j times log(mu^2 - 1) and its slope; exactly 0 at j = 0
-    weights = np.empty((2, 1, m.size))
+    weights = np.empty((2, 1) + m.shape)
     np.log(m, out=weights[0, 0])
     weights[0, 0] += np.log(m_2)
     np.divide(1.0, m, out=weights[1, 0])
     weights[1, 0] += 1.0 / m_2
     weights = weights * j
-    if j[0, 0] == 0.0:
-        weights[:, 0] = 0.0
+    if dim_3:
+        weights.reshape(2, 2, -1, m.shape[-1])[:, 0, dim_3] = 0.0
     fall = a * (1.0 + m)
     np.subtract(weights[0], fall, out=log_mu)
     np.subtract(weights[1], a, out=d_mu)
@@ -727,7 +817,7 @@ def check_approx_dp(
     False only means these grids could not certify the pair.
     """
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         number("sigma", sigma) or positive("sigma", sigma),
         instance("eps_delta", eps_delta, PrivacyParams),
         integer("n_r", n_r, 2),
@@ -825,10 +915,18 @@ def _prolate_report(bounds: ProlateBounds, delta: float, n_r: int, n_R: int):
 
 
 def _probe_check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
-    """_check for one calibrate_l2 probe, decided on the nested quarter grid where it can be.
+    """_probe_checks for the one probe (dim, sigma)."""
+    return _probe_checks((dim,), (sigma,), eps_delta, n_r, n_R)[0]
 
-    At dim >= 3, eps sigma < 1 exactly, sigma >= _PROLATE_FLOOR and grid
-    sizes that are multiples of 4 (8 or more), the probe first bounds lhs
+
+def _probe_checks(dims, sigmas, eps_delta, n_r, n_R) -> list[BoundReport]:
+    """_check for each (dim, sigma) of a round of probes, on the quarter grid where it decides.
+
+    The probes share eps_delta and the grid sizes: one calibrate_l2
+    probe (_probe_check), or one per running search of
+    comparison_table's wavefront.  At dim >= 3, eps sigma < 1 exactly,
+    sigma >= _PROLATE_FLOOR and grid sizes that are multiples of 4 (8 or
+    more), a probe first bounds lhs
     on n_r/4 nu-cells and n_R/4 mu-cells.  Every edge of that quarter
     grid is an edge of the full one (_edges rounds i/(n/4) and 4i/n, one
     rational, to one float), so the full grid's verdict can be read off
@@ -868,18 +966,34 @@ def _probe_check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
     draws up to dim = 10^7); the room F leaves gives up only probes
     within about 64 M of delta (under 1e-5 relative at dim = 10^6).
 
-    A decided probe returns the quarter grid's report, which names that
-    grid in n_r and n_R and steers the search's next step by its own
-    lhs_upper and lhs_slope; every other probe returns _check on the
-    full grid.
+    Every probe the quarter grid can take is bounded there in one
+    _prolate_batch call.  A decided probe returns the quarter grid's
+    report, which names that grid in n_r and n_R and steers the search's
+    next step by its own lhs_upper and lhs_slope; every other probe
+    returns _check on the full grid, a batch of one.
     """
+    eps, delta = float(eps_delta.epsilon), float(eps_delta.delta)
     n_nu, n_mu = n_r // 4, n_R // 4
-    if dim >= 3 and n_r == 4 * n_nu and n_R == 4 * n_mu and min(n_nu, n_mu) >= 2:
-        eps, delta, sigma = float(eps_delta.epsilon), float(eps_delta.delta), float(sigma)
-        if _one_minus_product(eps, sigma) > 0.0 and sigma >= _PROLATE_FLOOR:
-            bounds = _prolate_bounds(dim, sigma, eps, n_nu, n_mu)
+    nested = n_r == 4 * n_nu and n_R == 4 * n_mu and min(n_nu, n_mu) >= 2
+    sigmas = [float(sigma) for sigma in sigmas]
+    quarter = [
+        i
+        for i, (dim, sigma) in enumerate(zip(dims, sigmas))
+        if nested
+        and dim >= 3
+        and _one_minus_product(eps, sigma) > 0.0
+        and sigma >= _PROLATE_FLOOR
+    ]
+    reports = [None] * len(sigmas)
+    if quarter:
+        batch = _prolate_batch(
+            [dims[i] for i in quarter], [sigmas[i] for i in quarter], eps, n_nu, n_mu
+        )
+        for i, bounds in zip(quarter, batch):
             room = math.exp(-2.0 * _NESTED_MARGIN_GROWTH * bounds.margin)
-            passes = bounds.direct <= delta * room
-            if passes or bounds.lhs[0] > delta:
-                return _prolate_report(bounds, delta, n_nu, n_mu)
-    return _check(dim, sigma, eps_delta, n_r, n_R)
+            if bounds.direct <= delta * room or bounds.lhs[0] > delta:
+                reports[i] = _prolate_report(bounds, delta, n_nu, n_mu)
+    return [
+        _check(dim, sigma, eps_delta, n_r, n_R) if report is None else report
+        for dim, sigma, report in zip(dims, sigmas, reports)
+    ]

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import instance, integer, number, positive, require
+from ._checks import dimension, instance, integer, number, positive, require
 from ._records import to_json
-from .calibrate import PrivacyParams, _bracket, _lattice_search
+from .calibrate import PrivacyParams, _bracket, _drive, _lattice_search
 from .lossbounds import _exp_eps
 from .sampler import RngState
 
@@ -146,7 +146,7 @@ def empirical_lhs(
     Memory is a few arrays of m floats, independent of dim and n.
     """
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         number("sigma", sigma) or positive("sigma", sigma),
         number("epsilon", epsilon) or positive("epsilon", epsilon),
         integer("n", n),
@@ -208,7 +208,7 @@ def empirical_min_sigma(
     to steer the search.
     """
     require(
-        integer("dim", dim),
+        dimension("dim", dim),
         instance("params", params, PrivacyParams),
         integer("n", n),
         number("tol", tol) or positive("tol", tol),
@@ -232,4 +232,4 @@ def empirical_min_sigma(
             f"empirical_min_sigma: bracketing failure, the empirical check "
             f"already passes at sigma = {lo}"
         )
-    return _lattice_search(lo, hi, tol, passes)[1]
+    return _drive(_lattice_search(lo, hi, tol), passes)[1]

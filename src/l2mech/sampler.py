@@ -23,7 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import finite, instance, integer, number, positive, real, require, unless
+from ._checks import (
+    dimension,
+    finite,
+    instance,
+    integer,
+    number,
+    positive,
+    real,
+    require,
+    unless,
+)
 from ._records import to_csv, to_json
 
 __all__ = [
@@ -134,7 +144,7 @@ def sample_unit_ball(dim: int, rng: RngState, size=None):
     U^(1/dim).  Draw order per batch: the Gaussian block, then the
     radial uniforms.
     """
-    n, scalar = _rows(size, integer("dim", dim), instance("rng", rng, RngState))
+    n, scalar = _rows(size, dimension("dim", dim), instance("rng", rng, RngState))
     gen = rng.generator
     x, norms = _gaussian_rows(gen, n, int(dim))
     pull = gen.random(n) ** (1.0 / dim)
@@ -276,7 +286,7 @@ class SampleBatch:
 
     def __post_init__(self):
         require(
-            integer("dim", self.dim),
+            dimension("dim", self.dim),
             integer("count", self.count),
             finite("values", self.values) or unless(
                 np.shape(self.values) == (self.count, self.dim),
@@ -322,7 +332,7 @@ def draw_batch(
     through the mechanism's sampler at the origin of R^dim.  draw_batch
     checks the mechanism and dim; the sampler checks the rest.
     """
-    require(integer("dim", dim), _mechanism_fault(mechanism))
+    require(dimension("dim", dim), _mechanism_fault(mechanism))
     rng = RngState(seed, stream_id)
     values = _SAMPLERS[mechanism](np.zeros(int(dim)), sigma, rng, size=count)
     return SampleBatch(

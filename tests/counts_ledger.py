@@ -4,11 +4,16 @@ For each target (epsilon, delta) in TARGETS this records one calibrate_l2
 call per dimension in DIMS and one comparison_table up to TABLE_D_MAX.
 Each calibration (and each l2 row of a table) records:
 
-- checks: calls of calibrate._probe_check, and search_iterations as reported;
-- nu_cells and mu_cells: the cells of lossbounds._prolate_bounds' two
-  grids, summed over its calls (the d >= 3 checks; d = 2 checks run the
-  radial sum and count none);
+- checks: the probes calibrate sends to lossbounds (one per call of
+  _probe_check, one per row of a _probe_checks round), and
+  search_iterations as reported;
+- nu_cells and mu_cells: the cells of the two grids of every
+  lossbounds._prolate_batch row at that dimension, summed over its calls
+  (the d >= 3 checks; d = 2 checks run the radial sum and count none);
 - sigma as float.hex, and hit_bracket_floor.
+
+A table also records prolate_calls: the calls of _prolate_batch, each
+one certificate pass however many rows it bounds.
 
 For each target it also records calibrate_gaussian at each tolerance in
 GAUSSIAN_TOLS, the search every calibrate_l2 call at dim >= 2 runs to
@@ -43,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -93,26 +98,36 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 
 
 @contextmanager
-def _counting(counts: list[Counter]):
-    """Count checks and kernel work into counts[-1] while the block runs."""
-    check, prolate = calibrate._probe_check, lossbounds._prolate_bounds
+def _counting(counts: defaultdict, calls: Counter):
+    """Count checks and kernel work by dimension into counts, and certificate passes into calls."""
+    check, checks = calibrate._probe_check, calibrate._probe_checks
+    batch = lossbounds._prolate_batch
 
-    def counted_check(*args):
-        counts[-1]["checks"] += 1
-        return check(*args)
+    def counted_check(dim, *args):
+        counts[dim]["checks"] += 1
+        return check(dim, *args)
 
-    def counted_prolate(dim, sigma, eps, n_nu, n_mu):
-        counts[-1]["nu_cells"] += n_nu
-        counts[-1]["mu_cells"] += n_mu
-        return prolate(dim, sigma, eps, n_nu, n_mu)
+    def counted_checks(dims, *args):
+        for dim in dims:
+            counts[dim]["checks"] += 1
+        return checks(dims, *args)
+
+    def counted_batch(dims, sigmas, eps, n_nu, n_mu):
+        calls["prolate_calls"] += 1
+        for dim in dims:
+            counts[dim]["nu_cells"] += n_nu
+            counts[dim]["mu_cells"] += n_mu
+        return batch(dims, sigmas, eps, n_nu, n_mu)
 
     calibrate._probe_check = counted_check
-    lossbounds._prolate_bounds = counted_prolate
+    calibrate._probe_checks = counted_checks
+    lossbounds._prolate_batch = counted_batch
     try:
         yield
     finally:
         calibrate._probe_check = check
-        lossbounds._prolate_bounds = prolate
+        calibrate._probe_checks = checks
+        lossbounds._prolate_batch = batch
 
 
 def _entry(count: Counter, result) -> dict:
@@ -127,31 +142,31 @@ def _entry(count: Counter, result) -> dict:
 
 
 def _calibration(dim: int, params: PrivacyParams) -> dict:
-    counts = [Counter()]
-    with _counting(counts):
+    counts = defaultdict(Counter)
+    with _counting(counts, Counter()):
         result = calibrate_l2(dim, params)
-    return _entry(counts[0], result)
+    return _entry(counts[dim], result)
 
 
 def _table(params: PrivacyParams) -> dict:
-    """One entry per l2 row, each counted from its own search."""
-    counts: list[Counter] = []
-    rows = {}
-    row = errormodel._calibrate_l2
+    """One entry per l2 row, each counted from its own search, and the table's prolate_calls."""
+    counts, calls = defaultdict(Counter), Counter()
+    results = []
+    rows = errormodel._calibrate_l2_rows
 
-    def counted_row(dim, *args, **kwargs):
-        counts.append(Counter())
-        result = row(dim, *args, **kwargs)
-        rows[f"d={dim}"] = _entry(counts[-1], result)
-        return result
+    def counted_rows(dims, *args):
+        results.extend(zip(dims, rows(dims, *args)))
+        return [result for _, result in results]
 
-    errormodel._calibrate_l2 = counted_row
+    errormodel._calibrate_l2_rows = counted_rows
     try:
-        with _counting(counts):
+        with _counting(counts, calls):
             errormodel.comparison_table(params, TABLE_D_MAX)
     finally:
-        errormodel._calibrate_l2 = row
-    return rows
+        errormodel._calibrate_l2_rows = rows
+    out = {f"d={dim}": _entry(counts[dim], result) for dim, result in results}
+    out["prolate_calls"] = calls["prolate_calls"]
+    return out
 
 
 class _CountingGenerator:

@@ -21,6 +21,7 @@ from l2mech.calibrate import (
     CalibrationResult,
     PrivacyParams,
     _bracket,
+    _drive,
     _lattice_search,
     _lattice_sigma,
     _newton_sigma,
@@ -272,10 +273,10 @@ def test_lattice_search_estimate_moves_probes_not_the_answer(
         report = SimpleNamespace(lhs_upper=lhs_upper, lhs_slope=lhs_slope)
         return _newton_sigma(report, sigma, eps, math.log(1e-5))
 
-    want = _lattice_search(lo, hi, tol, lambda s: (s >= threshold, None))
+    want = _drive(_lattice_search(lo, hi, tol), lambda s: (s >= threshold, None))
     for next_sigma in (lambda sigma: estimate, newton_sigma):
         probes = 0
-        assert _lattice_search(lo, hi, tol, naming(next_sigma), estimate) == want
+        assert _drive(_lattice_search(lo, hi, tol, estimate), naming(next_sigma)) == want
         assert probes <= depth + 3
 
 

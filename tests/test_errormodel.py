@@ -179,22 +179,24 @@ def test_table_warm_start_changes_no_sigma(
     monkeypatch, epsilon, delta, d_max, max_probes
 ):
     # each l2 search from the third row on starts at the secant through
-    # the two sigmas before it (the second at the first row's sigma); its
-    # answer is still the stand-alone calibration's.  The d_max = 12
-    # tables take 30, 43 and 28 checks (36, 49 and 33 from the previous
-    # row's sigma) and the d_max = 40 one 89 (120); the bounds leave
-    # about 10% on top
+    # the latest sigmas of the two searches before it (the second at the
+    # first row's sigma), and the searches advance together, one round
+    # of row checks at a time; each answer is still the stand-alone
+    # calibration's.  The d_max = 12 tables take 28, 33 and 26 row checks
+    # and the d_max = 40 one 87 (29, 34, 28 and 92 when each search waited
+    # for the one before it); the bounds are those of that sequential
+    # schedule
     pp = PrivacyParams(epsilon, delta)
     probes = 0
-    check_at = l2mech.calibrate._probe_check
+    checks_at = l2mech.calibrate._probe_checks
 
-    def counted(*args):
+    def counted(dims, *args):
         nonlocal probes
-        probes += 1
-        return check_at(*args)
+        probes += len(dims)
+        return checks_at(dims, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(l2mech.calibrate, "_probe_check", counted)
+        patch.setattr(l2mech.calibrate, "_probe_checks", counted)
         rows = comparison_table(pp, d_max)
     table = [r.sigma for r in rows if r.mechanism == "l2"]
     alone = [calibrate_l2(d, pp).sigma for d in range(1, d_max + 1)]

@@ -587,3 +587,29 @@ def test_lhs_monotone_in_sigma_near_calibration():
     sigmas = np.linspace(0.3, 0.95, 30)
     vals = [check_approx_dp(5, float(s), pp).lhs_upper for s in sigmas]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("k", (20, 53, 60, 100, 300, 1023))
+def test_a_huge_dim_gets_a_finite_answer_or_a_checked_fault(k):
+    # up to dim = 2^53 (_checks.MAX_DIM), where the floats d, d/2, (d -
+    # 1)/2 and k = (d - 3)/2 of the certificate are exact, a check and a
+    # calibration give finite numbers; above it both refuse dim by name in
+    # require.  Without the bound, 2^60 gave a NaN slope, 2^100 a NaN
+    # report, 2^300 a ZeroDivisionError and 2^1023 an OverflowError
+    from l2mech._checks import MAX_DIM
+
+    pp = PrivacyParams(1.0, 1e-5)
+    d = 2**k
+    for run in (lambda: check_approx_dp(d, 0.5, pp), lambda: calibrate_l2(d, pp)):
+        if d <= MAX_DIM:
+            out = run()
+            if isinstance(out, BoundReport):
+                fields = (out.term1_upper, out.term2_lower, out.lhs_upper)
+                fields += (out.r_star, out.lhs_slope)
+            else:
+                fields = (out.sigma,)
+            assert all(math.isfinite(v) for v in fields), out
+        else:
+            with pytest.raises(ValueError, match="^dim must be at most 2\\*\\*53") as excinfo:
+                run()
+            assert excinfo.traceback[-1].name == "require"

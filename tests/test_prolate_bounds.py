@@ -213,3 +213,77 @@ def test_every_prolate_bounds_field_is_pinned_bitwise():
     assert count == 300
     assert digest.hexdigest() == PROLATE_BOUNDS_SHA1
     assert slopes.hexdigest() == PROLATE_SLOPE_SHA1
+
+
+def _mixed_batches():
+    # seeded batches of 2 to 9 rows sharing eps and one grid: dims from 3
+    # (k = 0, no tail beyond either window) to 10^4, and per row one of
+    # tau = eps sigma log-uniform in [1e-4, 1), eps sigma within ulps of 1,
+    # sigma near _PROLATE_FLOOR (where the loss cap bound beats the grid),
+    # so rows with and without each window's tail share a batch
+    rng = random.Random(20261101)
+    grids = ((2, 2), (2, 250), (250, 250), (64, 2000), (1000, 8), (3, 5))
+    for i in range(48):
+        eps = 10.0 ** rng.uniform(-3.0, 2.0)
+        dims, sigmas = [], []
+        for _ in range(rng.randint(2, 9)):
+            kind = rng.random()
+            if kind < 0.5:
+                sigma = 10.0 ** rng.uniform(-4.0, 0.0) / eps
+            elif kind < 0.75:
+                sigma = 1.0 / eps
+                for _ in range(rng.randint(0, 3)):
+                    sigma = math.nextafter(sigma, 0.0)
+            else:
+                sigma = lossbounds._PROLATE_FLOOR * (1.0 + rng.random())
+            while lossbounds._one_minus_product(eps, sigma) <= 0.0:
+                sigma = math.nextafter(sigma, 0.0)
+            dims.append(rng.choice((3, 4, rng.randint(3, 100), rng.randint(3, 10**4))))
+            sigmas.append(sigma)
+        yield dims, sigmas, eps, *grids[i % len(grids)]
+
+
+def test_a_rows_bounds_do_not_depend_on_its_batch():
+    # every field of every row's ProlateBounds in a mixed batch equals
+    # that row's batch of one, bit for bit: numpy's row sums, its SIMD
+    # loops and the masked tails must not let one row reach another.  The
+    # batches hold rows bounded by the loss cap (slope from that bound)
+    # next to resolved ones, and rows with and without each window's tail
+    def bits(bounds):
+        fields = (*bounds.lhs, *bounds.term1, *bounds.term2, *bounds[3:])
+        return [float(v).hex() for v in fields]
+
+    capped = mixed_tails = 0
+    for dims, sigmas, eps, n_nu, n_mu in _mixed_batches():
+        batch = lossbounds._prolate_batch(dims, sigmas, eps, n_nu, n_mu)
+        assert len(batch) == len(dims)
+        for dim, sigma, bounds in zip(dims, sigmas, batch):
+            alone = lossbounds._prolate_bounds(dim, sigma, eps, n_nu, n_mu)
+            assert bits(bounds) == bits(alone), (dim, sigma, eps, n_nu, n_mu)
+            w = lossbounds._one_minus_product(eps, sigma)
+            capped += lossbounds._loss_cap_bound(w, sigma)[0] <= bounds.direct
+        tails = [
+            (t_hi < w, m_lo > 0.0)
+            for dim, sigma in zip(dims, sigmas)
+            for w in [lossbounds._one_minus_product(eps, sigma)]
+            for t_hi, m_lo, _ in [lossbounds._prolate_windows(dim, sigma, eps, w)]
+        ]
+        mixed_tails += any(len({tail[i] for tail in tails}) == 2 for i in (0, 1))
+    assert capped >= 20 and mixed_tails >= 20, (capped, mixed_tails)
+
+
+def test_the_exact_lhs_never_rises_with_sigma():
+    # the truth the certificate bounds, oracles.prolate_lhs at 20 digits,
+    # at five sigmas in (0.05/eps, 0.95/eps), one per fifth of it and at
+    # least 0.036/eps apart, for each of six seeded (d, eps) with d in
+    # 3..100 and eps log-uniform in [0.1, 10]: non-increasing, as the
+    # closed form of d lhs / d sigma (module docstring) says.  The
+    # certified lhs_upper need not be monotone; CHANGES.md reports how
+    # often its verdict is not, next to the table answers
+    rng = random.Random(20261102)
+    for _ in range(6):
+        d = round(10.0 ** rng.uniform(math.log10(3.0), 2.0))
+        eps = 10.0 ** rng.uniform(-1.0, 1.0)
+        fractions = [0.05 + 0.9 * (i + 0.1 + 0.8 * rng.random()) / 5 for i in range(5)]
+        values = [oracles.prolate_lhs(d, f / eps, eps, dps=20) for f in fractions]
+        assert all(b <= a for a, b in zip(values, values[1:])), (d, eps, fractions, values)
