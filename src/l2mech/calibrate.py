@@ -13,18 +13,22 @@ depth and its indices live in _lattice_search alone, and so does the
 bracket: each calibrate_l2 probe steers by one Newton step from its own
 report, with no history of the probes before it (calibrate_l2 gives the
 probe counts).  _lattice_search is resumable, a generator that yields
-each sigma and is sent the verdict, so a caller that waits on every
-probe runs it through _drive, and comparison_table advances many
-calibrate_l2 searches (_l2_search) together, one batched certificate
-call per round (_calibrate_l2_rows).  Every search answers a sigma it
-already saw from memory and counts each distinct sigma once.  In one
-dimension the l2 mechanism is the Laplace mechanism, and the check
-collapses to a closed form whose minimal sigma, 1/(epsilon - 2 ln(1 -
-delta)), is laplace_sigma_lower_bound's, used directly.  The Gaussian calibrator
-brackets the exact normal-CDF condition (dimension-independent for
-l2-sensitivity) by powers of two, then searches it unsteered, as
-mcverify's observational search does on calibrate_l2's bracket.  Its
-arguments are checked once, on entry, and each probe evaluates the
+each sigma and is sent the verdict.  Every l2 search (_l2_search) has
+one driver, _calibrate_l2_rows, which advances the searches of its rows
+together, one batched certificate call per round: a calibrate_l2 call
+is its wavefront of one row, and comparison_table's has a row per
+dimension.  The two unsteered searches, calibrate_gaussian's and
+mcverify's, wait on every probe through _drive.  Every search answers a
+sigma it already saw from memory and counts each distinct sigma once.
+In one dimension the l2 mechanism is the Laplace mechanism, and the
+check collapses to a closed form whose minimal sigma, 1/(epsilon - 2
+ln(1 - delta)), is laplace_sigma_lower_bound's, used directly.  The
+Gaussian calibrator brackets the exact normal-CDF condition
+(dimension-independent for l2-sensitivity) by powers of two, then
+searches it unsteered, as mcverify's observational search does on
+calibrate_l2's bracket.  Its arguments are checked once, on entry, and
+the search behind them (_gaussian_search, which also places
+calibrate_l2's first probe) runs unchecked, each probe evaluating the
 hockey-stick formula unchecked (_gaussian_lhs, which gaussian_dp_lhs
 puts behind its checks).  The Laplace scale sqrt(d)/(epsilon + delta)
 is a closed-form pure-DP choice; at d = 1 it sits just above the exact
@@ -51,7 +55,7 @@ from ._checks import (
     require,
     unless,
 )
-from .lossbounds import PrivacyParams, _exp_eps, _probe_check, _probe_checks
+from .lossbounds import PrivacyParams, _exp_eps, _probe_checks
 from .specfun import _normal_cdf
 
 __all__ = [
@@ -151,7 +155,7 @@ def calibrate_l2(
     its own where that grid proves the full grid's verdict (its lower
     bound above delta, or its upper bound below delta by more than the
     full grid's larger rounding margin can add; see
-    lossbounds._probe_check), and runs the full grid only elsewhere:
+    lossbounds._probe_checks), and runs the full grid only elsewhere:
     43 of the 805 dim >= 3 probes on those targets.  The floor is
     probed only when the search ends at index 1 and the top 1/epsilon
     only when it ends there; search_iterations counts both.  A sigma
@@ -159,7 +163,8 @@ def calibrate_l2(
     once.  dim == 1 uses the exact closed form.  Either way a sigma that
     fails its own certificate is nudged up by float ulps until it
     passes, so the returned sigma is certified in every branch.  Every
-    argument is checked once, before the first probe.
+    argument is checked once, before the first probe, and the search
+    runs as _calibrate_l2_rows' wavefront of one row.
     """
     _validate_common(
         params,
@@ -169,10 +174,7 @@ def calibrate_l2(
         integer("n_r", n_r, 2),
         integer("n_R", n_R, 2),
     )
-    return _drive(
-        _l2_search(dim, params, n_r, n_R, tol, sensitivity, None),
-        lambda s: _probe_check(dim, s, params, n_r, n_R),
-    )
+    return _calibrate_l2_rows((dim,), params, n_r, n_R, tol, sensitivity)[0]
 
 
 def _l2_search(dim, params, n_r, n_R, tol, sensitivity, estimate):
@@ -234,8 +236,11 @@ def _l2_search(dim, params, n_r, n_R, tol, sensitivity, estimate):
     return result(sigma)
 
 
-def _calibrate_l2_rows(dims, params, n_r, n_R, tol) -> list[CalibrationResult]:
-    """calibrate_l2 at unit sensitivity for each of the increasing dims, run as a wavefront.
+def _calibrate_l2_rows(dims, params, n_r, n_R, tol, sensitivity) -> list[CalibrationResult]:
+    """calibrate_l2 for each of the increasing dims, run as a wavefront; arguments unchecked.
+
+    The one driver of _l2_search: calibrate_l2 runs a wavefront of one
+    row, comparison_table one of a row per dimension at unit sensitivity.
 
     The search of dims[i] starts as soon as that of dims[i - 1] has one
     report, its first probe at the secant (_secant) through the latest
@@ -251,13 +256,13 @@ def _calibrate_l2_rows(dims, params, n_r, n_R, tol) -> list[CalibrationResult]:
     """
     eps, log_delta = params.epsilon, math.log(params.delta)
     results = [None] * len(dims)
-    # (dim, latest sigma) of every started search, and the sigma each
-    # running one waits on
-    found, waiting = [], {}
+    # (dim, latest sigma) of every started search, and (row, search,
+    # sigma) of each running one
+    found, waiting = [], []
 
     def advance(i, search, report=None):
         try:
-            waiting[i] = search, search.send(report)
+            waiting.append((i, search, search.send(report)))
         except StopIteration as stop:
             results[i] = stop.value
             found[i] = dims[i], stop.value.sigma
@@ -267,15 +272,16 @@ def _calibrate_l2_rows(dims, params, n_r, n_R, tol) -> list[CalibrationResult]:
         if i < len(dims) and (i == 0 or found[i - 1][1] is not None):
             found.append((dims[i], None))
             estimate = _secant(found[:i], dims[i])
-            advance(i, _l2_search(dims[i], params, n_r, n_R, tol, 1.0, estimate))
-        batch = list(waiting.items())
-        waiting.clear()
+            advance(i, _l2_search(dims[i], params, n_r, n_R, tol, sensitivity, estimate))
+        batch, waiting = waiting, []
         reports = _probe_checks(
-            [dims[i] for i, _ in batch], [s for _, (_, s) in batch], params, n_r, n_R
+            [dims[i] for i, _, _ in batch], [s for _, _, s in batch], params, n_r, n_R
         )
-        for (i, (search, s)), report in zip(batch, reports):
-            guess = _newton_sigma(report, s, eps, log_delta)
-            found[i] = dims[i], guess if guess is not None and math.isfinite(guess) else s
+        for (i, search, s), report in zip(batch, reports):
+            # only a search still to start reads the latest sigmas
+            if len(found) < len(dims):
+                guess = _newton_sigma(report, s, eps, log_delta)
+                found[i] = dims[i], guess if guess is not None and math.isfinite(guess) else s
             advance(i, search, report)
     return results
 
@@ -315,7 +321,7 @@ def _equal_error_sigma(dim: int, params: PrivacyParams, tol: float, hi: float):
     than the l2 one), so an l2 calibration never raises for it.
     """
     try:
-        sigma = calibrate_gaussian(params, tol).sigma / math.sqrt(dim + 1)
+        sigma = _gaussian_search(params, tol)[0] / math.sqrt(dim + 1)
     except RuntimeError:
         return None
     return sigma if sigma < hi else None
@@ -351,9 +357,9 @@ def _lattice_search(lo: float, hi: float, tol: float, first=None):
     """(sigma_{k-1}, sigma_k) for the smallest passing lattice index k >= 1, a resumable search.
 
     A generator: it yields each sigma to probe and is sent back (passed,
-    the sigma to probe next or None) for it; it returns the pair.  A
-    caller that blocks on every probe runs it through _drive, and
-    comparison_table runs many at once (_calibrate_l2_rows); either way
+    the sigma to probe next or None) for it; it returns the pair.  The
+    unsteered searches wait on every probe through _drive, and the l2
+    searches run one or many at once in _calibrate_l2_rows; either way
     the probes and the answer are the same.
 
     The lattice holds the 2^depth + 1 sigmas lo + k (hi - lo) / 2^depth
@@ -463,6 +469,18 @@ def calibrate_gaussian(
     unsteered, to width tol.
     """
     _validate_common(params, tol, sensitivity)
+    sigma, evaluations, floor = _gaussian_search(params, tol)
+    return CalibrationResult(
+        MECH_GAUSSIAN, sigma * sensitivity, None, evaluations, tol, floor
+    )
+
+
+def _gaussian_search(params: PrivacyParams, tol: float) -> tuple[float, int, bool]:
+    """calibrate_gaussian at unit sensitivity on checked arguments.
+
+    Returns the sigma, the distinct sigmas evaluated and whether the
+    bracket hit its floor; calibrate_l2 places its first probe by it.
+    """
     eps, delta = params.epsilon, params.delta
     seen = {}
 
@@ -486,9 +504,7 @@ def calibrate_gaussian(
         floor = lo < 1e-12
     if not floor:
         hi = _drive(_lattice_search(lo, hi, tol), lambda s: (passes(s), None))[1]
-    return CalibrationResult(
-        MECH_GAUSSIAN, hi * sensitivity, None, len(seen), tol, floor
-    )
+    return hi, len(seen), floor
 
 
 def laplace_sigma(

@@ -123,7 +123,7 @@ def comparison_table(
     gauss = calibrate_gaussian(params, tol=tol)
     dims = range(1, int(d_max) + 1)
     rows: list[ErrorRow] = []
-    for d, l2 in zip(dims, _calibrate_l2_rows(dims, params, n_r, n_R, tol)):
+    for d, l2 in zip(dims, _calibrate_l2_rows(dims, params, n_r, n_R, tol, 1.0)):
         lap = laplace_sigma(d, params)
         anchor = mse_gaussian(d, gauss.sigma)
         for mech, sigma, mse in (

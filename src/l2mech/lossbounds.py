@@ -17,7 +17,7 @@ guarantee, and none of which runs a gamma or beta kernel:
 - d >= 3: the 1-D prolate form.  With mu = ||y|| + ||y - e1|| and nu =
   ||y - e1|| - ||y||, the loss is nu / sigma, both densities separate,
   and lhs, T1 and T2 are each C (N_{k+1} G_k + N_k G_{k+1}) over four
-  1-D integrals of log-concave integrands (_prolate_bounds).  n_r
+  1-D integrals of log-concave integrands (_prolate_batch).  n_r
   uniform cells on a nu-window inside [eps sigma, 1] and n_R on a
   mu-window inside [1, inf) carry them: a cell's upper bound is the
   smaller integral of e^(tangent) at its two edges and its lower bound
@@ -27,14 +27,15 @@ guarantee, and none of which runs a gamma or beta kernel:
   nu-rows and two mu-rows lie end to end in flat arrays, so one array
   operation takes each step of the envelopes for all eight (_cell_sums),
   and for those of every (dim, sigma) row of a batch that shares eps and
-  the cell counts (_prolate_batch): a row's bounds are the same bits in
-  any batch, a batch of one included.  Grids nest under doubling, and
-  refining one can only tighten every bound.  So a calibrate_l2 probe is
-  first bounded on the quarter grid nested in its own (_probe_checks,
-  which takes a round of probes, one per search of comparison_table's
-  wavefront, in one pass): a lower bound above delta fails it, a direct
-  bound below delta by more than the finer grid's margin can add passes
-  it, and only a probe that neither decides runs the full grid.
+  the cell counts (_prolate_batch, the one entry to these grids): a
+  row's bounds are the same bits in any batch, and check_approx_dp's is
+  a batch of one.  Grids nest under doubling, and refining one can only
+  tighten every bound.  So a calibrate_l2 probe is first bounded on the
+  quarter grid nested in its own (_probe_checks, which takes a round of
+  probes, one per running search of a calibration's wavefront, in one
+  pass): a lower bound above delta fails it, a direct bound below delta
+  by more than the finer grid's margin can add passes it, and only a
+  probe that neither decides runs the full grid.
   Nothing cancels, and no r_star bounds a radius.
 - d = 2: left Riemann-Stieltjes sums over the radial CDF, weighted by
   spherical-cap fractions.  term1 weights the sphere mass between
@@ -57,7 +58,7 @@ guarantee, and none of which runs a gamma or beta kernel:
 
 The prolate form also gives lhs's sigma-derivative in closed form, for
 every d >= 2.  With primes d/dsigma, a = 1/(2 sigma), tau = eps sigma,
-k = (d - 3)/2, e^(a tau) = e^(eps/2) and N_j, G_j as in _prolate_bounds,
+k = (d - 3)/2, e^(a tau) = e^(eps/2) and N_j, G_j as in _prolate_batch,
 integration by parts gives
 
     N_k' = a^3 N_{k+1} / (k + 1),
@@ -557,13 +558,6 @@ def _cell_sums(logf, slope, size, grids):
 _MINUS_PLUS_TWO = np.array([-2.0, 2.0])
 
 
-def _prolate_bounds(
-    dim: int, sigma: float, eps: float, n_nu: int, n_mu: int
-) -> ProlateBounds:
-    """_prolate_batch for the one row (dim, sigma)."""
-    return _prolate_batch((dim,), (sigma,), eps, n_nu, n_mu)[0]
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[ProlateBounds]:
     """Two-sided bounds on lhs, T1 and T2 for each row (dim, sigma), dim >= 3, by the prolate form.
@@ -594,12 +588,15 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
     is a nonnegative exp of a computed log: the margin e^(+-M), M =
     _MARGIN_ULPS * u * (the magnitudes of the logs summed, plus the
     ulps of the pairwise sums), moves uppers up and lowers down past
-    float rounding.  Requires eps sigma < 1 exactly (w > 0).  slope is
-    lhs's upper bound times d log lhs / d sigma = -(N_{k+1} / S) e^(eps/2)
-    (1 - tau^2)^(k+1) / (2 sigma^2 (k + 1)), S = N_{k+1} G_k + N_k
-    G_{k+1} (module docstring), from the same sums, or the loss cap
-    bound's derivative where that bound beats the grid; it steers and
-    certifies nothing.
+    float rounding, and a bound that comes out NaN (at tiny sigma and
+    huge dim) claims nothing: an upper one reads +inf, a lower one 0.
+    Requires eps sigma < 1 exactly (w > 0).  slope is lhs's upper bound
+    times d log lhs / d sigma = -(N_{k+1} / S) e^(eps/2) (1 -
+    tau^2)^(k+1) / (2 sigma^2 (k + 1)), S = N_{k+1} G_k + N_k G_{k+1}
+    (module docstring), from the same sums, or the loss cap bound's
+    derivative where that bound beats the grid; it steers and certifies
+    nothing.  check_approx_dp's full grid calls it with one row and
+    _probe_checks' quarter grid with a round of probes.
     """
     table, dim_3, nu_tail, mu_tail = [], [], False, False
     for i, (dim, sigma) in enumerate(zip(dims, sigmas)):
@@ -668,8 +665,14 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
     # log C N_{k+1} G_k and log C N_k G_{k+1}
     pair = (log_c + log_n_int[:, None, ::-1]) + log_g_int
     both = np.logaddexp(pair[:, :, 0], pair[:, :, 1])
-    both[0] += margin
-    both[1] -= margin
+    upper, lower = both
+    upper += margin
+    lower -= margin
+    # a NaN bound, from windows or sums that no longer resolve at tiny
+    # sigma and huge dim, claims nothing: an upper one reads +inf and a
+    # lower one 0, so the loss cap, T1 <= 1 and T2 >= 0 stand
+    np.fmin(upper, np.inf, out=upper)
+    np.fmax(lower, -np.inf, out=lower)
     # by bound, then (lhs, T1, T2) or j, then row
     uppers, lowers = np.exp(both).tolist()
     g_logs, n_logs = log_g_int[:, 0].tolist(), log_n_int.tolist()
@@ -804,11 +807,11 @@ def check_approx_dp(
     """Certified check that sigma gives (epsilon, delta)-DP in dim dims.
 
     At dim >= 3 the 1-D prolate form bounds lhs on n_r nu-cells and n_R
-    mu-cells (see _prolate_bounds); it needs no outer radius, and below
-    sigma = 2^-100, where its bounds say nothing, 1 - e^(epsilon -
-    1/sigma) alone bounds lhs.  At dim = 2 the outer radius r_star =
-    sigma * x_star is set so the radial mass beyond it is _TAIL_FRACTION
-    * delta (one percent of the privacy budget; see _x_star), then both
+    mu-cells (_prolate_batch, a batch of one); it needs no outer
+    radius, and below sigma = 2^-100, where its bounds say nothing, 1 -
+    e^(epsilon - 1/sigma) alone bounds lhs.  At dim = 2 the outer radius
+    r_star = sigma * x_star is set so the radial mass beyond it is
+    _TAIL_FRACTION * delta (one percent of the privacy budget; see _x_star), then both
     Riemann bounds are evaluated on [first radius, r_star] grids,
     together in one pass of closed forms that also gives that tail mass
     (see _riemann_stieltjes); where r_star does not exceed both first
@@ -882,9 +885,8 @@ def _check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
             if radial < lhs:
                 lhs, slope = radial, radial_slope
     else:
-        return _prolate_report(
-            _prolate_bounds(dim, sigma, epsilon, n_r, n_R), delta, n_r, n_R
-        )
+        bounds = _prolate_batch((dim,), (sigma,), epsilon, n_r, n_R)[0]
+        return _prolate_report(bounds, delta, n_r, n_R)
     return BoundReport(
         term1_upper=t1,
         term2_lower=t2,
@@ -914,23 +916,18 @@ def _prolate_report(bounds: ProlateBounds, delta: float, n_r: int, n_R: int):
     )
 
 
-def _probe_check(dim, sigma, eps_delta, n_r, n_R) -> BoundReport:
-    """_probe_checks for the one probe (dim, sigma)."""
-    return _probe_checks((dim,), (sigma,), eps_delta, n_r, n_R)[0]
-
-
 def _probe_checks(dims, sigmas, eps_delta, n_r, n_R) -> list[BoundReport]:
     """_check for each (dim, sigma) of a round of probes, on the quarter grid where it decides.
 
-    The probes share eps_delta and the grid sizes: one calibrate_l2
-    probe (_probe_check), or one per running search of
-    comparison_table's wavefront.  At dim >= 3, eps sigma < 1 exactly,
-    sigma >= _PROLATE_FLOOR and grid sizes that are multiples of 4 (8 or
-    more), a probe first bounds lhs
-    on n_r/4 nu-cells and n_R/4 mu-cells.  Every edge of that quarter
-    grid is an edge of the full one (_edges rounds i/(n/4) and 4i/n, one
-    rational, to one float), so the full grid's verdict can be read off
-    it:
+    The probes share eps_delta and the grid sizes: one per running
+    search of a calibration's wavefront (calibrate._calibrate_l2_rows),
+    so one for a calibrate_l2 call and up to one per dimension for
+    comparison_table.  At dim >= 3, eps sigma < 1 exactly, sigma >=
+    _PROLATE_FLOOR and grid sizes that are multiples of 4 (8 or more), a
+    probe first bounds lhs on n_r/4 nu-cells and n_R/4 mu-cells.  Every
+    edge of that quarter grid is an edge of the full one (_edges rounds
+    i/(n/4) and 4i/n, one rational, to one float), so the full grid's
+    verdict can be read off it:
 
     - fail: its lower bound exceeds delta.  Then so does lhs, and every
       upper bound on lhs, the full grid's included.

@@ -204,13 +204,14 @@ def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
     (the first one lead more) and the loop stops where the last of them
     moves the value by less than eps, or at _MAX_ITER.  That test cannot
     see a change below eps, and the count is not monotone in x, so at
-    it other elements could still move by an ulp or two: the batch runs
-    a quarter more iterations, plus one.  Past that, 8 more moved no
-    value on integer a for Q, x from a + 1 up, and on a = (d - 1)/2 and
-    b = 1/2 for I_x (tests/test_specfun.py).  The margin is not always
-    enough for Q at a non-integer a below about 3 with x just above
-    a + 1, where the fraction converges slowest: there a value can still
-    move by one ulp.
+    it other elements could still move: the batch runs half again as
+    many iterations, plus one, for both fractions (a quarter more left
+    I_x(a, 1/2) 50 ulps short just below its mean at a near 4150).  Past
+    that, 8 more moved no value on integer a for Q, x from a + 1 up, and
+    on a = (d - 1)/2 and b = 1/2 for I_x (tests/test_specfun.py).  The
+    margin is not always enough for Q at a non-integer a below about 3
+    with x just above a + 1, where the fraction converges slowest: there
+    a value can still move by one ulp.
     """
     tiny = _FPMIN
     d = term(x0, 0)[1]
@@ -225,7 +226,7 @@ def _cf_length(term, x0: float, every: int = 1, lead: int = 0):
             c = den + num / c
             c = c if abs(c) >= tiny else tiny
         if abs(c * d - 1.0) < _EPS:
-            return min(k + (k + 3) // 4 + 1, _MAX_ITER), True
+            return min(k + (k + 1) // 2 + 1, _MAX_ITER), True
     return _MAX_ITER, False
 
 

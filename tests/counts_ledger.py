@@ -4,8 +4,8 @@ For each target (epsilon, delta) in TARGETS this records one calibrate_l2
 call per dimension in DIMS and one comparison_table up to TABLE_D_MAX.
 Each calibration (and each l2 row of a table) records:
 
-- checks: the probes calibrate sends to lossbounds (one per call of
-  _probe_check, one per row of a _probe_checks round), and
+- checks: the probes calibrate sends to lossbounds (one per row of a
+  _probe_checks round), and
   search_iterations as reported;
 - nu_cells and mu_cells: the cells of the two grids of every
   lossbounds._prolate_batch row at that dimension, summed over its calls
@@ -100,12 +100,8 @@ def mix_grid() -> list[tuple[int, PrivacyParams]]:
 @contextmanager
 def _counting(counts: defaultdict, calls: Counter):
     """Count checks and kernel work by dimension into counts, and certificate passes into calls."""
-    check, checks = calibrate._probe_check, calibrate._probe_checks
+    checks = calibrate._probe_checks
     batch = lossbounds._prolate_batch
-
-    def counted_check(dim, *args):
-        counts[dim]["checks"] += 1
-        return check(dim, *args)
 
     def counted_checks(dims, *args):
         for dim in dims:
@@ -119,13 +115,11 @@ def _counting(counts: defaultdict, calls: Counter):
             counts[dim]["mu_cells"] += n_mu
         return batch(dims, sigmas, eps, n_nu, n_mu)
 
-    calibrate._probe_check = counted_check
     calibrate._probe_checks = counted_checks
     lossbounds._prolate_batch = counted_batch
     try:
         yield
     finally:
-        calibrate._probe_check = check
         calibrate._probe_checks = checks
         lossbounds._prolate_batch = batch
 

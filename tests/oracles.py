@@ -520,7 +520,7 @@ def _lentz_count(den0, term, every, lead, max_iter):
             d = 1.0 / guard(num * d + den)
             c = guard(den + num / c)
         if abs(c * d - 1.0) < np.finfo(np.float64).eps:
-            return min(k + (k + 3) // 4 + 1, max_iter), True
+            return min(k + (k + 1) // 2 + 1, max_iter), True
     return max_iter, False
 
 

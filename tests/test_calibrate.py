@@ -149,13 +149,13 @@ def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
     # search's first certificate is the lattice point at or just above it
     pp = PrivacyParams(1.0, 1e-5)
     probed = []
-    check_at = l2mech.calibrate._probe_check
+    check_at = l2mech.calibrate._probe_checks
 
-    def probe(dim, sigma, *rest):
-        probed.append(sigma)
-        return check_at(dim, sigma, *rest)
+    def probe(dims, sigmas, *rest):
+        probed.extend(sigmas)
+        return check_at(dims, sigmas, *rest)
 
-    monkeypatch.setattr(l2mech.calibrate, "_probe_check", probe)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_checks", probe)
     calibrate_l2(1000, pp)
     lo, hi = _bracket(pp.epsilon, 1e-3)
     depth = 10  # the fewest halvings that take [lo, hi] to 1e-3 wide
@@ -164,6 +164,23 @@ def test_l2_first_probe_is_the_equal_error_sigma(monkeypatch):
     k = math.ceil((estimate - lo) / ((hi - lo) / (1 << depth)))
     assert probed[0] == _lattice_sigma(k, depth, lo, hi)
     assert estimate <= probed[0] < estimate + 1e-3
+
+
+def test_l2_checks_its_arguments_once(monkeypatch):
+    # the target, tol and sensitivity are checked on entry; the Gaussian
+    # search that places the first probe, and every probe, runs unchecked
+    calls = []
+    validate = l2mech.calibrate._validate_common
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(l2mech.calibrate, "_validate_common", counted)
+    for d in (2, 3, 1000):
+        calls.clear()
+        calibrate_l2(d, PrivacyParams(1.0, 1e-5))
+        assert len(calls) == 1, d
 
 
 def test_l2_starts_at_the_midpoint_without_a_gaussian_sigma():
@@ -185,13 +202,13 @@ def test_l2_checks_each_sigma_once(monkeypatch):
     # returns the same answer
     from l2mech import calibrate
 
-    sigmas, check = [], calibrate._probe_check
+    sigmas, checks = [], calibrate._probe_checks
 
-    def spy(dim, sigma, *args):
-        sigmas.append(sigma)
-        return check(dim, sigma, *args)
+    def spy(dims, probed, *args):
+        sigmas.extend(probed)
+        return checks(dims, probed, *args)
 
-    monkeypatch.setattr(calibrate, "_probe_check", spy)
+    monkeypatch.setattr(calibrate, "_probe_checks", spy)
     res = calibrate_l2(10, PrivacyParams(1.0, 1e-300), tol=2.0**-195)
     assert res.sigma == 1.0 and not res.hit_bracket_floor
     assert len(sigmas) == len(set(sigmas)) == res.search_iterations <= 54
@@ -290,7 +307,7 @@ def test_a_tolerance_too_fine_for_the_lattice_is_named(monkeypatch):
     def unexpected(*args):
         raise AssertionError("probed")
 
-    monkeypatch.setattr(l2mech.calibrate, "_probe_check", unexpected)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_checks", unexpected)
     pp = PrivacyParams(1.0, 1e-2)
     searches = [
         ("[1e-70, 1.0]", lambda: calibrate_l2(2, pp, tol=1e-70)),
@@ -305,30 +322,35 @@ def test_a_tolerance_too_fine_for_the_lattice_is_named(monkeypatch):
 
 def test_l2_search_matches_bisection(monkeypatch):
     # the lattice search lands on the bisection's own float, probing less.
-    # calibrate_l2 runs each probe through lossbounds._probe_check, which
+    # calibrate_l2 runs each probe through lossbounds._probe_checks, which
     # may decide it on the nested quarter grid, the bisection through
     # check_approx_dp on the full grid; each keeps its own entries in one
     # memo of certificate reports, so the oracle never reads a probe's
     memo = {}
     calls = 0
-    check_at = l2mech.calibrate._probe_check
+    check_at = l2mech.calibrate._probe_checks
 
     def remember(key, run):
         if key not in memo:
             memo[key] = run()
         return memo[key]
 
-    def probe(dim, sigma, params, n_r, n_R):
+    def probe(dims, sigmas, params, n_r, n_R):
         nonlocal calls
-        calls += 1
-        key = ("probe", dim, sigma, params, n_r, n_R)
-        return remember(key, lambda: check_at(dim, sigma, params, n_r, n_R))
+        calls += len(sigmas)
+        return [
+            remember(
+                ("probe", dim, sigma, params, n_r, n_R),
+                lambda: check_at((dim,), (sigma,), params, n_r, n_R)[0],
+            )
+            for dim, sigma in zip(dims, sigmas)
+        ]
 
     def check(dim, sigma, params, n_r, n_R):
         key = ("full", dim, sigma, params, n_r, n_R)
         return remember(key, lambda: check_approx_dp(dim, sigma, params, n_r, n_R))
 
-    monkeypatch.setattr(l2mech.calibrate, "_probe_check", probe)
+    monkeypatch.setattr(l2mech.calibrate, "_probe_checks", probe)
     grid = itertools.product(
         (2, 3, 10, 100, 1000, 2000), (0.01, 0.2, 1.0, 20.0), (1e-10, 1e-5, 1e-3)
     )

@@ -102,6 +102,18 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
     assert "series stalled" in capsys.readouterr().err
 
 
+def test_verify_at_huge_dim_and_tiny_sigma_exits_0(capsys):
+    # the certificate claims nothing here rather than reading NaN, so the
+    # JSON payload is finite
+    argv = [
+        "verify", "--dim", "1000000", "--sigma", "7.637279916239871e-21",
+        "--eps", "160.79497340474109", "--delta", "1e-5", "--samples", "1000",
+    ]
+    assert main(argv) == 0
+    analytic = json.loads(capsys.readouterr().out)["analytic"]
+    assert analytic["lhs_upper"] == 1.0 and analytic["satisfies_dp"] is False
+
+
 def test_calibrate_json_payload(capsys):
     assert main(CAL) == 0
     payload = json.loads(capsys.readouterr().out)

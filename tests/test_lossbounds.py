@@ -39,7 +39,7 @@ def test_entry_checks_reject_grids_and_targets_before_any_probe(monkeypatch):
     # the grid sizes and the (epsilon, delta) target are checked once, where
     # they enter, in every branch: d = 1 and the large-sigma case build no grid
     probes = []
-    monkeypatch.setattr(l2mech.calibrate, "_probe_check", lambda *args: probes.append(args))
+    monkeypatch.setattr(l2mech.calibrate, "_probe_checks", lambda *args: probes.append(args))
     pp = PrivacyParams(1.0, 1e-5)
     rep = check_approx_dp(6, 0.3, pp)
     assert (rep.n_r, rep.n_R) == (1000, 1000) and rep.r_star > 0.3
@@ -509,12 +509,49 @@ def test_a_tiny_sigma_gets_a_report(d, sigma):
     params = PrivacyParams(1.0, math.nextafter(1.0, 0.0))
     for rep in (
         check_approx_dp(d, sigma, params),
-        lossbounds._probe_check(d, sigma, params, 1000, 1000),
+        *lossbounds._probe_checks((d,), (sigma,), params, 1000, 1000),
     ):
         assert rep.branch == BRANCH_GENERAL and not rep.satisfies_dp
         fields = (rep.term1_upper, rep.term2_lower, rep.lhs_upper, rep.r_star, rep.lhs_slope)
         assert all(math.isfinite(v) for v in fields), rep
         assert 0.0 < rep.lhs_upper <= 1.0
+
+
+NAN_SCAN_SEED = 20261022
+
+
+def test_a_huge_dim_at_tiny_sigma_gets_finite_bounds():
+    # at huge d and sigma far below any answer the prolate windows and sums
+    # no longer resolve, and a bound can come out NaN; it then claims
+    # nothing (upper 1, lower 0, the loss cap's slope).  Two such points,
+    # then a seeded scan of 200 (eps, delta, sigma) per dim, eps in [1e-3,
+    # 700], delta log-uniform in [1e-15, 0.5] and sigma = 10^-U(0, 40) /
+    # eps: every field finite, checked and as a probe
+    from l2mech import lossbounds
+
+    def fine(rep):
+        fields = (rep.term1_upper, rep.term2_lower, rep.lhs_upper, rep.r_star, rep.lhs_slope)
+        return all(math.isfinite(v) for v in fields) and 0.0 <= rep.lhs_upper <= 1.0
+
+    found = [
+        (10**6, 7.637279916239871e-21, PrivacyParams(160.79497340474109, 1e-5)),
+        (2**52, 0.03258074136660669 / 1.3321106541200243, PrivacyParams(1.3321106541200243, 1e-5)),
+    ]
+    for d, sigma, params in found:
+        rep = check_approx_dp(d, sigma, params)
+        assert fine(rep) and not rep.satisfies_dp, rep
+        assert (rep.term1_upper, rep.term2_lower, rep.lhs_upper) == (1.0, 0.0, 1.0), rep
+    rng = np.random.default_rng(NAN_SCAN_SEED)
+    bad = []
+    for d in (10**6, 10**10, 2**40, 2**53):
+        for _ in range(200):
+            eps = rng.uniform(1e-3, 700.0)
+            params = PrivacyParams(eps, 10.0 ** rng.uniform(-15.0, math.log10(0.5)))
+            sigma = 10.0 ** -rng.uniform(0.0, 40.0) / eps
+            checked = check_approx_dp(d, sigma, params)
+            (probe,) = lossbounds._probe_checks((d,), (sigma,), params, 1000, 1000)
+            bad += [(d, sigma, params) for rep in (checked, probe) if not fine(rep)]
+    assert bad == []
 
 
 def test_check_reports_the_loss_cap_where_a_grid_cannot_start():

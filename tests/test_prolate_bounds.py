@@ -1,14 +1,16 @@
 """The d >= 3 certificate: the 1-D prolate form's cell bounds.
 
-lossbounds._prolate_bounds bounds lhs, T1 = P0[L >= eps] and T2 = P1[L
+lossbounds._prolate_batch bounds lhs, T1 = P0[L >= eps] and T2 = P1[L
 >= eps] from below and above by tangent and chord envelopes of
-log-concave integrands on a nu-grid and a mu-grid.  These tests check
-its rounding margin against a 40-digit re-evaluation of the same sums,
-its order and refinement properties on random draws, and the edges
-where tau = eps sigma comes within ulps of 1.  The draws of the
-monotone-verdict test start at d = 2, where the radial sums certify.
-Two digests pin every field the bounds return, bit for bit, on seeded
-draws: one the nine certificate fields, one the slope.
+log-concave integrands on a nu-grid and a mu-grid, for each (dim, sigma)
+row of a batch.  These tests check its rounding margin against a
+40-digit re-evaluation of the same sums, its order and refinement
+properties on random draws, and the edges where tau = eps sigma comes
+within ulps of 1, each on a batch of one, as check_approx_dp sends it;
+one checks that a row's bounds do not depend on its batch.  The draws
+of the monotone-verdict test start at d = 2, where the radial sums
+certify.  Two digests pin every field the bounds return, bit for bit,
+on seeded draws: one the nine certificate fields, one the slope.
 """
 
 import functools
@@ -51,7 +53,7 @@ def test_rounding_margin_covers_a_40_digit_reevaluation(d, eps, delta):
         # the float below 1/eps leaves a sliver of width about 1e-16
         sigma = math.nextafter(1.0 / eps, 0.0)
         w = lossbounds._one_minus_product(eps, sigma)
-    bounds = lossbounds._prolate_bounds(d, sigma, eps, CELLS, CELLS)
+    (bounds,) = lossbounds._prolate_batch((d,), (sigma,), eps, CELLS, CELLS)
     t_hi, m_lo, m_hi = lossbounds._prolate_windows(d, sigma, eps, w)
     exact = oracles.prolate_cell_bounds(
         d,
@@ -82,8 +84,8 @@ def test_bounds_are_ordered_and_tighten_on_a_nested_grid(d, eps, tau, n):
     # get worse on a finer nested grid, so lhs_upper, term1_upper and
     # term2_lower never loosen
     sigma = tau / eps
-    coarse = lossbounds._prolate_bounds(d, sigma, eps, n, n)
-    fine = lossbounds._prolate_bounds(d, sigma, eps, 2 * n, 2 * n)
+    (coarse,) = lossbounds._prolate_batch((d,), (sigma,), eps, n, n)
+    (fine,) = lossbounds._prolate_batch((d,), (sigma,), eps, 2 * n, 2 * n)
     for bounds in (coarse, fine):
         for name in NAMES:
             lower, upper = getattr(bounds, name)
@@ -203,12 +205,12 @@ def test_every_prolate_bounds_field_is_pinned_bitwise():
     # included
     digest, slopes = hashlib.sha1(), hashlib.sha1()
     count = 0
-    for args in _pin_inputs():
-        bounds = lossbounds._prolate_bounds(*args)
+    for d, sigma, *rest in _pin_inputs():
+        (bounds,) = lossbounds._prolate_batch((d,), (sigma,), *rest)
         fields = (*bounds.lhs, *bounds.term1, *bounds.term2, *bounds[4:])
         digest.update(" ".join(float(v).hex() for v in fields).encode() + b"\n")
         slopes.update(float(bounds.slope).hex().encode() + b"\n")
-        assert math.isfinite(bounds.slope) and bounds.slope <= 0.0, args
+        assert math.isfinite(bounds.slope) and bounds.slope <= 0.0, (d, sigma, *rest)
         count += 1
     assert count == 300
     assert digest.hexdigest() == PROLATE_BOUNDS_SHA1
@@ -258,7 +260,7 @@ def test_a_rows_bounds_do_not_depend_on_its_batch():
         batch = lossbounds._prolate_batch(dims, sigmas, eps, n_nu, n_mu)
         assert len(batch) == len(dims)
         for dim, sigma, bounds in zip(dims, sigmas, batch):
-            alone = lossbounds._prolate_bounds(dim, sigma, eps, n_nu, n_mu)
+            (alone,) = lossbounds._prolate_batch((dim,), (sigma,), eps, n_nu, n_mu)
             assert bits(bounds) == bits(alone), (dim, sigma, eps, n_nu, n_mu)
             w = lossbounds._one_minus_product(eps, sigma)
             capped += lossbounds._loss_cap_bound(w, sigma)[0] <= bounds.direct

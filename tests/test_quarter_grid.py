@@ -1,8 +1,9 @@
 """A calibrate_l2 probe decided on the nested quarter grid.
 
-lossbounds._probe_check bounds lhs on n_r/4 nu-cells and n_R/4 mu-cells
-first and keeps that report where it decides the probe; elsewhere it is
-the full-grid check.  These tests check that a decided verdict is the
+lossbounds._probe_checks bounds each probe of a round on n_r/4 nu-cells
+and n_R/4 mu-cells first and keeps that report where it decides the
+probe; elsewhere it is the full-grid check.  The tests send it rounds of
+one probe, as a calibrate_l2 call does.  These tests check that a decided verdict is the
 full grid's, that the quarter grid's edges are the full grid's every
 fourth edge bit for bit, that the full grid's rounding margin stays
 within the factor the pass rule allows for, and that every other case
@@ -52,13 +53,13 @@ def test_a_quarter_grid_verdict_is_the_full_grids(d, eps, fraction, delta, near)
         delta = full.lhs_upper * (1.0 + near)
         assume(1e-15 <= delta <= 0.3)
     params = PrivacyParams(eps, delta)
-    probe = lossbounds._probe_check(d, sigma, params, CELLS, CELLS)
+    (probe,) = lossbounds._probe_checks((d,), (sigma,), params, CELLS, CELLS)
     full = check_approx_dp(d, sigma, params)
     if (probe.n_r, probe.n_R) == (CELLS // 4, CELLS // 4):
         assert probe.satisfies_dp == full.satisfies_dp, (probe, full)
         # the pass rule's bound on the full grid's rounding margin
-        quarter = lossbounds._prolate_bounds(d, sigma, eps, CELLS // 4, CELLS // 4)
-        fine = lossbounds._prolate_bounds(d, sigma, eps, CELLS, CELLS)
+        (quarter,) = lossbounds._prolate_batch((d,), (sigma,), eps, CELLS // 4, CELLS // 4)
+        (fine,) = lossbounds._prolate_batch((d,), (sigma,), eps, CELLS, CELLS)
         assert fine.margin <= lossbounds._NESTED_MARGIN_GROWTH * quarter.margin
     else:
         assert probe == full
@@ -96,5 +97,5 @@ def test_other_grids_and_branches_run_the_full_check():
         (10, 0.3, 1000, 4),
     ]
     for d, sigma, n_r, n_R in cases:
-        probe = lossbounds._probe_check(d, sigma, params, n_r, n_R)
+        (probe,) = lossbounds._probe_checks((d,), (sigma,), params, n_r, n_R)
         assert probe == check_approx_dp(d, sigma, params, n_r, n_R), (d, sigma, n_r, n_R)

@@ -195,9 +195,12 @@ def test_no_certificate_runs_an_iterative_kernel(monkeypatch):
     u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
     swap=st.booleans(),
 )
+@example(log_a=8.3312454359737, u=[0.99999], swap=False)
 def test_beta_fraction_truncation_has_converged(log_a, u, swap):
     # I_x(a, 1/2)'s fraction, on a random batch of the arguments that
-    # _betainc_vec sends it: x below the mean, or 1 - x for the complement
+    # _betainc_vec sends it: x below the mean, or 1 - x for the complement.
+    # The example sits just below the mean at a near 4150, where a margin
+    # of a quarter more iterations stopped 50 ulps short
     a, b = math.exp(log_a), 0.5
     mean = (a + 1.0) / (a + b + 2.0)
     if swap:
