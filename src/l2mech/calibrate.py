@@ -15,9 +15,10 @@ report, with no history of the probes before it (calibrate_l2 gives the
 probe counts).  _lattice_search is resumable, a generator that yields
 each sigma and is sent the verdict.  Every l2 search (_l2_search) has
 one driver, _calibrate_l2_rows, which advances the searches of its rows
-together, one batched certificate call per round: a calibrate_l2 call
-is its wavefront of one row, and comparison_table's has a row per
-dimension.  The two unsteered searches, calibrate_gaussian's and
+together, one batched certificate call per round, each row starting
+once the row two before it has a report: a calibrate_l2 call is its
+wavefront of one row, and comparison_table's has a row per dimension.
+The two unsteered searches, calibrate_gaussian's and
 mcverify's, wait on every probe through _drive.  Every search answers a
 sigma it already saw from memory and counts each distinct sigma once.
 In one dimension the l2 mechanism is the Laplace mechanism, and the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -242,17 +244,23 @@ def _calibrate_l2_rows(dims, params, n_r, n_R, tol, sensitivity) -> list[Calibra
     The one driver of _l2_search: calibrate_l2 runs a wavefront of one
     row, comparison_table one of a row per dimension at unit sensitivity.
 
-    The search of dims[i] starts as soon as that of dims[i - 1] has one
-    report, its first probe at the secant (_secant) through the latest
-    sigmas of the two searches before it: a finished search's answer,
-    else the sigma its last report's Newton step names (_newton_sigma),
-    else the sigma it last probed.  Each round then sends the next sigma
-    of every running search to one _probe_checks call, which bounds all
-    of the d >= 3 ones on the quarter grid in one certificate pass and
-    runs the full grid, a batch of one, only for a probe the quarter
-    grid cannot decide.  Every search is _l2_search's own, so each
-    answer is a stand-alone calibrate_l2 call's wherever the verdict is
-    monotone in sigma; the schedule moves the probes only.
+    The searches of dims[0] and dims[1] start at once, and that of
+    dims[i] as soon as that of dims[i - 2] has one report, its first
+    probe at the secant (_secant) through the latest sigmas of the two
+    nearest searches before it that have one: a finished search's
+    answer, else the sigma its last report's Newton step names
+    (_newton_sigma), else the sigma it last probed.  So about two rows
+    start per round, and a table takes about one certificate pass per
+    two rows.  The lag is fixed at two: a lag of three extrapolates from
+    farther back, and took 32 row checks for the d <= 12 table at (10,
+    1e-3) and 103 for the d <= 40 one at (1, 1e-5), against 30 and 94.
+    Each round then sends the next sigma of every running
+    search to one _probe_checks call, which bounds all of the d >= 3
+    ones on the quarter grid in one certificate pass and runs the full
+    grid, a batch of one, only for a probe the quarter grid cannot
+    decide.  Every search is _l2_search's own, so each answer is a
+    stand-alone calibrate_l2 call's wherever the verdict is monotone in
+    sigma; the schedule moves the probes only.
     """
     eps, log_delta = params.epsilon, math.log(params.delta)
     results = [None] * len(dims)
@@ -268,10 +276,11 @@ def _calibrate_l2_rows(dims, params, n_r, n_R, tol, sensitivity) -> list[Calibra
             found[i] = dims[i], stop.value.sigma
 
     while len(found) < len(dims) or waiting:
-        i = len(found)
-        if i < len(dims) and (i == 0 or found[i - 1][1] is not None):
+        # row i starts once row i - 2 has a sigma: rows 0 and 1 at once
+        while len(found) < len(dims) and (len(found) < 2 or found[-2][1] is not None):
+            i = len(found)
+            estimate = _secant(found, dims[i])
             found.append((dims[i], None))
-            estimate = _secant(found[:i], dims[i])
             advance(i, _l2_search(dims[i], params, n_r, n_R, tol, sensitivity, estimate))
         batch, waiting = waiting, []
         reports = _probe_checks(
@@ -286,17 +295,18 @@ def _calibrate_l2_rows(dims, params, n_r, n_R, tol, sensitivity) -> list[Calibra
     return results
 
 
-def _secant(found: list[tuple[int, float]], d: int) -> float | None:
+def _secant(found: list[tuple[int, float | None]], d: int) -> float | None:
     """First-probe sigma at d from the (dim, sigma) pairs found so far.
 
-    The secant through the last two, written in the dimension so an
-    uneven list of dimensions extrapolates as well as 1..d_max; the
-    last sigma when there is one pair, None (the equal-error sigma)
-    when there is none.
+    The secant through the last two pairs that have a sigma (None for a
+    search with no report yet), written in the dimension so an uneven
+    list of dimensions extrapolates as well as 1..d_max; that sigma when
+    one pair has one, None (the equal-error sigma) when none does.
     """
-    if len(found) < 2:
-        return found[-1][1] if found else None
-    (a, sa), (b, sb) = found[-2:]
+    known = list(islice((pair for pair in reversed(found) if pair[1] is not None), 2))
+    if len(known) < 2:
+        return known[0][1] if known else None
+    (b, sb), (a, sa) = known
     return sb + (sb - sa) * (d - b) / (b - a)
 
 

@@ -15,12 +15,12 @@ comparison_table calibrates all three mechanisms to a shared
 (epsilon, delta) target and reports each MSE normalized by the
 Gaussian row, reproducing the headline utility comparison.  The l2
 sigma falls smoothly with the dimension, so the l2 searches run as a
-wavefront (calibrate._calibrate_l2_rows): the search at d starts as
-soon as the one at d - 1 has a report, its first probe at the secant
-through the latest sigmas of the two searches before it (the second
-row takes the first row's sigma), a predictor as in numerical
-continuation, and each round bounds the next probe of every running
-search in one certificate pass.  That moves the probes, not the
+wavefront (calibrate._calibrate_l2_rows): the searches at d = 1 and 2
+start at once and the one at d as soon as the one at d - 2 has a
+report, its first probe at the secant through the latest sigmas of the
+two nearest searches before it that have one, a predictor as in
+numerical continuation, and each round bounds the next probe of every
+running search in one certificate pass.  That moves the probes, not the
 answer: wherever the verdict is monotone in sigma, each l2 row is bit
 for bit a stand-alone calibrate_l2 call.
 """
@@ -112,10 +112,10 @@ def comparison_table(
     order), each normalized by the Gaussian MSE of its dimension.  The
     Gaussian scale is dimension-independent, so it is calibrated once.
     The l2 searches advance together (calibrate._calibrate_l2_rows):
-    the one at d starts once the one at d - 1 has a report, at the
-    secant through the latest sigmas of the two before it, next to the
-    answer, and each round sends every running search's next sigma to
-    one batched certificate call.  Each search still certifies its
+    the one at d starts once the one at d - 2 has a report, at the
+    secant through the latest sigmas of the two nearest before it that
+    have one, next to the answer, and each round sends every running
+    search's next sigma to one batched certificate call.  Each search still certifies its
     answer and the lattice point below it itself, so the l2 rows are
     the stand-alone calibrate_l2 sigmas.
     """

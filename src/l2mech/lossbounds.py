@@ -23,8 +23,8 @@ guarantee, and none of which runs a gamma or beta kernel:
   smaller integral of e^(tangent) at its two edges and its lower bound
   the integral of e^(chord) (Gilks & Wild's envelopes), tails beyond a
   window are bounded by the tangent at its edge, and a margin derived
-  from the size of the logs summed covers float rounding.  The six
-  nu-rows and two mu-rows lie end to end in flat arrays, so one array
+  from the size of the logs summed covers float rounding.  The two
+  mu-rows and six nu-rows lie end to end in flat arrays, so one array
   operation takes each step of the envelopes for all eight (_cell_sums),
   and for those of every (dim, sigma) row of a batch that shares eps and
   the cell counts (_prolate_batch, the one entry to these grids): a
@@ -35,7 +35,10 @@ guarantee, and none of which runs a gamma or beta kernel:
   probes, one per running search of a calibration's wavefront, in one
   pass): a lower bound above delta fails it, a direct bound below delta
   by more than the finer grid's margin can add passes it, and only a
-  probe that neither decides runs the full grid.
+  probe that neither decides runs the full grid.  Those rules read the
+  direct bound, the lower bound and the margin alone, so that pass sums
+  four of the eight rows, the mu rows and lhs's nu rows; T1's and T2's
+  enter only the margin, which keeps every bit.
   Nothing cancels, and no r_star bounds a radius.
 - d = 2: left Riemann-Stieltjes sums over the radial CDF, weighted by
   spherical-cap fractions.  term1 weights the sphere mass between
@@ -155,8 +158,10 @@ class BoundReport:
       alone, at most 1, with term1_upper = 1 and term2_lower = 0.  At
       d >= 3 the smallest of the direct prolate bound on lhs, that
       difference plus 4u term1_upper, and that loss cap, with every
-      grid bound carrying the rounding margin M.  At d = 1 the closed
-      form taken without cancelling two terms near 1/2.
+      grid bound carrying the rounding margin M; a calibrate_l2 probe
+      decided on the quarter grid takes no T1 or T2 sums and reports
+      term1_upper = 1 and term2_lower = 0.  At d = 1 the closed form
+      taken without cancelling two terms near 1/2.
     - n_r, n_R: the two radial grid sizes at d = 2, the nu- and mu-cell
       counts at d >= 3; as given, though unused, in the other branches.
       A calibrate_l2 probe decided on the quarter grid reads that grid's.
@@ -416,6 +421,10 @@ def _prolate_windows(dim: int, sigma: float, eps: float, w: float):
     for _ in range(_NEWTON_STEPS):
         fall = top - _mu_log_weight(j, a, m_hi) - _DROP
         m_hi -= fall / (a - j * (2.0 * m_hi + 2.0) / (m_hi * (m_hi + 2.0)))
+    # near d = 2^53 the two peaks' rounded estimates can cross; the window
+    # then starts at 1, which is always sound
+    if m_lo >= m_hi:
+        m_lo = 0.0
     return t_hi, m_lo, m_hi
 
 
@@ -446,17 +455,21 @@ def _expm1_ratio(z: np.ndarray) -> np.ndarray:
 
 
 def _cell_sums(logf, slope, size, grids):
-    """Bounds on the integrals of e^logf along every row of every grid, in one pass.
+    """Bounds on the integrals of e^logf along the summed rows of every grid, in one pass.
 
     logf, slope and size are given at the edges, each in a flat array
     that holds every grid's rows end to end, grid after grid, and one
-    spare element after them.  grids gives each grid's (rows, h, tail,
-    unbounded): h is a (members, n) array of cell widths, one line per
-    member, and the grid holds rows blocks of one row of n + 1 edges per
-    member, on that member's cells.  Returns (shift, sums, magnitudes):
-    for each row, grid after grid, its integral lies between e^shift
-    times sums[1] and e^shift times sums[0]; magnitudes has one array
-    per grid, with one entry per member.
+    spare element after them.  grids gives each grid's (rows, summed, h,
+    tail, unbounded): h is a (members, n) array of cell widths, one line
+    per member, and the grid holds rows blocks of one row of n + 1 edges
+    per member, on that member's cells, of which the first summed blocks
+    are summed.  Every grid but the last is summed whole, so the summed
+    rows are one slice at the start of the arrays, and only that slice
+    takes the envelope and sum passes; the other rows enter the
+    magnitudes alone.  Returns (shift, sums, magnitudes): for each summed
+    row, grid after grid, its integral lies between e^shift times
+    sums[1] and e^shift times sums[0]; magnitudes has one array per
+    grid, with one entry per member, over all of the grid's rows.
 
     A cell's upper bound is the smaller of the integrals of e^(tangent)
     at its two edges, its lower bound the integral of e^(chord); both
@@ -474,64 +487,73 @@ def _cell_sums(logf, slope, size, grids):
     edges, the size of the logs on which the rounding margin rests.
     Interior edges are finite; only the first and last can be singular.
 
-    Every cell of every row is evaluated in the same few array passes,
-    and each row's sums read its own cells alone, so a row's bounds do
-    not depend on the other rows in the arrays.  The flat layout also
-    pairs each row's last edge with the next row's first; that cell is
-    never read, and its width holds the member's bounded tail length,
-    so a member's span is the largest of its n + 1 widths.  The three envelopes are not
-    stacked into one array: at 1000 cells it would pass glibc's 128 KiB
-    mmap threshold, above which every call faults in fresh pages.  Runs
-    under the caller's np.errstate, which lets inf and nan arise.
+    Every cell of every summed row is evaluated in the same few array
+    passes, and each row's sums read its own cells alone, so a row's
+    bounds do not depend on the other rows in the arrays.  The flat
+    layout also pairs each row's last edge with the next row's first;
+    that cell is never read, and its width holds the member's bounded
+    tail length, so a member's span is the largest of its n + 1 widths.
+    The three envelopes are not stacked into one array: at 1000 cells it
+    would pass glibc's 128 KiB mmap threshold, above which every call
+    faults in fresh pages.  Runs under the caller's np.errstate, which
+    lets inf and nan arise.
     """
-    f = np.empty_like(logf)
+    # the summed rows' edges, a prefix of the arrays
+    stop = sum(summed * (width.size + width.shape[0]) for _, summed, width, *_ in grids)
+    f = np.empty(stop + 1)
     f[-1] = 0.0
     h = np.empty(logf.size - 1)
-    shift = np.empty(sum(rows * width.shape[0] for rows, width, *_ in grids))
+    shift = np.empty(sum(summed * width.shape[0] for _, summed, width, *_ in grids))
     views, start, first = [], 0, 0
-    for rows, width, tail, _ in grids:
+    for rows, summed, width, tail, _ in grids:
         members, n = width.shape
-        count = rows * members
-        edges, row = slice(start, start + count * (n + 1)), slice(first, first + count)
-        part = logf[edges].reshape(count, n + 1)
+        count = summed * members
+        edges = slice(start, start + rows * members * (n + 1))
+        sum_edges = slice(start, start + count * (n + 1))
+        row = slice(first, first + count)
+        part = logf[sum_edges].reshape(count, n + 1)
         part.max(axis=1, out=shift[row])
-        np.subtract(part, shift[row, None], out=f[edges].reshape(count, n + 1))
+        np.subtract(part, shift[row, None], out=f[sum_edges].reshape(count, n + 1))
         cell = h[edges].reshape(rows, members, n + 1)
         cell[..., :n], cell[..., n] = width, 0.0 if tail is None else tail[1]
-        views.append((edges, row, cell[0].max(axis=1)))
+        views.append((edges, sum_edges, row, cell[0].max(axis=1)))
         start, first = edges.stop, row.stop
     np.exp(f, out=f)
     fa, fb = f[:-1], f[1:]
+    hs = h[:stop]
     # each cell's upper bound: the smaller integral of the tangents at its
     # left and right edge
-    upper = _expm1_ratio(slope[:-1] * h)
+    upper = _expm1_ratio(slope[:stop] * hs)
     upper *= fa
-    right = _expm1_ratio(slope[1:] * -h)
+    right = _expm1_ratio(slope[1 : stop + 1] * -hs)
     right *= fb
     np.fmin(upper, right, out=upper)
-    upper *= h
+    upper *= hs
     # and its lower bound, the integral of the chord
-    chord = np.subtract(logf[:-1], logf[1:], out=right)
+    chord = np.subtract(logf[:stop], logf[1 : stop + 1], out=right)
     np.abs(chord, out=chord)
     np.negative(chord, out=chord)
     lower = _expm1_ratio(chord)
     lower *= np.maximum(fa, fb, out=chord)
-    lower *= h
+    lower *= hs
     # each edge's size plus |slope| times its member's span, in the same
-    # buffer, which keeps the call's peak memory down
-    q = np.abs(slope[:-1], out=chord)
+    # buffer where every row was summed, which keeps the call's peak
+    # memory down
+    q = np.abs(slope[:-1], out=chord if stop == h.size else None)
     sums = np.empty((2, shift.size))
     # each grid's part of q, as a view: its magnitudes are read once q is
     # complete
     parts = []
-    for (rows, width, tail, unbounded), (edges, row, span) in zip(grids, views):
+    for (rows, summed, width, tail, unbounded), (edges, sum_edges, row, span) in zip(
+        grids, views
+    ):
         members, n = width.shape
-        count = rows * members
+        count = summed * members
         for cells, out in ((upper, sums[0, row]), (lower, sums[1, row])):
-            cells[edges].reshape(count, n + 1)[:, :n].sum(axis=1, out=out)
-        upper_sums = sums[0, row].reshape(rows, members)
-        f_rows = f[edges].reshape(rows, members, n + 1)
-        s_rows = slope[edges].reshape(rows, members, n + 1)
+            cells[sum_edges].reshape(count, n + 1)[:, :n].sum(axis=1, out=out)
+        upper_sums = sums[0, row].reshape(summed, members)
+        f_rows = f[sum_edges].reshape(summed, members, n + 1)
+        s_rows = slope[sum_edges].reshape(summed, members, n + 1)
         if tail is not None:
             i, length = tail
             # -s * length, s the tangent's fall away from the grid
@@ -559,7 +581,9 @@ _MINUS_PLUS_TWO = np.array([-2.0, 2.0])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[ProlateBounds]:
+def _prolate_batch(
+    dims, sigmas, eps: float, n_nu: int, n_mu: int, *, terms: bool = True
+) -> list[ProlateBounds]:
     """Two-sided bounds on lhs, T1 and T2 for each row (dim, sigma), dim >= 3, by the prolate form.
 
     With the foci at 0 and e1, mu = ||y|| + ||y - e1||, nu = ||y - e1|| -
@@ -577,9 +601,14 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
     coordinate.  The rows share eps and the cell counts.  Each row's
     window, j = k and k + 1, a, tau and w are (rows, 1) columns that
     broadcast against the rows' edges, (rows, n + 1) arrays (numbers and
-    n + 1 edges for a batch of one), so each row's six nu rows (lhs, T1 and T2 at j = k, k + 1; _nu_rows) and two
-    mu rows (_mu_rows) lie end to end with every other row's in flat
-    arrays, and _cell_sums bounds them all in a single pass.  The
+    n + 1 edges for a batch of one), so each row's two mu rows
+    (_mu_rows) and six nu rows (lhs, T1 and T2 at j = k, k + 1;
+    _nu_rows) lie end to end with every other row's in flat arrays, and
+    _cell_sums bounds them all in a single pass.  With terms false it
+    sums the mu rows and lhs's nu rows alone, one slice at the start of
+    the arrays: T1's and T2's enter only the margin, so lhs, slope,
+    r_star, direct and margin keep every bit, and T1 and T2 get the
+    bounds (0, 1), which claim nothing.  The
     windows' Newton steps, the lgamma terms of log C and the slope's
     logs stay scalar, one row at a time.  A row's bounds are the same
     bits in every batch it is part of.  nu is carried as its distance t
@@ -596,14 +625,14 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
     (module docstring), from the same sums, or the loss cap bound's
     derivative where that bound beats the grid; it steers and certifies
     nothing.  check_approx_dp's full grid calls it with one row and
-    _probe_checks' quarter grid with a round of probes.
+    _probe_checks' quarter grid with a round of probes and no terms.
     """
     table, dim_3, nu_tail, mu_tail = [], [], False, False
     for i, (dim, sigma) in enumerate(zip(dims, sigmas)):
         w = _one_minus_product(eps, sigma)
         k, a, tau = 0.5 * (dim - 3), 0.5 / sigma, eps * sigma
         t_hi, m_lo, m_hi = _prolate_windows(dim, sigma, eps, w)
-        terms = (
+        c_terms = (
             math.lgamma(0.5 * dim),
             -math.lgamma(0.5 * (dim - 1)),
             -_HALF_LOG_PI,
@@ -616,7 +645,7 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
         # 13 the size of its terms
         table.append(
             (k, k + 1.0, a, 2.0 * a, -a, w, tau, 1.0 + tau, t_hi, w - t_hi, m_lo, m_hi)
-            + (sum(terms), sum(map(abs, terms)))
+            + (sum(c_terms), sum(map(abs, c_terms)))
         )
         if k == 0.0:
             dim_3.append(i)
@@ -635,33 +664,35 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
         j = cols[:2]
     t = _edges(0.0, cols[8], n_nu)
     m = _edges(cols[10], cols[11], n_mu)
-    # logf, slope and size at the edges: the six nu rows, each of n_nu + 1
-    # edges per batch row, then the two mu rows of n_mu + 1, and
-    # _cell_sums' spare element
-    split = 6 * t.size
-    flat = [np.empty(split + 2 * m.size + 1) for _ in range(3)]
+    # logf, slope and size at the edges: the two mu rows, each of n_mu + 1
+    # edges per batch row, then the six nu rows of n_nu + 1, lhs's before
+    # T1's and T2's, and _cell_sums' spare element; without the terms the
+    # rows summed are the mu rows and lhs's, one slice at the start
+    split = 2 * m.size
+    flat = [np.empty(split + 6 * t.size + 1) for _ in range(3)]
     for x in flat:
         x[-1] = 0.0
-    _nu_rows([x[:split].reshape((3, 2) + t.shape) for x in flat], t, j, cols[2:8], eps, dim_3)
-    _mu_rows([x[split:-1].reshape((2,) + m.shape) for x in flat], m, j, cols[2], dim_3)
+    _mu_rows([x[:split].reshape((2,) + m.shape) for x in flat], m, j, cols[2], dim_3)
+    _nu_rows([x[split:-1].reshape((3, 2) + t.shape) for x in flat], t, j, cols[2:8], eps, dim_3)
     h_nu, h_mu = t[..., 1:] - t[..., :-1], m[..., 1:] - m[..., :-1]
+    nu_summed = 6 if terms else 2
     grids = (
-        (6, h_nu.reshape(count, -1), (-1, by_row[9]) if nu_tail else None, False),
-        (2, h_mu.reshape(count, -1), (0, by_row[10]) if mu_tail else None, True),
+        (2, 2, h_mu.reshape(count, -1), (0, by_row[10]) if mu_tail else None, True),
+        (6, nu_summed, h_nu.reshape(count, -1), (-1, by_row[9]) if nu_tail else None, False),
     )
-    shift, sums, (magnitude_nu, magnitude_mu) = _cell_sums(*flat, grids)
+    shift, sums, (magnitude_mu, magnitude_nu) = _cell_sums(*flat, grids)
     # numpy's pairwise sums err by at most about 20 + log2(n) ulps each
     ulps = 48.0 + math.log2(n_nu) + math.log2(n_mu)
     log_c, term_size = by_row[12], by_row[13]
     sizes = term_size + magnitude_nu
     sizes += magnitude_mu
     margin = _MARGIN_ULPS * _U * (ulps + sizes)
-    # axis 0: upper, lower; then the nu rows' G by (lhs, T1, T2), j = k,
-    # k + 1 and row, and the mu rows' N by j and row
+    # axis 0: upper, lower; then the mu rows' N by j and row, and the nu
+    # rows' G by (lhs, T1, T2) or lhs alone, j = k, k + 1 and row
     logs = np.log(sums)
     logs += shift
-    log_g_int = logs[:, : 6 * count].reshape(2, 3, 2, count)
-    log_n_int = logs[:, 6 * count :].reshape(2, 2, count)
+    log_n_int = logs[:, : 2 * count].reshape(2, 2, count)
+    log_g_int = logs[:, 2 * count :].reshape(2, -1, 2, count)
     # log C N_{k+1} G_k and log C N_k G_{k+1}
     pair = (log_c + log_n_int[:, None, ::-1]) + log_g_int
     both = np.logaddexp(pair[:, :, 0], pair[:, :, 1])
@@ -673,15 +704,19 @@ def _prolate_batch(dims, sigmas, eps: float, n_nu: int, n_mu: int) -> list[Prola
     # lower one 0, so the loss cap, T1 <= 1 and T2 >= 0 stand
     np.fmin(upper, np.inf, out=upper)
     np.fmax(lower, -np.inf, out=lower)
-    # by bound, then (lhs, T1, T2) or j, then row
+    # by bound, then (lhs, T1, T2) or lhs alone, then row
     uppers, lowers = np.exp(both).tolist()
     g_logs, n_logs = log_g_int[:, 0].tolist(), log_n_int.tolist()
     out = []
     for i, (row, sigma, row_margin) in enumerate(zip(table, sigmas, margin.tolist())):
         k, w, tau, m_hi = row[0], row[5], row[6], row[11]
-        direct, t1_up, t2_up = uppers[0][i], uppers[1][i], uppers[2][i]
-        lhs_low, t1_low, t2_low = lowers[0][i], lowers[1][i], lowers[2][i]
-        t1_up = min(t1_up, 1.0)
+        direct, lhs_low = uppers[0][i], lowers[0][i]
+        if terms:
+            t1_low, t1_up = lowers[1][i], min(uppers[1][i], 1.0)
+            t2_low, t2_up = lowers[2][i], uppers[2][i]
+        else:
+            # bounds that claim nothing
+            t1_low, t1_up, t2_low, t2_up = 0.0, 1.0, 0.0, 1.0
         # where the loss cap bound beats the grid, the grid did not
         # resolve the integrands and its slope is that bound's
         trivial, slope = _loss_cap_bound(w, sigma)
@@ -964,10 +999,13 @@ def _probe_checks(dims, sigmas, eps_delta, n_r, n_R) -> list[BoundReport]:
     within about 64 M of delta (under 1e-5 relative at dim = 10^6).
 
     Every probe the quarter grid can take is bounded there in one
-    _prolate_batch call.  A decided probe returns the quarter grid's
-    report, which names that grid in n_r and n_R and steers the search's
-    next step by its own lhs_upper and lhs_slope; every other probe
-    returns _check on the full grid, a batch of one.
+    _prolate_batch call, which skips the T1 and T2 sums: the rules read
+    D, the lower bound and M alone.  A decided probe returns the quarter
+    grid's report, which names that grid in n_r and n_R, has term1_upper
+    = 1 and term2_lower = 0, and steers the search's next step by its
+    own lhs_upper, the smaller of D, the loss cap and 1, and lhs_slope;
+    every other probe returns _check on the full grid, a batch of one,
+    with all eight rows.
     """
     eps, delta = float(eps_delta.epsilon), float(eps_delta.delta)
     n_nu, n_mu = n_r // 4, n_R // 4
@@ -984,7 +1022,12 @@ def _probe_checks(dims, sigmas, eps_delta, n_r, n_R) -> list[BoundReport]:
     reports = [None] * len(sigmas)
     if quarter:
         batch = _prolate_batch(
-            [dims[i] for i in quarter], [sigmas[i] for i in quarter], eps, n_nu, n_mu
+            [dims[i] for i in quarter],
+            [sigmas[i] for i in quarter],
+            eps,
+            n_nu,
+            n_mu,
+            terms=False,
         )
         for i, bounds in zip(quarter, batch):
             room = math.exp(-2.0 * _NESTED_MARGIN_GROWTH * bounds.margin)

@@ -108,12 +108,12 @@ def _counting(counts: defaultdict, calls: Counter):
             counts[dim]["checks"] += 1
         return checks(dims, *args)
 
-    def counted_batch(dims, sigmas, eps, n_nu, n_mu):
+    def counted_batch(dims, sigmas, eps, n_nu, n_mu, **kwargs):
         calls["prolate_calls"] += 1
         for dim in dims:
             counts[dim]["nu_cells"] += n_nu
             counts[dim]["mu_cells"] += n_mu
-        return batch(dims, sigmas, eps, n_nu, n_mu)
+        return batch(dims, sigmas, eps, n_nu, n_mu, **kwargs)
 
     calibrate._probe_checks = counted_checks
     lossbounds._prolate_batch = counted_batch

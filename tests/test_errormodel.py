@@ -10,6 +10,7 @@ import pytest
 
 import l2mech.calibrate
 import l2mech.errormodel as errormodel
+import l2mech.lossbounds
 from l2mech.calibrate import PrivacyParams, calibrate_l2
 from l2mech.errormodel import (
     TABLE_FIELDS,
@@ -178,14 +179,15 @@ def test_counts_refuse_bools():
 def test_table_warm_start_changes_no_sigma(
     monkeypatch, epsilon, delta, d_max, max_probes
 ):
-    # each l2 search from the third row on starts at the secant through
-    # the latest sigmas of the two searches before it (the second at the
-    # first row's sigma), and the searches advance together, one round
-    # of row checks at a time; each answer is still the stand-alone
-    # calibration's.  The d_max = 12 tables take 28, 33 and 26 row checks
-    # and the d_max = 40 one 87 (29, 34, 28 and 92 when each search waited
-    # for the one before it); the bounds are those of that sequential
-    # schedule
+    # rows 0 and 1 start at once, and each later l2 search once the one
+    # two rows before it has a report, at the secant through the latest
+    # sigmas of the two nearest searches before it that have one; the
+    # searches advance together, one round of row checks at a time, and
+    # each answer is still the stand-alone calibration's.  The d_max = 12
+    # tables take 31, 34 and 30 row checks and the d_max = 40 one 94 (28,
+    # 33, 26 and 87 when each search waited for the one just before it,
+    # 29, 34, 28 and 92 when it waited for that one to finish); the
+    # bounds are those of the last, sequential schedule
     pp = PrivacyParams(epsilon, delta)
     probes = 0
     checks_at = l2mech.calibrate._probe_checks
@@ -202,3 +204,21 @@ def test_table_warm_start_changes_no_sigma(
     alone = [calibrate_l2(d, pp).sigma for d in range(1, d_max + 1)]
     assert [s.hex() for s in table] == [s.hex() for s in alone]
     assert probes <= max_probes
+
+
+def test_table_takes_a_certificate_pass_per_two_rows(monkeypatch):
+    # with each search starting once the one two rows before it has a
+    # report, the d_max = 40 table at (1, 1e-5) takes 24 certificate
+    # passes (_prolate_batch calls), against 43 when each waited for the
+    # row just before it
+    batch_at = l2mech.lossbounds._prolate_batch
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return batch_at(*args, **kwargs)
+
+    monkeypatch.setattr(l2mech.lossbounds, "_prolate_batch", counted)
+    comparison_table(PrivacyParams(1.0, 1e-5), 40)
+    assert calls == 24

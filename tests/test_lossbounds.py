@@ -554,6 +554,37 @@ def test_a_huge_dim_at_tiny_sigma_gets_finite_bounds():
     assert bad == []
 
 
+def test_a_mu_window_whose_edges_cross_starts_at_one(monkeypatch):
+    # near d = 2^53 the rounded estimates of the two mu peaks can put the
+    # window's lower edge above its upper one; it then starts at mu = 1.
+    # The point from the NaN test above and its scan's two such draws at
+    # d = 2^53: every mu-cell has a positive width, and every lower sum is
+    # finite and nonnegative
+    from l2mech import lossbounds
+
+    sums = []
+    cell_sums = lossbounds._cell_sums
+
+    def spy(*args):
+        out = cell_sums(*args)
+        sums.append(out[1][1])
+        return out
+
+    monkeypatch.setattr(lossbounds, "_cell_sums", spy)
+    for d, sigma, eps in (
+        (2**52, 0.03258074136660669 / 1.3321106541200243, 1.3321106541200243),
+        (2**53, 1.3642320148254412e-30, 567.2340658725828),
+        (2**53, 0.00173883217669009, 212.6578543824417),
+    ):
+        w = _one_minus_product(eps, sigma)
+        _, m_lo, m_hi = lossbounds._prolate_windows(d, sigma, eps, w)
+        assert m_lo == 0.0 and np.all(np.diff(lossbounds._edges(m_lo, m_hi, 1000)) > 0.0)
+        sums.clear()
+        lossbounds._prolate_batch((d,), (sigma,), eps, 1000, 1000)
+        (lower,) = sums
+        assert np.all(np.isfinite(lower) & (lower >= 0.0)), (d, sigma, eps, lower)
+
+
 def test_check_reports_the_loss_cap_where_a_grid_cannot_start():
     # at d = 2, when r_star falls at or below term1's first radius, or
     # between it and term2's, around the shifted center, no radial grid

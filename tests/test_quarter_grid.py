@@ -6,11 +6,14 @@ probe; elsewhere it is the full-grid check.  The tests send it rounds of
 one probe, as a calibrate_l2 call does.  These tests check that a decided verdict is the
 full grid's, that the quarter grid's edges are the full grid's every
 fourth edge bit for bit, that the full grid's rounding margin stays
-within the factor the pass rule allows for, and that every other case
-is the full check.
+within the factor the pass rule allows for, that the quarter grid's pass
+without the T1/T2 sums keeps every bit the rules read, and that every
+other case is the full check.
 """
 
 import math
+
+import numpy as np
 
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -63,6 +66,36 @@ def test_a_quarter_grid_verdict_is_the_full_grids(d, eps, fraction, delta, near)
         assert fine.margin <= lossbounds._NESTED_MARGIN_GROWTH * quarter.margin
     else:
         assert probe == full
+
+
+CORE_BITS_SEED = 20261022
+
+
+def test_a_pass_without_the_terms_keeps_the_bits_a_probe_reads():
+    # _probe_checks' pass sums the lhs and mu rows alone: its direct bound,
+    # lower bound, margin and r_star equal the full pass's bit for bit,
+    # its lhs_upper is the smaller of direct, the loss cap and 1, and its
+    # T1 and T2 bounds claim nothing.  Seeded batches of 1 to 4 rows, d
+    # log-uniform in [3, 10^5], eps in [1e-3, 700], sigma 10^-U(0, 3) / eps
+    rng = np.random.default_rng(CORE_BITS_SEED)
+
+    def core(bounds):
+        return [v.hex() for v in (bounds.direct, bounds.lhs[0], bounds.margin, bounds.r_star)]
+
+    for _ in range(300):
+        count = int(rng.integers(1, 5))
+        n = int(rng.choice((8, 64, 250, 1000)))
+        eps = float(10.0 ** rng.uniform(-3.0, math.log10(700.0)))
+        dims = [int(10.0 ** rng.uniform(math.log10(3.0), 5.0)) for _ in range(count)]
+        sigmas = [float(10.0 ** -rng.uniform(0.0, 3.0) / eps) for _ in range(count)]
+        full = lossbounds._prolate_batch(dims, sigmas, eps, n, n)
+        free = lossbounds._prolate_batch(dims, sigmas, eps, n, n, terms=False)
+        for dim, sigma, a, b in zip(dims, sigmas, full, free):
+            case = (dim, sigma, eps, n)
+            assert core(b) == core(a), case
+            cap = lossbounds._loss_cap_bound(lossbounds._one_minus_product(eps, sigma), sigma)[0]
+            assert b.lhs[1] == min(a.direct, cap, 1.0), case
+            assert (b.term1, b.term2) == ((0.0, 1.0), (0.0, 1.0)), case
 
 
 @settings(max_examples=300, deadline=None)
